@@ -18,10 +18,9 @@
 //! The report also carries a telemetry-overhead section (router step with
 //! telemetry disabled vs armed) and a whole-experiment sweep section:
 //! the wall clock of a Fig. 5-style CBR run at 0.2/0.6/0.9 normalized
-//! load under three engines — `legacy` (cycle-by-cycle with per-source
-//! polling, the pre-calendar loop), `naive` (cycle-by-cycle with
-//! injection calendars) and `horizon` (event-horizon fast-forwarding) —
-//! with the engines' bit-identity asserted on every rep.
+//! load under both engines — `naive` (cycle-by-cycle) and `horizon`
+//! (event-horizon fast-forwarding) — with the engines' bit-identity
+//! asserted on every rep.
 //!
 //! Pass `--gate <baseline.json>` to fail (exit 1) if:
 //! * the COA kernel at 16 ports regresses more than
@@ -32,9 +31,8 @@
 //! * the instrumented-but-disabled router step regresses more than
 //!   `MMR_TELEMETRY_GATE_PCT` percent (default 10) against the COA router
 //!   number in the baseline — the "zero-overhead when disarmed" contract;
-//! * the horizon engine's speedup over the legacy loop falls below 3x at
-//!   0.2 load, or the horizon run is more than 2% slower than the naive
-//!   loop at 0.9 load (where skips are rare);
+//! * the horizon run is more than 2% slower than the naive loop at 0.9
+//!   load (where skips are rare);
 //! * the horizon wall clock regresses more than `MMR_SWEEP_GATE_PCT`
 //!   percent (default 25 — whole-run wall clocks are noisy) against the
 //!   baseline's sweep section, when the baseline has one.
@@ -164,11 +162,7 @@ fn measure_router_telemetry(
 /// `load`, per engine.
 struct SweepTiming {
     load: f64,
-    /// Cycle-by-cycle loop with per-source polling (the pre-calendar
-    /// stage-1 behaviour) — the historical baseline the speedup metric
-    /// is measured against.
-    legacy_s: f64,
-    /// Cycle-by-cycle loop with injection calendars.
+    /// Cycle-by-cycle loop.
     naive_s: f64,
     /// Event-horizon loop.
     horizon_s: f64,
@@ -176,7 +170,7 @@ struct SweepTiming {
     skipped_fraction: f64,
 }
 
-/// Time the three engines on one load point.  Every rep rebuilds the
+/// Time both engines on one load point.  Every rep rebuilds the
 /// router (timing covers the run loop only, not construction) and the
 /// final state — summary, RNG stream position, executed cycles — is
 /// asserted identical across engines, so the benchmark doubles as a
@@ -189,15 +183,13 @@ fn measure_sweep_point(load: f64, warmup: u64, cycles: u64, reps: usize) -> Swee
         ..Default::default()
     };
     let runner = Runner::new(warmup, StopCondition::Cycles(cycles));
-    // (legacy, naive, horizon): legacy = polling stage 1, horizon = skip loop.
-    let modes = [(true, false), (false, false), (false, true)];
-    let mut best = [f64::INFINITY; 3];
+    // (naive, horizon)
+    let mut best = [f64::INFINITY; 2];
     let mut skipped_fraction = 0.0;
     let mut identity = None;
     for _ in 0..reps {
-        for (i, &(legacy, horizon)) in modes.iter().enumerate() {
+        for (i, horizon) in [false, true].into_iter().enumerate() {
             let mut router = build_router(&cfg, build_workload(&cfg));
-            router.set_calendar_fast_path(!legacy);
             let t0 = Instant::now();
             let out = if horizon {
                 runner.run_horizon(&mut router)
@@ -212,7 +204,7 @@ fn measure_sweep_point(load: f64, warmup: u64, cycles: u64, reps: usize) -> Swee
             match &identity {
                 Some(prev) => assert_eq!(
                     prev, &probe,
-                    "engines diverged at load {load} (legacy={legacy}, horizon={horizon})"
+                    "engines diverged at load {load} (horizon={horizon})"
                 ),
                 None => identity = Some(probe),
             }
@@ -220,9 +212,8 @@ fn measure_sweep_point(load: f64, warmup: u64, cycles: u64, reps: usize) -> Swee
     }
     SweepTiming {
         load,
-        legacy_s: best[0],
-        naive_s: best[1],
-        horizon_s: best[2],
+        naive_s: best[0],
+        horizon_s: best[1],
         skipped_fraction,
     }
 }
@@ -435,7 +426,7 @@ fn main() {
         ("armed_overhead_pct", Value::F64(armed_overhead_pct)),
     ]);
 
-    // --- Whole-experiment wall clock: legacy vs naive vs horizon ----------
+    // --- Whole-experiment wall clock: naive vs horizon --------------------
     // Shorter runs under --quick; the speedup ratios are load-dependent,
     // not length-dependent, so the gate's thresholds hold either way.
     let (sweep_warmup, sweep_cycles, sweep_reps) = if quick {
@@ -448,21 +439,17 @@ fn main() {
     for &load in &[0.2, 0.6, 0.9] {
         let t = measure_sweep_point(load, sweep_warmup, sweep_cycles, sweep_reps);
         println!(
-            "  sweep load {load}: legacy {:.3}s  naive {:.3}s  horizon {:.3}s  \
-             ({:.2}x vs legacy, {:.2}x vs naive, {:.0}% skipped)",
-            t.legacy_s,
+            "  sweep load {load}: naive {:.3}s  horizon {:.3}s  \
+             ({:.2}x vs naive, {:.0}% skipped)",
             t.naive_s,
             t.horizon_s,
-            t.legacy_s / t.horizon_s,
             t.naive_s / t.horizon_s,
             t.skipped_fraction * 100.0,
         );
         sweep_rows.push(obj(vec![
             ("load", Value::F64(t.load)),
-            ("legacy_s", Value::F64(t.legacy_s)),
             ("naive_s", Value::F64(t.naive_s)),
             ("horizon_s", Value::F64(t.horizon_s)),
-            ("speedup_vs_legacy", Value::F64(t.legacy_s / t.horizon_s)),
             ("speedup_vs_naive", Value::F64(t.naive_s / t.horizon_s)),
             ("skipped_fraction", Value::F64(t.skipped_fraction)),
         ]));
@@ -617,16 +604,6 @@ fn main() {
         // measured in this very run, so they are machine-independent.
         let mut failed = false;
         for t in &timings {
-            if (t.load - 0.2).abs() < 1e-9 {
-                let speedup = t.legacy_s / t.horizon_s;
-                if speedup < 3.0 {
-                    eprintln!(
-                        "error: horizon speedup vs legacy loop at load 0.2 is \
-                         {speedup:.2}x (gate requires >= 3x)"
-                    );
-                    failed = true;
-                }
-            }
             // 2% at full fidelity; quick samples are ~0.4 s and carry
             // scheduler jitter that measures up to ~9% on a busy shared
             // host, so allow 10% there — the failure this clause catches

@@ -423,6 +423,11 @@ impl FabricNode {
 
         // 8. NIC credit returns become visible next cycle.
         self.nic_credits.apply_returns();
+
+        debug_assert!(
+            self.mem.index_consistent() && self.nics.iter().all(Nic::index_consistent),
+            "occupancy index out of sync at cycle {u}"
+        );
     }
 
     fn backlog(&self) -> usize {

@@ -5,7 +5,7 @@
 //! switch scheduler as its candidate vector.  The priority function is
 //! pluggable ([`mmr_arbiter::priority`]); SIABP is the MMR's default.
 
-use crate::vcmem::VcMemory;
+use crate::vcmem::{VcMemory, VcSet};
 use mmr_arbiter::candidate::{Candidate, CandidateSet, Priority};
 use mmr_arbiter::priority::LinkPriority;
 use mmr_sim::time::RouterCycle;
@@ -24,12 +24,14 @@ pub struct VcQosInfo {
 
 /// Selects the top-k candidates for one input link.
 ///
-/// `vcs` lists the (global) VC indices homed on this input; the scratch
-/// buffer keeps selection allocation-free across cycles.
+/// `vcs` lists the (global) VC indices homed on this input; selection
+/// visits only those the memory's occupancy index marks non-empty, and
+/// the scratch buffer keeps it allocation-free across cycles.
 #[derive(Debug)]
 pub struct LinkScheduler {
     input: usize,
     vcs: Vec<usize>,
+    vc_set: VcSet,
     scratch: Vec<(Priority, usize)>,
 }
 
@@ -39,6 +41,7 @@ impl LinkScheduler {
         let cap = vcs.len();
         LinkScheduler {
             input,
+            vc_set: VcSet::new(&vcs),
             vcs,
             scratch: Vec::with_capacity(cap),
         }
@@ -79,16 +82,19 @@ impl LinkScheduler {
     ) -> usize {
         let levels = cs.levels();
         self.scratch.clear();
-        for &vc in &self.vcs {
+        // The comparator below is a total order on (priority, vc), so the
+        // order VCs are visited in cannot change the result.
+        let scratch = &mut self.scratch;
+        self.vc_set.for_each_nonempty(mem, |vc| {
             if !eligible(vc) {
-                continue;
+                return;
             }
-            let Some(head) = mem.head(vc) else { continue };
+            let head = mem.head(vc).expect("occupancy index marks vc non-empty");
             let waited = now.saturating_sub(head.entered_at).0;
             let info = &qos[vc];
             let p = priority_fn.priority(info.reserved_slots, info.iat_rc, waited);
-            self.scratch.push((p, vc));
-        }
+            scratch.push((p, vc));
+        });
         // Partial selection: only the top `levels` need ordering.  For the
         // candidate counts in play (k = 4, tens–hundreds of VCs) a
         // select_nth + sort of the head is the cheapest exact method.

@@ -16,6 +16,9 @@ pub struct Nic {
     conns: Vec<usize>,
     /// Per-connection queues, indexed like `conns`.
     queues: Vec<VecDeque<Flit>>,
+    /// Bit `local % 64` of word `local / 64` is set iff `queues[local]`
+    /// is non-empty; the link controller visits only these.
+    nonempty: Vec<u64>,
     /// Round-robin pointer into `conns`.
     rr: usize,
     /// High-water mark of total queued flits.
@@ -32,11 +35,20 @@ impl Nic {
     /// A NIC serving the given (global) connection ids.
     pub fn new(conns: Vec<usize>) -> Self {
         let n = conns.len();
+        debug_assert!(
+            {
+                let mut sorted = conns.clone();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|w| w[0] != w[1])
+            },
+            "duplicate connection id on one NIC"
+        );
         Nic {
             conns,
             queues: (0..n)
                 .map(|_| VecDeque::with_capacity(Self::INITIAL_QUEUE_CAPACITY))
                 .collect(),
+            nonempty: vec![0; n.div_ceil(64)],
             rr: 0,
             peak_depth: 0,
             depth: 0,
@@ -52,6 +64,7 @@ impl Nic {
     /// of the connection within this NIC (see [`Nic::local_index`]).
     pub fn enqueue(&mut self, local: usize, flit: Flit) {
         self.queues[local].push_back(flit);
+        self.nonempty[local / 64] |= 1 << (local % 64);
         self.depth += 1;
         if self.depth > self.peak_depth {
             self.peak_depth = self.depth;
@@ -87,26 +100,71 @@ impl Nic {
     /// demand-driven round-robin order, that has a queued flit and passes
     /// `has_credit`; dequeue and return its head flit with the global
     /// connection id.  Returns `None` when nothing is eligible.
+    /// `has_credit` is asked only about connections with a queued flit.
     pub fn forward_one<F>(&mut self, has_credit: F) -> Option<(usize, Flit)>
     where
         F: Fn(usize) -> bool,
     {
-        let n = self.conns.len();
-        if n == 0 {
+        if self.depth == 0 {
             return None;
         }
-        for off in 0..n {
-            let local = (self.rr + off) % n;
-            let conn = self.conns[local];
-            if !self.queues[local].is_empty() && has_credit(conn) {
-                let flit = self.queues[local].pop_front().expect("checked non-empty");
-                self.depth -= 1;
-                // Advance past the served connection.
-                self.rr = (local + 1) % n;
-                return Some((conn, flit));
+        let n = self.conns.len();
+        // Cyclic order from the pointer: [rr, n), then [0, rr).
+        let local = self
+            .first_ready(self.rr, n, &has_credit)
+            .or_else(|| self.first_ready(0, self.rr, &has_credit))?;
+        let flit = self.queues[local]
+            .pop_front()
+            .expect("index marks queue non-empty");
+        if self.queues[local].is_empty() {
+            self.nonempty[local / 64] &= !(1 << (local % 64));
+        }
+        self.depth -= 1;
+        // Advance past the served connection.
+        self.rr = (local + 1) % n;
+        Some((self.conns[local], flit))
+    }
+
+    /// Lowest local index in `[lo, hi)` with a queued flit and a credit.
+    fn first_ready<F: Fn(usize) -> bool>(
+        &self,
+        lo: usize,
+        hi: usize,
+        has_credit: &F,
+    ) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        for w in lo / 64..=(hi - 1) / 64 {
+            let base = w * 64;
+            let mut bits = self.nonempty[w];
+            if base < lo {
+                bits &= u64::MAX << (lo - base);
+            }
+            if hi < base + 64 {
+                bits &= (1 << (hi - base)) - 1;
+            }
+            while bits != 0 {
+                let local = base + bits.trailing_zeros() as usize;
+                if has_credit(self.conns[local]) {
+                    return Some(local);
+                }
+                bits &= bits - 1;
             }
         }
         None
+    }
+
+    /// True if the non-empty index agrees with the queues (bit set ⇔
+    /// queue non-empty) and the queue lengths sum to
+    /// [`total_depth`](Nic::total_depth).  O(connections); meant for
+    /// debug assertions and tests.
+    pub fn index_consistent(&self) -> bool {
+        let bits_agree =
+            self.queues.iter().enumerate().all(|(local, q)| {
+                (self.nonempty[local / 64] >> (local % 64) & 1 == 1) != q.is_empty()
+            });
+        bits_agree && self.queues.iter().map(VecDeque::len).sum::<usize>() == self.depth
     }
 }
 
@@ -189,6 +247,44 @@ mod tests {
         assert_eq!(nic.local_index(11), Some(1));
         assert_eq!(nic.local_index(99), None);
         assert_eq!(nic.connections(), &[10, 11, 12]);
+    }
+
+    #[test]
+    fn round_robin_wraps_across_index_words() {
+        // 130 connections span three index words; start the pointer in
+        // the last word so the scan must wrap to the first.
+        let mut nic = Nic::new((0..130).collect());
+        for local in [2, 64, 129] {
+            nic.enqueue(local, flit(local as u32, 0));
+            nic.enqueue(local, flit(local as u32, 1));
+        }
+        assert!(nic.index_consistent());
+        let order: Vec<usize> = (0..6)
+            .map(|_| nic.forward_one(|c| c != 64).map_or(usize::MAX, |(c, _)| c))
+            .collect();
+        // 64 holds flits but never a credit: it is skipped, not served.
+        assert_eq!(order, vec![2, 129, 2, 129, usize::MAX, usize::MAX]);
+        assert_eq!(nic.forward_one(|_| true).unwrap().0, 64);
+        assert!(nic.index_consistent());
+    }
+
+    #[test]
+    fn credit_is_asked_only_of_backlogged_connections() {
+        let mut nic = nic3();
+        nic.enqueue(1, flit(11, 0));
+        let asked = std::cell::RefCell::new(Vec::new());
+        nic.forward_one(|c| {
+            asked.borrow_mut().push(c);
+            true
+        });
+        assert_eq!(*asked.borrow(), vec![11]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate connection id")]
+    fn duplicate_connection_ids_are_rejected() {
+        Nic::new(vec![10, 11, 10]);
     }
 
     #[test]

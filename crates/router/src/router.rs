@@ -90,10 +90,6 @@ pub struct MmrRouter {
     /// and refreshed after each drain; backs both the per-cycle drain
     /// fast path and the event-horizon quiescence predicate.
     calendar: InjectionCalendar,
-    /// When false, stage 1 polls every source every cycle (the
-    /// pre-calendar behaviour).  Bench-only baseline emulation: results
-    /// are bit-identical either way, only the cost differs.
-    calendar_fast_path: bool,
     /// Per connection: (input port, local index within that NIC).
     nic_slot: Vec<(usize, usize)>,
     nics: Vec<Nic>,
@@ -206,7 +202,6 @@ impl MmrRouter {
             specs,
             sources,
             calendar,
-            calendar_fast_path: true,
             nic_slot,
             nics,
             credits: CreditBank::new(n_conns, cfg.vc_buffer_flits as u32),
@@ -272,16 +267,6 @@ impl MmrRouter {
             &self.arbiter.kernel_stats(),
             self.cfg.time.router_cycle_secs(),
         );
-    }
-
-    /// Toggle the calendar-backed stage-1 drain fast path (on by
-    /// default).  Turning it off restores the pre-calendar behaviour —
-    /// every source polled every cycle — and is bit-identical to the
-    /// fast path by construction (an empty drain is a no-op); the bench
-    /// harness uses it to measure the naive-loop baseline the
-    /// event-horizon engine is compared against.
-    pub fn set_calendar_fast_path(&mut self, enabled: bool) {
-        self.calendar_fast_path = enabled;
     }
 
     /// Fingerprint of the arbiter RNG's stream position: equal
@@ -425,20 +410,15 @@ impl CycleModel for MmrRouter {
         // the bound to the exact minimum in the same pass.
         let t_gen = self.telemetry.stage_begin();
         let mut gen_count = 0u64;
-        if !self.calendar_fast_path || self.calendar.min_lower_bound() <= now_rc.0 {
+        if self.calendar.min_lower_bound() <= now_rc.0 {
             let mut new_min = calendar::NEVER;
             for i in 0..self.sources.len() {
                 let mut next = self.calendar.next_rc(i);
-                let due = next <= now_rc.0;
-                if due || !self.calendar_fast_path {
+                if next <= now_rc.0 {
                     self.drain_buf.clear();
                     self.sources[i].drain_until(now_rc, &mut self.drain_buf);
-                    if due || !self.drain_buf.is_empty() {
-                        // An empty legacy-path drain cannot have moved
-                        // the source, so the cached entry stays fresh.
-                        self.calendar.update(i, self.sources[i].peek_next());
-                        next = self.calendar.next_rc(i);
-                    }
+                    self.calendar.update(i, self.sources[i].peek_next());
+                    next = self.calendar.next_rc(i);
                     let (port, local) = self.nic_slot[i];
                     let class = self.specs[i].class;
                     for &flit in self.drain_buf.iter() {
@@ -602,9 +582,6 @@ impl CycleModel for MmrRouter {
         let mut forwarded = 0u64;
         let arrival = RouterCycle(now_rc.0 + self.rc_per_flit);
         for (input, nic) in self.nics.iter_mut().enumerate() {
-            if nic.is_empty() {
-                continue; // nothing queued: skip the round-robin scan
-            }
             let credits = &self.credits;
             let Some((conn, mut flit)) = nic.forward_one(|c| credits.has_credit(c)) else {
                 continue;
@@ -681,6 +658,12 @@ impl CycleModel for MmrRouter {
             let backlog = self.backlog() as u64;
             self.telemetry.end_cycle(now.0, backlog);
         }
+
+        debug_assert!(
+            self.mem.index_consistent() && self.nics.iter().all(Nic::index_consistent),
+            "occupancy index out of sync at cycle {}",
+            now.0
+        );
     }
 
     fn on_measurement_start(&mut self, _now: FlitCycle) {

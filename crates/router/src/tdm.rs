@@ -20,7 +20,7 @@
 //! table entries is served at nearly constant spacing.
 
 use crate::link_scheduler::VcQosInfo;
-use crate::vcmem::VcMemory;
+use crate::vcmem::{VcMemory, VcSet};
 use mmr_arbiter::candidate::{Candidate, CandidateSet, Priority};
 use mmr_arbiter::priority::LinkPriority;
 use mmr_sim::time::RouterCycle;
@@ -72,7 +72,8 @@ pub struct TdmLinkScheduler {
     table: Vec<Option<usize>>,
     cursor: usize,
     backfill: bool,
-    vcs: Vec<usize>,
+    /// The VCs homed on this input (backfill candidates).
+    vc_set: VcSet,
     scratch: Vec<(Priority, usize)>,
 }
 
@@ -91,14 +92,14 @@ impl TdmLinkScheduler {
         backfill: bool,
     ) -> Self {
         let table = build_slot_table(&reservations, cycles_per_round, table_len);
-        let vcs = reservations.iter().map(|&(vc, _)| vc).collect();
+        let vcs: Vec<usize> = reservations.iter().map(|&(vc, _)| vc).collect();
         TdmLinkScheduler {
             input,
             table,
             cursor: 0,
             backfill,
-            vcs,
-            scratch: Vec::new(),
+            vc_set: VcSet::new(&vcs),
+            scratch: Vec::with_capacity(vcs.len()),
         }
     }
 
@@ -169,15 +170,16 @@ impl TdmLinkScheduler {
         }
         // Backfill the remaining levels by dynamic priority.
         self.scratch.clear();
-        for &vc in &self.vcs {
+        let scratch = &mut self.scratch;
+        self.vc_set.for_each_nonempty(mem, |vc| {
             if Some(vc) == owner_offered || !eligible(vc) {
-                continue;
+                return;
             }
-            let Some(head) = mem.head(vc) else { continue };
+            let head = mem.head(vc).expect("occupancy index marks vc non-empty");
             let waited = now.saturating_sub(head.entered_at).0;
             let p = priority_fn.priority(qos[vc].reserved_slots, qos[vc].iat_rc, waited);
-            self.scratch.push((p, vc));
-        }
+            scratch.push((p, vc));
+        });
         let want = levels - offered;
         if self.scratch.len() > want {
             self.scratch

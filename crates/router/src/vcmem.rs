@@ -5,6 +5,11 @@
 //! as interleaved RAM modules.  This model keeps a bounded FIFO per VC,
 //! tracks when each flit entered the router (the SIABP delay counter), and
 //! keeps per-bank occupancy statistics mirroring the interleaving scheme.
+//!
+//! It also maintains an **occupancy index**: one bit per VC, set exactly
+//! while the VC holds a flit.  Link schedulers intersect it with the
+//! precomputed [`VcSet`] of the VCs they serve, so candidate selection
+//! visits only non-empty VCs (DESIGN.md §18).
 
 use mmr_sim::time::RouterCycle;
 use mmr_traffic::flit::Flit;
@@ -29,6 +34,53 @@ pub struct VcMemory {
     /// High-water mark of total occupancy, for reports.
     peak_occupancy: usize,
     occupancy: usize,
+    /// Occupancy index: bit `vc % 64` of word `vc / 64` is set iff
+    /// `queues[vc]` is non-empty.
+    nonempty: Vec<u64>,
+}
+
+/// A fixed set of global VC ids, stored as the sparse list of
+/// `(word, mask)` pairs its members occupy in the occupancy index.  At
+/// most min(#VCs, #words) entries: a wide switch's input with 4 VCs does
+/// at most 4 ANDs per cycle, however many VCs the whole router has.
+#[derive(Debug)]
+pub struct VcSet {
+    words: Vec<(usize, u64)>,
+}
+
+impl VcSet {
+    /// The set of `vcs`.  Ids must be unique: a duplicate would offer the
+    /// same VC twice under the scan this index replaced.
+    pub fn new(vcs: &[usize]) -> Self {
+        let mut words: Vec<(usize, u64)> = Vec::new();
+        for &vc in vcs {
+            let (w, bit) = (vc / 64, 1u64 << (vc % 64));
+            let at = match words.binary_search_by_key(&w, |&(word, _)| word) {
+                Ok(at) => at,
+                Err(at) => {
+                    words.insert(at, (w, 0));
+                    at
+                }
+            };
+            debug_assert!(words[at].1 & bit == 0, "duplicate VC id {vc}");
+            words[at].1 |= bit;
+        }
+        VcSet { words }
+    }
+
+    /// Call `f` with every member that currently holds a flit in `mem`,
+    /// in ascending VC order.
+    #[inline]
+    pub fn for_each_nonempty(&self, mem: &VcMemory, mut f: impl FnMut(usize)) {
+        let occ = mem.nonempty_words();
+        for &(w, mask) in &self.words {
+            let mut bits = occ[w] & mask;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 impl VcMemory {
@@ -44,6 +96,7 @@ impl VcMemory {
             banks,
             peak_occupancy: 0,
             occupancy: 0,
+            nonempty: vec![0; vcs.div_ceil(64)],
         }
     }
 
@@ -88,6 +141,7 @@ impl VcMemory {
             flit,
             entered_at: now,
         });
+        self.nonempty[vc / 64] |= 1 << (vc % 64);
         self.occupancy += 1;
         if self.occupancy > self.peak_occupancy {
             self.peak_occupancy = self.occupancy;
@@ -99,8 +153,30 @@ impl VcMemory {
         let f = self.queues[vc].pop_front();
         if f.is_some() {
             self.occupancy -= 1;
+            if self.queues[vc].is_empty() {
+                self.nonempty[vc / 64] &= !(1 << (vc % 64));
+            }
         }
         f
+    }
+
+    /// The occupancy index, 64 VCs per word: bit `vc % 64` of word
+    /// `vc / 64` is set iff `vc` holds a flit.
+    pub fn nonempty_words(&self) -> &[u64] {
+        &self.nonempty
+    }
+
+    /// True if the occupancy index agrees with the queues (bit set ⇔
+    /// queue non-empty) and the queue lengths sum to
+    /// [`total_occupancy`](VcMemory::total_occupancy).  O(VCs); meant for
+    /// debug assertions and tests.
+    pub fn index_consistent(&self) -> bool {
+        let bits_agree = self
+            .queues
+            .iter()
+            .enumerate()
+            .all(|(vc, q)| (self.nonempty[vc / 64] >> (vc % 64) & 1 == 1) != q.is_empty());
+        bits_agree && self.queues.iter().map(VecDeque::len).sum::<usize>() == self.occupancy
     }
 
     /// Total flits resident across all VCs.
@@ -182,6 +258,48 @@ mod tests {
         m.pop(1);
         assert_eq!(m.total_occupancy(), 1);
         assert_eq!(m.peak_occupancy(), 3);
+    }
+
+    #[test]
+    fn occupancy_index_tracks_queue_emptiness() {
+        let mut m = VcMemory::new(130, 2, 1);
+        assert_eq!(m.nonempty_words(), &[0, 0, 0]);
+        for vc in [0, 63, 64, 129] {
+            m.push(vc, flit(vc as u32, 0), RouterCycle(0));
+        }
+        m.push(64, flit(64, 1), RouterCycle(0));
+        assert_eq!(m.nonempty_words(), &[1 | 1 << 63, 1, 2]);
+        assert!(m.index_consistent());
+        // The bit clears only when the queue empties; an empty pop is a
+        // no-op.
+        m.pop(64);
+        assert_eq!(m.nonempty_words()[1], 1);
+        m.pop(64);
+        assert!(m.pop(64).is_none());
+        assert_eq!(m.nonempty_words()[1], 0);
+        assert!(m.index_consistent());
+    }
+
+    #[test]
+    fn vc_set_visits_only_occupied_members_in_ascending_order() {
+        let mut m = VcMemory::new(200, 2, 1);
+        for vc in [3, 64, 70, 199] {
+            m.push(vc, flit(vc as u32, 0), RouterCycle(0));
+        }
+        // Members listed out of order, spanning three words; 64 is
+        // occupied but not a member, 5 a member but empty.
+        let set = VcSet::new(&[199, 70, 3, 5, 130]);
+        let mut seen = Vec::new();
+        set.for_each_nonempty(&m, |vc| seen.push(vc));
+        assert_eq!(seen, vec![3, 70, 199]);
+        VcSet::new(&[]).for_each_nonempty(&m, |_| panic!("empty set has no members"));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate VC id 70")]
+    fn vc_set_rejects_duplicate_ids() {
+        VcSet::new(&[3, 70, 5, 70]);
     }
 
     #[test]
