@@ -304,9 +304,10 @@ pub struct FabricSpec {
     pub link_latency: u64,
     /// Host (injection/ejection) links per router (ring/mesh/torus).
     pub host_ports: usize,
-    /// Worker threads for fabric execution.  Results are bit-identical
-    /// for every value, so this is a performance knob, not a semantic
-    /// one.
+    /// Chunks the fabric is split into for parallel execution, run on
+    /// at most as many threads as the host has CPUs
+    /// (`Fabric::thread_count`).  Results are bit-identical for every
+    /// value, so this is a performance knob, not a semantic one.
     pub workers: usize,
 }
 

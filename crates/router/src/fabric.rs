@@ -19,17 +19,63 @@
 //! so any epoch of at most `link_latency` cycles can execute with **no
 //! intra-epoch communication**: every message produced inside the epoch
 //! is due at or after the epoch boundary.  Nodes are therefore fully
-//! independent within an epoch, and the fabric runs them on worker
-//! threads via the same deterministic chunked `split_at_mut` dispatch
-//! as [`mmr_core` sweeps]: which worker steps which node is pure
-//! scheduling, so the result is bit-identical for any worker count.
+//! independent within an epoch.  The fabric is split once per run into
+//! `workers` contiguous chunks (a `Chunk` view: nodes plus exactly their
+//! mailbox lanes, carved with `split_at_mut`), and which thread steps
+//! which chunk is pure scheduling, so the result is bit-identical for
+//! any worker count.
 //!
-//! Boundary exchange is double-buffered per directed link: the producer
-//! appends to its outbox lane during the epoch, the main thread swaps
-//! outbox/inbox vectors (pointer swaps, buffers reused — no steady-state
-//! allocation) at the barrier, and the consumer drains its inboxes into
-//! per-link pending queues at the next epoch start.  Message `due`
-//! values are monotone per link, so application order is deterministic.
+//! Every epoch has two phases.  In the **parallel phase** each chunk
+//! runs its nodes through the epoch's cycles, appending outbound wire
+//! messages to its outbox lanes and buffering metric events per node.
+//! In the **serial phase** one thread — the *leader*, the caller of
+//! [`Fabric::run_parallel`] — commits the buffered events in canonical
+//! (cycle offset, node, emission) order, swaps outbox and inbox lanes
+//! per directed link (the vectors move, buffers are reused — no
+//! steady-state allocation), and takes the horizon/skip decision.  The
+//! consumer drains its inboxes into per-link pending queues at the next
+//! epoch start; message `due` values are monotone per link, so
+//! application order is deterministic.  [`CycleModel::step`] is the
+//! same two phases on one chunk, inline.
+//!
+//! ## Persistent epoch workers
+//!
+//! `run_parallel` opens one scope of `std::thread`s per call and spawns
+//! `threads - 1` *helpers* that live until it returns; nothing is
+//! spawned, allocated or joined per epoch.  Leader and helpers meet in a
+//! `HandOff`: the leader publishes the epoch's parameters and bumps an
+//! epoch counter (`Release`); each helper, spinning on that counter
+//! (`Acquire`), runs its chunks and bumps a done counter (`Release`);
+//! the leader runs its own chunks, waits for the done counter
+//! (`Acquire`), performs the serial phase and loops.  The two
+//! release/acquire edges order the phases: everything a helper wrote in
+//! epoch *n* happens before the leader's serial phase *n*, which happens
+//! before any helper's epoch *n + 1*.  Waiting is a bounded spin
+//! followed by `yield_now` per probe — never an unbounded pure spin, so
+//! a descheduled partner costs a time slice, not a livelock.
+//!
+//! Each chunk sits behind a `Mutex`, and that lock is **never
+//! contended**: a thread locks a chunk only in the parallel phase, the
+//! leader locks all of them only in the serial phase, and the hand-off
+//! keeps the phases disjoint.  The lock is the safe-Rust vehicle that
+//! carries `&mut Chunk` from helper to leader and back (the workspace
+//! has no `unsafe`); it is also what makes the chunk data itself
+//! visible across threads, independently of the counters.
+//!
+//! **Threads are capped, chunks are not.**  `workers` fixes the chunk
+//! count (at most one chunk per node); the thread count is
+//! `min(chunks, available_parallelism())` and thread *k* runs chunks
+//! *k*, *k* + threads, ….  So `workers = 8` on a 2-CPU host still
+//! exercises the 8-way split — the bit-identity tests keep their
+//! meaning everywhere — but never runs more spinning threads than
+//! cores, which is what would turn the spin-wait into a collapse.
+//!
+//! **Panics propagate.**  A helper that unwinds raises a flag on its way
+//! out and the leader's wait panics instead of waiting for a report
+//! that will never come; a leader that unwinds (its own chunk, the
+//! serial phase, or that wait) shuts the hand-off down from a drop
+//! guard, so the helpers return and the scope joins them before the
+//! panic continues out of `run_parallel`.
 //!
 //! The event-horizon engine extends to the fabric: each shard computes
 //! its local `next_event` (backlog ⇒ next cycle; otherwise the earliest
@@ -62,6 +108,9 @@ use mmr_traffic::path::{mesh_route, Dir, HostMap};
 use mmr_traffic::workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Fabric topology: how many routers and how they are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,7 +214,7 @@ pub struct FabricConfig {
     pub topology: Topology,
     /// Inter-node link latency in flit cycles (>= 1).  Also the epoch
     /// length of the sharded executor: larger values amortize the
-    /// per-epoch barrier, at the cost of modelling longer links.
+    /// per-epoch hand-off, at the cost of modelling longer links.
     pub link_latency: u64,
     /// Host (injection/ejection) links per router for ring/mesh/torus
     /// topologies; ignored for the line.
@@ -279,6 +328,8 @@ struct FabricNode {
     drain_buf: Vec<Flit>,
     crossed_buf: Vec<CrossedFlit>,
     events: Vec<NodeEvent>,
+    /// Events of the current epoch already committed by the leader.
+    committed: usize,
     /// Local next-event horizon computed at epoch end (absolute cycle).
     horizon: u64,
 }
@@ -462,67 +513,111 @@ fn node_horizon(
     h
 }
 
-/// Execute cycles `[a, b)` for one chunk of nodes.  The six mailbox
-/// slices cover exactly the chunk's links: out-link-ordered
-/// (`flit_out`, `cred_in`, `cred_pend`) and in-link-ordered (`flit_in`,
-/// `cred_out`, `flit_pend`).  Runs identically inline (1 worker) or on
-/// a scoped thread — node results depend only on `(a, b)` and prior
-/// state, never on the chunking.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    nodes: &mut [FabricNode],
-    flit_out: &mut [Vec<FlitWire>],
-    cred_in: &mut [Vec<CredWire>],
-    cred_pend: &mut [VecDeque<CredWire>],
-    flit_in: &mut [Vec<FlitWire>],
-    cred_out: &mut [Vec<CredWire>],
-    flit_pend: &mut [VecDeque<FlitWire>],
+/// Parameters of one epoch: execute cycles `[a, b)`,
+/// `b - a <= link_latency`.  What the leader publishes through the
+/// [`HandOff`] and every chunk runs with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Epoch {
     a: u64,
     b: u64,
     measuring: bool,
-    t: Timing,
-    compute_horizon: bool,
-) {
-    debug_assert!(b > a && b - a <= t.link_latency, "epoch exceeds lookahead");
-    // Epoch start: drain the swapped-in inbox lanes into the pending
-    // queues (capacity is retained on both sides — steady state is
-    // allocation-free).
-    let (mut o, mut i) = (0usize, 0usize);
-    for node in nodes.iter() {
-        for k in 0..node.in_count {
-            flit_pend[i + k].extend(flit_in[i + k].drain(..));
-        }
-        for k in 0..node.out_count {
-            cred_pend[o + k].extend(cred_in[o + k].drain(..));
-        }
-        o += node.out_count;
-        i += node.in_count;
+    /// Compute the per-node horizons at epoch end.
+    horizon: bool,
+}
+
+/// A contiguous run of nodes together with exactly their mailbox lanes:
+/// the unit of parallel work.  Out-link-ordered lanes (`flit_out`,
+/// `cred_in`, `cred_pend`) start at global slot `out_base`, in-link-
+/// ordered ones (`flit_in`, `cred_out`, `flit_pend`) at `in_base`.
+/// Node results depend only on the epoch and prior state, never on how
+/// the fabric is chunked or which thread runs a chunk.
+struct Chunk<'a> {
+    nodes: &'a mut [FabricNode],
+    out_base: usize,
+    in_base: usize,
+    flit_out: &'a mut [Vec<FlitWire>],
+    cred_in: &'a mut [Vec<CredWire>],
+    cred_pend: &'a mut [VecDeque<CredWire>],
+    flit_in: &'a mut [Vec<FlitWire>],
+    cred_out: &'a mut [Vec<CredWire>],
+    flit_pend: &'a mut [VecDeque<FlitWire>],
+}
+
+/// Move the first `n` elements of `rest` into their own slice.
+fn split_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
+impl<'a> Chunk<'a> {
+    /// Split the first `n` nodes and their lanes off into their own
+    /// chunk; `self` keeps the remainder.  The one place the fabric is
+    /// partitioned, for every worker count.
+    fn split_front(&mut self, n: usize) -> Chunk<'a> {
+        let nodes = split_front(&mut self.nodes, n);
+        let outs: usize = nodes.iter().map(|nd| nd.out_count).sum();
+        let ins: usize = nodes.iter().map(|nd| nd.in_count).sum();
+        let head = Chunk {
+            nodes,
+            out_base: self.out_base,
+            in_base: self.in_base,
+            flit_out: split_front(&mut self.flit_out, outs),
+            cred_in: split_front(&mut self.cred_in, outs),
+            cred_pend: split_front(&mut self.cred_pend, outs),
+            flit_in: split_front(&mut self.flit_in, ins),
+            cred_out: split_front(&mut self.cred_out, ins),
+            flit_pend: split_front(&mut self.flit_pend, ins),
+        };
+        self.out_base += outs;
+        self.in_base += ins;
+        head
     }
-    for u in a..b {
-        let off = (u - a) as u32;
-        let (mut o, mut i) = (0usize, 0usize);
-        for node in nodes.iter_mut() {
-            let (oc, ic) = (node.out_count, node.in_count);
-            node.step_cycle(
-                u,
-                off,
-                measuring,
-                t,
-                &mut flit_out[o..o + oc],
-                &mut cred_pend[o..o + oc],
-                &mut flit_pend[i..i + ic],
-                &mut cred_out[i..i + ic],
-            );
-            o += oc;
-            i += ic;
+
+    /// Execute one epoch for this chunk's nodes.
+    fn run(&mut self, ep: Epoch, t: Timing) {
+        let Epoch {
+            a,
+            b,
+            measuring,
+            horizon,
+        } = ep;
+        debug_assert!(b > a && b - a <= t.link_latency, "epoch exceeds lookahead");
+        // Epoch start: drain the swapped-in inbox lanes into the pending
+        // queues (capacity is retained on both sides — steady state is
+        // allocation-free).
+        for (pend, inbox) in self.flit_pend.iter_mut().zip(self.flit_in.iter_mut()) {
+            pend.extend(inbox.drain(..));
         }
-    }
-    if compute_horizon {
-        let mut i = 0usize;
-        for node in nodes.iter_mut() {
-            node.horizon =
-                node_horizon(node, &flit_pend[i..i + node.in_count], b - 1, t.rc_per_flit);
-            i += node.in_count;
+        for (pend, inbox) in self.cred_pend.iter_mut().zip(self.cred_in.iter_mut()) {
+            pend.extend(inbox.drain(..));
+        }
+        for u in a..b {
+            let off = (u - a) as u32;
+            let (mut o, mut i) = (0usize, 0usize);
+            for node in self.nodes.iter_mut() {
+                let (oc, ic) = (node.out_count, node.in_count);
+                node.step_cycle(
+                    u,
+                    off,
+                    measuring,
+                    t,
+                    &mut self.flit_out[o..o + oc],
+                    &mut self.cred_pend[o..o + oc],
+                    &mut self.flit_pend[i..i + ic],
+                    &mut self.cred_out[i..i + ic],
+                );
+                o += oc;
+                i += ic;
+            }
+        }
+        if horizon {
+            let mut i = 0usize;
+            for node in self.nodes.iter_mut() {
+                let pend = &self.flit_pend[i..i + node.in_count];
+                node.horizon = node_horizon(node, pend, b - 1, t.rc_per_flit);
+                i += node.in_count;
+            }
         }
     }
 }
@@ -556,7 +651,6 @@ pub struct Fabric {
     flit_pend: Vec<VecDeque<FlitWire>>,
     cred_pend: Vec<VecDeque<CredWire>>,
     metrics: MetricsCollector,
-    cursors: Vec<usize>,
     /// Per connection: the out port taken at each hop.
     paths_out: Vec<Vec<usize>>,
     timing: Timing,
@@ -838,6 +932,7 @@ impl Fabric {
                 drain_buf: Vec::new(),
                 crossed_buf: Vec::new(),
                 events: Vec::new(),
+                committed: 0,
                 horizon: 0,
             });
         }
@@ -854,7 +949,6 @@ impl Fabric {
             flit_pend: (0..nlinks).map(|_| VecDeque::new()).collect(),
             cred_pend: (0..nlinks).map(|_| VecDeque::new()).collect(),
             metrics: MetricsCollector::new(n, cfg.router.time),
-            cursors: vec![0; nnodes],
             paths_out,
             timing: Timing {
                 rc_per_flit,
@@ -950,157 +1044,48 @@ impl Fabric {
         }
     }
 
-    /// Swap the double-buffered mailbox lanes at an epoch barrier:
-    /// outboxes become inboxes (pointer swaps; buffers are reused).
-    fn swap_boxes(&mut self) {
-        for &(o, i) in &self.link_slots {
-            std::mem::swap(&mut self.flit_out[o], &mut self.flit_in[i]);
-            std::mem::swap(&mut self.cred_out[i], &mut self.cred_in[o]);
-        }
+    /// Split the fabric into its two views: all nodes and lanes as one
+    /// chunk (the state the parallel phase works on, to be split
+    /// further per worker) and the ledger only the leader touches.
+    fn parts(&mut self) -> (Chunk<'_>, Ledger<'_>) {
+        (
+            Chunk {
+                nodes: &mut self.nodes,
+                out_base: 0,
+                in_base: 0,
+                flit_out: &mut self.flit_out,
+                cred_in: &mut self.cred_in,
+                cred_pend: &mut self.cred_pend,
+                flit_in: &mut self.flit_in,
+                cred_out: &mut self.cred_out,
+                flit_pend: &mut self.flit_pend,
+            },
+            Ledger {
+                specs: &self.specs,
+                link_slots: &self.link_slots,
+                metrics: &mut self.metrics,
+                generated_total: &mut self.generated_total,
+                delivered_total: &mut self.delivered_total,
+            },
+        )
     }
 
-    /// Commit per-node event buffers into the global metrics collector
-    /// in deterministic (cycle offset, node, emission) order — the same
-    /// order in sequential and parallel execution, so float
-    /// accumulation is bit-identical.
-    fn commit_events(&mut self, epoch_len: u64, measuring: bool) {
-        self.cursors.clear();
-        self.cursors.resize(self.nodes.len(), 0);
-        for off in 0..epoch_len as u32 {
-            for nd in 0..self.nodes.len() {
-                let mut c = self.cursors[nd];
-                let events = &self.nodes[nd].events;
-                while c < events.len() && events[c].off == off {
-                    match &events[c].kind {
-                        EventKind::Generated { conn } => {
-                            self.generated_total += 1;
-                            if measuring {
-                                self.metrics
-                                    .record_generated(self.specs[*conn as usize].class);
-                            }
-                        }
-                        EventKind::Delivered { delivery } => {
-                            self.delivered_total += 1;
-                            if measuring {
-                                let class = self.specs[delivery.flit.connection.idx()].class;
-                                self.metrics.record_delivery(delivery, class);
-                            }
-                        }
-                    }
-                    c += 1;
-                }
-                self.cursors[nd] = c;
-            }
-        }
-        for (nd, node) in self.nodes.iter_mut().enumerate() {
-            debug_assert_eq!(self.cursors[nd], node.events.len(), "uncommitted events");
-            node.events.clear();
-        }
+    /// Chunks `workers` splits the fabric into: one per worker, at most
+    /// one per node.
+    fn chunk_count(&self, workers: usize) -> usize {
+        workers.clamp(1, self.nodes.len().max(1))
     }
 
-    /// Execute cycles `[a, b)` (one epoch, `b - a <= link_latency`)
-    /// across `workers` threads, then commit events and swap mailboxes.
-    fn advance_epoch(&mut self, a: u64, b: u64, measuring: bool, workers: usize, horizon: bool) {
-        let nnodes = self.nodes.len();
-        let w = workers.max(1).min(nnodes.max(1));
-        let t = self.timing;
-        if w <= 1 {
-            run_chunk(
-                &mut self.nodes,
-                &mut self.flit_out,
-                &mut self.cred_in,
-                &mut self.cred_pend,
-                &mut self.flit_in,
-                &mut self.cred_out,
-                &mut self.flit_pend,
-                a,
-                b,
-                measuring,
-                t,
-                horizon,
-            );
-        } else {
-            let base = nnodes / w;
-            let rem = nnodes % w;
-            std::thread::scope(|s| {
-                let mut nodes = &mut self.nodes[..];
-                let mut fo = &mut self.flit_out[..];
-                let mut ci = &mut self.cred_in[..];
-                let mut cp = &mut self.cred_pend[..];
-                let mut fi = &mut self.flit_in[..];
-                let mut co = &mut self.cred_out[..];
-                let mut fp = &mut self.flit_pend[..];
-                let mut main_chunk = None;
-                for wi in 0..w {
-                    let len = base + usize::from(wi < rem);
-                    let (nch, nrest) = nodes.split_at_mut(len);
-                    nodes = nrest;
-                    let olen: usize = nch.iter().map(|nd| nd.out_count).sum();
-                    let ilen: usize = nch.iter().map(|nd| nd.in_count).sum();
-                    let (foc, forest) = fo.split_at_mut(olen);
-                    fo = forest;
-                    let (cic, cirest) = ci.split_at_mut(olen);
-                    ci = cirest;
-                    let (cpc, cprest) = cp.split_at_mut(olen);
-                    cp = cprest;
-                    let (fic, firest) = fi.split_at_mut(ilen);
-                    fi = firest;
-                    let (coc, corest) = co.split_at_mut(ilen);
-                    co = corest;
-                    let (fpc, fprest) = fp.split_at_mut(ilen);
-                    fp = fprest;
-                    let chunk = (nch, foc, cic, cpc, fic, coc, fpc);
-                    if wi == 0 {
-                        // The main thread works its own chunk instead of
-                        // idling at the barrier.
-                        main_chunk = Some(chunk);
-                    } else {
-                        s.spawn(move || {
-                            let (nch, foc, cic, cpc, fic, coc, fpc) = chunk;
-                            run_chunk(
-                                nch, foc, cic, cpc, fic, coc, fpc, a, b, measuring, t, horizon,
-                            );
-                        });
-                    }
-                }
-                if let Some((nch, foc, cic, cpc, fic, coc, fpc)) = main_chunk {
-                    run_chunk(
-                        nch, foc, cic, cpc, fic, coc, fpc, a, b, measuring, t, horizon,
-                    );
-                }
-            });
-        }
-        self.commit_events(b - a, measuring);
-        self.swap_boxes();
+    /// Threads [`Fabric::run_parallel`] runs `workers` chunks on (the
+    /// caller's included): one per chunk, capped at the host's
+    /// available parallelism.
+    pub fn thread_count(&self, workers: usize) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.chunk_count(workers).min(cores)
     }
 
-    /// Fabric-wide horizon after an epoch ending at cycle `last`:
-    /// minimum of the per-node horizons computed at epoch end and the
-    /// dues of wire messages swapped into the inboxes.
-    fn horizon_after_epoch(&self) -> u64 {
-        let mut h = u64::MAX;
-        for node in &self.nodes {
-            h = h.min(node.horizon);
-        }
-        for b in &self.flit_in {
-            for m in b {
-                h = h.min(m.due);
-            }
-        }
-        h
-    }
-
-    /// Bulk-advance `n` quiescent cycles (all-node idle accounting).
-    fn skip_cycles(&mut self, n: u64, measuring: bool) {
-        if measuring {
-            for node in &mut self.nodes {
-                node.crossbar.record_idle_cycles(n);
-            }
-        }
-    }
-
-    /// Run `bound` flit cycles (with `warmup` of them as warm-up) on
-    /// `workers` threads, batching execution into epochs of
+    /// Run `bound` flit cycles (with `warmup` of them as warm-up) as
+    /// `workers` chunks, batching execution into epochs of
     /// `link_latency` cycles.  With `horizon` set, the fabric
     /// fast-forwards quiescent gaps to the minimum cross-shard horizon
     /// between epochs.  The final fabric state is bit-identical to
@@ -1108,6 +1093,10 @@ impl Fabric {
     /// same `warmup`/`bound`, for every worker count — only the
     /// `skipped`/`executed` split in the outcome may differ from the
     /// runner's (epochs skip at coarser grain).
+    ///
+    /// The chunks are run by [`Fabric::thread_count`] threads that live
+    /// for this call (module docs); a panic on any of them panics out
+    /// of this call.
     pub fn run_parallel(
         &mut self,
         warmup: u64,
@@ -1116,66 +1105,376 @@ impl Fabric {
         horizon: bool,
     ) -> FabricRunOutcome {
         let e = self.timing.link_latency.max(1);
-        let mut t = 0u64;
-        let mut executed = 0u64;
-        let mut measured = 0u64;
-        let mut skipped = 0u64;
-        while t < bound {
-            if t == warmup {
-                self.on_measurement_start(FlitCycle(t));
+        let timing = self.timing;
+        let nchunks = self.chunk_count(workers);
+        let threads = self.thread_count(workers);
+        let (mut rest, mut ledger) = self.parts();
+        let (base, rem) = (rest.nodes.len() / nchunks, rest.nodes.len() % nchunks);
+        let chunks: Vec<Mutex<Chunk<'_>>> = (0..nchunks)
+            .map(|k| Mutex::new(rest.split_front(base + usize::from(k < rem))))
+            .collect();
+        // Thread `id` runs chunks `id, id + threads, ...` every epoch.
+        let run_share = |id: usize, ep: Epoch| {
+            for chunk in chunks.iter().skip(id).step_by(threads) {
+                lock_chunk(chunk).run(ep, timing);
             }
-            let measuring = t >= warmup;
-            let mut b = (t + e).min(bound);
-            if t < warmup {
-                b = b.min(warmup);
+        };
+        let handoff = HandOff::new(threads - 1);
+        std::thread::scope(|s| {
+            let _release = ReleaseOnDrop(&handoff);
+            for id in 1..threads {
+                let (handoff, run_share) = (&handoff, &run_share);
+                s.spawn(move || handoff.serve(|ep| run_share(id, ep)));
             }
-            self.advance_epoch(t, b, measuring, workers, horizon);
-            executed += b - t;
-            if measuring {
-                measured += b - t;
-            }
-            t = b;
-            if horizon && t < bound {
-                let mut target = self.horizon_after_epoch().max(t).min(bound);
+            // Between epochs the leader holds every chunk.
+            let mut held: Vec<MutexGuard<'_, Chunk<'_>>> = Vec::with_capacity(nchunks);
+            held.extend(chunks.iter().map(lock_chunk));
+            let mut t = 0u64;
+            let mut out = FabricRunOutcome {
+                executed: 0,
+                measured: 0,
+                skipped: 0,
+            };
+            while t < bound {
+                if t == warmup {
+                    ledger.measurement_start(&mut held);
+                }
+                let measuring = t >= warmup;
+                let mut b = (t + e).min(bound);
                 if t < warmup {
-                    // Never skip across the measurement boundary.
-                    target = target.min(warmup);
+                    b = b.min(warmup);
                 }
-                if target > t {
-                    let gap = target - t;
-                    let gap_measuring = t >= warmup;
-                    self.skip_cycles(gap, gap_measuring);
-                    executed += gap;
-                    skipped += gap;
-                    if gap_measuring {
-                        measured += gap;
+                let ep = Epoch {
+                    a: t,
+                    b,
+                    measuring,
+                    horizon,
+                };
+                // Parallel phase: hand the chunks to the threads.
+                held.clear();
+                handoff.publish(ep);
+                run_share(0, ep);
+                handoff.wait();
+                // Serial phase: take them all back.
+                held.extend(chunks.iter().map(lock_chunk));
+                ledger.finish_epoch(&mut held, b - t, measuring);
+                out.executed += b - t;
+                if measuring {
+                    out.measured += b - t;
+                }
+                t = b;
+                if horizon && t < bound {
+                    let mut target = horizon_after_epoch(&held).max(t).min(bound);
+                    if t < warmup {
+                        // Never skip across the measurement boundary.
+                        target = target.min(warmup);
                     }
-                    t = target;
+                    if target > t {
+                        let gap = target - t;
+                        let gap_measuring = t >= warmup;
+                        skip_cycles(&mut held, gap, gap_measuring);
+                        out.executed += gap;
+                        out.skipped += gap;
+                        if gap_measuring {
+                            out.measured += gap;
+                        }
+                        t = target;
+                    }
+                }
+            }
+            out
+        })
+    }
+}
+
+/// Lock one chunk.  Never contended: the hand-off alternates the
+/// chunks between their threads (parallel phase) and the leader (serial
+/// phase), so the lock only carries the `&mut` across.
+fn lock_chunk<'m, 'a>(chunk: &'m Mutex<Chunk<'a>>) -> MutexGuard<'m, Chunk<'a>> {
+    chunk
+        .lock()
+        .expect("a fabric worker panicked while holding this chunk")
+}
+
+/// The state only the leader touches, between epochs: where node events
+/// are committed and how the mailbox lanes are wired.  Its methods are
+/// the serial phase, written once over chunk views — `C` is a lock
+/// guard under [`Fabric::run_parallel`] and a plain `&mut` under
+/// [`Fabric::step`].
+struct Ledger<'a> {
+    specs: &'a [ConnectionSpec],
+    link_slots: &'a [(usize, usize)],
+    metrics: &'a mut MetricsCollector,
+    generated_total: &'a mut u64,
+    delivered_total: &'a mut u64,
+}
+
+impl Ledger<'_> {
+    /// Open the measurement window: forget everything recorded so far.
+    fn measurement_start<'c, C: DerefMut<Target = Chunk<'c>>>(&mut self, chunks: &mut [C]) {
+        self.metrics.reset();
+        for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
+            node.crossbar.reset_stats();
+        }
+        *self.generated_total = 0;
+        *self.delivered_total = 0;
+    }
+
+    /// Close an epoch of `len` cycles: commit events, swap mailboxes.
+    fn finish_epoch<'c, C: DerefMut<Target = Chunk<'c>>>(
+        &mut self,
+        chunks: &mut [C],
+        len: u64,
+        measuring: bool,
+    ) {
+        self.commit_events(chunks, len, measuring);
+        self.swap_boxes(chunks);
+    }
+
+    /// Commit per-node event buffers into the global metrics collector
+    /// in deterministic (cycle offset, node, emission) order — the same
+    /// order for every chunking, so float accumulation is bit-identical.
+    fn commit_events<'c, C: DerefMut<Target = Chunk<'c>>>(
+        &mut self,
+        chunks: &mut [C],
+        len: u64,
+        measuring: bool,
+    ) {
+        for off in 0..len as u32 {
+            for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
+                let mut c = node.committed;
+                while c < node.events.len() && node.events[c].off == off {
+                    match &node.events[c].kind {
+                        EventKind::Generated { conn } => {
+                            *self.generated_total += 1;
+                            if measuring {
+                                self.metrics
+                                    .record_generated(self.specs[*conn as usize].class);
+                            }
+                        }
+                        EventKind::Delivered { delivery } => {
+                            *self.delivered_total += 1;
+                            if measuring {
+                                let class = self.specs[delivery.flit.connection.idx()].class;
+                                self.metrics.record_delivery(delivery, class);
+                            }
+                        }
+                    }
+                    c += 1;
+                }
+                node.committed = c;
+            }
+        }
+        for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
+            debug_assert_eq!(node.committed, node.events.len(), "uncommitted events");
+            node.events.clear();
+            node.committed = 0;
+        }
+    }
+
+    /// Swap the double-buffered mailbox lanes at an epoch boundary:
+    /// outboxes become inboxes (the vectors move, buffers are reused).
+    /// A link's two ends may sit in different chunks, so each lane is
+    /// lifted out of its chunk for the exchange.
+    fn swap_boxes<'c, C: DerefMut<Target = Chunk<'c>>>(&self, chunks: &mut [C]) {
+        for &(o, i) in self.link_slots {
+            let co = chunks.partition_point(|c| c.out_base <= o) - 1;
+            let ci = chunks.partition_point(|c| c.in_base <= i) - 1;
+            let (lo, li) = (o - chunks[co].out_base, i - chunks[ci].in_base);
+            let mut flits = std::mem::take(&mut chunks[co].flit_out[lo]);
+            std::mem::swap(&mut flits, &mut chunks[ci].flit_in[li]);
+            chunks[co].flit_out[lo] = flits;
+            let mut creds = std::mem::take(&mut chunks[ci].cred_out[li]);
+            std::mem::swap(&mut creds, &mut chunks[co].cred_in[lo]);
+            chunks[ci].cred_out[li] = creds;
+        }
+    }
+}
+
+/// Fabric-wide horizon after an epoch: minimum of the per-node horizons
+/// computed at epoch end and the dues of wire messages swapped into the
+/// inboxes.
+fn horizon_after_epoch<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C]) -> u64 {
+    let mut h = u64::MAX;
+    for chunk in chunks {
+        for node in chunk.nodes.iter() {
+            h = h.min(node.horizon);
+        }
+        for m in chunk.flit_in.iter().flatten() {
+            h = h.min(m.due);
+        }
+    }
+    h
+}
+
+/// Bulk-advance `n` quiescent cycles (all-node idle accounting).
+fn skip_cycles<'c, C: DerefMut<Target = Chunk<'c>>>(chunks: &mut [C], n: u64, measuring: bool) {
+    if measuring {
+        for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
+            node.crossbar.record_idle_cycles(n);
+        }
+    }
+}
+
+/// Spins a waiter burns before it starts yielding its time slice: long
+/// enough to cover a serial phase or a chunk-length skew (microseconds),
+/// short enough that a descheduled partner costs one yield, not a
+/// quantum.
+const SPIN_LIMIT: u32 = 256;
+
+/// Wait for `ready`: a bounded spin, then `yield_now` per probe.
+fn wait_until(mut ready: impl FnMut() -> bool) {
+    let mut spins = 0u32;
+    while !ready() {
+        if spins < SPIN_LIMIT {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// The per-epoch hand-shake between the leader (the thread inside
+/// [`Fabric::run_parallel`]) and its helpers.
+///
+/// Leader: [`publish`](Self::publish) an epoch, work, then
+/// [`wait`](Self::wait) for every helper.  Helper:
+/// [`serve`](Self::serve) runs its closure once per published epoch
+/// until the leader shuts the hand-off down.
+///
+/// Ordering.  `publish` writes the parameters `Relaxed` and then bumps
+/// `epoch` with `Release`; a helper reads `epoch` with `Acquire` and
+/// then the parameters `Relaxed`, so it sees the parameters of the
+/// epoch it saw.  A helper reports with a `Release` add on `done`;
+/// `wait` reads `done` with `Acquire`, so everything a helper did in
+/// the epoch — its parameter reads included — happens before the
+/// leader's serial phase and before the next `publish` overwrites the
+/// parameters.  `epoch` moves by one per `publish` and never before
+/// every helper reported, so no helper can miss or repeat an epoch.
+struct HandOff {
+    helpers: u64,
+    /// Epochs published so far, or [`HandOff::SHUTDOWN`].
+    epoch: AtomicU64,
+    a: AtomicU64,
+    b: AtomicU64,
+    /// Bit 0 `measuring`, bit 1 `horizon`.
+    flags: AtomicU8,
+    /// Helper reports, summed over all epochs.
+    done: AtomicU64,
+    /// A helper unwound out of its closure.
+    failed: AtomicBool,
+}
+
+impl HandOff {
+    const SHUTDOWN: u64 = u64::MAX;
+
+    fn new(helpers: usize) -> Self {
+        HandOff {
+            helpers: helpers as u64,
+            epoch: AtomicU64::new(0),
+            a: AtomicU64::new(0),
+            b: AtomicU64::new(0),
+            flags: AtomicU8::new(0),
+            done: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
+        }
+    }
+
+    /// Leader: start the next epoch on every helper.
+    fn publish(&self, ep: Epoch) {
+        self.a.store(ep.a, Ordering::Relaxed);
+        self.b.store(ep.b, Ordering::Relaxed);
+        let flags = u8::from(ep.measuring) | u8::from(ep.horizon) << 1;
+        self.flags.store(flags, Ordering::Relaxed);
+        // Only the leader writes `epoch`.
+        let next = self.epoch.load(Ordering::Relaxed) + 1;
+        self.epoch.store(next, Ordering::Release);
+    }
+
+    /// Leader: wait until every helper finished the published epoch.
+    /// Panics if a helper panicked — it will never report.
+    fn wait(&self) {
+        let due = self.epoch.load(Ordering::Relaxed) * self.helpers;
+        wait_until(|| {
+            assert!(
+                !self.failed.load(Ordering::Acquire),
+                "a fabric worker panicked"
+            );
+            self.done.load(Ordering::Acquire) == due
+        });
+    }
+
+    /// Leader: make every `serve` return.
+    fn shutdown(&self) {
+        self.epoch.store(Self::SHUTDOWN, Ordering::Release);
+    }
+
+    /// Helper: run `work` once per published epoch, report after each,
+    /// return at shutdown.  If `work` panics the leader's `wait` does.
+    fn serve(&self, mut work: impl FnMut(Epoch)) {
+        struct FailOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for FailOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Release);
                 }
             }
         }
-        FabricRunOutcome {
-            executed,
-            measured,
-            skipped,
+        let _fail = FailOnUnwind(&self.failed);
+        let mut seen = 0u64;
+        loop {
+            let mut epoch = seen;
+            wait_until(|| {
+                epoch = self.epoch.load(Ordering::Acquire);
+                epoch != seen
+            });
+            seen = epoch;
+            if seen == Self::SHUTDOWN {
+                return;
+            }
+            let flags = self.flags.load(Ordering::Relaxed);
+            work(Epoch {
+                a: self.a.load(Ordering::Relaxed),
+                b: self.b.load(Ordering::Relaxed),
+                measuring: flags & 1 != 0,
+                horizon: flags & 2 != 0,
+            });
+            self.done.fetch_add(1, Ordering::Release);
         }
+    }
+}
+
+/// Shuts the hand-off down when the leader leaves its scope, normally
+/// or unwinding, so the helpers return and the scope can join them.
+struct ReleaseOnDrop<'a>(&'a HandOff);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
     }
 }
 
 impl CycleModel for Fabric {
     fn step(&mut self, now: FlitCycle, measuring: bool) {
-        // One cycle is a degenerate epoch through the same machinery the
-        // parallel path uses — there is a single algorithm, not two.
-        self.advance_epoch(now.0, now.0 + 1, measuring, 1, false);
+        // One cycle is a degenerate epoch on one chunk through the same
+        // two phases the parallel path uses — there is a single
+        // algorithm, not two.
+        let timing = self.timing;
+        let (mut whole, mut ledger) = self.parts();
+        let ep = Epoch {
+            a: now.0,
+            b: now.0 + 1,
+            measuring,
+            horizon: false,
+        };
+        whole.run(ep, timing);
+        ledger.finish_epoch(&mut [&mut whole], 1, measuring);
     }
 
     fn on_measurement_start(&mut self, _now: FlitCycle) {
-        self.metrics.reset();
-        for node in &mut self.nodes {
-            node.crossbar.reset_stats();
-        }
-        self.generated_total = 0;
-        self.delivered_total = 0;
+        let (mut whole, mut ledger) = self.parts();
+        ledger.measurement_start(&mut [&mut whole]);
     }
 
     fn is_done(&self, _now: FlitCycle) -> bool {
@@ -1200,7 +1499,7 @@ impl CycleModel for Fabric {
     }
 
     fn skip_quiescent(&mut self, _from: FlitCycle, n: u64, measuring: bool) {
-        self.skip_cycles(n, measuring);
+        skip_cycles(&mut [&mut self.parts().0], n, measuring);
     }
 }
 
@@ -1235,6 +1534,8 @@ mod tests {
     use mmr_sim::engine::{Runner, StopCondition};
     use mmr_traffic::admission::RoundConfig;
     use mmr_traffic::workload::CbrMixBuilder;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread::{available_parallelism, scope};
 
     fn fabric(topology: Topology, load: f64, seed: u64) -> Fabric {
         let router = RouterConfig::default();
@@ -1292,7 +1593,8 @@ mod tests {
             (f.summary(), f.rng_fingerprints(), outcome)
         };
         let (s1, r1, o1) = run(1);
-        for w in [2, 4, 8] {
+        // Uneven splits, one chunk per node, more workers than nodes.
+        for w in [2, 3, 4, 5, 8, 9, 17] {
             let (sw, rw, ow) = run(w);
             assert_eq!(s1, sw, "summary diverged at {w} workers");
             assert_eq!(r1, rw, "RNG stream diverged at {w} workers");
@@ -1302,20 +1604,144 @@ mod tests {
 
     #[test]
     fn parallel_runner_matches_sequential_cycle_model() {
-        let seq = {
-            let mut f = fabric(Topology::Mesh { x: 3, y: 3 }, 0.35, 9);
-            Runner::new(300, StopCondition::Cycles(3_000)).run(&mut f);
-            (f.summary(), f.rng_fingerprints())
-        };
-        for (workers, horizon) in [(1, false), (2, true), (3, false)] {
-            let mut f = fabric(Topology::Mesh { x: 3, y: 3 }, 0.35, 9);
-            f.run_parallel(300, 3_000, workers, horizon);
-            assert_eq!(
-                seq,
-                (f.summary(), f.rng_fingerprints()),
-                "run_parallel({workers}, horizon={horizon}) diverged from Runner::run"
-            );
+        let check =
+            |topo: Topology, seed: u64, warmup: u64, bound: u64, cases: &[(usize, bool)]| {
+                let seq = {
+                    let mut f = fabric(topo, 0.35, seed);
+                    let o = Runner::new(warmup, StopCondition::Cycles(bound)).run(&mut f);
+                    (f.summary(), f.rng_fingerprints(), o.executed, o.measured)
+                };
+                for &(workers, horizon) in cases {
+                    let mut f = fabric(topo, 0.35, seed);
+                    let o = f.run_parallel(warmup, bound, workers, horizon);
+                    assert_eq!(
+                        seq,
+                        (f.summary(), f.rng_fingerprints(), o.executed, o.measured),
+                        "{}: run_parallel({workers}, horizon={horizon}) diverged from Runner::run",
+                        topo.label()
+                    );
+                    assert!(horizon || o.skipped == 0);
+                }
+            };
+        let mesh = Topology::Mesh { x: 3, y: 3 };
+        check(mesh, 9, 300, 3_000, &[(1, false), (2, true), (3, false)]);
+        // `warmup` and `bound` off the `link_latency` (4) grid: the
+        // measurement boundary falls inside an epoch and the last epoch
+        // is short.  Every chunk shape (uneven splits, one chunk per
+        // node, more workers than nodes), with and without horizon
+        // skipping.
+        let shapes: Vec<(usize, bool)> = [1, 2, 3, 5, 8, 9, 17]
+            .into_iter()
+            .flat_map(|w| [(w, false), (w, true)])
+            .collect();
+        for topo in [
+            mesh,
+            Topology::Ring { nodes: 5 },
+            Topology::Torus { x: 3, y: 3 },
+        ] {
+            check(topo, 13, 301, 2_999, &shapes);
         }
+    }
+
+    #[test]
+    fn thread_count_caps_threads_not_chunks() {
+        let f = fabric(Topology::Mesh { x: 3, y: 3 }, 0.2, 3);
+        let cores = available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(f.chunk_count(0), 1);
+        assert_eq!(f.chunk_count(8), 8);
+        assert_eq!(f.chunk_count(17), 9, "at most one chunk per node");
+        for w in [1, 2, 8, 17] {
+            assert_eq!(f.thread_count(w), f.chunk_count(w).min(cores));
+        }
+    }
+
+    fn epoch(n: u64) -> Epoch {
+        Epoch {
+            a: 4 * n,
+            b: 4 * n + 1 + n % 4,
+            measuring: n.is_multiple_of(2),
+            horizon: n.is_multiple_of(3),
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn hand_off_delivers_every_epoch_once_to_every_helper() {
+        const HELPERS: usize = 3;
+        const EPOCHS: u64 = 500;
+        let h = HandOff::new(HELPERS);
+        let logs: Vec<Mutex<Vec<Epoch>>> = (0..HELPERS).map(|_| Mutex::new(Vec::new())).collect();
+        scope(|s| {
+            for log in &logs {
+                let h = &h;
+                s.spawn(move || h.serve(|ep| log.lock().unwrap().push(ep)));
+            }
+            let _release = ReleaseOnDrop(&h);
+            for n in 1..=EPOCHS {
+                h.publish(epoch(n));
+                h.wait();
+                // `wait` returned: every helper ran exactly this epoch.
+                for log in &logs {
+                    let log = log.lock().unwrap();
+                    assert_eq!(log.len() as u64, n);
+                    assert_eq!(log.last(), Some(&epoch(n)));
+                }
+            }
+        });
+        let want: Vec<Epoch> = (1..=EPOCHS).map(epoch).collect();
+        for log in &logs {
+            assert_eq!(*log.lock().unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn hand_off_wait_panics_when_a_helper_panics() {
+        let h = HandOff::new(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                s.spawn(|| h.serve(|_| panic!("helper fails")));
+                s.spawn(|| h.serve(|_| {}));
+                let _release = ReleaseOnDrop(&h);
+                h.publish(epoch(1));
+                h.wait();
+                unreachable!("wait returned although a helper never reported");
+            })
+        }));
+        let msg = panic_message(caught.expect_err("the scope must panic"));
+        assert!(msg.contains("a fabric worker panicked"), "got: {msg}");
+    }
+
+    #[test]
+    fn hand_off_leader_unwind_releases_the_helpers() {
+        let h = HandOff::new(2);
+        let served = AtomicU64::new(0);
+        // Returning from the scope at all proves the helpers were
+        // released: it joins them first.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        h.serve(|_| {
+                            served.fetch_add(1, Ordering::Relaxed);
+                        })
+                    });
+                }
+                let _release = ReleaseOnDrop(&h);
+                h.publish(epoch(1));
+                h.wait();
+                panic!("leader fails");
+            })
+        }));
+        let msg = panic_message(caught.expect_err("the leader's panic must propagate"));
+        assert!(msg.contains("leader fails"), "got: {msg}");
+        assert_eq!(served.load(Ordering::Relaxed), 2);
     }
 
     #[test]

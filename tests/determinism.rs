@@ -474,6 +474,21 @@ fn fabric_cfg(load: f64, seed: u64) -> SimConfig {
     quick(load, seed).with_fabric(FabricSpec::new(Topology::Mesh { x: 4, y: 4 }))
 }
 
+/// A small fabric whose `warmup` and `bound` are off the 4-cycle
+/// `link_latency` grid: the measurement boundary falls inside an epoch
+/// and the last epoch is short.
+fn off_grid_fabric_cfg(topology: Topology, seed: u64) -> SimConfig {
+    SimConfig {
+        warmup_cycles: 501,
+        run: RunLength::Cycles(3_999),
+        ..quick(0.4, seed).with_fabric(FabricSpec::new(topology))
+    }
+}
+
+/// Chunk shapes on a 9-node fabric: one chunk, even and uneven splits,
+/// one chunk per node, more workers than nodes.
+const CHUNK_SHAPES: [usize; 7] = [1, 2, 3, 5, 8, 9, 17];
+
 /// Everything observable about one fabric run: the serialized summary,
 /// the per-router RNG fingerprints, and the engine accounting.
 fn fabric_probe(cfg: &SimConfig, workers: usize, horizon: bool) -> (String, Vec<u64>, u64, u64) {
@@ -502,43 +517,72 @@ fn fabric_is_byte_identical_across_worker_counts() {
             );
         }
     }
+    let cfg = off_grid_fabric_cfg(Topology::Mesh { x: 3, y: 3 }, 24);
+    let base = fabric_probe(&cfg, 1, false);
+    for workers in CHUNK_SHAPES {
+        assert_eq!(
+            base,
+            fabric_probe(&cfg, workers, false),
+            "9-node mesh diverged at {workers} workers"
+        );
+    }
 }
 
 #[test]
 fn fabric_engine_modes_agree_with_each_other_and_with_the_runner() {
-    let cfg = fabric_cfg(0.4, 23);
-    let spec = cfg.fabric.unwrap();
-    let (RunLength::Cycles(cycles) | RunLength::UntilDrained { max_cycles: cycles }) = cfg.run;
-    // Reference: the sequential Runner driving the fabric as a CycleModel,
-    // in both of its loops.
-    let runner_probe = |horizon: bool| {
-        let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
-        let runner = Runner::new(cfg.warmup_cycles, StopCondition::Cycles(cycles));
-        let out = if horizon {
-            runner.run_horizon(&mut fabric)
-        } else {
-            runner.run(&mut fabric)
-        };
+    let cases: [(SimConfig, &[usize]); 4] = [
+        (fabric_cfg(0.4, 23), &[1, 2, 8]),
         (
-            serde_json::to_string(&fabric.summary()).expect("serializes"),
-            fabric.rng_fingerprints(),
-            out.executed,
-        )
-    };
-    let naive = runner_probe(false);
-    let horizon = runner_probe(true);
-    assert_eq!(naive, horizon, "Runner loops diverged on the fabric");
-    // run_parallel in both modes, at several worker counts, must land on
-    // the same state (executed-cycle accounting included: every mode
-    // advances through all `cycles`).
-    for workers in [1usize, 2, 8] {
-        for h in [false, true] {
-            let p = fabric_probe(&cfg, workers, h);
-            assert_eq!(
-                (&naive.0, &naive.1, naive.2),
-                (&p.0, &p.1, p.2),
-                "run_parallel({workers}, horizon={h}) diverged from the Runner"
-            );
+            off_grid_fabric_cfg(Topology::Mesh { x: 3, y: 3 }, 25),
+            &CHUNK_SHAPES,
+        ),
+        (
+            off_grid_fabric_cfg(Topology::Ring { nodes: 9 }, 26),
+            &CHUNK_SHAPES,
+        ),
+        (
+            off_grid_fabric_cfg(Topology::Torus { x: 3, y: 3 }, 27),
+            &CHUNK_SHAPES,
+        ),
+    ];
+    for (cfg, worker_counts) in cases {
+        let spec = cfg.fabric.unwrap();
+        let label = spec.topology.label();
+        let (RunLength::Cycles(cycles) | RunLength::UntilDrained { max_cycles: cycles }) = cfg.run;
+        // Reference: the sequential Runner driving the fabric as a
+        // CycleModel, in both of its loops.
+        let runner_probe = |horizon: bool| {
+            let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
+            let runner = Runner::new(cfg.warmup_cycles, StopCondition::Cycles(cycles));
+            let out = if horizon {
+                runner.run_horizon(&mut fabric)
+            } else {
+                runner.run(&mut fabric)
+            };
+            (
+                serde_json::to_string(&fabric.summary()).expect("serializes"),
+                fabric.rng_fingerprints(),
+                out.executed,
+                out.measured,
+            )
+        };
+        let naive = runner_probe(false);
+        let horizon = runner_probe(true);
+        assert_eq!(
+            naive, horizon,
+            "Runner loops diverged on the {label} fabric"
+        );
+        // run_parallel in both modes, at every chunk shape, must land on
+        // the same state (cycle accounting included: every mode advances
+        // through all `cycles` and measures all of them past warm-up).
+        for &workers in worker_counts {
+            for h in [false, true] {
+                assert_eq!(
+                    naive,
+                    fabric_probe(&cfg, workers, h),
+                    "{label}: run_parallel({workers}, horizon={h}) diverged from the Runner"
+                );
+            }
         }
     }
 }
