@@ -102,9 +102,11 @@ use mmr_arbiter::scheduler::{ArbiterKind, SwitchScheduler};
 use mmr_sim::engine::CycleModel;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{FlitCycle, RouterCycle};
+use mmr_traffic::calendar::{self, InjectionCalendar};
 use mmr_traffic::connection::ConnectionSpec;
 use mmr_traffic::flit::Flit;
 use mmr_traffic::path::{mesh_route, Dir, HostMap};
+use mmr_traffic::source::TrafficSource;
 use mmr_traffic::workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -288,11 +290,13 @@ struct VcRoute {
     back: HopBack,
 }
 
+/// Where one of a node's traffic sources injects: global connection,
+/// dense NIC index, slot within that NIC.
+#[derive(Clone, Copy)]
 struct NodeSource {
     conn: u32,
     nic: u32,
     slot: u32,
-    src: Box<dyn mmr_traffic::source::TrafficSource + Send>,
 }
 
 struct NodeEvent {
@@ -322,7 +326,11 @@ struct FabricNode {
     route: Vec<VcRoute>,
     nics: Vec<Nic>,
     nic_credits: CreditBank,
-    sources: Vec<NodeSource>,
+    /// Traffic sources homed on this node, their injection calendar,
+    /// and (parallel to both) where each one injects.
+    sources: Vec<Box<dyn TrafficSource + Send>>,
+    calendar: InjectionCalendar,
+    source_slots: Vec<NodeSource>,
     out_count: usize,
     in_count: usize,
     drain_buf: Vec<Flit>,
@@ -378,18 +386,17 @@ impl FabricNode {
             }
         }
 
-        // 3. Sources inject into the NIC queues.
-        for s in self.sources.iter_mut() {
-            self.drain_buf.clear();
-            s.src.drain_until(now_rc, &mut self.drain_buf);
-            for &flit in self.drain_buf.iter() {
+        // 3. Due sources inject into the NIC queues (the shared
+        //    calendar drain; O(1) on cycles with nothing due).
+        self.calendar
+            .drain_due(&mut self.sources, now_rc, &mut self.drain_buf, |i, flit| {
+                let s = self.source_slots[i];
                 self.nics[s.nic as usize].enqueue(s.slot as usize, flit);
                 self.events.push(NodeEvent {
                     off,
                     kind: EventKind::Generated { conn: s.conn },
                 });
-            }
-        }
+            });
 
         // 4. Candidate selection: final-hop VCs eject freely; others
         //    need a downstream credit.
@@ -487,9 +494,9 @@ impl FabricNode {
 }
 
 /// Local next-event horizon of one node after executing cycle `now`:
-/// any backlog means state can move next cycle; otherwise the earliest
-/// of the injection calendars and pending in-flight flit dues.  Pending
-/// credits never gate the horizon (module docs).
+/// any backlog means state can move next cycle; otherwise the earlier
+/// of the injection calendar's (exact) minimum and the pending in-flight
+/// flit dues.  Pending credits never gate the horizon (module docs).
 fn node_horizon(
     node: &FabricNode,
     flit_pend: &[VecDeque<FlitWire>],
@@ -499,12 +506,15 @@ fn node_horizon(
     if node.backlog() > 0 {
         return now + 1;
     }
-    let mut h = u64::MAX;
-    for s in &node.sources {
-        if let Some(rc) = s.src.peek_next() {
-            h = h.min(rc.0.div_ceil(rc_per_flit).max(now + 1));
-        }
-    }
+    debug_assert_eq!(
+        node.calendar.min_lower_bound(),
+        node.calendar.min_next_rc(),
+        "calendar bound went stale between drains"
+    );
+    let mut h = match node.calendar.min_lower_bound() {
+        calendar::NEVER => u64::MAX,
+        rc => rc.div_ceil(rc_per_flit).max(now + 1),
+    };
     for q in flit_pend {
         if let Some(m) = q.front() {
             h = h.min(m.due);
@@ -842,18 +852,20 @@ impl Fabric {
         // ---- Per-node construction. ----------------------------------
         let rc_per_flit = cfg.router.router_cycles_per_flit();
         let arb_base = SimRng::seed_from_u64(seed ^ 0x6E65_7477);
-        let mut per_node_sources: Vec<Vec<NodeSource>> = (0..nnodes).map(|_| Vec::new()).collect();
+        let mut per_node_sources: Vec<Vec<Box<dyn TrafficSource + Send>>> =
+            (0..nnodes).map(|_| Vec::new()).collect();
+        let mut per_node_slots: Vec<Vec<NodeSource>> = vec![Vec::new(); nnodes];
         let mut nic_lists: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); node_ports]; nnodes];
         for (conn, src) in sources.into_iter().enumerate() {
             let (node, inp, _) = hops[conn][0];
             let local = local_of[conn][0] as usize;
             let slot = nic_lists[node][inp].len() as u32;
             nic_lists[node][inp].push(local);
-            per_node_sources[node].push(NodeSource {
+            per_node_sources[node].push(src);
+            per_node_slots[node].push(NodeSource {
                 conn: conn as u32,
                 nic: inp as u32, // resolved to a dense NIC index below
                 slot,
-                src,
             });
         }
 
@@ -904,8 +916,9 @@ impl Fabric {
                     nics.push(Nic::new(list.clone()));
                 }
             }
-            let mut node_sources = std::mem::take(&mut per_node_sources[nd]);
-            for s in &mut node_sources {
+            let sources = std::mem::take(&mut per_node_sources[nd]);
+            let mut source_slots = std::mem::take(&mut per_node_slots[nd]);
+            for s in &mut source_slots {
                 s.nic = nic_of_port[s.nic as usize];
             }
             nodes.push(FabricNode {
@@ -926,7 +939,9 @@ impl Fabric {
                 route,
                 nics,
                 nic_credits: CreditBank::new(nloc, cfg.router.vc_buffer_flits as u32),
-                sources: node_sources,
+                calendar: InjectionCalendar::from_sources(&sources),
+                sources,
+                source_slots,
                 out_count: out_start[nd + 1] - out_start[nd],
                 in_count: in_start[nd + 1] - in_start[nd],
                 drain_buf: Vec::new(),
@@ -1013,7 +1028,7 @@ impl Fabric {
     pub fn drained(&self) -> bool {
         self.nodes
             .iter()
-            .all(|nd| nd.sources.iter().all(|s| s.src.peek_next().is_none()))
+            .all(|nd| nd.calendar.min_lower_bound() == calendar::NEVER)
             && self.backlog() == 0
     }
 

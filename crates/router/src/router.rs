@@ -87,8 +87,8 @@ pub struct MmrRouter {
     specs: Vec<ConnectionSpec>,
     sources: Vec<Box<dyn mmr_traffic::source::TrafficSource + Send>>,
     /// Per-connection next-injection cache, built once at admission time
-    /// and refreshed after each drain; backs both the per-cycle drain
-    /// fast path and the event-horizon quiescence predicate.
+    /// and refreshed by its own `drain_due`; backs the per-cycle drain
+    /// fast path, the event-horizon quiescence predicate and `drained`.
     calendar: InjectionCalendar,
     /// Per connection: (input port, local index within that NIC).
     nic_slot: Vec<(usize, usize)>,
@@ -386,7 +386,9 @@ impl MmrRouter {
     /// True when all finite sources are exhausted and every buffer is
     /// empty.
     pub fn drained(&self) -> bool {
-        self.calendar.all_exhausted() && self.backlog() == 0
+        // The bound is exact between steps (`drain_due` is its only
+        // mutator): NEVER means every source is exhausted.
+        self.calendar.min_lower_bound() == calendar::NEVER && self.backlog() == 0
     }
 }
 
@@ -404,40 +406,26 @@ impl CycleModel for MmrRouter {
             }
         }
 
-        // 1. Source generation into NIC queues.  The calendar's O(1)
-        // lower bound proves most cycles have nothing due, so the whole
-        // per-source scan is skipped; when a scan does run it refreshes
-        // the bound to the exact minimum in the same pass.
+        // 1. Source generation into NIC queues: the shared calendar
+        // drain (O(1) on the many cycles with nothing due) hands each
+        // generated flit to this router's NIC, counters and hooks.
         let t_gen = self.telemetry.stage_begin();
         let mut gen_count = 0u64;
-        if self.calendar.min_lower_bound() <= now_rc.0 {
-            let mut new_min = calendar::NEVER;
-            for i in 0..self.sources.len() {
-                let mut next = self.calendar.next_rc(i);
-                if next <= now_rc.0 {
-                    self.drain_buf.clear();
-                    self.sources[i].drain_until(now_rc, &mut self.drain_buf);
-                    self.calendar.update(i, self.sources[i].peek_next());
-                    next = self.calendar.next_rc(i);
-                    let (port, local) = self.nic_slot[i];
-                    let class = self.specs[i].class;
-                    for &flit in self.drain_buf.iter() {
-                        self.nics[port].enqueue(local, flit);
-                        self.generated_total += 1;
-                        gen_count += 1;
-                        self.telemetry.on_generated(class);
-                        if measuring {
-                            self.metrics.record_generated(class);
-                        }
-                        if faults_active {
-                            self.faults.note_generated(i);
-                        }
-                    }
+        self.calendar
+            .drain_due(&mut self.sources, now_rc, &mut self.drain_buf, |i, flit| {
+                let (port, local) = self.nic_slot[i];
+                let class = self.specs[i].class;
+                self.nics[port].enqueue(local, flit);
+                self.generated_total += 1;
+                gen_count += 1;
+                self.telemetry.on_generated(class);
+                if measuring {
+                    self.metrics.record_generated(class);
                 }
-                new_min = new_min.min(next);
-            }
-            self.calendar.set_min_lb(new_min);
-        }
+                if faults_active {
+                    self.faults.note_generated(i);
+                }
+            });
         // 1b. Rogue sources inject beyond their admitted contract; the
         // rate meter sees the excess and may quarantine the connection.
         if faults_active {
@@ -644,9 +632,8 @@ impl CycleModel for MmrRouter {
         self.telemetry.end_credit_return(t_cr, returns_queued);
 
         // Track the end of the generation window (finite workloads only).
-        // The O(1) bound reaches NEVER on exactly the cycle the last
-        // source drains (that drain's scan refreshes it), so this is
-        // equivalent to the O(n) `all_exhausted` scan.
+        // The calendar bound is exact, so it reaches NEVER on exactly the
+        // cycle the last source drains.
         if self.generation_ended_at.is_none() && self.calendar.min_lower_bound() == calendar::NEVER
         {
             self.generation_ended_at = Some(now.0 + 1);
@@ -692,9 +679,6 @@ impl CycleModel for MmrRouter {
         // credit counters drifted under faults — the next watchdog audit
         // (its resync must execute on the same cycle as in the naive
         // loop).
-        // The calendar bound may be stale-early; waking up on it is safe
-        // (the stepped cycle scans, finds nothing due, and refreshes the
-        // bound, so the next skip is exact).
         let mut horizon = match self.calendar.min_lower_bound() {
             calendar::NEVER => u64::MAX,
             rc => rc.div_ceil(self.rc_per_flit),

@@ -141,7 +141,8 @@ if [[ "${MMR_CI_NIGHTLY:-0}" == "1" ]]; then
     # test name, so this replays the 1x prefix and extends it.
     MMR_PROPTEST_CASES=4 cargo test --release -q -p mmr-core \
         --test arbiter_properties --test qos_properties \
-        --test flow_control --test differential --test workload_lang
+        --test flow_control --test differential --test workload_lang \
+        --test occupancy_differential --test injection_differential
 fi
 
 echo "== CI green =="

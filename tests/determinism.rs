@@ -3,18 +3,19 @@
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::config::{
-    BestEffortSpec, EngineMode, FabricSpec, FaultSpec, InjectionKind, RunLength, SimConfig,
-    TelemetrySpec, WorkloadSpec,
+    BestEffortSpec, ChurnConfig, EngineMode, FabricSpec, FaultSpec, InjectionKind, MixGroup,
+    RunLength, SimConfig, TelemetrySpec, WorkloadSpec,
 };
 use mmr_core::experiment::{
     build_fabric, build_fabric_workload, build_router, build_workload, run_experiment,
     run_fabric_experiment, ExperimentResult,
 };
-use mmr_core::router::fabric::Topology;
+use mmr_core::router::fabric::{Fabric, Topology};
 use mmr_core::scenarios::{chaos, vbr_cycle_budget, Fidelity};
 use mmr_core::sim::engine::{CycleModel, Runner, StopCondition};
 use mmr_core::sim::time::FlitCycle;
 use mmr_core::sweep::{run_all, sweep, SweepSpec};
+use mmr_core::traffic::connection::TrafficClass;
 use proptest::prelude::*;
 
 fn quick(load: f64, seed: u64) -> SimConfig {
@@ -584,6 +585,100 @@ fn fabric_engine_modes_agree_with_each_other_and_with_the_runner() {
                 );
             }
         }
+    }
+}
+
+/// A fabric whose sources all end: every connection of a three-rate CBR
+/// mix departs (an `ExpiringSource`) somewhere in flit cycles 800..2 400.
+fn departing_fabric_cfg(seed: u64) -> SimConfig {
+    let group = |class, rate_bps, weight| MixGroup {
+        class,
+        rate_bps,
+        weight,
+    };
+    SimConfig {
+        workload: WorkloadSpec::Mix {
+            target_load: 0.4,
+            groups: vec![
+                group(TrafficClass::CbrLow, 64_000.0, 1.0),
+                group(TrafficClass::CbrMedium, 1_540_000.0, 2.0),
+                group(TrafficClass::CbrHigh, 55_000_000.0, 2.0),
+            ],
+            ramp: None,
+            churn: Some(ChurnConfig {
+                start: 64 * 800,
+                end: 64 * 2_400,
+                departures: 1.0,
+                arrivals: 0.0,
+            }),
+        },
+        warmup_cycles: 501,
+        run: RunLength::UntilDrained { max_cycles: 6_000 },
+        ..quick(0.4, seed).with_fabric(FabricSpec::new(Topology::Mesh { x: 3, y: 3 }))
+    }
+}
+
+#[test]
+fn fabric_drains_at_the_same_cycle_on_every_path() {
+    // "Sources exhausted" is read from the nodes' injection calendars,
+    // by `Fabric::drained` (the Runner's stop test, every cycle) and by
+    // the per-node horizon.  A workload that ends pins both: the run must
+    // stop on the same cycle, in the same state, under the naive loop,
+    // the horizon loop and the epoch executor.
+    let cfg = departing_fabric_cfg(41);
+    let spec = cfg.fabric.unwrap();
+    let RunLength::UntilDrained { max_cycles } = cfg.run else {
+        unreachable!()
+    };
+    let state = |fabric: &Fabric| {
+        assert!(fabric.drained(), "sources or flits left behind");
+        let summary = fabric.summary();
+        (
+            serde_json::to_string(&summary).expect("serializes"),
+            fabric.rng_fingerprints(),
+            (summary.generated_flits, summary.delivered_flits),
+        )
+    };
+    let runner_probe = |horizon: bool| {
+        let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
+        let runner = Runner::new(
+            cfg.warmup_cycles,
+            StopCondition::ModelDoneOrCycles(max_cycles),
+        );
+        let out = if horizon {
+            runner.run_horizon(&mut fabric)
+        } else {
+            runner.run(&mut fabric)
+        };
+        assert!(out.model_finished, "fabric never drained");
+        (state(&fabric), out.executed, out.measured)
+    };
+    let naive = runner_probe(false);
+    assert_eq!(naive, runner_probe(true), "Runner loops stopped apart");
+
+    // Recorded at the commit before the calendar fed the fabric.
+    let ((_, fingerprints, flits), stop, measured) = naive.clone();
+    assert_eq!((stop, measured), (2_388, 1_887), "stop cycle moved");
+    assert_eq!(flits, (3_976, 4_010), "generated / delivered moved");
+    assert_eq!(
+        fingerprints.iter().fold(0u64, |h, &f| h.rotate_left(7) ^ f),
+        13_070_934_093_213_973_855,
+        "arbitration streams moved"
+    );
+
+    // The epoch executor has no done-check: hand it the stop cycle and it
+    // must land drained in the same state; one cycle less and it is not.
+    for workers in [1usize, 2, 3] {
+        let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
+        let out = fabric.run_parallel(cfg.warmup_cycles, stop, workers, true);
+        assert_eq!(
+            naive,
+            (state(&fabric), out.executed, out.measured),
+            "run_parallel({workers}, horizon) diverged from the Runner"
+        );
+        let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
+        fabric.run_parallel(cfg.warmup_cycles, stop - 1, workers, true);
+        assert!(!fabric.drained(), "drained before the Runner's stop cycle");
     }
 }
 
