@@ -52,8 +52,7 @@ use mmr_core::experiment::{build_fabric, build_fabric_workload, build_router, bu
 use mmr_core::report::TextTable;
 use mmr_core::scenarios::{fabric_mesh, Fidelity};
 use mmr_router::config::RouterConfig;
-use mmr_router::fabric::FabricRunOutcome;
-use mmr_router::network::LineNetwork;
+use mmr_router::fabric::{Fabric, FabricConfig, FabricRunOutcome, Topology};
 use mmr_sim::engine::{Runner, StopCondition};
 use mmr_sim::rng::SimRng;
 use mmr_traffic::admission::RoundConfig;
@@ -77,7 +76,8 @@ fn run_net(
     let w = CbrMixBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
         .target_load(load)
         .build(&mut rng);
-    let mut net = LineNetwork::new(cfg, w, stages, kind, PriorityKind::Siabp, 0xB1ACA);
+    let fabric_cfg = FabricConfig::new(cfg, Topology::Line { stages });
+    let mut net = Fabric::new(fabric_cfg, w, kind, PriorityKind::Siabp, 0xB1ACA);
     Runner::new(warmup, StopCondition::Cycles(cycles)).run(&mut net);
     let s = net.summary();
     let high = s
@@ -85,7 +85,7 @@ fn run_net(
         .class(TrafficClass::CbrHigh)
         .map(|c| c.mean_delay_us)
         .unwrap_or(0.0);
-    let util = s.stage_utilization.iter().copied().fold(0.0, f64::max);
+    let util = s.node_utilization.iter().copied().fold(0.0, f64::max);
     let tput = if s.generated_flits == 0 {
         1.0
     } else {

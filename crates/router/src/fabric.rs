@@ -2,14 +2,15 @@
 //!
 //! The paper closes by noting the MMR "must be further extended to a
 //! network composed of several MMRs"; this module is that extension at
-//! scale.  A [`Topology`] instantiates N router nodes built from the
-//! single-router components (VC memory, link schedulers, switch
-//! scheduler, crossbar, credit banks), wires them with point-to-point
-//! links, and places every admitted connection on a deterministic
-//! dimension-order path ([`mmr_traffic::path`], the Pipelined Circuit
-//! Switching reserved-path model).  Per-connection virtual channels
-//! make the hop-by-hop credit chains self-waiting only, so the fabric
-//! is deadlock-free even across torus wrap links.
+//! scale.  A [`Topology`] instantiates N router nodes — each one the
+//! shared [`SwitchCore`] pipeline ([`crate::pipeline`]) plus its link
+//! ends: wire arrivals feed the VC memory before the stages, and crossed
+//! flits are ejected or forwarded after them — wires them with
+//! point-to-point links, and places every admitted connection on a
+//! deterministic dimension-order path ([`mmr_traffic::path`], the
+//! Pipelined Circuit Switching reserved-path model).  Per-connection
+//! virtual channels make the hop-by-hop credit chains self-waiting only,
+//! so the fabric is deadlock-free even across torus wrap links.
 //!
 //! # Shard/epoch execution contract (DESIGN.md §17)
 //!
@@ -89,20 +90,16 @@
 
 use crate::config::RouterConfig;
 use crate::credit::CreditBank;
-use crate::crossbar::{Crossbar, CrossedFlit};
-use crate::link_scheduler::{LinkScheduler, VcQosInfo};
+use crate::link_scheduler::VcQosInfo;
 use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::nic::Nic;
 use crate::output::Delivery;
-use crate::vcmem::VcMemory;
-use mmr_arbiter::candidate::CandidateSet;
-use mmr_arbiter::matching::Matching;
-use mmr_arbiter::priority::{LinkPriority, PriorityKind};
-use mmr_arbiter::scheduler::{ArbiterKind, SwitchScheduler};
+use crate::pipeline::{Ingress, SwitchCore, Wiring};
+use mmr_arbiter::priority::PriorityKind;
+use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_sim::engine::CycleModel;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{FlitCycle, RouterCycle};
-use mmr_traffic::calendar::{self, InjectionCalendar};
+use mmr_traffic::calendar;
 use mmr_traffic::connection::ConnectionSpec;
 use mmr_traffic::flit::Flit;
 use mmr_traffic::path::{mesh_route, Dir, HostMap};
@@ -118,7 +115,7 @@ use std::sync::{Mutex, MutexGuard};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Topology {
     /// `stages` routers in tandem, joined by `ports` parallel links per
-    /// hop (the PR-era `LineNetwork`, now a degenerate fabric).
+    /// hop; a one-stage line is the single router.
     Line {
         /// Router count.
         stages: usize,
@@ -225,7 +222,8 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// A fabric of `topology` with defaults: single-cycle links for the
-    /// line (preserving `LineNetwork` timing), 4-cycle links otherwise,
+    /// line (independent routers on short links: a flit advances one
+    /// hop per flit cycle), 4-cycle links otherwise,
     /// one host port per router.
     pub fn new(router: RouterConfig, topology: Topology) -> Self {
         FabricConfig {
@@ -290,15 +288,6 @@ struct VcRoute {
     back: HopBack,
 }
 
-/// Where one of a node's traffic sources injects: global connection,
-/// dense NIC index, slot within that NIC.
-#[derive(Clone, Copy)]
-struct NodeSource {
-    conn: u32,
-    nic: u32,
-    slot: u32,
-}
-
 struct NodeEvent {
     off: u32,
     kind: EventKind,
@@ -309,32 +298,30 @@ enum EventKind {
     Delivered { delivery: Delivery },
 }
 
+/// One node's link ends, carved out of its chunk's lanes: `flit_out` /
+/// `cred_pend` in node-local out-link order, `flit_pend` / `cred_out`
+/// in node-local in-link order.
+struct Lanes<'a> {
+    flit_out: &'a mut [Vec<FlitWire>],
+    cred_pend: &'a mut [VecDeque<CredWire>],
+    flit_pend: &'a mut [VecDeque<FlitWire>],
+    cred_out: &'a mut [Vec<CredWire>],
+}
+
 /// One router node (shard unit) of the fabric.
 struct FabricNode {
-    mem: VcMemory,
-    link_scheds: Vec<LinkScheduler>,
-    qos: Vec<VcQosInfo>,
-    priority_fn: Box<dyn LinkPriority>,
-    arbiter: Box<dyn SwitchScheduler>,
-    matching: Matching,
-    crossbar: Crossbar,
+    /// The switch pipeline over this node's local VC space.  Its NICs
+    /// and their credits serve the first-hop VCs of the connections
+    /// sourced here.
+    core: SwitchCore,
     /// Free space of the *next-hop* VC buffer per local VC (unused for
     /// final-hop VCs, which eject without back-pressure).
     credits_down: CreditBank,
-    candidates: CandidateSet,
-    rng: SimRng,
     route: Vec<VcRoute>,
-    nics: Vec<Nic>,
-    nic_credits: CreditBank,
-    /// Traffic sources homed on this node, their injection calendar,
-    /// and (parallel to both) where each one injects.
-    sources: Vec<Box<dyn TrafficSource + Send>>,
-    calendar: InjectionCalendar,
-    source_slots: Vec<NodeSource>,
+    /// Global connection of each of the core's sources.
+    source_conn: Vec<u32>,
     out_count: usize,
     in_count: usize,
-    drain_buf: Vec<Flit>,
-    crossed_buf: Vec<CrossedFlit>,
     events: Vec<NodeEvent>,
     /// Events of the current epoch already committed by the leader.
     committed: usize,
@@ -343,32 +330,16 @@ struct FabricNode {
 }
 
 impl FabricNode {
-    /// Execute one cycle of this node.  `flit_out`/`cred_pend` are the
-    /// node's out-link lanes (in node-local out-link order),
-    /// `flit_pend`/`cred_out` its in-link lanes (node-local in-link
-    /// order).  Mirrors the `LineNetwork` stage pipeline exactly at
-    /// `link_latency == 1`.
-    #[allow(clippy::too_many_arguments)]
-    fn step_cycle(
-        &mut self,
-        u: u64,
-        off: u32,
-        measuring: bool,
-        t: Timing,
-        flit_out: &mut [Vec<FlitWire>],
-        cred_pend: &mut [VecDeque<CredWire>],
-        flit_pend: &mut [VecDeque<FlitWire>],
-        cred_out: &mut [Vec<CredWire>],
-    ) {
+    /// Execute cycle `u` (offset `off` into its epoch) of this node.
+    fn step_cycle(&mut self, u: u64, off: u32, measuring: bool, t: Timing, lanes: Lanes<'_>) {
         let now_rc = RouterCycle(u * t.rc_per_flit);
 
-        // 1. Credit arrivals become spendable before arbitration — a
-        //    crossing at cycle c downstream frees the upstream slot at
-        //    c + link_latency, matching the line network's next-cycle
-        //    visibility at latency 1.  Drained with `due <= u` so a
-        //    horizon skip that jumped past a credit-only cycle applies
-        //    it here, unobservably (see module docs).
-        for q in cred_pend.iter_mut() {
+        // Credit arrivals become spendable before arbitration — a
+        // crossing at cycle c downstream frees the upstream slot at
+        // c + link_latency (next-cycle visibility at latency 1).
+        // Drained with `due <= u` so a horizon skip that jumped past a
+        // credit-only cycle applies it here, unobservably (module docs).
+        for q in lanes.cred_pend.iter_mut() {
             while q.front().is_some_and(|m| m.due <= u) {
                 let m = q.pop_front().expect("checked front");
                 self.credits_down.queue_return(m.vc as usize);
@@ -376,81 +347,49 @@ impl FabricNode {
         }
         self.credits_down.apply_returns();
 
-        // 2. Flit arrivals enter the VC memory, schedulable this cycle
-        //    (their upstream crossing finished `link_latency` ago).
-        for q in flit_pend.iter_mut() {
+        // Flit arrivals enter the VC memory, schedulable this cycle
+        // (their upstream crossing finished `link_latency` ago).
+        for q in lanes.flit_pend.iter_mut() {
             while q.front().is_some_and(|m| m.due <= u) {
                 let m = q.pop_front().expect("checked front");
                 debug_assert_eq!(m.due, u, "flit message applied late");
-                self.mem.push(m.vc as usize, m.flit, now_rc);
+                self.core.mem.push(m.vc as usize, m.flit, now_rc);
             }
         }
 
-        // 3. Due sources inject into the NIC queues (the shared
-        //    calendar drain; O(1) on cycles with nothing due).
-        self.calendar
-            .drain_due(&mut self.sources, now_rc, &mut self.drain_buf, |i, flit| {
-                let s = self.source_slots[i];
-                self.nics[s.nic as usize].enqueue(s.slot as usize, flit);
-                self.events.push(NodeEvent {
-                    off,
-                    kind: EventKind::Generated { conn: s.conn },
-                });
+        self.core.inject(now_rc, |i| {
+            let conn = self.source_conn[i];
+            self.events.push(NodeEvent {
+                off,
+                kind: EventKind::Generated { conn },
             });
+        });
 
-        // 4. Candidate selection: final-hop VCs eject freely; others
-        //    need a downstream credit.
-        self.candidates.clear();
-        if self.mem.total_occupancy() > 0 {
-            let route = &self.route;
-            let credits = &self.credits_down;
-            for ls in self.link_scheds.iter_mut() {
-                ls.select_where(
-                    &self.mem,
-                    &self.qos,
-                    self.priority_fn.as_ref(),
-                    now_rc,
-                    &mut self.candidates,
-                    |vc| matches!(route[vc].next, HopNext::Deliver) || credits.has_credit(vc),
-                );
-            }
-        }
+        // Final-hop VCs eject freely; others need a downstream credit.
+        self.core.select(now_rc, |vc, _| {
+            matches!(self.route[vc].next, HopNext::Deliver) || self.credits_down.has_credit(vc)
+        });
+        self.core.arbitrate();
 
-        // 5. Switch scheduling.  An empty candidate set skips the kernel
-        //    so quiescent cycles leave the RNG stream untouched — the
-        //    property that makes executing a quiescent cycle identical
-        //    to skipping it (DESIGN.md §12).
-        if self.candidates.is_empty() {
-            self.matching.clear();
-        } else {
-            self.arbiter
-                .schedule_into(&self.candidates, &mut self.rng, &mut self.matching);
-        }
-
-        // 6. Crossbar traversal, then route each crossed flit: eject or
-        //    forward on its reserved out-link, and return a credit
-        //    upstream (to the NIC at the first hop, on the wire
-        //    otherwise).
-        let mut crossed = std::mem::take(&mut self.crossed_buf);
-        self.crossbar
-            .transfer(&self.matching, &mut self.mem, measuring, &mut crossed);
+        // Route each crossed flit: eject, or forward on its reserved
+        // out-link; and return a credit upstream (to the NIC at the
+        // first hop, on the wire otherwise).
+        let crossed = self.core.cross(measuring);
         for cf in &crossed {
             match self.route[cf.vc].next {
-                HopNext::Deliver => {
-                    self.events.push(NodeEvent {
-                        off,
-                        kind: EventKind::Delivered {
-                            delivery: Delivery {
-                                flit: cf.buffered.flit,
-                                output: cf.output,
-                                delivered_at: RouterCycle(now_rc.0 + t.crossing_rc),
-                            },
+                HopNext::Deliver => self.events.push(NodeEvent {
+                    off,
+                    kind: EventKind::Delivered {
+                        delivery: Delivery {
+                            flit: cf.buffered.flit,
+                            output: cf.output,
+                            delivered_at: RouterCycle(now_rc.0 + t.crossing_rc),
                         },
-                    });
-                }
+                    },
+                }),
                 HopNext::Forward { out, next_vc } => {
                     self.credits_down.spend(cf.vc);
-                    flit_out[out as usize].push(FlitWire {
+                    lanes.flit_out[out as usize].push(FlitWire {
                         due: u + t.link_latency,
                         vc: next_vc,
                         flit: cf.buffered.flit,
@@ -458,69 +397,41 @@ impl FabricNode {
                 }
             }
             match self.route[cf.vc].back {
-                HopBack::Nic => self.nic_credits.queue_return(cf.vc),
-                HopBack::Wire { link, up_vc } => cred_out[link as usize].push(CredWire {
+                HopBack::Nic => self.core.queue_credit_return(cf.vc),
+                HopBack::Wire { link, up_vc } => lanes.cred_out[link as usize].push(CredWire {
                     due: u + t.link_latency,
                     vc: up_vc,
                 }),
             }
         }
-        self.crossed_buf = crossed;
+        self.core.recycle(crossed);
 
-        // 7. NIC link controllers feed the first-hop VC buffers; pushes
-        //    land with end-of-cycle arrival so they cannot be
-        //    re-scheduled this cycle.
+        // NICs feed the first-hop VC buffers; their credit returns
+        // become visible next cycle.
         let arrival = RouterCycle(now_rc.0 + t.rc_per_flit);
-        for nic in self.nics.iter_mut() {
-            let credits = &self.nic_credits;
-            if let Some((vc, flit)) = nic.forward_one(|c| credits.has_credit(c)) {
-                self.nic_credits.spend(vc);
-                self.mem.push(vc, flit, arrival);
+        self.core.forward(arrival, |_, _, _, _| Ingress::Admit);
+        self.core.return_credits();
+    }
+
+    /// Local next-event horizon after executing cycle `now`: any backlog
+    /// means state can move next cycle; otherwise the earlier of the
+    /// next injection and the pending in-flight flit dues.  Pending
+    /// credits never gate the horizon (module docs).
+    fn horizon_after(&self, flit_pend: &[VecDeque<FlitWire>], now: u64, rc_per_flit: u64) -> u64 {
+        if self.core.backlog() > 0 {
+            return now + 1;
+        }
+        let mut h = match self.core.next_injection_rc() {
+            calendar::NEVER => u64::MAX,
+            rc => rc.div_ceil(rc_per_flit).max(now + 1),
+        };
+        for q in flit_pend {
+            if let Some(m) = q.front() {
+                h = h.min(m.due);
             }
         }
-
-        // 8. NIC credit returns become visible next cycle.
-        self.nic_credits.apply_returns();
-
-        debug_assert!(
-            self.mem.index_consistent() && self.nics.iter().all(Nic::index_consistent),
-            "occupancy index out of sync at cycle {u}"
-        );
+        h
     }
-
-    fn backlog(&self) -> usize {
-        self.nics.iter().map(Nic::total_depth).sum::<usize>() + self.mem.total_occupancy()
-    }
-}
-
-/// Local next-event horizon of one node after executing cycle `now`:
-/// any backlog means state can move next cycle; otherwise the earlier
-/// of the injection calendar's (exact) minimum and the pending in-flight
-/// flit dues.  Pending credits never gate the horizon (module docs).
-fn node_horizon(
-    node: &FabricNode,
-    flit_pend: &[VecDeque<FlitWire>],
-    now: u64,
-    rc_per_flit: u64,
-) -> u64 {
-    if node.backlog() > 0 {
-        return now + 1;
-    }
-    debug_assert_eq!(
-        node.calendar.min_lower_bound(),
-        node.calendar.min_next_rc(),
-        "calendar bound went stale between drains"
-    );
-    let mut h = match node.calendar.min_lower_bound() {
-        calendar::NEVER => u64::MAX,
-        rc => rc.div_ceil(rc_per_flit).max(now + 1),
-    };
-    for q in flit_pend {
-        if let Some(m) = q.front() {
-            h = h.min(m.due);
-        }
-    }
-    h
 }
 
 /// Parameters of one epoch: execute cycles `[a, b)`,
@@ -586,12 +497,7 @@ impl<'a> Chunk<'a> {
 
     /// Execute one epoch for this chunk's nodes.
     fn run(&mut self, ep: Epoch, t: Timing) {
-        let Epoch {
-            a,
-            b,
-            measuring,
-            horizon,
-        } = ep;
+        let (a, b) = (ep.a, ep.b);
         debug_assert!(b > a && b - a <= t.link_latency, "epoch exceeds lookahead");
         // Epoch start: drain the swapped-in inbox lanes into the pending
         // queues (capacity is retained on both sides — steady state is
@@ -607,25 +513,22 @@ impl<'a> Chunk<'a> {
             let (mut o, mut i) = (0usize, 0usize);
             for node in self.nodes.iter_mut() {
                 let (oc, ic) = (node.out_count, node.in_count);
-                node.step_cycle(
-                    u,
-                    off,
-                    measuring,
-                    t,
-                    &mut self.flit_out[o..o + oc],
-                    &mut self.cred_pend[o..o + oc],
-                    &mut self.flit_pend[i..i + ic],
-                    &mut self.cred_out[i..i + ic],
-                );
+                let lanes = Lanes {
+                    flit_out: &mut self.flit_out[o..o + oc],
+                    cred_pend: &mut self.cred_pend[o..o + oc],
+                    flit_pend: &mut self.flit_pend[i..i + ic],
+                    cred_out: &mut self.cred_out[i..i + ic],
+                };
+                node.step_cycle(u, off, ep.measuring, t, lanes);
                 o += oc;
                 i += ic;
             }
         }
-        if horizon {
+        if ep.horizon {
             let mut i = 0usize;
             for node in self.nodes.iter_mut() {
                 let pend = &self.flit_pend[i..i + node.in_count];
-                node.horizon = node_horizon(node, pend, b - 1, t.rc_per_flit);
+                node.horizon = node.horizon_after(pend, b - 1, t.rc_per_flit);
                 i += node.in_count;
             }
         }
@@ -673,7 +576,7 @@ impl Fabric {
     /// [`Topology::workload_ports`] flat port space; each connection is
     /// placed on its deterministic reserved path (dimension-order for
     /// mesh/torus, shorter-way for rings, seeded random bundle ports
-    /// for line hops — matching the pre-fabric `LineNetwork`).
+    /// for line hops — the path a routing probe would have reserved).
     pub fn new(
         cfg: FabricConfig,
         workload: Workload,
@@ -790,8 +693,8 @@ impl Fabric {
             let mut h: Vec<(usize, usize, usize)> = Vec::new();
             match cfg.topology {
                 Topology::Line { stages } => {
-                    // Same draw order as the pre-fabric LineNetwork, so
-                    // reserved line paths are unchanged.
+                    // One draw per intermediate hop, in connection
+                    // order: recorded line results depend on it.
                     let mut inp = s.input;
                     for stage in 0..stages {
                         let out = if stage + 1 == stages {
@@ -849,36 +752,31 @@ impl Fabric {
             }
         }
 
-        // ---- Per-node construction. ----------------------------------
+        // ---- Per-node construction: each node is one `SwitchCore`
+        // over its local VC space, plus its link ends. -----------------
         let rc_per_flit = cfg.router.router_cycles_per_flit();
+        let node_cfg = RouterConfig {
+            ports: node_ports,
+            ..cfg.router
+        };
         let arb_base = SimRng::seed_from_u64(seed ^ 0x6E65_7477);
-        let mut per_node_sources: Vec<Vec<Box<dyn TrafficSource + Send>>> =
-            (0..nnodes).map(|_| Vec::new()).collect();
-        let mut per_node_slots: Vec<Vec<NodeSource>> = vec![Vec::new(); nnodes];
-        let mut nic_lists: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); node_ports]; nnodes];
+        // Per node: its sources and the connection each one feeds.
+        type NodeSources = (Vec<Box<dyn TrafficSource + Send>>, Vec<u32>);
+        let mut node_sources: Vec<NodeSources> = (0..nnodes).map(|_| Default::default()).collect();
         for (conn, src) in sources.into_iter().enumerate() {
-            let (node, inp, _) = hops[conn][0];
-            let local = local_of[conn][0] as usize;
-            let slot = nic_lists[node][inp].len() as u32;
-            nic_lists[node][inp].push(local);
-            per_node_sources[node].push(src);
-            per_node_slots[node].push(NodeSource {
-                conn: conn as u32,
-                nic: inp as u32, // resolved to a dense NIC index below
-                slot,
-            });
+            let (srcs, conns) = &mut node_sources[hops[conn][0].0];
+            srcs.push(src);
+            conns.push(conn as u32);
         }
 
         let mut nodes = Vec::with_capacity(nnodes);
-        for nd in 0..nnodes {
+        for (nd, (sources, source_conn)) in node_sources.into_iter().enumerate() {
             let locals = &local_conns[nd];
             let nloc = locals.len();
-            let mut by_input: Vec<Vec<usize>> = vec![Vec::new(); node_ports];
             let mut qos = Vec::with_capacity(nloc);
             let mut route = Vec::with_capacity(nloc);
-            for (local, &(conn, hi)) in locals.iter().enumerate() {
+            for &(conn, hi) in locals {
                 let (_, inp, out) = hops[conn][hi];
-                by_input[inp].push(local);
                 qos.push(VcQosInfo {
                     output: out,
                     reserved_slots: specs[conn].reserved_slots,
@@ -906,46 +804,28 @@ impl Fabric {
                 };
                 route.push(VcRoute { next, back });
             }
-            // Dense NIC list: one NIC per ingress port that sources
-            // connections here, in port order.
-            let mut nics = Vec::new();
-            let mut nic_of_port = vec![u32::MAX; node_ports];
-            for (port, list) in nic_lists[nd].iter().enumerate() {
-                if !list.is_empty() {
-                    nic_of_port[port] = nics.len() as u32;
-                    nics.push(Nic::new(list.clone()));
-                }
-            }
-            let sources = std::mem::take(&mut per_node_sources[nd]);
-            let mut source_slots = std::mem::take(&mut per_node_slots[nd]);
-            for s in &mut source_slots {
-                s.nic = nic_of_port[s.nic as usize];
-            }
-            nodes.push(FabricNode {
-                mem: VcMemory::new(nloc, cfg.router.vc_buffer_flits, cfg.router.vc_ram_banks),
-                link_scheds: by_input
-                    .iter()
-                    .enumerate()
-                    .map(|(p, conns)| LinkScheduler::new(p, conns.clone()))
-                    .collect(),
+            let core = SwitchCore::new(
+                &node_cfg,
                 qos,
-                priority_fn: priority.instantiate(),
-                arbiter: arbiter_kind.instantiate(node_ports),
-                matching: Matching::new(node_ports),
-                crossbar: Crossbar::new(node_ports),
-                credits_down: CreditBank::new(nloc, cfg.router.vc_buffer_flits as u32),
-                candidates: CandidateSet::new(node_ports, cfg.router.candidate_levels),
-                rng: arb_base.split(nd as u64),
-                route,
-                nics,
-                nic_credits: CreditBank::new(nloc, cfg.router.vc_buffer_flits as u32),
-                calendar: InjectionCalendar::from_sources(&sources),
                 sources,
-                source_slots,
+                Wiring {
+                    input_of_vc: |vc: usize| {
+                        let (conn, hi) = locals[vc];
+                        hops[conn][hi].1
+                    },
+                    vc_of_source: |i: usize| local_of[source_conn[i] as usize][0] as usize,
+                },
+                arbiter_kind.instantiate(node_ports),
+                priority.instantiate(),
+                arb_base.split(nd as u64),
+            );
+            nodes.push(FabricNode {
+                core,
+                credits_down: CreditBank::new(nloc, cfg.router.vc_buffer_flits as u32),
+                route,
+                source_conn,
                 out_count: out_start[nd + 1] - out_start[nd],
                 in_count: in_start[nd + 1] - in_start[nd],
-                drain_buf: Vec::new(),
-                crossed_buf: Vec::new(),
                 events: Vec::new(),
                 committed: 0,
                 horizon: 0,
@@ -1001,23 +881,10 @@ impl Fabric {
         &self.paths_out[conn]
     }
 
-    /// QoS metrics snapshot (end to end, across all hops).
-    pub fn metrics_report(&self) -> MetricsReport {
-        self.metrics.report()
-    }
-
-    /// Mean crossbar utilization per node.
-    pub fn node_utilizations(&self) -> Vec<f64> {
-        self.nodes
-            .iter()
-            .map(|nd| nd.crossbar.mean_utilization())
-            .collect()
-    }
-
     /// Flits buffered anywhere: NICs, VC memories, and in flight on
     /// links (pending queues and both mailbox lanes).
     pub fn backlog(&self) -> usize {
-        self.nodes.iter().map(FabricNode::backlog).sum::<usize>()
+        self.nodes.iter().map(|nd| nd.core.backlog()).sum::<usize>()
             + self.flit_pend.iter().map(VecDeque::len).sum::<usize>()
             + self.flit_in.iter().map(Vec::len).sum::<usize>()
             + self.flit_out.iter().map(Vec::len).sum::<usize>()
@@ -1028,7 +895,7 @@ impl Fabric {
     pub fn drained(&self) -> bool {
         self.nodes
             .iter()
-            .all(|nd| nd.calendar.min_lower_bound() == calendar::NEVER)
+            .all(|nd| nd.core.next_injection_rc() == calendar::NEVER)
             && self.backlog() == 0
     }
 
@@ -1038,7 +905,7 @@ impl Fabric {
     pub fn rng_fingerprints(&self) -> Vec<u64> {
         self.nodes
             .iter()
-            .map(|nd| nd.rng.clone().next_u64_raw())
+            .map(|nd| nd.core.rng_fingerprint())
             .collect()
     }
 
@@ -1052,7 +919,11 @@ impl Fabric {
             connections: self.specs.len(),
             mean_hops: hop_total as f64 / self.specs.len().max(1) as f64,
             metrics: self.metrics.report(),
-            node_utilization: self.node_utilizations(),
+            node_utilization: self
+                .nodes
+                .iter()
+                .map(|nd| nd.core.crossbar.mean_utilization())
+                .collect(),
             generated_flits: self.generated_total,
             delivered_flits: self.delivered_total,
             backlog_flits: self.backlog(),
@@ -1229,7 +1100,7 @@ impl Ledger<'_> {
     fn measurement_start<'c, C: DerefMut<Target = Chunk<'c>>>(&mut self, chunks: &mut [C]) {
         self.metrics.reset();
         for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
-            node.crossbar.reset_stats();
+            node.core.crossbar.reset_stats();
         }
         *self.generated_total = 0;
         *self.delivered_total = 0;
@@ -1322,12 +1193,10 @@ fn horizon_after_epoch<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C]) -> u64 {
     h
 }
 
-/// Bulk-advance `n` quiescent cycles (all-node idle accounting).
+/// Bulk-advance `n` quiescent cycles on every node.
 fn skip_cycles<'c, C: DerefMut<Target = Chunk<'c>>>(chunks: &mut [C], n: u64, measuring: bool) {
-    if measuring {
-        for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
-            node.crossbar.record_idle_cycles(n);
-        }
+    for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
+        node.core.skip_quiescent(n, measuring);
     }
 }
 
@@ -1500,7 +1369,7 @@ impl CycleModel for Fabric {
         let mut h = u64::MAX;
         for (nd, node) in self.nodes.iter().enumerate() {
             let pend = &self.flit_pend[self.in_start[nd]..self.in_start[nd + 1]];
-            h = h.min(node_horizon(node, pend, now.0, self.timing.rc_per_flit));
+            h = h.min(node.horizon_after(pend, now.0, self.timing.rc_per_flit));
             if h == now.0 + 1 {
                 return FlitCycle(h);
             }
@@ -1774,6 +1643,82 @@ mod tests {
             };
             assert_eq!(run(true), run(false), "engines diverged at load {load}");
         }
+    }
+
+    // ---- Line fabrics: the paper's "network composed of several MMRs"
+    // in its simplest form. --------------------------------------------
+
+    fn line(stages: usize, load: f64, seed: u64) -> Fabric {
+        fabric(Topology::Line { stages }, load, seed)
+    }
+
+    #[test]
+    fn one_stage_behaves_like_single_router() {
+        let mut net = line(1, 0.3, 1);
+        Runner::new(200, StopCondition::Cycles(3_000)).run(&mut net);
+        let s = net.summary();
+        assert!(s.delivered_flits > 0);
+        assert!(s.backlog_flits < 20);
+    }
+
+    #[test]
+    fn three_stages_deliver_with_higher_latency() {
+        let run = |stages| {
+            let mut net = line(stages, 0.3, 2);
+            Runner::new(500, StopCondition::Cycles(8_000)).run(&mut net);
+            net.summary()
+        };
+        let one = run(1);
+        let three = run(3);
+        assert!(three.delivered_flits > 0);
+        let d1 = one
+            .metrics
+            .classes
+            .iter()
+            .map(|c| c.mean_delay_us)
+            .fold(0.0, f64::max);
+        let d3 = three
+            .metrics
+            .classes
+            .iter()
+            .map(|c| c.mean_delay_us)
+            .fold(0.0, f64::max);
+        assert!(d3 > d1, "3-hop delay {d3} must exceed 1-hop {d1}");
+        assert_eq!(three.node_utilization.len(), 3);
+    }
+
+    #[test]
+    fn backlog_drains_at_low_load() {
+        let mut net = line(2, 0.2, 3);
+        // Sources are infinite (CBR), so run fixed cycles then verify the
+        // network kept pace.
+        Runner::new(500, StopCondition::Cycles(6_000)).run(&mut net);
+        assert!(net.backlog() < 30, "backlog {}", net.backlog());
+        assert!(!net.drained(), "CBR sources never exhaust");
+    }
+
+    #[test]
+    fn all_stages_carry_traffic() {
+        let mut net = line(3, 0.4, 4);
+        Runner::new(500, StopCondition::Cycles(6_000)).run(&mut net);
+        for (i, u) in net.summary().node_utilization.iter().enumerate() {
+            assert!(*u > 0.1, "stage {i} utilization {u}");
+        }
+    }
+
+    #[test]
+    fn line_network_horizon_engine_agrees() {
+        let run = |horizon: bool| {
+            let mut net = line(2, 0.15, 5);
+            let runner = Runner::new(300, StopCondition::Cycles(5_000));
+            let o = if horizon {
+                runner.run_horizon(&mut net)
+            } else {
+                runner.run(&mut net)
+            };
+            (net.summary(), o.executed)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

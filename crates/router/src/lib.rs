@@ -29,14 +29,17 @@
 //! * [`telemetry`] — opt-in observability: counters, per-stage cycle
 //!   profiling, an arbitration flight recorder, and windowed per-class
 //!   snapshots, all free when disarmed and deterministic when armed.
-//! * [`router`] — [`router::MmrRouter`], the top-level
-//!   [`mmr_sim::CycleModel`] tying the pipeline together.
+//! * [`pipeline`] — [`pipeline::SwitchCore`], the one switch pipeline
+//!   (sources → NICs → VC memory → link and switch schedulers →
+//!   crossbar), a method per stage; both models below are adapters
+//!   over it.
+//! * [`router`] — [`router::MmrRouter`], the single-router
+//!   [`mmr_sim::CycleModel`]: the pipeline plus output sinks, metrics,
+//!   faults and telemetry.
 //! * [`fabric`] — the sharded multi-router fabric (paper §6 future
 //!   work): line/ring/mesh/torus topologies of MMRs with dimension-order
 //!   routing, epoch-batched boundary exchange, and deterministic
-//!   multi-worker execution.
-//! * [`network`] — the original line-of-MMRs extension, now a thin
-//!   wrapper over a line-topology [`fabric`].
+//!   multi-worker execution; each node is the pipeline plus its links.
 //! * [`holfifo`] — the rejected single-FIFO-per-input design, reproducing
 //!   Karol et al.'s 58.6 % HOL-blocking limit that motivates the MMR's
 //!   per-connection virtual channels.
@@ -51,10 +54,10 @@ pub mod fault;
 pub mod holfifo;
 pub mod link_scheduler;
 pub mod metrics;
-pub mod network;
 pub mod nic;
 pub mod observatory;
 pub mod output;
+pub mod pipeline;
 pub mod router;
 pub mod tdm;
 pub mod telemetry;

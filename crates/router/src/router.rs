@@ -1,112 +1,39 @@
 //! The top-level single-router model (paper Fig. 4).
 //!
-//! Wires sources → NICs → credit-gated input links → VC memory → link
-//! scheduler → switch scheduler → crossbar → output sinks, advancing in
-//! lock-step one flit cycle at a time.  Within a cycle:
-//!
-//! 1. sources deposit newly generated flits into their NIC queues;
-//! 2. each input's link scheduler offers its k best head flits;
-//! 3. the switch scheduler computes a conflict-free matching;
-//! 4. matched flits cross the crossbar, are delivered, and queue credit
-//!    returns;
-//! 5. each NIC forwards at most one credit-holding flit onto its input
-//!    link (arriving at the router at the end of the cycle);
-//! 6. credit returns are applied (usable next cycle).
-//!
-//! Steps 2–3 observe the VC state from before step 5, so a flit needs one
-//! full cycle on the link before it can compete for the crossbar, and a
-//! returned credit takes effect the following cycle — matching the paper's
-//! short-link, one-phit-credit timing.
+//! [`MmrRouter`] is the single-switch adapter over the shared
+//! [`SwitchCore`] ([`crate::pipeline`] has the stage list and the
+//! intra-cycle timing).  This module adds what only the one-router
+//! model has: output sinks and QoS metrics behind the crossbar, fault
+//! injection and recovery hooked into the stages, and the telemetry
+//! brackets around them.
 
-use crate::config::{LinkPolicy, RouterConfig};
-use crate::credit::CreditBank;
-use crate::crossbar::{Crossbar, CrossedFlit};
+use crate::config::RouterConfig;
 use crate::fault::{FaultProfile, FaultReport, FaultState, LinkFate};
-use crate::link_scheduler::{LinkScheduler, VcQosInfo};
+use crate::link_scheduler::VcQosInfo;
 use crate::metrics::{MetricsCollector, MetricsReport};
 use crate::nic::Nic;
 use crate::output::{Delivery, OutputPorts};
-use crate::tdm::TdmLinkScheduler;
+use crate::pipeline::{Ingress, SwitchCore, Wiring};
 use crate::telemetry::{RouterTelemetry, TelemetryConfig, TelemetryReport};
-use crate::vcmem::VcMemory;
-use mmr_arbiter::candidate::CandidateSet;
-use mmr_arbiter::matching::Matching;
 use mmr_arbiter::priority::LinkPriority;
 use mmr_arbiter::scheduler::SwitchScheduler;
 use mmr_sim::engine::CycleModel;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{FlitCycle, RouterCycle};
-use mmr_traffic::calendar::{self, InjectionCalendar};
+use mmr_traffic::calendar;
 use mmr_traffic::connection::ConnectionSpec;
 use mmr_traffic::flit::Flit;
 use mmr_traffic::workload::Workload;
 use serde::{Deserialize, Serialize};
 
-/// A link scheduler of either policy (see [`LinkPolicy`]).
-enum AnyLinkScheduler {
-    Priority(LinkScheduler),
-    Tdm(TdmLinkScheduler),
-}
-
-impl AnyLinkScheduler {
-    fn select(
-        &mut self,
-        mem: &crate::vcmem::VcMemory,
-        qos: &[VcQosInfo],
-        priority_fn: &dyn LinkPriority,
-        now: RouterCycle,
-        cs: &mut mmr_arbiter::candidate::CandidateSet,
-    ) -> usize {
-        match self {
-            AnyLinkScheduler::Priority(ls) => ls.select(mem, qos, priority_fn, now, cs),
-            AnyLinkScheduler::Tdm(ts) => ts.select(mem, qos, priority_fn, now, cs),
-        }
-    }
-
-    fn select_where<F: Fn(usize) -> bool>(
-        &mut self,
-        mem: &crate::vcmem::VcMemory,
-        qos: &[VcQosInfo],
-        priority_fn: &dyn LinkPriority,
-        now: RouterCycle,
-        cs: &mut mmr_arbiter::candidate::CandidateSet,
-        eligible: F,
-    ) -> usize {
-        match self {
-            AnyLinkScheduler::Priority(ls) => {
-                ls.select_where(mem, qos, priority_fn, now, cs, eligible)
-            }
-            AnyLinkScheduler::Tdm(ts) => ts.select_where(mem, qos, priority_fn, now, cs, eligible),
-        }
-    }
-}
-
 /// The Multimedia Router with its NICs and traffic sources.
 pub struct MmrRouter {
     cfg: RouterConfig,
     specs: Vec<ConnectionSpec>,
-    sources: Vec<Box<dyn mmr_traffic::source::TrafficSource + Send>>,
-    /// Per-connection next-injection cache, built once at admission time
-    /// and refreshed by its own `drain_due`; backs the per-cycle drain
-    /// fast path, the event-horizon quiescence predicate and `drained`.
-    calendar: InjectionCalendar,
-    /// Per connection: (input port, local index within that NIC).
-    nic_slot: Vec<(usize, usize)>,
-    nics: Vec<Nic>,
-    credits: CreditBank,
-    mem: VcMemory,
-    link_scheds: Vec<AnyLinkScheduler>,
-    qos: Vec<VcQosInfo>,
-    priority_fn: Box<dyn LinkPriority>,
-    arbiter: Box<dyn SwitchScheduler>,
-    crossbar: Crossbar,
+    /// The switch pipeline; VC and source indices are connection ids.
+    core: SwitchCore,
     outputs: OutputPorts,
     metrics: MetricsCollector,
-    candidates: CandidateSet,
-    matching: Matching,
-    crossed: Vec<CrossedFlit>,
-    drain_buf: Vec<Flit>,
-    rng: SimRng,
     rc_per_flit: u64,
     crossing_rc: u64,
     generated_total: u64,
@@ -149,44 +76,6 @@ impl MmrRouter {
                 "ports out of range"
             );
         }
-
-        // Group connections by input port.
-        let mut by_input: Vec<Vec<usize>> = vec![Vec::new(); cfg.ports];
-        for s in &specs {
-            by_input[s.input].push(s.id.idx());
-        }
-        let mut nic_slot = vec![(0usize, 0usize); n_conns];
-        for (port, conns) in by_input.iter().enumerate() {
-            for (local, &conn) in conns.iter().enumerate() {
-                nic_slot[conn] = (port, local);
-            }
-        }
-        let nics: Vec<Nic> = by_input.iter().map(|c| Nic::new(c.clone())).collect();
-        let link_scheds: Vec<AnyLinkScheduler> = by_input
-            .iter()
-            .enumerate()
-            .map(|(p, conns)| match cfg.link_policy {
-                LinkPolicy::Priority => {
-                    AnyLinkScheduler::Priority(LinkScheduler::new(p, conns.clone()))
-                }
-                LinkPolicy::SlotTable {
-                    backfill,
-                    table_len,
-                } => {
-                    let reservations: Vec<(usize, u64)> = conns
-                        .iter()
-                        .map(|&c| (c, specs[c].reserved_slots))
-                        .collect();
-                    AnyLinkScheduler::Tdm(TdmLinkScheduler::new(
-                        p,
-                        reservations,
-                        cfg.round.cycles_per_round,
-                        table_len,
-                        backfill,
-                    ))
-                }
-            })
-            .collect();
         let qos: Vec<VcQosInfo> = specs
             .iter()
             .map(|s| VcQosInfo {
@@ -195,29 +84,25 @@ impl MmrRouter {
                 iat_rc: s.iat_router_cycles(&cfg.time),
             })
             .collect();
-
-        let rc_per_flit = cfg.router_cycles_per_flit();
-        let calendar = InjectionCalendar::from_sources(&sources);
-        MmrRouter {
-            specs,
-            sources,
-            calendar,
-            nic_slot,
-            nics,
-            credits: CreditBank::new(n_conns, cfg.vc_buffer_flits as u32),
-            mem: VcMemory::new(n_conns, cfg.vc_buffer_flits, cfg.vc_ram_banks),
-            link_scheds,
+        // Histograms before the core ("Allocation order", pipeline docs).
+        let metrics = MetricsCollector::new(n_conns, cfg.time);
+        let core = SwitchCore::new(
+            &cfg,
             qos,
-            priority_fn,
+            sources,
+            Wiring {
+                input_of_vc: |vc: usize| specs[vc].input,
+                vc_of_source: |i| i,
+            },
             arbiter,
-            crossbar: Crossbar::new(cfg.ports),
+            priority_fn,
+            SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
+        );
+        let rc_per_flit = cfg.router_cycles_per_flit();
+        MmrRouter {
+            core,
             outputs: OutputPorts::new(cfg.ports),
-            metrics: MetricsCollector::new(n_conns, cfg.time),
-            candidates: CandidateSet::new(cfg.ports, cfg.candidate_levels),
-            matching: Matching::new(cfg.ports),
-            crossed: Vec::with_capacity(cfg.ports),
-            drain_buf: Vec::new(),
-            rng: SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
+            metrics,
             rc_per_flit,
             crossing_rc: cfg.crossing_latency_flits * rc_per_flit,
             generated_total: 0,
@@ -226,6 +111,7 @@ impl MmrRouter {
             delivered_in_window: 0,
             faults: FaultState::inactive(cfg.ports, n_conns),
             telemetry: RouterTelemetry::disabled(),
+            specs,
             cfg,
         }
     }
@@ -237,7 +123,7 @@ impl MmrRouter {
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         let classes: Vec<_> = self.specs.iter().map(|s| s.class).collect();
         self.telemetry = RouterTelemetry::armed(cfg, &classes);
-        self.arbiter.set_probe_enabled(true);
+        self.core.arbiter.set_probe_enabled(true);
     }
 
     /// Telemetry state (disarmed by default).
@@ -253,7 +139,7 @@ impl MmrRouter {
     /// Snapshot everything telemetry observed, including the arbitration
     /// kernel's work counters.
     pub fn telemetry_report(&self) -> TelemetryReport {
-        self.telemetry.report(self.arbiter.kernel_stats())
+        self.telemetry.report(self.core.arbiter.kernel_stats())
     }
 
     /// Append a Prometheus text exposition of the live telemetry state
@@ -264,7 +150,7 @@ impl MmrRouter {
     pub fn prometheus_into(&self, out: &mut String) {
         self.telemetry.write_prometheus(
             out,
-            &self.arbiter.kernel_stats(),
+            &self.core.arbiter.kernel_stats(),
             self.cfg.time.router_cycle_secs(),
         );
     }
@@ -274,7 +160,7 @@ impl MmrRouter {
     /// sequences.  Used by determinism tests to prove telemetry never
     /// touches the RNG.
     pub fn rng_fingerprint(&self) -> u64 {
-        self.rng.clone().next_u64_raw()
+        self.core.rng_fingerprint()
     }
 
     /// Install a fault plan and recovery profile (chaos experiments).
@@ -286,6 +172,7 @@ impl MmrRouter {
     pub fn set_faults(&mut self, plan: mmr_sim::fault::FaultPlan, profile: FaultProfile) {
         let window_rc = (profile.rate_window * self.rc_per_flit) as f64;
         let contract: Vec<f64> = self
+            .core
             .qos
             .iter()
             .map(|q| {
@@ -296,7 +183,7 @@ impl MmrRouter {
                 }
             })
             .collect();
-        let guaranteed: Vec<bool> = self.qos.iter().map(|q| q.reserved_slots > 0).collect();
+        let guaranteed: Vec<bool> = self.core.qos.iter().map(|q| q.reserved_slots > 0).collect();
         self.metrics.set_delay_bound(
             profile
                 .delay_bound_flit_cycles
@@ -319,7 +206,7 @@ impl MmrRouter {
     /// occupancy (call between cycles; the watchdog restores this after
     /// credit-path faults).
     pub fn credits_consistent(&self) -> bool {
-        (0..self.specs.len()).all(|c| self.credits.consistent(c, self.mem.len(c)))
+        (0..self.specs.len()).all(|c| self.core.credits.consistent(c, self.core.mem.len(c)))
     }
 
     /// Delay-bound violations per connection in the current measurement
@@ -357,20 +244,21 @@ impl MmrRouter {
 
     /// Aggregate run summary.
     pub fn summary(&self) -> RouterSummary {
+        let core = &self.core;
         RouterSummary {
-            arbiter: self.arbiter.name().to_string(),
-            priority_fn: self.priority_fn.name().to_string(),
+            arbiter: core.arbiter.name().to_string(),
+            priority_fn: core.priority_fn.name().to_string(),
             reservation_fairness: self.reservation_fairness(),
             metrics: self.metrics.report(),
-            crossbar_utilization: self.crossbar.mean_utilization(),
-            crossbar_busy_fraction: self.crossbar.busy_fraction(),
-            reconfigurations: self.crossbar.reconfigurations(),
-            measured_cycles: self.crossbar.cycles(),
+            crossbar_utilization: core.crossbar.mean_utilization(),
+            crossbar_busy_fraction: core.crossbar.busy_fraction(),
+            reconfigurations: core.crossbar.reconfigurations(),
+            measured_cycles: core.crossbar.cycles(),
             generated_flits: self.generated_total,
             delivered_flits: self.delivered_total,
             delivered_per_output: self.outputs.per_port().to_vec(),
-            peak_nic_depth: self.nics.iter().map(Nic::peak_depth).max().unwrap_or(0),
-            peak_vc_occupancy: self.mem.peak_occupancy(),
+            peak_nic_depth: core.nics.iter().map(Nic::peak_depth).max().unwrap_or(0),
+            peak_vc_occupancy: core.mem.peak_occupancy(),
             backlog_flits: self.backlog(),
             generation_window_cycles: self.generation_ended_at,
             delivered_in_window: self.delivered_in_window,
@@ -380,15 +268,13 @@ impl MmrRouter {
 
     /// Flits currently buffered anywhere (NICs + VC memory).
     pub fn backlog(&self) -> usize {
-        self.nics.iter().map(Nic::total_depth).sum::<usize>() + self.mem.total_occupancy()
+        self.core.backlog()
     }
 
     /// True when all finite sources are exhausted and every buffer is
     /// empty.
     pub fn drained(&self) -> bool {
-        // The bound is exact between steps (`drain_due` is its only
-        // mutator): NEVER means every source is exhausted.
-        self.calendar.min_lower_bound() == calendar::NEVER && self.backlog() == 0
+        self.core.next_injection_rc() == calendar::NEVER && self.backlog() == 0
     }
 }
 
@@ -402,40 +288,34 @@ impl CycleModel for MmrRouter {
             self.faults.begin_cycle(now.0);
             for conn in self.faults.take_pending_dups() {
                 // A phantom credit return materializes on the return path.
-                self.credits.queue_return(conn);
+                self.core.credits.queue_return(conn);
             }
         }
 
-        // 1. Source generation into NIC queues: the shared calendar
-        // drain (O(1) on the many cycles with nothing due) hands each
-        // generated flit to this router's NIC, counters and hooks.
+        // 1. Source generation into NIC queues.
         let t_gen = self.telemetry.stage_begin();
         let mut gen_count = 0u64;
-        self.calendar
-            .drain_due(&mut self.sources, now_rc, &mut self.drain_buf, |i, flit| {
-                let (port, local) = self.nic_slot[i];
-                let class = self.specs[i].class;
-                self.nics[port].enqueue(local, flit);
-                self.generated_total += 1;
-                gen_count += 1;
-                self.telemetry.on_generated(class);
-                if measuring {
-                    self.metrics.record_generated(class);
-                }
-                if faults_active {
-                    self.faults.note_generated(i);
-                }
-            });
+        self.core.inject(now_rc, |i| {
+            let class = self.specs[i].class;
+            self.generated_total += 1;
+            gen_count += 1;
+            self.telemetry.on_generated(class);
+            if measuring {
+                self.metrics.record_generated(class);
+            }
+            if faults_active {
+                self.faults.note_generated(i);
+            }
+        });
         // 1b. Rogue sources inject beyond their admitted contract; the
         // rate meter sees the excess and may quarantine the connection.
         if faults_active {
             for i in 0..self.specs.len() {
                 if let Some((seq0, n)) = self.faults.rogue_take(i, now.0) {
-                    let (port, local) = self.nic_slot[i];
                     let class = self.specs[i].class;
                     for k in 0..n as u64 {
                         let flit = Flit::cbr(self.specs[i].id, seq0 + k, now_rc);
-                        self.nics[port].enqueue(local, flit);
+                        self.core.enqueue(i, flit);
                         self.generated_total += 1;
                         gen_count += 1;
                         self.telemetry.on_generated(class);
@@ -452,73 +332,39 @@ impl CycleModel for MmrRouter {
                 // so the link schedulers treat it as best-effort and its
                 // slots return to the best-effort pool.
                 let conn = self.faults.newly_quarantined()[idx];
-                self.qos[conn].reserved_slots = 0;
+                self.core.qos[conn].reserved_slots = 0;
                 self.telemetry.on_quarantine(now.0, conn);
             }
             self.faults.clear_newly_quarantined();
         }
         self.telemetry.end_source_gen(t_gen, gen_count);
 
-        // 2. Link scheduling: candidate selection per input.  VCs routed
-        // to a stalled output are ineligible — offering them would waste
-        // crossbar grants on a port that cannot accept.
+        // 2. Link scheduling.  VCs routed to a stalled output are
+        // ineligible — offering them would waste crossbar grants on a
+        // port that cannot accept.
         let t_ls = self.telemetry.stage_begin();
-        self.candidates.clear();
-        let mem = &self.mem;
-        let qos = &self.qos;
-        let priority_fn = self.priority_fn.as_ref();
-        let mut cand_count = 0u64;
-        if mem.total_occupancy() == 0 {
-            // No buffered flit anywhere: no scheduler can offer a
-            // candidate, so skip the per-VC scans.  Only the TDM table
-            // cursors carry per-call state — advance them exactly as an
-            // empty `select` would have.
-            for ls in &mut self.link_scheds {
-                if let AnyLinkScheduler::Tdm(ts) = ls {
-                    ts.advance_cursor(1);
-                }
-            }
-        } else if faults_active && self.faults.any_stall(now.0) {
+        let cand_count = if faults_active && self.faults.any_stall(now.0) {
             let faults = &self.faults;
-            for ls in &mut self.link_scheds {
-                cand_count +=
-                    ls.select_where(mem, qos, priority_fn, now_rc, &mut self.candidates, |vc| {
-                        !faults.output_stalled(qos[vc].output, now.0)
-                    }) as u64;
-            }
+            self.core
+                .select(now_rc, |_, q| !faults.output_stalled(q.output, now.0))
         } else {
-            for ls in &mut self.link_scheds {
-                cand_count += ls.select(mem, qos, priority_fn, now_rc, &mut self.candidates) as u64;
-            }
-        }
+            self.core.select(now_rc, |_, _| true)
+        };
         self.telemetry.end_link_schedule(t_ls, cand_count);
 
-        // 3. Switch scheduling, into the reusable matching buffer — the
-        // arbiters' `schedule_into` and their struct scratch keep the
-        // whole step allocation-free in steady state.
+        // 3. Switch scheduling.
         let t_arb = self.telemetry.stage_begin();
-        if self.candidates.is_empty() {
-            // Nothing to arbitrate.  Skipping the kernel call (rather
-            // than handing it an empty set) guarantees an idle cycle
-            // leaves the RNG stream and kernel probes untouched — the
-            // property that makes executing a quiescent cycle identical
-            // to skipping it (DESIGN.md §12).
-            self.matching.clear();
-        } else {
-            self.arbiter
-                .schedule_into(&self.candidates, &mut self.rng, &mut self.matching);
-        }
-        self.telemetry
-            .end_arbitration(t_arb, self.matching.size() as u64);
+        let matched = self.core.arbitrate();
+        self.telemetry.end_arbitration(t_arb, matched as u64);
         if self.telemetry.is_enabled() {
             // Trace grants, and inputs that offered a head candidate but
             // went unmatched (VC stalled for at least this cycle).
-            for g in self.matching.grants() {
+            for g in self.core.matching.grants() {
                 self.telemetry.on_grant(now.0, g.input, g.output, g.vc);
             }
             for input in 0..self.cfg.ports {
-                if !self.matching.input_matched(input) {
-                    if let Some(c) = self.candidates.get(input, 0) {
+                if !self.core.matching.input_matched(input) {
+                    if let Some(c) = self.core.candidates.get(input, 0) {
                         self.telemetry.on_vc_stall(now.0, input, c.output, c.vc);
                     }
                 }
@@ -527,9 +373,7 @@ impl CycleModel for MmrRouter {
 
         // 4. Crossbar traversal + delivery + credit returns.
         let t_xbar = self.telemetry.stage_begin();
-        let mut crossed = std::mem::take(&mut self.crossed);
-        self.crossbar
-            .transfer(&self.matching, &mut self.mem, measuring, &mut crossed);
+        let crossed = self.core.cross(measuring);
         self.telemetry.end_crossbar(t_xbar, crossed.len() as u64);
         let t_dlv = self.telemetry.stage_begin();
         let mut returns_queued = 0u64;
@@ -554,56 +398,50 @@ impl CycleModel for MmrRouter {
                 delivery.delay().0,
                 delivery.delivered_at.0 - cf.buffered.entered_at.0,
             );
-            if faults_active && self.faults.steal_return(cf.vc) {
-                // Credit return lost on the return path: the NIC's
-                // counter drifts low until the watchdog resynchronizes.
-            } else {
-                self.credits.queue_return(cf.vc);
+            // A credit return stolen on the return path leaves the NIC's
+            // counter low until the watchdog resynchronizes.
+            if !(faults_active && self.faults.steal_return(cf.vc)) {
+                self.core.queue_credit_return(cf.vc);
                 returns_queued += 1;
             }
         }
         self.telemetry.end_delivery(t_dlv, crossed.len() as u64);
-        self.crossed = crossed;
+        self.core.recycle(crossed);
 
         // 5. NIC link controllers forward one flit per input link.
         let t_fwd = self.telemetry.stage_begin();
         let mut forwarded = 0u64;
         let arrival = RouterCycle(now_rc.0 + self.rc_per_flit);
-        for (input, nic) in self.nics.iter_mut().enumerate() {
-            let credits = &self.credits;
-            let Some((conn, mut flit)) = nic.forward_one(|c| credits.has_credit(c)) else {
-                continue;
-            };
-            self.credits.spend(conn);
+        self.core.forward(arrival, |mem, input, conn, flit| {
             forwarded += 1;
             self.telemetry.on_credit_consumed(now.0, conn);
-            if faults_active {
-                if self.faults.on_link_flit(input, &mut flit) == LinkFate::Dropped {
-                    // Silent loss: the spent credit vanishes with the
-                    // flit; only the watchdog can recover it.
-                    continue;
-                }
-                if !flit.integrity_ok() {
-                    // Ingress checksum catch: discard the damaged flit
-                    // and return its credit immediately (the buffer slot
-                    // was never consumed).
-                    self.faults.note_corrupt_detected();
-                    self.telemetry.on_fault_detected(now.0, 0);
-                    self.credits.queue_return(conn);
-                    returns_queued += 1;
-                    continue;
-                }
-                if self.mem.free_space(conn) == 0 {
-                    // Phantom-credit guard: a duplicated credit let the
-                    // NIC send into a full buffer.  Discarding the flit
-                    // without a credit return annihilates the phantom.
-                    self.faults.note_phantom_drop();
-                    self.telemetry.on_fault_detected(now.0, 1);
-                    continue;
-                }
+            if !faults_active {
+                return Ingress::Admit;
             }
-            self.mem.push(conn, flit, arrival);
-        }
+            if self.faults.on_link_flit(input, flit) == LinkFate::Dropped {
+                // Silent loss: the spent credit vanishes with the flit;
+                // only the watchdog can recover it.
+                return Ingress::Discard;
+            }
+            if !flit.integrity_ok() {
+                // Ingress checksum catch: discard the damaged flit and
+                // return its credit immediately (the buffer slot was
+                // never consumed).
+                self.faults.note_corrupt_detected();
+                self.telemetry.on_fault_detected(now.0, 0);
+                returns_queued += 1;
+                return Ingress::DiscardAndReturnCredit;
+            }
+            if mem.free_space(conn) == 0 {
+                // Phantom-credit guard: a duplicated credit let the NIC
+                // send into a full buffer.  Discarding the flit without a
+                // credit return annihilates the phantom.
+                self.faults.note_phantom_drop();
+                self.telemetry.on_fault_detected(now.0, 1);
+                return Ingress::Discard;
+            }
+            Ingress::Admit
+        });
         self.telemetry.end_nic_forward(t_fwd, forwarded);
 
         // 6. Credit returns become visible next cycle.  Under fault
@@ -611,31 +449,30 @@ impl CycleModel for MmrRouter {
         // watchdog periodically audits them against VC occupancy.
         let t_cr = self.telemetry.stage_begin();
         if faults_active {
-            let excess = self.credits.apply_returns_clamped();
+            let excess = self.core.credits.apply_returns_clamped();
             if excess > 0 {
                 self.faults.note_excess_credits(excess);
             }
             if self.faults.watchdog_due(now.0) {
                 for conn in 0..self.specs.len() {
-                    let occupancy = self.mem.len(conn);
-                    if !self.credits.consistent(conn, occupancy) {
-                        let expected = self.credits.capacity() - occupancy as u32;
-                        self.credits.resync(conn, expected);
+                    let occupancy = self.core.mem.len(conn);
+                    if !self.core.credits.consistent(conn, occupancy) {
+                        let expected = self.core.credits.capacity() - occupancy as u32;
+                        self.core.credits.resync(conn, expected);
                         self.faults.note_resync();
                         self.telemetry.on_fault_detected(now.0, 2);
                     }
                 }
             }
         } else {
-            self.credits.apply_returns();
+            self.core.return_credits();
         }
         self.telemetry.end_credit_return(t_cr, returns_queued);
 
-        // Track the end of the generation window (finite workloads only).
-        // The calendar bound is exact, so it reaches NEVER on exactly the
-        // cycle the last source drains.
-        if self.generation_ended_at.is_none() && self.calendar.min_lower_bound() == calendar::NEVER
-        {
+        // Track the end of the generation window (finite workloads only):
+        // the injection bound reaches NEVER on exactly the cycle the last
+        // source drains.
+        if self.generation_ended_at.is_none() && self.core.next_injection_rc() == calendar::NEVER {
             self.generation_ended_at = Some(now.0 + 1);
         }
 
@@ -645,17 +482,11 @@ impl CycleModel for MmrRouter {
             let backlog = self.backlog() as u64;
             self.telemetry.end_cycle(now.0, backlog);
         }
-
-        debug_assert!(
-            self.mem.index_consistent() && self.nics.iter().all(Nic::index_consistent),
-            "occupancy index out of sync at cycle {}",
-            now.0
-        );
     }
 
     fn on_measurement_start(&mut self, _now: FlitCycle) {
         self.metrics.reset();
-        self.crossbar.reset_stats();
+        self.core.crossbar.reset_stats();
         self.outputs.reset();
         self.generated_total = 0;
         self.delivered_total = 0;
@@ -675,18 +506,17 @@ impl CycleModel for MmrRouter {
             return FlitCycle(now.0 + 1);
         }
         // Quiescent.  The next state change is the earliest of: the next
-        // injection (calendar), the next armed fault activity, and — if
-        // credit counters drifted under faults — the next watchdog audit
-        // (its resync must execute on the same cycle as in the naive
-        // loop).
-        let mut horizon = match self.calendar.min_lower_bound() {
+        // injection, the next armed fault activity, and — if credit
+        // counters drifted under faults — the next watchdog audit (its
+        // resync must execute on the same cycle as in the naive loop).
+        let mut horizon = match self.core.next_injection_rc() {
             calendar::NEVER => u64::MAX,
             rc => rc.div_ceil(self.rc_per_flit),
         };
         if self.faults.is_active() {
             horizon = horizon.min(self.faults.horizon(now.0));
             let period = self.faults.profile().watchdog_period;
-            if period > 0 && !self.credits.all_at_capacity() {
+            if period > 0 && !self.core.credits.all_at_capacity() {
                 horizon = horizon.min((now.0 / period + 1) * period);
             }
         }
@@ -694,18 +524,9 @@ impl CycleModel for MmrRouter {
     }
 
     fn skip_quiescent(&mut self, from: FlitCycle, n: u64, measuring: bool) {
-        // Reproduce exactly what `n` executed quiescent steps would have
-        // left behind: measured-cycle counts, TDM table phase, and
-        // telemetry epochs.  Everything else (queues, credits, RNG,
-        // metrics) provably cannot move while quiescent.
-        if measuring {
-            self.crossbar.record_idle_cycles(n);
-        }
-        for ls in &mut self.link_scheds {
-            if let AnyLinkScheduler::Tdm(ts) = ls {
-                ts.advance_cursor(n);
-            }
-        }
+        // Measured-cycle counts and TDM table phase live in the core;
+        // telemetry epochs here.  Nothing else can move while quiescent.
+        self.core.skip_quiescent(n, measuring);
         if self.telemetry.is_enabled() {
             self.telemetry.skip_quiescent(from.0, n);
         }

@@ -11,10 +11,10 @@
 //! # One injection path
 //!
 //! [`InjectionCalendar::drain_due`] is the simulator's only caller of
-//! [`TrafficSource::drain_until`].  `MmrRouter::step` (stage 1) and
-//! `FabricNode::step_cycle` (stage 3) both hand it their boxed sources
-//! and a sink closure that says where a generated flit goes; they differ
-//! in nothing else.  It returns at once while the cached minimum is in
+//! [`TrafficSource::drain_until`].  The router crate's `SwitchCore::inject`
+//! — the one switch pipeline behind `MmrRouter` and every fabric node —
+//! hands it the boxed sources and a sink that queues each generated flit
+//! at its NIC.  It returns at once while the cached minimum is in
 //! the future; otherwise it makes one pass over the cache, makes virtual
 //! calls only into sources that are due, and installs the exact new
 //! minimum in the same pass.

@@ -17,6 +17,19 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== one pipeline =="
+# The switch stages are called from crates/router/src/pipeline.rs
+# (SwitchCore) and nowhere else: MmrRouter and FabricNode are adapters
+# over it.  A stage call in either adapter's non-test code is a second
+# copy of the pipeline creeping back.
+for f in crates/router/src/router.rs crates/router/src/fabric.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'schedule_into|\.transfer\(|forward_one\(|drain_due\('; then
+        echo "error: $f calls a pipeline stage directly; go through SwitchCore" >&2
+        exit 1
+    fi
+done
+
 echo "== bench_report smoke + perf gates =="
 # Write the next auto-numbered results/BENCH_<n>.json so every CI run
 # extends the benchmark trajectory, and gate against the newest

@@ -10,6 +10,7 @@ use mmr_core::experiment::{
     build_fabric, build_fabric_workload, build_router, build_workload, run_experiment,
     run_fabric_experiment, ExperimentResult,
 };
+use mmr_core::router::config::LinkPolicy;
 use mmr_core::router::fabric::{Fabric, Topology};
 use mmr_core::scenarios::{chaos, vbr_cycle_budget, Fidelity};
 use mmr_core::sim::engine::{CycleModel, Runner, StopCondition};
@@ -529,6 +530,54 @@ fn fabric_is_byte_identical_across_worker_counts() {
     }
 }
 
+/// `Runner::run`, `Runner::run_horizon` and `run_parallel` in both modes
+/// at every given worker count must leave `cfg`'s fabric in the same
+/// state.  Returns the cycles the horizon `Runner` skipped.
+fn assert_fabric_paths_agree(cfg: &SimConfig, worker_counts: &[usize]) -> u64 {
+    let spec = cfg.fabric.unwrap();
+    let label = spec.topology.label();
+    let (RunLength::Cycles(cycles) | RunLength::UntilDrained { max_cycles: cycles }) = cfg.run;
+    // Reference: the sequential Runner driving the fabric as a
+    // CycleModel, in both of its loops.
+    let runner_probe = |horizon: bool| {
+        let mut fabric = build_fabric(cfg, &spec, build_fabric_workload(cfg, &spec));
+        let runner = Runner::new(cfg.warmup_cycles, StopCondition::Cycles(cycles));
+        let out = if horizon {
+            runner.run_horizon(&mut fabric)
+        } else {
+            runner.run(&mut fabric)
+        };
+        (
+            (
+                serde_json::to_string(&fabric.summary()).expect("serializes"),
+                fabric.rng_fingerprints(),
+                out.executed,
+                out.measured,
+            ),
+            out.skipped,
+        )
+    };
+    let (naive, _) = runner_probe(false);
+    let (horizon, skipped) = runner_probe(true);
+    assert_eq!(
+        naive, horizon,
+        "Runner loops diverged on the {label} fabric"
+    );
+    // run_parallel in both modes, at every chunk shape, must land on
+    // the same state (cycle accounting included: every mode advances
+    // through all `cycles` and measures all of them past warm-up).
+    for &workers in worker_counts {
+        for h in [false, true] {
+            assert_eq!(
+                naive,
+                fabric_probe(cfg, workers, h),
+                "{label}: run_parallel({workers}, horizon={h}) diverged from the Runner"
+            );
+        }
+    }
+    skipped
+}
+
 #[test]
 fn fabric_engine_modes_agree_with_each_other_and_with_the_runner() {
     let cases: [(SimConfig, &[usize]); 4] = [
@@ -547,44 +596,7 @@ fn fabric_engine_modes_agree_with_each_other_and_with_the_runner() {
         ),
     ];
     for (cfg, worker_counts) in cases {
-        let spec = cfg.fabric.unwrap();
-        let label = spec.topology.label();
-        let (RunLength::Cycles(cycles) | RunLength::UntilDrained { max_cycles: cycles }) = cfg.run;
-        // Reference: the sequential Runner driving the fabric as a
-        // CycleModel, in both of its loops.
-        let runner_probe = |horizon: bool| {
-            let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
-            let runner = Runner::new(cfg.warmup_cycles, StopCondition::Cycles(cycles));
-            let out = if horizon {
-                runner.run_horizon(&mut fabric)
-            } else {
-                runner.run(&mut fabric)
-            };
-            (
-                serde_json::to_string(&fabric.summary()).expect("serializes"),
-                fabric.rng_fingerprints(),
-                out.executed,
-                out.measured,
-            )
-        };
-        let naive = runner_probe(false);
-        let horizon = runner_probe(true);
-        assert_eq!(
-            naive, horizon,
-            "Runner loops diverged on the {label} fabric"
-        );
-        // run_parallel in both modes, at every chunk shape, must land on
-        // the same state (cycle accounting included: every mode advances
-        // through all `cycles` and measures all of them past warm-up).
-        for &workers in worker_counts {
-            for h in [false, true] {
-                assert_eq!(
-                    naive,
-                    fabric_probe(&cfg, workers, h),
-                    "{label}: run_parallel({workers}, horizon={h}) diverged from the Runner"
-                );
-            }
-        }
+        assert_fabric_paths_agree(&cfg, worker_counts);
     }
 }
 
@@ -705,4 +717,115 @@ fn fabric_experiments_are_bit_identical() {
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap()
     );
+}
+
+// ---------------------------------------------------------------------------
+// One pipeline: `MmrRouter` and a one-stage line `Fabric` are the same
+// switch (`SwitchCore`) behind two adapters, so they must agree wherever
+// their arbitration streams cannot differ.
+// ---------------------------------------------------------------------------
+
+/// Run the single router (naive loop) and the one-stage line fabric
+/// (horizon loop) under `link_policy` over {WFA, WFA-fixed, iSLIP-2} x
+/// {CBR 0.8, CBR 0.5, drained 1-GOP VBR} and return the cases whose
+/// metrics JSON, flit counts, utilization or engine accounting differ.
+///
+/// The router seeds its arbiter RNG differently from fabric node 0, so
+/// the comparison uses arbiters that never draw — and asserts they did
+/// not.
+fn line_fabric_vs_router_mismatches(link_policy: LinkPolicy) -> Vec<String> {
+    let arbiters = [
+        ArbiterKind::Wfa,
+        ArbiterKind::WfaFixed,
+        ArbiterKind::Islip { iterations: 2 },
+    ];
+    let drained_vbr = WorkloadSpec::Vbr {
+        target_load: 0.4,
+        gops: 1,
+        injection: InjectionKind::SmoothRate,
+        enforce_peak: false,
+    };
+    let workloads = [
+        (WorkloadSpec::cbr(0.8), StopCondition::Cycles(20_000)),
+        (WorkloadSpec::cbr(0.5), StopCondition::Cycles(20_000)),
+        (
+            drained_vbr,
+            StopCondition::ModelDoneOrCycles(vbr_cycle_budget(1)),
+        ),
+    ];
+    let spec = FabricSpec::new(Topology::Line { stages: 1 });
+    let mut mismatches = Vec::new();
+    for arbiter in arbiters {
+        for (workload, stop) in &workloads {
+            let mut cfg = SimConfig {
+                workload: workload.clone(),
+                arbiter,
+                seed: 61,
+                ..Default::default()
+            };
+            cfg.router.link_policy = link_policy;
+            let case = format!("{arbiter:?} / {workload:?}");
+            let runner = Runner::new(500, *stop);
+
+            let mut router = build_router(&cfg, build_workload(&cfg));
+            let untouched = router.rng_fingerprint();
+            let r_out = runner.run(&mut router);
+            assert_eq!(router.rng_fingerprint(), untouched, "{case}: arbiter drew");
+            let r = router.summary();
+            assert!(r.delivered_flits > 0, "{case}: nothing delivered");
+
+            let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
+            let untouched = fabric.rng_fingerprints();
+            let f_out = runner.run_horizon(&mut fabric);
+            assert_eq!(fabric.rng_fingerprints(), untouched, "{case}: arbiter drew");
+            let f = fabric.summary();
+
+            let same = serde_json::to_string(&r.metrics).unwrap()
+                == serde_json::to_string(&f.metrics).unwrap()
+                && (r.generated_flits, r.delivered_flits, r.backlog_flits)
+                    == (f.generated_flits, f.delivered_flits, f.backlog_flits)
+                && vec![r.crossbar_utilization] == f.node_utilization
+                && (r_out.executed, r_out.measured, r_out.model_finished)
+                    == (f_out.executed, f_out.measured, f_out.model_finished);
+            if !same {
+                mismatches.push(format!(
+                    "{case}: router delivered {} in {} cycles, fabric {} in {}",
+                    r.delivered_flits, r_out.executed, f.delivered_flits, f_out.executed
+                ));
+            }
+        }
+    }
+    mismatches
+}
+
+#[test]
+fn one_stage_line_fabric_matches_the_single_router() {
+    let mismatches = line_fabric_vs_router_mismatches(LinkPolicy::Priority);
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+#[test]
+fn one_stage_line_fabric_honours_the_slot_table_link_policy() {
+    // The half that failed while the fabric had its own builder, which
+    // never read `RouterConfig::link_policy`.
+    let mismatches = line_fabric_vs_router_mismatches(LinkPolicy::SlotTable {
+        backfill: true,
+        table_len: 64,
+    });
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+#[test]
+fn slot_table_fabric_agrees_across_engines_and_worker_counts() {
+    // Idle-heavy on purpose: the horizon paths skip quiescent gaps, and a
+    // skip must advance every node's TDM table cursor exactly as the
+    // stepped cycles would have.
+    let mut cfg = off_grid_fabric_cfg(Topology::Mesh { x: 3, y: 3 }, 28);
+    cfg.workload = WorkloadSpec::cbr(0.1);
+    cfg.router.link_policy = LinkPolicy::SlotTable {
+        backfill: true,
+        table_len: 64,
+    };
+    let skipped = assert_fabric_paths_agree(&cfg, &[1, 2, 3]);
+    assert!(skipped > 0, "nothing was skipped");
 }

@@ -1,9 +1,9 @@
 //! Differential test for the shared injection path (DESIGN.md §12).
 //!
 //! `InjectionCalendar::drain_due` is the one place the simulator drains
-//! traffic sources: `MmrRouter::step` and `FabricNode::step_cycle` both
-//! call it.  It touches only sources whose cached next-injection time has
-//! come.  This suite pits it against the loop it replaced in the fabric —
+//! traffic sources: `SwitchCore::inject` calls it for `MmrRouter` and
+//! every fabric node.  It touches only sources whose cached
+//! next-injection time has come.  This suite pits it against the loop it replaced in the fabric —
 //! call `drain_until` on **every** source, every time — on two identical
 //! source sets, and demands the same `(source index, flit)` sequence, a
 //! cache that equals `peek_next()` entry for entry, and a bound that is
