@@ -87,7 +87,7 @@ pub struct Candidate {
 ///
 /// Dense layout: `levels` slots per input, level-major within an input,
 /// sorted by descending priority (level 1 first).  Empty slots are `None`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CandidateSet {
     ports: usize,
     levels: usize,
@@ -107,6 +107,19 @@ pub struct CandidateSet {
     /// Row `input` → bitmask of outputs requested by any of the input's
     /// candidates.
     out_by_in: Vec<u64>,
+    /// Candidates present.
+    count: usize,
+    /// Upper bound on the levels in use: every level at or above it has
+    /// been empty since the last `clear`.
+    used_levels: usize,
+}
+
+/// Sets are equal when they hold the same candidates; the request
+/// indexes and counters are derived from those.
+impl PartialEq for CandidateSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.ports == other.ports && self.levels == other.levels && self.slots == other.slots
+    }
 }
 
 impl CandidateSet {
@@ -128,6 +141,8 @@ impl CandidateSet {
             req_level_out: vec![0; ports * levels * words],
             req_out: vec![0; ports * words],
             out_by_in: vec![0; ports * words],
+            count: 0,
+            used_levels: 0,
         }
     }
 
@@ -156,6 +171,8 @@ impl CandidateSet {
         self.req_level_out.fill(0);
         self.req_out.fill(0);
         self.out_by_in.fill(0);
+        self.count = 0;
+        self.used_levels = 0;
     }
 
     /// Install the candidate vector for one input.  `candidates` must be
@@ -173,8 +190,11 @@ impl CandidateSet {
         for l in 0..self.levels {
             if let Some(old) = self.slots[base + l] {
                 self.req_level_out[(l * self.ports + old.output) * words + iw] &= !ibit;
+                self.count -= 1;
             }
         }
+        self.count += candidates.len();
+        self.used_levels = self.used_levels.max(candidates.len());
         self.out_by_in[input * words..(input + 1) * words].fill(0);
         for l in 0..self.levels {
             self.slots[base + l] = candidates.get(l).copied();
@@ -223,6 +243,8 @@ impl CandidateSet {
                     "push order must be descending priority"
                 );
                 self.slots[base + l] = Some(c);
+                self.count += 1;
+                self.used_levels = self.used_levels.max(l + 1);
                 let words = self.words;
                 let ibit = 1u64 << (c.input & 63);
                 self.req_level_out[(l * self.ports + c.output) * words + (c.input >> 6)] |= ibit;
@@ -321,14 +343,29 @@ impl CandidateSet {
         &self.out_by_in[input * self.words..(input + 1) * self.words]
     }
 
-    /// Total number of candidates present.
+    /// Total number of candidates present.  O(1).
+    #[inline]
     pub fn len(&self) -> usize {
-        self.slots.iter().flatten().count()
+        debug_assert_eq!(self.count, self.slots.iter().flatten().count());
+        self.count
     }
 
-    /// True if no candidates at all.
+    /// True if no candidates at all.  O(1).
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
+        self.len() == 0
+    }
+
+    /// An upper bound on the candidate levels in use: levels
+    /// `used_levels()..levels()` hold no candidate.  Exact for a set
+    /// filled by [`push`](Self::push) since the last
+    /// [`clear`](Self::clear) (an input's vector fills from level 0);
+    /// [`set_input`](Self::set_input) overwriting a longer vector with a
+    /// shorter one leaves it high.  Lets a kernel that sweeps levels
+    /// stop early.
+    #[inline]
+    pub fn used_levels(&self) -> usize {
+        self.used_levels
     }
 }
 
@@ -417,6 +454,40 @@ mod tests {
         cs.clear();
         assert!(cs.is_empty());
         assert_eq!(cs.len(), 0);
+        assert_eq!(cs.used_levels(), 0);
+    }
+
+    #[test]
+    fn counters_track_every_mutation() {
+        let mut cs = CandidateSet::new(3, 3);
+        assert_eq!((cs.len(), cs.used_levels()), (0, 0));
+        cs.push(cand(0, 0, 1, 9.0));
+        assert_eq!((cs.len(), cs.used_levels()), (1, 1));
+        cs.push(cand(0, 1, 2, 5.0));
+        cs.push(cand(1, 0, 1, 7.0));
+        assert_eq!((cs.len(), cs.used_levels()), (3, 2));
+        // A full vector refuses the push and counts nothing.
+        cs.push(cand(0, 2, 0, 4.0));
+        assert!(!cs.push(cand(0, 3, 0, 1.0)));
+        assert_eq!((cs.len(), cs.used_levels()), (4, 3));
+        // Overwriting replaces the input's share of the count; the level
+        // bound may only stay high, never drop below a level in use.
+        cs.set_input(0, &[cand(0, 0, 2, 3.0)]);
+        assert_eq!(cs.len(), 2);
+        assert!(cs.used_levels() >= 1);
+        cs.set_input(2, &[cand(2, 0, 0, 3.0), cand(2, 1, 1, 2.0)]);
+        assert_eq!(cs.len(), 4);
+        assert!(cs.used_levels() >= 2);
+        for l in cs.used_levels()..cs.levels() {
+            assert!((0..3).all(|i| cs.get(i, l).is_none()));
+        }
+        // Same candidates, different history: still equal.
+        let mut fresh = CandidateSet::new(3, 3);
+        fresh.push(cand(0, 0, 2, 3.0));
+        fresh.push(cand(1, 0, 1, 7.0));
+        fresh.push(cand(2, 0, 0, 3.0));
+        fresh.push(cand(2, 1, 1, 2.0));
+        assert_eq!(cs, fresh);
     }
 
     #[test]

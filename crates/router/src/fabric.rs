@@ -27,17 +27,42 @@
 //! any worker count.
 //!
 //! Every epoch has two phases.  In the **parallel phase** each chunk
-//! runs its nodes through the epoch's cycles, appending outbound wire
-//! messages to its outbox lanes and buffering metric events per node.
-//! In the **serial phase** one thread — the *leader*, the caller of
+//! runs its nodes through the epoch, appending outbound wire messages
+//! to its outbox lanes and buffering metric events per node.  In the
+//! **serial phase** one thread — the *leader*, the caller of
 //! [`Fabric::run_parallel`] — commits the buffered events in canonical
 //! (cycle offset, node, emission) order, swaps outbox and inbox lanes
 //! per directed link (the vectors move, buffers are reused — no
-//! steady-state allocation), and takes the horizon/skip decision.  The
-//! consumer drains its inboxes into per-link pending queues at the next
-//! epoch start; message `due` values are monotone per link, so
-//! application order is deterministic.  [`CycleModel::step`] is the
-//! same two phases on one chunk, inline.
+//! steady-state allocation), and takes the horizon/skip decision.
+//! [`CycleModel::step`] is the same two phases on one chunk, inline,
+//! with one-cycle epochs.
+//!
+//! ## Node-major epochs
+//!
+//! Inside a chunk the order is *node-major*: `for node { run_epoch }`,
+//! each node executing all of the epoch's cycles back to back before
+//! the next node starts, rather than every node taking turns cycle by
+//! cycle.  The contract above is what makes the two orders equivalent —
+//! a node's inputs for the whole epoch are fixed when it starts — and
+//! the order is what keeps a node's VC memory, credit banks, candidate
+//! set and arbiter scratch in L1 between its consecutive cycles instead
+//! of being evicted by the other nodes' state in between.  Events carry
+//! their cycle offset, so the leader's commit order, and with it every
+//! floating-point accumulation, is the same as under a cycle-major
+//! sweep.
+//!
+//! ## Two-stage mailbox
+//!
+//! A lane is an outbox `Vec` at the sender and an `Rx` at the receiver:
+//! the *inbox* — the sender's outbox of the previous epoch, swapped in
+//! whole — consumed **in place** through a cursor, and a *pending*
+//! deque.  A full-length epoch consumes its whole inbox (everything in
+//! it is due before the epoch ends) and hands it back empty for the
+//! next swap; only a *shortened* epoch (the warm-up boundary, the end of
+//! a run, every one-cycle `step`) leaves a tail, and only that tail is
+//! copied into the pending deque, to be applied — first, it was sent
+//! first — in the epochs that follow.  Message `due` values are
+//! monotone per lane, so application order is send order.
 //!
 //! ## Persistent epoch workers
 //!
@@ -238,21 +263,78 @@ impl FabricConfig {
     }
 }
 
-/// One message on a link's flit lane: due at `due`, landing in the
-/// destination node's local VC `vc`.
+/// One message on a link lane: applied at its destination at cycle
+/// `due`, to that node's local VC `vc`.
 #[derive(Debug, Clone, Copy)]
-struct FlitWire {
+struct Wire<P> {
     due: u64,
     vc: u32,
-    flit: Flit,
+    load: P,
 }
 
-/// One message on a link's credit lane, travelling upstream: frees one
-/// buffer slot of the *sender* node's local VC `vc`.
-#[derive(Debug, Clone, Copy)]
-struct CredWire {
-    due: u64,
-    vc: u32,
+/// A flit travelling downstream, landing in the destination's VC `vc`.
+type FlitWire = Wire<Flit>;
+
+/// A credit travelling upstream: frees one buffer slot of the *sender*
+/// node's local VC `vc`.
+type CredWire = Wire<()>;
+
+/// The receiving end of one lane: the second stage of the two-stage
+/// mailbox (module docs).  `inbox` is the sender's outbox of the
+/// previous epoch, swapped in whole and consumed **in place** from
+/// `head`; `pend` holds only what a shortened epoch left unconsumed.
+/// Dues are monotone per lane and `pend` was sent before `inbox`, so
+/// "`pend` first, then `inbox`" is send order.
+struct Rx<P> {
+    pend: VecDeque<Wire<P>>,
+    inbox: Vec<Wire<P>>,
+    head: usize,
+}
+
+impl<P: Copy> Rx<P> {
+    fn new() -> Self {
+        Rx {
+            pend: VecDeque::new(),
+            inbox: Vec::new(),
+            head: 0,
+        }
+    }
+
+    /// Take the next message if it is due at or before cycle `u`.
+    #[inline]
+    fn pop_due(&mut self, u: u64) -> Option<Wire<P>> {
+        if let Some(m) = self.pend.front() {
+            // Everything in `inbox` is due no earlier than this.
+            return if m.due <= u {
+                self.pend.pop_front()
+            } else {
+                None
+            };
+        }
+        let m = *self.inbox.get(self.head).filter(|m| m.due <= u)?;
+        self.head += 1;
+        Some(m)
+    }
+
+    /// Epoch end: carry the unconsumed tail (non-empty only after a
+    /// shortened epoch) and leave `inbox` empty for the swap, capacity
+    /// retained on both sides.
+    fn close_epoch(&mut self) {
+        self.pend.extend(self.inbox[self.head..].iter().copied());
+        self.inbox.clear();
+        self.head = 0;
+    }
+
+    /// Due cycle of the earliest unconsumed message.
+    fn next_due(&self) -> Option<u64> {
+        let next = self.pend.front().or_else(|| self.inbox.get(self.head));
+        next.map(|m| m.due)
+    }
+
+    /// Unconsumed messages.
+    fn len(&self) -> usize {
+        self.pend.len() + self.inbox.len() - self.head
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -299,12 +381,12 @@ enum EventKind {
 }
 
 /// One node's link ends, carved out of its chunk's lanes: `flit_out` /
-/// `cred_pend` in node-local out-link order, `flit_pend` / `cred_out`
-/// in node-local in-link order.
+/// `cred_rx` in node-local out-link order, `flit_rx` / `cred_out` in
+/// node-local in-link order.
 struct Lanes<'a> {
     flit_out: &'a mut [Vec<FlitWire>],
-    cred_pend: &'a mut [VecDeque<CredWire>],
-    flit_pend: &'a mut [VecDeque<FlitWire>],
+    cred_rx: &'a mut [Rx<()>],
+    flit_rx: &'a mut [Rx<Flit>],
     cred_out: &'a mut [Vec<CredWire>],
 }
 
@@ -330,18 +412,32 @@ struct FabricNode {
 }
 
 impl FabricNode {
+    /// Execute one whole epoch of this node: its cycles back to back —
+    /// legal because nothing another node sends inside the epoch is due
+    /// before its end (module docs) — then close its receiving lanes and
+    /// compute its horizon.
+    fn run_epoch(&mut self, ep: Epoch, t: Timing, mut lanes: Lanes<'_>) {
+        for u in ep.a..ep.b {
+            self.step_cycle(u, (u - ep.a) as u32, ep.measuring, t, &mut lanes);
+        }
+        lanes.cred_rx.iter_mut().for_each(Rx::close_epoch);
+        lanes.flit_rx.iter_mut().for_each(Rx::close_epoch);
+        if ep.horizon {
+            self.horizon = self.horizon_after(lanes.flit_rx, ep.b - 1, t.rc_per_flit);
+        }
+    }
+
     /// Execute cycle `u` (offset `off` into its epoch) of this node.
-    fn step_cycle(&mut self, u: u64, off: u32, measuring: bool, t: Timing, lanes: Lanes<'_>) {
+    fn step_cycle(&mut self, u: u64, off: u32, measuring: bool, t: Timing, lanes: &mut Lanes<'_>) {
         let now_rc = RouterCycle(u * t.rc_per_flit);
 
         // Credit arrivals become spendable before arbitration — a
         // crossing at cycle c downstream frees the upstream slot at
         // c + link_latency (next-cycle visibility at latency 1).
-        // Drained with `due <= u` so a horizon skip that jumped past a
+        // Taken with `due <= u` so a horizon skip that jumped past a
         // credit-only cycle applies it here, unobservably (module docs).
-        for q in lanes.cred_pend.iter_mut() {
-            while q.front().is_some_and(|m| m.due <= u) {
-                let m = q.pop_front().expect("checked front");
+        for rx in lanes.cred_rx.iter_mut() {
+            while let Some(m) = rx.pop_due(u) {
                 self.credits_down.queue_return(m.vc as usize);
             }
         }
@@ -349,11 +445,10 @@ impl FabricNode {
 
         // Flit arrivals enter the VC memory, schedulable this cycle
         // (their upstream crossing finished `link_latency` ago).
-        for q in lanes.flit_pend.iter_mut() {
-            while q.front().is_some_and(|m| m.due <= u) {
-                let m = q.pop_front().expect("checked front");
+        for rx in lanes.flit_rx.iter_mut() {
+            while let Some(m) = rx.pop_due(u) {
                 debug_assert_eq!(m.due, u, "flit message applied late");
-                self.core.mem.push(m.vc as usize, m.flit, now_rc);
+                self.core.mem.push(m.vc as usize, m.load, now_rc);
             }
         }
 
@@ -365,10 +460,11 @@ impl FabricNode {
             });
         });
 
-        // Final-hop VCs eject freely; others need a downstream credit.
-        self.core.select(now_rc, |vc, _| {
-            matches!(self.route[vc].next, HopNext::Deliver) || self.credits_down.has_credit(vc)
-        });
+        // A VC needs a downstream credit.  Final-hop VCs eject freely:
+        // they never spend one, so theirs stay at capacity and the
+        // route table is not consulted here.
+        self.core
+            .select(now_rc, |vc, _| self.credits_down.has_credit(vc));
         self.core.arbitrate();
 
         // Route each crossed flit: eject, or forward on its reserved
@@ -377,30 +473,38 @@ impl FabricNode {
         let crossed = self.core.cross(measuring);
         for cf in &crossed {
             match self.route[cf.vc].next {
-                HopNext::Deliver => self.events.push(NodeEvent {
-                    off,
-                    kind: EventKind::Delivered {
-                        delivery: Delivery {
-                            flit: cf.buffered.flit,
-                            output: cf.output,
-                            delivered_at: RouterCycle(now_rc.0 + t.crossing_rc),
+                HopNext::Deliver => {
+                    debug_assert_eq!(
+                        self.credits_down.available(cf.vc),
+                        self.credits_down.capacity(),
+                        "a final-hop VC spent a downstream credit"
+                    );
+                    self.events.push(NodeEvent {
+                        off,
+                        kind: EventKind::Delivered {
+                            delivery: Delivery {
+                                flit: cf.buffered.flit,
+                                output: cf.output,
+                                delivered_at: RouterCycle(now_rc.0 + t.crossing_rc),
+                            },
                         },
-                    },
-                }),
+                    })
+                }
                 HopNext::Forward { out, next_vc } => {
                     self.credits_down.spend(cf.vc);
-                    lanes.flit_out[out as usize].push(FlitWire {
+                    lanes.flit_out[out as usize].push(Wire {
                         due: u + t.link_latency,
                         vc: next_vc,
-                        flit: cf.buffered.flit,
+                        load: cf.buffered.flit,
                     });
                 }
             }
             match self.route[cf.vc].back {
                 HopBack::Nic => self.core.queue_credit_return(cf.vc),
-                HopBack::Wire { link, up_vc } => lanes.cred_out[link as usize].push(CredWire {
+                HopBack::Wire { link, up_vc } => lanes.cred_out[link as usize].push(Wire {
                     due: u + t.link_latency,
                     vc: up_vc,
+                    load: (),
                 }),
             }
         }
@@ -415,22 +519,21 @@ impl FabricNode {
 
     /// Local next-event horizon after executing cycle `now`: any backlog
     /// means state can move next cycle; otherwise the earlier of the
-    /// next injection and the pending in-flight flit dues.  Pending
-    /// credits never gate the horizon (module docs).
-    fn horizon_after(&self, flit_pend: &[VecDeque<FlitWire>], now: u64, rc_per_flit: u64) -> u64 {
+    /// next injection and the in-flight flit dues still on this node's
+    /// receiving lanes.  Pending credits never gate the horizon (module
+    /// docs).
+    fn horizon_after(&self, flit_rx: &[Rx<Flit>], now: u64, rc_per_flit: u64) -> u64 {
         if self.core.backlog() > 0 {
             return now + 1;
         }
-        let mut h = match self.core.next_injection_rc() {
+        let injection = match self.core.next_injection_rc() {
             calendar::NEVER => u64::MAX,
             rc => rc.div_ceil(rc_per_flit).max(now + 1),
         };
-        for q in flit_pend {
-            if let Some(m) = q.front() {
-                h = h.min(m.due);
-            }
-        }
-        h
+        flit_rx
+            .iter()
+            .filter_map(Rx::next_due)
+            .fold(injection, u64::min)
     }
 }
 
@@ -448,20 +551,18 @@ struct Epoch {
 
 /// A contiguous run of nodes together with exactly their mailbox lanes:
 /// the unit of parallel work.  Out-link-ordered lanes (`flit_out`,
-/// `cred_in`, `cred_pend`) start at global slot `out_base`, in-link-
-/// ordered ones (`flit_in`, `cred_out`, `flit_pend`) at `in_base`.
-/// Node results depend only on the epoch and prior state, never on how
-/// the fabric is chunked or which thread runs a chunk.
+/// `cred_rx`) start at global slot `out_base`, in-link-ordered ones
+/// (`flit_rx`, `cred_out`) at `in_base`.  Node results depend only on
+/// the epoch and prior state, never on how the fabric is chunked or
+/// which thread runs a chunk.
 struct Chunk<'a> {
     nodes: &'a mut [FabricNode],
     out_base: usize,
     in_base: usize,
     flit_out: &'a mut [Vec<FlitWire>],
-    cred_in: &'a mut [Vec<CredWire>],
-    cred_pend: &'a mut [VecDeque<CredWire>],
-    flit_in: &'a mut [Vec<FlitWire>],
+    cred_rx: &'a mut [Rx<()>],
+    flit_rx: &'a mut [Rx<Flit>],
     cred_out: &'a mut [Vec<CredWire>],
-    flit_pend: &'a mut [VecDeque<FlitWire>],
 }
 
 /// Move the first `n` elements of `rest` into their own slice.
@@ -484,53 +585,35 @@ impl<'a> Chunk<'a> {
             out_base: self.out_base,
             in_base: self.in_base,
             flit_out: split_front(&mut self.flit_out, outs),
-            cred_in: split_front(&mut self.cred_in, outs),
-            cred_pend: split_front(&mut self.cred_pend, outs),
-            flit_in: split_front(&mut self.flit_in, ins),
+            cred_rx: split_front(&mut self.cred_rx, outs),
+            flit_rx: split_front(&mut self.flit_rx, ins),
             cred_out: split_front(&mut self.cred_out, ins),
-            flit_pend: split_front(&mut self.flit_pend, ins),
         };
         self.out_base += outs;
         self.in_base += ins;
         head
     }
 
-    /// Execute one epoch for this chunk's nodes.
+    /// Execute one epoch for this chunk's nodes, node-major: each node
+    /// runs the whole epoch before the next one starts, so its state
+    /// stays cache-resident across the epoch's cycles.
     fn run(&mut self, ep: Epoch, t: Timing) {
-        let (a, b) = (ep.a, ep.b);
-        debug_assert!(b > a && b - a <= t.link_latency, "epoch exceeds lookahead");
-        // Epoch start: drain the swapped-in inbox lanes into the pending
-        // queues (capacity is retained on both sides — steady state is
-        // allocation-free).
-        for (pend, inbox) in self.flit_pend.iter_mut().zip(self.flit_in.iter_mut()) {
-            pend.extend(inbox.drain(..));
-        }
-        for (pend, inbox) in self.cred_pend.iter_mut().zip(self.cred_in.iter_mut()) {
-            pend.extend(inbox.drain(..));
-        }
-        for u in a..b {
-            let off = (u - a) as u32;
-            let (mut o, mut i) = (0usize, 0usize);
-            for node in self.nodes.iter_mut() {
-                let (oc, ic) = (node.out_count, node.in_count);
-                let lanes = Lanes {
-                    flit_out: &mut self.flit_out[o..o + oc],
-                    cred_pend: &mut self.cred_pend[o..o + oc],
-                    flit_pend: &mut self.flit_pend[i..i + ic],
-                    cred_out: &mut self.cred_out[i..i + ic],
-                };
-                node.step_cycle(u, off, ep.measuring, t, lanes);
-                o += oc;
-                i += ic;
-            }
-        }
-        if ep.horizon {
-            let mut i = 0usize;
-            for node in self.nodes.iter_mut() {
-                let pend = &self.flit_pend[i..i + node.in_count];
-                node.horizon = node.horizon_after(pend, b - 1, t.rc_per_flit);
-                i += node.in_count;
-            }
+        debug_assert!(
+            ep.b > ep.a && ep.b - ep.a <= t.link_latency,
+            "epoch exceeds lookahead"
+        );
+        let (mut o, mut i) = (0usize, 0usize);
+        for node in self.nodes.iter_mut() {
+            let (oc, ic) = (node.out_count, node.in_count);
+            let lanes = Lanes {
+                flit_out: &mut self.flit_out[o..o + oc],
+                cred_rx: &mut self.cred_rx[o..o + oc],
+                flit_rx: &mut self.flit_rx[i..i + ic],
+                cred_out: &mut self.cred_out[i..i + ic],
+            };
+            node.run_epoch(ep, t, lanes);
+            o += oc;
+            i += ic;
         }
     }
 }
@@ -558,11 +641,9 @@ pub struct Fabric {
     /// Node -> first in slot; length `nodes + 1`.
     in_start: Vec<usize>,
     flit_out: Vec<Vec<FlitWire>>,
-    flit_in: Vec<Vec<FlitWire>>,
+    flit_rx: Vec<Rx<Flit>>,
     cred_out: Vec<Vec<CredWire>>,
-    cred_in: Vec<Vec<CredWire>>,
-    flit_pend: Vec<VecDeque<FlitWire>>,
-    cred_pend: Vec<VecDeque<CredWire>>,
+    cred_rx: Vec<Rx<()>>,
     metrics: MetricsCollector,
     /// Per connection: the out port taken at each hop.
     paths_out: Vec<Vec<usize>>,
@@ -838,11 +919,9 @@ impl Fabric {
             link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
             in_start,
             flit_out: (0..nlinks).map(|_| Vec::new()).collect(),
-            flit_in: (0..nlinks).map(|_| Vec::new()).collect(),
+            flit_rx: (0..nlinks).map(|_| Rx::new()).collect(),
             cred_out: (0..nlinks).map(|_| Vec::new()).collect(),
-            cred_in: (0..nlinks).map(|_| Vec::new()).collect(),
-            flit_pend: (0..nlinks).map(|_| VecDeque::new()).collect(),
-            cred_pend: (0..nlinks).map(|_| VecDeque::new()).collect(),
+            cred_rx: (0..nlinks).map(|_| Rx::new()).collect(),
             metrics: MetricsCollector::new(n, cfg.router.time),
             paths_out,
             timing: Timing {
@@ -882,11 +961,10 @@ impl Fabric {
     }
 
     /// Flits buffered anywhere: NICs, VC memories, and in flight on
-    /// links (pending queues and both mailbox lanes).
+    /// links (both mailbox stages).
     pub fn backlog(&self) -> usize {
         self.nodes.iter().map(|nd| nd.core.backlog()).sum::<usize>()
-            + self.flit_pend.iter().map(VecDeque::len).sum::<usize>()
-            + self.flit_in.iter().map(Vec::len).sum::<usize>()
+            + self.flit_rx.iter().map(Rx::len).sum::<usize>()
             + self.flit_out.iter().map(Vec::len).sum::<usize>()
     }
 
@@ -940,11 +1018,9 @@ impl Fabric {
                 out_base: 0,
                 in_base: 0,
                 flit_out: &mut self.flit_out,
-                cred_in: &mut self.cred_in,
-                cred_pend: &mut self.cred_pend,
-                flit_in: &mut self.flit_in,
+                cred_rx: &mut self.cred_rx,
+                flit_rx: &mut self.flit_rx,
                 cred_out: &mut self.cred_out,
-                flit_pend: &mut self.flit_pend,
             },
             Ledger {
                 specs: &self.specs,
@@ -1168,26 +1244,26 @@ impl Ledger<'_> {
             let ci = chunks.partition_point(|c| c.in_base <= i) - 1;
             let (lo, li) = (o - chunks[co].out_base, i - chunks[ci].in_base);
             let mut flits = std::mem::take(&mut chunks[co].flit_out[lo]);
-            std::mem::swap(&mut flits, &mut chunks[ci].flit_in[li]);
+            std::mem::swap(&mut flits, &mut chunks[ci].flit_rx[li].inbox);
             chunks[co].flit_out[lo] = flits;
             let mut creds = std::mem::take(&mut chunks[ci].cred_out[li]);
-            std::mem::swap(&mut creds, &mut chunks[co].cred_in[lo]);
+            std::mem::swap(&mut creds, &mut chunks[co].cred_rx[lo].inbox);
             chunks[ci].cred_out[li] = creds;
         }
     }
 }
 
 /// Fabric-wide horizon after an epoch: minimum of the per-node horizons
-/// computed at epoch end and the dues of wire messages swapped into the
-/// inboxes.
+/// computed at epoch end (which cover what the nodes carried over) and
+/// the earliest due of each inbox just swapped in.
 fn horizon_after_epoch<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C]) -> u64 {
     let mut h = u64::MAX;
     for chunk in chunks {
         for node in chunk.nodes.iter() {
             h = h.min(node.horizon);
         }
-        for m in chunk.flit_in.iter().flatten() {
-            h = h.min(m.due);
+        for due in chunk.flit_rx.iter().filter_map(Rx::next_due) {
+            h = h.min(due);
         }
     }
     h
@@ -1368,15 +1444,10 @@ impl CycleModel for Fabric {
     fn next_event(&self, now: FlitCycle) -> FlitCycle {
         let mut h = u64::MAX;
         for (nd, node) in self.nodes.iter().enumerate() {
-            let pend = &self.flit_pend[self.in_start[nd]..self.in_start[nd + 1]];
-            h = h.min(node.horizon_after(pend, now.0, self.timing.rc_per_flit));
+            let rx = &self.flit_rx[self.in_start[nd]..self.in_start[nd + 1]];
+            h = h.min(node.horizon_after(rx, now.0, self.timing.rc_per_flit));
             if h == now.0 + 1 {
                 return FlitCycle(h);
-            }
-        }
-        for b in &self.flit_in {
-            for m in b {
-                h = h.min(m.due);
             }
         }
         FlitCycle(h.max(now.0 + 1))
@@ -1537,6 +1608,47 @@ mod tests {
         for w in [1, 2, 8, 17] {
             assert_eq!(f.thread_count(w), f.chunk_count(w).min(cores));
         }
+    }
+
+    #[test]
+    fn rx_consumes_in_send_order_and_carries_only_a_short_epochs_tail() {
+        let wire = |due: u64, vc: u32| Wire { due, vc, load: () };
+        let taken = |rx: &mut Rx<()>, u: u64| -> Vec<u32> {
+            std::iter::from_fn(|| rx.pop_due(u)).map(|m| m.vc).collect()
+        };
+        let mut rx = Rx::new();
+        // A full epoch's inbox (sent over cycles 0..4, latency 4) is
+        // consumed in place: nothing reaches `pend`.
+        rx.inbox = vec![wire(4, 0), wire(4, 1), wire(6, 2), wire(7, 3)];
+        assert_eq!((rx.len(), rx.next_due()), (4, Some(4)));
+        assert_eq!(taken(&mut rx, 4), [0, 1]);
+        assert_eq!(taken(&mut rx, 5), [] as [u32; 0]);
+        assert_eq!(taken(&mut rx, 7), [2, 3]);
+        rx.close_epoch();
+        assert!(rx.pend.is_empty() && rx.inbox.is_empty());
+        assert_eq!((rx.head, rx.len(), rx.next_due()), (0, 0, None));
+
+        // A shortened epoch (cycles 8..10) leaves a tail: it is carried,
+        // and the inbox goes back empty for the swap.
+        rx.inbox = vec![wire(8, 4), wire(9, 5), wire(10, 6), wire(11, 7)];
+        assert_eq!(taken(&mut rx, 8), [4]);
+        assert_eq!(taken(&mut rx, 9), [5]);
+        rx.close_epoch();
+        assert!(rx.inbox.is_empty());
+        assert_eq!((rx.head, rx.len(), rx.next_due()), (0, 2, Some(10)));
+
+        // The carried tail was sent first, so it is applied first — also
+        // when a skip lands past dues of both stages at once.
+        rx.inbox = vec![wire(12, 8), wire(13, 9)];
+        assert_eq!(rx.len(), 4);
+        assert_eq!(taken(&mut rx, 10), [6]);
+        assert_eq!(taken(&mut rx, 12), [7, 8]);
+        assert_eq!(rx.next_due(), Some(13));
+        // One-cycle epochs (`Fabric::step`): every epoch is short.
+        rx.close_epoch();
+        assert_eq!((rx.len(), rx.next_due()), (1, Some(13)));
+        assert_eq!(taken(&mut rx, 13), [9]);
+        assert_eq!(rx.len(), 0);
     }
 
     fn epoch(n: u64) -> Epoch {

@@ -123,12 +123,29 @@ impl MetricsCollector {
         }
     }
 
-    /// Reset all statistics (start of measurement window).
+    /// Reset all statistics (start of measurement window), **in place**:
+    /// every accumulator returns to the state [`MetricsCollector::new`]
+    /// builds and the delay bound is kept.  Nothing is allocated or
+    /// freed, and a histogram nothing was recorded into is not swept
+    /// (the per-connection jitter histograms of CBR traffic never are),
+    /// because the call sits inside every timed run — on the fabric in
+    /// the leader's serial phase, while the helpers wait (DESIGN.md §17).
     pub fn reset(&mut self) {
-        let n = self.jitter_per_conn.len();
-        let bound = self.delay_bound_rc;
-        *self = MetricsCollector::new(n, self.tb);
-        self.delay_bound_rc = bound;
+        for acc in &mut self.classes {
+            acc.delay = Running::new();
+            acc.hist.reset();
+            acc.generated = 0;
+            acc.delivered = 0;
+        }
+        self.frame_delay = Running::new();
+        self.frame_hist.reset();
+        self.frames_delivered = 0;
+        self.jitter_per_conn
+            .iter_mut()
+            .for_each(JitterTracker::reset);
+        self.delivered_per_conn.fill(0);
+        self.delay_per_conn.fill(Running::new());
+        self.violations_per_conn.fill(0);
     }
 
     /// Flits delivered per connection during measurement.
@@ -371,6 +388,88 @@ mod tests {
         let r = m.report();
         assert!(r.classes.is_empty());
         assert_eq!(r.frames_delivered, 0);
+    }
+
+    /// One recorded event: `(is_delivery, connection, class index,
+    /// generation cycle, delay, frame index when the flit closes a frame)`.
+    type Op = (bool, u32, usize, u64, u64, Option<u32>);
+
+    fn replay(m: &mut MetricsCollector, ops: &[Op]) {
+        for &(is_delivery, conn, class, gen, delay, frame_end) in ops {
+            if is_delivery {
+                m.record_delivery(
+                    &delivery(conn, gen, gen + delay, frame_end),
+                    ALL_CLASSES[class],
+                );
+            } else {
+                m.record_generated(ALL_CLASSES[class]);
+            }
+        }
+    }
+
+    /// Everything a caller can read out of a collector, plus its whole
+    /// state as `Debug` prints it (histogram buckets, running moments and
+    /// the jitter trackers' last delays included).
+    fn observe(
+        m: &MetricsCollector,
+    ) -> (MetricsReport, Vec<u64>, Vec<u64>, Vec<Option<f64>>, String) {
+        (
+            m.report(),
+            m.delivered_per_connection().to_vec(),
+            m.violations_per_connection().to_vec(),
+            m.mean_delay_per_connection_us(),
+            format!("{m:?}"),
+        )
+    }
+
+    const CONNS: u32 = 6;
+
+    fn ops() -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            (
+                (0u8..4, 0..CONNS, 0usize..CLASS_COUNT),
+                (0u64..1_000_000, 0u64..5_000_000, 0u32..6),
+            )
+                .prop_map(|((kind, conn, class), (gen, delay, frame))| {
+                    // Three in four are deliveries; half of those close a
+                    // frame, so the jitter trackers fill too.
+                    (
+                        kind != 0,
+                        conn,
+                        class,
+                        gen,
+                        delay,
+                        (frame < 3).then_some(frame),
+                    )
+                }),
+            0..200,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn reset_equals_a_fresh_collector(
+            before in ops(),
+            after in ops(),
+            bound in 0u64..3,
+        ) {
+            use proptest::prelude::*;
+            let bound = (bound > 0).then_some(bound * 1_000_000);
+            let mut used = MetricsCollector::new(CONNS as usize, TimeBase::default());
+            used.set_delay_bound(bound);
+            replay(&mut used, &before);
+            used.reset();
+            let mut fresh = MetricsCollector::new(CONNS as usize, TimeBase::default());
+            fresh.set_delay_bound(bound);
+            prop_assert_eq!(observe(&used), observe(&fresh));
+            // And it keeps behaving like one (the bound included).
+            replay(&mut used, &after);
+            replay(&mut fresh, &after);
+            prop_assert_eq!(observe(&used), observe(&fresh));
+        }
     }
 
     #[test]

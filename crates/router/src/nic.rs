@@ -121,7 +121,7 @@ impl Nic {
         }
         self.depth -= 1;
         // Advance past the served connection.
-        self.rr = (local + 1) % n;
+        self.rr = if local + 1 == n { 0 } else { local + 1 };
         Some((self.conns[local], flit))
     }
 

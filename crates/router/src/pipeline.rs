@@ -38,8 +38,9 @@
 //! Histograms allocated *after* the core: `cbr4_sat` `setup_s` 1.23-1.64x
 //! the parent's at 3 of 20 seeds (11-14 k minor faults per benchmark
 //! round against 6-11 k); *before* it, under the core's many small
-//! blocks: 0.88-1.11x at all 20.  So `MmrRouter::new` builds its metrics
-//! first, and [`SwitchCore::new`] frees no multi-KiB temporaries: `qos`
+//! blocks: 0.88-1.11x at all 20.  (A dropped router is the only source
+//! of such frees: `MetricsCollector::reset` works in place.)  So
+//! `MmrRouter::new` builds its metrics first, and [`SwitchCore::new`] frees no multi-KiB temporaries: `qos`
 //! and the sources are kept as passed, the two lookups are closures
 //! ([`Wiring`]), the per-input VC lists move into schedulers and NICs.
 //!

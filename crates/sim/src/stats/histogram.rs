@@ -220,8 +220,14 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Forget everything recorded; capacity is retained.
+    /// Forget everything recorded; capacity is retained.  An empty
+    /// histogram is left untouched (no bucket can be non-zero while
+    /// `count()` is 0), so resetting many mostly-idle histograms costs a
+    /// compare each, not a sweep of their storage.
     pub fn reset(&mut self) {
+        if self.total == 0 {
+            return;
+        }
         self.counts.fill(0);
         self.total = 0;
         self.sum = 0;

@@ -37,6 +37,14 @@ impl JitterTracker {
         self.last_delay = Some(delay);
     }
 
+    /// Forget everything recorded, in place: the tracker ends up as
+    /// [`JitterTracker::new`] builds it, keeping its histogram storage.
+    pub fn reset(&mut self) {
+        self.last_delay = None;
+        self.jitter = Running::default();
+        self.hist.reset();
+    }
+
     /// Jitter statistics accumulated so far.
     pub fn stats(&self) -> &Running {
         &self.jitter

@@ -15,7 +15,7 @@
 
 use crate::connection::ConnectionId;
 use crate::flit::Flit;
-use crate::source::TrafficSource;
+use crate::source::{round_rc, TrafficSource};
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{RouterCycle, TimeBase};
 use mmr_sim::units::Bandwidth;
@@ -31,6 +31,9 @@ pub struct BestEffortSource {
     rng: SimRng,
     /// Next message arrival time.
     next_msg_rc: f64,
+    /// `next_msg_rc` rounded to its router cycle, refreshed whenever the
+    /// arrival time moves.
+    next_rc: u64,
     /// Flits left in the message currently being injected.
     in_flight: u64,
     seq: u64,
@@ -58,12 +61,19 @@ impl BestEffortSource {
             mean_flits,
             rng,
             next_msg_rc: phase.0 as f64,
+            next_rc: 0,
             in_flight: 0,
             seq: 0,
         };
         // First arrival after a random exponential delay from the phase.
-        s.next_msg_rc += s.rng.exponential(mean_gap_rc);
+        s.schedule_next_message();
         s
+    }
+
+    /// Move the arrival clock one exponential gap on.
+    fn schedule_next_message(&mut self) {
+        self.next_msg_rc += self.rng.exponential(self.mean_gap_rc);
+        self.next_rc = round_rc(self.next_msg_rc);
     }
 
     /// Draw a message length: geometric with the configured mean.
@@ -84,21 +94,20 @@ impl TrafficSource for BestEffortSource {
     }
 
     fn peek_next(&self) -> Option<RouterCycle> {
-        Some(RouterCycle(self.next_msg_rc.round() as u64))
+        Some(RouterCycle(self.next_rc))
     }
 
     fn emit(&mut self) -> Flit {
         if self.in_flight == 0 {
             self.in_flight = self.draw_length();
         }
-        let t = RouterCycle(self.next_msg_rc.round() as u64);
-        let flit = Flit::cbr(self.connection, self.seq, t);
+        let flit = Flit::cbr(self.connection, self.seq, RouterCycle(self.next_rc));
         self.seq += 1;
         self.in_flight -= 1;
         if self.in_flight == 0 {
             // Next message after an exponential gap from *this* message's
             // start (arrival process is Poisson on message starts).
-            self.next_msg_rc += self.rng.exponential(self.mean_gap_rc);
+            self.schedule_next_message();
         }
         // Flits of one message share the arrival timestamp: VCT injects
         // the whole message as a unit.

@@ -7,7 +7,7 @@
 
 use crate::connection::ConnectionId;
 use crate::flit::Flit;
-use crate::source::TrafficSource;
+use crate::source::{round_rc, TrafficSource};
 use mmr_sim::time::{RouterCycle, TimeBase};
 use mmr_sim::units::Bandwidth;
 
@@ -17,6 +17,9 @@ pub struct CbrSource {
     connection: ConnectionId,
     iat_rc: f64,
     next_time: f64,
+    /// `next_time` rounded to its router cycle, refreshed once per
+    /// `emit`: `peek_next` is called several times per emitted flit.
+    next_rc: u64,
     seq: u64,
 }
 
@@ -35,6 +38,7 @@ impl CbrSource {
             connection,
             iat_rc,
             next_time: phase.0 as f64,
+            next_rc: round_rc(phase.0 as f64),
             seq: 0,
         }
     }
@@ -51,14 +55,14 @@ impl TrafficSource for CbrSource {
     }
 
     fn peek_next(&self) -> Option<RouterCycle> {
-        Some(RouterCycle(self.next_time.round() as u64))
+        Some(RouterCycle(self.next_rc))
     }
 
     fn emit(&mut self) -> Flit {
-        let t = RouterCycle(self.next_time.round() as u64);
-        let flit = Flit::cbr(self.connection, self.seq, t);
+        let flit = Flit::cbr(self.connection, self.seq, RouterCycle(self.next_rc));
         self.seq += 1;
         self.next_time += self.iat_rc;
+        self.next_rc = round_rc(self.next_time);
         flit
     }
 }

@@ -9,6 +9,25 @@ use crate::connection::ConnectionId;
 use crate::flit::Flit;
 use mmr_sim::time::RouterCycle;
 
+/// Round an emission clock (`f64` router cycles) to its router cycle:
+/// `x.round() as u64` for `0 <= x < 2^53`, computed without the libm
+/// `round` call baseline x86-64 makes (no SSE4.1 `roundsd`).  `x as u64`
+/// truncates, the fraction `x - trunc(x)` is exact in that range, and
+/// `f64::round` rounds halves away from zero — up, for `x >= 0`.
+///
+/// Out of line on purpose: it stands where a call into libm stood, and
+/// inlined into the sources' `drain_until` loops it moved code around
+/// enough to slow the benchmark's replay of the router step by 4 % (its
+/// router twin unmoved) — which `replay.step_ratio` reads as the router
+/// leaving the replay behind (DESIGN.md §18).
+#[inline(never)]
+pub fn round_rc(x: f64) -> u64 {
+    let t = x as u64;
+    let rc = t + u64::from(x - t as f64 >= 0.5);
+    debug_assert_eq!(rc, x.round() as u64, "round_rc({x}) left its exact range");
+    rc
+}
+
 /// A generator of timestamped flits for one connection.
 pub trait TrafficSource {
     /// Connection this source feeds.

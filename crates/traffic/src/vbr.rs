@@ -13,7 +13,7 @@ use crate::connection::ConnectionId;
 use crate::flit::Flit;
 use crate::injection::InjectionModel;
 use crate::mpeg::MpegTrace;
-use crate::source::TrafficSource;
+use crate::source::{round_rc, TrafficSource};
 use mmr_sim::time::{RouterCycle, TimeBase};
 
 /// A finite VBR flit source replaying one trace.
@@ -28,6 +28,9 @@ pub struct VbrSource {
     // cursor
     frame_idx: usize,
     flit_in_frame: u64,
+    /// Emission cycle of the flit under the cursor, refreshed once per
+    /// `emit` (meaningless once the trace is exhausted).
+    next_rc: u64,
     seq: u64,
     total: u64,
 }
@@ -53,6 +56,8 @@ impl VbrSource {
             start_rc: start.0 as f64,
             frame_idx: 0,
             flit_in_frame: 0,
+            // Flit 0 of frame 0 leaves at `start` exactly.
+            next_rc: round_rc(start.0 as f64),
             seq: 0,
             total,
         }
@@ -87,10 +92,7 @@ impl TrafficSource for VbrSource {
         if self.frame_idx >= self.trace.len() {
             return None;
         }
-        Some(RouterCycle(
-            self.emission_time(self.frame_idx, self.flit_in_frame)
-                .round() as u64,
-        ))
+        Some(RouterCycle(self.next_rc))
     }
 
     fn emit(&mut self) -> Flit {
@@ -98,13 +100,21 @@ impl TrafficSource for VbrSource {
         let k = self.frame_idx;
         let frame_flits = self.trace.frames[k].flits;
         let last = self.flit_in_frame + 1 == frame_flits;
-        let emitted = RouterCycle(self.emission_time(k, self.flit_in_frame).round() as u64);
-        let flit = Flit::vbr(self.connection, self.seq, emitted, k as u32, last);
+        let flit = Flit::vbr(
+            self.connection,
+            self.seq,
+            RouterCycle(self.next_rc),
+            k as u32,
+            last,
+        );
         self.seq += 1;
         self.flit_in_frame += 1;
         if last {
             self.frame_idx += 1;
             self.flit_in_frame = 0;
+        }
+        if self.frame_idx < self.trace.len() {
+            self.next_rc = round_rc(self.emission_time(self.frame_idx, self.flit_in_frame));
         }
         flit
     }

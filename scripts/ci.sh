@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== scripts parse =="
+# scripts/ab.sh (parent-vs-change pairing for performance claims) is run
+# by hand, against a second checkout: keep it at least syntactically alive.
+bash -n scripts/ab.sh
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -600,6 +600,47 @@ fn fabric_engine_modes_agree_with_each_other_and_with_the_runner() {
     }
 }
 
+/// `run_parallel` consumes each swapped-in inbox in place and copies only
+/// what a shortened epoch leaves unconsumed.  Epochs are shortened at the
+/// warm-up boundary and at the bound whenever those sit off the
+/// `link_latency` grid; seven-cycle links leave up to six cycles' worth
+/// of messages to carry, and `Fabric::step`'s one-cycle epochs (the
+/// `Runner` reference) carry on every cycle.  All of it must land on one
+/// state: summaries and RNG fingerprints byte-identical for workers
+/// {1, 2, 8}, with and without horizon skipping, against `Runner::run`.
+#[test]
+fn shortened_epochs_carry_their_inbox_tails_identically_on_every_path() {
+    let topologies = [
+        Topology::Mesh { x: 4, y: 4 },
+        Topology::Torus { x: 3, y: 3 },
+    ];
+    for (k, topology) in topologies.into_iter().enumerate() {
+        for link_latency in [4u64, 7] {
+            let spec = FabricSpec {
+                link_latency,
+                ..FabricSpec::new(topology)
+            };
+            let cfg = SimConfig {
+                warmup_cycles: 503,
+                run: RunLength::Cycles(2_998),
+                ..quick(0.5, 31 + k as u64).with_fabric(spec)
+            };
+            assert!(
+                !cfg.warmup_cycles.is_multiple_of(link_latency)
+                    && !2_998u64.is_multiple_of(link_latency),
+                "both boundaries must fall inside an epoch"
+            );
+            assert_fabric_paths_agree(&cfg, &[1, 2, 8]);
+            let fabric = run_fabric_experiment(&cfg);
+            assert!(
+                fabric.summary.delivered_flits > 1_000,
+                "{}: the lanes must carry traffic",
+                topology.label()
+            );
+        }
+    }
+}
+
 /// A fabric whose sources all end: every connection of a three-rate CBR
 /// mix departs (an `ExpiringSource`) somewhere in flit cycles 800..2 400.
 fn departing_fabric_cfg(seed: u64) -> SimConfig {

@@ -535,9 +535,9 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     // --- Fabric: sharded mesh steady state ------------------------------
     // A 4×4 mesh of routers driven through the fabric's inline
     // (workers = 1) epoch path: mailbox double-buffering is pointer
-    // swaps, pending wires drain into reused deques, per-node event
-    // buffers and the commit cursor vector hold their high-water
-    // capacity.  After a warm-up that routes multi-hop traffic through
+    // swaps, a swapped-in inbox is consumed in place and the tails
+    // one-cycle epochs leave are carried into reused deques, per-node
+    // event buffers hold their high-water capacity.  After a warm-up that routes multi-hop traffic through
     // every lane, stepping the whole 16-router fabric must make zero
     // allocator calls.  (Worker threads have their own stacks and are
     // not measurable with a thread-local counter, which is why the
@@ -573,6 +573,15 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             "fabric step allocated {allocs} times in steady state"
         );
 
+        // Opening the measurement window resets the collector in place —
+        // no second collector is built and none is freed.
+        let allocs = allocations_in(|| fabric.on_measurement_start(FlitCycle(t)));
+        assert_eq!(
+            allocs, 0,
+            "the fabric's measurement reset allocated {allocs} times"
+        );
+        assert_eq!(fabric.summary().delivered_flits, 0);
+
         // The parallel path allocates per call (chunk views, the thread
         // scope and its helper), never per epoch: on twin fabrics a run
         // four times as long makes exactly as many allocator calls on
@@ -602,6 +611,57 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             "run_parallel allocated {short} times over {n} cycles but {long} over {}",
             4 * n
         );
+    }
+
+    // --- Measurement reset ------------------------------------------------
+    // `MetricsCollector::reset` runs inside every timed run, at the
+    // warm-up boundary.  At the 16-router mesh's scale — 830 connections,
+    // some of them video, so class, frame and per-connection jitter
+    // histograms all hold samples — it must reuse every buffer it has.
+    {
+        use mmr_core::router::metrics::{MetricsCollector, ALL_CLASSES};
+        use mmr_core::router::output::Delivery;
+        use mmr_core::sim::time::{RouterCycle, TimeBase};
+        use mmr_core::traffic::connection::ConnectionId;
+        use mmr_core::traffic::flit::Flit;
+        let conns = 830u32;
+        let mut metrics = MetricsCollector::new(conns as usize, TimeBase::default());
+        metrics.set_delay_bound(Some(900));
+        for i in 0..20_000u64 {
+            let conn = ConnectionId((i * 7 % conns as u64) as u32);
+            let generated = RouterCycle(i * 3);
+            // Every fifth connection is video: each of its flits closes
+            // a frame.
+            let flit = if conn.0.is_multiple_of(5) {
+                Flit::vbr(conn, i, generated, (i / conns as u64) as u32, true)
+            } else {
+                Flit::cbr(conn, i, generated)
+            };
+            let class = ALL_CLASSES[conn.0 as usize % ALL_CLASSES.len()];
+            metrics.record_generated(class);
+            metrics.record_delivery(
+                &Delivery {
+                    flit,
+                    output: 0,
+                    delivered_at: RouterCycle(i * 3 + 64 + i % 1_500),
+                },
+                class,
+            );
+        }
+        let full = metrics.report();
+        assert!(full.frames_delivered > 0 && full.qos_violations > 0);
+        assert!(
+            full.max_frame_jitter_us > 0.0,
+            "jitter trackers must hold samples"
+        );
+        let allocs = allocations_in(|| metrics.reset());
+        assert_eq!(
+            allocs, 0,
+            "MetricsCollector::reset allocated {allocs} times"
+        );
+        let fresh = MetricsCollector::new(conns as usize, TimeBase::default());
+        assert_eq!(metrics.report(), fresh.report());
+        assert!(metrics.delivered_per_connection().iter().all(|&d| d == 0));
     }
 
     // --- Scenario-pack steady state (Mix + ramp + churn) -----------------
