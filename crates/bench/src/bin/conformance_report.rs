@@ -3,11 +3,13 @@
 //!
 //! Exit status is the gate: 0 when every claim passes at the ensemble
 //! median, 1 when any claim regresses — `scripts/ci.sh` runs this in
-//! quick fidelity.  `--list-claims` prints the manifest (id, figure,
-//! threshold, description) without running any simulation, so a failing
-//! CI line can be matched to its exact claim.
+//! quick fidelity.  The manifest includes the Frontier claims (COA vs the
+//! MWM oracle and the other beyond-the-paper arbiters), so this is their
+//! gate too.  `--list-claims` prints the manifest (id, figure,
+//! description) without running any simulation, so a failing CI line can
+//! be matched to its exact claim.
 
-use mmr_bench::{banner, emit, fidelity_from_args, results_dir};
+use mmr_bench::{banner, claim_tally, emit, fidelity_from_args, report_failures, results_dir};
 use mmr_core::conformance::{paper_claims, run_conformance, EnsembleOptions};
 use mmr_core::saturation::ExperimentCache;
 
@@ -36,11 +38,9 @@ fn main() {
         fidelity,
     );
     out.push_str(&report.render_text());
-    let failed = report.failed();
     out.push_str(&format!(
-        "\n{}/{} claims pass ({} simulations, {} cache hits)\n",
-        report.claims.len() - failed.len(),
-        report.claims.len(),
+        "\n{} ({} simulations, {} cache hits)\n",
+        claim_tally(&report.claims),
         cache.misses(),
         cache.hits(),
     ));
@@ -51,14 +51,7 @@ fn main() {
     std::fs::write(&path, &json).expect("write conformance.json");
     eprintln!("[written {}]", path.display());
 
-    if !failed.is_empty() {
-        eprintln!("conformance FAILED:");
-        for c in &failed {
-            eprintln!(
-                "  {} [{}]: median {:.4} vs threshold {:.4} (margin {:+.4} {})",
-                c.id, c.figure, c.median, c.threshold, c.margin, c.unit
-            );
-        }
+    if !report_failures("conformance FAILED:", &report.claims) {
         std::process::exit(1);
     }
 }

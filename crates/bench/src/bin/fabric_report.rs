@@ -330,16 +330,7 @@ fn main() {
         .collect();
     let fabric_section = obj(vec![
         ("schema", Value::Str("mmr-fabric-report/1".to_string())),
-        (
-            "mode",
-            Value::Str(
-                match fidelity {
-                    Fidelity::Quick => "quick",
-                    Fidelity::Full => "full",
-                }
-                .to_string(),
-            ),
-        ),
+        ("mode", Value::Str(fidelity.label().to_string())),
         (
             "topology",
             Value::Str(cfg.fabric.expect("fabric").topology.label()),

@@ -21,18 +21,12 @@ use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overv
 use mmr_bench::{fidelity_from_args, results_dir};
 use mmr_core::config::TelemetrySpec;
 use mmr_core::experiment::run_experiment;
-use mmr_core::scenarios::{fig5, Fidelity};
+use mmr_core::scenarios::fig5;
 use mmr_sim::telemetry::validate_exposition;
 
 fn main() {
     let fidelity = fidelity_from_args();
-    println!(
-        "metrics_dump: {} mode",
-        match fidelity {
-            Fidelity::Quick => "quick",
-            Fidelity::Full => "full",
-        }
-    );
+    println!("metrics_dump: {} mode", fidelity.label());
 
     let mut cfg = fig5(fidelity).base.with_load(0.7);
     cfg.telemetry = Some(TelemetrySpec::default());

@@ -17,7 +17,7 @@
 use mmr_bench::{fidelity_from_args, results_dir};
 use mmr_core::config::{RunLength, SimConfig};
 use mmr_core::experiment::{build_router, build_workload};
-use mmr_core::scenarios::{chaos, fig5, Fidelity};
+use mmr_core::scenarios::{chaos, fig5};
 use mmr_router::router::MmrRouter;
 use mmr_router::telemetry::TelemetryConfig;
 use mmr_sim::engine::{Runner, StopCondition};
@@ -74,13 +74,7 @@ fn run_scenario(name: &str, cfg: &SimConfig) {
 
 fn main() {
     let fidelity = fidelity_from_args();
-    println!(
-        "trace_report: {} mode",
-        match fidelity {
-            Fidelity::Quick => "quick",
-            Fidelity::Full => "full",
-        }
-    );
+    println!("trace_report: {} mode", fidelity.label());
 
     // Fig. 5 CBR point at load 0.7, COA arbiter (the sweep's base kind).
     let fig5_cfg = fig5(fidelity).base.with_load(0.7);

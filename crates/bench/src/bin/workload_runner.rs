@@ -19,7 +19,7 @@
 //! `MMR_WORKLOADS_DIR` when set.
 
 use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overview};
-use mmr_bench::{banner, emit, fidelity_from_args, results_dir};
+use mmr_bench::{banner, claim_tally, emit, fidelity_from_args, report_failures, results_dir};
 use mmr_core::config::TelemetrySpec;
 use mmr_core::conformance::run_sweep_cached;
 use mmr_core::experiment::{run_experiment, run_fabric_experiment};
@@ -174,12 +174,7 @@ fn main() {
 
         let mut out = banner(&format!("Pack {}", pack.name), &pack.description, fidelity);
         out.push_str(&report.render_text());
-        let failed = report.failed();
-        out.push_str(&format!(
-            "\n{}/{} claims pass\n",
-            report.claims.len() - failed.len(),
-            report.claims.len()
-        ));
+        out.push_str(&format!("\n{}\n", claim_tally(&report.claims)));
         emit(&format!("workload_{}.txt", pack.name), &out);
 
         let json = serde_json::to_string(&report).expect("pack report serializes");
@@ -219,15 +214,8 @@ fn main() {
             }
         }
 
-        if !failed.is_empty() {
+        if !report_failures(&format!("pack {} FAILED:", pack.name), &report.claims) {
             any_failed = true;
-            eprintln!("pack {} FAILED:", pack.name);
-            for c in &failed {
-                eprintln!(
-                    "  {}: median {:.4} vs threshold {:.4} (margin {:+.4} {})",
-                    c.id, c.median, c.threshold, c.margin, c.unit
-                );
-            }
         }
     }
 

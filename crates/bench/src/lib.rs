@@ -14,6 +14,7 @@
 pub mod harness;
 pub mod overview;
 
+use mmr_core::conformance::ClaimOutcome;
 use mmr_core::scenarios::Fidelity;
 use std::path::{Path, PathBuf};
 
@@ -62,6 +63,29 @@ pub fn banner(figure: &str, description: &str, fidelity: Fidelity) -> String {
          mode: {mode}\n\
          ==============================================================\n"
     )
+}
+
+/// `k/n claims pass` — the tally line of every claim gate's report.
+pub fn claim_tally(claims: &[ClaimOutcome]) -> String {
+    let passed = claims.iter().filter(|c| c.pass).count();
+    format!("{passed}/{} claims pass", claims.len())
+}
+
+/// Print each failed claim under `header` on stderr; true when none
+/// failed.
+pub fn report_failures(header: &str, claims: &[ClaimOutcome]) -> bool {
+    let failed: Vec<&ClaimOutcome> = claims.iter().filter(|c| !c.pass).collect();
+    if failed.is_empty() {
+        return true;
+    }
+    eprintln!("{header}");
+    for c in failed {
+        eprintln!(
+            "  {} [{}]: median {:.4} vs threshold {:.4} (margin {:+.4} {})",
+            c.id, c.figure, c.median, c.threshold, c.margin, c.unit
+        );
+    }
+    false
 }
 
 #[cfg(test)]

@@ -21,7 +21,9 @@
 //!
 //! The committed claim manifest is [`paper_claims`]; `conformance_report`
 //! (mmr-bench) evaluates it and writes `results/conformance.json`, and
-//! `tests/conformance.rs` pins it in tier-1.
+//! `tests/conformance.rs` pins it in tier-1.  Workload packs'
+//! `[[claim]]`s (`crate::workload_lang`) compile onto the same [`Check`]
+//! vocabulary and are judged over [`Panel::Pack`] by the same evaluator.
 
 use crate::config::{InjectionKind, RunLength, SimConfig};
 use crate::experiment::ExperimentResult;
@@ -84,6 +86,8 @@ pub enum Panel {
     /// the full arbiter frontier (COA, WFA, iSLIP, MWM exact + approx,
     /// frame-fair, crosspoint-queued).
     FrontierCbr,
+    /// A workload pack's own sweep (`crate::workload_lang`).
+    Pack,
 }
 
 /// Scalar a curve check reads off one experiment result.
@@ -98,30 +102,71 @@ pub enum CurveMetric {
     WindowUtilizationPct,
     /// Delivered/generated flits over the whole run.
     ThroughputRatio,
+    /// Mean flit delay of the first class over the second's, one run.
+    ClassDelayRatio(TrafficClass, TrafficClass),
+    /// Jain's index over per-connection delivered/reserved ratios.
+    Fairness,
+    /// Fraction of connection requests CAC rejected.
+    RejectRate,
+    /// Crossbar utilization over the measurement window, 0–1.
+    CrossbarUtilization,
 }
 
 impl CurveMetric {
     /// Extract the metric from one seed's result.
     pub fn of(self, r: &ExperimentResult) -> f64 {
-        match self {
-            CurveMetric::ClassDelayUs(class) => r
-                .summary
+        let delay = |class| {
+            r.summary
                 .metrics
                 .class(class)
                 .map(|c| c.mean_delay_us)
-                .unwrap_or(0.0),
+                .unwrap_or(0.0)
+        };
+        match self {
+            CurveMetric::ClassDelayUs(class) => delay(class),
             CurveMetric::FrameDelayUs => r.summary.metrics.mean_frame_delay_us,
             CurveMetric::WindowUtilizationPct => r.summary.generation_window_utilization() * 100.0,
             CurveMetric::ThroughputRatio => r.summary.throughput_ratio(),
+            CurveMetric::ClassDelayRatio(slower, faster) => {
+                delay(slower) / delay(faster).max(f64::EPSILON)
+            }
+            CurveMetric::Fairness => r.summary.reservation_fairness,
+            CurveMetric::RejectRate => r.admission.reject_rate(),
+            CurveMetric::CrossbarUtilization => r.summary.crossbar_utilization,
         }
     }
+
+    /// Unit of [`Self::of`], for reports.
+    pub(crate) fn unit(self) -> &'static str {
+        match self {
+            CurveMetric::ClassDelayUs(_) | CurveMetric::FrameDelayUs => "us",
+            CurveMetric::WindowUtilizationPct => "%",
+            CurveMetric::ThroughputRatio => "ratio",
+            CurveMetric::ClassDelayRatio(..) => "x",
+            CurveMetric::Fairness => "jain",
+            CurveMetric::RejectRate | CurveMetric::CrossbarUtilization => "fraction",
+        }
+    }
+}
+
+/// Which side of a threshold the ensemble median must land on.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Bound {
+    /// Median ≤ the value passes.
+    AtMost(f64),
+    /// Median ≥ the value passes.
+    AtLeast(f64),
 }
 
 /// A machine-checkable assertion about the reproduction.
 ///
 /// Each variant reduces one seed's data to a scalar `measured` value and
-/// carries the threshold it must meet; [`Claim::evaluate`] takes the
-/// ensemble median of `measured` and compares.
+/// carries the threshold it must meet; `Check::measure` computes the
+/// per-seed values and `ClaimOutcome::new` gates their ensemble
+/// median.  Curve checks are either *point-anchored* (`AtPoint`,
+/// `RatioAtPoint`, `UtilizationScales`: read the grid point at a load)
+/// or *load-prefix* (`until_load`: the worst value over every grid point
+/// up to a load).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Check {
     /// `winner` saturates at least `min_points` load points (percent of
@@ -141,9 +186,9 @@ pub enum Check {
         /// Minimum gap, in load points (1 point = 1% of link bandwidth).
         min_points: f64,
     },
-    /// `metric` for `arbiter` at the grid point `at_load` is at most
-    /// `max_value`.
-    DelayBelow {
+    /// `metric` for `arbiter` at the grid point `at_load` meets `bound`
+    /// (in the metric's unit).
+    AtPoint {
         /// Sweep the check reads.
         panel: Panel,
         /// Metric bounded.
@@ -152,24 +197,23 @@ pub enum Check {
         arbiter: ArbiterKind,
         /// Target load of the grid point.
         at_load: f64,
-        /// Inclusive upper bound (metric units).
-        max_value: f64,
+        /// Inclusive bound on the metric.
+        bound: Bound,
     },
-    /// At `at_load`, `worse`'s metric is at least `min_factor` times
-    /// `better`'s — the paper's "WFA collapses while COA holds".
-    WorseBy {
-        /// Sweep the check reads.
-        panel: Panel,
+    /// At `at_load`, the ratio of `num`'s metric to `den`'s meets
+    /// `bound` — e.g. "WFA's delay is ≥ 10× COA's".  Each side names its
+    /// own (panel, arbiter), so one claim may compare two panels.
+    RatioAtPoint {
         /// Metric compared.
         metric: CurveMetric,
-        /// The arbiter with the lower (better) value.
-        better: ArbiterKind,
-        /// The arbiter with the higher (worse) value.
-        worse: ArbiterKind,
-        /// Target load of the grid point.
+        /// Target load of the grid point (on both sides).
         at_load: f64,
-        /// Minimum worse/better ratio.
-        min_factor: f64,
+        /// Numerator cell.
+        num: (Panel, ArbiterKind),
+        /// Denominator cell.
+        den: (Panel, ArbiterKind),
+        /// Inclusive bound on num/den.
+        bound: Bound,
     },
     /// For every grid point with load ≤ `until_load`, the two arbiters'
     /// metrics are within `max_factor` of each other (paper: "similar
@@ -360,12 +404,12 @@ pub fn paper_claims() -> Vec<Claim> {
             figure: Figure::Fig5,
             description: "COA holds the 55 Mbps class under 10 us mean flit delay \
                           at 86% offered load (measured full: 6.7 us)",
-            check: Check::DelayBelow {
+            check: Check::AtPoint {
                 panel: Panel::Fig5Cbr,
                 metric: high,
                 arbiter: Coa,
                 at_load: 0.86,
-                max_value: 10.0,
+                bound: Bound::AtMost(10.0),
             },
         },
         Claim {
@@ -374,13 +418,12 @@ pub fn paper_claims() -> Vec<Claim> {
             description: "WFA's 55 Mbps delay at 86% load is >= 10x COA's — \
                           utilization-only scheduling cannot guarantee QoS \
                           (measured full: ~220x)",
-            check: Check::WorseBy {
-                panel: Panel::Fig5Cbr,
+            check: Check::RatioAtPoint {
                 metric: high,
-                better: Coa,
-                worse: Wfa,
                 at_load: 0.86,
-                min_factor: 10.0,
+                num: (Panel::Fig5Cbr, Wfa),
+                den: (Panel::Fig5Cbr, Coa),
+                bound: Bound::AtLeast(10.0),
             },
         },
         Claim {
@@ -500,12 +543,12 @@ pub fn paper_claims() -> Vec<Claim> {
             figure: Figure::Fig9,
             description: "COA keeps mean frame delay under 20 us at 60% generated \
                           load (SR; measured full: <= 8.7 us through 80%)",
-            check: Check::DelayBelow {
+            check: Check::AtPoint {
                 panel: Panel::Fig9Sr,
                 metric: CurveMetric::FrameDelayUs,
                 arbiter: Coa,
                 at_load: 0.6,
-                max_value: 20.0,
+                bound: Bound::AtMost(20.0),
             },
         },
         Claim {
@@ -514,13 +557,12 @@ pub fn paper_claims() -> Vec<Claim> {
             description: "WFA's frame delay at 85% load is >= 2x COA's (SR; \
                           measured full: 4-22x near the knee, quick ensemble \
                           median ~2.9x)",
-            check: Check::WorseBy {
-                panel: Panel::Fig9Sr,
+            check: Check::RatioAtPoint {
                 metric: CurveMetric::FrameDelayUs,
-                better: Coa,
-                worse: Wfa,
                 at_load: 0.85,
-                min_factor: 2.0,
+                num: (Panel::Fig9Sr, Wfa),
+                den: (Panel::Fig9Sr, Coa),
+                bound: Bound::AtLeast(2.0),
             },
         },
         Claim {
@@ -528,13 +570,12 @@ pub fn paper_claims() -> Vec<Claim> {
             figure: Figure::Fig9,
             description: "Back-to-Back frame delays sit above Smooth-Rate's below \
                           saturation (>= 1.2x at 60% load, COA)",
-            check: Check::WorseBy {
-                panel: Panel::Fig9Bb,
+            check: Check::RatioAtPoint {
                 metric: CurveMetric::FrameDelayUs,
-                better: Coa, // read from the SR panel — see evaluate()
-                worse: Coa,
                 at_load: 0.6,
-                min_factor: 1.2,
+                num: (Panel::Fig9Bb, Coa),
+                den: (Panel::Fig9Sr, Coa),
+                bound: Bound::AtLeast(1.2),
             },
         },
         // ---- Table 1: MPEG-2 statistics -------------------------------
@@ -673,6 +714,61 @@ pub struct ClaimOutcome {
     pub unit: String,
 }
 
+impl ClaimOutcome {
+    /// Gate per-seed values on their median: the one place a verdict,
+    /// spread and margin are computed, for manifest and pack claims alike.
+    pub(crate) fn new(
+        id: &str,
+        figure: &str,
+        description: &str,
+        per_seed: Vec<f64>,
+        bound: Bound,
+        unit: &str,
+    ) -> Self {
+        let med = median(&per_seed);
+        let (threshold, higher_is_better, margin) = match bound {
+            Bound::AtLeast(t) => (t, true, med - t),
+            Bound::AtMost(t) => (t, false, t - med),
+        };
+        ClaimOutcome {
+            id: id.to_string(),
+            figure: figure.to_string(),
+            description: description.to_string(),
+            pass: margin >= 0.0,
+            median: med,
+            spread_min: per_seed.iter().cloned().fold(f64::INFINITY, f64::min),
+            spread_max: per_seed.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            per_seed,
+            threshold,
+            higher_is_better,
+            margin,
+            unit: unit.to_string(),
+        }
+    }
+}
+
+/// One line per claim: `PASS fig5.saturation-gap [Fig. 5] 14.63 >= 8 (margin +6.63 …)`.
+pub(crate) fn render_claims(claims: &[ClaimOutcome]) -> String {
+    let mut s = String::new();
+    for c in claims {
+        let op = if c.higher_is_better { ">=" } else { "<=" };
+        s.push_str(&format!(
+            "{} {:<28} [{}] {:.4} {} {:.4} (margin {:+.4} {}, seeds {:.4}..{:.4})\n",
+            if c.pass { "PASS" } else { "FAIL" },
+            c.id,
+            c.figure,
+            c.median,
+            op,
+            c.threshold,
+            c.margin,
+            c.unit,
+            c.spread_min,
+            c.spread_max,
+        ));
+    }
+    s
+}
+
 /// A full conformance evaluation: the report `conformance_report` writes
 /// to `results/conformance.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -700,26 +796,9 @@ impl ConformanceReport {
         self.claims.iter().all(|c| c.pass)
     }
 
-    /// One line per claim: `PASS fig5.saturation-gap  14.63 >= 8 (margin +6.63)`.
+    /// One line per claim (`render_claims`).
     pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        for c in &self.claims {
-            let op = if c.higher_is_better { ">=" } else { "<=" };
-            s.push_str(&format!(
-                "{} {:<28} [{}] {:.4} {} {:.4} (margin {:+.4} {}, seeds {:.4}..{:.4})\n",
-                if c.pass { "PASS" } else { "FAIL" },
-                c.id,
-                c.figure,
-                c.median,
-                op,
-                c.threshold,
-                c.margin,
-                c.unit,
-                c.spread_min,
-                c.spread_max,
-            ));
-        }
-        s
+        render_claims(&self.claims)
     }
 }
 
@@ -882,8 +961,9 @@ pub const FIG7_SLOTS: usize = 40;
 
 /// Everything the claims are evaluated against: the multi-seed sweeps
 /// plus the trace/injection data, all deterministic functions of the
-/// options and the base seed.
-#[derive(Debug, Clone)]
+/// options and the base seed.  [`Ensemble::build`] fills the paper
+/// panels; a workload pack fills only [`Ensemble::pack`].
+#[derive(Debug, Clone, Default)]
 pub struct Ensemble {
     /// CBR ensemble seeds.
     pub cbr_seeds: Vec<u64>,
@@ -899,6 +979,8 @@ pub struct Ensemble {
     pub fig9_sr: Vec<SweepPoint>,
     /// Fig. 8/9 Back-to-Back sweep points (one result per VBR seed).
     pub fig9_bb: Vec<SweepPoint>,
+    /// A workload pack's sweep points (one result per pack seed).
+    pub pack: Vec<SweepPoint>,
     /// Synthesized traces: `traces[seed][sequence]`.
     pub traces: Vec<Vec<MpegTrace>>,
     /// Back-to-Back frame-0 histograms, per CBR seed.
@@ -972,6 +1054,7 @@ impl Ensemble {
             frontier,
             fig9_sr,
             fig9_bb,
+            pack: vec![],
             traces,
             bb_hist,
             sr_hist,
@@ -985,16 +1068,14 @@ impl Ensemble {
             Panel::Fig9Sr => &self.fig9_sr,
             Panel::Fig9Bb => &self.fig9_bb,
             Panel::FrontierCbr => &self.frontier,
+            Panel::Pack => &self.pack,
         }
     }
 
-    /// Number of seeds behind a panel.
+    /// Number of seeds behind a panel (every point carries one result
+    /// per seed).
     pub fn panel_seed_count(&self, panel: Panel) -> usize {
-        match panel {
-            Panel::Fig5Cbr => self.cbr_seeds.len(),
-            Panel::Fig9Sr | Panel::Fig9Bb => self.vbr_seeds.len(),
-            Panel::FrontierCbr => self.frontier_seeds.len(),
-        }
+        self.panel(panel).first().map_or(0, |p| p.results.len())
     }
 }
 
@@ -1023,17 +1104,22 @@ fn arbiter_series(points: &[SweepPoint], arbiter: ArbiterKind) -> Vec<&SweepPoin
 }
 
 /// The grid point at `at_load` (exact target-load match within 1e-6).
-fn point_at<'a>(series: &[&'a SweepPoint], at_load: f64, claim: &str) -> &'a SweepPoint {
+fn point_at<'a>(series: &[&'a SweepPoint], at_load: f64) -> &'a SweepPoint {
     series
         .iter()
         .find(|p| (p.target_load - at_load).abs() < 1e-6)
         .unwrap_or_else(|| {
             panic!(
-                "claim {claim}: no grid point at load {at_load} \
-                 (grid: {:?})",
+                "{}: no grid point at load {at_load} (grid: {:?})",
+                series[0].arbiter.label(),
                 series.iter().map(|p| p.target_load).collect::<Vec<_>>()
             )
         })
+}
+
+/// The grid point of one (panel, arbiter) cell at `at_load`.
+fn cell(e: &Ensemble, (panel, arbiter): (Panel, ArbiterKind), at_load: f64) -> &SweepPoint {
+    point_at(&arbiter_series(e.panel(panel), arbiter), at_load)
 }
 
 /// Rebuild one seed's single-result view of a series, for the
@@ -1065,9 +1151,24 @@ impl Claim {
     /// Evaluate the claim over the ensemble: the per-seed scalar, its
     /// median and spread, and the pass/fail verdict.
     pub fn evaluate(&self, e: &Ensemble) -> ClaimOutcome {
-        let (per_seed, threshold, higher_is_better, unit): (Vec<f64>, f64, bool, &str) = match self
-            .check
-        {
+        let (per_seed, bound, unit) = self.check.measure(e);
+        ClaimOutcome::new(
+            self.id,
+            self.figure.label(),
+            self.description,
+            per_seed,
+            bound,
+            unit,
+        )
+    }
+}
+
+impl Check {
+    /// The claim engine's one evaluator: reduce each seed of the
+    /// ensemble to this check's scalar, and say how the median is gated
+    /// and in what unit.
+    pub(crate) fn measure(&self, e: &Ensemble) -> (Vec<f64>, Bound, &'static str) {
+        match *self {
             Check::SaturationGap {
                 panel,
                 metric,
@@ -1098,48 +1199,34 @@ impl Claim {
                         }
                     })
                     .collect();
-                (vals, min_points, true, "load points")
+                (vals, Bound::AtLeast(min_points), "load points")
             }
-            Check::DelayBelow {
+            Check::AtPoint {
                 panel,
                 metric,
                 arbiter,
                 at_load,
-                max_value,
+                bound,
             } => {
-                let series = arbiter_series(e.panel(panel), arbiter);
-                let p = point_at(&series, at_load, self.id);
+                let p = cell(e, (panel, arbiter), at_load);
                 let vals = p.results.iter().map(|r| metric.of(r)).collect();
-                (vals, max_value, false, "metric units")
+                (vals, bound, metric.unit())
             }
-            Check::WorseBy {
-                panel,
+            Check::RatioAtPoint {
                 metric,
-                better,
-                worse,
                 at_load,
-                min_factor,
+                num,
+                den,
+                bound,
             } => {
-                // Cross-panel form: when `panel` differs from Fig9Sr and
-                // better == worse, the better side reads the SR panel
-                // (the fig9.bb-above-sr claim).
-                let (better_pts, worse_pts) = if better == worse && panel == Panel::Fig9Bb {
-                    (e.panel(Panel::Fig9Sr), e.panel(panel))
-                } else {
-                    (e.panel(panel), e.panel(panel))
-                };
-                let bs = arbiter_series(better_pts, better);
-                let ws = arbiter_series(worse_pts, worse);
-                let bp = point_at(&bs, at_load, self.id);
-                let wp = point_at(&ws, at_load, self.id);
-                let n = bp.results.len().min(wp.results.len());
-                let vals = (0..n)
-                    .map(|s| {
-                        let b = metric.of(&bp.results[s]).max(1e-9);
-                        metric.of(&wp.results[s]) / b
-                    })
+                let (np, dp) = (cell(e, num, at_load), cell(e, den, at_load));
+                let vals = np
+                    .results
+                    .iter()
+                    .zip(&dp.results)
+                    .map(|(n, d)| metric.of(n) / metric.of(d).max(1e-9))
                     .collect();
-                (vals, min_factor, true, "x")
+                (vals, bound, "x")
             }
             Check::WithinFactor {
                 panel,
@@ -1166,7 +1253,7 @@ impl Claim {
                         worst
                     })
                     .collect();
-                (vals, max_factor, false, "x")
+                (vals, Bound::AtMost(max_factor), "x")
             }
             Check::AtMostRatio {
                 panel,
@@ -1193,7 +1280,7 @@ impl Claim {
                         worst
                     })
                     .collect();
-                (vals, max_ratio, false, "x")
+                (vals, Bound::AtMost(max_ratio), "x")
             }
             Check::DelayFloor {
                 panel,
@@ -1220,7 +1307,7 @@ impl Claim {
                         worst
                     })
                     .collect();
-                (vals, slack, false, "x")
+                (vals, Bound::AtMost(slack), "x")
             }
             Check::MonotoneDelay {
                 panel,
@@ -1243,7 +1330,7 @@ impl Claim {
                             .fold(f64::INFINITY, f64::min)
                     })
                     .collect();
-                (vals, min_step_ratio, true, "step ratio")
+                (vals, Bound::AtLeast(min_step_ratio), "step ratio")
             }
             Check::ThroughputFloor {
                 panel,
@@ -1261,7 +1348,7 @@ impl Claim {
                             .fold(f64::INFINITY, f64::min)
                     })
                     .collect();
-                (vals, min_ratio, true, "ratio")
+                (vals, Bound::AtLeast(min_ratio), "ratio")
             }
             Check::UtilizationScales {
                 panel,
@@ -1271,8 +1358,8 @@ impl Claim {
                 min_ratio_of_ratios,
             } => {
                 let series = arbiter_series(e.panel(panel), arbiter);
-                let lo = point_at(&series, lo_load, self.id);
-                let hi = point_at(&series, hi_load, self.id);
+                let lo = point_at(&series, lo_load);
+                let hi = point_at(&series, hi_load);
                 let vals = (0..e.panel_seed_count(panel))
                     .map(|s| {
                         let u_lo = CurveMetric::WindowUtilizationPct
@@ -1284,7 +1371,7 @@ impl Claim {
                         (u_hi / u_lo) / (l_hi / l_lo).max(1e-9)
                     })
                     .collect();
-                (vals, min_ratio_of_ratios, true, "ratio of ratios")
+                (vals, Bound::AtLeast(min_ratio_of_ratios), "ratio of ratios")
             }
             Check::BurstConcentration {
                 within_fraction,
@@ -1300,7 +1387,7 @@ impl Claim {
                         head as f64 / total.max(1) as f64
                     })
                     .collect();
-                (vals, min_mass, true, "mass fraction")
+                (vals, Bound::AtLeast(min_mass), "mass fraction")
             }
             Check::SmoothCoverage {
                 min_active_fraction,
@@ -1310,7 +1397,7 @@ impl Claim {
                     .iter()
                     .map(|h| h.iter().filter(|&&b| b > 0).count() as f64 / h.len() as f64)
                     .collect();
-                (vals, min_active_fraction, true, "active fraction")
+                (vals, Bound::AtLeast(min_active_fraction), "active fraction")
             }
             Check::SmoothPeak { max_peak_over_mean } => {
                 let vals = e
@@ -1322,7 +1409,7 @@ impl Claim {
                         peak / mean.max(1e-9)
                     })
                     .collect();
-                (vals, max_peak_over_mean, false, "peak/mean")
+                (vals, Bound::AtMost(max_peak_over_mean), "peak/mean")
             }
             Check::Sawtooth {
                 sequence,
@@ -1349,7 +1436,7 @@ impl Claim {
                         peaked as f64 / gops as f64
                     })
                     .collect();
-                (vals, min_peak_fraction, true, "GOP fraction")
+                (vals, Bound::AtLeast(min_peak_fraction), "GOP fraction")
             }
             Check::AvgRatesWithinFactor { factor } => {
                 let vals = e
@@ -1366,7 +1453,7 @@ impl Claim {
                             .fold(0.0f64, f64::max)
                     })
                     .collect();
-                (vals, factor, false, "x")
+                (vals, Bound::AtMost(factor), "x")
             }
             Check::FrameTypeOrdering { min_ratio } => {
                 let vals = e
@@ -1393,31 +1480,8 @@ impl Claim {
                             .fold(f64::INFINITY, f64::min)
                     })
                     .collect();
-                (vals, min_ratio, true, "ratio")
+                (vals, Bound::AtLeast(min_ratio), "ratio")
             }
-        };
-
-        let med = median(&per_seed);
-        let lo = per_seed.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = per_seed.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let margin = if higher_is_better {
-            med - threshold
-        } else {
-            threshold - med
-        };
-        ClaimOutcome {
-            id: self.id.to_string(),
-            figure: self.figure.label().to_string(),
-            description: self.description.to_string(),
-            pass: margin >= 0.0,
-            median: med,
-            spread_min: lo,
-            spread_max: hi,
-            per_seed,
-            threshold,
-            higher_is_better,
-            margin,
-            unit: unit.to_string(),
         }
     }
 }
@@ -1436,65 +1500,11 @@ pub fn run_conformance(options: EnsembleOptions, cache: &mut ExperimentCache) ->
 /// Evaluate the committed manifest against an already-built ensemble.
 pub fn report_from(ensemble: &Ensemble, fidelity: Fidelity) -> ConformanceReport {
     ConformanceReport {
-        fidelity: match fidelity {
-            Fidelity::Quick => "quick",
-            Fidelity::Full => "full",
-        }
-        .to_string(),
+        fidelity: fidelity.label().to_string(),
         cbr_seeds: ensemble.cbr_seeds.clone(),
         vbr_seeds: ensemble.vbr_seeds.clone(),
         frontier_seeds: ensemble.frontier_seeds.clone(),
         claims: evaluate_all(&paper_claims(), ensemble),
-    }
-}
-
-/// The Frontier-figure subset of the committed manifest.
-pub fn frontier_claims() -> Vec<Claim> {
-    paper_claims()
-        .into_iter()
-        .filter(|c| c.figure == Figure::Frontier)
-        .collect()
-}
-
-/// Build ONLY the frontier-ablation panel (no Fig. 5/8/9 sweeps, no
-/// traces): the sweep-free ensemble `ablation_frontier` evaluates the
-/// Frontier claims against.  Panels other than
-/// [`Panel::FrontierCbr`] are left empty, so only Frontier-figure
-/// claims may be evaluated against the result.
-pub fn frontier_ensemble(options: EnsembleOptions, cache: &mut ExperimentCache) -> Ensemble {
-    let base = SimConfig::default().seed;
-    let frontier_seeds = ensemble_seeds(base, options.frontier_seeds);
-    let mut spec = frontier_conformance_spec(options.fidelity);
-    spec.seeds = frontier_seeds.clone();
-    let frontier = run_sweep_cached(&spec, cache, options.workers);
-    Ensemble {
-        cbr_seeds: vec![],
-        vbr_seeds: vec![],
-        frontier_seeds,
-        fig5: vec![],
-        frontier,
-        fig9_sr: vec![],
-        fig9_bb: vec![],
-        traces: vec![],
-        bb_hist: vec![],
-        sr_hist: vec![],
-    }
-}
-
-/// Run the frontier ablation alone and evaluate its claims — the
-/// `ablation_frontier --gate` entry point.
-pub fn run_frontier(options: EnsembleOptions, cache: &mut ExperimentCache) -> ConformanceReport {
-    let ensemble = frontier_ensemble(options, cache);
-    ConformanceReport {
-        fidelity: match options.fidelity {
-            Fidelity::Quick => "quick",
-            Fidelity::Full => "full",
-        }
-        .to_string(),
-        cbr_seeds: vec![],
-        vbr_seeds: vec![],
-        frontier_seeds: ensemble.frontier_seeds.clone(),
-        claims: evaluate_all(&frontier_claims(), &ensemble),
     }
 }
 
@@ -1587,13 +1597,16 @@ mod tests {
 
     #[test]
     fn frontier_claims_are_the_frontier_figure_subset() {
-        let claims = frontier_claims();
+        // The Frontier claims are gated with the rest of the manifest.
+        let claims: Vec<Claim> = paper_claims()
+            .into_iter()
+            .filter(|c| c.figure == Figure::Frontier)
+            .collect();
         assert!(
             claims.len() >= 4,
             "frontier manifest holds {} claims",
             claims.len()
         );
-        assert!(claims.iter().all(|c| c.figure == Figure::Frontier));
         assert!(claims
             .iter()
             .any(|c| c.id == "frontier.coa-within-factor-of-mwm"));
@@ -1654,12 +1667,6 @@ mod tests {
         let bb_model = InjectionModel::back_to_back_for(FIG7_BB_PEAK_FLITS, FRAME_TIME_SECS, &tb);
         let e = Ensemble {
             cbr_seeds: cbr_seeds.clone(),
-            vbr_seeds: vec![],
-            frontier_seeds: vec![],
-            fig5: vec![],
-            frontier: vec![],
-            fig9_sr: vec![],
-            fig9_bb: vec![],
             traces,
             bb_hist: cbr_seeds
                 .iter()
@@ -1669,6 +1676,7 @@ mod tests {
                 .iter()
                 .map(|&s| injection_histogram(InjectionModel::SmoothRate, FIG7_SLOTS, s))
                 .collect(),
+            ..Ensemble::default()
         };
         for claim in paper_claims()
             .iter()
@@ -1687,20 +1695,18 @@ mod tests {
 
     #[test]
     fn report_serializes_and_roundtrips() {
-        let outcome = ClaimOutcome {
-            id: "x".into(),
-            figure: "Fig. 5".into(),
-            description: "d".into(),
-            pass: true,
-            median: 1.0,
-            spread_min: 0.5,
-            spread_max: 1.5,
-            per_seed: vec![0.5, 1.0, 1.5],
-            threshold: 0.5,
-            higher_is_better: true,
-            margin: 0.5,
-            unit: "x".into(),
-        };
+        let outcome = ClaimOutcome::new(
+            "x",
+            "Fig. 5",
+            "d",
+            vec![1.5, 0.5, 1.0],
+            Bound::AtLeast(0.5),
+            "x",
+        );
+        assert_eq!((outcome.median, outcome.margin), (1.0, 0.5));
+        assert_eq!((outcome.spread_min, outcome.spread_max), (0.5, 1.5));
+        let flipped = ClaimOutcome::new("x", "Fig. 5", "d", vec![1.0], Bound::AtMost(0.5), "x");
+        assert!(!flipped.pass && !flipped.higher_is_better && flipped.margin == -0.5);
         let report = ConformanceReport {
             fidelity: "quick".into(),
             cbr_seeds: vec![1, 2],

@@ -24,6 +24,16 @@ pub enum Fidelity {
     Full,
 }
 
+impl Fidelity {
+    /// `"quick"` / `"full"`, as reports record it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fidelity::Quick => "quick",
+            Fidelity::Full => "full",
+        }
+    }
+}
+
 /// Flit cycles needed for `gops` GOPs (15 frames × 33 ms each) plus a
 /// drain margin.
 pub fn vbr_cycle_budget(gops: usize) -> u64 {

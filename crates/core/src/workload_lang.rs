@@ -22,7 +22,9 @@ use crate::config::{
     BestEffortSpec, ChurnConfig, FabricSpec, FaultSpec, MixGroup, RampScheduleConfig,
     RampStepConfig, RunLength, SimConfig, WorkloadSpec as ConfigWorkload,
 };
-use crate::conformance::{ensemble_seeds, median, ClaimOutcome};
+use crate::conformance::{
+    ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, Panel,
+};
 use crate::scenarios::Fidelity;
 use crate::sweep::{SweepPoint, SweepSpec};
 use mmr_arbiter::scheduler::ArbiterKind;
@@ -1429,11 +1431,13 @@ impl WorkloadSpec {
         })
     }
 
+    /// Lower one `[[claim]]` onto the conformance vocabulary: every kind
+    /// reads the pack's own sweep ([`Panel::Pack`]) at its `at_load`.
     fn compile_claim(
         &self,
         c: &ClaimSpec,
         arbiters: &[ArbiterKind],
-    ) -> Result<PackClaim, SpecError> {
+    ) -> Result<CompiledClaim, SpecError> {
         let arbiter = match &c.arbiter {
             Some(name) => parse_arbiter(name)?,
             None => arbiters[0],
@@ -1441,47 +1445,34 @@ impl WorkloadSpec {
         let class = |label: &Option<String>| -> Result<TrafficClass, SpecError> {
             parse_class(label.as_deref().unwrap_or(""))
         };
+        let at_point = |metric, bound| Check::AtPoint {
+            panel: Panel::Pack,
+            metric,
+            arbiter,
+            at_load: c.at_load,
+            bound,
+        };
+        let (at_most, at_least) = (Bound::AtMost(c.threshold), Bound::AtLeast(c.threshold));
         let check = match c.kind.as_str() {
-            "delay-below" => PackCheck::DelayBelow {
-                class: class(&c.class)?,
-                arbiter,
+            "delay-below" => at_point(CurveMetric::ClassDelayUs(class(&c.class)?), at_most),
+            "delay-ratio-at-least" => at_point(
+                CurveMetric::ClassDelayRatio(class(&c.slower)?, class(&c.faster)?),
+                at_least,
+            ),
+            "delay-within-factor" => Check::RatioAtPoint {
+                metric: CurveMetric::ClassDelayUs(class(&c.class)?),
                 at_load: c.at_load,
-                max_us: c.threshold,
+                num: (Panel::Pack, arbiter),
+                den: (
+                    Panel::Pack,
+                    parse_arbiter(c.versus.as_deref().unwrap_or(""))?,
+                ),
+                bound: at_most,
             },
-            "delay-ratio-at-least" => PackCheck::DelayRatioAtLeast {
-                slower: class(&c.slower)?,
-                faster: class(&c.faster)?,
-                arbiter,
-                at_load: c.at_load,
-                min_ratio: c.threshold,
-            },
-            "delay-within-factor" => PackCheck::DelayWithinFactor {
-                class: class(&c.class)?,
-                arbiter,
-                versus: parse_arbiter(c.versus.as_deref().unwrap_or(""))?,
-                at_load: c.at_load,
-                max_factor: c.threshold,
-            },
-            "throughput-floor" => PackCheck::ThroughputFloor {
-                arbiter,
-                at_load: c.at_load,
-                min_ratio: c.threshold,
-            },
-            "fairness-above" => PackCheck::FairnessAbove {
-                arbiter,
-                at_load: c.at_load,
-                min_jain: c.threshold,
-            },
-            "reject-rate-below" => PackCheck::RejectRateBelow {
-                arbiter,
-                at_load: c.at_load,
-                max_rate: c.threshold,
-            },
-            "utilization-above" => PackCheck::UtilizationAbove {
-                arbiter,
-                at_load: c.at_load,
-                min_utilization: c.threshold,
-            },
+            "throughput-floor" => at_point(CurveMetric::ThroughputRatio, at_least),
+            "fairness-above" => at_point(CurveMetric::Fairness, at_least),
+            "reject-rate-below" => at_point(CurveMetric::RejectRate, at_most),
+            "utilization-above" => at_point(CurveMetric::CrossbarUtilization, at_least),
             other => {
                 return Err(SpecError::UnknownClaimKind {
                     id: c.id.clone(),
@@ -1489,7 +1480,7 @@ impl WorkloadSpec {
                 })
             }
         };
-        Ok(PackClaim {
+        Ok(CompiledClaim {
             id: c.id.clone(),
             description: c.description.clone(),
             check,
@@ -1501,96 +1492,16 @@ impl WorkloadSpec {
 // Compiled packs and claim evaluation
 // ---------------------------------------------------------------------------
 
-/// A typed pack check, mirroring the conformance engine's `Check` kinds
-/// but anchored at one sweep grid point.
+/// One compiled `[[claim]]`: the document's identity over a conformance
+/// [`Check`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum PackCheck {
-    /// Class delay stays below a bound (µs).
-    DelayBelow {
-        /// Class whose delay is read.
-        class: TrafficClass,
-        /// Arbiter under test.
-        arbiter: ArbiterKind,
-        /// Grid load the claim anchors at.
-        at_load: f64,
-        /// Maximum allowed median delay (µs).
-        max_us: f64,
-    },
-    /// One class's delay is at least `min_ratio` times another's.
-    DelayRatioAtLeast {
-        /// Class expected to see more delay.
-        slower: TrafficClass,
-        /// Class expected to see less delay.
-        faster: TrafficClass,
-        /// Arbiter under test.
-        arbiter: ArbiterKind,
-        /// Grid load.
-        at_load: f64,
-        /// Minimum delay ratio.
-        min_ratio: f64,
-    },
-    /// A class's delay under one arbiter stays within a factor of the
-    /// same class's delay under another.
-    DelayWithinFactor {
-        /// Class whose delay is read.
-        class: TrafficClass,
-        /// Arbiter under test (numerator).
-        arbiter: ArbiterKind,
-        /// Comparison arbiter (denominator).
-        versus: ArbiterKind,
-        /// Grid load.
-        at_load: f64,
-        /// Maximum allowed ratio.
-        max_factor: f64,
-    },
-    /// Delivered/generated throughput stays above a floor.
-    ThroughputFloor {
-        /// Arbiter under test.
-        arbiter: ArbiterKind,
-        /// Grid load.
-        at_load: f64,
-        /// Minimum throughput ratio.
-        min_ratio: f64,
-    },
-    /// Jain's fairness index over per-connection delivered/reserved
-    /// ratios stays above a floor.
-    FairnessAbove {
-        /// Arbiter under test.
-        arbiter: ArbiterKind,
-        /// Grid load.
-        at_load: f64,
-        /// Minimum Jain's index.
-        min_jain: f64,
-    },
-    /// CAC rejection rate stays below a ceiling.
-    RejectRateBelow {
-        /// Arbiter under test.
-        arbiter: ArbiterKind,
-        /// Grid load.
-        at_load: f64,
-        /// Maximum rejection fraction.
-        max_rate: f64,
-    },
-    /// Crossbar utilization stays above a floor.
-    UtilizationAbove {
-        /// Arbiter under test.
-        arbiter: ArbiterKind,
-        /// Grid load.
-        at_load: f64,
-        /// Minimum utilization.
-        min_utilization: f64,
-    },
-}
-
-/// One compiled pack claim.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackClaim {
+pub struct CompiledClaim {
     /// Claim id.
     pub id: String,
     /// Description for reports.
     pub description: String,
-    /// The typed check.
-    pub check: PackCheck,
+    /// The typed check, read against [`Panel::Pack`].
+    pub check: Check,
 }
 
 /// A compiled pack: the sweep to run plus the claims to gate it with.
@@ -1606,7 +1517,7 @@ pub struct CompiledPack {
     /// The sweep grid.
     pub sweep: SweepSpec,
     /// Typed claims.
-    pub claims: Vec<PackClaim>,
+    pub claims: Vec<CompiledClaim>,
 }
 
 /// Per-class delay entry of a [`PackCurvePoint`].
@@ -1663,58 +1574,18 @@ pub struct PackReport {
 }
 
 impl PackReport {
-    /// True when every claim passed.
-    pub fn all_pass(&self) -> bool {
-        self.claims.iter().all(|c| c.pass)
-    }
-
-    /// Claims that failed.
-    pub fn failed(&self) -> Vec<&ClaimOutcome> {
-        self.claims.iter().filter(|c| !c.pass).collect()
-    }
-
-    /// One line per claim, conformance-report style.
+    /// The pack header, then one line per claim (`render_claims`).
     pub fn render_text(&self) -> String {
-        let mut s = format!(
-            "pack {} [{}] — {} loads x {} arbiters x {} seeds\n",
+        format!(
+            "pack {} [{}] — {} loads x {} arbiters x {} seeds\n{}",
             self.pack,
             self.fidelity,
             self.loads.len(),
             self.arbiters.len(),
             self.seeds.len(),
-        );
-        for c in &self.claims {
-            let op = if c.higher_is_better { ">=" } else { "<=" };
-            s.push_str(&format!(
-                "{} {:<32} {:.4} {} {:.4} (margin {:+.4} {}, seeds {:.4}..{:.4})\n",
-                if c.pass { "PASS" } else { "FAIL" },
-                c.id,
-                c.median,
-                op,
-                c.threshold,
-                c.margin,
-                c.unit,
-                c.spread_min,
-                c.spread_max,
-            ));
-        }
-        s
+            render_claims(&self.claims),
+        )
     }
-}
-
-fn class_delay_of(r: &crate::experiment::ExperimentResult, class: TrafficClass) -> f64 {
-    r.summary
-        .metrics
-        .class(class)
-        .map(|c| c.mean_delay_us)
-        .unwrap_or(0.0)
-}
-
-fn find_point(points: &[SweepPoint], arbiter: ArbiterKind, at_load: f64) -> &SweepPoint {
-    points
-        .iter()
-        .find(|p| p.arbiter == arbiter && (p.target_load - at_load).abs() < LOAD_EPS)
-        .expect("validated claim anchors at a swept (arbiter, load) cell")
 }
 
 impl CompiledPack {
@@ -1722,10 +1593,17 @@ impl CompiledPack {
     /// assemble the report.  `points` must come from running
     /// [`Self::sweep`] (same grid, seeds innermost).
     pub fn evaluate(&self, points: &[SweepPoint], fidelity: Fidelity) -> PackReport {
+        let ensemble = Ensemble {
+            pack: points.to_vec(),
+            ..Ensemble::default()
+        };
         let claims = self
             .claims
             .iter()
-            .map(|claim| self.evaluate_claim(claim, points))
+            .map(|c| {
+                let (per_seed, bound, unit) = c.check.measure(&ensemble);
+                ClaimOutcome::new(&c.id, &self.name, &c.description, per_seed, bound, unit)
+            })
             .collect();
         let curves = points
             .iter()
@@ -1761,10 +1639,7 @@ impl CompiledPack {
         PackReport {
             pack: self.name.clone(),
             description: self.description.clone(),
-            fidelity: match fidelity {
-                Fidelity::Quick => "quick".into(),
-                Fidelity::Full => "full".into(),
-            },
+            fidelity: fidelity.label().to_string(),
             seeds: self.sweep.seeds.clone(),
             loads: self.sweep.loads.clone(),
             arbiters: self
@@ -1775,163 +1650,6 @@ impl CompiledPack {
                 .collect(),
             claims,
             curves,
-        }
-    }
-
-    fn evaluate_claim(&self, claim: &PackClaim, points: &[SweepPoint]) -> ClaimOutcome {
-        // Per-seed scalars, the gate direction, the threshold, and a unit.
-        let (per_seed, higher_is_better, threshold, unit): (Vec<f64>, bool, f64, &str) =
-            match &claim.check {
-                PackCheck::DelayBelow {
-                    class,
-                    arbiter,
-                    at_load,
-                    max_us,
-                } => {
-                    let p = find_point(points, *arbiter, *at_load);
-                    (
-                        p.results
-                            .iter()
-                            .map(|r| class_delay_of(r, *class))
-                            .collect(),
-                        false,
-                        *max_us,
-                        "us",
-                    )
-                }
-                PackCheck::DelayRatioAtLeast {
-                    slower,
-                    faster,
-                    arbiter,
-                    at_load,
-                    min_ratio,
-                } => {
-                    let p = find_point(points, *arbiter, *at_load);
-                    (
-                        p.results
-                            .iter()
-                            .map(|r| {
-                                class_delay_of(r, *slower)
-                                    / class_delay_of(r, *faster).max(f64::EPSILON)
-                            })
-                            .collect(),
-                        true,
-                        *min_ratio,
-                        "x",
-                    )
-                }
-                PackCheck::DelayWithinFactor {
-                    class,
-                    arbiter,
-                    versus,
-                    at_load,
-                    max_factor,
-                } => {
-                    let a = find_point(points, *arbiter, *at_load);
-                    let b = find_point(points, *versus, *at_load);
-                    (
-                        a.results
-                            .iter()
-                            .zip(&b.results)
-                            .map(|(ra, rb)| {
-                                class_delay_of(ra, *class)
-                                    / class_delay_of(rb, *class).max(f64::EPSILON)
-                            })
-                            .collect(),
-                        false,
-                        *max_factor,
-                        "x",
-                    )
-                }
-                PackCheck::ThroughputFloor {
-                    arbiter,
-                    at_load,
-                    min_ratio,
-                } => {
-                    let p = find_point(points, *arbiter, *at_load);
-                    (
-                        p.results
-                            .iter()
-                            .map(|r| r.summary.throughput_ratio())
-                            .collect(),
-                        true,
-                        *min_ratio,
-                        "ratio",
-                    )
-                }
-                PackCheck::FairnessAbove {
-                    arbiter,
-                    at_load,
-                    min_jain,
-                } => {
-                    let p = find_point(points, *arbiter, *at_load);
-                    (
-                        p.results
-                            .iter()
-                            .map(|r| r.summary.reservation_fairness)
-                            .collect(),
-                        true,
-                        *min_jain,
-                        "jain",
-                    )
-                }
-                PackCheck::RejectRateBelow {
-                    arbiter,
-                    at_load,
-                    max_rate,
-                } => {
-                    let p = find_point(points, *arbiter, *at_load);
-                    (
-                        p.results
-                            .iter()
-                            .map(|r| r.admission.reject_rate())
-                            .collect(),
-                        false,
-                        *max_rate,
-                        "fraction",
-                    )
-                }
-                PackCheck::UtilizationAbove {
-                    arbiter,
-                    at_load,
-                    min_utilization,
-                } => {
-                    let p = find_point(points, *arbiter, *at_load);
-                    (
-                        p.results
-                            .iter()
-                            .map(|r| r.summary.crossbar_utilization)
-                            .collect(),
-                        true,
-                        *min_utilization,
-                        "fraction",
-                    )
-                }
-            };
-        let med = median(&per_seed);
-        let pass = if higher_is_better {
-            med >= threshold
-        } else {
-            med <= threshold
-        };
-        let margin = if higher_is_better {
-            med - threshold
-        } else {
-            threshold - med
-        };
-        ClaimOutcome {
-            id: claim.id.clone(),
-            figure: self.name.clone(),
-            description: claim.description.clone(),
-            pass,
-            median: med,
-            spread_min: per_seed.iter().fold(f64::INFINITY, |a, &b| a.min(b)),
-            spread_max: per_seed.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
-            per_seed,
-            threshold,
-            higher_is_better,
-            margin,
-            unit: unit.to_string(),
         }
     }
 }

@@ -13,8 +13,8 @@
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::conformance::{
-    evaluate_all, paper_claims, report_from, Check, Claim, CurveMetric, Ensemble, EnsembleOptions,
-    Figure, Panel,
+    evaluate_all, paper_claims, report_from, Bound, Check, Claim, CurveMetric, Ensemble,
+    EnsembleOptions, Figure, Panel,
 };
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::scenarios::Fidelity;
@@ -85,10 +85,10 @@ fn manifest_spans_every_figure_with_at_least_ten_claims() {
         .find(|c| c.id == "fig5.coa-high-delay-86")
         .expect("delay claim exists");
     match delay.check {
-        Check::DelayBelow {
+        Check::AtPoint {
             arbiter,
             at_load,
-            max_value,
+            bound: Bound::AtMost(max_value),
             ..
         } => {
             assert_eq!(arbiter, ArbiterKind::Coa);
@@ -193,12 +193,12 @@ fn inverted_claims_fail_against_the_same_ensemble() {
         id: "negative.wfa-meets-coa-bound",
         figure: Figure::Fig5,
         description: "artificially inverted: WFA holds COA's 10 us bound at 86%",
-        check: Check::DelayBelow {
+        check: Check::AtPoint {
             panel: Panel::Fig5Cbr,
             metric: high,
             arbiter: ArbiterKind::Wfa,
             at_load: 0.86,
-            max_value: 10.0,
+            bound: Bound::AtMost(10.0),
         },
     };
     let o = inverted_delay.evaluate(e);

@@ -8,10 +8,13 @@
 //! panics.
 
 use mmr_core::config::{EngineMode, SimConfig};
-use mmr_core::experiment::{build_router, build_workload, run_experiment};
+use mmr_core::conformance::{run_sweep_cached, Bound, Check};
+use mmr_core::experiment::{build_router, build_workload, run_experiment, ExperimentResult};
+use mmr_core::saturation::ExperimentCache;
 use mmr_core::scenarios::{fig5, Fidelity};
 use mmr_core::sim::engine::{Runner, StopCondition};
-use mmr_core::workload_lang::{SpecError, WorkloadSpec};
+use mmr_core::sweep::SweepPoint;
+use mmr_core::workload_lang::{parse_arbiter, parse_class, ClaimSpec, SpecError, WorkloadSpec};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -162,6 +165,127 @@ fn scenario_packs_carry_enough_claims() {
         let claims = spec.claim.as_ref().map(|c| c.len()).unwrap_or(0);
         assert!(claims >= min_claims, "{name} has only {claims} claims");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pack claims: gated, and recomputable from the raw sweep points
+// ---------------------------------------------------------------------------
+
+/// One claim's per-seed scalars, recomputed from the raw sweep points with
+/// each `kind`'s original formula — independent of the claim engine.
+fn recompute_per_seed(c: &ClaimSpec, first_arbiter: &str, points: &[SweepPoint]) -> Vec<f64> {
+    let cell = |name: &str| {
+        let arbiter = parse_arbiter(name).expect("arbiter parses");
+        points
+            .iter()
+            .find(|p| p.arbiter == arbiter && (p.target_load - c.at_load).abs() < 1e-6)
+            .expect("claim anchors at a swept cell")
+    };
+    let delay = |r: &ExperimentResult, label: &Option<String>| {
+        let class = parse_class(label.as_deref().expect("class named")).expect("class parses");
+        r.summary
+            .metrics
+            .class(class)
+            .map(|m| m.mean_delay_us)
+            .unwrap_or(0.0)
+    };
+    let p = cell(c.arbiter.as_deref().unwrap_or(first_arbiter));
+    let each = |f: &dyn Fn(&ExperimentResult) -> f64| p.results.iter().map(f).collect();
+    match c.kind.as_str() {
+        "delay-below" => each(&|r| delay(r, &c.class)),
+        "delay-ratio-at-least" => {
+            each(&|r| delay(r, &c.slower) / delay(r, &c.faster).max(f64::EPSILON))
+        }
+        "delay-within-factor" => {
+            let versus = cell(c.versus.as_deref().expect("versus named"));
+            p.results
+                .iter()
+                .zip(&versus.results)
+                .map(|(a, b)| delay(a, &c.class) / delay(b, &c.class).max(f64::EPSILON))
+                .collect()
+        }
+        "throughput-floor" => each(&|r| r.summary.throughput_ratio()),
+        "fairness-above" => each(&|r| r.summary.reservation_fairness),
+        "reject-rate-below" => each(&|r| r.admission.reject_rate()),
+        "utilization-above" => each(&|r| r.summary.crossbar_utilization),
+        other => panic!("claim {} has unknown kind {other}", c.id),
+    }
+}
+
+#[test]
+fn committed_pack_claims_pass_and_match_a_recomputation() {
+    let mut cache = ExperimentCache::new();
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut total = 0;
+    for name in ["paper_fig5.toml", "wimax_classes.toml", "noc_fair.toml"] {
+        let spec = load_pack(name);
+        let pack = spec.compile(Fidelity::Quick).expect("pack compiles");
+        let points = run_sweep_cached(&pack.sweep, &mut cache, None);
+        let report = pack.evaluate(&points, Fidelity::Quick);
+        let claims = spec.claim.as_deref().expect("pack carries claims");
+        assert_eq!(report.claims.len(), claims.len());
+        for (c, o) in claims.iter().zip(&report.claims) {
+            assert_eq!(o.id, c.id);
+            assert!(o.pass, "{}: median {} vs {}", o.id, o.median, o.threshold);
+            assert!(
+                o.margin > 0.0,
+                "{}: margin {} leaves no room",
+                o.id,
+                o.margin
+            );
+            let want = recompute_per_seed(c, &spec.sweep.arbiters[0], &points);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&o.per_seed),
+                bits(&want),
+                "{}: per-seed values moved",
+                o.id
+            );
+            assert_eq!(o.per_seed.len(), pack.sweep.seeds.len());
+            assert_eq!(o.threshold.to_bits(), c.threshold.to_bits());
+            let upper_bound = matches!(
+                c.kind.as_str(),
+                "delay-below" | "delay-within-factor" | "reject-rate-below"
+            );
+            assert_eq!(o.higher_is_better, !upper_bound, "{}: direction", o.id);
+            kinds.insert(c.kind.clone());
+            total += 1;
+        }
+
+        // Negative control: the same measurements judged with every bound
+        // flipped must fail, or the gate could not reject anything.
+        let mut flipped = pack.clone();
+        for c in &mut flipped.claims {
+            match &mut c.check {
+                Check::AtPoint { bound, .. } | Check::RatioAtPoint { bound, .. } => {
+                    *bound = match *bound {
+                        Bound::AtMost(x) => Bound::AtLeast(x),
+                        Bound::AtLeast(x) => Bound::AtMost(x),
+                    }
+                }
+                other => panic!("{}: pack claims are point checks, got {other:?}", c.id),
+            }
+        }
+        let flipped = flipped.evaluate(&points, Fidelity::Quick);
+        for (o, f) in report.claims.iter().zip(&flipped.claims) {
+            assert_eq!(
+                f.per_seed, o.per_seed,
+                "{}: flipping moved the values",
+                f.id
+            );
+            assert!(
+                !f.pass,
+                "{}: flipped bound still passes ({})",
+                f.id, f.median
+            );
+        }
+    }
+    assert_eq!(total, 11, "the three committed packs carry 11 claims");
+    assert_eq!(
+        kinds.len(),
+        7,
+        "all seven claim kinds are covered: {kinds:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
