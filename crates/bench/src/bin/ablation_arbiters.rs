@@ -6,15 +6,18 @@
 //! awareness (greedy has it, iSLIP/PIM/random do not) and conflict-aware
 //! port ordering (only COA).
 
-use mmr_bench::{banner, emit, fidelity_from_args};
+use mmr_bench::{banner, committed_pack, emit, fidelity_from_args};
+use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::report::render_xy_table;
-use mmr_core::scenarios::{arbiter_field, Fidelity};
 use mmr_core::sweep::sweep;
+use mmr_core::workload_lang::Fidelity;
 use mmr_traffic::connection::TrafficClass;
 
 fn main() {
     let fidelity = fidelity_from_args();
-    let spec = arbiter_field(fidelity);
+    // The Fig. 5 CBR sweep over every scheduler.
+    let mut spec = committed_pack("paper_fig5", fidelity).sweep;
+    spec.arbiters = ArbiterKind::all();
     let mut out = banner("Ablation", "switch-scheduler field, CBR mix", fidelity);
     eprintln!("running {} simulation points…", spec.point_count());
     let points = sweep(&spec);

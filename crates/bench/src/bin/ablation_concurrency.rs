@@ -6,10 +6,11 @@
 //! shows admitted load and resulting frame delay across factors.
 
 use mmr_bench::{banner, emit, fidelity_from_args};
+use mmr_core::config::vbr_cycle_budget;
 use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::report::TextTable;
-use mmr_core::scenarios::{vbr_cycle_budget, Fidelity};
 use mmr_core::sweep::{sweep, SweepSpec};
+use mmr_core::workload_lang::Fidelity;
 use mmr_router::config::RouterConfig;
 use mmr_traffic::admission::RoundConfig;
 

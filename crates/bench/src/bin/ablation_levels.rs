@@ -9,8 +9,8 @@ use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_bench::{banner, emit, fidelity_from_args};
 use mmr_core::config::{RunLength, SimConfig, WorkloadSpec};
 use mmr_core::report::TextTable;
-use mmr_core::scenarios::Fidelity;
 use mmr_core::sweep::{sweep, SweepSpec};
+use mmr_core::workload_lang::Fidelity;
 use mmr_router::config::RouterConfig;
 
 fn main() {

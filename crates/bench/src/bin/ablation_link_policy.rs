@@ -9,12 +9,13 @@
 //! throughput but still pins burst service to table positions.
 
 use mmr_bench::{banner, emit, fidelity_from_args};
+use mmr_core::config::vbr_cycle_budget;
 use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::run_experiment;
 use mmr_core::report::TextTable;
 use mmr_core::router::config::{LinkPolicy, RouterConfig};
-use mmr_core::scenarios::{vbr_cycle_budget, Fidelity};
 use mmr_core::traffic::connection::TrafficClass;
+use mmr_core::workload_lang::Fidelity;
 
 fn policies() -> Vec<(&'static str, LinkPolicy)> {
     vec![

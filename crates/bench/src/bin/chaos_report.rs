@@ -8,7 +8,7 @@
 //! traffic absorbs the loss.
 
 use mmr_bench::{banner, emit, fidelity_from_args};
-use mmr_core::scenarios::chaos;
+use mmr_core::config::chaos;
 use mmr_core::sweep::run_all;
 use mmr_router::fault::FaultReport;
 use mmr_traffic::connection::TrafficClass;

@@ -10,8 +10,8 @@ use mmr_bench::{banner, emit, fidelity_from_args};
 use mmr_core::config::{BestEffortSpec, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::run_experiment;
 use mmr_core::report::TextTable;
-use mmr_core::scenarios::Fidelity;
 use mmr_core::traffic::connection::TrafficClass;
+use mmr_core::workload_lang::Fidelity;
 
 fn main() {
     let fidelity = fidelity_from_args();

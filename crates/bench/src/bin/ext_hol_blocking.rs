@@ -11,7 +11,7 @@ use mmr_core::config::{RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::run_experiment;
 use mmr_core::report::TextTable;
 use mmr_core::router::holfifo::FifoSwitch;
-use mmr_core::scenarios::Fidelity;
+use mmr_core::workload_lang::Fidelity;
 
 fn main() {
     let fidelity = fidelity_from_args();

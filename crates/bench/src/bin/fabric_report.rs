@@ -7,7 +7,7 @@
 //!   columns): the CBR mix through 1–4 routers in tandem, COA vs WFA,
 //!   end-to-end high-class delay / max stage utilization / throughput.
 //! * **Fabric scaling**: the 16-router 4×4 mesh at load 0.6
-//!   (`scenarios::fabric_mesh`) executed at worker counts 1/2/8,
+//!   (`workloads/fabric_mesh.toml`) executed at worker counts 1/2/8,
 //!   reporting routers × connections × simulated cycles/sec, with the
 //!   run results asserted bit-identical across every worker count.
 //!   `workers` is the number of chunks the fabric is split into; each
@@ -46,11 +46,11 @@
 
 use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
-use mmr_bench::{banner, emit, fidelity_from_args, results_dir};
+use mmr_bench::{banner, committed_pack, emit, fidelity_from_args, results_dir};
 use mmr_core::config::{RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::{build_fabric, build_fabric_workload, build_router, build_workload};
 use mmr_core::report::TextTable;
-use mmr_core::scenarios::{fabric_mesh, Fidelity};
+use mmr_core::workload_lang::Fidelity;
 use mmr_router::config::RouterConfig;
 use mmr_router::fabric::{Fabric, FabricConfig, FabricRunOutcome, Topology};
 use mmr_sim::engine::{Runner, StopCondition};
@@ -269,7 +269,10 @@ fn main() {
     line_section(fidelity);
 
     // --- Fabric scaling: 4x4 mesh, load 0.6, workers 1/2/8 ---------------
-    let cfg = fabric_mesh(fidelity);
+    let cfg = committed_pack("fabric_mesh", fidelity)
+        .sweep
+        .configs()
+        .remove(0);
     let (RunLength::Cycles(cycles) | RunLength::UntilDrained { max_cycles: cycles }) = cfg.run;
     let reps = match fidelity {
         Fidelity::Quick => 2,

@@ -3,7 +3,7 @@
 //! showing the I ≫ P ≫ B burst structure inside each GOP.
 
 use mmr_bench::{banner, emit, fidelity_from_args};
-use mmr_core::scenarios::Fidelity;
+use mmr_core::workload_lang::Fidelity;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::TimeBase;
 use mmr_traffic::mpeg::{standard_sequences, MpegTrace, FRAME_TIME_SECS};

@@ -18,17 +18,19 @@
 //! gate on it.  Pass `--full` for the paper-scale run.
 
 use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overview};
-use mmr_bench::{fidelity_from_args, results_dir};
+use mmr_bench::{committed_pack, fidelity_from_args, results_dir};
 use mmr_core::config::TelemetrySpec;
 use mmr_core::experiment::run_experiment;
-use mmr_core::scenarios::fig5;
 use mmr_sim::telemetry::validate_exposition;
 
 fn main() {
     let fidelity = fidelity_from_args();
     println!("metrics_dump: {} mode", fidelity.label());
 
-    let mut cfg = fig5(fidelity).base.with_load(0.7);
+    let mut cfg = committed_pack("paper_fig5", fidelity)
+        .sweep
+        .base
+        .with_load(0.7);
     cfg.telemetry = Some(TelemetrySpec::default());
     let result = run_experiment(&cfg);
     println!(

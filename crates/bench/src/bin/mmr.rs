@@ -1,31 +1,50 @@
 //! `mmr` — command-line front-end to the simulator.
 //!
 //! ```text
-//! mmr run   [--load 0.7] [--arbiter coa|wfa|islip|pim|greedy|random]
+//! mmr run   [--load 0.7] [--arbiter coa|wfa|islip|pim|greedy|random|...]
 //!           [--priority siabp|iabp|fifo|static] [--vbr sr|bb] [--gops 4]
 //!           [--cycles 50000] [--warmup 5000] [--seed N] [--json]
 //! mmr run   --config sim.json            # full SimConfig from JSON
 //! mmr sweep [--loads 0.5,0.7,0.9] [--arbiters coa,wfa] [run flags]
-//! mmr scenarios                          # list canned paper scenarios
+//! mmr gate  [--full] [--list] [--pack NAME]
 //! ```
+//!
+//! `mmr gate` is the claim gate: it runs every workload pack under
+//! `workloads/` (or only `--pack NAME` and the packs its claims read)
+//! through one experiment cache, writes
+//! `results/workload_<pack>.{json,txt,html}`, and exits 1 when any claim
+//! misses its threshold at the ensemble median.  `--list` validates the
+//! pack set — every pack on its own, claim ids unique across packs,
+//! cross-pack panels resolvable — and prints the catalog without
+//! simulating.
 
 use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
-use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
-use mmr_core::experiment::run_experiment;
+use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overview};
+use mmr_bench::{banner, claim_tally, emit, report_failures, results_dir};
+use mmr_core::config::{
+    vbr_cycle_budget, InjectionKind, RunLength, SimConfig, TelemetrySpec, WorkloadSpec,
+};
+use mmr_core::conformance::{Ensemble, Panel};
+use mmr_core::experiment::{run_experiment, run_fabric_experiment};
 use mmr_core::report::{render_xy_table, TextTable};
-use mmr_core::sweep::{sweep, SweepSpec};
+use mmr_core::saturation::ExperimentCache;
+use mmr_core::sweep::{sweep, SweepPoint, SweepSpec};
+use mmr_core::workload_lang::{
+    parse_arbiter, read_pack_dir, workloads_dir, CompiledPack, Fidelity, WorkloadSpec as Pack,
+};
 use std::collections::HashMap;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mmr <run|sweep|scenarios> [flags]\n\
+        "usage: mmr <run|sweep|gate> [flags]\n\
          \n\
          run flags:\n\
            --config FILE          load a full SimConfig from JSON (other flags override)\n\
            --load F               target offered load fraction (default 0.7)\n\
-           --arbiter NAME         coa|wfa|wfa-fix|wfa-l1|islip|pim|greedy|random|mwm|mwm-approx|frame-fair|cq (default coa)\n\
+           --arbiter NAME         coa|wfa|wfa-fixed|wfa-first-level|islip[:N]|pim[:N]|greedy|random|\n\
+                                  mwm|mwm-approx|frame-fair|cq (default coa)\n\
            --priority NAME        siabp|iabp|fifo|static (default siabp)\n\
            --vbr sr|bb            use MPEG-2 VBR with the given injection model\n\
            --gops N               GOPs per VBR connection (default 4)\n\
@@ -36,34 +55,22 @@ fn usage() -> ! {
          \n\
          sweep flags (plus run flags):\n\
            --loads A,B,C          loads to visit (default 0.5,0.7,0.8,0.9)\n\
-           --arbiters A,B         arbiters to compare (default coa,wfa)\n"
+           --arbiters A,B         arbiters to compare (default coa,wfa)\n\
+         \n\
+         gate flags:\n\
+           --full                 paper-scale fidelity ([run.full]/[sweep.full])\n\
+           --list                 validate the pack set and print the catalog; no simulation\n\
+           --pack NAME            run one pack (plus the packs its claims read)\n"
     );
     exit(2)
 }
 
-fn parse_arbiter(s: &str) -> ArbiterKind {
-    match s {
-        "coa" => ArbiterKind::Coa,
-        "wfa" => ArbiterKind::Wfa,
-        "wfa-fix" => ArbiterKind::WfaFixed,
-        "wfa-l1" => ArbiterKind::WfaFirstLevel,
-        "islip" => ArbiterKind::Islip { iterations: 2 },
-        "pim" => ArbiterKind::Pim { iterations: 2 },
-        "greedy" => ArbiterKind::GreedyPriority,
-        "random" => ArbiterKind::Random,
-        "mwm" => ArbiterKind::MwmExact,
-        "mwm-approx" => ArbiterKind::MwmApprox,
-        "frame-fair" => ArbiterKind::FrameFair {
-            frame: mmr_arbiter::frame::DEFAULT_FRAME,
-        },
-        "cq" => ArbiterKind::CrosspointQueued {
-            cap: mmr_arbiter::cq::DEFAULT_CAP,
-        },
-        other => {
-            eprintln!("unknown arbiter '{other}'");
-            usage()
-        }
-    }
+/// An arbiter name in the packs' spelling; exits 2 on an unknown name.
+fn arbiter(s: &str) -> ArbiterKind {
+    parse_arbiter(s).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 fn parse_priority(s: &str) -> PriorityKind {
@@ -148,14 +155,14 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
         };
         cfg.warmup_cycles = 0;
         cfg.run = RunLength::UntilDrained {
-            max_cycles: mmr_core::scenarios::vbr_cycle_budget(gops),
+            max_cycles: vbr_cycle_budget(gops),
         };
     }
     if let Some(v) = flags.get("load") {
         cfg.workload = cfg.workload.with_load(parse_f64(v));
     }
     if let Some(v) = flags.get("arbiter") {
-        cfg.arbiter = parse_arbiter(v);
+        cfg.arbiter = arbiter(v);
     }
     if let Some(v) = flags.get("priority") {
         cfg.priority = parse_priority(v);
@@ -225,13 +232,18 @@ fn cmd_sweep(args: &[String]) {
         .get("loads")
         .map(|s| {
             s.split(',')
-                .map(|x| x.trim().parse().expect("load"))
+                .map(|x| {
+                    x.trim().parse().unwrap_or_else(|_| {
+                        eprintln!("--loads: `{x}` is not a number");
+                        exit(2)
+                    })
+                })
                 .collect()
         })
         .unwrap_or_else(|| vec![0.5, 0.7, 0.8, 0.9]);
     let arbiters: Vec<ArbiterKind> = flags
         .get("arbiters")
-        .map(|s| s.split(',').map(|x| parse_arbiter(x.trim())).collect())
+        .map(|s| s.split(',').map(|x| arbiter(x.trim())).collect())
         .unwrap_or_else(|| vec![ArbiterKind::Coa, ArbiterKind::Wfa]);
     let spec = SweepSpec {
         seeds: vec![base.seed],
@@ -267,22 +279,212 @@ fn cmd_sweep(args: &[String]) {
     );
 }
 
-fn cmd_scenarios() {
-    println!("canned paper scenarios (see mmr-core::scenarios and the mmr-bench binaries):");
-    let mut t = TextTable::new(vec!["scenario", "binary", "paper artifact"]);
-    for (s, b, p) in [
-        ("CBR delay sweep", "fig5_cbr_delay", "Fig. 5 (a-c)"),
-        ("MPEG-2 trace stats", "table1_mpeg_stats", "Table 1"),
-        ("trace profile", "fig6_trace_profile", "Fig. 6"),
-        ("injection models", "fig7_injection_models", "Fig. 7"),
-        ("VBR utilization", "fig8_vbr_utilization", "Fig. 8"),
-        ("VBR frame delay", "fig9_vbr_frame_delay", "Fig. 9"),
-        ("frame jitter", "jitter_report", "§5.2"),
-        ("hardware cost", "hw_cost_report", "§3.1 / §6"),
-    ] {
-        t.row(vec![s, b, p]);
+/// The curves the retired figure printers drew, one `render_xy_table`
+/// per metric: frame delay, window utilization and frame jitter for VBR
+/// packs; mean flit delay per traffic class otherwise.
+fn render_curves(pack: &CompiledPack, points: &[SweepPoint]) -> String {
+    let Some(first) = points.first() else {
+        return String::new();
+    };
+    let table = |title: &str, ylabel: &str, f: &dyn Fn(&SweepPoint) -> f64| {
+        render_xy_table(&format!("{} — {title}", pack.name), ylabel, points, f) + "\n"
+    };
+    if matches!(pack.sweep.base.workload, WorkloadSpec::Vbr { .. }) {
+        [
+            table(
+                "frame delay",
+                "mean frame delay since generation (µs)",
+                &|p| p.frame_delay_us(),
+            ),
+            table(
+                "window utilization",
+                "crossbar utilization within the generation window (%)",
+                &|p| p.mean_of(|r| r.summary.generation_window_utilization()) * 100.0,
+            ),
+            table("frame jitter", "mean frame jitter (µs)", &|p| {
+                p.mean_of(|r| r.summary.metrics.mean_frame_jitter_us)
+            }),
+        ]
+        .concat()
+    } else {
+        first.results[0]
+            .summary
+            .metrics
+            .classes
+            .iter()
+            .map(|c| {
+                table(
+                    &format!("{} delay", c.class.label()),
+                    "mean flit delay since generation (µs)",
+                    &|p| p.class_delay_us(c.class),
+                )
+            })
+            .collect()
     }
-    println!("{}", t.render());
+}
+
+/// The overview dashboard of a router pack's representative point:
+/// highest load, first arbiter, base seed, observatory armed.
+fn write_overview(pack: &CompiledPack) {
+    let peak = pack
+        .sweep
+        .loads
+        .iter()
+        .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    let mut rep = pack.sweep.base.with_load(peak);
+    rep.arbiter = pack.sweep.arbiters[0];
+    rep.telemetry = Some(TelemetrySpec::default());
+    let result = run_experiment(&rep);
+    let scenario = format!("{} @ load {peak}", pack.name);
+    let bench = load_bench_trajectory(&results_dir());
+    let Some(html) = render_overview(&scenario, &result, &bench) else {
+        eprintln!("mmr gate: {} produced no observatory data", pack.name);
+        exit(1)
+    };
+    if let Err(e) = validate_overview(&html) {
+        eprintln!("mmr gate: {} overview invalid: {e}", pack.name);
+        exit(1)
+    }
+    let path = results_dir().join(format!("workload_{}.html", pack.name));
+    std::fs::write(&path, &html).expect("write pack overview");
+    eprintln!("[written {}]", path.display());
+}
+
+/// The pack catalog `--list` prints once the set validates.
+fn print_catalog(specs: &[Pack], fidelity: Fidelity) {
+    println!(
+        "{:<16} {:>6} {:>7} {:>6}  description",
+        "pack", "loads", "claims", "seeds"
+    );
+    println!("{}", "-".repeat(88));
+    let mut claims = 0;
+    for spec in specs {
+        let ids = spec.claim.as_deref().unwrap_or_default();
+        println!(
+            "{:<16} {:>6} {:>7} {:>6}  {}",
+            spec.meta.name,
+            spec.loads(fidelity).len(),
+            ids.len(),
+            spec.seed_count(fidelity),
+            spec.meta.description
+        );
+        ids.iter().for_each(|c| println!("    {}", c.id));
+        claims += ids.len();
+    }
+    println!(
+        "{} packs, {claims} claims: every pack validates, claim ids are unique, \
+         cross-pack panels resolve",
+        specs.len()
+    );
+}
+
+fn cmd_gate(args: &[String]) {
+    let (mut fidelity, mut list, mut only) = (Fidelity::Quick, false, None);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--full" => fidelity = Fidelity::Full,
+            "--list" => list = true,
+            "--pack" => match it.next() {
+                Some(name) => only = Some(name.as_str()),
+                None => {
+                    eprintln!("flag --pack needs a value");
+                    usage()
+                }
+            },
+            other => {
+                eprintln!("unexpected argument '{other}'");
+                usage()
+            }
+        }
+    }
+    let dir = workloads_dir();
+    let specs = read_pack_dir(&dir).unwrap_or_else(|e| {
+        eprintln!("mmr gate: {e}");
+        exit(1)
+    });
+    if list {
+        print_catalog(&specs, fidelity);
+        return;
+    }
+    if let Some(name) = only {
+        if !specs.iter().any(|s| s.meta.name == name) {
+            eprintln!("mmr gate: no pack named `{name}` under {}", dir.display());
+            exit(2)
+        }
+    }
+    let selected = |name: &str| only.is_none_or(|o| o == name);
+    // The selected packs, plus every pack their claims read.
+    let packs: Vec<CompiledPack> = specs
+        .iter()
+        .filter(|s| {
+            selected(&s.meta.name)
+                || specs.iter().any(|t| {
+                    selected(&t.meta.name)
+                        && t.claim
+                            .iter()
+                            .flatten()
+                            .any(|c| c.versus_pack.as_ref() == Some(&s.meta.name))
+                })
+        })
+        .map(|s| s.compile(fidelity).expect("a validated pack compiles"))
+        .collect();
+
+    let mut cache = ExperimentCache::new();
+    let mut ensemble = Ensemble::default();
+    for pack in &packs {
+        eprintln!(
+            "running pack {}: {} loads x {} arbiters x {} seeds…",
+            pack.name,
+            pack.sweep.loads.len(),
+            pack.sweep.arbiters.len(),
+            pack.sweep.seeds.len()
+        );
+        if pack.fabric {
+            // No claims yet: record each config's fabric result.
+            let results: Vec<_> = pack
+                .sweep
+                .configs()
+                .iter()
+                .map(run_fabric_experiment)
+                .collect();
+            let path = results_dir().join(format!("workload_{}.json", pack.name));
+            let json = serde_json::to_string(&results).expect("fabric results serialize");
+            std::fs::write(&path, json).expect("write fabric pack json");
+            eprintln!("[written {}]", path.display());
+        } else {
+            ensemble.insert(&pack.name, pack.run(&mut cache));
+        }
+    }
+
+    let mut outcomes = Vec::new();
+    for pack in packs.iter().filter(|p| !p.fabric && selected(&p.name)) {
+        let report = pack.evaluate(&ensemble, fidelity);
+        let points = &ensemble.panel(&Panel::new(&pack.name)).points;
+        let mut out = banner(&format!("Pack {}", pack.name), &pack.description, fidelity);
+        out.push_str(&report.render_text());
+        out.push_str(&format!("\n{}\n\n", claim_tally(&report.claims)));
+        out.push_str(&render_curves(pack, points));
+        emit(&format!("workload_{}.txt", pack.name), &out);
+        let path = results_dir().join(format!("workload_{}.json", pack.name));
+        let json = serde_json::to_string(&report).expect("pack report serializes");
+        std::fs::write(&path, json).expect("write pack report json");
+        eprintln!("[written {}]", path.display());
+        if !points.is_empty() {
+            write_overview(pack);
+        }
+        outcomes.extend(report.claims);
+    }
+    eprintln!(
+        "mmr gate: {} packs, {} simulations, {} cache hits",
+        packs.len(),
+        cache.misses(),
+        cache.hits()
+    );
+    println!("mmr gate: {}", claim_tally(&outcomes));
+    if !report_failures("mmr gate FAILED:", &outcomes) {
+        exit(1);
+    }
 }
 
 fn main() {
@@ -290,7 +492,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
-        Some("scenarios") => cmd_scenarios(),
+        Some("gate") => cmd_gate(&args[1..]),
         _ => usage(),
     }
 }

@@ -1,26 +1,25 @@
 //! Run every figure/table reproduction in sequence (the EXPERIMENTS.md
-//! driver).  Forwards `--full` to each harness.
+//! driver): the claim gate over every workload pack, then the table and
+//! ablation printers.  Forwards `--full` to each.
 
 use std::process::Command;
 
-const BINS: &[&str] = &[
-    "table1_mpeg_stats",
-    "fig6_trace_profile",
-    "fig7_injection_models",
-    "fig5_cbr_delay",
-    "fig8_vbr_utilization",
-    "fig9_vbr_frame_delay",
-    "jitter_report",
-    "hw_cost_report",
-    "ablation_levels",
-    "ablation_priority",
-    "ablation_buffers",
-    "ablation_arbiters",
-    "ablation_concurrency",
-    "ablation_link_policy",
-    "fabric_report",
-    "ext_besteffort",
-    "ext_hol_blocking",
+/// Each run: a binary and its arguments.
+const RUNS: &[&[&str]] = &[
+    &["mmr", "gate"],
+    &["table1_mpeg_stats"],
+    &["fig6_trace_profile"],
+    &["fig7_injection_models"],
+    &["hw_cost_report"],
+    &["ablation_levels"],
+    &["ablation_priority"],
+    &["ablation_buffers"],
+    &["ablation_arbiters"],
+    &["ablation_concurrency"],
+    &["ablation_link_policy"],
+    &["fabric_report"],
+    &["ext_besteffort"],
+    &["ext_hol_blocking"],
 ];
 
 fn main() {
@@ -31,9 +30,11 @@ fn main() {
         .expect("exe dir")
         .to_path_buf();
     let mut failures = Vec::new();
-    for bin in BINS {
-        eprintln!("\n=== {bin} ===");
+    for run in RUNS {
+        let (bin, args) = (run[0], &run[1..]);
+        eprintln!("\n=== {} ===", run.join(" "));
         let mut cmd = Command::new(exe_dir.join(bin));
+        cmd.args(args);
         if full {
             cmd.arg("--full");
         }
@@ -41,18 +42,18 @@ fn main() {
             Ok(s) if s.success() => {}
             Ok(s) => {
                 eprintln!("{bin} exited with {s}");
-                failures.push(*bin);
+                failures.push(bin);
             }
             Err(e) => {
                 eprintln!("{bin} failed to launch: {e} (build with `cargo build --release -p mmr-bench` first)");
-                failures.push(*bin);
+                failures.push(bin);
             }
         }
     }
     if failures.is_empty() {
         eprintln!(
             "\nall {} experiments completed; outputs in results/",
-            BINS.len()
+            RUNS.len()
         );
     } else {
         eprintln!("\nFAILED: {failures:?}");

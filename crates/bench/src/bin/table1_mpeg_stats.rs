@@ -7,7 +7,7 @@
 
 use mmr_bench::{banner, emit, fidelity_from_args};
 use mmr_core::report::TextTable;
-use mmr_core::scenarios::Fidelity;
+use mmr_core::workload_lang::Fidelity;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::TimeBase;
 use mmr_traffic::mpeg::{standard_sequences, MpegTrace};

@@ -14,10 +14,9 @@
 //! is the flight-recorder ring dumped event-per-line.  Pass `--full` for
 //! paper-scale runs; quick mode preserves the shapes.
 
-use mmr_bench::{fidelity_from_args, results_dir};
-use mmr_core::config::{RunLength, SimConfig};
+use mmr_bench::{committed_pack, fidelity_from_args, results_dir};
+use mmr_core::config::{chaos, RunLength, SimConfig};
 use mmr_core::experiment::{build_router, build_workload};
-use mmr_core::scenarios::{chaos, fig5};
 use mmr_router::router::MmrRouter;
 use mmr_router::telemetry::TelemetryConfig;
 use mmr_sim::engine::{Runner, StopCondition};
@@ -77,7 +76,10 @@ fn main() {
     println!("trace_report: {} mode", fidelity.label());
 
     // Fig. 5 CBR point at load 0.7, COA arbiter (the sweep's base kind).
-    let fig5_cfg = fig5(fidelity).base.with_load(0.7);
+    let fig5_cfg = committed_pack("paper_fig5", fidelity)
+        .sweep
+        .base
+        .with_load(0.7);
     run_scenario("fig5_cbr", &fig5_cfg);
 
     // The hottest chaos point, so fault detections and quarantines show

@@ -1,9 +1,11 @@
 //! # mmr-bench — the benchmark harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index) plus ablations; micro-benchmarks for the arbitration and
-//! priority kernels live under `benches/` and run on the self-contained
-//! [`harness`] module (no external benchmark framework).  The
+//! `mmr gate` runs every workload pack — the paper's figures included —
+//! and gates their claims; the other binaries print tables, ablations and
+//! benchmark reports (DESIGN.md §4 has the index).  Micro-benchmarks for
+//! the arbitration and priority kernels live under `benches/` and run on
+//! the self-contained [`harness`] module (no external benchmark
+//! framework).  The
 //! `bench_report` binary aggregates the kernel numbers into
 //! `results/BENCH_<n>.json` for trajectory tracking across revisions.
 //!
@@ -15,7 +17,7 @@ pub mod harness;
 pub mod overview;
 
 use mmr_core::conformance::ClaimOutcome;
-use mmr_core::scenarios::Fidelity;
+use mmr_core::workload_lang::{compile_committed, CompiledPack, Fidelity};
 use std::path::{Path, PathBuf};
 
 /// Parse the common CLI convention: `--full` selects paper-scale runs.
@@ -25,6 +27,15 @@ pub fn fidelity_from_args() -> Fidelity {
     } else {
         Fidelity::Quick
     }
+}
+
+/// The committed pack `workloads/<name>.toml`, compiled at `fidelity`;
+/// exits 1 naming the error when it does not validate.
+pub fn committed_pack(name: &str, fidelity: Fidelity) -> CompiledPack {
+    compile_committed(name, fidelity).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    })
 }
 
 /// Directory where experiment outputs are written (`results/` under the
@@ -82,7 +93,7 @@ pub fn report_failures(header: &str, claims: &[ClaimOutcome]) -> bool {
     for c in failed {
         eprintln!(
             "  {} [{}]: median {:.4} vs threshold {:.4} (margin {:+.4} {})",
-            c.id, c.figure, c.median, c.threshold, c.margin, c.unit
+            c.id, c.pack, c.median, c.threshold, c.margin, c.unit
         );
     }
     false

@@ -1,5 +1,6 @@
 //! Serializable simulation configuration.
 
+use crate::workload_lang::Fidelity;
 use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::RouterConfig;
@@ -475,9 +476,101 @@ impl SimConfig {
     }
 }
 
+/// Flit cycles needed for `gops` GOPs (15 frames × 33 ms each) plus a
+/// drain margin.
+pub fn vbr_cycle_budget(gops: usize) -> u64 {
+    let tb = mmr_sim::time::TimeBase::default();
+    let frames = gops as u64 * mmr_traffic::mpeg::GOP_PATTERN.len() as u64;
+    let per_frame = (mmr_traffic::mpeg::FRAME_TIME_SECS / tb.flit_cycle_secs()).ceil() as u64;
+    // 3x margin: GOP-phase offsets plus post-saturation drain.
+    frames * per_frame * 3
+}
+
+/// A chaos experiment: one base configuration plus the fault-rate
+/// multipliers to sweep (factor 0 generates an empty plan — the
+/// fault-free baseline).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosSpec {
+    /// Base configuration; `fault` holds the factor-1 [`FaultSpec`].
+    pub base: SimConfig,
+    /// Fault-rate multipliers to visit, in order.
+    pub factors: Vec<f64>,
+}
+
+impl ChaosSpec {
+    /// One config per factor, each with its fault rates scaled.
+    pub fn configs(&self) -> Vec<SimConfig> {
+        let fault = self.base.fault.unwrap_or_default();
+        self.factors
+            .iter()
+            .map(|&f| self.base.with_fault(fault.scaled(f)))
+            .collect()
+    }
+}
+
+/// QoS under fault injection: a CBR mix with best-effort background
+/// traffic, a mid-run fault window, and delay-bound accounting, swept
+/// over fault-rate multipliers.  Guaranteed connections should hold their
+/// bounds while best-effort absorbs the damage (DESIGN.md §10).
+pub fn chaos(fidelity: Fidelity) -> ChaosSpec {
+    let (cycles, window_start, window_len, factors): (u64, u64, u64, Vec<f64>) = match fidelity {
+        Fidelity::Quick => (20_000, 5_000, 10_000, vec![0.0, 1.0, 4.0]),
+        Fidelity::Full => (
+            80_000,
+            10_000,
+            40_000,
+            vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+        ),
+    };
+    let base = SimConfig {
+        workload: WorkloadSpec::cbr(0.5),
+        best_effort: Some(BestEffortSpec::default()),
+        warmup_cycles: 0,
+        run: RunLength::Cycles(cycles),
+        fault: Some(FaultSpec {
+            plan: FaultPlanConfig {
+                window_start,
+                window_len,
+                ..Default::default()
+            },
+            profile: FaultProfile {
+                delay_bound_flit_cycles: Some(64),
+                ..Default::default()
+            },
+        }),
+        ..Default::default()
+    };
+    ChaosSpec { base, factors }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vbr_budget_covers_gops() {
+        // 4 GOPs = 60 frames x ~39,950 flit cycles/frame ≈ 2.4M; with 3x
+        // margin the budget lands around 7M.
+        let b = vbr_cycle_budget(4);
+        assert!(b > 2_400_000 * 2 && b < 2_400_000 * 4, "budget {b}");
+    }
+
+    #[test]
+    fn chaos_spec_scales_fault_rates_per_factor() {
+        let s = chaos(Fidelity::Quick);
+        assert_eq!(s.factors[0], 0.0, "first factor is the clean baseline");
+        let configs = s.configs();
+        assert_eq!(configs.len(), s.factors.len());
+        let base_rate = s.base.fault.unwrap().plan.corrupt_per_kcycle;
+        for (cfg, &f) in configs.iter().zip(&s.factors) {
+            let fault = cfg.fault.expect("every chaos config carries faults");
+            assert_eq!(fault.plan.corrupt_per_kcycle, base_rate * f);
+            assert_eq!(fault.profile.delay_bound_flit_cycles, Some(64));
+            // Only fault rates vary across the sweep.
+            assert_eq!(cfg.workload, s.base.workload);
+            assert_eq!(cfg.seed, s.base.seed);
+        }
+    }
 
     #[test]
     fn with_load_changes_only_load() {

@@ -2,10 +2,10 @@
 //!
 //! EXPERIMENTS.md records what of the paper reproduces, but as prose — no
 //! test fails when a refactor silently bends a figure's *shape*.  This
-//! module turns each figure/table claim into a typed, tolerance-bounded
-//! [`Check`] evaluated over a **multi-seed ensemble** of experiment runs,
-//! so the reproduction is guarded by `cargo test` and `scripts/ci.sh`
-//! rather than by a human re-reading result files.
+//! module is the claim vocabulary: a typed, tolerance-bounded [`Check`]
+//! evaluated over a **multi-seed ensemble** of experiment runs, so the
+//! reproduction is guarded by `cargo test` and `scripts/ci.sh` rather than
+//! by a human re-reading result files.
 //!
 //! Methodology (DESIGN.md §13):
 //!
@@ -19,17 +19,14 @@
 //!   with margin, and every margin is reported so a shrinking margin is
 //!   visible before it becomes a failure.
 //!
-//! The committed claim manifest is [`paper_claims`]; `conformance_report`
-//! (mmr-bench) evaluates it and writes `results/conformance.json`, and
-//! `tests/conformance.rs` pins it in tier-1.  Workload packs'
-//! `[[claim]]`s (`crate::workload_lang`) compile onto the same [`Check`]
-//! vocabulary and are judged over [`Panel::Pack`] by the same evaluator.
+//! The claims themselves live in the workload packs under `workloads/`:
+//! `crate::workload_lang` compiles each `[[claim]]` onto a [`Check`] that
+//! reads one or two [`Panel`]s — packs, by name — of an [`Ensemble`], and
+//! `mmr gate` (mmr-bench) and `tests/conformance.rs` judge them.
 
-use crate::config::{InjectionKind, RunLength, SimConfig};
 use crate::experiment::ExperimentResult;
-use crate::saturation::{detect_saturation, ExperimentCache, SaturationCriteria};
-use crate::scenarios::{self, Fidelity};
-use crate::sweep::{group_points, SweepPoint, SweepSpec};
+use crate::saturation::{detect_saturation, SaturationCriteria};
+use crate::sweep::SweepPoint;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::TimeBase;
@@ -39,55 +36,17 @@ use mmr_traffic::mpeg::{standard_sequences, FrameType, MpegTrace, FRAME_TIME_SEC
 use mmr_traffic::source::TrafficSource;
 use mmr_traffic::vbr::VbrSource;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
-/// Which figure or table of the paper a claim guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Figure {
-    /// Fig. 5 — CBR flit delay vs offered load.
-    Fig5,
-    /// Fig. 7 — VBR injection models.
-    Fig7,
-    /// Fig. 8 — VBR crossbar utilization vs generated load.
-    Fig8,
-    /// Fig. 9 — VBR frame delay vs generated load.
-    Fig9,
-    /// Table 1 — MPEG-2 sequence statistics.
-    Table1,
-    /// Beyond-the-paper arbiter frontier ablation (EXPERIMENTS.md
-    /// "Frontier"): COA measured against the MWM oracle, the greedy
-    /// ½-approximation, frame-based fair and crosspoint-queued designs.
-    Frontier,
-}
+/// The pack whose data a check reads, by its `[meta] name`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Panel(pub String);
 
-impl Figure {
-    /// Human label as used in EXPERIMENTS.md.
-    pub fn label(self) -> &'static str {
-        match self {
-            Figure::Fig5 => "Fig. 5",
-            Figure::Fig7 => "Fig. 7",
-            Figure::Fig8 => "Fig. 8",
-            Figure::Fig9 => "Fig. 9",
-            Figure::Table1 => "Table 1",
-            Figure::Frontier => "Frontier",
-        }
+impl Panel {
+    /// The panel of the pack named `pack`.
+    pub fn new(pack: &str) -> Self {
+        Panel(pack.to_string())
     }
-}
-
-/// Which ensemble sweep a curve check reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Panel {
-    /// The Fig. 5 CBR load sweep.
-    Fig5Cbr,
-    /// The Fig. 8/9 VBR sweep, Smooth-Rate injection.
-    Fig9Sr,
-    /// The Fig. 8/9 VBR sweep, Back-to-Back injection.
-    Fig9Bb,
-    /// The frontier-ablation CBR sweep: the Fig. 5 workload swept over
-    /// the full arbiter frontier (COA, WFA, iSLIP, MWM exact + approx,
-    /// frame-fair, crosspoint-queued).
-    FrontierCbr,
-    /// A workload pack's own sweep (`crate::workload_lang`).
-    Pack,
 }
 
 /// Scalar a curve check reads off one experiment result.
@@ -167,7 +126,7 @@ pub enum Bound {
 /// `RatioAtPoint`, `UtilizationScales`: read the grid point at a load)
 /// or *load-prefix* (`until_load`: the worst value over every grid point
 /// up to a load).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Check {
     /// `winner` saturates at least `min_points` load points (percent of
     /// link bandwidth) later than `loser`, judged on `metric` with the
@@ -202,7 +161,7 @@ pub enum Check {
     },
     /// At `at_load`, the ratio of `num`'s metric to `den`'s meets
     /// `bound` — e.g. "WFA's delay is ≥ 10× COA's".  Each side names its
-    /// own (panel, arbiter), so one claim may compare two panels.
+    /// own (panel, arbiter), so one claim may compare two packs.
     RatioAtPoint {
         /// Metric compared.
         metric: CurveMetric,
@@ -315,6 +274,8 @@ pub enum Check {
     /// emitted within the first `within_fraction` of the frame time
     /// (Fig. 7a: peak-rate burst, then idle).
     BurstConcentration {
+        /// Trace pack the check reads.
+        panel: Panel,
         /// Prefix of the frame time considered, 0–1.
         within_fraction: f64,
         /// Minimum fraction of the frame's flits inside the prefix.
@@ -323,12 +284,16 @@ pub enum Check {
     /// Smooth-Rate injection: flits land in at least `min_active_fraction`
     /// of the frame-time buckets (Fig. 7b: evenly spread).
     SmoothCoverage {
+        /// Trace pack the check reads.
+        panel: Panel,
         /// Minimum fraction of non-empty buckets.
         min_active_fraction: f64,
     },
     /// Smooth-Rate injection: no bucket exceeds `max_peak_over_mean`
     /// times the mean bucket occupancy.
     SmoothPeak {
+        /// Trace pack the check reads.
+        panel: Panel,
         /// Maximum allowed peak/mean bucket ratio.
         max_peak_over_mean: f64,
     },
@@ -337,6 +302,8 @@ pub enum Check {
     /// the I-frame (phase 0) is the largest frame (Fig. 6's shape,
     /// Table 1's burst structure).
     Sawtooth {
+        /// Trace pack the check reads.
+        panel: Panel,
         /// Index into [`standard_sequences`].
         sequence: usize,
         /// Expected GOP period in frames.
@@ -347,6 +314,8 @@ pub enum Check {
     /// Every sequence's measured average rate is within `factor`× of the
     /// calibrated Table 1 value (both directions).
     AvgRatesWithinFactor {
+        /// Trace pack the check reads.
+        panel: Panel,
         /// Maximum allowed max(measured/target, target/measured) over all
         /// seven sequences.
         factor: f64,
@@ -354,23 +323,11 @@ pub enum Check {
     /// I ≫ P ≫ B: for every sequence, mean I/P and P/B frame-size ratios
     /// are at least `min_ratio`.
     FrameTypeOrdering {
+        /// Trace pack the check reads.
+        panel: Panel,
         /// Minimum allowed ratio at each step of the ordering.
         min_ratio: f64,
     },
-}
-
-/// One claim of the manifest: a check plus its identity and provenance.
-#[derive(Debug, Clone, Copy)]
-pub struct Claim {
-    /// Stable identifier, referenced by EXPERIMENTS.md "enforced by"
-    /// notes and by failure output.
-    pub id: &'static str,
-    /// Figure/table guarded.
-    pub figure: Figure,
-    /// What the paper (or our deviation record) asserts.
-    pub description: &'static str,
-    /// The executable check.
-    pub check: Check,
 }
 
 /// Calibrated Table 1 average rates (Mbps) — the EXPERIMENTS.md record of
@@ -378,320 +335,13 @@ pub struct Claim {
 /// [`standard_sequences`] order.
 pub const TABLE1_AVG_MBPS: [f64; 7] = [8.1, 7.5, 8.8, 18.9, 21.9, 12.1, 16.8];
 
-/// The committed claim manifest: every figure/table claim the
-/// reproduction enforces.  IDs are stable; EXPERIMENTS.md cross-references
-/// them per figure.
-pub fn paper_claims() -> Vec<Claim> {
-    use ArbiterKind::{Coa, Wfa};
-    let high = CurveMetric::ClassDelayUs(TrafficClass::CbrHigh);
-    vec![
-        // ---- Fig. 5: CBR flit delay, COA vs WFA -----------------------
-        Claim {
-            id: "fig5.saturation-gap",
-            figure: Figure::Fig5,
-            description: "COA saturates >= 8 load points later than WFA on the \
-                          55 Mbps class (paper: ~13 points, measured full: ~14)",
-            check: Check::SaturationGap {
-                panel: Panel::Fig5Cbr,
-                metric: high,
-                winner: Coa,
-                loser: Wfa,
-                min_points: 8.0,
-            },
-        },
-        Claim {
-            id: "fig5.coa-high-delay-86",
-            figure: Figure::Fig5,
-            description: "COA holds the 55 Mbps class under 10 us mean flit delay \
-                          at 86% offered load (measured full: 6.7 us)",
-            check: Check::AtPoint {
-                panel: Panel::Fig5Cbr,
-                metric: high,
-                arbiter: Coa,
-                at_load: 0.86,
-                bound: Bound::AtMost(10.0),
-            },
-        },
-        Claim {
-            id: "fig5.wfa-collapse-86",
-            figure: Figure::Fig5,
-            description: "WFA's 55 Mbps delay at 86% load is >= 10x COA's — \
-                          utilization-only scheduling cannot guarantee QoS \
-                          (measured full: ~220x)",
-            check: Check::RatioAtPoint {
-                metric: high,
-                at_load: 0.86,
-                num: (Panel::Fig5Cbr, Wfa),
-                den: (Panel::Fig5Cbr, Coa),
-                bound: Bound::AtLeast(10.0),
-            },
-        },
-        Claim {
-            id: "fig5.low-class-parity",
-            figure: Figure::Fig5,
-            description: "the 64 Kbps class sees similar delay under both arbiters \
-                          below saturation (within 3x up to 70% load)",
-            check: Check::WithinFactor {
-                panel: Panel::Fig5Cbr,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrLow),
-                a: Coa,
-                b: Wfa,
-                until_load: 0.7,
-                max_factor: 3.0,
-            },
-        },
-        Claim {
-            id: "fig5.medium-class-parity",
-            figure: Figure::Fig5,
-            description: "the 1.54 Mbps class sees similar delay under both \
-                          arbiters below saturation (within 3x up to 70% load)",
-            check: Check::WithinFactor {
-                panel: Panel::Fig5Cbr,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrMedium),
-                a: Coa,
-                b: Wfa,
-                until_load: 0.7,
-                max_factor: 3.0,
-            },
-        },
-        Claim {
-            id: "fig5.coa-high-monotone",
-            figure: Figure::Fig5,
-            description: "COA's 55 Mbps delay curve rises with load (no \
-                          consecutive drop below 0.7x up to 90% load)",
-            check: Check::MonotoneDelay {
-                panel: Panel::Fig5Cbr,
-                metric: high,
-                arbiter: Coa,
-                until_load: 0.9,
-                min_step_ratio: 0.7,
-            },
-        },
-        // ---- Fig. 7: injection models ---------------------------------
-        Claim {
-            id: "fig7.bb-burst",
-            figure: Figure::Fig7,
-            description: "Back-to-Back emits >= 90% of a frame's flits within the \
-                          first 40% of the frame time, then idles",
-            check: Check::BurstConcentration {
-                within_fraction: 0.4,
-                min_mass: 0.9,
-            },
-        },
-        Claim {
-            id: "fig7.sr-coverage",
-            figure: Figure::Fig7,
-            description: "Smooth-Rate spreads a frame's flits across >= 80% of the \
-                          frame time",
-            check: Check::SmoothCoverage {
-                min_active_fraction: 0.8,
-            },
-        },
-        Claim {
-            id: "fig7.sr-peak-bounded",
-            figure: Figure::Fig7,
-            description: "Smooth-Rate emission is even: no frame-time bucket \
-                          exceeds 2x the mean",
-            check: Check::SmoothPeak {
-                max_peak_over_mean: 2.0,
-            },
-        },
-        // ---- Fig. 8: VBR crossbar utilization -------------------------
-        Claim {
-            id: "fig8.overlap",
-            figure: Figure::Fig8,
-            description: "COA and WFA utilization curves coincide below \
-                          saturation (within 5% up to 60% generated load)",
-            check: Check::WithinFactor {
-                panel: Panel::Fig9Sr,
-                metric: CurveMetric::WindowUtilizationPct,
-                a: Coa,
-                b: Wfa,
-                until_load: 0.6,
-                max_factor: 1.05,
-            },
-        },
-        Claim {
-            id: "fig8.utilization-scales",
-            figure: Figure::Fig8,
-            description: "utilization tracks generated load in the overlap \
-                          region (util ratio >= 85% of load ratio, 40% -> 60%)",
-            check: Check::UtilizationScales {
-                panel: Panel::Fig9Sr,
-                arbiter: Coa,
-                lo_load: 0.4,
-                hi_load: 0.6,
-                min_ratio_of_ratios: 0.85,
-            },
-        },
-        Claim {
-            id: "fig8.no-throughput-knee",
-            figure: Figure::Fig8,
-            description: "deviation record: our 4x4/k=4 crossbar delivers every \
-                          generated flit through 85% load — the paper's knee does \
-                          not reproduce; the schedulers differ in who waits",
-            check: Check::ThroughputFloor {
-                panel: Panel::Fig9Sr,
-                arbiter: Coa,
-                until_load: 0.85,
-                min_ratio: 0.99,
-            },
-        },
-        // ---- Fig. 9: VBR frame delay ----------------------------------
-        Claim {
-            id: "fig9.coa-low-delay",
-            figure: Figure::Fig9,
-            description: "COA keeps mean frame delay under 20 us at 60% generated \
-                          load (SR; measured full: <= 8.7 us through 80%)",
-            check: Check::AtPoint {
-                panel: Panel::Fig9Sr,
-                metric: CurveMetric::FrameDelayUs,
-                arbiter: Coa,
-                at_load: 0.6,
-                bound: Bound::AtMost(20.0),
-            },
-        },
-        Claim {
-            id: "fig9.wfa-worse-at-85",
-            figure: Figure::Fig9,
-            description: "WFA's frame delay at 85% load is >= 2x COA's (SR; \
-                          measured full: 4-22x near the knee, quick ensemble \
-                          median ~2.9x)",
-            check: Check::RatioAtPoint {
-                metric: CurveMetric::FrameDelayUs,
-                at_load: 0.85,
-                num: (Panel::Fig9Sr, Wfa),
-                den: (Panel::Fig9Sr, Coa),
-                bound: Bound::AtLeast(2.0),
-            },
-        },
-        Claim {
-            id: "fig9.bb-above-sr",
-            figure: Figure::Fig9,
-            description: "Back-to-Back frame delays sit above Smooth-Rate's below \
-                          saturation (>= 1.2x at 60% load, COA)",
-            check: Check::RatioAtPoint {
-                metric: CurveMetric::FrameDelayUs,
-                at_load: 0.6,
-                num: (Panel::Fig9Bb, Coa),
-                den: (Panel::Fig9Sr, Coa),
-                bound: Bound::AtLeast(1.2),
-            },
-        },
-        // ---- Table 1: MPEG-2 statistics -------------------------------
-        Claim {
-            id: "table1.rates-within-2x",
-            figure: Figure::Table1,
-            description: "every sequence's average rate is within 2x of the \
-                          calibrated Table 1 value",
-            check: Check::AvgRatesWithinFactor { factor: 2.0 },
-        },
-        Claim {
-            id: "table1.frame-ordering",
-            figure: Figure::Table1,
-            description: "I >> P >> B: mean I/P and P/B frame-size ratios exceed \
-                          1.1 for every sequence",
-            check: Check::FrameTypeOrdering { min_ratio: 1.1 },
-        },
-        Claim {
-            id: "table1.sawtooth",
-            figure: Figure::Table1,
-            description: "the Flower Garden trace is a 15-frame sawtooth: the \
-                          I-frame is the GOP peak in >= 75% of GOPs",
-            check: Check::Sawtooth {
-                sequence: 3,
-                period: GOP_PATTERN.len(),
-                min_peak_fraction: 0.75,
-            },
-        },
-        // ---- Frontier: COA vs the beyond-the-paper arbiters -----------
-        Claim {
-            id: "frontier.coa-within-factor-of-mwm",
-            figure: Figure::Frontier,
-            description: "COA's 55 Mbps delay never falls more than 3x behind the \
-                          exact MWM oracle at any load through 86% — the paper's \
-                          heuristic sits close to the optimality frontier \
-                          (measured quick: median 1.7x)",
-            check: Check::AtMostRatio {
-                panel: Panel::FrontierCbr,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrHigh),
-                numerator: Coa,
-                denominator: ArbiterKind::MwmExact,
-                until_load: 0.86,
-                max_ratio: 3.0,
-            },
-        },
-        Claim {
-            id: "frontier.mwm-delay-floor",
-            figure: Figure::Frontier,
-            description: "MWM-exact is the panel's delay floor: within 1.5x of the \
-                          best 55 Mbps delay any arbiter posts through 70% load \
-                          (measured quick: median 1.00)",
-            check: Check::DelayFloor {
-                panel: Panel::FrontierCbr,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrHigh),
-                oracle: ArbiterKind::MwmExact,
-                until_load: 0.7,
-                slack: 1.5,
-            },
-        },
-        Claim {
-            id: "frontier.mwm-approx-tracks-exact",
-            figure: Figure::Frontier,
-            description: "the greedy 1/2-approximation tracks the exact oracle on \
-                          the 55 Mbps class (within 2x through 70% load; measured \
-                          quick: median 1.09x)",
-            check: Check::WithinFactor {
-                panel: Panel::FrontierCbr,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrHigh),
-                a: ArbiterKind::MwmExact,
-                b: ArbiterKind::MwmApprox,
-                until_load: 0.7,
-                max_factor: 2.0,
-            },
-        },
-        Claim {
-            id: "frontier.cq-no-hol-blocking",
-            figure: Figure::Frontier,
-            description: "crosspoint queueing removes HOL blocking: the CQ switch \
-                          delivers >= 97% of generated flits through 86% load \
-                          (measured quick: median 99.5%)",
-            check: Check::ThroughputFloor {
-                panel: Panel::FrontierCbr,
-                arbiter: ArbiterKind::CrosspointQueued {
-                    cap: mmr_arbiter::cq::DEFAULT_CAP,
-                },
-                until_load: 0.86,
-                min_ratio: 0.97,
-            },
-        },
-        Claim {
-            id: "frontier.frame-fair-low-class-parity",
-            figure: Figure::Frontier,
-            description: "frame-based fairness does not starve the 64 Kbps class: \
-                          its delay stays within 3x of COA's through 70% load \
-                          (measured quick: median 1.48x)",
-            check: Check::WithinFactor {
-                panel: Panel::FrontierCbr,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrLow),
-                a: ArbiterKind::FrameFair {
-                    frame: mmr_arbiter::frame::DEFAULT_FRAME,
-                },
-                b: Coa,
-                until_load: 0.7,
-                max_factor: 3.0,
-            },
-        },
-    ]
-}
-
 /// Outcome of evaluating one claim over the ensemble.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClaimOutcome {
     /// Claim identifier.
     pub id: String,
-    /// Figure/table label.
-    pub figure: String,
+    /// Pack the claim belongs to.
+    pub pack: String,
     /// Claim description.
     pub description: String,
     /// Did the ensemble median meet the threshold?
@@ -716,10 +366,10 @@ pub struct ClaimOutcome {
 
 impl ClaimOutcome {
     /// Gate per-seed values on their median: the one place a verdict,
-    /// spread and margin are computed, for manifest and pack claims alike.
+    /// spread and margin are computed.
     pub(crate) fn new(
         id: &str,
-        figure: &str,
+        pack: &str,
         description: &str,
         per_seed: Vec<f64>,
         bound: Bound,
@@ -732,7 +382,7 @@ impl ClaimOutcome {
         };
         ClaimOutcome {
             id: id.to_string(),
-            figure: figure.to_string(),
+            pack: pack.to_string(),
             description: description.to_string(),
             pass: margin >= 0.0,
             median: med,
@@ -747,7 +397,7 @@ impl ClaimOutcome {
     }
 }
 
-/// One line per claim: `PASS fig5.saturation-gap [Fig. 5] 14.63 >= 8 (margin +6.63 …)`.
+/// One line per claim: `PASS fig5.saturation-gap [fig5] 14.63 >= 8 (margin +6.63 …)`.
 pub(crate) fn render_claims(claims: &[ClaimOutcome]) -> String {
     let mut s = String::new();
     for c in claims {
@@ -756,7 +406,7 @@ pub(crate) fn render_claims(claims: &[ClaimOutcome]) -> String {
             "{} {:<28} [{}] {:.4} {} {:.4} (margin {:+.4} {}, seeds {:.4}..{:.4})\n",
             if c.pass { "PASS" } else { "FAIL" },
             c.id,
-            c.figure,
+            c.pack,
             c.median,
             op,
             c.threshold,
@@ -767,39 +417,6 @@ pub(crate) fn render_claims(claims: &[ClaimOutcome]) -> String {
         ));
     }
     s
-}
-
-/// A full conformance evaluation: the report `conformance_report` writes
-/// to `results/conformance.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConformanceReport {
-    /// "quick" or "full".
-    pub fidelity: String,
-    /// Seeds of the CBR (Fig. 5, Fig. 7, Table 1) ensemble.
-    pub cbr_seeds: Vec<u64>,
-    /// Seeds of the VBR (Fig. 8/9) ensemble.
-    pub vbr_seeds: Vec<u64>,
-    /// Seeds of the frontier-ablation ensemble.
-    pub frontier_seeds: Vec<u64>,
-    /// Per-claim outcomes, manifest order.
-    pub claims: Vec<ClaimOutcome>,
-}
-
-impl ConformanceReport {
-    /// Claims that failed.
-    pub fn failed(&self) -> Vec<&ClaimOutcome> {
-        self.claims.iter().filter(|c| !c.pass).collect()
-    }
-
-    /// True when every claim passed.
-    pub fn all_pass(&self) -> bool {
-        self.claims.iter().all(|c| c.pass)
-    }
-
-    /// One line per claim (`render_claims`).
-    pub fn render_text(&self) -> String {
-        render_claims(&self.claims)
-    }
 }
 
 /// Deterministic seed ensemble: `seeds[0]` is `base` (the paper's seed),
@@ -817,111 +434,6 @@ pub fn ensemble_seeds(base: u64, n: usize) -> Vec<u64> {
         out.push(z ^ (z >> 31));
     }
     out
-}
-
-/// How the ensemble is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnsembleOptions {
-    /// Run scale per point.
-    pub fidelity: Fidelity,
-    /// Seeds for the CBR ensemble (Fig. 5; also Fig. 7/Table 1 trace
-    /// generation).  Default 5.
-    pub cbr_seeds: usize,
-    /// Seeds for the VBR ensemble (Fig. 8/9).  Default 5 in full
-    /// fidelity; 3 in quick, where the drained-GOP runs dominate the
-    /// suite's wall clock (DESIGN.md §13).
-    pub vbr_seeds: usize,
-    /// Seeds for the frontier-ablation ensemble.  Default 3: the panel
-    /// runs 7 arbiters per grid point, and its COA/WFA cells dedupe
-    /// against the Fig. 5 sweep through the experiment cache only
-    /// because the frontier seeds are a prefix of the CBR seeds.
-    pub frontier_seeds: usize,
-    /// Worker threads for the sweep fan-out (`None` = one per core).
-    pub workers: Option<usize>,
-}
-
-impl EnsembleOptions {
-    /// Defaults for a fidelity: 5 CBR seeds, 5 (full) / 3 (quick) VBR
-    /// seeds, 3 frontier seeds.
-    pub fn new(fidelity: Fidelity) -> Self {
-        EnsembleOptions {
-            fidelity,
-            cbr_seeds: 5,
-            vbr_seeds: match fidelity {
-                Fidelity::Quick => 3,
-                Fidelity::Full => 5,
-            },
-            frontier_seeds: 3,
-            workers: None,
-        }
-    }
-}
-
-/// The Fig. 5 sweep the conformance engine runs.
-///
-/// Quick mode uses longer runs than [`scenarios::fig5`]'s smoke grid —
-/// 120k cycles instead of 25k — because the saturation gap only becomes
-/// visible once WFA's backlog has had time to grow; both modes add the
-/// 86% grid point the headline claims are pinned at.
-pub fn fig5_conformance_spec(fidelity: Fidelity) -> SweepSpec {
-    let mut spec = scenarios::fig5(fidelity);
-    if fidelity == Fidelity::Quick {
-        spec.base.warmup_cycles = 5_000;
-        spec.base.run = RunLength::Cycles(120_000);
-        spec.loads = vec![0.3, 0.5, 0.7, 0.76, 0.8, 0.86, 0.9];
-    } else if !spec.loads.contains(&0.86) {
-        spec.loads.push(0.86);
-        spec.loads.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    }
-    spec
-}
-
-/// The frontier-ablation sweep: the Fig. 5 CBR workload swept over the
-/// full arbiter frontier.  The load grid is a subset of the Fig. 5
-/// conformance grid in both fidelities, so the COA and WFA cells are
-/// cache hits when the Fig. 5 ensemble has already run — only the five
-/// beyond-the-paper arbiters simulate fresh points.
-pub fn frontier_conformance_spec(fidelity: Fidelity) -> SweepSpec {
-    let mut spec = fig5_conformance_spec(fidelity);
-    spec.loads = vec![0.5, 0.7, 0.86];
-    spec.arbiters = vec![
-        ArbiterKind::Coa,
-        ArbiterKind::Wfa,
-        ArbiterKind::Islip { iterations: 2 },
-        ArbiterKind::MwmExact,
-        ArbiterKind::MwmApprox,
-        ArbiterKind::FrameFair {
-            frame: mmr_arbiter::frame::DEFAULT_FRAME,
-        },
-        ArbiterKind::CrosspointQueued {
-            cap: mmr_arbiter::cq::DEFAULT_CAP,
-        },
-    ];
-    spec
-}
-
-/// The Fig. 8/9 sweep the conformance engine runs for one injection
-/// model.  Quick mode trims the load grid to the three points the claims
-/// read (40/60/85%) to keep tier-1 wall clock in minutes.
-pub fn fig9_conformance_spec(injection: InjectionKind, fidelity: Fidelity) -> SweepSpec {
-    let mut spec = scenarios::fig8_fig9(injection, fidelity);
-    if fidelity == Fidelity::Quick {
-        spec.loads = vec![0.4, 0.6, 0.85];
-    }
-    spec
-}
-
-/// Run a sweep through the dedup cache: already-measured configs are
-/// reused, the misses fan out through `sweep`'s parallel dispatch, and
-/// the grouped points come back in spec order either way.
-pub fn run_sweep_cached(
-    spec: &SweepSpec,
-    cache: &mut ExperimentCache,
-    workers: Option<usize>,
-) -> Vec<SweepPoint> {
-    let configs = spec.configs();
-    let results = cache.run_many(&configs, workers);
-    group_points(spec, results)
 }
 
 /// Frame-time emission histogram of one injection model: frame-0 flits
@@ -959,69 +471,29 @@ pub const FIG7_BB_PEAK_FLITS: u64 = 2_500;
 /// Number of frame-time buckets in the Fig. 7 histograms.
 pub const FIG7_SLOTS: usize = 40;
 
-/// Everything the claims are evaluated against: the multi-seed sweeps
-/// plus the trace/injection data, all deterministic functions of the
-/// options and the base seed.  [`Ensemble::build`] fills the paper
-/// panels; a workload pack fills only [`Ensemble::pack`].
+/// What one pack's run produced: the data its claims — and any claim
+/// that names it as a panel — are evaluated against.  A router pack
+/// fills `points`; the router-less MPEG pack fills the traces and the
+/// injection histograms.
 #[derive(Debug, Clone, Default)]
-pub struct Ensemble {
-    /// CBR ensemble seeds.
-    pub cbr_seeds: Vec<u64>,
-    /// VBR ensemble seeds.
-    pub vbr_seeds: Vec<u64>,
-    /// Frontier-ablation seeds (a prefix of the CBR seeds).
-    pub frontier_seeds: Vec<u64>,
-    /// Fig. 5 sweep points (each point carries one result per CBR seed).
-    pub fig5: Vec<SweepPoint>,
-    /// Frontier-ablation sweep points (one result per frontier seed).
-    pub frontier: Vec<SweepPoint>,
-    /// Fig. 8/9 Smooth-Rate sweep points (one result per VBR seed).
-    pub fig9_sr: Vec<SweepPoint>,
-    /// Fig. 8/9 Back-to-Back sweep points (one result per VBR seed).
-    pub fig9_bb: Vec<SweepPoint>,
-    /// A workload pack's sweep points (one result per pack seed).
-    pub pack: Vec<SweepPoint>,
+pub struct PackData {
+    /// Sweep points (each point carries one result per seed).
+    pub points: Vec<SweepPoint>,
     /// Synthesized traces: `traces[seed][sequence]`.
     pub traces: Vec<Vec<MpegTrace>>,
-    /// Back-to-Back frame-0 histograms, per CBR seed.
+    /// Back-to-Back frame-0 histograms, per seed.
     pub bb_hist: Vec<Vec<u32>>,
-    /// Smooth-Rate frame-0 histograms, per CBR seed.
+    /// Smooth-Rate frame-0 histograms, per seed.
     pub sr_hist: Vec<Vec<u32>>,
 }
 
-impl Ensemble {
-    /// Build the ensemble, running every simulation point through
-    /// `cache` (sweep-warm caches skip already-measured configs).
-    pub fn build(options: EnsembleOptions, cache: &mut ExperimentCache) -> Self {
-        let base = SimConfig::default().seed;
-        let cbr_seeds = ensemble_seeds(base, options.cbr_seeds);
-        let vbr_seeds = ensemble_seeds(base, options.vbr_seeds);
-
-        let mut fig5_spec = fig5_conformance_spec(options.fidelity);
-        fig5_spec.seeds = cbr_seeds.clone();
-        let fig5 = run_sweep_cached(&fig5_spec, cache, options.workers);
-
-        // Run after Fig. 5 so the shared COA/WFA grid cells are cache
-        // hits (frontier seeds are a prefix of the CBR seeds).
-        let frontier_seeds = ensemble_seeds(base, options.frontier_seeds);
-        let mut frontier_spec = frontier_conformance_spec(options.fidelity);
-        frontier_spec.seeds = frontier_seeds.clone();
-        let frontier = run_sweep_cached(&frontier_spec, cache, options.workers);
-
-        let mut sr_spec = fig9_conformance_spec(InjectionKind::SmoothRate, options.fidelity);
-        sr_spec.seeds = vbr_seeds.clone();
-        let fig9_sr = run_sweep_cached(&sr_spec, cache, options.workers);
-
-        let mut bb_spec = fig9_conformance_spec(InjectionKind::BackToBack, options.fidelity);
-        bb_spec.seeds = vbr_seeds.clone();
-        let fig9_bb = run_sweep_cached(&bb_spec, cache, options.workers);
-
-        let gops = match options.fidelity {
-            Fidelity::Quick => 4,
-            Fidelity::Full => 40,
-        };
+impl PackData {
+    /// Synthesize, once per seed, the seven Table 1 sequences (`gops`
+    /// GOPs each) and the Fig. 7 frame-0 injection histograms.  No
+    /// router runs.
+    pub fn traces(seeds: &[u64], gops: usize) -> Self {
         let tb = TimeBase::default();
-        let traces: Vec<Vec<MpegTrace>> = cbr_seeds
+        let traces = seeds
             .iter()
             .map(|&seed| {
                 let root = SimRng::seed_from_u64(seed);
@@ -1035,47 +507,47 @@ impl Ensemble {
                     .collect()
             })
             .collect();
-
         let bb_model = InjectionModel::back_to_back_for(FIG7_BB_PEAK_FLITS, FRAME_TIME_SECS, &tb);
-        let bb_hist = cbr_seeds
-            .iter()
-            .map(|&s| injection_histogram(bb_model, FIG7_SLOTS, s))
-            .collect();
-        let sr_hist = cbr_seeds
-            .iter()
-            .map(|&s| injection_histogram(InjectionModel::SmoothRate, FIG7_SLOTS, s))
-            .collect();
-
-        Ensemble {
-            cbr_seeds,
-            vbr_seeds,
-            frontier_seeds,
-            fig5,
-            frontier,
-            fig9_sr,
-            fig9_bb,
-            pack: vec![],
+        PackData {
+            points: vec![],
             traces,
-            bb_hist,
-            sr_hist,
+            bb_hist: seeds
+                .iter()
+                .map(|&s| injection_histogram(bb_model, FIG7_SLOTS, s))
+                .collect(),
+            sr_hist: seeds
+                .iter()
+                .map(|&s| injection_histogram(InjectionModel::SmoothRate, FIG7_SLOTS, s))
+                .collect(),
         }
     }
 
-    /// The sweep points behind a panel.
-    pub fn panel(&self, panel: Panel) -> &[SweepPoint] {
-        match panel {
-            Panel::Fig5Cbr => &self.fig5,
-            Panel::Fig9Sr => &self.fig9_sr,
-            Panel::Fig9Bb => &self.fig9_bb,
-            Panel::FrontierCbr => &self.frontier,
-            Panel::Pack => &self.pack,
-        }
-    }
-
-    /// Number of seeds behind a panel (every point carries one result
+    /// Number of seeds behind the sweep (every point carries one result
     /// per seed).
-    pub fn panel_seed_count(&self, panel: Panel) -> usize {
-        self.panel(panel).first().map_or(0, |p| p.results.len())
+    fn seed_count(&self) -> usize {
+        self.points.first().map_or(0, |p| p.results.len())
+    }
+}
+
+/// Every pack's data, by pack name: what claims are evaluated against.
+#[derive(Debug, Clone, Default)]
+pub struct Ensemble {
+    packs: BTreeMap<String, PackData>,
+}
+
+impl Ensemble {
+    /// Record the data of the pack named `pack`.
+    pub fn insert(&mut self, pack: &str, data: PackData) {
+        self.packs.insert(pack.to_string(), data);
+    }
+
+    /// The data behind a panel.  Pack sets are validated before they run
+    /// (`workload_lang::validate_pack_set`), so every panel a compiled
+    /// claim names is present.
+    pub fn panel(&self, panel: &Panel) -> &PackData {
+        self.packs
+            .get(&panel.0)
+            .unwrap_or_else(|| panic!("no pack named `{}` in the ensemble", panel.0))
     }
 }
 
@@ -1118,8 +590,8 @@ fn point_at<'a>(series: &[&'a SweepPoint], at_load: f64) -> &'a SweepPoint {
 }
 
 /// The grid point of one (panel, arbiter) cell at `at_load`.
-fn cell(e: &Ensemble, (panel, arbiter): (Panel, ArbiterKind), at_load: f64) -> &SweepPoint {
-    point_at(&arbiter_series(e.panel(panel), arbiter), at_load)
+fn cell<'a>(e: &'a Ensemble, panel: &Panel, arbiter: ArbiterKind, at_load: f64) -> &'a SweepPoint {
+    point_at(&arbiter_series(&e.panel(panel).points, arbiter), at_load)
 }
 
 /// Rebuild one seed's single-result view of a series, for the
@@ -1147,28 +619,43 @@ fn saturation_or_last(series: &[&SweepPoint], seed: usize, metric: CurveMetric) 
     .unwrap_or_else(|| single.last().expect("non-empty series").achieved_load)
 }
 
-impl Claim {
-    /// Evaluate the claim over the ensemble: the per-seed scalar, its
-    /// median and spread, and the pass/fail verdict.
-    pub fn evaluate(&self, e: &Ensemble) -> ClaimOutcome {
-        let (per_seed, bound, unit) = self.check.measure(e);
-        ClaimOutcome::new(
-            self.id,
-            self.figure.label(),
-            self.description,
-            per_seed,
-            bound,
-            unit,
+impl Check {
+    /// The grid loads this check anchors at; each must be a swept point
+    /// of the pack it reads.
+    pub(crate) fn anchor_loads(&self) -> Vec<f64> {
+        match *self {
+            Check::AtPoint { at_load, .. } | Check::RatioAtPoint { at_load, .. } => vec![at_load],
+            Check::WithinFactor { until_load, .. }
+            | Check::MonotoneDelay { until_load, .. }
+            | Check::ThroughputFloor { until_load, .. }
+            | Check::AtMostRatio { until_load, .. }
+            | Check::DelayFloor { until_load, .. } => vec![until_load],
+            Check::UtilizationScales {
+                lo_load, hi_load, ..
+            } => vec![lo_load, hi_load],
+            _ => vec![],
+        }
+    }
+
+    /// True for the checks that read synthesized MPEG traces and
+    /// injection histograms instead of a sweep.
+    pub(crate) fn reads_traces(&self) -> bool {
+        matches!(
+            self,
+            Check::BurstConcentration { .. }
+                | Check::SmoothCoverage { .. }
+                | Check::SmoothPeak { .. }
+                | Check::Sawtooth { .. }
+                | Check::AvgRatesWithinFactor { .. }
+                | Check::FrameTypeOrdering { .. }
         )
     }
-}
 
-impl Check {
     /// The claim engine's one evaluator: reduce each seed of the
     /// ensemble to this check's scalar, and say how the median is gated
     /// and in what unit.
     pub(crate) fn measure(&self, e: &Ensemble) -> (Vec<f64>, Bound, &'static str) {
-        match *self {
+        match self {
             Check::SaturationGap {
                 panel,
                 metric,
@@ -1176,13 +663,13 @@ impl Check {
                 loser,
                 min_points,
             } => {
-                let pts = e.panel(panel);
-                let win = arbiter_series(pts, winner);
-                let lose = arbiter_series(pts, loser);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let win = arbiter_series(&data.points, *winner);
+                let lose = arbiter_series(&data.points, *loser);
+                let vals = (0..data.seed_count())
                     .map(|s| {
-                        let w = saturation_or_last(&win, s, metric);
-                        let l = saturation_or_last(&lose, s, metric);
+                        let w = saturation_or_last(&win, s, *metric);
+                        let l = saturation_or_last(&lose, s, *metric);
                         // A loser that never saturates inside the sweep
                         // cannot demonstrate any gap.
                         let l_saturates = {
@@ -1199,7 +686,7 @@ impl Check {
                         }
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_points), "load points")
+                (vals, Bound::AtLeast(*min_points), "load points")
             }
             Check::AtPoint {
                 panel,
@@ -1208,9 +695,9 @@ impl Check {
                 at_load,
                 bound,
             } => {
-                let p = cell(e, (panel, arbiter), at_load);
+                let p = cell(e, panel, *arbiter, *at_load);
                 let vals = p.results.iter().map(|r| metric.of(r)).collect();
-                (vals, bound, metric.unit())
+                (vals, *bound, metric.unit())
             }
             Check::RatioAtPoint {
                 metric,
@@ -1219,14 +706,15 @@ impl Check {
                 den,
                 bound,
             } => {
-                let (np, dp) = (cell(e, num, at_load), cell(e, den, at_load));
+                let np = cell(e, &num.0, num.1, *at_load);
+                let dp = cell(e, &den.0, den.1, *at_load);
                 let vals = np
                     .results
                     .iter()
                     .zip(&dp.results)
                     .map(|(n, d)| metric.of(n) / metric.of(d).max(1e-9))
                     .collect();
-                (vals, bound, "x")
+                (vals, *bound, "x")
             }
             Check::WithinFactor {
                 panel,
@@ -1236,10 +724,10 @@ impl Check {
                 until_load,
                 max_factor,
             } => {
-                let pts = e.panel(panel);
-                let sa = arbiter_series(pts, a);
-                let sb = arbiter_series(pts, b);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let sa = arbiter_series(&data.points, *a);
+                let sb = arbiter_series(&data.points, *b);
+                let vals = (0..data.seed_count())
                     .map(|s| {
                         let mut worst = 1.0f64;
                         for (pa, pb) in sa.iter().zip(&sb) {
@@ -1253,7 +741,7 @@ impl Check {
                         worst
                     })
                     .collect();
-                (vals, Bound::AtMost(max_factor), "x")
+                (vals, Bound::AtMost(*max_factor), "x")
             }
             Check::AtMostRatio {
                 panel,
@@ -1263,10 +751,10 @@ impl Check {
                 until_load,
                 max_ratio,
             } => {
-                let pts = e.panel(panel);
-                let ns = arbiter_series(pts, numerator);
-                let ds = arbiter_series(pts, denominator);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let ns = arbiter_series(&data.points, *numerator);
+                let ds = arbiter_series(&data.points, *denominator);
+                let vals = (0..data.seed_count())
                     .map(|s| {
                         let mut worst = 0.0f64;
                         for (np, dp) in ns.iter().zip(&ds) {
@@ -1280,7 +768,7 @@ impl Check {
                         worst
                     })
                     .collect();
-                (vals, Bound::AtMost(max_ratio), "x")
+                (vals, Bound::AtMost(*max_ratio), "x")
             }
             Check::DelayFloor {
                 panel,
@@ -1289,9 +777,10 @@ impl Check {
                 until_load,
                 slack,
             } => {
-                let pts = e.panel(panel);
-                let os = arbiter_series(pts, oracle);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let pts = &data.points;
+                let os = arbiter_series(pts, *oracle);
+                let vals = (0..data.seed_count())
                     .map(|s| {
                         let mut worst = 1.0f64;
                         for op in os.iter().filter(|p| p.target_load <= until_load + 1e-6) {
@@ -1307,7 +796,7 @@ impl Check {
                         worst
                     })
                     .collect();
-                (vals, Bound::AtMost(slack), "x")
+                (vals, Bound::AtMost(*slack), "x")
             }
             Check::MonotoneDelay {
                 panel,
@@ -1316,8 +805,9 @@ impl Check {
                 until_load,
                 min_step_ratio,
             } => {
-                let series = arbiter_series(e.panel(panel), arbiter);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let series = arbiter_series(&data.points, *arbiter);
+                let vals = (0..data.seed_count())
                     .map(|s| {
                         let prefix: Vec<f64> = series
                             .iter()
@@ -1330,7 +820,7 @@ impl Check {
                             .fold(f64::INFINITY, f64::min)
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_step_ratio), "step ratio")
+                (vals, Bound::AtLeast(*min_step_ratio), "step ratio")
             }
             Check::ThroughputFloor {
                 panel,
@@ -1338,8 +828,9 @@ impl Check {
                 until_load,
                 min_ratio,
             } => {
-                let series = arbiter_series(e.panel(panel), arbiter);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let series = arbiter_series(&data.points, *arbiter);
+                let vals = (0..data.seed_count())
                     .map(|s| {
                         series
                             .iter()
@@ -1348,7 +839,7 @@ impl Check {
                             .fold(f64::INFINITY, f64::min)
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_ratio), "ratio")
+                (vals, Bound::AtLeast(*min_ratio), "ratio")
             }
             Check::UtilizationScales {
                 panel,
@@ -1357,10 +848,11 @@ impl Check {
                 hi_load,
                 min_ratio_of_ratios,
             } => {
-                let series = arbiter_series(e.panel(panel), arbiter);
-                let lo = point_at(&series, lo_load);
-                let hi = point_at(&series, hi_load);
-                let vals = (0..e.panel_seed_count(panel))
+                let data = e.panel(panel);
+                let series = arbiter_series(&data.points, *arbiter);
+                let lo = point_at(&series, *lo_load);
+                let hi = point_at(&series, *hi_load);
+                let vals = (0..data.seed_count())
                     .map(|s| {
                         let u_lo = CurveMetric::WindowUtilizationPct
                             .of(&lo.results[s])
@@ -1371,13 +863,19 @@ impl Check {
                         (u_hi / u_lo) / (l_hi / l_lo).max(1e-9)
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_ratio_of_ratios), "ratio of ratios")
+                (
+                    vals,
+                    Bound::AtLeast(*min_ratio_of_ratios),
+                    "ratio of ratios",
+                )
             }
             Check::BurstConcentration {
+                panel,
                 within_fraction,
                 min_mass,
             } => {
                 let vals = e
+                    .panel(panel)
                     .bb_hist
                     .iter()
                     .map(|h| {
@@ -1387,20 +885,30 @@ impl Check {
                         head as f64 / total.max(1) as f64
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_mass), "mass fraction")
+                (vals, Bound::AtLeast(*min_mass), "mass fraction")
             }
             Check::SmoothCoverage {
+                panel,
                 min_active_fraction,
             } => {
                 let vals = e
+                    .panel(panel)
                     .sr_hist
                     .iter()
                     .map(|h| h.iter().filter(|&&b| b > 0).count() as f64 / h.len() as f64)
                     .collect();
-                (vals, Bound::AtLeast(min_active_fraction), "active fraction")
+                (
+                    vals,
+                    Bound::AtLeast(*min_active_fraction),
+                    "active fraction",
+                )
             }
-            Check::SmoothPeak { max_peak_over_mean } => {
+            Check::SmoothPeak {
+                panel,
+                max_peak_over_mean,
+            } => {
                 let vals = e
+                    .panel(panel)
                     .sr_hist
                     .iter()
                     .map(|h| {
@@ -1409,25 +917,27 @@ impl Check {
                         peak / mean.max(1e-9)
                     })
                     .collect();
-                (vals, Bound::AtMost(max_peak_over_mean), "peak/mean")
+                (vals, Bound::AtMost(*max_peak_over_mean), "peak/mean")
             }
             Check::Sawtooth {
+                panel,
                 sequence,
                 period,
                 min_peak_fraction,
             } => {
                 let vals = e
+                    .panel(panel)
                     .traces
                     .iter()
                     .map(|per_seq| {
-                        let trace = &per_seq[sequence];
-                        if period != GOP_PATTERN.len() || trace.len() % period != 0 {
+                        let trace = &per_seq[*sequence];
+                        if *period != GOP_PATTERN.len() || trace.len() % period != 0 {
                             return 0.0; // wrong shape: cannot be the paper's sawtooth
                         }
                         let gops = trace.len() / period;
                         let peaked = trace
                             .frames
-                            .chunks(period)
+                            .chunks(*period)
                             .filter(|gop| {
                                 let max = gop.iter().map(|f| f.bits).max().unwrap();
                                 gop[0].ty == FrameType::I && gop[0].bits == max
@@ -1436,10 +946,11 @@ impl Check {
                         peaked as f64 / gops as f64
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_peak_fraction), "GOP fraction")
+                (vals, Bound::AtLeast(*min_peak_fraction), "GOP fraction")
             }
-            Check::AvgRatesWithinFactor { factor } => {
+            Check::AvgRatesWithinFactor { panel, factor } => {
                 let vals = e
+                    .panel(panel)
                     .traces
                     .iter()
                     .map(|per_seq| {
@@ -1453,10 +964,11 @@ impl Check {
                             .fold(0.0f64, f64::max)
                     })
                     .collect();
-                (vals, Bound::AtMost(factor), "x")
+                (vals, Bound::AtMost(*factor), "x")
             }
-            Check::FrameTypeOrdering { min_ratio } => {
+            Check::FrameTypeOrdering { panel, min_ratio } => {
                 let vals = e
+                    .panel(panel)
                     .traces
                     .iter()
                     .map(|per_seq| {
@@ -1480,38 +992,20 @@ impl Check {
                             .fold(f64::INFINITY, f64::min)
                     })
                     .collect();
-                (vals, Bound::AtLeast(min_ratio), "ratio")
+                (vals, Bound::AtLeast(*min_ratio), "ratio")
             }
         }
-    }
-}
-
-/// Evaluate a claim list over an ensemble.
-pub fn evaluate_all(claims: &[Claim], e: &Ensemble) -> Vec<ClaimOutcome> {
-    claims.iter().map(|c| c.evaluate(e)).collect()
-}
-
-/// Build the ensemble for `options` and evaluate the committed manifest.
-pub fn run_conformance(options: EnsembleOptions, cache: &mut ExperimentCache) -> ConformanceReport {
-    let ensemble = Ensemble::build(options, cache);
-    report_from(&ensemble, options.fidelity)
-}
-
-/// Evaluate the committed manifest against an already-built ensemble.
-pub fn report_from(ensemble: &Ensemble, fidelity: Fidelity) -> ConformanceReport {
-    ConformanceReport {
-        fidelity: fidelity.label().to_string(),
-        cbr_seeds: ensemble.cbr_seeds.clone(),
-        vbr_seeds: ensemble.vbr_seeds.clone(),
-        frontier_seeds: ensemble.frontier_seeds.clone(),
-        claims: evaluate_all(&paper_claims(), ensemble),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WorkloadSpec;
+    use crate::workload_lang::{compile_committed, read_pack_dir, workloads_dir, Fidelity};
+
+    fn compiled(pack: &str, fidelity: Fidelity) -> crate::workload_lang::CompiledPack {
+        compile_committed(pack, fidelity).expect("committed pack compiles")
+    }
 
     #[test]
     fn seeds_are_distinct_and_prefix_stable() {
@@ -1527,25 +1021,18 @@ mod tests {
 
     #[test]
     fn manifest_ids_are_unique_and_span_all_figures() {
-        let claims = paper_claims();
-        assert!(claims.len() >= 10, "manifest holds {} claims", claims.len());
-        let mut ids: Vec<&str> = claims.iter().map(|c| c.id).collect();
-        ids.sort_unstable();
-        let n = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), n, "duplicate claim id");
-        for figure in [
-            Figure::Fig5,
-            Figure::Fig7,
-            Figure::Fig8,
-            Figure::Fig9,
-            Figure::Table1,
-            Figure::Frontier,
-        ] {
+        // `read_pack_dir` validates the committed packs as a set, which
+        // rejects a claim id used twice.
+        let specs = read_pack_dir(&workloads_dir()).expect("committed packs validate");
+        let ids: Vec<String> = specs
+            .iter()
+            .flat_map(|s| s.claim.iter().flatten().map(|c| c.id.clone()))
+            .collect();
+        assert!(ids.len() >= 10, "packs hold {} claims", ids.len());
+        for figure in ["fig5.", "fig7.", "fig8.", "fig9.", "table1.", "frontier."] {
             assert!(
-                claims.iter().any(|c| c.figure == figure),
-                "no claim guards {}",
-                figure.label()
+                ids.iter().any(|id| id.starts_with(figure)),
+                "no claim guards {figure}*"
             );
         }
     }
@@ -1559,54 +1046,31 @@ mod tests {
 
     #[test]
     fn quick_specs_carry_the_claimed_grid_points() {
-        let f5 = fig5_conformance_spec(Fidelity::Quick);
+        let f5 = compiled("fig5", Fidelity::Quick).sweep;
         assert!(f5.loads.contains(&0.86), "Fig. 5 claims pin 86% load");
-        assert!(matches!(f5.base.run, RunLength::Cycles(c) if c >= 100_000));
-        let f9 = fig9_conformance_spec(InjectionKind::SmoothRate, Fidelity::Quick);
+        assert!(matches!(f5.base.run, crate::config::RunLength::Cycles(c) if c >= 100_000));
+        let f9 = compiled("fig9_sr", Fidelity::Quick).sweep;
         for l in [0.4, 0.6, 0.85] {
             assert!(f9.loads.contains(&l), "Fig. 9 claims pin {l}");
         }
         match f9.base.workload {
-            WorkloadSpec::Vbr { injection, .. } => {
-                assert_eq!(injection, InjectionKind::SmoothRate)
+            crate::config::WorkloadSpec::Vbr { injection, .. } => {
+                assert_eq!(injection, crate::config::InjectionKind::SmoothRate)
             }
             _ => panic!("Fig. 9 spec must be VBR"),
         }
     }
 
     #[test]
-    fn frontier_spec_loads_are_a_fig5_subset_in_both_fidelities() {
-        // The dedup guarantee: every frontier grid point must also be a
-        // Fig. 5 grid point, so the COA/WFA cells never simulate twice.
-        for fidelity in [Fidelity::Quick, Fidelity::Full] {
-            let f5 = fig5_conformance_spec(fidelity);
-            let fr = frontier_conformance_spec(fidelity);
-            for load in &fr.loads {
-                assert!(
-                    f5.loads.contains(load),
-                    "frontier load {load} missing from the Fig. 5 grid ({fidelity:?})"
-                );
-            }
-            assert_eq!(fr.base, f5.base, "frontier must reuse the Fig. 5 base");
-            assert_eq!(fr.arbiters.len(), 7, "the frontier compares 7 arbiters");
-            for kind in [ArbiterKind::Coa, ArbiterKind::Wfa, ArbiterKind::MwmExact] {
-                assert!(fr.arbiters.contains(&kind));
-            }
-        }
-    }
-
-    #[test]
     fn frontier_claims_are_the_frontier_figure_subset() {
-        // The Frontier claims are gated with the rest of the manifest.
-        let claims: Vec<Claim> = paper_claims()
-            .into_iter()
-            .filter(|c| c.figure == Figure::Frontier)
-            .collect();
+        // The frontier pack carries the Frontier claims and nothing else.
+        let claims = compiled("frontier", Fidelity::Quick).claims;
         assert!(
             claims.len() >= 4,
-            "frontier manifest holds {} claims",
+            "frontier pack holds {} claims",
             claims.len()
         );
+        assert!(claims.iter().all(|c| c.id.starts_with("frontier.")));
         assert!(claims
             .iter()
             .any(|c| c.id == "frontier.coa-within-factor-of-mwm"));
@@ -1614,7 +1078,7 @@ mod tests {
 
     #[test]
     fn full_specs_include_the_86_point() {
-        let f5 = fig5_conformance_spec(Fidelity::Full);
+        let f5 = compiled("fig5", Fidelity::Full).sweep;
         assert!(f5.loads.contains(&0.86));
         let sorted = {
             let mut l = f5.loads.clone();
@@ -1645,50 +1109,27 @@ mod tests {
 
     #[test]
     fn trace_checks_pass_without_simulation() {
-        // The Table 1 / Fig. 7 claims need no router runs; build a
-        // sweep-free ensemble by hand and evaluate just those claims.
-        let options = EnsembleOptions::new(Fidelity::Quick);
-        let cbr_seeds = ensemble_seeds(SimConfig::default().seed, options.cbr_seeds);
-        let tb = TimeBase::default();
-        let traces: Vec<Vec<MpegTrace>> = cbr_seeds
-            .iter()
-            .map(|&seed| {
-                let root = SimRng::seed_from_u64(seed);
-                standard_sequences()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let mut rng = root.split(i as u64);
-                        MpegTrace::generate(p, 4, &tb, &mut rng)
-                    })
-                    .collect()
-            })
-            .collect();
-        let bb_model = InjectionModel::back_to_back_for(FIG7_BB_PEAK_FLITS, FRAME_TIME_SECS, &tb);
-        let e = Ensemble {
-            cbr_seeds: cbr_seeds.clone(),
-            traces,
-            bb_hist: cbr_seeds
-                .iter()
-                .map(|&s| injection_histogram(bb_model, FIG7_SLOTS, s))
-                .collect(),
-            sr_hist: cbr_seeds
-                .iter()
-                .map(|&s| injection_histogram(InjectionModel::SmoothRate, FIG7_SLOTS, s))
-                .collect(),
-            ..Ensemble::default()
-        };
-        for claim in paper_claims()
-            .iter()
-            .filter(|c| matches!(c.figure, Figure::Fig7 | Figure::Table1))
-        {
-            let o = claim.evaluate(&e);
+        // The Table 1 / Fig. 7 claims need no router runs: the MPEG pack
+        // synthesizes its traces and histograms directly.
+        let pack = compiled("mpeg", Fidelity::Quick);
+        let mut e = Ensemble::default();
+        e.insert(
+            &pack.name,
+            pack.run(&mut crate::saturation::ExperimentCache::new()),
+        );
+        let report = pack.evaluate(&e, Fidelity::Quick);
+        assert_eq!(
+            report.claims.len(),
+            6,
+            "three Fig. 7 and three Table 1 claims"
+        );
+        for o in &report.claims {
             assert!(
                 o.pass,
                 "{} failed: median {} vs threshold {} ({})",
                 o.id, o.median, o.threshold, o.unit
             );
-            assert_eq!(o.per_seed.len(), cbr_seeds.len());
+            assert_eq!(o.per_seed.len(), pack.sweep.seeds.len());
             assert!(o.spread_min <= o.median && o.median <= o.spread_max);
         }
     }
@@ -1697,7 +1138,7 @@ mod tests {
     fn report_serializes_and_roundtrips() {
         let outcome = ClaimOutcome::new(
             "x",
-            "Fig. 5",
+            "fig5",
             "d",
             vec![1.5, 0.5, 1.0],
             Bound::AtLeast(0.5),
@@ -1705,20 +1146,13 @@ mod tests {
         );
         assert_eq!((outcome.median, outcome.margin), (1.0, 0.5));
         assert_eq!((outcome.spread_min, outcome.spread_max), (0.5, 1.5));
-        let flipped = ClaimOutcome::new("x", "Fig. 5", "d", vec![1.0], Bound::AtMost(0.5), "x");
+        let flipped = ClaimOutcome::new("x", "fig5", "d", vec![1.0], Bound::AtMost(0.5), "x");
         assert!(!flipped.pass && !flipped.higher_is_better && flipped.margin == -0.5);
-        let report = ConformanceReport {
-            fidelity: "quick".into(),
-            cbr_seeds: vec![1, 2],
-            vbr_seeds: vec![1],
-            frontier_seeds: vec![1],
-            claims: vec![outcome],
-        };
-        let json = serde_json::to_string(&report).unwrap();
-        let back: ConformanceReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
-        assert!(report.all_pass());
-        assert!(report.failed().is_empty());
-        assert!(report.render_text().contains("PASS"));
+        let json = serde_json::to_string(&outcome).unwrap();
+        let back: ClaimOutcome = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, outcome);
+        let text = render_claims(&[outcome, flipped]);
+        assert!(text.starts_with("PASS x"));
+        assert!(text.contains("\nFAIL x"));
     }
 }

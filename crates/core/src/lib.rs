@@ -13,9 +13,9 @@
 //! * [`saturation`] — saturation-point detection over sweep results.
 //! * [`conformance`] — typed, machine-checkable paper claims evaluated
 //!   over multi-seed ensembles (the reproduction's regression gate).
-//! * [`scenarios`] — the canned configurations reproducing each figure of
-//!   the paper (Fig. 5 CBR delay, Fig. 8 VBR utilization, Fig. 9 VBR frame
-//!   delay, §5.2 jitter).
+//! * [`workload_lang`] — the workload packs under `workloads/`: the one
+//!   way to say what an experiment runs and claims, every paper figure
+//!   included.
 //! * [`report`] — text tables and CSV rendering of sweep results.
 //!
 //! ## Quickstart
@@ -43,7 +43,6 @@ pub mod conformance;
 pub mod experiment;
 pub mod report;
 pub mod saturation;
-pub mod scenarios;
 pub mod sweep;
 pub mod workload_lang;
 

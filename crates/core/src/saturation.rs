@@ -405,7 +405,12 @@ mod tests {
 
     #[test]
     fn seeded_cache_reuses_sweep_results_without_resimulating() {
-        let spec = SweepSpec::coa_vs_wfa(quick_base(), vec![0.3, 0.5]);
+        let spec = SweepSpec {
+            seeds: vec![quick_base().seed],
+            base: quick_base(),
+            loads: vec![0.3, 0.5],
+            arbiters: vec![ArbiterKind::Coa, ArbiterKind::Wfa],
+        };
         let points = sweep_with_workers(&spec, Some(1));
         let mut cache = ExperimentCache::seed_from_points(&points);
         assert_eq!(cache.len(), spec.point_count());

@@ -24,17 +24,6 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// Sweep `base` over `loads` for the COA-vs-WFA comparison with one
-    /// seed (the paper's setup).
-    pub fn coa_vs_wfa(base: SimConfig, loads: Vec<f64>) -> Self {
-        SweepSpec {
-            seeds: vec![base.seed],
-            base,
-            loads,
-            arbiters: vec![ArbiterKind::Coa, ArbiterKind::Wfa],
-        }
-    }
-
     /// Total number of simulation points.
     pub fn point_count(&self) -> usize {
         self.loads.len() * self.arbiters.len() * self.seeds.len()
@@ -127,7 +116,7 @@ pub fn sweep_with_workers(spec: &SweepSpec, workers: Option<usize>) -> Vec<Sweep
 
 /// Aggregate a flat result list (in [`SweepSpec::configs`] order — seeds
 /// innermost) back into (arbiter, load) points.  Shared by the sweep
-/// runner and the conformance engine's cached runner.
+/// runner and the cached pack runner (`CompiledPack::run`).
 pub fn group_points(spec: &SweepSpec, results: Vec<ExperimentResult>) -> Vec<SweepPoint> {
     assert_eq!(
         results.len(),
@@ -227,6 +216,16 @@ mod tests {
         }
     }
 
+    /// COA vs WFA over `loads`, one seed (the paper's setup).
+    fn coa_vs_wfa(loads: Vec<f64>) -> SweepSpec {
+        SweepSpec {
+            seeds: vec![quick_base().seed],
+            base: quick_base(),
+            loads,
+            arbiters: vec![ArbiterKind::Coa, ArbiterKind::Wfa],
+        }
+    }
+
     #[test]
     fn sweep_visits_full_grid() {
         let spec = SweepSpec {
@@ -251,7 +250,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let spec = SweepSpec::coa_vs_wfa(quick_base(), vec![0.3]);
+        let spec = coa_vs_wfa(vec![0.3]);
         let parallel = sweep(&spec);
         let sequential: Vec<ExperimentResult> = spec
             .configs()
@@ -293,7 +292,7 @@ mod tests {
 
     #[test]
     fn point_metric_helpers() {
-        let spec = SweepSpec::coa_vs_wfa(quick_base(), vec![0.3]);
+        let spec = coa_vs_wfa(vec![0.3]);
         let points = sweep(&spec);
         let p = &points[0];
         assert!(p.throughput_ratio() > 0.9);

@@ -1,43 +1,79 @@
 //! Declarative workload language: TOML/JSON scenario packs.
 //!
-//! Every experiment the repo can run used to be a canned Rust function in
-//! [`crate::scenarios`].  This module turns "reproduce the paper" into
-//! "describe any experiment": a pack is a TOML (or JSON) document naming
-//! connection groups, traffic classes, per-connection rates, ramp
-//! schedules, churn windows, fault plans, an optional fabric topology, a
-//! load sweep, and typed conformance claims.  [`WorkloadSpec::parse`]
-//! reads it, [`WorkloadSpec::validate`] rejects malformed documents with
-//! typed [`SpecError`]s (never panics), and [`WorkloadSpec::compile`]
-//! lowers it onto the existing [`SimConfig`]/[`SweepSpec`] machinery so
-//! the whole sweep/cache/conformance stack runs unchanged.
+//! A pack is the one way this repo says what an experiment runs and
+//! claims — the paper's figures included.  It is a TOML (or JSON)
+//! document naming connection groups or a canned preset, VBR streams,
+//! per-connection rates, ramp schedules, churn windows, fault plans, an
+//! optional fabric topology, a load sweep, and typed conformance claims.
+//! [`WorkloadSpec::parse`] reads it, [`WorkloadSpec::validate`] rejects
+//! malformed documents with typed [`SpecError`]s (never panics),
+//! [`validate_pack_set`] checks a set of packs together (unique claim
+//! ids, resolvable cross-pack panels), and [`WorkloadSpec::compile`]
+//! lowers a pack onto the existing [`SimConfig`]/[`SweepSpec`] machinery
+//! and its claims onto [`Check`]s, so the whole sweep/cache/conformance
+//! stack runs unchanged.
 //!
-//! The committed packs live under `workloads/`; the `workload_runner`
-//! bench binary sweeps them and gates their claims in CI.  TOML support
-//! is a self-contained subset (tables, arrays of tables, scalars, inline
-//! arrays, comments) because the build environment vendors no external
-//! TOML crate; JSON documents are detected by a leading `{` and parsed
-//! with the vendored `serde_json`.
+//! The committed packs live under `workloads/`; `mmr gate` (mmr-bench)
+//! runs them all through one experiment cache and gates their claims in
+//! CI.  TOML support is a self-contained subset (tables, arrays of
+//! tables, scalars, inline arrays, comments) because the build
+//! environment vendors no external TOML crate; JSON documents are
+//! detected by a leading `{` and parsed with the vendored `serde_json`.
 
 use crate::config::{
-    BestEffortSpec, ChurnConfig, FabricSpec, FaultSpec, MixGroup, RampScheduleConfig,
-    RampStepConfig, RunLength, SimConfig, WorkloadSpec as ConfigWorkload,
+    vbr_cycle_budget, BestEffortSpec, ChurnConfig, FabricSpec, FaultSpec, InjectionKind, MixGroup,
+    RampScheduleConfig, RampStepConfig, RunLength, SimConfig, WorkloadSpec as ConfigWorkload,
 };
 use crate::conformance::{
-    ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, Panel,
+    ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, PackData,
+    Panel,
 };
-use crate::scenarios::Fidelity;
-use crate::sweep::{SweepPoint, SweepSpec};
+use crate::saturation::ExperimentCache;
+use crate::sweep::{group_points, SweepSpec};
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::fabric::Topology;
 use mmr_sim::fault::FaultPlanConfig;
 use mmr_traffic::connection::TrafficClass;
+use mmr_traffic::mpeg::{standard_sequences, GOP_PATTERN};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::HashSet;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Load-grid matching tolerance: claim anchors and sweep loads are
 /// compared with this slack so generated grids (`initial`/`max`/`step`)
 /// behave like explicit lists.
 const LOAD_EPS: f64 = 1e-6;
+
+/// The `[traffic] preset` of the router-less MPEG pack: the seven
+/// Table 1 sequences, synthesized per seed, plus the Fig. 7 injection
+/// histograms.
+const MPEG_PRESET: &str = "mpeg-sequences";
+
+/// Largest seed ensemble a pack may ask for: far past any median a
+/// claim needs, and small enough that compiling never fails to allocate.
+const MAX_SEEDS: usize = 1024;
+
+/// How much simulation to spend per point: every pack names a quick run
+/// (`[run]`, `[sweep]`) and may override it for full fidelity
+/// (`[run.full]`, `[sweep.full]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fidelity {
+    /// Short runs for tests and smoke checks.
+    Quick,
+    /// Paper-scale runs for figure regeneration.
+    Full,
+}
+
+impl Fidelity {
+    /// `"quick"` / `"full"`, as reports record it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fidelity::Quick => "quick",
+            Fidelity::Full => "full",
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -175,10 +211,28 @@ pub enum SpecError {
         /// The unknown kind.
         kind: String,
     },
-    /// The fabric topology is not recognized or misses its dimensions.
+    /// The fabric topology is not recognized, misses its dimensions, or
+    /// sets a zero size.
     BadFabric {
         /// What went wrong.
         msg: String,
+    },
+    /// Two packs of a set share a `[meta] name`.
+    DuplicatePack {
+        /// The shared name.
+        name: String,
+    },
+    /// Two claims of a pack set share an id.
+    DuplicateClaimId {
+        /// The shared id.
+        id: String,
+    },
+    /// A claim reads a pack (`versus_pack`) the set does not contain.
+    UnknownPanel {
+        /// Claim id.
+        id: String,
+        /// The missing pack.
+        pack: String,
     },
 }
 
@@ -189,7 +243,10 @@ impl fmt::Display for SpecError {
             SpecError::Schema { msg } => write!(f, "schema error: {msg}"),
             SpecError::EmptySection { section } => write!(f, "section `{section}` is empty"),
             SpecError::MissingTraffic => {
-                write!(f, "[traffic] needs exactly one of `preset` / `group`")
+                write!(
+                    f,
+                    "[traffic] needs exactly one of `preset` / `group` / `vbr`"
+                )
             }
             SpecError::UnknownPreset { preset } => write!(f, "unknown preset `{preset}`"),
             SpecError::UnknownClass { class } => write!(f, "unknown traffic class `{class}`"),
@@ -249,6 +306,11 @@ impl fmt::Display for SpecError {
                 write!(f, "claim `{id}` has unknown kind `{kind}`")
             }
             SpecError::BadFabric { msg } => write!(f, "bad fabric: {msg}"),
+            SpecError::DuplicatePack { name } => write!(f, "two packs are named `{name}`"),
+            SpecError::DuplicateClaimId { id } => write!(f, "two claims have id `{id}`"),
+            SpecError::UnknownPanel { id, pack } => {
+                write!(f, "claim `{id}` reads pack `{pack}`, which the set lacks")
+            }
         }
     }
 }
@@ -736,13 +798,19 @@ pub struct GroupSpec {
     pub weight: f64,
 }
 
-/// `[traffic]` — either a canned preset or explicit groups.
+/// `[traffic]` — exactly one of a canned preset, explicit groups, or
+/// MPEG-2 VBR streams.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficSpec {
-    /// Canned preset name (`paper-cbr`), exclusive with `group`.
+    /// Canned preset: `paper-cbr` (the paper's CBR mix) or
+    /// `mpeg-sequences` (the seven Table 1 sequences, synthesized per
+    /// seed with the Fig. 7 injection histograms; no router runs).
     pub preset: Option<String>,
-    /// Explicit connection groups, exclusive with `preset`.
+    /// Explicit connection groups.
     pub group: Option<Vec<GroupSpec>>,
+    /// MPEG-2 VBR streams under the `sr` (Smooth-Rate) or `bb`
+    /// (Back-to-Back) injection model.
+    pub vbr: Option<String>,
 }
 
 /// `[best_effort]` — unreserved background traffic.
@@ -754,22 +822,29 @@ pub struct BestEffortSec {
     pub mean_flits: f64,
 }
 
-/// `[run.full]` — full-fidelity overrides.
+/// `[run.full]` — full-fidelity overrides (replaces `[run]` whole).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunFull {
     /// Warm-up flit cycles.
-    pub warmup: u64,
+    pub warmup: Option<u64>,
     /// Measured flit cycles.
-    pub cycles: u64,
+    pub cycles: Option<u64>,
+    /// GOPs per VBR connection or synthesized sequence.
+    pub gops: Option<u64>,
 }
 
-/// `[run]` — run lengths (quick fidelity; `[run.full]` overrides).
+/// `[run]` — run lengths (quick fidelity; `[run.full]` overrides).  CBR
+/// and group packs run `warmup` + `cycles` flit cycles; VBR packs and
+/// the MPEG pack run `gops` GOPs, drained within
+/// [`vbr_cycle_budget`] with no warm-up.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSec {
     /// Warm-up flit cycles.
-    pub warmup: u64,
+    pub warmup: Option<u64>,
     /// Measured flit cycles.
-    pub cycles: u64,
+    pub cycles: Option<u64>,
+    /// GOPs per VBR connection or synthesized sequence.
+    pub gops: Option<u64>,
     /// Full-fidelity overrides.
     pub full: Option<RunFull>,
 }
@@ -795,8 +870,9 @@ pub struct SweepSec {
     /// Generated grid increment.
     pub step: Option<f64>,
     /// Arbiter names (`coa`, `wfa`, `islip`, `islip:4`, `pim`, `greedy`,
-    /// `random`, `mwm`, `mwm-approx`, `frame-fair`, `cq`, ...).
-    pub arbiters: Vec<String>,
+    /// `random`, `mwm`, `mwm-approx`, `frame-fair`, `cq`, ...).  Absent
+    /// only in the router-less MPEG pack.
+    pub arbiters: Option<Vec<String>>,
     /// Ensemble size (deterministic seeds derived from `seed`).
     pub seeds: u64,
     /// Base seed (default: the paper's `0xB1ACA`).
@@ -873,9 +949,7 @@ pub struct ClaimSpec {
     pub id: String,
     /// Human description.
     pub description: String,
-    /// Check kind: `delay-below`, `delay-ratio-at-least`,
-    /// `delay-within-factor`, `throughput-floor`, `fairness-above`,
-    /// `reject-rate-below`, `utilization-above`.
+    /// Check kind; DESIGN.md §13 maps each onto its [`Check`].
     pub kind: String,
     /// Traffic class the check reads (kinds that need one).
     pub class: Option<String>,
@@ -885,10 +959,21 @@ pub struct ClaimSpec {
     pub faster: Option<String>,
     /// Arbiter under test (default: the sweep's first arbiter).
     pub arbiter: Option<String>,
-    /// Comparison arbiter (`delay-within-factor`).
+    /// Comparison arbiter (two-arbiter kinds).
     pub versus: Option<String>,
-    /// Load-grid point the claim anchors at.
-    pub at_load: f64,
+    /// Pack the `versus` cell is read from (ratio kinds; default: this
+    /// pack).
+    pub versus_pack: Option<String>,
+    /// Load-grid point the claim anchors at (point kinds).
+    pub at_load: Option<f64>,
+    /// Lower grid point of `utilization-scales`.
+    pub from_load: Option<f64>,
+    /// Last grid point of a load-prefix (`*-until`) kind.
+    pub until_load: Option<f64>,
+    /// Prefix of the frame time `bb-burst` reads, 0–1.
+    pub within_fraction: Option<f64>,
+    /// Table 1 row `sawtooth` reads (0-based).
+    pub sequence: Option<u64>,
     /// Threshold the ensemble median is gated against.
     pub threshold: f64,
 }
@@ -982,6 +1067,25 @@ pub fn parse_arbiter(name: &str) -> Result<ArbiterKind, SpecError> {
     Ok(kind)
 }
 
+/// Parse a `[traffic] vbr` injection label.
+fn parse_injection(label: &str) -> Result<InjectionKind, SpecError> {
+    match label {
+        "sr" => Ok(InjectionKind::SmoothRate),
+        "bb" => Ok(InjectionKind::BackToBack),
+        other => Err(SpecError::Schema {
+            msg: format!("traffic.vbr `{other}` is neither `sr` nor `bb`"),
+        }),
+    }
+}
+
+/// A required claim field, or the typed error naming it.
+fn need<T>(c: &ClaimSpec, field: &str, value: Option<T>) -> Result<T, SpecError> {
+    value.ok_or_else(|| SpecError::ClaimMissingField {
+        id: c.id.clone(),
+        field: field.to_string(),
+    })
+}
+
 impl WorkloadSpec {
     /// Parse a TOML or JSON workload document.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
@@ -993,6 +1097,16 @@ impl WorkloadSpec {
     /// losslessly.
     pub fn to_toml(&self) -> String {
         value_to_toml(&self.to_value())
+    }
+
+    /// True for the router-less MPEG pack (`preset = "mpeg-sequences"`).
+    pub fn is_trace_pack(&self) -> bool {
+        self.traffic.preset.as_deref() == Some(MPEG_PRESET)
+    }
+
+    /// The sweep's arbiter names (none in the MPEG pack).
+    fn arbiter_names(&self) -> &[String] {
+        self.sweep.arbiters.as_deref().unwrap_or(&[])
     }
 
     /// The load grid for a fidelity (explicit list, full override, or
@@ -1008,17 +1122,20 @@ impl WorkloadSpec {
         if let Some(loads) = &self.sweep.loads {
             return loads.clone();
         }
-        let (initial, max, step) = (
-            self.sweep.initial.unwrap_or(0.0),
-            self.sweep.max.unwrap_or(0.0),
-            self.sweep.step.unwrap_or(1.0),
-        );
-        let n = if step > 0.0 && max >= initial {
-            ((max - initial) / step + LOAD_EPS).floor() as usize + 1
-        } else {
-            0
-        };
-        (0..n).map(|i| initial + i as f64 * step).collect()
+        match (self.sweep.initial, self.sweep.max, self.sweep.step) {
+            (Some(initial), Some(max), Some(step)) if step > 0.0 && max >= initial => {
+                let n = ((max - initial) / step + LOAD_EPS).floor() as usize + 1;
+                (0..n).map(|i| initial + i as f64 * step).collect()
+            }
+            _ => vec![],
+        }
+    }
+
+    /// True when both fidelities' grids visit `load`.
+    fn sweeps(&self, load: f64) -> bool {
+        [Fidelity::Quick, Fidelity::Full]
+            .iter()
+            .all(|&f| self.loads(f).iter().any(|&l| (l - load).abs() < LOAD_EPS))
     }
 
     /// Number of ensemble seeds for a fidelity.
@@ -1033,6 +1150,36 @@ impl WorkloadSpec {
         self.sweep.seeds as usize
     }
 
+    /// The run a fidelity uses: warm-up cycles, run length, and GOPs per
+    /// VBR connection or sequence (0 for cycle-counted runs).
+    fn run_length(&self, fidelity: Fidelity) -> Result<(u64, RunLength, usize), SpecError> {
+        let (warmup, cycles, gops) = match (fidelity, self.run.full) {
+            (Fidelity::Full, Some(f)) => (f.warmup, f.cycles, f.gops),
+            _ => (self.run.warmup, self.run.cycles, self.run.gops),
+        };
+        if cycles == Some(0) || gops == Some(0) {
+            return Err(SpecError::ZeroRun);
+        }
+        let counts_gops = self.traffic.vbr.is_some() || self.is_trace_pack();
+        match (counts_gops, warmup, cycles, gops) {
+            (false, Some(warmup), Some(cycles), None) => Ok((warmup, RunLength::Cycles(cycles), 0)),
+            // The drain budget is linear in `gops`: refuse counts it
+            // cannot represent.
+            (true, None, None, Some(gops)) if gops.checked_mul(vbr_cycle_budget(1)).is_some() => {
+                let max_cycles = vbr_cycle_budget(gops as usize);
+                Ok((0, RunLength::UntilDrained { max_cycles }, gops as usize))
+            }
+            (false, ..) => Err(SpecError::Schema {
+                msg: "[run] needs `warmup` and `cycles`, and no `gops`".into(),
+            }),
+            (true, ..) => Err(SpecError::Schema {
+                msg:
+                    "VBR and MPEG packs run a drainable `gops` count, with no `warmup` or `cycles`"
+                        .into(),
+            }),
+        }
+    }
+
     /// Validate the document, returning the first typed error found.
     pub fn validate(&self) -> Result<(), SpecError> {
         let link_bps = mmr_sim::time::TimeBase::default().link_bits_per_sec;
@@ -1041,39 +1188,48 @@ impl WorkloadSpec {
                 msg: format!("meta.name `{}` must be [a-zA-Z0-9_-]+", self.meta.name),
             });
         }
-        // Traffic: preset XOR groups.
-        match (&self.traffic.preset, &self.traffic.group) {
-            (Some(_), Some(_)) | (None, None) => return Err(SpecError::MissingTraffic),
-            (Some(preset), None) => {
-                if preset != "paper-cbr" {
-                    return Err(SpecError::UnknownPreset {
-                        preset: preset.clone(),
-                    });
-                }
+        // Traffic: exactly one of preset / groups / vbr.
+        let t = &self.traffic;
+        if [t.preset.is_some(), t.group.is_some(), t.vbr.is_some()]
+            .iter()
+            .filter(|&&given| given)
+            .count()
+            != 1
+        {
+            return Err(SpecError::MissingTraffic);
+        }
+        if let Some(preset) = &t.preset {
+            if preset != "paper-cbr" && preset != MPEG_PRESET {
+                return Err(SpecError::UnknownPreset {
+                    preset: preset.clone(),
+                });
             }
-            (None, Some(groups)) => {
-                if groups.is_empty() {
-                    return Err(SpecError::EmptySection {
-                        section: "traffic.group".into(),
+        }
+        if let Some(vbr) = &t.vbr {
+            parse_injection(vbr)?;
+        }
+        if let Some(groups) = &t.group {
+            if groups.is_empty() {
+                return Err(SpecError::EmptySection {
+                    section: "traffic.group".into(),
+                });
+            }
+            for g in groups {
+                parse_class(&g.class)?;
+                if !g.rate_kbps.is_finite() || g.rate_kbps <= 0.0 {
+                    return Err(SpecError::NegativeRate {
+                        group: g.name.clone(),
                     });
                 }
-                for g in groups {
-                    parse_class(&g.class)?;
-                    if !g.rate_kbps.is_finite() || g.rate_kbps <= 0.0 {
-                        return Err(SpecError::NegativeRate {
-                            group: g.name.clone(),
-                        });
-                    }
-                    if !g.weight.is_finite() || g.weight <= 0.0 {
-                        return Err(SpecError::NonPositiveWeight {
-                            group: g.name.clone(),
-                        });
-                    }
-                    if g.rate_kbps * 1_000.0 > link_bps {
-                        return Err(SpecError::RateOverLink {
-                            group: g.name.clone(),
-                        });
-                    }
+                if !g.weight.is_finite() || g.weight <= 0.0 {
+                    return Err(SpecError::NonPositiveWeight {
+                        group: g.name.clone(),
+                    });
+                }
+                if g.rate_kbps * 1_000.0 > link_bps {
+                    return Err(SpecError::RateOverLink {
+                        group: g.name.clone(),
+                    });
                 }
             }
         }
@@ -1089,44 +1245,73 @@ impl WorkloadSpec {
                 });
             }
         }
-        if self.run.cycles == 0 || self.run.full.map(|f| f.cycles == 0).unwrap_or(false) {
-            return Err(SpecError::ZeroRun);
+        for fidelity in [Fidelity::Quick, Fidelity::Full] {
+            self.run_length(fidelity)?;
         }
-        // Sweep: explicit loads XOR a generator.
+        // Sweep: explicit loads XOR a generator, except in the MPEG pack,
+        // which runs no router and so has neither.
         let has_list = self.sweep.loads.is_some();
         let has_gen =
             self.sweep.initial.is_some() || self.sweep.max.is_some() || self.sweep.step.is_some();
-        let gen_complete =
-            self.sweep.initial.is_some() && self.sweep.max.is_some() && self.sweep.step.is_some();
-        if has_list == has_gen || (has_gen && !gen_complete) {
-            return Err(SpecError::NoLoads);
-        }
-        if let (Some(step), true) = (self.sweep.step, has_gen) {
-            if !step.is_finite() || step <= 0.0 {
+        if self.is_trace_pack() {
+            let full_loads = self.sweep.full.as_ref().is_some_and(|f| f.loads.is_some());
+            if has_list
+                || has_gen
+                || full_loads
+                || self.sweep.arbiters.is_some()
+                || self.best_effort.is_some()
+                || self.fault.is_some()
+                || self.fabric.is_some()
+            {
                 return Err(SpecError::Schema {
-                    msg: format!("sweep.step {step} must be positive"),
+                    msg: format!(
+                        "the `{MPEG_PRESET}` preset runs no router: [sweep] takes only `seeds`, \
+                         and [best_effort]/[fault]/[fabric] do not apply"
+                    ),
                 });
             }
-        }
-        for fidelity in [Fidelity::Quick, Fidelity::Full] {
-            let loads = self.loads(fidelity);
-            if loads.is_empty() {
+        } else {
+            let gen_complete = self.sweep.initial.is_some()
+                && self.sweep.max.is_some()
+                && self.sweep.step.is_some();
+            if has_list == has_gen || (has_gen && !gen_complete) {
                 return Err(SpecError::NoLoads);
             }
-            for &load in &loads {
-                if !load.is_finite() || load <= 0.0 || load > 1.0 {
-                    return Err(SpecError::LoadOutOfRange { load });
+            if let (Some(step), true) = (self.sweep.step, has_gen) {
+                if !step.is_finite() || step <= 0.0 {
+                    return Err(SpecError::Schema {
+                        msg: format!("sweep.step {step} must be positive"),
+                    });
                 }
+            }
+            for fidelity in [Fidelity::Quick, Fidelity::Full] {
+                let loads = self.loads(fidelity);
+                if loads.is_empty() {
+                    return Err(SpecError::NoLoads);
+                }
+                for &load in &loads {
+                    if !load.is_finite() || load <= 0.0 || load > 1.0 {
+                        return Err(SpecError::LoadOutOfRange { load });
+                    }
+                }
+            }
+            if self.arbiter_names().is_empty() {
+                return Err(SpecError::NoArbiters);
+            }
+            for name in self.arbiter_names() {
+                parse_arbiter(name)?;
             }
         }
         if self.sweep.seeds == 0 || self.sweep.full.as_ref().map(|f| f.seeds) == Some(Some(0)) {
             return Err(SpecError::NoSeeds);
         }
-        if self.sweep.arbiters.is_empty() {
-            return Err(SpecError::NoArbiters);
-        }
-        for name in &self.sweep.arbiters {
-            parse_arbiter(name)?;
+        let most_seeds = self
+            .seed_count(Fidelity::Quick)
+            .max(self.seed_count(Fidelity::Full));
+        if most_seeds > MAX_SEEDS {
+            return Err(SpecError::Schema {
+                msg: format!("{most_seeds} seeds; an ensemble holds at most {MAX_SEEDS}"),
+            });
         }
         // Capacity: peak swept load, plus churn arrivals, plus best-effort
         // background must fit the link.
@@ -1225,61 +1410,46 @@ impl WorkloadSpec {
     }
 
     fn validate_claim(&self, c: &ClaimSpec) -> Result<(), SpecError> {
-        let need = |field: &str, present: bool| -> Result<(), SpecError> {
-            if present {
-                Ok(())
-            } else {
-                Err(SpecError::ClaimMissingField {
-                    id: c.id.clone(),
-                    field: field.to_string(),
-                })
-            }
-        };
+        let schema = |msg: String| Err(SpecError::Schema { msg });
         if c.id.is_empty() {
-            return Err(SpecError::Schema {
-                msg: "claim with empty id".into(),
-            });
+            return schema("claim with empty id".into());
         }
-        match c.kind.as_str() {
-            "delay-below" => need("class", c.class.is_some())?,
-            "delay-ratio-at-least" => {
-                need("slower", c.slower.is_some())?;
-                need("faster", c.faster.is_some())?;
-            }
-            "delay-within-factor" => {
-                need("class", c.class.is_some())?;
-                need("versus", c.versus.is_some())?;
-            }
-            "throughput-floor" | "fairness-above" | "reject-rate-below" | "utilization-above" => {}
-            other => {
-                return Err(SpecError::UnknownClaimKind {
-                    id: c.id.clone(),
-                    kind: other.to_string(),
-                })
-            }
+        let check = self.lower_claim(c)?;
+        if check.reads_traces() != self.is_trace_pack() {
+            return schema(format!(
+                "claim `{}` ({}) and pack `{}` disagree on whether a router runs",
+                c.id, c.kind, self.meta.name
+            ));
+        }
+        if c.versus_pack.is_some() && !matches!(check, Check::RatioAtPoint { .. }) {
+            return schema(format!(
+                "claim `{}`: only ratio kinds read a `versus_pack`",
+                c.id
+            ));
         }
         for label in [&c.class, &c.slower, &c.faster].into_iter().flatten() {
             parse_class(label)?;
         }
-        for name in [&c.arbiter, &c.versus].into_iter().flatten() {
+        // A `versus` read from another pack is checked against that pack
+        // by `validate_pack_set`.
+        let versus = c.versus.as_ref().filter(|_| c.versus_pack.is_none());
+        for name in [c.arbiter.as_ref(), versus].into_iter().flatten() {
             parse_arbiter(name)?;
-            if !self.sweep.arbiters.contains(name) {
-                return Err(SpecError::Schema {
-                    msg: format!("claim `{}` reads arbiter `{name}` the sweep omits", c.id),
-                });
+            if !self.arbiter_names().contains(name) {
+                return schema(format!(
+                    "claim `{}` reads arbiter `{name}` the sweep omits",
+                    c.id
+                ));
             }
         }
         if !c.threshold.is_finite() {
-            return Err(SpecError::Schema {
-                msg: format!("claim `{}` threshold must be finite", c.id),
-            });
+            return schema(format!("claim `{}` threshold must be finite", c.id));
         }
-        for fidelity in [Fidelity::Quick, Fidelity::Full] {
-            let loads = self.loads(fidelity);
-            if !loads.iter().any(|&l| (l - c.at_load).abs() < LOAD_EPS) {
+        for at_load in check.anchor_loads() {
+            if !self.sweeps(at_load) {
                 return Err(SpecError::ClaimLoadNotSwept {
                     id: c.id.clone(),
-                    at_load: c.at_load,
+                    at_load,
                 });
             }
         }
@@ -1287,16 +1457,20 @@ impl WorkloadSpec {
     }
 
     fn fabric_spec(&self, sec: &FabricSec) -> Result<FabricSpec, SpecError> {
+        let positive = |v: u64, name: &str| -> Result<u64, SpecError> {
+            if v == 0 {
+                Err(SpecError::BadFabric {
+                    msg: format!("`{name}` must be at least 1"),
+                })
+            } else {
+                Ok(v)
+            }
+        };
         let dim = |v: Option<u64>, name: &str| -> Result<usize, SpecError> {
             let v = v.ok_or_else(|| SpecError::BadFabric {
                 msg: format!("`{}` topology needs `{name}`", sec.topology),
             })?;
-            if v < 1 {
-                return Err(SpecError::BadFabric {
-                    msg: format!("`{name}` must be at least 1"),
-                });
-            }
-            Ok(v as usize)
+            Ok(positive(v, name)? as usize)
         };
         let topology = match sec.topology.as_str() {
             "line" => Topology::Line {
@@ -1321,13 +1495,13 @@ impl WorkloadSpec {
         };
         let mut spec = FabricSpec::new(topology);
         if let Some(hp) = sec.host_ports {
-            spec.host_ports = hp.max(1) as usize;
+            spec.host_ports = positive(hp, "host_ports")? as usize;
         }
         if let Some(w) = sec.workers {
-            spec.workers = w.max(1) as usize;
+            spec.workers = positive(w, "workers")? as usize;
         }
         if let Some(l) = sec.link_latency {
-            spec.link_latency = l.max(1);
+            spec.link_latency = positive(l, "link_latency")?;
         }
         Ok(spec)
     }
@@ -1336,9 +1510,9 @@ impl WorkloadSpec {
     /// Validates first, so a successful compile implies a valid document.
     pub fn compile(&self, fidelity: Fidelity) -> Result<CompiledPack, SpecError> {
         self.validate()?;
-        let workload = match (&self.traffic.preset, &self.traffic.group) {
-            (Some(_), _) => ConfigWorkload::cbr(0.5),
-            (None, Some(groups)) => ConfigWorkload::Mix {
+        let (warmup, run, gops) = self.run_length(fidelity)?;
+        let workload = match (&self.traffic.group, &self.traffic.vbr) {
+            (Some(groups), _) => ConfigWorkload::Mix {
                 target_load: 0.5,
                 groups: groups
                     .iter()
@@ -1367,10 +1541,18 @@ impl WorkloadSpec {
                     arrivals: c.arrivals,
                 }),
             },
-            (None, None) => unreachable!("validate() enforces traffic"),
+            (None, Some(vbr)) => ConfigWorkload::Vbr {
+                target_load: 0.5,
+                gops,
+                injection: parse_injection(vbr)?,
+                enforce_peak: false,
+            },
+            (None, None) => ConfigWorkload::cbr(0.5),
         };
         let mut base = SimConfig {
             workload,
+            warmup_cycles: warmup,
+            run,
             ..SimConfig::default()
         };
         if let Some(be) = &self.best_effort {
@@ -1379,12 +1561,6 @@ impl WorkloadSpec {
                 mean_flits: be.mean_flits,
             });
         }
-        let (warmup, cycles) = match (fidelity, self.run.full) {
-            (Fidelity::Full, Some(full)) => (full.warmup, full.cycles),
-            _ => (self.run.warmup, self.run.cycles),
-        };
-        base.warmup_cycles = warmup;
-        base.run = RunLength::Cycles(cycles);
         if let Some(seed) = self.sweep.seed {
             base.seed = seed;
         }
@@ -1403,8 +1579,7 @@ impl WorkloadSpec {
             base.fabric = Some(self.fabric_spec(fabric)?);
         }
         let arbiters = self
-            .sweep
-            .arbiters
+            .arbiter_names()
             .iter()
             .map(|n| parse_arbiter(n))
             .collect::<Result<Vec<_>, _>>()?;
@@ -1415,12 +1590,19 @@ impl WorkloadSpec {
             .as_deref()
             .unwrap_or(&[])
             .iter()
-            .map(|c| self.compile_claim(c, &arbiters))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|c| {
+                Ok(CompiledClaim {
+                    id: c.id.clone(),
+                    description: c.description.clone(),
+                    check: self.lower_claim(c)?,
+                })
+            })
+            .collect::<Result<Vec<_>, SpecError>>()?;
         Ok(CompiledPack {
             name: self.meta.name.clone(),
             description: self.meta.description.clone(),
             fabric: self.fabric.is_some(),
+            trace_gops: self.is_trace_pack().then_some(gops),
             sweep: SweepSpec {
                 base,
                 loads,
@@ -1431,61 +1613,265 @@ impl WorkloadSpec {
         })
     }
 
-    /// Lower one `[[claim]]` onto the conformance vocabulary: every kind
-    /// reads the pack's own sweep ([`Panel::Pack`]) at its `at_load`.
-    fn compile_claim(
-        &self,
-        c: &ClaimSpec,
-        arbiters: &[ArbiterKind],
-    ) -> Result<CompiledClaim, SpecError> {
-        let arbiter = match &c.arbiter {
-            Some(name) => parse_arbiter(name)?,
-            None => arbiters[0],
+    /// Lower one `[[claim]]` onto the conformance vocabulary (the kind
+    /// table is DESIGN.md §13).  Every kind reads this pack's panel; the
+    /// ratio kinds read their `versus` cell from `versus_pack` when it is
+    /// set.
+    fn lower_claim(&self, c: &ClaimSpec) -> Result<Check, SpecError> {
+        let panel = || Panel::new(&self.meta.name);
+        let arbiter = || match (&c.arbiter, self.arbiter_names().first()) {
+            (Some(name), _) | (None, Some(name)) => parse_arbiter(name),
+            (None, None) => Err(SpecError::Schema {
+                msg: format!(
+                    "claim `{}` reads a router sweep; the `{MPEG_PRESET}` preset runs none",
+                    c.id
+                ),
+            }),
         };
-        let class = |label: &Option<String>| -> Result<TrafficClass, SpecError> {
-            parse_class(label.as_deref().unwrap_or(""))
+        let versus = || parse_arbiter(need(c, "versus", c.versus.as_deref())?);
+        let class =
+            |field: &str, label: &Option<String>| parse_class(need(c, field, label.as_deref())?);
+        let delay = || class("class", &c.class).map(CurveMetric::ClassDelayUs);
+        let at_load = || need(c, "at_load", c.at_load);
+        let until_load = || need(c, "until_load", c.until_load);
+        let at_point = |metric: CurveMetric, bound: Bound| -> Result<Check, SpecError> {
+            Ok(Check::AtPoint {
+                panel: panel(),
+                metric,
+                arbiter: arbiter()?,
+                at_load: at_load()?,
+                bound,
+            })
         };
-        let at_point = |metric, bound| Check::AtPoint {
-            panel: Panel::Pack,
-            metric,
-            arbiter,
-            at_load: c.at_load,
-            bound,
+        let ratio = |metric: CurveMetric, bound: Bound| -> Result<Check, SpecError> {
+            let den_pack = c.versus_pack.as_deref().unwrap_or(&self.meta.name);
+            Ok(Check::RatioAtPoint {
+                metric,
+                at_load: at_load()?,
+                num: (panel(), arbiter()?),
+                den: (Panel::new(den_pack), versus()?),
+                bound,
+            })
         };
-        let (at_most, at_least) = (Bound::AtMost(c.threshold), Bound::AtLeast(c.threshold));
-        let check = match c.kind.as_str() {
-            "delay-below" => at_point(CurveMetric::ClassDelayUs(class(&c.class)?), at_most),
+        let t = c.threshold;
+        let parity = |metric: CurveMetric| -> Result<Check, SpecError> {
+            Ok(Check::WithinFactor {
+                panel: panel(),
+                metric,
+                a: arbiter()?,
+                b: versus()?,
+                until_load: until_load()?,
+                max_factor: t,
+            })
+        };
+        let (at_most, at_least) = (Bound::AtMost(t), Bound::AtLeast(t));
+        match c.kind.as_str() {
+            "delay-below" => at_point(delay()?, at_most),
+            "frame-delay-below" => at_point(CurveMetric::FrameDelayUs, at_most),
             "delay-ratio-at-least" => at_point(
-                CurveMetric::ClassDelayRatio(class(&c.slower)?, class(&c.faster)?),
+                CurveMetric::ClassDelayRatio(
+                    class("slower", &c.slower)?,
+                    class("faster", &c.faster)?,
+                ),
                 at_least,
             ),
-            "delay-within-factor" => Check::RatioAtPoint {
-                metric: CurveMetric::ClassDelayUs(class(&c.class)?),
-                at_load: c.at_load,
-                num: (Panel::Pack, arbiter),
-                den: (
-                    Panel::Pack,
-                    parse_arbiter(c.versus.as_deref().unwrap_or(""))?,
-                ),
-                bound: at_most,
-            },
             "throughput-floor" => at_point(CurveMetric::ThroughputRatio, at_least),
             "fairness-above" => at_point(CurveMetric::Fairness, at_least),
             "reject-rate-below" => at_point(CurveMetric::RejectRate, at_most),
             "utilization-above" => at_point(CurveMetric::CrossbarUtilization, at_least),
-            other => {
-                return Err(SpecError::UnknownClaimKind {
-                    id: c.id.clone(),
-                    kind: other.to_string(),
+            "delay-within-factor" => ratio(delay()?, at_most),
+            "delay-factor-at-least" => ratio(delay()?, at_least),
+            "frame-delay-factor-at-least" => ratio(CurveMetric::FrameDelayUs, at_least),
+            "saturation-gap" => Ok(Check::SaturationGap {
+                panel: panel(),
+                metric: delay()?,
+                winner: arbiter()?,
+                loser: versus()?,
+                min_points: t,
+            }),
+            "utilization-scales" => Ok(Check::UtilizationScales {
+                panel: panel(),
+                arbiter: arbiter()?,
+                lo_load: need(c, "from_load", c.from_load)?,
+                hi_load: at_load()?,
+                min_ratio_of_ratios: t,
+            }),
+            "delay-parity-until" => parity(delay()?),
+            "utilization-parity-until" => parity(CurveMetric::WindowUtilizationPct),
+            "delay-monotone-until" => Ok(Check::MonotoneDelay {
+                panel: panel(),
+                metric: delay()?,
+                arbiter: arbiter()?,
+                until_load: until_load()?,
+                min_step_ratio: t,
+            }),
+            "throughput-floor-until" => Ok(Check::ThroughputFloor {
+                panel: panel(),
+                arbiter: arbiter()?,
+                until_load: until_load()?,
+                min_ratio: t,
+            }),
+            "delay-bounded-until" => Ok(Check::AtMostRatio {
+                panel: panel(),
+                metric: delay()?,
+                numerator: arbiter()?,
+                denominator: versus()?,
+                until_load: until_load()?,
+                max_ratio: t,
+            }),
+            "delay-floor-until" => Ok(Check::DelayFloor {
+                panel: panel(),
+                metric: delay()?,
+                oracle: arbiter()?,
+                until_load: until_load()?,
+                slack: t,
+            }),
+            "bb-burst" => Ok(Check::BurstConcentration {
+                panel: panel(),
+                within_fraction: need(c, "within_fraction", c.within_fraction)?,
+                min_mass: t,
+            }),
+            "sr-coverage" => Ok(Check::SmoothCoverage {
+                panel: panel(),
+                min_active_fraction: t,
+            }),
+            "sr-peak" => Ok(Check::SmoothPeak {
+                panel: panel(),
+                max_peak_over_mean: t,
+            }),
+            "sawtooth" => {
+                let row = need(c, "sequence", c.sequence)?;
+                let sequence = usize::try_from(row)
+                    .ok()
+                    .filter(|&s| s < standard_sequences().len())
+                    .ok_or_else(|| SpecError::Schema {
+                        msg: format!("claim `{}`: Table 1 has no sequence {row}", c.id),
+                    })?;
+                Ok(Check::Sawtooth {
+                    panel: panel(),
+                    sequence,
+                    period: GOP_PATTERN.len(),
+                    min_peak_fraction: t,
                 })
             }
-        };
-        Ok(CompiledClaim {
-            id: c.id.clone(),
-            description: c.description.clone(),
-            check,
-        })
+            "rates-within-factor" => Ok(Check::AvgRatesWithinFactor {
+                panel: panel(),
+                factor: t,
+            }),
+            "frame-ordering" => Ok(Check::FrameTypeOrdering {
+                panel: panel(),
+                min_ratio: t,
+            }),
+            other => Err(SpecError::UnknownClaimKind {
+                id: c.id.clone(),
+                kind: other.to_string(),
+            }),
+        }
     }
+}
+
+/// Validate packs as one set — what `mmr gate` runs together: pack names
+/// and claim ids are unique, and every claim that reads another pack
+/// (`versus_pack`) finds it, with a router sweep carrying the `versus`
+/// arbiter at the claim's load in both fidelities.  Each pack must
+/// already validate on its own.
+pub fn validate_pack_set(specs: &[WorkloadSpec]) -> Result<(), SpecError> {
+    let mut names = HashSet::new();
+    for s in specs {
+        if !names.insert(s.meta.name.as_str()) {
+            return Err(SpecError::DuplicatePack {
+                name: s.meta.name.clone(),
+            });
+        }
+    }
+    let mut ids = HashSet::new();
+    for c in specs.iter().flat_map(|s| s.claim.iter().flatten()) {
+        if !ids.insert(c.id.as_str()) {
+            return Err(SpecError::DuplicateClaimId { id: c.id.clone() });
+        }
+        let Some(pack) = &c.versus_pack else {
+            continue;
+        };
+        let unknown = || SpecError::UnknownPanel {
+            id: c.id.clone(),
+            pack: pack.clone(),
+        };
+        let other = specs
+            .iter()
+            .find(|s| &s.meta.name == pack)
+            .ok_or_else(unknown)?;
+        let versus = c.versus.as_deref().unwrap_or_default();
+        if other.is_trace_pack() || other.fabric.is_some() {
+            return Err(SpecError::Schema {
+                msg: format!("claim `{}` reads pack `{pack}`, which runs no sweep", c.id),
+            });
+        }
+        if !other.arbiter_names().iter().any(|n| n == versus) {
+            return Err(SpecError::Schema {
+                msg: format!(
+                    "claim `{}` reads arbiter `{versus}` pack `{pack}` omits",
+                    c.id
+                ),
+            });
+        }
+        let at_load = c.at_load.unwrap_or(f64::NAN);
+        if !other.sweeps(at_load) {
+            return Err(SpecError::ClaimLoadNotSwept {
+                id: c.id.clone(),
+                at_load,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The committed pack directory: `workloads/` at the workspace root, or
+/// `MMR_WORKLOADS_DIR` when set.
+pub fn workloads_dir() -> PathBuf {
+    std::env::var_os("MMR_WORKLOADS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads"))
+}
+
+/// Read, parse and validate one pack document.
+pub fn read_pack(path: &Path) -> Result<WorkloadSpec, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    WorkloadSpec::parse(&text)
+        .and_then(|spec| spec.validate().map(|_| spec))
+        .map_err(|e| format!("{} is invalid: {e}", path.display()))
+}
+
+/// The committed pack `workloads/<name>.toml`, compiled at `fidelity`.
+pub fn compile_committed(name: &str, fidelity: Fidelity) -> Result<CompiledPack, String> {
+    read_pack(&workloads_dir().join(format!("{name}.toml")))?
+        .compile(fidelity)
+        .map_err(|e| format!("{name}: {e}"))
+}
+
+/// Every pack in `dir` (`.toml` and `.json`, in file-name order), each
+/// validated on its own and all of them as a set
+/// ([`validate_pack_set`]).
+pub fn read_pack_dir(dir: &Path) -> Result<Vec<WorkloadSpec>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| {
+            matches!(
+                p.extension().and_then(|e| e.to_str()),
+                Some("toml" | "json")
+            )
+        })
+        .collect();
+    paths.sort();
+    let specs = paths
+        .iter()
+        .map(|p| read_pack(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    validate_pack_set(&specs).map_err(|e| format!("{}: {e}", dir.display()))?;
+    Ok(specs)
 }
 
 // ---------------------------------------------------------------------------
@@ -1500,8 +1886,16 @@ pub struct CompiledClaim {
     pub id: String,
     /// Description for reports.
     pub description: String,
-    /// The typed check, read against [`Panel::Pack`].
+    /// The typed check, reading the panels (packs) it names.
     pub check: Check,
+}
+
+impl CompiledClaim {
+    /// Judge the claim, which belongs to pack `pack`, over `e`.
+    pub fn evaluate(&self, pack: &str, e: &Ensemble) -> ClaimOutcome {
+        let (per_seed, bound, unit) = self.check.measure(e);
+        ClaimOutcome::new(&self.id, pack, &self.description, per_seed, bound, unit)
+    }
 }
 
 /// A compiled pack: the sweep to run plus the claims to gate it with.
@@ -1511,10 +1905,13 @@ pub struct CompiledPack {
     pub name: String,
     /// Pack description.
     pub description: String,
-    /// True when the pack targets a multi-router fabric (the runner
-    /// routes it through `run_fabric_experiment`; claims are unsupported).
+    /// True when the pack targets a multi-router fabric (the gate runs
+    /// it through `run_fabric_experiment`; claims are unsupported).
     pub fabric: bool,
-    /// The sweep grid.
+    /// GOPs per synthesized sequence of the router-less MPEG pack;
+    /// `None` for packs that run a router.
+    pub trace_gops: Option<usize>,
+    /// The sweep grid (no loads or arbiters in the MPEG pack).
     pub sweep: SweepSpec,
     /// Typed claims.
     pub claims: Vec<CompiledClaim>,
@@ -1589,23 +1986,31 @@ impl PackReport {
 }
 
 impl CompiledPack {
-    /// Evaluate the pack's claims over completed sweep points and
-    /// assemble the report.  `points` must come from running
-    /// [`Self::sweep`] (same grid, seeds innermost).
-    pub fn evaluate(&self, points: &[SweepPoint], fidelity: Fidelity) -> PackReport {
-        let ensemble = Ensemble {
-            pack: points.to_vec(),
-            ..Ensemble::default()
-        };
+    /// Run the pack: its sweep through `cache` (measured configs are
+    /// reused, the misses fan out in parallel), or the MPEG pack's trace
+    /// synthesis.  Fabric packs run outside the cache, through
+    /// `experiment::run_fabric_experiment`.
+    pub fn run(&self, cache: &mut ExperimentCache) -> PackData {
+        match self.trace_gops {
+            Some(gops) => PackData::traces(&self.sweep.seeds, gops),
+            None => PackData {
+                points: group_points(&self.sweep, cache.run_many(&self.sweep.configs(), None)),
+                ..PackData::default()
+            },
+        }
+    }
+
+    /// Judge the pack's claims over `e` — which holds this pack's run and
+    /// every pack its claims read — and assemble the report.
+    pub fn evaluate(&self, e: &Ensemble, fidelity: Fidelity) -> PackReport {
         let claims = self
             .claims
             .iter()
-            .map(|c| {
-                let (per_seed, bound, unit) = c.check.measure(&ensemble);
-                ClaimOutcome::new(&c.id, &self.name, &c.description, per_seed, bound, unit)
-            })
+            .map(|c| c.evaluate(&self.name, e))
             .collect();
-        let curves = points
+        let curves = e
+            .panel(&Panel::new(&self.name))
+            .points
             .iter()
             .map(|p| PackCurvePoint {
                 arbiter: p.arbiter.label().to_string(),

@@ -7,9 +7,8 @@
 //! ```
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
-use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
+use mmr_core::config::{vbr_cycle_budget, InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::run_experiment;
-use mmr_core::scenarios::vbr_cycle_budget;
 
 fn main() {
     println!("MPEG-2 streaming through the MMR at 70% generated load\n");

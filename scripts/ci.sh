@@ -5,24 +5,39 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check =="
+# Wall clock per stage: `stage NAME` closes the running stage (printing
+# its elapsed seconds) and opens the next; the table before "CI green"
+# lists them all.
+STAGES=()
+STAGE=""
+stage() {
+    if [[ -n "$STAGE" ]]; then
+        echo "-- $STAGE: $((SECONDS - STAGE_START)) s"
+        STAGES+=("$((SECONDS - STAGE_START))|$STAGE")
+    fi
+    STAGE="$1"
+    STAGE_START=$SECONDS
+    [[ -z "$STAGE" ]] || echo "== $STAGE =="
+}
+
+stage "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== scripts parse =="
+stage "scripts parse"
 # scripts/ab.sh (parent-vs-change pairing for performance claims) is run
 # by hand, against a second checkout: keep it at least syntactically alive.
 bash -n scripts/ab.sh
 
-echo "== cargo clippy (deny warnings) =="
+stage "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo build --release =="
+stage "cargo build --release"
 cargo build --release
 
-echo "== cargo test =="
+stage "cargo test"
 cargo test -q
 
-echo "== one pipeline =="
+stage "one pipeline"
 # The switch stages are called from crates/router/src/pipeline.rs
 # (SwitchCore) and nowhere else: MmrRouter and FabricNode are adapters
 # over it.  A stage call in either adapter's non-test code is a second
@@ -35,7 +50,7 @@ for f in crates/router/src/router.rs crates/router/src/fabric.rs; do
     fi
 done
 
-echo "== bench_report smoke + perf gates =="
+stage "bench_report smoke + perf gates"
 # Write the next auto-numbered results/BENCH_<n>.json so every CI run
 # extends the benchmark trajectory, and gate against the newest
 # committed baseline: (1) the instrumented-but-disabled router step —
@@ -47,7 +62,7 @@ echo "== bench_report smoke + perf gates =="
 BASELINE="$(ls results/BENCH_*.json | sort -V | tail -1)"
 cargo run --release -q -p mmr-bench --bin bench_report -- --quick --gate "$BASELINE"
 
-echo "== benchmark self-check =="
+stage "benchmark self-check"
 # The performance ledger (BENCHMARK.json, benchmark/) is a standalone
 # package whose traced pass replays the router pipeline from the layers'
 # public constructors.  --check runs its fmt, clippy, the
@@ -77,7 +92,7 @@ if grep -q '"valid": false' benchmark/out/result.json; then
     done
 fi
 
-echo "== fabric scaling gate =="
+stage "fabric scaling gate"
 # Measure the 16-router 4x4 mesh fabric at worker counts 1/2/8 (results
 # asserted bit-identical across counts), merge the fabric section into
 # the BENCH_<n>.json bench_report just wrote — so the trajectory files
@@ -92,14 +107,14 @@ echo "== fabric scaling gate =="
 NEWEST="$(ls results/BENCH_*.json | sort -V | tail -1)"
 cargo run --release -q -p mmr-bench --bin fabric_report -- --merge "$NEWEST" --gate "$BASELINE"
 
-echo "== trace_report smoke =="
+stage "trace_report smoke"
 cargo run --release -q -p mmr-bench --bin trace_report
 test -s results/telemetry_fig5_cbr.json
 test -s results/trace_fig5_cbr.jsonl
 test -s results/telemetry_chaos.json
 test -s results/trace_chaos.jsonl
 
-echo "== observatory artifacts =="
+stage "observatory artifacts"
 # Run the Fig. 5 mix with the QoS observatory armed and emit both
 # observability artifacts.  metrics_dump self-validates each one —
 # the Prometheus exposition re-parses (declared families, monotone
@@ -111,48 +126,41 @@ cargo run --release -q -p mmr-bench --bin metrics_dump
 test -s results/metrics.prom
 test -s results/overview.html
 
-echo "== chaos smoke =="
+stage "chaos smoke"
 cargo test --release -q -p mmr-core --test chaos
 cargo run --release -q -p mmr-bench --bin chaos_report
 test -s results/chaos_report.txt
 test -s results/chaos_report.json
 
-echo "== conformance gate =="
-# Evaluate the committed paper-claim manifest (crates/core/src/
-# conformance.rs) over the quick-fidelity multi-seed ensemble; the
-# binary exits non-zero on any claim regression, naming the claim and
-# its margin.  `--list-claims` prints the manifest without simulating.
-# The manifest carries the Frontier claims (COA vs the exact MWM oracle,
-# the greedy 1/2-approx, frame-fair and crosspoint-queued arbiters) and
-# this is their only gate, so each must show up as a PASS line.
-cargo run --release -q -p mmr-bench --bin conformance_report -- --list-claims
-cargo run --release -q -p mmr-bench --bin conformance_report
-test -s results/conformance.json
-test -s results/conformance.txt
+stage "claim gate"
+# Every workload pack under workloads/ — the paper's Fig. 5/7/8/9 and
+# Table 1 claims, the arbiter frontier, and the scenario packs — runs
+# at quick fidelity through one experiment cache, and every typed claim
+# is judged at its ensemble median.  `mmr gate --list` validates the pack
+# set without simulating (a malformed pack, a duplicate claim id or an
+# unresolvable cross-pack panel fails CI right there); `mmr gate` exits
+# non-zero on any claim regression, naming the claim and its margin.
+# The frontier pack is the only gate of the Frontier claims (COA vs the
+# exact MWM oracle, the greedy 1/2-approx, frame-fair and
+# crosspoint-queued arbiters), so each must show up as a PASS line.
+cargo run --release -q -p mmr-bench --bin mmr -- gate --list
+cargo run --release -q -p mmr-bench --bin mmr -- gate
+for pack in fig5 fig9_sr fig9_bb frontier mpeg paper_fig5 wimax_classes noc_fair; do
+    test -s "results/workload_$pack.json"
+    test -s "results/workload_$pack.txt"
+done
+test -s results/workload_fig5.html
+test -s results/workload_fabric_mesh.json
 for id in coa-within-factor-of-mwm mwm-delay-floor mwm-approx-tracks-exact \
     cq-no-hol-blocking frame-fair-low-class-parity; do
-    if ! grep -q "^PASS frontier\.$id " results/conformance.txt; then
-        echo "error: results/conformance.txt has no PASS line for frontier.$id" >&2
+    if ! grep -q "^PASS frontier\.$id " results/workload_frontier.txt; then
+        echo "error: results/workload_frontier.txt has no PASS line for frontier.$id" >&2
         exit 1
     fi
 done
 
-echo "== workload pack gate =="
-# Compile every declarative scenario pack under workloads/ (the
-# workload language, crates/core/src/workload_lang.rs), sweep it at
-# quick fidelity, and enforce its typed claims at the ensemble median.
-# `--list-packs` validates the documents without simulating (a
-# malformed pack fails CI right there); `--gate` exits non-zero on any
-# claim regression, naming the claim and its margin.
-cargo run --release -q -p mmr-bench --bin workload_runner -- --list-packs
-cargo run --release -q -p mmr-bench --bin workload_runner -- --gate
-test -s results/workload_paper_fig5.json
-test -s results/workload_wimax_classes.json
-test -s results/workload_noc_fair.json
-test -s results/workload_paper_fig5.html
-
 if [[ "${MMR_CI_NIGHTLY:-0}" == "1" ]]; then
-    echo "== nightly: property suites at 4x cases =="
+    stage "nightly: property suites at 4x cases"
     # MMR_PROPTEST_CASES multiplies every proptest!-suite's configured
     # case count (see tests/README.md); generation is deterministic per
     # test name, so this replays the 1x prefix and extends it.
@@ -162,4 +170,9 @@ if [[ "${MMR_CI_NIGHTLY:-0}" == "1" ]]; then
         --test occupancy_differential --test injection_differential
 fi
 
+stage ""
+echo "== stage wall clock (s) =="
+for row in "${STAGES[@]}"; do
+    printf '%6s  %s\n' "${row%%|*}" "${row#*|}"
+done
 echo "== CI green =="

@@ -141,7 +141,7 @@ fn admission_is_identical_across_engine_modes() {
             },
             warmup_cycles: 0,
             run: RunLength::UntilDrained {
-                max_cycles: mmr_core::scenarios::vbr_cycle_budget(1),
+                max_cycles: mmr_core::config::vbr_cycle_budget(1),
             },
             ..Default::default()
         },
@@ -190,7 +190,7 @@ fn admitted_vbr_load_matches_generated_traffic() {
         },
         warmup_cycles: 0,
         run: RunLength::UntilDrained {
-            max_cycles: mmr_core::scenarios::vbr_cycle_budget(2),
+            max_cycles: mmr_core::config::vbr_cycle_budget(2),
         },
         ..Default::default()
     };

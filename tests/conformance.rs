@@ -1,73 +1,370 @@
-//! Tier-1 paper-conformance suite (ISSUE 5 tentpole).
+//! Tier-1 paper-conformance suite.
 //!
-//! Builds the quick-fidelity multi-seed ensemble ONCE (shared across
-//! every test here via `OnceLock`) and pins the committed claim manifest
-//! against it: Fig. 5 CBR delay, Fig. 7 injection models, Fig. 8 VBR
-//! utilization, Fig. 9 VBR frame delay, Table 1 MPEG-2 statistics.  The
-//! simulator is deterministic, so these are exact regression gates, not
-//! statistical flakes — a failure means a code change moved a figure.
+//! Runs every committed workload pack at quick fidelity ONCE, through one
+//! experiment cache shared across every test here via `OnceLock` — the
+//! run `mmr gate` makes — and pins the claims against it: Fig. 5 CBR
+//! delay, Fig. 7 injection models, Fig. 8 VBR utilization, Fig. 9 VBR
+//! frame delay, Table 1 MPEG-2 statistics, the arbiter frontier, and the
+//! scenario packs.  The simulator is deterministic, so these are exact
+//! regression gates, not statistical flakes — a failure means a code
+//! change moved a figure.
 //!
-//! Also includes the negative control: an artificially inverted claim
-//! (WFA outlasting COA) must FAIL against the same ensemble, proving the
-//! checks can actually reject.
+//! Each paper claim's compiled check is also pinned to a literal
+//! transcription, and negative controls — artificially inverted claims
+//! (WFA outlasting COA, WFA as the delay floor, …) — must FAIL against
+//! the same ensemble, proving the checks can actually reject.
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
-use mmr_core::conformance::{
-    evaluate_all, paper_claims, report_from, Bound, Check, Claim, CurveMetric, Ensemble,
-    EnsembleOptions, Figure, Panel,
-};
+use mmr_core::conformance::{Bound, Check, ClaimOutcome, CurveMetric, Ensemble, Panel};
 use mmr_core::saturation::ExperimentCache;
-use mmr_core::scenarios::Fidelity;
-use mmr_core::sweep::SweepSpec;
 use mmr_core::traffic::connection::TrafficClass;
+use mmr_core::traffic::mpeg::GOP_PATTERN;
+use mmr_core::workload_lang::{
+    read_pack_dir, workloads_dir, CompiledClaim, CompiledPack, Fidelity, PackReport,
+};
 use std::sync::{Mutex, OnceLock};
 
-/// The shared quick-fidelity ensemble plus the cache that built it.
-fn ensemble() -> &'static (Ensemble, Mutex<ExperimentCache>) {
-    static CELL: OnceLock<(Ensemble, Mutex<ExperimentCache>)> = OnceLock::new();
+/// The committed packs that run through the cache (fabric packs run
+/// outside it and carry no claims), compiled at quick fidelity.
+fn committed_packs() -> Vec<CompiledPack> {
+    read_pack_dir(&workloads_dir())
+        .expect("committed packs validate as a set")
+        .iter()
+        .filter(|s| s.fabric.is_none())
+        .map(|s| s.compile(Fidelity::Quick).expect("pack compiles"))
+        .collect()
+}
+
+/// Run every pack through `cache`, as `mmr gate` does.
+fn run_packs(packs: &[CompiledPack], cache: &mut ExperimentCache) -> Ensemble {
+    let mut e = Ensemble::default();
+    for pack in packs {
+        e.insert(&pack.name, pack.run(cache));
+    }
+    e
+}
+
+/// The shared quick-fidelity gate run plus the cache that built it.
+struct GateRun {
+    packs: Vec<CompiledPack>,
+    ensemble: Ensemble,
+    cache: Mutex<ExperimentCache>,
+}
+
+fn gate() -> &'static GateRun {
+    static CELL: OnceLock<GateRun> = OnceLock::new();
     CELL.get_or_init(|| {
+        let packs = committed_packs();
         let mut cache = ExperimentCache::new();
-        let e = Ensemble::build(EnsembleOptions::new(Fidelity::Quick), &mut cache);
-        (e, Mutex::new(cache))
+        let ensemble = run_packs(&packs, &mut cache);
+        GateRun {
+            packs,
+            ensemble,
+            cache: Mutex::new(cache),
+        }
     })
+}
+
+fn reports(packs: &[CompiledPack], e: &Ensemble) -> Vec<PackReport> {
+    packs
+        .iter()
+        .map(|p| p.evaluate(e, Fidelity::Quick))
+        .collect()
+}
+
+fn outcomes(packs: &[CompiledPack], e: &Ensemble) -> Vec<ClaimOutcome> {
+    reports(packs, e)
+        .into_iter()
+        .flat_map(|r| r.claims)
+        .collect()
+}
+
+/// Judge a hand-built check against the shared ensemble.
+fn judge(id: &str, check: Check) -> ClaimOutcome {
+    let claim = CompiledClaim {
+        id: id.into(),
+        description: "negative control".into(),
+        check,
+    };
+    claim.evaluate("negative", &gate().ensemble)
+}
+
+/// The 23 paper claims as the retired Rust manifest stated them, with
+/// each panel now the pack that carries the sweep.
+fn paper_manifest() -> Vec<(&'static str, Check)> {
+    use ArbiterKind::{Coa, Wfa};
+    let (fig5, sr, bb, frontier, mpeg) = (
+        Panel::new("fig5"),
+        Panel::new("fig9_sr"),
+        Panel::new("fig9_bb"),
+        Panel::new("frontier"),
+        Panel::new("mpeg"),
+    );
+    let high = CurveMetric::ClassDelayUs(TrafficClass::CbrHigh);
+    let frame_fair = ArbiterKind::FrameFair {
+        frame: mmr_core::arbiter::frame::DEFAULT_FRAME,
+    };
+    let cq = ArbiterKind::CrosspointQueued {
+        cap: mmr_core::arbiter::cq::DEFAULT_CAP,
+    };
+    vec![
+        (
+            "fig5.saturation-gap",
+            Check::SaturationGap {
+                panel: fig5.clone(),
+                metric: high,
+                winner: Coa,
+                loser: Wfa,
+                min_points: 8.0,
+            },
+        ),
+        (
+            "fig5.coa-high-delay-86",
+            Check::AtPoint {
+                panel: fig5.clone(),
+                metric: high,
+                arbiter: Coa,
+                at_load: 0.86,
+                bound: Bound::AtMost(10.0),
+            },
+        ),
+        (
+            "fig5.wfa-collapse-86",
+            Check::RatioAtPoint {
+                metric: high,
+                at_load: 0.86,
+                num: (fig5.clone(), Wfa),
+                den: (fig5.clone(), Coa),
+                bound: Bound::AtLeast(10.0),
+            },
+        ),
+        (
+            "fig5.low-class-parity",
+            Check::WithinFactor {
+                panel: fig5.clone(),
+                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrLow),
+                a: Coa,
+                b: Wfa,
+                until_load: 0.7,
+                max_factor: 3.0,
+            },
+        ),
+        (
+            "fig5.medium-class-parity",
+            Check::WithinFactor {
+                panel: fig5.clone(),
+                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrMedium),
+                a: Coa,
+                b: Wfa,
+                until_load: 0.7,
+                max_factor: 3.0,
+            },
+        ),
+        (
+            "fig5.coa-high-monotone",
+            Check::MonotoneDelay {
+                panel: fig5,
+                metric: high,
+                arbiter: Coa,
+                until_load: 0.9,
+                min_step_ratio: 0.7,
+            },
+        ),
+        (
+            "fig7.bb-burst",
+            Check::BurstConcentration {
+                panel: mpeg.clone(),
+                within_fraction: 0.4,
+                min_mass: 0.9,
+            },
+        ),
+        (
+            "fig7.sr-coverage",
+            Check::SmoothCoverage {
+                panel: mpeg.clone(),
+                min_active_fraction: 0.8,
+            },
+        ),
+        (
+            "fig7.sr-peak-bounded",
+            Check::SmoothPeak {
+                panel: mpeg.clone(),
+                max_peak_over_mean: 2.0,
+            },
+        ),
+        (
+            "fig8.overlap",
+            Check::WithinFactor {
+                panel: sr.clone(),
+                metric: CurveMetric::WindowUtilizationPct,
+                a: Coa,
+                b: Wfa,
+                until_load: 0.6,
+                max_factor: 1.05,
+            },
+        ),
+        (
+            "fig8.utilization-scales",
+            Check::UtilizationScales {
+                panel: sr.clone(),
+                arbiter: Coa,
+                lo_load: 0.4,
+                hi_load: 0.6,
+                min_ratio_of_ratios: 0.85,
+            },
+        ),
+        (
+            "fig8.no-throughput-knee",
+            Check::ThroughputFloor {
+                panel: sr.clone(),
+                arbiter: Coa,
+                until_load: 0.85,
+                min_ratio: 0.99,
+            },
+        ),
+        (
+            "fig9.coa-low-delay",
+            Check::AtPoint {
+                panel: sr.clone(),
+                metric: CurveMetric::FrameDelayUs,
+                arbiter: Coa,
+                at_load: 0.6,
+                bound: Bound::AtMost(20.0),
+            },
+        ),
+        (
+            "fig9.wfa-worse-at-85",
+            Check::RatioAtPoint {
+                metric: CurveMetric::FrameDelayUs,
+                at_load: 0.85,
+                num: (sr.clone(), Wfa),
+                den: (sr.clone(), Coa),
+                bound: Bound::AtLeast(2.0),
+            },
+        ),
+        (
+            "fig9.bb-above-sr",
+            Check::RatioAtPoint {
+                metric: CurveMetric::FrameDelayUs,
+                at_load: 0.6,
+                num: (bb, Coa),
+                den: (sr, Coa),
+                bound: Bound::AtLeast(1.2),
+            },
+        ),
+        (
+            "table1.rates-within-2x",
+            Check::AvgRatesWithinFactor {
+                panel: mpeg.clone(),
+                factor: 2.0,
+            },
+        ),
+        (
+            "table1.frame-ordering",
+            Check::FrameTypeOrdering {
+                panel: mpeg.clone(),
+                min_ratio: 1.1,
+            },
+        ),
+        (
+            "table1.sawtooth",
+            Check::Sawtooth {
+                panel: mpeg,
+                sequence: 3,
+                period: GOP_PATTERN.len(),
+                min_peak_fraction: 0.75,
+            },
+        ),
+        (
+            "frontier.coa-within-factor-of-mwm",
+            Check::AtMostRatio {
+                panel: frontier.clone(),
+                metric: high,
+                numerator: Coa,
+                denominator: ArbiterKind::MwmExact,
+                until_load: 0.86,
+                max_ratio: 3.0,
+            },
+        ),
+        (
+            "frontier.mwm-delay-floor",
+            Check::DelayFloor {
+                panel: frontier.clone(),
+                metric: high,
+                oracle: ArbiterKind::MwmExact,
+                until_load: 0.7,
+                slack: 1.5,
+            },
+        ),
+        (
+            "frontier.mwm-approx-tracks-exact",
+            Check::WithinFactor {
+                panel: frontier.clone(),
+                metric: high,
+                a: ArbiterKind::MwmExact,
+                b: ArbiterKind::MwmApprox,
+                until_load: 0.7,
+                max_factor: 2.0,
+            },
+        ),
+        (
+            "frontier.cq-no-hol-blocking",
+            Check::ThroughputFloor {
+                panel: frontier.clone(),
+                arbiter: cq,
+                until_load: 0.86,
+                min_ratio: 0.97,
+            },
+        ),
+        (
+            "frontier.frame-fair-low-class-parity",
+            Check::WithinFactor {
+                panel: frontier,
+                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrLow),
+                a: frame_fair,
+                b: Coa,
+                until_load: 0.7,
+                max_factor: 3.0,
+            },
+        ),
+    ]
 }
 
 #[test]
 fn manifest_spans_every_figure_with_at_least_ten_claims() {
-    let claims = paper_claims();
+    let claims: Vec<CompiledClaim> = committed_packs()
+        .into_iter()
+        .flat_map(|p| p.claims)
+        .collect();
     assert!(
         claims.len() >= 10,
-        "manifest must encode >= 10 claims, has {}",
+        "the packs must encode >= 10 claims, have {}",
         claims.len()
     );
-    for figure in [
-        Figure::Fig5,
-        Figure::Fig7,
-        Figure::Fig8,
-        Figure::Fig9,
-        Figure::Table1,
-        Figure::Frontier,
-    ] {
+    for figure in ["fig5.", "fig7.", "fig8.", "fig9.", "table1.", "frontier."] {
         assert!(
-            claims.iter().any(|c| c.figure == figure),
-            "no claim guards {}",
-            figure.label()
+            claims.iter().any(|c| c.id.starts_with(figure)),
+            "no claim guards {figure}*"
         );
     }
     assert!(
         claims
             .iter()
-            .filter(|c| c.figure == Figure::Frontier)
+            .filter(|c| c.id.starts_with("frontier."))
             .count()
             >= 4,
         "the frontier ablation must carry >= 4 claims"
     );
     // The headline Fig. 5 acceptance claims, by construction.
-    let gap = claims
-        .iter()
-        .find(|c| c.id == "fig5.saturation-gap")
-        .expect("gap claim exists");
-    match gap.check {
+    let check = |id: &str| {
+        claims
+            .iter()
+            .find(|c| c.id == id)
+            .unwrap_or_else(|| panic!("{id} exists"))
+            .check
+            .clone()
+    };
+    match check("fig5.saturation-gap") {
         Check::SaturationGap {
             winner,
             loser,
@@ -80,11 +377,7 @@ fn manifest_spans_every_figure_with_at_least_ten_claims() {
         }
         other => panic!("fig5.saturation-gap has wrong check: {other:?}"),
     }
-    let delay = claims
-        .iter()
-        .find(|c| c.id == "fig5.coa-high-delay-86")
-        .expect("delay claim exists");
-    match delay.check {
+    match check("fig5.coa-high-delay-86") {
         Check::AtPoint {
             arbiter,
             at_load,
@@ -100,27 +393,51 @@ fn manifest_spans_every_figure_with_at_least_ten_claims() {
 }
 
 #[test]
+fn each_paper_claim_compiles_to_its_transcribed_check() {
+    let claims: Vec<CompiledClaim> = committed_packs()
+        .into_iter()
+        .flat_map(|p| p.claims)
+        .collect();
+    let manifest = paper_manifest();
+    assert_eq!(manifest.len(), 23);
+    for (id, want) in manifest {
+        let got = claims
+            .iter()
+            .find(|c| c.id == id)
+            .unwrap_or_else(|| panic!("no pack carries {id}"));
+        assert_eq!(got.check, want, "{id} compiles to a different check");
+    }
+}
+
+#[test]
 fn every_committed_claim_passes_at_the_ensemble_median() {
-    let (e, _) = ensemble();
+    let g = gate();
+    let fig5_seeds = g.ensemble.panel(&Panel::new("fig5")).points[0]
+        .results
+        .len();
     assert!(
-        e.cbr_seeds.len() >= 5,
-        "Fig. 5 claims must hold across >= 5 seeds, got {}",
-        e.cbr_seeds.len()
+        fig5_seeds >= 5,
+        "Fig. 5 claims must hold across >= 5 seeds, got {fig5_seeds}"
     );
-    let outcomes = evaluate_all(&paper_claims(), e);
+    let outcomes = outcomes(&g.packs, &g.ensemble);
+    assert_eq!(
+        outcomes.len(),
+        34,
+        "23 paper claims plus 11 scenario claims"
+    );
     let failures: Vec<String> = outcomes
         .iter()
         .filter(|o| !o.pass)
         .map(|o| {
             format!(
                 "{} [{}]: median {:.4} vs threshold {:.4} (margin {:+.4} {})",
-                o.id, o.figure, o.median, o.threshold, o.margin, o.unit
+                o.id, o.pack, o.median, o.threshold, o.margin, o.unit
             )
         })
         .collect();
     assert!(
         failures.is_empty(),
-        "paper claims regressed:\n{}",
+        "claims regressed:\n{}",
         failures.join("\n")
     );
     for o in &outcomes {
@@ -138,8 +455,8 @@ fn every_committed_claim_passes_at_the_ensemble_median() {
 
 #[test]
 fn fig5_headline_numbers_hold_with_margin_reported() {
-    let (e, _) = ensemble();
-    let outcomes = evaluate_all(&paper_claims(), e);
+    let g = gate();
+    let outcomes = outcomes(&g.packs, &g.ensemble);
     let gap = outcomes
         .iter()
         .find(|o| o.id == "fig5.saturation-gap")
@@ -151,7 +468,7 @@ fn fig5_headline_numbers_hold_with_margin_reported() {
         gap.spread_min,
         gap.spread_max
     );
-    assert_eq!(gap.per_seed.len(), e.cbr_seeds.len());
+    assert_eq!(gap.per_seed.len(), 5);
     let delay = outcomes
         .iter()
         .find(|o| o.id == "fig5.coa-high-delay-86")
@@ -167,21 +484,17 @@ fn fig5_headline_numbers_hold_with_margin_reported() {
 fn inverted_claims_fail_against_the_same_ensemble() {
     // Negative control for the CI gate: flipping who the paper says wins
     // must flip the verdict.  If these "pass", the checks are vacuous.
-    let (e, _) = ensemble();
     let high = CurveMetric::ClassDelayUs(TrafficClass::CbrHigh);
-    let inverted_gap = Claim {
-        id: "negative.wfa-outlasts-coa",
-        figure: Figure::Fig5,
-        description: "artificially inverted: WFA saturates >= 8 points after COA",
-        check: Check::SaturationGap {
-            panel: Panel::Fig5Cbr,
+    let o = judge(
+        "negative.wfa-outlasts-coa",
+        Check::SaturationGap {
+            panel: Panel::new("fig5"),
             metric: high,
             winner: ArbiterKind::Wfa,
             loser: ArbiterKind::Coa,
             min_points: 8.0,
         },
-    };
-    let o = inverted_gap.evaluate(e);
+    );
     assert!(
         !o.pass,
         "inverted saturation-gap claim passed (median {:.2}) — the check cannot reject",
@@ -189,19 +502,16 @@ fn inverted_claims_fail_against_the_same_ensemble() {
     );
     assert!(o.margin < 0.0, "inverted claim must report negative margin");
 
-    let inverted_delay = Claim {
-        id: "negative.wfa-meets-coa-bound",
-        figure: Figure::Fig5,
-        description: "artificially inverted: WFA holds COA's 10 us bound at 86%",
-        check: Check::AtPoint {
-            panel: Panel::Fig5Cbr,
+    let o = judge(
+        "negative.wfa-meets-coa-bound",
+        Check::AtPoint {
+            panel: Panel::new("fig5"),
             metric: high,
             arbiter: ArbiterKind::Wfa,
             at_load: 0.86,
             bound: Bound::AtMost(10.0),
         },
-    };
-    let o = inverted_delay.evaluate(e);
+    );
     assert!(
         !o.pass,
         "WFA met COA's delay bound at 86% load (median {:.2} us) — no collapse detected",
@@ -211,60 +521,68 @@ fn inverted_claims_fail_against_the_same_ensemble() {
 
 #[test]
 fn report_is_serializable_and_failures_gate() {
-    let (e, _) = ensemble();
-    let report = report_from(e, Fidelity::Quick);
-    assert_eq!(report.fidelity, "quick");
-    assert!(report.all_pass(), "committed manifest must pass");
-    assert!(report.failed().is_empty());
-    let text = report.render_text();
-    for claim in paper_claims() {
-        assert!(text.contains(claim.id), "render omits {}", claim.id);
+    let g = gate();
+    for report in reports(&g.packs, &g.ensemble) {
+        assert_eq!(report.fidelity, "quick");
+        assert!(
+            report.claims.iter().all(|c| c.pass),
+            "{} must pass",
+            report.pack
+        );
+        let text = report.render_text();
+        for claim in &report.claims {
+            assert!(text.contains(&claim.id), "render omits {}", claim.id);
+            assert_eq!(claim.pack, report.pack);
+        }
+        let json = serde_json::to_string(&report).expect("serializes");
+        let back: PackReport = serde_json::from_str(&json).expect("roundtrips");
+        assert_eq!(back, report);
     }
-    let json = serde_json::to_string(&report).expect("serializes");
-    let back: mmr_core::conformance::ConformanceReport =
-        serde_json::from_str(&json).expect("roundtrips");
-    assert_eq!(back, report);
 }
 
 #[test]
 fn warm_cache_rebuild_simulates_nothing() {
-    // The ensemble runner goes through ExperimentCache::run_many; a
-    // second build with the warmed cache must be pure lookup — this is
-    // what lets conformance piggyback on sweeps CI already ran.
-    let (e, cache) = ensemble();
-    let mut cache = cache.lock().unwrap();
+    // Every pack goes through ExperimentCache::run_many; a second run
+    // with the warmed cache must be pure lookup — one cache serves the
+    // whole gate, so packs that share configs simulate them once.
+    let g = gate();
+    let mut cache = g.cache.lock().unwrap();
     let misses_before = cache.misses();
-    let rebuilt = Ensemble::build(EnsembleOptions::new(Fidelity::Quick), &mut cache);
+    let rebuilt = run_packs(&g.packs, &mut cache);
     assert_eq!(
         cache.misses(),
         misses_before,
         "warm rebuild re-simulated points"
     );
-    assert_eq!(rebuilt.fig5.len(), e.fig5.len());
-    let before = evaluate_all(&paper_claims(), e);
-    let after = evaluate_all(&paper_claims(), &rebuilt);
-    assert_eq!(before, after, "cached replay changed claim outcomes");
+    assert_eq!(
+        outcomes(&g.packs, &g.ensemble),
+        outcomes(&g.packs, &rebuilt),
+        "cached replay changed claim outcomes"
+    );
 }
 
 #[test]
 fn ensemble_grids_match_the_claim_anchors() {
-    // Every grid point a claim reads must exist in the specs the
-    // ensemble actually runs (point_at panics at evaluation time too,
-    // but this pins the contract explicitly and cheaply).
-    let f5: SweepSpec = mmr_core::conformance::fig5_conformance_spec(Fidelity::Quick);
+    // Every grid point a claim reads must exist in the sweeps the gate
+    // actually runs (validation rejects a pack whose claim anchors off
+    // its grid, but this pins the contract explicitly and cheaply).
+    let sweep = |name: &str| {
+        gate()
+            .packs
+            .iter()
+            .find(|p| p.name == name)
+            .unwrap_or_else(|| panic!("pack {name} runs"))
+            .sweep
+            .clone()
+    };
+    let f5 = sweep("fig5");
     assert!(f5.loads.contains(&0.86));
-    assert_eq!(f5.arbiters.len(), 2, "Fig. 5 compares COA vs WFA");
-    for kind in [ArbiterKind::Coa, ArbiterKind::Wfa] {
-        assert!(f5.arbiters.contains(&kind));
-    }
-    let f9 = mmr_core::conformance::fig9_conformance_spec(
-        mmr_core::config::InjectionKind::SmoothRate,
-        Fidelity::Quick,
-    );
+    assert_eq!(f5.arbiters, vec![ArbiterKind::Coa, ArbiterKind::Wfa]);
+    let f9 = sweep("fig9_sr");
     for load in [0.4, 0.6, 0.85] {
         assert!(f9.loads.contains(&load), "Fig. 9 grid misses {load}");
     }
-    let fr = mmr_core::conformance::frontier_conformance_spec(Fidelity::Quick);
+    let fr = sweep("frontier");
     for load in [0.5, 0.7, 0.86] {
         assert!(fr.loads.contains(&load), "frontier grid misses {load}");
     }
@@ -284,21 +602,17 @@ fn frontier_negative_controls_fail_against_the_same_ensemble() {
     // The frontier checks must be able to reject: (1) WFA — which
     // collapses at 86% load — cannot be the panel's delay floor; (2) COA
     // cannot sit within a vanishing factor of the MWM oracle.
-    let (e, _) = ensemble();
     let high = CurveMetric::ClassDelayUs(TrafficClass::CbrHigh);
-    let wfa_floor = Claim {
-        id: "negative.wfa-is-the-floor",
-        figure: Figure::Frontier,
-        description: "artificially inverted: WFA is the panel's delay floor",
-        check: Check::DelayFloor {
-            panel: Panel::FrontierCbr,
+    let o = judge(
+        "negative.wfa-is-the-floor",
+        Check::DelayFloor {
+            panel: Panel::new("frontier"),
             metric: high,
             oracle: ArbiterKind::Wfa,
             until_load: 0.86,
             slack: 1.5,
         },
-    };
-    let o = wfa_floor.evaluate(e);
+    );
     assert!(
         !o.pass,
         "WFA passed as the delay floor (median {:.2}) — DelayFloor cannot reject",
@@ -306,20 +620,17 @@ fn frontier_negative_controls_fail_against_the_same_ensemble() {
     );
     assert!(o.margin < 0.0);
 
-    let vanishing = Claim {
-        id: "negative.coa-equals-mwm",
-        figure: Figure::Frontier,
-        description: "artificially tight: COA within 1.01x of the MWM oracle",
-        check: Check::AtMostRatio {
-            panel: Panel::FrontierCbr,
+    let o = judge(
+        "negative.coa-equals-mwm",
+        Check::AtMostRatio {
+            panel: Panel::new("frontier"),
             metric: high,
             numerator: ArbiterKind::Coa,
             denominator: ArbiterKind::MwmExact,
             until_load: 0.86,
             max_ratio: 1.01,
         },
-    };
-    let o = vanishing.evaluate(e);
+    );
     assert!(
         !o.pass,
         "COA matched the oracle to 1% (median {:.4}) — AtMostRatio cannot reject",

@@ -3,8 +3,8 @@
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::config::{
-    BestEffortSpec, ChurnConfig, EngineMode, FabricSpec, FaultSpec, InjectionKind, MixGroup,
-    RunLength, SimConfig, TelemetrySpec, WorkloadSpec,
+    chaos, vbr_cycle_budget, BestEffortSpec, ChurnConfig, EngineMode, FabricSpec, FaultSpec,
+    InjectionKind, MixGroup, RunLength, SimConfig, TelemetrySpec, WorkloadSpec,
 };
 use mmr_core::experiment::{
     build_fabric, build_fabric_workload, build_router, build_workload, run_experiment,
@@ -12,11 +12,11 @@ use mmr_core::experiment::{
 };
 use mmr_core::router::config::LinkPolicy;
 use mmr_core::router::fabric::{Fabric, Topology};
-use mmr_core::scenarios::{chaos, vbr_cycle_budget, Fidelity};
 use mmr_core::sim::engine::{CycleModel, Runner, StopCondition};
 use mmr_core::sim::time::FlitCycle;
 use mmr_core::sweep::{run_all, sweep, SweepSpec};
 use mmr_core::traffic::connection::TrafficClass;
+use mmr_core::workload_lang::Fidelity;
 use proptest::prelude::*;
 
 fn quick(load: f64, seed: u64) -> SimConfig {

@@ -2,9 +2,8 @@
 //! sinks) across the traffic, arbiter, router, and core crates.
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
-use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
+use mmr_core::config::{vbr_cycle_budget, InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
-use mmr_core::scenarios::vbr_cycle_budget;
 use mmr_core::sim::engine::{Runner, StopCondition};
 use mmr_core::traffic::connection::TrafficClass;
 

@@ -6,11 +6,10 @@
 //! itself the assertion.
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
-use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
+use mmr_core::config::{vbr_cycle_budget, InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
 use mmr_core::router::config::RouterConfig;
 use mmr_core::router::fault::FaultProfile;
-use mmr_core::scenarios::vbr_cycle_budget;
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use mmr_core::sim::time::FlitCycle;

@@ -546,8 +546,12 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     {
         use mmr_core::config::{SimConfig, WorkloadSpec};
         use mmr_core::experiment::{build_fabric, build_fabric_workload};
-        use mmr_core::scenarios::{fabric_mesh, Fidelity};
-        let cfg = fabric_mesh(Fidelity::Quick);
+        use mmr_core::workload_lang::{compile_committed, Fidelity};
+        let cfg = compile_committed("fabric_mesh", Fidelity::Quick)
+            .expect("fabric_mesh pack compiles")
+            .sweep
+            .configs()
+            .remove(0);
         let spec = cfg.fabric.expect("fabric scenario carries a spec");
         let workload = build_fabric_workload(&cfg, &spec);
         let mut fabric = build_fabric(&cfg, &spec, workload);

@@ -1,9 +1,8 @@
 //! QoS property tests — the paper's qualitative claims, asserted.
 
 use mmr_core::arbiter::scheduler::ArbiterKind;
-use mmr_core::config::{InjectionKind, RunLength, SimConfig, WorkloadSpec};
+use mmr_core::config::{vbr_cycle_budget, InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::run_experiment;
-use mmr_core::scenarios::vbr_cycle_budget;
 use mmr_core::traffic::connection::TrafficClass;
 
 /// Worst per-class mean delay — the QoS number a scheduler must bound.

@@ -8,13 +8,13 @@
 //! reports, that the trace survives a round-trip through JSONL, and that
 //! a panic mid-simulation leaves the trace on disk.
 
-use mmr_core::config::{RunLength, SimConfig, TelemetrySpec, WorkloadSpec};
+use mmr_core::config::{chaos, RunLength, SimConfig, TelemetrySpec, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
 use mmr_core::router::telemetry::TelemetryConfig;
-use mmr_core::scenarios::{chaos, Fidelity};
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::telemetry::recorder::{run_with_dump_on_panic, FlightRecorder, TraceEvent};
 use mmr_core::sim::time::FlitCycle;
+use mmr_core::workload_lang::Fidelity;
 
 fn fig5_style(load: f64) -> SimConfig {
     SimConfig {

@@ -1,20 +1,28 @@
 //! The workload language is a *description* of an experiment, not a new
-//! engine: compiling `workloads/paper_fig5.toml` must reproduce the
-//! canned `scenarios::fig5` path bit for bit — same `SweepSpec`, same
-//! `ExperimentResult` JSON bytes, same arbitration-RNG stream positions,
-//! in both engine modes.  The property tests then pin the language
-//! itself: specs round-trip losslessly through the TOML emitter, and
-//! malformed documents always surface as typed [`SpecError`]s, never
-//! panics.
+//! engine.  Every committed pack compiles to a literal transcription of
+//! the `SweepSpec` its experiment was defined by before packs existed,
+//! and compiling `workloads/paper_fig5.toml` reproduces the Fig. 5
+//! configs bit for bit — same `ExperimentResult` JSON bytes, same
+//! arbitration-RNG stream positions, in both engine modes.  The property
+//! tests then pin the language itself: specs round-trip losslessly
+//! through the TOML emitter, and malformed documents — scrambled copies
+//! of the committed packs included — always surface as typed
+//! [`SpecError`]s, never panics.
 
-use mmr_core::config::{EngineMode, SimConfig};
-use mmr_core::conformance::{run_sweep_cached, Bound, Check};
+use mmr_core::arbiter::scheduler::ArbiterKind;
+use mmr_core::config::{
+    vbr_cycle_budget, EngineMode, FabricSpec, InjectionKind, RunLength, SimConfig,
+    WorkloadSpec as Workload,
+};
+use mmr_core::conformance::{ensemble_seeds, Bound, Check, Ensemble, Panel};
 use mmr_core::experiment::{build_router, build_workload, run_experiment, ExperimentResult};
+use mmr_core::router::fabric::Topology;
 use mmr_core::saturation::ExperimentCache;
-use mmr_core::scenarios::{fig5, Fidelity};
 use mmr_core::sim::engine::{Runner, StopCondition};
-use mmr_core::sweep::SweepPoint;
-use mmr_core::workload_lang::{parse_arbiter, parse_class, ClaimSpec, SpecError, WorkloadSpec};
+use mmr_core::sweep::{SweepPoint, SweepSpec};
+use mmr_core::workload_lang::{
+    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, Fidelity, SpecError, WorkloadSpec,
+};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -30,8 +38,128 @@ fn load_pack(name: &str) -> WorkloadSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: fig5 differential — declarative path vs canned path
+// Literal transcriptions: what each committed pack must compile to
 // ---------------------------------------------------------------------------
+
+/// The paper's CBR mix (`preset = "paper-cbr"`) over a cycle-counted run.
+fn cbr_base(warmup: u64, cycles: u64) -> SimConfig {
+    SimConfig {
+        workload: Workload::cbr(0.5),
+        warmup_cycles: warmup,
+        run: RunLength::Cycles(cycles),
+        ..Default::default()
+    }
+}
+
+/// MPEG-2 VBR streams (`vbr = "sr" | "bb"`) drained after `gops` GOPs.
+fn vbr_base(injection: InjectionKind, gops: usize) -> SimConfig {
+    SimConfig {
+        workload: Workload::Vbr {
+            target_load: 0.5,
+            gops,
+            injection,
+            enforce_peak: false,
+        },
+        warmup_cycles: 0,
+        run: RunLength::UntilDrained {
+            max_cycles: vbr_cycle_budget(gops),
+        },
+        ..Default::default()
+    }
+}
+
+fn grid(base: SimConfig, loads: &[f64], arbiters: &[ArbiterKind], seeds: usize) -> SweepSpec {
+    SweepSpec {
+        seeds: ensemble_seeds(base.seed, seeds),
+        base,
+        loads: loads.to_vec(),
+        arbiters: arbiters.to_vec(),
+    }
+}
+
+const COA_WFA: [ArbiterKind; 2] = [ArbiterKind::Coa, ArbiterKind::Wfa];
+const FIG5_FULL_LOADS: [f64; 12] = [
+    0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9,
+];
+
+/// Fig. 5 at the paper's grid, one seed (`paper_fig5.toml`).
+fn paper_fig5_literal(fidelity: Fidelity) -> SweepSpec {
+    match fidelity {
+        Fidelity::Quick => grid(
+            cbr_base(2_000, 25_000),
+            &[0.3, 0.5, 0.7, 0.8, 0.9],
+            &COA_WFA,
+            1,
+        ),
+        Fidelity::Full => grid(cbr_base(20_000, 400_000), &FIG5_FULL_LOADS, &COA_WFA, 1),
+    }
+}
+
+/// Fig. 5 as the claims read it (`fig5.toml`): 120k-cycle quick runs,
+/// the 86% anchor in both grids, five seeds.
+fn fig5_literal(fidelity: Fidelity) -> SweepSpec {
+    match fidelity {
+        Fidelity::Quick => grid(
+            cbr_base(5_000, 120_000),
+            &[0.3, 0.5, 0.7, 0.76, 0.8, 0.86, 0.9],
+            &COA_WFA,
+            5,
+        ),
+        Fidelity::Full => {
+            let mut loads = FIG5_FULL_LOADS.to_vec();
+            loads.push(0.86);
+            loads.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            grid(cbr_base(20_000, 400_000), &loads, &COA_WFA, 5)
+        }
+    }
+}
+
+/// The frontier (`frontier.toml`): fig5's base, three of its loads,
+/// seven arbiters, three seeds.
+fn frontier_literal(fidelity: Fidelity) -> SweepSpec {
+    let arbiters = [
+        ArbiterKind::Coa,
+        ArbiterKind::Wfa,
+        ArbiterKind::Islip { iterations: 2 },
+        ArbiterKind::MwmExact,
+        ArbiterKind::MwmApprox,
+        ArbiterKind::FrameFair {
+            frame: mmr_core::arbiter::frame::DEFAULT_FRAME,
+        },
+        ArbiterKind::CrosspointQueued {
+            cap: mmr_core::arbiter::cq::DEFAULT_CAP,
+        },
+    ];
+    grid(fig5_literal(fidelity).base, &[0.5, 0.7, 0.86], &arbiters, 3)
+}
+
+/// Figs. 8/9 for one injection model (`fig9_sr.toml`, `fig9_bb.toml`).
+fn fig9_literal(injection: InjectionKind, fidelity: Fidelity) -> SweepSpec {
+    match fidelity {
+        Fidelity::Quick => grid(vbr_base(injection, 1), &[0.4, 0.6, 0.85], &COA_WFA, 3),
+        Fidelity::Full => grid(
+            vbr_base(injection, 4),
+            &[0.4, 0.5, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
+            &COA_WFA,
+            5,
+        ),
+    }
+}
+
+/// The 16-router mesh at load 0.6, as one config (`fabric_mesh.toml`).
+fn fabric_mesh_literal(fidelity: Fidelity) -> SimConfig {
+    let (warmup, cycles) = match fidelity {
+        Fidelity::Quick => (1_000, 15_000),
+        Fidelity::Full => (5_000, 60_000),
+    };
+    SimConfig {
+        workload: Workload::cbr(0.6),
+        warmup_cycles: warmup,
+        run: RunLength::Cycles(cycles),
+        ..Default::default()
+    }
+    .with_fabric(FabricSpec::new(Topology::Mesh { x: 4, y: 4 }))
+}
 
 #[test]
 fn fig5_pack_compiles_to_the_canned_sweep() {
@@ -40,9 +168,73 @@ fn fig5_pack_compiles_to_the_canned_sweep() {
         let pack = spec.compile(fidelity).expect("pack compiles");
         assert_eq!(
             pack.sweep,
-            fig5(fidelity),
-            "compiled {fidelity:?} sweep diverged from scenarios::fig5"
+            paper_fig5_literal(fidelity),
+            "compiled {fidelity:?} sweep diverged from the Fig. 5 grid"
         );
+    }
+}
+
+#[test]
+fn paper_packs_compile_to_their_transcribed_sweeps() {
+    for fidelity in [Fidelity::Quick, Fidelity::Full] {
+        let compiled = |name: &str| {
+            load_pack(&format!("{name}.toml"))
+                .compile(fidelity)
+                .expect("pack compiles")
+        };
+        for (name, want) in [
+            ("fig5", fig5_literal(fidelity)),
+            ("frontier", frontier_literal(fidelity)),
+            ("fig9_sr", fig9_literal(InjectionKind::SmoothRate, fidelity)),
+            ("fig9_bb", fig9_literal(InjectionKind::BackToBack, fidelity)),
+        ] {
+            let pack = compiled(name);
+            assert_eq!(pack.sweep, want, "{name} ({fidelity:?}) diverged");
+            assert_eq!(pack.trace_gops, None);
+        }
+        let mesh = compiled("fabric_mesh");
+        assert!(mesh.fabric);
+        assert_eq!(mesh.sweep.configs(), vec![fabric_mesh_literal(fidelity)]);
+        // The MPEG pack runs no router: five seeds of 4 (quick) or 40
+        // (full) GOPs per Table 1 sequence.
+        let mpeg = compiled("mpeg");
+        let gops = match fidelity {
+            Fidelity::Quick => 4,
+            Fidelity::Full => 40,
+        };
+        assert_eq!(mpeg.trace_gops, Some(gops));
+        assert_eq!(
+            mpeg.sweep.seeds,
+            ensemble_seeds(SimConfig::default().seed, 5)
+        );
+        assert!(mpeg.sweep.loads.is_empty() && mpeg.sweep.arbiters.is_empty());
+    }
+}
+
+#[test]
+fn frontier_spec_loads_are_a_fig5_subset_in_both_fidelities() {
+    // The dedup guarantee: every frontier grid point is also a Fig. 5
+    // grid point on the same base and seed prefix, so under one cache the
+    // COA/WFA cells never simulate twice.
+    for fidelity in [Fidelity::Quick, Fidelity::Full] {
+        let compile = |name: &str| {
+            load_pack(name)
+                .compile(fidelity)
+                .expect("pack compiles")
+                .sweep
+        };
+        let (f5, fr) = (compile("fig5.toml"), compile("frontier.toml"));
+        for load in &fr.loads {
+            assert!(
+                f5.loads.contains(load),
+                "frontier load {load} missing from the Fig. 5 grid ({fidelity:?})"
+            );
+        }
+        assert_eq!(fr.base, f5.base, "frontier must reuse the Fig. 5 base");
+        assert_eq!(fr.seeds[..], f5.seeds[..fr.seeds.len()], "seed prefix");
+        for kind in COA_WFA {
+            assert!(fr.arbiters.contains(&kind) && f5.arbiters.contains(&kind));
+        }
     }
 }
 
@@ -51,7 +243,7 @@ fn fig5_pack_results_are_byte_identical_event_horizon() {
     let pack = load_pack("paper_fig5.toml")
         .compile(Fidelity::Quick)
         .expect("pack compiles");
-    let canned = fig5(Fidelity::Quick);
+    let canned = paper_fig5_literal(Fidelity::Quick);
     for (ours, theirs) in pack.sweep.configs().iter().zip(canned.configs().iter()) {
         let a = serde_json::to_string(&run_experiment(ours)).expect("serializes");
         let b = serde_json::to_string(&run_experiment(theirs)).expect("serializes");
@@ -71,7 +263,7 @@ fn fig5_pack_results_are_byte_identical_cycle_by_cycle() {
     let pack = load_pack("paper_fig5.toml")
         .compile(Fidelity::Quick)
         .expect("pack compiles");
-    let canned = fig5(Fidelity::Quick);
+    let canned = paper_fig5_literal(Fidelity::Quick);
     for (ours, theirs) in pack.sweep.configs().iter().zip(canned.configs().iter()) {
         if (ours.workload.target_load() - 0.7).abs() > 1e-9 {
             continue;
@@ -96,7 +288,7 @@ fn fig5_pack_rng_fingerprints_match_the_canned_path() {
     let pack = load_pack("paper_fig5.toml")
         .compile(Fidelity::Quick)
         .expect("pack compiles");
-    let canned = fig5(Fidelity::Quick);
+    let canned = paper_fig5_literal(Fidelity::Quick);
     let fingerprint = |cfg: &SimConfig, horizon: bool| {
         let workload = build_workload(cfg);
         let mut router = build_router(cfg, workload);
@@ -138,14 +330,14 @@ fn all_committed_packs_parse_validate_and_compile() {
         .collect();
     names.sort();
     assert!(
-        names.len() >= 3,
-        "expected the three committed packs, found {names:?}"
+        names.len() >= 9,
+        "expected the nine committed packs, found {names:?}"
     );
     for name in names {
         let spec = load_pack(&name);
         for fidelity in [Fidelity::Quick, Fidelity::Full] {
             let pack = spec.compile(fidelity).expect("pack compiles");
-            assert!(!pack.sweep.loads.is_empty());
+            assert_eq!(pack.sweep.loads.is_empty(), spec.is_trace_pack());
             assert!(!pack.sweep.seeds.is_empty());
         }
         // Round-trip the committed document through the emitter too.
@@ -160,11 +352,111 @@ fn scenario_packs_carry_enough_claims() {
         ("paper_fig5.toml", 3),
         ("wimax_classes.toml", 3),
         ("noc_fair.toml", 3),
+        ("fig5.toml", 6),
+        ("fig9_sr.toml", 5),
+        ("fig9_bb.toml", 1),
+        ("frontier.toml", 5),
+        ("mpeg.toml", 6),
     ] {
         let spec = load_pack(name);
         let claims = spec.claim.as_ref().map(|c| c.len()).unwrap_or(0);
         assert!(claims >= min_claims, "{name} has only {claims} claims");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Typed errors: pack sets and fabric sizes
+// ---------------------------------------------------------------------------
+
+/// The two Fig. 8/9 packs: `fig9_bb`'s claim reads `fig9_sr`.
+fn fig9_pair() -> (WorkloadSpec, WorkloadSpec) {
+    let (sr, bb) = (load_pack("fig9_sr.toml"), load_pack("fig9_bb.toml"));
+    assert_eq!(validate_pack_set(&[sr.clone(), bb.clone()]), Ok(()));
+    (sr, bb)
+}
+
+fn bb_claim(bb: &mut WorkloadSpec) -> &mut ClaimSpec {
+    &mut bb.claim.as_mut().expect("fig9_bb carries a claim")[0]
+}
+
+#[test]
+fn a_cross_pack_claim_naming_no_pack_is_a_typed_error() {
+    let (sr, mut bb) = fig9_pair();
+    bb_claim(&mut bb).versus_pack = Some("fig9_xx".into());
+    assert_eq!(bb.validate(), Ok(()), "a pack alone cannot see the set");
+    assert_eq!(
+        validate_pack_set(&[sr, bb]),
+        Err(SpecError::UnknownPanel {
+            id: "fig9.bb-above-sr".into(),
+            pack: "fig9_xx".into()
+        })
+    );
+}
+
+#[test]
+fn a_claim_id_used_by_two_packs_is_a_typed_error() {
+    let (sr, mut bb) = fig9_pair();
+    bb_claim(&mut bb).id = "fig8.overlap".into();
+    assert_eq!(
+        validate_pack_set(&[sr, bb]),
+        Err(SpecError::DuplicateClaimId {
+            id: "fig8.overlap".into()
+        })
+    );
+}
+
+#[test]
+fn a_claim_load_missing_from_the_read_pack_is_a_typed_error() {
+    // fig9_bb sweeps 0.75 in both fidelities; fig9_sr's quick grid does
+    // not, so the ratio has no denominator there.
+    let (sr, mut bb) = fig9_pair();
+    bb.sweep.loads = Some(vec![0.4, 0.6, 0.75, 0.85]);
+    bb_claim(&mut bb).at_load = Some(0.75);
+    assert_eq!(bb.validate(), Ok(()));
+    assert_eq!(
+        validate_pack_set(&[sr, bb]),
+        Err(SpecError::ClaimLoadNotSwept {
+            id: "fig9.bb-above-sr".into(),
+            at_load: 0.75
+        })
+    );
+}
+
+/// `fabric_mesh.toml` with `field = 0` added to its `[fabric]` table.
+fn zero_fabric_field(field: &str) -> Result<(), SpecError> {
+    let mut spec = load_pack("fabric_mesh.toml");
+    let fabric = spec.fabric.as_mut().expect("fabric_mesh has a [fabric]");
+    match field {
+        "host_ports" => fabric.host_ports = Some(0),
+        "workers" => fabric.workers = Some(0),
+        "link_latency" => fabric.link_latency = Some(0),
+        other => panic!("no fabric field {other}"),
+    }
+    spec.validate()
+}
+
+#[test]
+fn zero_fabric_host_ports_is_a_typed_error() {
+    assert!(matches!(
+        zero_fabric_field("host_ports"),
+        Err(SpecError::BadFabric { msg }) if msg.contains("host_ports")
+    ));
+}
+
+#[test]
+fn zero_fabric_workers_is_a_typed_error() {
+    assert!(matches!(
+        zero_fabric_field("workers"),
+        Err(SpecError::BadFabric { msg }) if msg.contains("workers")
+    ));
+}
+
+#[test]
+fn zero_fabric_link_latency_is_a_typed_error() {
+    assert!(matches!(
+        zero_fabric_field("link_latency"),
+        Err(SpecError::BadFabric { msg }) if msg.contains("link_latency")
+    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -178,7 +470,9 @@ fn recompute_per_seed(c: &ClaimSpec, first_arbiter: &str, points: &[SweepPoint])
         let arbiter = parse_arbiter(name).expect("arbiter parses");
         points
             .iter()
-            .find(|p| p.arbiter == arbiter && (p.target_load - c.at_load).abs() < 1e-6)
+            .find(|p| {
+                p.arbiter == arbiter && c.at_load.is_some_and(|l| (p.target_load - l).abs() < 1e-6)
+            })
             .expect("claim anchors at a swept cell")
     };
     let delay = |r: &ExperimentResult, label: &Option<String>| {
@@ -220,8 +514,10 @@ fn committed_pack_claims_pass_and_match_a_recomputation() {
     for name in ["paper_fig5.toml", "wimax_classes.toml", "noc_fair.toml"] {
         let spec = load_pack(name);
         let pack = spec.compile(Fidelity::Quick).expect("pack compiles");
-        let points = run_sweep_cached(&pack.sweep, &mut cache, None);
-        let report = pack.evaluate(&points, Fidelity::Quick);
+        let mut e = Ensemble::default();
+        e.insert(&pack.name, pack.run(&mut cache));
+        let points = e.panel(&Panel::new(&pack.name)).points.clone();
+        let report = pack.evaluate(&e, Fidelity::Quick);
         let claims = spec.claim.as_deref().expect("pack carries claims");
         assert_eq!(report.claims.len(), claims.len());
         for (c, o) in claims.iter().zip(&report.claims) {
@@ -233,7 +529,7 @@ fn committed_pack_claims_pass_and_match_a_recomputation() {
                 o.id,
                 o.margin
             );
-            let want = recompute_per_seed(c, &spec.sweep.arbiters[0], &points);
+            let want = recompute_per_seed(c, &spec.sweep.arbiters.as_ref().unwrap()[0], &points);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&o.per_seed),
@@ -266,7 +562,7 @@ fn committed_pack_claims_pass_and_match_a_recomputation() {
                 other => panic!("{}: pack claims are point checks, got {other:?}", c.id),
             }
         }
-        let flipped = flipped.evaluate(&points, Fidelity::Quick);
+        let flipped = flipped.evaluate(&e, Fidelity::Quick);
         for (o, f) in report.claims.iter().zip(&flipped.claims) {
             assert_eq!(
                 f.per_seed, o.per_seed,
@@ -458,5 +754,33 @@ proptest! {
         let doc: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
         let doc = doc.join("\n");
         let _ = WorkloadSpec::parse(&doc).and_then(|s| s.validate());
+    }
+
+    #[test]
+    fn scrambled_paper_packs_yield_typed_errors_not_panics(
+        pack in 0usize..5,
+        picks in proptest::collection::vec(0usize..64, 0..48),
+        mutation in (0usize..64, 0usize..6),
+    ) {
+        // Reorder, drop and repeat the lines of a paper pack, then
+        // overwrite one value with a hostile one; parsing, validating and
+        // compiling must end in a Result, never a panic.
+        const PACKS: [&str; 5] = ["fig5", "fig9_sr", "fig9_bb", "frontier", "mpeg"];
+        const HOSTILE: [&str; 6] = ["0", "-1", "1e308", "\"\"", "[]", "18446744073709551615"];
+        let text = std::fs::read_to_string(pack_path(&format!("{}.toml", PACKS[pack])))
+            .expect("pack file readable");
+        let lines: Vec<&str> = text.lines().collect();
+        let mut doc: Vec<String> = picks.iter().map(|&i| lines[i % lines.len()].to_string()).collect();
+        if !doc.is_empty() {
+            let i = mutation.0 % doc.len();
+            if let Some((key, _)) = doc[i].split_once('=') {
+                doc[i] = format!("{key}= {}", HOSTILE[mutation.1]);
+            }
+        }
+        if let Ok(spec) = WorkloadSpec::parse(&doc.join("\n")) {
+            for fidelity in [Fidelity::Quick, Fidelity::Full] {
+                let _ = spec.compile(fidelity);
+            }
+        }
     }
 }
