@@ -9,7 +9,7 @@
 
 use mmr_bench::{banner, emit, fidelity_from_args};
 use mmr_core::config::chaos;
-use mmr_core::sweep::run_all;
+use mmr_core::sweep::run_configs;
 use mmr_router::fault::FaultReport;
 use mmr_traffic::connection::TrafficClass;
 use serde::Serialize;
@@ -30,7 +30,7 @@ fn main() {
     let spec = chaos(fidelity);
     let configs = spec.configs();
     eprintln!("running chaos sweep: {} fault rates…", configs.len());
-    let results = run_all(&configs, None);
+    let results = run_configs(&configs, None);
 
     let mut out = banner(
         "Chaos",

@@ -1,10 +1,9 @@
-//! Fabric scaling report and gate (supersedes the old `ext_network`
-//! bin, whose line-network table it still emits).
+//! Fabric scaling report and gate, plus the line-network table.
 //!
 //! Two sections:
 //!
-//! * **Line network** (§6 extension, the historical `ext_network.txt`
-//!   columns): the CBR mix through 1–4 routers in tandem, COA vs WFA,
+//! * **Line network** (§6 extension, `results/fabric_line.txt`): the
+//!   CBR mix through 1–4 routers in tandem, COA vs WFA,
 //!   end-to-end high-class delay / max stage utilization / throughput.
 //! * **Fabric scaling**: the 16-router 4×4 mesh at load 0.6
 //!   (`workloads/fabric_mesh.toml`) executed at worker counts 1/2/8,
@@ -62,8 +61,8 @@ use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// One end-to-end line-network point (the historical `ext_network`
-/// measurement, unchanged columns).
+/// One end-to-end line-network point: high-class delay, max stage
+/// utilization, throughput.
 fn run_net(
     stages: usize,
     load: f64,
@@ -132,7 +131,7 @@ fn line_section(fidelity: Fidelity) {
         "# expectation: delay grows ~linearly with hops below saturation;\n\
                   # COA's QoS advantage compounds across stages\n",
     );
-    emit("ext_network.txt", &out);
+    emit("fabric_line.txt", &out);
 }
 
 /// Wall-clock one fabric run (construction excluded) and return the

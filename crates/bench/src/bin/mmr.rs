@@ -13,26 +13,32 @@
 //! `workloads/` (or only `--pack NAME` and the packs its claims read)
 //! through one experiment cache, writes
 //! `results/workload_<pack>.{json,txt,html}`, and exits 1 when any claim
-//! misses its threshold at the ensemble median.  `--list` validates the
-//! pack set — every pack on its own, claim ids unique across packs,
-//! cross-pack panels resolvable — and prints the catalog without
-//! simulating.
+//! misses its threshold at the ensemble median.  Each report renders the
+//! pack's curves; the router-less `mpeg` pack's renders Table 1, the
+//! Fig. 6 Flower Garden profile and both Fig. 7 histograms from its
+//! first seed.  `--list` validates the pack set — every pack on its own,
+//! claim ids unique across packs, cross-pack panels resolvable — and
+//! prints the catalog without simulating.
+//!
+//! `mmr run --config` checks the router half of the config
+//! (`RouterConfig::check`) and exits 2 naming the bad field.
 
-use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overview};
 use mmr_bench::{banner, claim_tally, emit, report_failures, results_dir};
 use mmr_core::config::{
     vbr_cycle_budget, InjectionKind, RunLength, SimConfig, TelemetrySpec, WorkloadSpec,
 };
-use mmr_core::conformance::{Ensemble, Panel};
+use mmr_core::conformance::{Ensemble, PackData, Panel};
 use mmr_core::experiment::{run_experiment, run_fabric_experiment};
 use mmr_core::report::{render_xy_table, TextTable};
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::sweep::{sweep, SweepPoint, SweepSpec};
 use mmr_core::workload_lang::{
-    parse_arbiter, read_pack_dir, workloads_dir, CompiledPack, Fidelity, WorkloadSpec as Pack,
+    parse_arbiter, parse_priority, read_pack_dir, workloads_dir, CompiledPack, Fidelity,
+    WorkloadSpec as Pack,
 };
+use mmr_traffic::mpeg::FRAME_TIME_SECS;
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -65,25 +71,17 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// An arbiter name in the packs' spelling; exits 2 on an unknown name.
-fn arbiter(s: &str) -> ArbiterKind {
-    parse_arbiter(s).unwrap_or_else(|e| {
+/// A parsed value, or exit 2 naming the error.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2)
     })
 }
 
-fn parse_priority(s: &str) -> PriorityKind {
-    match s {
-        "siabp" => PriorityKind::Siabp,
-        "iabp" => PriorityKind::Iabp,
-        "fifo" => PriorityKind::Fifo,
-        "static" => PriorityKind::Static,
-        other => {
-            eprintln!("unknown priority function '{other}'");
-            usage()
-        }
-    }
+/// An arbiter name in the packs' spelling; exits 2 on an unknown name.
+fn arbiter(s: &str) -> ArbiterKind {
+    or_exit(parse_arbiter(s))
 }
 
 /// Parse `--flag value` pairs plus bare `--json` style switches.
@@ -165,7 +163,7 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
         cfg.arbiter = arbiter(v);
     }
     if let Some(v) = flags.get("priority") {
-        cfg.priority = parse_priority(v);
+        cfg.priority = or_exit(parse_priority(v));
     }
     if let Some(v) = flags.get("cycles") {
         cfg.run = RunLength::Cycles(parse_u64(v));
@@ -176,6 +174,7 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
     if let Some(v) = flags.get("seed") {
         cfg.seed = parse_u64(v);
     }
+    or_exit(cfg.router.check());
     cfg
 }
 
@@ -323,6 +322,68 @@ fn render_curves(pack: &CompiledPack, points: &[SweepPoint]) -> String {
     }
 }
 
+/// The MPEG pack's first seed as the paper draws it: the Table 1
+/// sequence statistics, the Fig. 6 Flower Garden per-frame rate profile
+/// and both Fig. 7 frame-0 injection histograms.
+fn render_traces(data: &PackData) -> String {
+    let mut table = TextTable::new(vec![
+        "Video Sequence",
+        "Max",
+        "Min",
+        "Average",
+        "Avg Mbps",
+        "Peak Mbps",
+    ]);
+    for trace in &data.traces[0] {
+        let s = trace.stats();
+        table.row(vec![
+            trace.name.clone(),
+            s.max_bits.to_string(),
+            s.min_bits.to_string(),
+            format!("{:.0}", s.avg_bits),
+            format!("{:.2}", s.avg_bandwidth.as_mbps()),
+            format!("{:.2}", s.peak_bandwidth.as_mbps()),
+        ]);
+    }
+    let mut out = format!(
+        "# Table 1 — MPEG-2 sequence statistics (bits)\n{}",
+        table.render()
+    );
+    let garden = data.traces[0]
+        .iter()
+        .find(|t| t.name == "Flower Garden")
+        .expect("Table 1 lists Flower Garden");
+    out.push_str("\n# Fig. 6 — Flower Garden bandwidth profile\n# time(ms)  rate(Mbit/s)  frame\n");
+    for (i, (rate, frame)) in garden
+        .rate_profile_mbps()
+        .iter()
+        .zip(&garden.frames)
+        .enumerate()
+    {
+        let t_ms = i as f64 * FRAME_TIME_SECS * 1e3;
+        let bar = "#".repeat((rate / 2.0).round() as usize);
+        out.push_str(&format!(
+            "{t_ms:>9.0} {rate:>12.1}   {:?} {bar}\n",
+            frame.ty
+        ));
+    }
+    for (model, hist) in [
+        ("(a) Back-to-Back", &data.bb_hist[0]),
+        ("(b) Smooth-Rate", &data.sr_hist[0]),
+    ] {
+        out.push_str(&format!(
+            "\n# Fig. 7{model} — frame-0 flits per frame-time bucket\n"
+        ));
+        let max = f64::from(hist.iter().copied().max().unwrap_or(0).max(1));
+        for (i, &b) in hist.iter().enumerate() {
+            let t_ms = i as f64 / hist.len() as f64 * FRAME_TIME_SECS * 1e3;
+            let bar = "#".repeat((f64::from(b) / max * 50.0).round() as usize);
+            out.push_str(&format!("{t_ms:>6.1} ms |{bar:<50}| {b}\n"));
+        }
+    }
+    out
+}
+
 /// The overview dashboard of a router pack's representative point:
 /// highest load, first arbiter, base seed, observatory armed.
 fn write_overview(pack: &CompiledPack) {
@@ -460,11 +521,15 @@ fn cmd_gate(args: &[String]) {
     let mut outcomes = Vec::new();
     for pack in packs.iter().filter(|p| !p.fabric && selected(&p.name)) {
         let report = pack.evaluate(&ensemble, fidelity);
-        let points = &ensemble.panel(&Panel::new(&pack.name)).points;
+        let data = ensemble.panel(&Panel::new(&pack.name));
+        let points = &data.points;
         let mut out = banner(&format!("Pack {}", pack.name), &pack.description, fidelity);
         out.push_str(&report.render_text());
         out.push_str(&format!("\n{}\n\n", claim_tally(&report.claims)));
-        out.push_str(&render_curves(pack, points));
+        out.push_str(&match pack.trace_gops {
+            Some(_) => render_traces(data),
+            None => render_curves(pack, points),
+        });
         emit(&format!("workload_{}.txt", pack.name), &out);
         let path = results_dir().join(format!("workload_{}.json", pack.name));
         let json = serde_json::to_string(&report).expect("pack report serializes");

@@ -1,16 +1,17 @@
 //! # mmr-bench — the benchmark harness
 //!
-//! `mmr gate` runs every workload pack — the paper's figures included —
-//! and gates their claims; the other binaries print tables, ablations and
-//! benchmark reports (DESIGN.md §4 has the index).  Micro-benchmarks for
-//! the arbitration and priority kernels live under `benches/` and run on
-//! the self-contained [`harness`] module (no external benchmark
-//! framework).  The
-//! `bench_report` binary aggregates the kernel numbers into
-//! `results/BENCH_<n>.json` for trajectory tracking across revisions.
+//! `mmr gate` runs every workload pack — the paper's figures, tables and
+//! ablations — and gates their claims (DESIGN.md §4 has the index).  The
+//! other binaries report on the machinery rather than the paper:
+//! `bench_report` (kernel numbers into `results/BENCH_<n>.json` for
+//! trajectory tracking), `fabric_report` (fabric scaling and the
+//! line-network table), `chaos_report`, `trace_report`, `metrics_dump`
+//! and `hw_cost_report`.  Micro-benchmarks for the arbitration and
+//! priority kernels live under `benches/` and run on the self-contained
+//! [`harness`] module (no external benchmark framework).
 //!
-//! Every binary accepts `--full` for paper-scale runs (minutes) and
-//! defaults to a quick mode (seconds) that preserves the shapes.  Results
+//! The binaries accept `--full` for paper-scale runs (minutes) and
+//! default to a quick mode (seconds) that preserves the shapes.  Results
 //! are printed and also written under `results/`.
 
 pub mod harness;

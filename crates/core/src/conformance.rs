@@ -464,8 +464,7 @@ pub fn injection_histogram(model: InjectionModel, slots: usize, seed: u64) -> Ve
 }
 
 /// The Fig. 7 Back-to-Back peak used by the conformance histograms —
-/// sized ~3x a typical I frame so the burst visibly finishes early (same
-/// calibration as the `fig7_injection_models` binary).
+/// sized ~3x a typical I frame so the burst visibly finishes early.
 pub const FIG7_BB_PEAK_FLITS: u64 = 2_500;
 
 /// Number of frame-time buckets in the Fig. 7 histograms.

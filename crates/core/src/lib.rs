@@ -16,7 +16,7 @@
 //! * [`workload_lang`] — the workload packs under `workloads/`: the one
 //!   way to say what an experiment runs and claims, every paper figure
 //!   included.
-//! * [`report`] — text tables and CSV rendering of sweep results.
+//! * [`report`] — text tables of sweep results.
 //!
 //! ## Quickstart
 //!

@@ -47,112 +47,6 @@ where
     s
 }
 
-/// Render the same data as CSV (`load,<arb1>,<arb2>,…`).
-pub fn to_csv<F>(points: &[SweepPoint], f: F) -> String
-where
-    F: Fn(&SweepPoint) -> f64,
-{
-    let series = series_by_arbiter(points);
-    let mut s = String::from("load");
-    for (k, _) in &series {
-        s.push(',');
-        s.push_str(k.label());
-    }
-    s.push('\n');
-    let n = series.first().map(|(_, v)| v.len()).unwrap_or(0);
-    for i in 0..n {
-        s.push_str(&format!("{:.4}", series[0].1[i].achieved_load));
-        for (_, pts) in &series {
-            let y = pts.get(i).map(|p| f(p)).unwrap_or(f64::NAN);
-            s.push_str(&format!(",{y:.4}"));
-        }
-        s.push('\n');
-    }
-    s
-}
-
-/// Render sweep series as an ASCII scatter plot — x is load (%), y is the
-/// metric, optionally log-scaled (the paper's Fig. 9 uses a log y-axis).
-/// Each arbiter's series is drawn with its own glyph.
-pub fn ascii_plot<F>(title: &str, points: &[SweepPoint], log_y: bool, f: F) -> String
-where
-    F: Fn(&SweepPoint) -> f64,
-{
-    const W: usize = 64;
-    const H: usize = 18;
-    const GLYPHS: [char; 8] = ['o', 'x', '+', '*', '#', '@', '%', '&'];
-    let series = series_by_arbiter(points);
-    if series.is_empty() {
-        return format!("# {title}\n(no data)\n");
-    }
-    let transform = |v: f64| if log_y { v.max(1e-9).log10() } else { v };
-    let mut ys: Vec<f64> = Vec::new();
-    let mut xs: Vec<f64> = Vec::new();
-    for (_, pts) in &series {
-        for p in pts {
-            ys.push(transform(f(p)));
-            xs.push(p.achieved_load * 100.0);
-        }
-    }
-    let (ymin, ymax) = ys
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
-    let (xmin, xmax) = xs
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
-    let yspan = (ymax - ymin).max(1e-9);
-    let xspan = (xmax - xmin).max(1e-9);
-    let mut grid = vec![vec![' '; W]; H];
-    for (si, (_, pts)) in series.iter().enumerate() {
-        let glyph = GLYPHS[si % GLYPHS.len()];
-        for p in pts {
-            let x = ((p.achieved_load * 100.0 - xmin) / xspan * (W - 1) as f64).round() as usize;
-            let y = ((transform(f(p)) - ymin) / yspan * (H - 1) as f64).round() as usize;
-            grid[H - 1 - y][x] = glyph;
-        }
-    }
-    let mut out = format!("# {title}\n");
-    let label = |v: f64| {
-        if log_y {
-            format!("{:.3e}", 10f64.powf(v))
-        } else {
-            format!("{v:.1}")
-        }
-    };
-    for (row, line) in grid.iter().enumerate() {
-        let yval = ymax - row as f64 / (H - 1) as f64 * yspan;
-        let tick = if row % 4 == 0 {
-            label(yval)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{tick:>10} |{}\n",
-            line.iter().collect::<String>()
-        ));
-    }
-    out.push_str(&format!("{:>10} +{}\n", "", "-".repeat(W)));
-    out.push_str(&format!(
-        "{:>10}  {:<10}{:>width$}\n",
-        "",
-        format!("{xmin:.0}%"),
-        format!("{xmax:.0}% load"),
-        width = W - 10
-    ));
-    for (si, (k, _)) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "{:>12} = {}\n",
-            GLYPHS[si % GLYPHS.len()],
-            k.label()
-        ));
-    }
-    out
-}
-
 /// A simple fixed-width table builder for the report binaries.
 #[derive(Debug, Default)]
 pub struct TextTable {
@@ -291,45 +185,6 @@ mod tests {
         assert!(t.contains("WFA"));
         assert!(t.contains("50.0"));
         assert!(t.lines().count() >= 5);
-    }
-
-    #[test]
-    fn csv_is_machine_readable() {
-        let pts = sample_points();
-        let csv = to_csv(&pts, |p| p.utilization());
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "load,COA,WFA");
-        let first = lines.next().unwrap();
-        assert_eq!(first.split(',').count(), 3);
-        assert!(first.starts_with("0.5000"));
-    }
-
-    #[test]
-    fn ascii_plot_renders_all_series() {
-        let pts = sample_points();
-        let plot = ascii_plot("util", &pts, false, |p| p.utilization() * 100.0);
-        assert!(plot.contains("o = COA"));
-        assert!(plot.contains("x = WFA"));
-        assert!(plot.contains('|'));
-        // Four data points -> at least one 'o' and one 'x' on the grid.
-        assert!(plot.matches('o').count() >= 2);
-        assert!(plot.matches('x').count() >= 2);
-    }
-
-    #[test]
-    fn ascii_plot_log_scale_labels() {
-        let pts = sample_points();
-        let plot = ascii_plot("delay", &pts, true, |p| p.utilization() * 1e4);
-        assert!(
-            plot.contains('e'),
-            "log scale should print exponent labels:\n{plot}"
-        );
-    }
-
-    #[test]
-    fn ascii_plot_empty_is_graceful() {
-        let plot = ascii_plot("nothing", &[], false, |_| 0.0);
-        assert!(plot.contains("no data"));
     }
 
     #[test]

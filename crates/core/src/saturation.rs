@@ -10,11 +10,8 @@
 //! * **delay blow-up** — mean delay exceeds a multiple of the low-load
 //!   baseline delay.
 //!
-//! A coarse sweep only brackets the saturation load between two grid
-//! points; [`bisect_saturation`] refines the bracket by running midpoint
-//! experiments through an [`ExperimentCache`], so loads that were already
-//! measured (by the sweep, or by a previous refinement) are reused instead
-//! of recomputed.
+//! [`ExperimentCache`] dedups experiment runs on their full config, so
+//! packs that share grid cells (`mmr gate`) simulate each cell once.
 
 use crate::config::SimConfig;
 use crate::experiment::{run_experiment, ExperimentResult};
@@ -95,19 +92,6 @@ impl ExperimentCache {
         serde_json::to_string(cfg).expect("SimConfig serializes")
     }
 
-    /// A cache pre-warmed with every per-seed result already computed by a
-    /// sweep, so refinement steps that land on an already-measured load
-    /// hit instead of re-simulating.
-    pub fn seed_from_points(points: &[SweepPoint]) -> Self {
-        let mut cache = Self::new();
-        for p in points {
-            for r in &p.results {
-                cache.map.insert(Self::key(&r.config), r.clone());
-            }
-        }
-        cache
-    }
-
     /// Run `cfg`, reusing the cached result if this exact config was
     /// already measured.
     pub fn run(&mut self, cfg: &SimConfig) -> ExperimentResult {
@@ -122,18 +106,8 @@ impl ExperimentCache {
         result
     }
 
-    /// True if this exact config is already measured.
-    pub fn contains(&self, cfg: &SimConfig) -> bool {
-        self.map.contains_key(&Self::key(cfg))
-    }
-
-    /// Store an externally computed result (keyed on its own config).
-    pub fn insert(&mut self, result: ExperimentResult) {
-        self.map.insert(Self::key(&result.config), result);
-    }
-
     /// Run a batch of configs, reusing cached results and fanning the
-    /// misses out across `workers` threads (via [`crate::sweep::run_all`];
+    /// misses out across `workers` threads (via [`crate::sweep::run_configs`];
     /// `None` = one per core).  Results come back in input order, and
     /// duplicate configs within the batch simulate only once.
     pub fn run_many(
@@ -155,7 +129,7 @@ impl ExperimentCache {
                 miss_keys.push(key);
             }
         }
-        let fresh = crate::sweep::run_all(&miss_configs, workers);
+        let fresh = crate::sweep::run_configs(&miss_configs, workers);
         for (key, result) in miss_keys.into_iter().zip(fresh) {
             self.map.insert(key.clone(), result);
         }
@@ -183,89 +157,6 @@ impl ExperimentCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-}
-
-fn is_saturated<F>(
-    p: &SweepPoint,
-    baseline: f64,
-    criteria: SaturationCriteria,
-    delay_of: &F,
-) -> bool
-where
-    F: Fn(&SweepPoint) -> f64,
-{
-    p.throughput_ratio() < criteria.min_throughput_ratio
-        || delay_of(p) > baseline * criteria.delay_blowup
-}
-
-/// Refine the saturation load by bisection.
-///
-/// `points` is one arbiter's series sorted by ascending load (the coarse
-/// sweep).  The first saturated grid point and its unsaturated predecessor
-/// bracket the true saturation load; midpoint experiments narrow the
-/// bracket until it is at most `tolerance` wide.  Every midpoint runs
-/// through `cache`, so an already-measured load — a grid point, or a
-/// midpoint from a previous refinement with the same cache — is reused
-/// instead of recomputed; seed the cache with
-/// [`ExperimentCache::seed_from_points`] to carry the sweep's work over.
-///
-/// Returns the achieved load of the tightest saturated point found, or
-/// `None` if the series never saturates.  When the *lowest* grid point is
-/// already saturated there is no bracket to refine and its achieved load
-/// is returned as-is, matching [`detect_saturation`].
-pub fn bisect_saturation<F>(
-    points: &[SweepPoint],
-    criteria: SaturationCriteria,
-    delay_of: F,
-    tolerance: f64,
-    cache: &mut ExperimentCache,
-) -> Option<f64>
-where
-    F: Fn(&SweepPoint) -> f64,
-{
-    if points.is_empty() {
-        return None;
-    }
-    let baseline = delay_of(&points[0]).max(1e-9);
-    let first_sat = points
-        .iter()
-        .position(|p| is_saturated(p, baseline, criteria, &delay_of))?;
-    if first_sat == 0 {
-        return Some(points[0].achieved_load);
-    }
-
-    let arbiter = points[first_sat].arbiter;
-    // Per-seed configs to replay at each midpoint, taken from the
-    // saturated endpoint (every grid point shares arbiter and seeds).
-    let seed_cfgs: Vec<SimConfig> = points[first_sat]
-        .results
-        .iter()
-        .map(|r| r.config.clone())
-        .collect();
-    let mut lo = points[first_sat - 1].target_load;
-    let mut hi = points[first_sat].target_load;
-    let mut hi_achieved = points[first_sat].achieved_load;
-    while hi - lo > tolerance {
-        let mid = (lo + hi) / 2.0;
-        let results: Vec<ExperimentResult> = seed_cfgs
-            .iter()
-            .map(|c| cache.run(&c.with_load(mid)))
-            .collect();
-        let achieved = results.iter().map(|r| r.achieved_load).sum::<f64>() / results.len() as f64;
-        let mid_point = SweepPoint {
-            arbiter,
-            target_load: mid,
-            achieved_load: achieved,
-            results,
-        };
-        if is_saturated(&mid_point, baseline, criteria, &delay_of) {
-            hi = mid;
-            hi_achieved = achieved;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(hi_achieved)
 }
 
 #[cfg(test)]
@@ -379,7 +270,7 @@ mod tests {
     }
 
     use crate::config::{RunLength, WorkloadSpec};
-    use crate::sweep::{sweep_with_workers, SweepSpec};
+    use crate::sweep::SweepSpec;
 
     fn quick_base() -> SimConfig {
         SimConfig {
@@ -411,100 +302,21 @@ mod tests {
             loads: vec![0.3, 0.5],
             arbiters: vec![ArbiterKind::Coa, ArbiterKind::Wfa],
         };
-        let points = sweep_with_workers(&spec, Some(1));
-        let mut cache = ExperimentCache::seed_from_points(&points);
+        // A batch run seeds the cache with every grid config it measured.
+        let mut cache = ExperimentCache::new();
+        cache.run_many(&spec.configs(), Some(1));
         assert_eq!(cache.len(), spec.point_count());
+        let seeded = cache.misses();
         // Every grid config is warm: replaying the sweep costs zero runs.
         for cfg in spec.configs() {
             let r = cache.run(&cfg);
             assert!((r.achieved_load - cfg.workload.target_load()).abs() < 0.2);
         }
-        assert_eq!(cache.misses(), 0, "grid configs must all be cache hits");
-        assert_eq!(cache.hits(), spec.point_count() as u64);
-    }
-
-    #[test]
-    fn bisection_narrows_the_bracket_and_reuses_warm_midpoints() {
-        // A real two-point sweep brackets the transition; the criteria
-        // threshold is set between the measured throughput ratios so the
-        // low point is unsaturated and the high point saturated by
-        // construction (the runs are deterministic, so this is stable).
-        let spec = SweepSpec {
-            base: quick_base(),
-            loads: vec![0.3, 0.95],
-            arbiters: vec![ArbiterKind::Coa],
-            seeds: vec![quick_base().seed],
-        };
-        let points = sweep_with_workers(&spec, Some(1));
-        let (r_lo, r_hi) = (points[0].throughput_ratio(), points[1].throughput_ratio());
-        assert!(
-            r_hi < r_lo,
-            "high load must deliver a smaller fraction ({r_hi} vs {r_lo})"
-        );
-        let criteria = SaturationCriteria {
-            min_throughput_ratio: (r_lo + r_hi) / 2.0,
-            delay_blowup: f64::INFINITY,
-        };
-        let delay = |p: &SweepPoint| p.frame_delay_us();
-
-        let coarse = detect_saturation(&points, criteria, delay).expect("bracketed");
-        let mut cache = ExperimentCache::seed_from_points(&points);
-        let refined =
-            bisect_saturation(&points, criteria, delay, 0.1, &mut cache).expect("refined");
-        // The refined estimate sits inside the coarse bracket and cannot
-        // be looser than the coarse answer (the first saturated point).
-        assert!(refined <= coarse + 1e-9, "refinement loosened the estimate");
-        assert!(refined > 0.3, "refinement collapsed below the bracket");
-        let midpoints_run = cache.misses();
-        assert!(
-            midpoints_run >= 2,
-            "0.65-wide bracket at 0.1 tolerance needs several midpoints"
-        );
-
-        // Re-refining with the same warm cache re-simulates nothing: every
-        // midpoint (and any grid load it lands on) is already measured.
-        let again = bisect_saturation(&points, criteria, delay, 0.1, &mut cache).expect("refined");
-        assert_eq!(again, refined, "bisection must be deterministic");
         assert_eq!(
             cache.misses(),
-            midpoints_run,
-            "warm midpoints were re-simulated"
+            seeded,
+            "grid configs must all be cache hits"
         );
-        assert!(
-            cache.hits() >= midpoints_run,
-            "second pass must hit the cache"
-        );
-    }
-
-    #[test]
-    fn bisection_matches_detect_when_nothing_saturates() {
-        let series = vec![point(0.2, 1.0, 10.0), point(0.4, 1.0, 11.0)];
-        let mut cache = ExperimentCache::new();
-        assert_eq!(
-            bisect_saturation(
-                &series,
-                SaturationCriteria::default(),
-                |p| p.frame_delay_us(),
-                0.05,
-                &mut cache
-            ),
-            None
-        );
-        assert_eq!(cache.misses(), 0, "an unsaturated series needs no runs");
-    }
-
-    #[test]
-    fn bisection_returns_first_point_when_already_saturated() {
-        let series = vec![point(0.5, 0.5, 10.0), point(0.7, 0.4, 12.0)];
-        let mut cache = ExperimentCache::new();
-        let sat = bisect_saturation(
-            &series,
-            SaturationCriteria::default(),
-            |p| p.frame_delay_us(),
-            0.05,
-            &mut cache,
-        );
-        assert_eq!(sat, Some(0.5), "no bracket below the lowest grid point");
-        assert_eq!(cache.misses(), 0);
+        assert_eq!(cache.hits(), spec.point_count() as u64);
     }
 }

@@ -143,7 +143,7 @@ pub fn group_points(spec: &SweepSpec, results: Vec<ExperimentResult>) -> Vec<Swe
 
 /// Run a flat list of configs in parallel, preserving input order.
 /// `workers = None` uses one thread per core.
-pub fn run_all(configs: &[SimConfig], workers: Option<usize>) -> Vec<ExperimentResult> {
+pub fn run_configs(configs: &[SimConfig], workers: Option<usize>) -> Vec<ExperimentResult> {
     parallel_map(configs, run_experiment, workers)
 }
 

@@ -4,7 +4,8 @@
 //! claims — the paper's figures included.  It is a TOML (or JSON)
 //! document naming connection groups or a canned preset, VBR streams,
 //! per-connection rates, ramp schedules, churn windows, fault plans, an
-//! optional fabric topology, a load sweep, and typed conformance claims.
+//! optional fabric topology, router design knobs, a load sweep, and typed
+//! conformance claims.
 //! [`WorkloadSpec::parse`] reads it, [`WorkloadSpec::validate`] rejects
 //! malformed documents with typed [`SpecError`]s (never panics),
 //! [`validate_pack_set`] checks a set of packs together (unique claim
@@ -30,7 +31,9 @@ use crate::conformance::{
 };
 use crate::saturation::ExperimentCache;
 use crate::sweep::{group_points, SweepSpec};
+use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
+use mmr_router::config::{LinkPolicy, RouterConfig};
 use mmr_router::fabric::Topology;
 use mmr_sim::fault::FaultPlanConfig;
 use mmr_traffic::connection::TrafficClass;
@@ -49,6 +52,9 @@ const LOAD_EPS: f64 = 1e-6;
 /// Table 1 sequences, synthesized per seed, plus the Fig. 7 injection
 /// histograms.
 const MPEG_PRESET: &str = "mpeg-sequences";
+
+/// Entries per round of the `tdm` / `tdm-backfill` slot tables.
+const SLOT_TABLE_LEN: usize = 1024;
 
 /// Largest seed ensemble a pack may ask for: far past any median a
 /// claim needs, and small enough that compiling never fails to allocate.
@@ -118,6 +124,16 @@ pub enum SpecError {
     UnknownArbiter {
         /// The unknown name.
         arbiter: String,
+    },
+    /// A `[router] priority` name is not recognized.
+    UnknownPriority {
+        /// The unknown name.
+        priority: String,
+    },
+    /// A `[router]` value names no router the simulator can build.
+    BadRouter {
+        /// What went wrong.
+        msg: String,
     },
     /// A group rate is zero, negative, or non-finite.
     NegativeRate {
@@ -251,6 +267,10 @@ impl fmt::Display for SpecError {
             SpecError::UnknownPreset { preset } => write!(f, "unknown preset `{preset}`"),
             SpecError::UnknownClass { class } => write!(f, "unknown traffic class `{class}`"),
             SpecError::UnknownArbiter { arbiter } => write!(f, "unknown arbiter `{arbiter}`"),
+            SpecError::UnknownPriority { priority } => {
+                write!(f, "unknown priority function `{priority}`")
+            }
+            SpecError::BadRouter { msg } => write!(f, "bad router: {msg}"),
             SpecError::NegativeRate { group } => {
                 write!(f, "group `{group}` has a non-positive rate")
             }
@@ -811,6 +831,28 @@ pub struct TrafficSpec {
     /// MPEG-2 VBR streams under the `sr` (Smooth-Rate) or `bb`
     /// (Back-to-Back) injection model.
     pub vbr: Option<String>,
+    /// VBR packs only: enforce §2's peak-bandwidth admission test
+    /// (default false).
+    pub enforce_peak: Option<bool>,
+}
+
+/// `[router]` — the design knobs the paper fixes without data; each
+/// absent key keeps the paper's default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RouterSec {
+    /// Candidate levels k offered per input (default 4).
+    pub candidate_levels: Option<u64>,
+    /// Per-VC buffer capacity in flits (default 4).
+    pub vc_buffer_flits: Option<u64>,
+    /// Link-priority function: `siabp` (default), `iabp`, `fifo`,
+    /// `static`.
+    pub priority: Option<String>,
+    /// Link policy: `priority` (default), `tdm` (a literal slot table),
+    /// `tdm-backfill` (the table, idle slots re-offered).
+    pub link_policy: Option<String>,
+    /// VBR concurrency factor of the peak admission test (default 2.0,
+    /// at least 1.0).
+    pub concurrency_factor: Option<f64>,
 }
 
 /// `[best_effort]` — unreserved background traffic.
@@ -985,6 +1027,8 @@ pub struct WorkloadSpec {
     pub meta: MetaSpec,
     /// `[traffic]`.
     pub traffic: TrafficSpec,
+    /// `[router]`.
+    pub router: Option<RouterSec>,
     /// `[best_effort]`.
     pub best_effort: Option<BestEffortSec>,
     /// `[run]`.
@@ -1065,6 +1109,34 @@ pub fn parse_arbiter(name: &str) -> Result<ArbiterKind, SpecError> {
         });
     }
     Ok(kind)
+}
+
+/// Parse a link-priority function name (`siabp`, `iabp`, `fifo`,
+/// `static`).
+pub fn parse_priority(name: &str) -> Result<PriorityKind, SpecError> {
+    PriorityKind::all()
+        .into_iter()
+        .find(|k| k.label().to_ascii_lowercase() == name)
+        .ok_or_else(|| SpecError::UnknownPriority {
+            priority: name.to_string(),
+        })
+}
+
+/// Parse a `[router] link_policy` name (`priority`, `tdm`,
+/// `tdm-backfill`).
+pub fn parse_link_policy(name: &str) -> Result<LinkPolicy, SpecError> {
+    let table = |backfill| LinkPolicy::SlotTable {
+        backfill,
+        table_len: SLOT_TABLE_LEN,
+    };
+    match name {
+        "priority" => Ok(LinkPolicy::Priority),
+        "tdm" => Ok(table(false)),
+        "tdm-backfill" => Ok(table(true)),
+        other => Err(SpecError::BadRouter {
+            msg: format!("link_policy `{other}` is none of priority / tdm / tdm-backfill"),
+        }),
+    }
 }
 
 /// Parse a `[traffic] vbr` injection label.
@@ -1208,6 +1280,11 @@ impl WorkloadSpec {
         if let Some(vbr) = &t.vbr {
             parse_injection(vbr)?;
         }
+        if t.enforce_peak.is_some() && t.vbr.is_none() {
+            return Err(SpecError::Schema {
+                msg: "traffic.enforce_peak applies only to `vbr` packs".into(),
+            });
+        }
         if let Some(groups) = &t.group {
             if groups.is_empty() {
                 return Err(SpecError::EmptySection {
@@ -1262,11 +1339,12 @@ impl WorkloadSpec {
                 || self.best_effort.is_some()
                 || self.fault.is_some()
                 || self.fabric.is_some()
+                || self.router.is_some()
             {
                 return Err(SpecError::Schema {
                     msg: format!(
                         "the `{MPEG_PRESET}` preset runs no router: [sweep] takes only `seeds`, \
-                         and [best_effort]/[fault]/[fabric] do not apply"
+                         and [best_effort]/[fault]/[fabric]/[router] do not apply"
                     ),
                 });
             }
@@ -1388,8 +1466,16 @@ impl WorkloadSpec {
                 });
             }
         }
+        self.router_config()?;
         if let Some(fabric) = &self.fabric {
             self.fabric_spec(fabric)?;
+            // The fabric runner injects no faults: a fabric pack with a
+            // [fault] plan would run something other than it declares.
+            if self.fault.is_some() {
+                return Err(SpecError::BadFabric {
+                    msg: "fabric packs do not support [fault] plans".into(),
+                });
+            }
             if self.claim.is_some() {
                 return Err(SpecError::Schema {
                     msg: "fabric packs do not support [[claim]]s yet".into(),
@@ -1454,6 +1540,37 @@ impl WorkloadSpec {
             }
         }
         Ok(())
+    }
+
+    /// The router and link-priority function `[router]` selects (the
+    /// paper's defaults for absent keys), checked by
+    /// [`RouterConfig::check`].
+    fn router_config(&self) -> Result<(RouterConfig, PriorityKind), SpecError> {
+        let SimConfig {
+            mut router,
+            mut priority,
+            ..
+        } = SimConfig::default();
+        if let Some(sec) = &self.router {
+            let size = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+            if let Some(k) = sec.candidate_levels {
+                router.candidate_levels = size(k);
+            }
+            if let Some(depth) = sec.vc_buffer_flits {
+                router.vc_buffer_flits = size(depth);
+            }
+            if let Some(name) = &sec.priority {
+                priority = parse_priority(name)?;
+            }
+            if let Some(name) = &sec.link_policy {
+                router.link_policy = parse_link_policy(name)?;
+            }
+            if let Some(factor) = sec.concurrency_factor {
+                router.round.concurrency_factor = factor;
+            }
+        }
+        router.check().map_err(|msg| SpecError::BadRouter { msg })?;
+        Ok((router, priority))
     }
 
     fn fabric_spec(&self, sec: &FabricSec) -> Result<FabricSpec, SpecError> {
@@ -1545,11 +1662,14 @@ impl WorkloadSpec {
                 target_load: 0.5,
                 gops,
                 injection: parse_injection(vbr)?,
-                enforce_peak: false,
+                enforce_peak: self.traffic.enforce_peak.unwrap_or(false),
             },
             (None, None) => ConfigWorkload::cbr(0.5),
         };
+        let (router, priority) = self.router_config()?;
         let mut base = SimConfig {
+            router,
+            priority,
             workload,
             warmup_cycles: warmup,
             run,

@@ -61,29 +61,48 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// Validate internal consistency; panics with a descriptive message on
-    /// nonsense configurations.
+    /// Check internal consistency, naming the first nonsense field.
+    pub fn check(&self) -> Result<(), String> {
+        let max_ports = mmr_arbiter::candidate::MAX_PORTS;
+        let concurrency = self.round.concurrency_factor;
+        if self.ports == 0 {
+            return Err("router needs at least one port".into());
+        }
+        if self.ports > max_ports {
+            return Err(format!(
+                "router has {} ports but the scheduling kernels support at most \
+                 {max_ports} (four 64-bit port-set words)",
+                self.ports
+            ));
+        }
+        if self.candidate_levels == 0 {
+            return Err("need at least one candidate level".into());
+        }
+        if self.vc_buffer_flits == 0 {
+            return Err("VC buffers need capacity for one flit".into());
+        }
+        if self.vc_ram_banks == 0 {
+            return Err("VC memory needs at least one bank".into());
+        }
+        if self.round.cycles_per_round == 0 {
+            return Err("round must contain slots".into());
+        }
+        if !(concurrency.is_finite() && concurrency >= 1.0) {
+            return Err(format!(
+                "concurrency factor {concurrency} must be finite and at least 1.0"
+            ));
+        }
+        if let LinkPolicy::SlotTable { table_len: 0, .. } = self.link_policy {
+            return Err("slot table needs entries".into());
+        }
+        Ok(())
+    }
+
+    /// [`Self::check`], panicking with its message on nonsense
+    /// configurations.
     pub fn validate(&self) {
-        assert!(self.ports > 0, "router needs at least one port");
-        assert!(
-            self.ports <= mmr_arbiter::candidate::MAX_PORTS,
-            "router has {} ports but the scheduling kernels support at most \
-             {} (four 64-bit port-set words)",
-            self.ports,
-            mmr_arbiter::candidate::MAX_PORTS
-        );
-        assert!(
-            self.candidate_levels > 0,
-            "need at least one candidate level"
-        );
-        assert!(
-            self.vc_buffer_flits > 0,
-            "VC buffers need capacity for one flit"
-        );
-        assert!(self.vc_ram_banks > 0, "VC memory needs at least one bank");
-        assert!(self.round.cycles_per_round > 0, "round must contain slots");
-        if let LinkPolicy::SlotTable { table_len, .. } = self.link_policy {
-            assert!(table_len > 0, "slot table needs entries");
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
         }
     }
 
@@ -146,5 +165,51 @@ mod tests {
             ..Default::default()
         }
         .validate();
+    }
+
+    #[test]
+    fn check_names_each_bad_field_without_panicking() {
+        let round = |concurrency_factor| RoundConfig {
+            concurrency_factor,
+            ..Default::default()
+        };
+        let d = RouterConfig::default();
+        for (cfg, expected) in [
+            (
+                RouterConfig {
+                    vc_buffer_flits: 0,
+                    ..d
+                },
+                "one flit",
+            ),
+            (
+                RouterConfig {
+                    round: round(0.5),
+                    ..d
+                },
+                "at least 1.0",
+            ),
+            (
+                RouterConfig {
+                    round: round(f64::NAN),
+                    ..d
+                },
+                "finite",
+            ),
+            (
+                RouterConfig {
+                    link_policy: LinkPolicy::SlotTable {
+                        backfill: false,
+                        table_len: 0,
+                    },
+                    ..d
+                },
+                "slot table",
+            ),
+        ] {
+            let msg = cfg.check().expect_err(expected);
+            assert!(msg.contains(expected), "{msg}");
+        }
+        assert_eq!(d.check(), Ok(()));
     }
 }

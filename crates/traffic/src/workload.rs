@@ -356,7 +356,7 @@ impl VbrMixBuilder {
     /// Enforce the peak-bandwidth admission test (§2).  Off by default for
     /// the load-sweep experiments, which deliberately drive the router past
     /// the region a conservative concurrency factor would admit; the
-    /// `ablation_concurrency` experiment turns it on.
+    /// `cac_tight` / `cac_loose` workload packs turn it on.
     pub fn enforce_peak(mut self, on: bool) -> Self {
         self.enforce_peak = on;
         self

@@ -134,27 +134,28 @@ test -s results/chaos_report.json
 
 stage "claim gate"
 # Every workload pack under workloads/ — the paper's Fig. 5/7/8/9 and
-# Table 1 claims, the arbiter frontier, and the scenario packs — runs
-# at quick fidelity through one experiment cache, and every typed claim
-# is judged at its ensemble median.  `mmr gate --list` validates the pack
-# set without simulating (a malformed pack, a duplicate claim id or an
-# unresolvable cross-pack panel fails CI right there); `mmr gate` exits
-# non-zero on any claim regression, naming the claim and its margin.
-# The frontier pack is the only gate of the Frontier claims (COA vs the
-# exact MWM oracle, the greedy 1/2-approx, frame-fair and
-# crosspoint-queued arbiters), so each must show up as a PASS line.
-cargo run --release -q -p mmr-bench --bin mmr -- gate --list
+# Table 1 claims, the arbiter frontier, the ablations and the scenario
+# packs — runs at quick fidelity through one experiment cache, and every
+# typed claim is judged at its ensemble median.  `mmr gate --list`
+# validates the pack set without simulating (a malformed pack, a
+# duplicate claim id or an unresolvable cross-pack panel fails CI right
+# there) and prints every claim id; `mmr gate` exits non-zero on any
+# claim regression, naming the claim and its margin.  Every pack file
+# must leave its results, and every listed id a PASS line, so a new pack
+# is gated without editing this script.
+CATALOG="$(cargo run --release -q -p mmr-bench --bin mmr -- gate --list)"
+echo "$CATALOG"
 cargo run --release -q -p mmr-bench --bin mmr -- gate
-for pack in fig5 fig9_sr fig9_bb frontier mpeg paper_fig5 wimax_classes noc_fair; do
-    test -s "results/workload_$pack.json"
-    test -s "results/workload_$pack.txt"
+for toml in workloads/*.toml; do
+    test -s "results/workload_$(basename "$toml" .toml).json"
 done
 test -s results/workload_fig5.html
-test -s results/workload_fabric_mesh.json
-for id in coa-within-factor-of-mwm mwm-delay-floor mwm-approx-tracks-exact \
-    cq-no-hol-blocking frame-fair-low-class-parity; do
-    if ! grep -q "^PASS frontier\.$id " results/workload_frontier.txt; then
-        echo "error: results/workload_frontier.txt has no PASS line for frontier.$id" >&2
+CLAIM_IDS="$(sed -n 's/^    \([^ ]*\)$/\1/p' <<<"$CATALOG")"
+test -n "$CLAIM_IDS"
+for id in $CLAIM_IDS; do
+    if ! awk -v id="$id" '$1 == "PASS" && $2 == id { found = 1 } END { exit !found }' \
+        results/workload_*.txt; then
+        echo "error: no results/workload_*.txt has a PASS line for $id" >&2
         exit 1
     fi
 done

@@ -13,15 +13,23 @@
 //! transcription, and negative controls — artificially inverted claims
 //! (WFA outlasting COA, WFA as the delay floor, …) — must FAIL against
 //! the same ensemble, proving the checks can actually reject.
+//!
+//! Every mechanism must earn its place: each arbiter, link-priority
+//! function and link policy is named by a passing claim, or the
+//! orphan test fails.
 
+use mmr_core::arbiter::priority::PriorityKind;
 use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::conformance::{Bound, Check, ClaimOutcome, CurveMetric, Ensemble, Panel};
+use mmr_core::router::config::LinkPolicy;
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::traffic::connection::TrafficClass;
 use mmr_core::traffic::mpeg::GOP_PATTERN;
 use mmr_core::workload_lang::{
-    read_pack_dir, workloads_dir, CompiledClaim, CompiledPack, Fidelity, PackReport,
+    parse_link_policy, read_pack_dir, workloads_dir, CompiledClaim, CompiledPack, Fidelity,
+    PackReport,
 };
+use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
 /// The committed packs that run through the cache (fabric packs run
@@ -422,8 +430,8 @@ fn every_committed_claim_passes_at_the_ensemble_median() {
     let outcomes = outcomes(&g.packs, &g.ensemble);
     assert_eq!(
         outcomes.len(),
-        34,
-        "23 paper claims plus 11 scenario claims"
+        49,
+        "23 paper claims, 11 scenario claims and 15 ablation claims"
     );
     let failures: Vec<String> = outcomes
         .iter()
@@ -635,5 +643,137 @@ fn frontier_negative_controls_fail_against_the_same_ensemble() {
         !o.pass,
         "COA matched the oracle to 1% (median {:.4}) — AtMostRatio cannot reject",
         o.median
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Every mechanism is named by a passing claim
+// ---------------------------------------------------------------------------
+
+/// A link policy's name, in the packs' spelling.  The match is
+/// exhaustive on purpose: a new `LinkPolicy` variant does not compile
+/// until it is named here; listed in [`mechanisms`] too, it fails the
+/// orphan test until a passing claim runs it.
+fn link_policy_label(policy: LinkPolicy) -> &'static str {
+    match policy {
+        LinkPolicy::Priority => "priority",
+        LinkPolicy::SlotTable {
+            backfill: false, ..
+        } => "tdm",
+        LinkPolicy::SlotTable { backfill: true, .. } => "tdm-backfill",
+    }
+}
+
+/// Every mechanism the simulator offers, by label.
+fn mechanisms() -> BTreeSet<String> {
+    let arbiters = ArbiterKind::all()
+        .into_iter()
+        .map(|k| k.label().to_string());
+    let priorities = PriorityKind::all()
+        .into_iter()
+        .map(|k| k.label().to_string());
+    let policies = ["priority", "tdm", "tdm-backfill"].map(|name| {
+        let label = link_policy_label(parse_link_policy(name).expect("policy parses"));
+        assert_eq!(label, name, "one spelling per policy");
+        name.to_string()
+    });
+    arbiters.chain(priorities).chain(policies).collect()
+}
+
+/// The (panel, arbiter) cells a check names.
+fn named_cells(check: &Check) -> Vec<(&Panel, ArbiterKind)> {
+    match check {
+        Check::SaturationGap {
+            panel,
+            winner: a,
+            loser: b,
+            ..
+        }
+        | Check::WithinFactor { panel, a, b, .. }
+        | Check::AtMostRatio {
+            panel,
+            numerator: a,
+            denominator: b,
+            ..
+        } => vec![(panel, *a), (panel, *b)],
+        Check::AtPoint { panel, arbiter, .. }
+        | Check::MonotoneDelay { panel, arbiter, .. }
+        | Check::ThroughputFloor { panel, arbiter, .. }
+        | Check::UtilizationScales { panel, arbiter, .. }
+        | Check::DelayFloor {
+            panel,
+            oracle: arbiter,
+            ..
+        } => vec![(panel, *arbiter)],
+        Check::RatioAtPoint { num, den, .. } => vec![(&num.0, num.1), (&den.0, den.1)],
+        // The trace checks run no router.
+        _ => vec![],
+    }
+}
+
+/// The mechanisms no passing claim of `packs` runs: a claim runs the
+/// arbiter of every cell it names, and the priority function and link
+/// policy of that cell's pack.
+fn orphans(packs: &[CompiledPack], outcomes: &[ClaimOutcome]) -> BTreeSet<String> {
+    let mut claimed = BTreeSet::new();
+    for claim in packs.iter().flat_map(|p| &p.claims) {
+        if !outcomes.iter().any(|o| o.id == claim.id && o.pass) {
+            continue;
+        }
+        for (panel, arbiter) in named_cells(&claim.check) {
+            let base = &packs
+                .iter()
+                .find(|p| p.name == panel.0)
+                .unwrap_or_else(|| panic!("{} reads no pack named {}", claim.id, panel.0))
+                .sweep
+                .base;
+            claimed.insert(arbiter.label().to_string());
+            claimed.insert(base.priority.label().to_string());
+            claimed.insert(link_policy_label(base.router.link_policy).to_string());
+        }
+    }
+    mechanisms().difference(&claimed).cloned().collect()
+}
+
+#[test]
+fn every_mechanism_is_named_by_a_passing_claim() {
+    let g = gate();
+    let orphaned = orphans(&g.packs, &outcomes(&g.packs, &g.ensemble));
+    assert!(
+        orphaned.is_empty(),
+        "no passing claim runs {orphaned:?}: give each a claim, or delete it"
+    );
+}
+
+#[test]
+fn removing_a_claim_orphans_the_mechanism_it_names() {
+    // Negative control: drop the only claims naming PIM, IABP and the
+    // literal slot table from an in-memory copy of the pack set, and
+    // the orphan check must name exactly those three.
+    let g = gate();
+    let outcomes = outcomes(&g.packs, &g.ensemble);
+    let mut packs = g.packs.clone();
+    for pack in &mut packs {
+        pack.claims.retain(|c| {
+            ![
+                "arbiter_field.pim-starves-high",
+                "priority_iabp.tracks-siabp",
+                "tdm_sr.collapses",
+            ]
+            .contains(&c.id.as_str())
+        });
+    }
+    let want: BTreeSet<String> = ["PIM", "IABP", "tdm"].map(String::from).into();
+    assert_eq!(orphans(&packs, &outcomes), want);
+    // A failing claim names nothing either.
+    let mut failing = outcomes.clone();
+    for o in &mut failing {
+        if o.id == "arbiter_field.random-starves-high" {
+            o.pass = false;
+        }
+    }
+    assert_eq!(
+        orphans(&g.packs, &failing),
+        BTreeSet::from(["Random".to_string()])
     );
 }

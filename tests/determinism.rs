@@ -14,7 +14,7 @@ use mmr_core::router::config::LinkPolicy;
 use mmr_core::router::fabric::{Fabric, Topology};
 use mmr_core::sim::engine::{CycleModel, Runner, StopCondition};
 use mmr_core::sim::time::FlitCycle;
-use mmr_core::sweep::{run_all, sweep, SweepSpec};
+use mmr_core::sweep::{run_configs, sweep, SweepSpec};
 use mmr_core::traffic::connection::TrafficClass;
 use mmr_core::workload_lang::Fidelity;
 use proptest::prelude::*;
@@ -116,8 +116,8 @@ fn chaos_sweep_is_identical_across_worker_counts() {
     // The same fault-rate sweep must produce identical results whether it
     // runs serially or fanned out across worker threads.
     let configs = chaos(Fidelity::Quick).configs();
-    let serial = run_all(&configs, Some(1));
-    let fanned = run_all(&configs, Some(4));
+    let serial = run_configs(&configs, Some(1));
+    let fanned = run_configs(&configs, Some(4));
     assert_eq!(serial, fanned, "worker count changed chaos sweep results");
     assert!(serial.iter().any(|r| r.summary.faults.events_fired > 0));
 }

@@ -599,7 +599,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             ..cfg
         };
         let (warmup, n) = (1_000u64, 10_000u64);
-        let run_allocs = |bound: u64| {
+        let allocs_over = |bound: u64| {
             let workload = build_fabric_workload(&cfg, &spec);
             let mut twin = build_fabric(&cfg, &spec, workload);
             let allocs = allocations_in(|| {
@@ -608,7 +608,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             assert!(twin.summary().delivered_flits > 0);
             allocs
         };
-        let (short, long) = (run_allocs(n), run_allocs(4 * n));
+        let (short, long) = (allocs_over(n), allocs_over(4 * n));
         assert_eq!(
             short,
             long,

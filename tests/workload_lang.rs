@@ -9,6 +9,7 @@
 //! of the committed packs included — always surface as typed
 //! [`SpecError`]s, never panics.
 
+use mmr_core::arbiter::priority::PriorityKind;
 use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::config::{
     vbr_cycle_budget, EngineMode, FabricSpec, InjectionKind, RunLength, SimConfig,
@@ -16,12 +17,15 @@ use mmr_core::config::{
 };
 use mmr_core::conformance::{ensemble_seeds, Bound, Check, Ensemble, Panel};
 use mmr_core::experiment::{build_router, build_workload, run_experiment, ExperimentResult};
+use mmr_core::router::config::{LinkPolicy, RouterConfig};
 use mmr_core::router::fabric::Topology;
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::sim::engine::{Runner, StopCondition};
 use mmr_core::sweep::{SweepPoint, SweepSpec};
+use mmr_core::traffic::admission::RoundConfig;
 use mmr_core::workload_lang::{
-    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, Fidelity, SpecError, WorkloadSpec,
+    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, FaultSec, Fidelity, RouterSec,
+    SpecError, WorkloadSpec,
 };
 use proptest::prelude::*;
 use std::path::Path;
@@ -159,6 +163,150 @@ fn fabric_mesh_literal(fidelity: Fidelity) -> SimConfig {
         ..Default::default()
     }
     .with_fabric(FabricSpec::new(Topology::Mesh { x: 4, y: 4 }))
+}
+
+/// `base` with its router changed by `knob`.
+fn with_router(base: &SimConfig, knob: impl FnOnce(&mut RouterConfig)) -> SimConfig {
+    let mut cfg = base.clone();
+    knob(&mut cfg.router);
+    cfg
+}
+
+/// The ablation packs, each with the pack whose base it shares: one knob
+/// on fig5's or fig9_sr's base, a 3-seed prefix and a subset of the
+/// loads.  The knob values are the ones the retired ablation printers
+/// swept: k = 1, 1-flit VCs, IABP / FIFO / Static priorities, the
+/// 1024-entry slot table with and without backfill, and concurrency
+/// factors 1 and 4 with the peak admission test enforced.
+fn one_knob_literals(fidelity: Fidelity) -> Vec<(&'static str, &'static str, SweepSpec)> {
+    let fig5 = fig5_literal(fidelity).base;
+    let sr = fig9_literal(InjectionKind::SmoothRate, fidelity).base;
+    let coa = [ArbiterKind::Coa];
+    let field = [
+        ArbiterKind::Coa,
+        ArbiterKind::Wfa,
+        ArbiterKind::Islip { iterations: 2 },
+        ArbiterKind::WfaFixed,
+        ArbiterKind::WfaFirstLevel,
+        ArbiterKind::GreedyPriority,
+        ArbiterKind::Pim { iterations: 2 },
+        ArbiterKind::Random,
+    ];
+    let priority = |priority| SimConfig {
+        priority,
+        ..fig5.clone()
+    };
+    let slot_table = |backfill| {
+        with_router(&sr, |r| {
+            r.link_policy = LinkPolicy::SlotTable {
+                backfill,
+                table_len: 1024,
+            }
+        })
+    };
+    let peak_test = |concurrency_factor| {
+        let mut cfg = with_router(&sr, |r| {
+            r.round = RoundConfig {
+                concurrency_factor,
+                ..RoundConfig::default()
+            }
+        });
+        if let Workload::Vbr { enforce_peak, .. } = &mut cfg.workload {
+            *enforce_peak = true;
+        }
+        cfg
+    };
+    vec![
+        (
+            "arbiter_field",
+            "fig5",
+            grid(fig5.clone(), &[0.5, 0.7, 0.86], &field, 3),
+        ),
+        (
+            "levels_k1",
+            "fig5",
+            grid(
+                with_router(&fig5, |r| r.candidate_levels = 1),
+                &[0.86],
+                &coa,
+                3,
+            ),
+        ),
+        (
+            "vc_depth1",
+            "fig5",
+            grid(
+                with_router(&fig5, |r| r.vc_buffer_flits = 1),
+                &[0.86],
+                &coa,
+                3,
+            ),
+        ),
+        (
+            "priority_iabp",
+            "fig5",
+            grid(priority(PriorityKind::Iabp), &[0.86], &coa, 3),
+        ),
+        (
+            "priority_fifo",
+            "fig5",
+            grid(priority(PriorityKind::Fifo), &[0.86], &coa, 3),
+        ),
+        (
+            "priority_static",
+            "fig5",
+            grid(priority(PriorityKind::Static), &[0.7], &coa, 3),
+        ),
+        (
+            "tdm_sr",
+            "fig9_sr",
+            grid(slot_table(false), &[0.6], &coa, 3),
+        ),
+        (
+            "tdm_backfill_sr",
+            "fig9_sr",
+            grid(slot_table(true), &[0.6], &coa, 3),
+        ),
+        (
+            "cac_tight",
+            "fig9_sr",
+            grid(peak_test(1.0), &[0.85], &coa, 3),
+        ),
+        (
+            "cac_loose",
+            "fig9_sr",
+            grid(peak_test(4.0), &[0.85], &coa, 3),
+        ),
+    ]
+}
+
+#[test]
+fn one_knob_packs_compile_to_their_transcribed_sweeps() {
+    for fidelity in [Fidelity::Quick, Fidelity::Full] {
+        let compile = |name: &str| {
+            load_pack(&format!("{name}.toml"))
+                .compile(fidelity)
+                .expect("pack compiles")
+                .sweep
+        };
+        for (name, base_pack, want) in one_knob_literals(fidelity) {
+            let (got, base) = (compile(name), compile(base_pack));
+            assert_eq!(got, want, "{name} ({fidelity:?}) diverged");
+            // The baseline cells a claim reads are the base pack's own:
+            // its loads, a prefix of its seeds.
+            for load in &got.loads {
+                assert!(
+                    base.loads.contains(load),
+                    "{name}: load {load} off {base_pack}'s grid"
+                );
+            }
+            assert_eq!(
+                got.seeds[..],
+                base.seeds[..got.seeds.len()],
+                "{name}: seed prefix"
+            );
+        }
+    }
 }
 
 #[test]
@@ -357,6 +505,16 @@ fn scenario_packs_carry_enough_claims() {
         ("fig9_bb.toml", 1),
         ("frontier.toml", 5),
         ("mpeg.toml", 6),
+        ("arbiter_field.toml", 6),
+        ("levels_k1.toml", 1),
+        ("vc_depth1.toml", 1),
+        ("priority_iabp.toml", 1),
+        ("priority_fifo.toml", 1),
+        ("priority_static.toml", 1),
+        ("tdm_sr.toml", 1),
+        ("tdm_backfill_sr.toml", 1),
+        ("cac_tight.toml", 1),
+        ("cac_loose.toml", 1),
     ] {
         let spec = load_pack(name);
         let claims = spec.claim.as_ref().map(|c| c.len()).unwrap_or(0);
@@ -457,6 +615,91 @@ fn zero_fabric_link_latency_is_a_typed_error() {
         zero_fabric_field("link_latency"),
         Err(SpecError::BadFabric { msg }) if msg.contains("link_latency")
     ));
+}
+
+#[test]
+fn a_fabric_pack_with_a_fault_plan_is_a_typed_error() {
+    // The fabric runner injects no faults, so the pack would run
+    // something other than it declares.
+    let mut spec = load_pack("fabric_mesh.toml");
+    spec.fault = Some(FaultSec {
+        window_start: 1_000,
+        window_len: 5_000,
+        factor: 1.0,
+    });
+    assert!(matches!(
+        spec.validate(),
+        Err(SpecError::BadFabric { msg }) if msg.contains("[fault]")
+    ));
+}
+
+// ---------------------------------------------------------------------------
+// Typed errors: one per `[router]` field
+// ---------------------------------------------------------------------------
+
+/// `levels_k1.toml` with its `[router]` table edited by `edit`.
+fn router_edit(edit: impl FnOnce(&mut RouterSec)) -> Result<(), SpecError> {
+    let mut spec = load_pack("levels_k1.toml");
+    edit(spec.router.as_mut().expect("levels_k1 has a [router]"));
+    let compiled = spec.compile(Fidelity::Quick).map(|_| ());
+    assert_eq!(compiled, spec.validate(), "compile validates first");
+    compiled
+}
+
+#[test]
+fn zero_router_candidate_levels_is_a_typed_error() {
+    assert!(matches!(
+        router_edit(|r| r.candidate_levels = Some(0)),
+        Err(SpecError::BadRouter { msg }) if msg.contains("candidate level")
+    ));
+}
+
+#[test]
+fn zero_router_vc_buffer_flits_is_a_typed_error() {
+    assert!(matches!(
+        router_edit(|r| r.vc_buffer_flits = Some(0)),
+        Err(SpecError::BadRouter { msg }) if msg.contains("one flit")
+    ));
+}
+
+#[test]
+fn unknown_router_priority_is_a_typed_error() {
+    assert_eq!(
+        router_edit(|r| r.priority = Some("lifo".into())),
+        Err(SpecError::UnknownPriority {
+            priority: "lifo".into()
+        })
+    );
+}
+
+#[test]
+fn unknown_router_link_policy_is_a_typed_error() {
+    assert!(matches!(
+        router_edit(|r| r.link_policy = Some("round-robin".into())),
+        Err(SpecError::BadRouter { msg }) if msg.contains("round-robin")
+    ));
+}
+
+#[test]
+fn router_concurrency_factor_below_one_is_a_typed_error() {
+    for factor in [0.5, f64::NAN, f64::INFINITY] {
+        assert!(matches!(
+            router_edit(|r| r.concurrency_factor = Some(factor)),
+            Err(SpecError::BadRouter { msg }) if msg.contains("concurrency factor")
+        ));
+    }
+}
+
+#[test]
+fn router_and_peak_test_keys_need_a_router_and_vbr_traffic() {
+    let mut mpeg = load_pack("mpeg.toml");
+    mpeg.router = load_pack("levels_k1.toml").router;
+    assert!(matches!(mpeg.validate(), Err(SpecError::Schema { msg }) if msg.contains("[router]")));
+    let mut cbr = load_pack("levels_k1.toml");
+    cbr.traffic.enforce_peak = Some(true);
+    assert!(
+        matches!(cbr.validate(), Err(SpecError::Schema { msg }) if msg.contains("enforce_peak"))
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -758,14 +1001,18 @@ proptest! {
 
     #[test]
     fn scrambled_paper_packs_yield_typed_errors_not_panics(
-        pack in 0usize..5,
+        pack in 0usize..9,
         picks in proptest::collection::vec(0usize..64, 0..48),
         mutation in (0usize..64, 0usize..6),
     ) {
         // Reorder, drop and repeat the lines of a paper pack, then
         // overwrite one value with a hostile one; parsing, validating and
-        // compiling must end in a Result, never a panic.
-        const PACKS: [&str; 5] = ["fig5", "fig9_sr", "fig9_bb", "frontier", "mpeg"];
+        // compiling must end in a Result, never a panic.  The last four
+        // carry a [router] table.
+        const PACKS: [&str; 9] = [
+            "fig5", "fig9_sr", "fig9_bb", "frontier", "mpeg", "levels_k1", "priority_iabp",
+            "tdm_backfill_sr", "cac_tight",
+        ];
         const HOSTILE: [&str; 6] = ["0", "-1", "1e308", "\"\"", "[]", "18446744073709551615"];
         let text = std::fs::read_to_string(pack_path(&format!("{}.toml", PACKS[pack])))
             .expect("pack file readable");
