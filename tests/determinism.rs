@@ -870,3 +870,130 @@ fn slot_table_fabric_agrees_across_engines_and_worker_counts() {
     let skipped = assert_fabric_paths_agree(&cfg, &[1, 2, 3]);
     assert!(skipped > 0, "nothing was skipped");
 }
+
+// ---------------------------------------------------------------------------
+// Characterization: the single router's observable results, pinned as
+// hashes.  Every arbiter under both link policies, over {CBR 0.8, drained
+// VBR} x {plain, telemetry armed, default fault plan}; each case hashes
+// the summary, the telemetry and fault reports and the arbitration RNG's
+// position.  A refactor of the router that moves no simulation keeps
+// every hash.
+// ---------------------------------------------------------------------------
+
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in parts.iter().flat_map(|p| p.iter()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The twelve cases of one arbiter, folded into one hash.
+fn router_characterization(arbiter: ArbiterKind) -> u64 {
+    use mmr_core::sim::rng::SimRng;
+    let policies = [
+        LinkPolicy::Priority,
+        LinkPolicy::SlotTable {
+            backfill: true,
+            table_len: 64,
+        },
+    ];
+    let drained_vbr = WorkloadSpec::Vbr {
+        target_load: 0.1,
+        gops: 1,
+        injection: InjectionKind::SmoothRate,
+        enforce_peak: false,
+    };
+    // The CBR run reaches into the default fault window (cycles 5 000..).
+    let workloads = [
+        (WorkloadSpec::cbr(0.8), 500, RunLength::Cycles(8_000)),
+        (
+            drained_vbr,
+            0,
+            RunLength::UntilDrained {
+                max_cycles: vbr_cycle_budget(1),
+            },
+        ),
+    ];
+    let mut h = fnv1a(&[]);
+    for link_policy in policies {
+        for (workload, warmup_cycles, run) in &workloads {
+            for mode in ["plain", "telemetry", "fault"] {
+                let mut cfg = SimConfig {
+                    workload: workload.clone(),
+                    arbiter,
+                    warmup_cycles: *warmup_cycles,
+                    run: *run,
+                    seed: 71,
+                    ..Default::default()
+                };
+                cfg.router.link_policy = link_policy;
+                match mode {
+                    "telemetry" => cfg = cfg.with_telemetry(TelemetrySpec::default()),
+                    "fault" => cfg.fault = Some(FaultSpec::default()),
+                    _ => {}
+                }
+                let workload = build_workload(&cfg);
+                let connections = workload.len();
+                let mut router = build_router(&cfg, workload);
+                if let Some(fault) = &cfg.fault {
+                    // The plan `run_experiment` draws for this config.
+                    let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xFA17).split(71);
+                    let plan = fault.plan.generate(cfg.router.ports, connections, &mut rng);
+                    router.set_faults(plan, fault.profile);
+                }
+                if let Some(t) = &cfg.telemetry {
+                    router.set_telemetry(t.to_config());
+                }
+                let stop = match cfg.run {
+                    RunLength::Cycles(n) => StopCondition::Cycles(n),
+                    RunLength::UntilDrained { max_cycles } => {
+                        StopCondition::ModelDoneOrCycles(max_cycles)
+                    }
+                };
+                let out = Runner::new(cfg.warmup_cycles, stop).run_horizon(&mut router);
+                if mode == "fault" {
+                    assert!(router.fault_report().events_fired > 0, "no fault fired");
+                }
+                h = fnv1a(&[
+                    &h.to_le_bytes(),
+                    serde_json::to_string(&router.summary()).unwrap().as_bytes(),
+                    serde_json::to_string(&router.telemetry_report())
+                        .unwrap()
+                        .as_bytes(),
+                    serde_json::to_string(&router.fault_report())
+                        .unwrap()
+                        .as_bytes(),
+                    &router.rng_fingerprint().to_le_bytes(),
+                    &out.executed.to_le_bytes(),
+                ]);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn single_router_results_are_pinned_for_every_arbiter() {
+    let want: [(&str, u64); 12] = [
+        ("Coa", 0xE7EFC1897CB8AC58),
+        ("Wfa", 0xB54F94A9F238E314),
+        ("WfaFixed", 0x96D016E9AAE86A7E),
+        ("WfaFirstLevel", 0x19117EB0BB986C3D),
+        ("Islip { iterations: 2 }", 0xB099E60DD28EBB77),
+        ("Pim { iterations: 2 }", 0x166474DB17212402),
+        ("GreedyPriority", 0x62D5FE10B0CED3C8),
+        ("Random", 0x4B28BCA5389A0B43),
+        ("MwmExact", 0x1848F220228552A8),
+        ("MwmApprox", 0x4843F230392CBB1F),
+        ("FrameFair { frame: 64 }", 0x39155A127027E82B),
+        ("CrosspointQueued { cap: 16 }", 0x18ABA1467FAD1F9F),
+    ];
+    let got: Vec<(String, u64)> = ArbiterKind::all()
+        .into_iter()
+        .map(|a| (format!("{a:?}"), router_characterization(a)))
+        .collect();
+    let want: Vec<(String, u64)> = want.iter().map(|&(a, h)| (a.to_string(), h)).collect();
+    assert_eq!(got, want, "the single router's results moved");
+}
