@@ -43,20 +43,17 @@
 //!     co-vary tightly enough under scheduler noise to trust the
 //!     normalization in the demanding direction.
 
-use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_bench::{banner, committed_pack, emit, fidelity_from_args, results_dir};
-use mmr_core::config::{RunLength, SimConfig, WorkloadSpec};
-use mmr_core::experiment::{build_fabric, build_fabric_workload, build_router, build_workload};
+use mmr_core::config::{FabricSpec, RunLength, SimConfig, WorkloadSpec};
+use mmr_core::experiment::{
+    build_fabric, build_fabric_workload, build_router, build_workload, run_experiment,
+};
 use mmr_core::report::TextTable;
 use mmr_core::workload_lang::Fidelity;
-use mmr_router::config::RouterConfig;
-use mmr_router::fabric::{Fabric, FabricConfig, FabricRunOutcome, Topology};
+use mmr_router::fabric::{FabricRunOutcome, Topology};
 use mmr_sim::engine::{Runner, StopCondition};
-use mmr_sim::rng::SimRng;
-use mmr_traffic::admission::RoundConfig;
 use mmr_traffic::connection::TrafficClass;
-use mmr_traffic::workload::CbrMixBuilder;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -70,27 +67,20 @@ fn run_net(
     cycles: u64,
     warmup: u64,
 ) -> (f64, f64, f64) {
-    let cfg = RouterConfig::default();
-    let mut rng = SimRng::seed_from_u64(0xB1ACA);
-    let w = CbrMixBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
-        .target_load(load)
-        .build(&mut rng);
-    let fabric_cfg = FabricConfig::new(cfg, Topology::Line { stages });
-    let mut net = Fabric::new(fabric_cfg, w, kind, PriorityKind::Siabp, 0xB1ACA);
-    Runner::new(warmup, StopCondition::Cycles(cycles)).run(&mut net);
-    let s = net.summary();
-    let high = s
-        .metrics
-        .class(TrafficClass::CbrHigh)
-        .map(|c| c.mean_delay_us)
-        .unwrap_or(0.0);
-    let util = s.node_utilization.iter().copied().fold(0.0, f64::max);
-    let tput = if s.generated_flits == 0 {
-        1.0
-    } else {
-        s.delivered_flits as f64 / s.generated_flits as f64
-    };
-    (high, util, tput)
+    let cfg = SimConfig {
+        workload: WorkloadSpec::cbr(load),
+        arbiter: kind,
+        warmup_cycles: warmup,
+        run: RunLength::Cycles(cycles),
+        ..Default::default()
+    }
+    .with_fabric(FabricSpec::new(Topology::Line { stages }));
+    let r = run_experiment(&cfg);
+    let high = (r.summary.metrics.class(TrafficClass::CbrHigh)).map_or(0.0, |c| c.mean_delay_us);
+    let util = r.fabric.map_or(r.summary.crossbar_utilization, |f| {
+        f.node_utilization.iter().copied().fold(0.0, f64::max)
+    });
+    (high, util, r.summary.throughput_ratio())
 }
 
 fn line_section(fidelity: Fidelity) {

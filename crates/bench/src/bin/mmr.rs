@@ -30,7 +30,7 @@ use mmr_core::config::{
     vbr_cycle_budget, InjectionKind, RunLength, SimConfig, TelemetrySpec, WorkloadSpec,
 };
 use mmr_core::conformance::{Ensemble, PackData, Panel};
-use mmr_core::experiment::{run_experiment, run_fabric_experiment};
+use mmr_core::experiment::run_experiment;
 use mmr_core::report::{render_xy_table, TextTable};
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::sweep::{sweep, SweepPoint, SweepSpec};
@@ -501,25 +501,11 @@ fn cmd_gate(args: &[String]) {
             pack.sweep.arbiters.len(),
             pack.sweep.seeds.len()
         );
-        if pack.fabric {
-            // No claims yet: record each config's fabric result.
-            let results: Vec<_> = pack
-                .sweep
-                .configs()
-                .iter()
-                .map(run_fabric_experiment)
-                .collect();
-            let path = results_dir().join(format!("workload_{}.json", pack.name));
-            let json = serde_json::to_string(&results).expect("fabric results serialize");
-            std::fs::write(&path, json).expect("write fabric pack json");
-            eprintln!("[written {}]", path.display());
-        } else {
-            ensemble.insert(&pack.name, pack.run(&mut cache));
-        }
+        ensemble.insert(&pack.name, pack.run(&mut cache));
     }
 
     let mut outcomes = Vec::new();
-    for pack in packs.iter().filter(|p| !p.fabric && selected(&p.name)) {
+    for pack in packs.iter().filter(|p| selected(&p.name)) {
         let report = pack.evaluate(&ensemble, fidelity);
         let data = ensemble.panel(&Panel::new(&pack.name));
         let points = &data.points;
@@ -535,7 +521,9 @@ fn cmd_gate(args: &[String]) {
         let json = serde_json::to_string(&report).expect("pack report serializes");
         std::fs::write(&path, json).expect("write pack report json");
         eprintln!("[written {}]", path.display());
-        if !points.is_empty() {
+        // The dashboard reads the observatory, which arms the single
+        // router only.
+        if !points.is_empty() && pack.sweep.base.fabric.is_none() {
             write_overview(pack);
         }
         outcomes.extend(report.claims);

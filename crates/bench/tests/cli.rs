@@ -2,7 +2,9 @@
 //! bad field named on stderr, never a panic inside `MmrRouter::new`.
 
 use mmr_core::config::SimConfig;
-use mmr_core::router::config::{LinkPolicy, RouterConfig};
+use mmr_core::router::config::{
+    LinkPolicy, RouterConfig, MAX_CANDIDATE_LEVELS, MAX_VC_BUFFER_FLITS,
+};
 use std::process::Command;
 
 #[test]
@@ -24,10 +26,24 @@ fn run_config_with_a_bad_router_exits_2_naming_the_field() {
         ),
         (
             RouterConfig {
+                candidate_levels: MAX_CANDIDATE_LEVELS + 1,
+                ..d
+            },
+            "candidate levels exceed",
+        ),
+        (
+            RouterConfig {
                 vc_buffer_flits: 0,
                 ..d
             },
             "one flit",
+        ),
+        (
+            RouterConfig {
+                vc_buffer_flits: MAX_VC_BUFFER_FLITS + 1,
+                ..d
+            },
+            "flits exceed",
         ),
         (RouterConfig { ports: 0, ..d }, "at least one port"),
         (RouterConfig { ports: 257, ..d }, "at most 256"),

@@ -1,7 +1,8 @@
-//! Build-and-run for one simulation point.
+//! Build-and-run for one simulation point: one run function and one
+//! result type for the single router and the multi-router fabric alike.
 
 use crate::config::{EngineMode, FabricSpec, InjectionKind, RunLength, SimConfig, WorkloadSpec};
-use mmr_router::fabric::{Fabric, FabricRunOutcome, FabricSummary};
+use mmr_router::fabric::{Fabric, FabricSummary};
 use mmr_router::router::{MmrRouter, RouterSummary};
 use mmr_router::telemetry::TelemetryReport;
 use mmr_sim::engine::{Runner, StopCondition};
@@ -23,14 +24,20 @@ pub struct ExperimentResult {
     pub connections: usize,
     /// CAC accept/reject counts from workload construction.
     pub admission: AdmissionTally,
-    /// Flit cycles executed.
+    /// Flit cycles executed (stepped plus skipped).
     pub executed_cycles: u64,
     /// True if the workload drained completely (finite workloads only).
     pub drained: bool,
-    /// Router-side results.
+    /// End-to-end results, for a fabric as for the single router
+    /// ([`Fabric::end_to_end_summary`]).
     pub summary: RouterSummary,
-    /// Telemetry observations (`None` unless the config armed telemetry).
+    /// Telemetry observations (`None` unless the config armed telemetry
+    /// on a single router).
     pub telemetry: Option<TelemetryReport>,
+    /// Per-node fabric results, present only when the config's fabric
+    /// has more than one node.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub fabric: Option<FabricSummary>,
 }
 
 impl ExperimentResult {
@@ -148,69 +155,6 @@ pub fn build_router(cfg: &SimConfig, workload: Workload) -> MmrRouter {
     )
 }
 
-/// Run one experiment to completion.
-pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
-    let workload = build_workload(cfg);
-    let achieved_load = workload.mean_load();
-    let connections = workload.len();
-    let admission = workload.admission;
-    let mut router = build_router(cfg, workload);
-    if let Some(fault) = &cfg.fault {
-        // The fault schedule draws from its own stream split off the
-        // master seed, so enabling faults never perturbs workload
-        // construction or arbitration randomness.
-        let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xFA17).split(71);
-        let plan = fault.plan.generate(cfg.router.ports, connections, &mut rng);
-        router.set_faults(plan, fault.profile);
-    }
-    if let Some(t) = &cfg.telemetry {
-        router.set_telemetry(t.to_config());
-    }
-    let stop = match cfg.run {
-        RunLength::Cycles(n) => StopCondition::Cycles(n),
-        RunLength::UntilDrained { max_cycles } => StopCondition::ModelDoneOrCycles(max_cycles),
-    };
-    let runner = Runner::new(cfg.warmup_cycles, stop);
-    // Both loops are bit-identical by contract (proven differentially in
-    // tests/determinism.rs); the horizon loop just fast-forwards across
-    // quiescent stretches.
-    let outcome = match cfg.engine_mode() {
-        EngineMode::EventHorizon => runner.run_horizon(&mut router),
-        EngineMode::CycleByCycle => runner.run(&mut router),
-    };
-    ExperimentResult {
-        config: cfg.clone(),
-        achieved_load,
-        connections,
-        admission,
-        executed_cycles: outcome.executed,
-        drained: router.drained(),
-        summary: router.summary(),
-        telemetry: cfg.telemetry.map(|_| router.telemetry_report()),
-    }
-}
-
-/// Result of one fabric simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FabricExperimentResult {
-    /// The configuration that produced this result (always carries
-    /// `Some(fabric)`).
-    pub config: SimConfig,
-    /// Offered load actually achieved by admission (mean over the
-    /// fabric's host links).
-    pub achieved_load: f64,
-    /// Connections admitted.
-    pub connections: usize,
-    /// CAC accept/reject counts from workload construction.
-    pub admission: AdmissionTally,
-    /// Engine accounting (executed counts stepped plus skipped).
-    pub outcome: FabricRunOutcome,
-    /// True if the workload drained completely (finite workloads only).
-    pub drained: bool,
-    /// Fabric-side results.
-    pub summary: FabricSummary,
-}
-
 /// The fabric workload a config describes: the usual builders, targeting
 /// the topology's flat host-port space.
 pub fn build_fabric_workload(cfg: &SimConfig, spec: &FabricSpec) -> Workload {
@@ -231,37 +175,77 @@ pub fn build_fabric(cfg: &SimConfig, spec: &FabricSpec, workload: Workload) -> F
     )
 }
 
-/// Run one fabric experiment to completion on `cfg.fabric.workers`
-/// worker threads.  Results are bit-identical for every worker count and
-/// engine mode; fault injection and telemetry arming are single-router
-/// features and are ignored here.
+/// Run one experiment to completion.
 ///
-/// # Panics
-///
-/// Panics if `cfg.fabric` is `None`.
-pub fn run_fabric_experiment(cfg: &SimConfig) -> FabricExperimentResult {
-    let spec = cfg
-        .fabric
-        .expect("run_fabric_experiment needs cfg.fabric = Some(..)");
-    let workload = build_fabric_workload(cfg, &spec);
+/// A config with a fabric runs on `fabric.workers` worker threads
+/// through [`Fabric::run_parallel`], up to its cycle bound (a drained
+/// fabric idles out the rest), and its results are bit-identical for
+/// every worker count and engine mode.  Fault injection and telemetry
+/// arm the single router only; on a fabric they are ignored.
+pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
+    let workload = match &cfg.fabric {
+        Some(spec) => build_fabric_workload(cfg, spec),
+        None => build_workload(cfg),
+    };
     let achieved_load = workload.mean_load();
     let connections = workload.len();
     let admission = workload.admission;
-    let mut fabric = build_fabric(cfg, &spec, workload);
-    let bound = match cfg.run {
-        RunLength::Cycles(n) | RunLength::UntilDrained { max_cycles: n } => n,
-    };
     let horizon = cfg.engine_mode() == EngineMode::EventHorizon;
-    let outcome = fabric.run_parallel(cfg.warmup_cycles, bound, spec.workers, horizon);
-    FabricExperimentResult {
+    let result = |executed_cycles, drained, summary, telemetry, fabric| ExperimentResult {
         config: cfg.clone(),
         achieved_load,
         connections,
         admission,
-        outcome,
-        drained: fabric.drained(),
-        summary: fabric.summary(),
+        executed_cycles,
+        drained,
+        summary,
+        telemetry,
+        fabric,
+    };
+    if let Some(spec) = &cfg.fabric {
+        let mut fabric = build_fabric(cfg, spec, workload);
+        let (RunLength::Cycles(bound) | RunLength::UntilDrained { max_cycles: bound }) = cfg.run;
+        let outcome = fabric.run_parallel(cfg.warmup_cycles, bound, spec.workers, horizon);
+        let nodes = (fabric.node_count() > 1).then(|| fabric.summary());
+        return result(
+            outcome.executed,
+            fabric.drained(),
+            fabric.end_to_end_summary(),
+            None,
+            nodes,
+        );
     }
+    let mut router = build_router(cfg, workload);
+    if let Some(fault) = &cfg.fault {
+        // The fault schedule draws from its own stream split off the
+        // master seed, so enabling faults never perturbs workload
+        // construction or arbitration randomness.
+        let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xFA17).split(71);
+        let plan = fault.plan.generate(cfg.router.ports, connections, &mut rng);
+        router.set_faults(plan, fault.profile);
+    }
+    if let Some(t) = &cfg.telemetry {
+        router.set_telemetry(t.to_config());
+    }
+    let stop = match cfg.run {
+        RunLength::Cycles(n) => StopCondition::Cycles(n),
+        RunLength::UntilDrained { max_cycles } => StopCondition::ModelDoneOrCycles(max_cycles),
+    };
+    let runner = Runner::new(cfg.warmup_cycles, stop);
+    // Both loops are bit-identical by contract (proven differentially in
+    // tests/determinism.rs); the horizon loop just fast-forwards across
+    // quiescent stretches.
+    let outcome = match horizon {
+        true => runner.run_horizon(&mut router),
+        false => runner.run(&mut router),
+    };
+    result(
+        outcome.executed,
+        router.drained(),
+        router.summary(),
+        cfg.telemetry.map(|_| router.telemetry_report()),
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -363,15 +347,21 @@ mod tests {
             ..Default::default()
         }
         .with_fabric(FabricSpec::new(Topology::Mesh { x: 3, y: 3 }));
-        let one = run_fabric_experiment(&cfg);
+        let one = run_experiment(&cfg);
         assert!(one.connections > 0);
         assert!(one.summary.delivered_flits > 0);
-        assert_eq!(one.summary.nodes, 9);
-        assert_eq!(one.outcome.executed, 4_000);
+        let nodes = one
+            .fabric
+            .as_ref()
+            .expect("a 9-node fabric reports its nodes");
+        assert_eq!(nodes.nodes, 9);
+        assert_eq!(nodes.delivered_flits, one.summary.delivered_flits);
+        assert_eq!(one.executed_cycles, 4_000);
         let spec = cfg.fabric.unwrap().with_workers(4);
-        let four = run_fabric_experiment(&cfg.with_fabric(spec));
+        let four = run_experiment(&cfg.with_fabric(spec));
         // Worker count is a pure performance knob.
         assert_eq!(one.summary, four.summary);
+        assert_eq!(one.fabric, four.fabric);
         assert_eq!(one.achieved_load, four.achieved_load);
     }
 

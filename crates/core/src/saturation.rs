@@ -221,6 +221,7 @@ mod tests {
                 drained: true,
                 summary,
                 telemetry: None,
+                fabric: None,
             }],
         }
     }

@@ -1466,19 +1466,14 @@ impl WorkloadSpec {
                 });
             }
         }
-        self.router_config()?;
+        let (router, _) = self.router_config()?;
         if let Some(fabric) = &self.fabric {
-            self.fabric_spec(fabric)?;
+            self.fabric_spec(fabric, &router)?;
             // The fabric runner injects no faults: a fabric pack with a
             // [fault] plan would run something other than it declares.
             if self.fault.is_some() {
                 return Err(SpecError::BadFabric {
                     msg: "fabric packs do not support [fault] plans".into(),
-                });
-            }
-            if self.claim.is_some() {
-                return Err(SpecError::Schema {
-                    msg: "fabric packs do not support [[claim]]s yet".into(),
                 });
             }
         }
@@ -1573,7 +1568,11 @@ impl WorkloadSpec {
         Ok((router, priority))
     }
 
-    fn fabric_spec(&self, sec: &FabricSec) -> Result<FabricSpec, SpecError> {
+    /// The `[fabric]` section as a spec over `router`, checked whole
+    /// (`FabricConfig::check`): a shape the topology cannot take or a
+    /// node wider than the kernels support is a typed error here, not a
+    /// panic in `Fabric::new`.
+    fn fabric_spec(&self, sec: &FabricSec, router: &RouterConfig) -> Result<FabricSpec, SpecError> {
         let positive = |v: u64, name: &str| -> Result<u64, SpecError> {
             if v == 0 {
                 Err(SpecError::BadFabric {
@@ -1620,6 +1619,9 @@ impl WorkloadSpec {
         if let Some(l) = sec.link_latency {
             spec.link_latency = positive(l, "link_latency")?;
         }
+        spec.to_config(*router)
+            .check()
+            .map_err(|msg| SpecError::BadFabric { msg })?;
         Ok(spec)
     }
 
@@ -1696,7 +1698,7 @@ impl WorkloadSpec {
             });
         }
         if let Some(fabric) = &self.fabric {
-            base.fabric = Some(self.fabric_spec(fabric)?);
+            base.fabric = Some(self.fabric_spec(fabric, &router)?);
         }
         let arbiters = self
             .arbiter_names()
@@ -1721,7 +1723,6 @@ impl WorkloadSpec {
         Ok(CompiledPack {
             name: self.meta.name.clone(),
             description: self.meta.description.clone(),
-            fabric: self.fabric.is_some(),
             trace_gops: self.is_trace_pack().then_some(gops),
             sweep: SweepSpec {
                 base,
@@ -1921,7 +1922,7 @@ pub fn validate_pack_set(specs: &[WorkloadSpec]) -> Result<(), SpecError> {
             .find(|s| &s.meta.name == pack)
             .ok_or_else(unknown)?;
         let versus = c.versus.as_deref().unwrap_or_default();
-        if other.is_trace_pack() || other.fabric.is_some() {
+        if other.is_trace_pack() {
             return Err(SpecError::Schema {
                 msg: format!("claim `{}` reads pack `{pack}`, which runs no sweep", c.id),
             });
@@ -2025,9 +2026,6 @@ pub struct CompiledPack {
     pub name: String,
     /// Pack description.
     pub description: String,
-    /// True when the pack targets a multi-router fabric (the gate runs
-    /// it through `run_fabric_experiment`; claims are unsupported).
-    pub fabric: bool,
     /// GOPs per synthesized sequence of the router-less MPEG pack;
     /// `None` for packs that run a router.
     pub trace_gops: Option<usize>,
@@ -2108,8 +2106,7 @@ impl PackReport {
 impl CompiledPack {
     /// Run the pack: its sweep through `cache` (measured configs are
     /// reused, the misses fan out in parallel), or the MPEG pack's trace
-    /// synthesis.  Fabric packs run outside the cache, through
-    /// `experiment::run_fabric_experiment`.
+    /// synthesis.
     pub fn run(&self, cache: &mut ExperimentCache) -> PackData {
         match self.trace_gops {
             Some(gops) => PackData::traces(&self.sweep.seeds, gops),
@@ -2389,7 +2386,6 @@ threshold = 0.9
         let doc = minimal_pack("\n[fabric]\ntopology = \"mesh\"\nx = 2\ny = 2\nworkers = 2\n");
         let spec = WorkloadSpec::parse(&doc).unwrap();
         let pack = spec.compile(Fidelity::Quick).unwrap();
-        assert!(pack.fabric);
         let fabric = pack.sweep.base.fabric.expect("fabric set");
         assert_eq!(fabric.topology, Topology::Mesh { x: 2, y: 2 });
         assert_eq!(fabric.workers, 2);

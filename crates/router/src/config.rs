@@ -19,6 +19,15 @@ pub enum LinkPolicy {
     },
 }
 
+/// Most candidate levels a router may offer per input: the candidate
+/// set holds `ports x levels` slots, and the paper uses four.
+pub const MAX_CANDIDATE_LEVELS: usize = 64;
+
+/// Most flits a VC buffer may hold: every VC's buffer is allocated whole
+/// up front, and its credit counter is a `u32`.  The paper's buffers
+/// hold "a few flits".
+pub const MAX_VC_BUFFER_FLITS: usize = 4_096;
+
 /// Geometry and timing of one MMR.
 ///
 /// Defaults reproduce the paper's evaluation setup: a 4×4 router with
@@ -80,6 +89,18 @@ impl RouterConfig {
         }
         if self.vc_buffer_flits == 0 {
             return Err("VC buffers need capacity for one flit".into());
+        }
+        for (n, max, what) in [
+            (
+                self.candidate_levels,
+                MAX_CANDIDATE_LEVELS,
+                "candidate levels",
+            ),
+            (self.vc_buffer_flits, MAX_VC_BUFFER_FLITS, "VC buffer flits"),
+        ] {
+            if n > max {
+                return Err(format!("{n} {what} exceed the supported {max}"));
+            }
         }
         if self.vc_ram_banks == 0 {
             return Err("VC memory needs at least one bank".into());
@@ -206,10 +227,30 @@ mod tests {
                 },
                 "slot table",
             ),
+            (
+                RouterConfig {
+                    candidate_levels: MAX_CANDIDATE_LEVELS + 1,
+                    ..d
+                },
+                "candidate levels exceed",
+            ),
+            (
+                RouterConfig {
+                    vc_buffer_flits: u32::MAX as usize + 1,
+                    ..d
+                },
+                "flits exceed",
+            ),
         ] {
             let msg = cfg.check().expect_err(expected);
             assert!(msg.contains(expected), "{msg}");
         }
         assert_eq!(d.check(), Ok(()));
+        let widest = RouterConfig {
+            candidate_levels: MAX_CANDIDATE_LEVELS,
+            vc_buffer_flits: MAX_VC_BUFFER_FLITS,
+            ..d
+        };
+        assert_eq!(widest.check(), Ok(()), "the bounds themselves are valid");
     }
 }

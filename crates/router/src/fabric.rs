@@ -2,10 +2,13 @@
 //!
 //! The paper closes by noting the MMR "must be further extended to a
 //! network composed of several MMRs"; this module is that extension at
-//! scale.  A [`Topology`] instantiates N router nodes — each one the
-//! shared [`SwitchCore`] pipeline ([`crate::pipeline`]) plus its link
-//! ends: wire arrivals feed the VC memory before the stages, and crossed
-//! flits are ejected or forwarded after them — wires them with
+//! scale, and the one simulator: the single router
+//! ([`MmrRouter`](crate::router::MmrRouter)) is its one-node case.  A
+//! [`Topology`] instantiates N router nodes — each one the shared
+//! [`SwitchCore`] pipeline ([`crate::pipeline`]) behind the node adapter,
+//! which runs its link ends (wire arrivals feed the VC memory before the
+//! stages, crossed flits are ejected or forwarded after them), the fault
+//! hooks and the telemetry brackets — wires them with
 //! point-to-point links, and places every admitted connection on a
 //! deterministic dimension-order path ([`mmr_traffic::path`], the
 //! Pipelined Circuit Switching reserved-path model).  Per-connection
@@ -33,7 +36,9 @@
 //! [`Fabric::run_parallel`] — commits the buffered events in canonical
 //! (cycle offset, node, emission) order, swaps outbox and inbox lanes
 //! per directed link (the vectors move, buffers are reused — no
-//! steady-state allocation), and takes the horizon/skip decision.
+//! steady-state allocation), and takes the horizon/skip decision.  The
+//! committed events feed the `Ledger`, the end-to-end accounts both
+//! [`Fabric::summary`] and [`Fabric::end_to_end_summary`] read.
 //! [`CycleModel::step`] is the same two phases on one chunk, inline,
 //! with one-cycle epochs.
 //!
@@ -115,17 +120,21 @@
 
 use crate::config::RouterConfig;
 use crate::credit::CreditBank;
+use crate::fault::{FaultState, LinkFate};
 use crate::link_scheduler::VcQosInfo;
-use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::output::Delivery;
+use crate::metrics::{class_index, MetricsCollector, MetricsReport, ALL_CLASSES, CLASS_COUNT};
+use crate::nic::Nic;
+use crate::output::{Delivery, OutputPorts};
 use crate::pipeline::{Ingress, SwitchCore, Wiring};
-use mmr_arbiter::priority::PriorityKind;
-use mmr_arbiter::scheduler::ArbiterKind;
+use crate::router::RouterSummary;
+use crate::telemetry::RouterTelemetry;
+use mmr_arbiter::priority::{LinkPriority, PriorityKind};
+use mmr_arbiter::scheduler::{ArbiterKind, SwitchScheduler};
 use mmr_sim::engine::CycleModel;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{FlitCycle, RouterCycle};
 use mmr_traffic::calendar;
-use mmr_traffic::connection::ConnectionSpec;
+use mmr_traffic::connection::{ConnectionId, ConnectionSpec, TrafficClass};
 use mmr_traffic::flit::Flit;
 use mmr_traffic::path::{mesh_route, Dir, HostMap};
 use mmr_traffic::source::TrafficSource;
@@ -215,15 +224,18 @@ impl Topology {
         }
     }
 
-    fn validate(&self) {
-        match *self {
-            Topology::Line { stages } => assert!(stages >= 1, "line needs at least one stage"),
-            Topology::Ring { nodes } => assert!(nodes >= 2, "ring needs at least two nodes"),
-            Topology::Mesh { x, y } => assert!(x >= 1 && y >= 1 && x * y >= 1, "empty mesh"),
-            Topology::Torus { x, y } => {
-                assert!(x >= 2 && y >= 2, "torus axes need >= 2 nodes (use Mesh)")
-            }
-        }
+    /// Check the shape, naming what is wrong with it.
+    fn check(&self) -> Result<(), String> {
+        let (ok, msg) = match *self {
+            Topology::Line { stages } => (stages >= 1, "line needs at least one stage"),
+            Topology::Ring { nodes } => (nodes >= 2, "ring needs at least two nodes"),
+            Topology::Mesh { x, y } => (x >= 1 && y >= 1, "mesh axes need at least one node"),
+            Topology::Torus { x, y } => (
+                x >= 2 && y >= 2,
+                "torus axes need at least two nodes (use a mesh)",
+            ),
+        };
+        ok.then_some(()).ok_or_else(|| msg.into())
     }
 }
 
@@ -259,6 +271,30 @@ impl FabricConfig {
                 _ => 4,
             },
             host_ports: 1,
+        }
+    }
+
+    /// Check the geometry, naming the first nonsense field: the
+    /// topology's shape, the links, the host ports and the router every
+    /// node is built from, whose port count the topology sets.
+    pub fn check(&self) -> Result<(), String> {
+        self.topology.check()?;
+        if self.link_latency == 0 {
+            return Err("links need at least one cycle".into());
+        }
+        if !matches!(self.topology, Topology::Line { .. }) && self.host_ports == 0 {
+            return Err("ring/mesh/torus fabrics need at least one host port".into());
+        }
+        self.node_router()
+            .check()
+            .map_err(|msg| format!("fabric node: {msg}"))
+    }
+
+    /// The configuration of each node's router.
+    fn node_router(&self) -> RouterConfig {
+        RouterConfig {
+            ports: self.topology.node_ports(self.router.ports, self.host_ports),
+            ..self.router
         }
     }
 }
@@ -368,16 +404,20 @@ enum HopBack {
 struct VcRoute {
     next: HopNext,
     back: HopBack,
+    class: TrafficClass,
 }
 
+/// The connection a node's traffic source feeds.
+#[derive(Debug, Clone, Copy)]
+struct Feed {
+    conn: ConnectionId,
+    class: TrafficClass,
+}
+
+/// A flit ejected at cycle offset `off` of the epoch.
 struct NodeEvent {
     off: u32,
-    kind: EventKind,
-}
-
-enum EventKind {
-    Generated { conn: u32 },
-    Delivered { delivery: Delivery },
+    delivery: Delivery,
 }
 
 /// One node's link ends, carved out of its chunk's lanes: `flit_out` /
@@ -390,25 +430,41 @@ struct Lanes<'a> {
     cred_out: &'a mut [Vec<CredWire>],
 }
 
-/// One router node (shard unit) of the fabric.
-struct FabricNode {
+/// One router node (shard unit) of the fabric: the node adapter over
+/// the shared [`SwitchCore`].  Around the stages it runs the link ends,
+/// the fault hooks and the telemetry brackets, and it buffers its
+/// ejections and generation counts for the ledger.
+pub(crate) struct FabricNode {
     /// The switch pipeline over this node's local VC space.  Its NICs
     /// and their credits serve the first-hop VCs of the connections
     /// sourced here.
-    core: SwitchCore,
+    pub(crate) core: SwitchCore,
     /// Free space of the *next-hop* VC buffer per local VC (unused for
     /// final-hop VCs, which eject without back-pressure).
     credits_down: CreditBank,
     route: Vec<VcRoute>,
-    /// Global connection of each of the core's sources.
-    source_conn: Vec<u32>,
+    /// Per traffic source of the core.
+    feeds: Vec<Feed>,
     out_count: usize,
     in_count: usize,
     events: Vec<NodeEvent>,
     /// Events of the current epoch already committed by the leader.
     committed: usize,
+    /// Flits generated this epoch, per class (the ledger only counts
+    /// them, so their order does not matter).
+    generated: [u64; CLASS_COUNT],
     /// Local next-event horizon computed at epoch end (absolute cycle).
     horizon: u64,
+    /// The cycle after the one at whose end every source here had run
+    /// dry, since measurement start.
+    exhausted_at: Option<u64>,
+    /// Fault injection and recovery, inert unless a plan is installed.
+    /// A plan installs on a one-node fabric only, where source, local VC
+    /// and connection indices coincide.
+    pub(crate) faults: FaultState,
+    /// Observability hooks; the disarmed default costs one branch per
+    /// probe point.
+    pub(crate) telemetry: RouterTelemetry,
 }
 
 impl FabricNode {
@@ -431,6 +487,16 @@ impl FabricNode {
     fn step_cycle(&mut self, u: u64, off: u32, measuring: bool, t: Timing, lanes: &mut Lanes<'_>) {
         let now_rc = RouterCycle(u * t.rc_per_flit);
 
+        // Fault events due this cycle fire before anything moves.
+        let faults_active = self.faults.is_active();
+        if faults_active {
+            self.faults.begin_cycle(u);
+            for vc in self.faults.take_pending_dups() {
+                // A phantom credit return materializes on the return path.
+                self.core.credits.queue_return(vc);
+            }
+        }
+
         // Credit arrivals become spendable before arbitration — a
         // crossing at cycle c downstream frees the upstream slot at
         // c + link_latency (next-cycle visibility at latency 1).
@@ -452,43 +518,80 @@ impl FabricNode {
             }
         }
 
+        // 1. Source generation into the NIC queues.
+        let t_gen = self.telemetry.stage_begin();
+        let mut gen_count = 0u64;
         self.core.inject(now_rc, |i| {
-            let conn = self.source_conn[i];
-            self.events.push(NodeEvent {
-                off,
-                kind: EventKind::Generated { conn },
-            });
+            let class = self.feeds[i].class;
+            gen_count += 1;
+            self.generated[class_index(class)] += 1;
+            self.telemetry.on_generated(class);
+            if faults_active {
+                self.faults.note_generated(i);
+            }
         });
+        if faults_active {
+            gen_count += self.police_contracts(u, now_rc);
+        }
+        self.telemetry.end_source_gen(t_gen, gen_count);
 
-        // A VC needs a downstream credit.  Final-hop VCs eject freely:
-        // they never spend one, so theirs stay at capacity and the
-        // route table is not consulted here.
-        self.core
-            .select(now_rc, |vc, _| self.credits_down.has_credit(vc));
-        self.core.arbitrate();
+        // 2. Link scheduling.  A VC needs a downstream credit (final-hop
+        // VCs never spend theirs, so they stay at capacity), and VCs
+        // routed to a stalled output are ineligible — offering them would
+        // waste crossbar grants on a port that cannot accept.  A node
+        // without out-links (the single router) skips the credit test:
+        // it runs on every non-empty VC, every cycle.
+        let t_ls = self.telemetry.stage_begin();
+        let credits = &self.credits_down;
+        let cand_count = if faults_active && self.faults.any_stall(u) {
+            let faults = &self.faults;
+            self.core.select(now_rc, |vc, q| {
+                credits.has_credit(vc) && !faults.output_stalled(q.output, u)
+            })
+        } else if self.out_count == 0 {
+            self.core.select(now_rc, |_, _| true)
+        } else {
+            self.core.select(now_rc, |vc, _| credits.has_credit(vc))
+        };
+        self.telemetry.end_link_schedule(t_ls, cand_count);
 
-        // Route each crossed flit: eject, or forward on its reserved
-        // out-link; and return a credit upstream (to the NIC at the
-        // first hop, on the wire otherwise).
+        // 3. Switch scheduling.
+        let t_arb = self.telemetry.stage_begin();
+        let matched = self.core.arbitrate();
+        self.telemetry.end_arbitration(t_arb, matched as u64);
+        if self.telemetry.is_enabled() {
+            self.trace_arbitration(u);
+        }
+
+        // 4. Crossbar traversal.  Each crossed flit is ejected or
+        // forwarded on its reserved out-link, and returns a credit
+        // upstream: to the NIC at the first hop, on the wire otherwise.
+        let t_xbar = self.telemetry.stage_begin();
         let crossed = self.core.cross(measuring);
+        self.telemetry.end_crossbar(t_xbar, crossed.len() as u64);
+        let t_dlv = self.telemetry.stage_begin();
+        let mut returns_queued = 0u64;
         for cf in &crossed {
-            match self.route[cf.vc].next {
+            let route = self.route[cf.vc];
+            match route.next {
                 HopNext::Deliver => {
                     debug_assert_eq!(
                         self.credits_down.available(cf.vc),
                         self.credits_down.capacity(),
                         "a final-hop VC spent a downstream credit"
                     );
-                    self.events.push(NodeEvent {
-                        off,
-                        kind: EventKind::Delivered {
-                            delivery: Delivery {
-                                flit: cf.buffered.flit,
-                                output: cf.output,
-                                delivered_at: RouterCycle(now_rc.0 + t.crossing_rc),
-                            },
-                        },
-                    })
+                    let delivery = Delivery {
+                        flit: cf.buffered.flit,
+                        output: cf.output,
+                        delivered_at: RouterCycle(now_rc.0 + t.crossing_rc),
+                    };
+                    self.telemetry.on_delivered(
+                        route.class,
+                        cf.vc,
+                        delivery.delay().0,
+                        delivery.delivered_at.0 - cf.buffered.entered_at.0,
+                    );
+                    self.events.push(NodeEvent { off, delivery });
                 }
                 HopNext::Forward { out, next_vc } => {
                     self.credits_down.spend(cf.vc);
@@ -499,8 +602,15 @@ impl FabricNode {
                     });
                 }
             }
-            match self.route[cf.vc].back {
-                HopBack::Nic => self.core.queue_credit_return(cf.vc),
+            match route.back {
+                // A credit return stolen on the return path leaves the
+                // NIC's counter low until the watchdog resynchronizes.
+                HopBack::Nic => {
+                    if !(faults_active && self.faults.steal_return(cf.vc)) {
+                        self.core.queue_credit_return(cf.vc);
+                        returns_queued += 1;
+                    }
+                }
                 HopBack::Wire { link, up_vc } => lanes.cred_out[link as usize].push(Wire {
                     due: u + t.link_latency,
                     vc: up_vc,
@@ -508,32 +618,168 @@ impl FabricNode {
                 }),
             }
         }
+        self.telemetry.end_delivery(t_dlv, crossed.len() as u64);
         self.core.recycle(crossed);
 
-        // NICs feed the first-hop VC buffers; their credit returns
-        // become visible next cycle.
+        // 5. NICs feed the first-hop VC buffers, one flit per input link.
+        let t_fwd = self.telemetry.stage_begin();
+        let mut forwarded = 0u64;
         let arrival = RouterCycle(now_rc.0 + t.rc_per_flit);
-        self.core.forward(arrival, |_, _, _, _| Ingress::Admit);
-        self.core.return_credits();
+        self.core.forward(arrival, |mem, input, vc, flit| {
+            forwarded += 1;
+            self.telemetry.on_credit_consumed(u, vc);
+            if !faults_active {
+                return Ingress::Admit;
+            }
+            if self.faults.on_link_flit(input, flit) == LinkFate::Dropped {
+                // Silent loss: the spent credit vanishes with the flit;
+                // only the watchdog can recover it.
+                return Ingress::Discard;
+            }
+            if !flit.integrity_ok() {
+                // Ingress checksum catch: discard the damaged flit and
+                // return its credit immediately (the buffer slot was
+                // never consumed).
+                self.faults.note_corrupt_detected();
+                self.telemetry.on_fault_detected(u, 0);
+                returns_queued += 1;
+                return Ingress::DiscardAndReturnCredit;
+            }
+            if mem.free_space(vc) == 0 {
+                // Phantom-credit guard: a duplicated credit let the NIC
+                // send into a full buffer.  Discarding the flit without a
+                // credit return annihilates the phantom.
+                self.faults.note_phantom_drop();
+                self.telemetry.on_fault_detected(u, 1);
+                return Ingress::Discard;
+            }
+            Ingress::Admit
+        });
+        self.telemetry.end_nic_forward(t_fwd, forwarded);
+
+        // 6. Credit returns become visible next cycle.  Under fault
+        // injection the counters saturate instead of panicking, and the
+        // watchdog periodically audits them against VC occupancy.
+        let t_cr = self.telemetry.stage_begin();
+        if faults_active {
+            self.audit_credits(u);
+        } else {
+            self.core.return_credits();
+        }
+        self.telemetry.end_credit_return(t_cr, returns_queued);
+
+        // The injection bound reaches NEVER on exactly the cycle the last
+        // source here drains (finite workloads only).
+        if self.exhausted_at.is_none() && self.core.next_injection_rc() == calendar::NEVER {
+            self.exhausted_at = Some(u + 1);
+        }
+
+        // Close the telemetry cycle (gauges + snapshot-window roll); the
+        // backlog scan runs only when armed.
+        if self.telemetry.is_enabled() {
+            let backlog = self.core.backlog() as u64;
+            self.telemetry.end_cycle(u, backlog);
+        }
+    }
+
+    /// Rogue sources inject beyond their admitted contract; the rate
+    /// meter sees the excess and may quarantine the connection.  Returns
+    /// the flits injected.
+    fn police_contracts(&mut self, u: u64, now_rc: RouterCycle) -> u64 {
+        let mut injected = 0;
+        for i in 0..self.feeds.len() {
+            let Some((seq0, n)) = self.faults.rogue_take(i, u) else {
+                continue;
+            };
+            let Feed { conn, class } = self.feeds[i];
+            for k in 0..n as u64 {
+                self.core.enqueue(i, Flit::cbr(conn, seq0 + k, now_rc));
+                self.generated[class_index(class)] += 1;
+                self.telemetry.on_generated(class);
+                self.faults.note_generated(i);
+            }
+            injected += n as u64;
+        }
+        self.faults.poll_contracts(u);
+        for idx in 0..self.faults.newly_quarantined().len() {
+            // Degradation policy: the violator loses its reservation, so
+            // the link schedulers treat it as best-effort and its slots
+            // return to the best-effort pool.
+            let vc = self.faults.newly_quarantined()[idx];
+            self.core.qos[vc].reserved_slots = 0;
+            self.telemetry.on_quarantine(u, vc);
+        }
+        self.faults.clear_newly_quarantined();
+        injected
+    }
+
+    /// Trace the grants, and the inputs that offered a head candidate but
+    /// went unmatched (VC stalled for at least this cycle).
+    fn trace_arbitration(&mut self, u: u64) {
+        let core = &self.core;
+        for g in core.matching.grants() {
+            self.telemetry.on_grant(u, g.input, g.output, g.vc);
+        }
+        for input in 0..core.matching.ports() {
+            if !core.matching.input_matched(input) {
+                if let Some(c) = core.candidates.get(input, 0) {
+                    self.telemetry.on_vc_stall(u, input, c.output, c.vc);
+                }
+            }
+        }
+    }
+
+    /// Apply the cycle's credit returns saturating, and let the watchdog
+    /// resynchronize any counter that drifted from its VC's occupancy.
+    fn audit_credits(&mut self, u: u64) {
+        let credits = &mut self.core.credits;
+        let excess = credits.apply_returns_clamped();
+        if excess > 0 {
+            self.faults.note_excess_credits(excess);
+        }
+        if self.faults.watchdog_due(u) {
+            for vc in 0..self.route.len() {
+                let occupancy = self.core.mem.len(vc);
+                if !credits.consistent(vc, occupancy) {
+                    let expected = credits.capacity() - occupancy as u32;
+                    credits.resync(vc, expected);
+                    self.faults.note_resync();
+                    self.telemetry.on_fault_detected(u, 2);
+                }
+            }
+        }
     }
 
     /// Local next-event horizon after executing cycle `now`: any backlog
-    /// means state can move next cycle; otherwise the earlier of the
-    /// next injection and the in-flight flit dues still on this node's
-    /// receiving lanes.  Pending credits never gate the horizon (module
-    /// docs).
+    /// means state can move next cycle; otherwise the earliest of the
+    /// next injection, the next armed fault activity — and, while credit
+    /// counters drifted under faults, the next watchdog audit, whose
+    /// resync must execute on the same cycle as in the naive loop — and
+    /// the in-flight flit dues still on this node's receiving lanes.
+    /// Pending credits never gate the horizon (module docs).
     fn horizon_after(&self, flit_rx: &[Rx<Flit>], now: u64, rc_per_flit: u64) -> u64 {
         if self.core.backlog() > 0 {
             return now + 1;
         }
-        let injection = match self.core.next_injection_rc() {
+        let mut h = match self.core.next_injection_rc() {
             calendar::NEVER => u64::MAX,
             rc => rc.div_ceil(rc_per_flit).max(now + 1),
         };
-        flit_rx
-            .iter()
-            .filter_map(Rx::next_due)
-            .fold(injection, u64::min)
+        if self.faults.is_active() {
+            h = h.min(self.faults.horizon(now));
+            let period = self.faults.profile().watchdog_period;
+            if period > 0 && !self.core.credits.all_at_capacity() {
+                h = h.min((now / period + 1) * period);
+            }
+        }
+        flit_rx.iter().filter_map(Rx::next_due).fold(h, u64::min)
+    }
+
+    /// Leave behind what `n` executed quiescent cycles from `from` would
+    /// have: the core's idle accounting and the telemetry epochs.
+    fn skip_quiescent(&mut self, from: u64, n: u64, measuring: bool) {
+        self.core.skip_quiescent(n, measuring);
+        self.telemetry.skip_quiescent(from, n);
     }
 }
 
@@ -634,22 +880,19 @@ pub struct FabricRunOutcome {
 /// A sharded multi-router fabric of MMRs.
 pub struct Fabric {
     cfg: FabricConfig,
-    specs: Vec<ConnectionSpec>,
-    nodes: Vec<FabricNode>,
-    /// Per link: (out slot, in slot) — the double-buffer swap map.
-    link_slots: Vec<(usize, usize)>,
+    pub(crate) nodes: Vec<FabricNode>,
     /// Node -> first in slot; length `nodes + 1`.
     in_start: Vec<usize>,
     flit_out: Vec<Vec<FlitWire>>,
     flit_rx: Vec<Rx<Flit>>,
     cred_out: Vec<Vec<CredWire>>,
     cred_rx: Vec<Rx<()>>,
-    metrics: MetricsCollector,
-    /// Per connection: the out port taken at each hop.
-    paths_out: Vec<Vec<usize>>,
+    pub(crate) ledger: Ledger,
+    /// The out port taken at each hop, connection `c`'s at
+    /// `path_start[c]..path_start[c + 1]`.
+    path_out: Vec<usize>,
+    path_start: Vec<usize>,
     timing: Timing,
-    generated_total: u64,
-    delivered_total: u64,
 }
 
 impl Fabric {
@@ -658,6 +901,10 @@ impl Fabric {
     /// placed on its deterministic reserved path (dimension-order for
     /// mesh/torus, shorter-way for rings, seeded random bundle ports
     /// for line hops — the path a routing probe would have reserved).
+    /// Panics with [`FabricConfig::check`]'s message on a nonsense
+    /// configuration.  A one-node fabric is the single router: its
+    /// arbitration RNG is the router's `seed ^ 0x4D4D_5221` stream, node
+    /// *k* of a larger fabric takes split *k* of `seed ^ 0x6E65_7477`.
     pub fn new(
         cfg: FabricConfig,
         workload: Workload,
@@ -665,18 +912,33 @@ impl Fabric {
         priority: PriorityKind,
         seed: u64,
     ) -> Self {
+        let ports = cfg.node_router().ports;
+        Fabric::build(cfg, workload, seed, || {
+            (arbiter_kind.instantiate(ports), priority.instantiate())
+        })
+    }
+
+    /// [`Fabric::new`] with each node's switch scheduler and link-priority
+    /// function made by `switch`, called once per node in node order.
+    pub(crate) fn build(
+        cfg: FabricConfig,
+        workload: Workload,
+        seed: u64,
+        mut switch: impl FnMut() -> (Box<dyn SwitchScheduler>, Box<dyn LinkPriority>),
+    ) -> Self {
         cfg.router.validate();
-        cfg.topology.validate();
-        assert!(cfg.link_latency >= 1, "links need at least one cycle");
-        assert!(
-            matches!(cfg.topology, Topology::Line { .. }) || cfg.host_ports >= 1,
-            "ring/mesh/torus fabrics need at least one host port"
-        );
+        if let Err(msg) = cfg.check() {
+            panic!("{msg}");
+        }
         let Workload {
             connections: specs,
             sources,
             ..
         } = workload;
+        if cfg.topology == (Topology::Line { stages: 1 }) {
+            let (arbiter, priority_fn) = switch();
+            return Fabric::single(cfg, specs, sources, arbiter, priority_fn, seed);
+        }
         let n = specs.len();
         let nnodes = cfg.topology.node_count();
         let degree = cfg.topology.degree();
@@ -762,16 +1024,19 @@ impl Fabric {
             in_of_port[to][port] = (slot - in_start[to]) as u32;
         }
 
-        // ---- Reserved paths: per connection, (node, in port, out port)
-        // per hop. -----------------------------------------------------
+        // ---- Reserved paths: (node, in port, out port) per hop, the hops
+        // of connection `c` at `hop_start[c]..hop_start[c + 1]`. ---------
         let mut path_rng = SimRng::seed_from_u64(seed ^ 0x4C49_4E45);
-        let mut hops: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(n);
-        for s in &specs {
+        let mut hops: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
+        let mut hop_start = Vec::with_capacity(n + 1);
+        for (i, s) in specs.iter().enumerate() {
+            assert_eq!(s.id.idx(), i, "connection ids must be dense");
             assert!(
                 s.input < workload_ports && s.output < workload_ports,
                 "spec port outside the fabric's workload port space"
             );
-            let mut h: Vec<(usize, usize, usize)> = Vec::new();
+            hop_start.push(hops.len());
+            let h = &mut hops;
             match cfg.topology {
                 Topology::Line { stages } => {
                     // One draw per intermediate hop, in connection
@@ -815,37 +1080,56 @@ impl Fabric {
                     h.push((node, inp, degree + hm.slot_of(s.output)));
                 }
             }
-            hops.push(h);
         }
-        let paths_out: Vec<Vec<usize>> = hops
-            .iter()
-            .map(|h| h.iter().map(|&(_, _, out)| out).collect())
-            .collect();
+        hop_start.push(hops.len());
+        let path_out: Vec<usize> = hops.iter().map(|&(_, _, out)| out).collect();
 
-        // ---- Local VC spaces: connections traversing each node, in
-        // global connection order. -------------------------------------
-        let mut local_conns: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nnodes];
-        let mut local_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (conn, h) in hops.iter().enumerate() {
-            for (hi, &(node, _, _)) in h.iter().enumerate() {
-                local_of[conn].push(local_conns[node].len() as u32);
-                local_conns[node].push((conn, hi));
+        // ---- Local VC spaces: the (connection, hop) pairs traversing
+        // each node, in global connection order, and each hop's local
+        // VC. ----------------------------------------------------------
+        // Sized up front, like everything built here: set-up time is a
+        // benchmark metric.
+        let (mut visits, mut sourced) = (vec![0usize; nnodes], vec![0usize; nnodes]);
+        hops.iter().for_each(|&(node, _, _)| visits[node] += 1);
+        (0..n).for_each(|conn| sourced[hops[hop_start[conn]].0] += 1);
+        let mut local_conns: Vec<Vec<(usize, usize)>> =
+            visits.iter().map(|&k| Vec::with_capacity(k)).collect();
+        let mut local_of: Vec<u32> = Vec::with_capacity(hops.len());
+        for (conn, w) in hop_start.windows(2).enumerate() {
+            for (h, &(node, _, _)) in (w[0]..w[1]).zip(&hops[w[0]..w[1]]) {
+                local_of.push(local_conns[node].len() as u32);
+                local_conns[node].push((conn, h));
             }
         }
 
         // ---- Per-node construction: each node is one `SwitchCore`
         // over its local VC space, plus its link ends. -----------------
         let rc_per_flit = cfg.router.router_cycles_per_flit();
-        let node_cfg = RouterConfig {
-            ports: node_ports,
-            ..cfg.router
-        };
+        let node_cfg = cfg.node_router();
         let arb_base = SimRng::seed_from_u64(seed ^ 0x6E65_7477);
+        let arb_rng = |nd: usize| match nnodes {
+            1 => SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
+            _ => arb_base.split(nd as u64),
+        };
+        // Histograms before the cores ("Allocation order", pipeline docs).
+        let ledger = Ledger {
+            metrics: MetricsCollector::new(n, cfg.router.time),
+            outputs: OutputPorts::new(workload_ports),
+            link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
+            specs,
+            generated_total: 0,
+            delivered_total: 0,
+            generation_ended_at: None,
+            delivered_in_window: 0,
+        };
+        let specs = &ledger.specs;
         // Per node: its sources and the connection each one feeds.
         type NodeSources = (Vec<Box<dyn TrafficSource + Send>>, Vec<u32>);
-        let mut node_sources: Vec<NodeSources> = (0..nnodes).map(|_| Default::default()).collect();
+        let mut node_sources: Vec<NodeSources> = (sourced.iter())
+            .map(|&k| (Vec::with_capacity(k), Vec::with_capacity(k)))
+            .collect();
         for (conn, src) in sources.into_iter().enumerate() {
-            let (srcs, conns) = &mut node_sources[hops[conn][0].0];
+            let (srcs, conns) = &mut node_sources[hops[hop_start[conn]].0];
             srcs.push(src);
             conns.push(conn as u32);
         }
@@ -856,81 +1140,189 @@ impl Fabric {
             let nloc = locals.len();
             let mut qos = Vec::with_capacity(nloc);
             let mut route = Vec::with_capacity(nloc);
-            for &(conn, hi) in locals {
-                let (_, inp, out) = hops[conn][hi];
+            for &(conn, h) in locals {
+                let class = specs[conn].class;
+                let (_, inp, out) = hops[h];
                 qos.push(VcQosInfo {
                     output: out,
                     reserved_slots: specs[conn].reserved_slots,
                     iat_rc: specs[conn].iat_router_cycles(&cfg.router.time),
                 });
-                let next = if hi + 1 == hops[conn].len() {
+                let next = if h + 1 == hop_start[conn + 1] {
                     HopNext::Deliver
                 } else {
                     HopNext::Forward {
                         out: out_of_port[nd][out],
-                        next_vc: local_of[conn][hi + 1],
+                        next_vc: local_of[h + 1],
                     }
                 };
                 debug_assert!(
                     !matches!(next, HopNext::Forward { out: u32::MAX, .. }),
                     "route uses an unwired out port"
                 );
-                let back = if hi == 0 {
+                let back = if h == hop_start[conn] {
                     HopBack::Nic
                 } else {
                     HopBack::Wire {
                         link: in_of_port[nd][inp],
-                        up_vc: local_of[conn][hi - 1],
+                        up_vc: local_of[h - 1],
                     }
                 };
-                route.push(VcRoute { next, back });
+                route.push(VcRoute { next, back, class });
             }
+            let (arbiter, priority_fn) = switch();
             let core = SwitchCore::new(
                 &node_cfg,
                 qos,
                 sources,
                 Wiring {
-                    input_of_vc: |vc: usize| {
-                        let (conn, hi) = locals[vc];
-                        hops[conn][hi].1
-                    },
-                    vc_of_source: |i: usize| local_of[source_conn[i] as usize][0] as usize,
+                    input_of_vc: |vc: usize| hops[locals[vc].1].1,
+                    vc_of_source: |i: usize| local_of[hop_start[source_conn[i] as usize]] as usize,
                 },
-                arbiter_kind.instantiate(node_ports),
-                priority.instantiate(),
-                arb_base.split(nd as u64),
+                arbiter,
+                priority_fn,
+                arb_rng(nd),
             );
+            let feeds = source_conn
+                .iter()
+                .map(|&c| Feed {
+                    conn: specs[c as usize].id,
+                    class: specs[c as usize].class,
+                })
+                .collect();
             nodes.push(FabricNode {
                 core,
                 credits_down: CreditBank::new(nloc, cfg.router.vc_buffer_flits as u32),
                 route,
-                source_conn,
+                feeds,
                 out_count: out_start[nd + 1] - out_start[nd],
                 in_count: in_start[nd + 1] - in_start[nd],
-                events: Vec::new(),
+                // An epoch's worth of ejections (at most one per port and
+                // cycle): the steady state never grows the buffer.
+                events: Vec::with_capacity(cfg.link_latency as usize * node_ports),
                 committed: 0,
+                generated: [0; CLASS_COUNT],
                 horizon: 0,
+                exhausted_at: None,
+                faults: FaultState::inactive(node_ports, nloc),
+                telemetry: RouterTelemetry::disabled(),
             });
         }
 
         Fabric {
-            specs,
             nodes,
-            link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
             in_start,
             flit_out: (0..nlinks).map(|_| Vec::new()).collect(),
             flit_rx: (0..nlinks).map(|_| Rx::new()).collect(),
             cred_out: (0..nlinks).map(|_| Vec::new()).collect(),
             cred_rx: (0..nlinks).map(|_| Rx::new()).collect(),
-            metrics: MetricsCollector::new(n, cfg.router.time),
-            paths_out,
+            ledger,
+            path_out,
+            path_start: hop_start,
             timing: Timing {
                 rc_per_flit,
                 crossing_rc: cfg.router.crossing_latency_flits * rc_per_flit,
                 link_latency: cfg.link_latency,
             },
-            generated_total: 0,
-            delivered_total: 0,
+            cfg,
+        }
+    }
+
+    /// The one-stage line: the single router.  Built apart from the
+    /// general path, with no path tables, in the order the single router
+    /// always allocated — per-VC QoS, histograms, core, then the rest —
+    /// because set-up time is a benchmark metric and glibc ties it to
+    /// block placement ("Allocation order", pipeline docs): through the
+    /// general path, `cbr4_armed` `setup_s` read 1.3–2.7× the router's,
+    /// with 2–5× the page faults.
+    fn single(
+        cfg: FabricConfig,
+        specs: Vec<ConnectionSpec>,
+        sources: Vec<Box<dyn TrafficSource + Send>>,
+        arbiter: Box<dyn SwitchScheduler>,
+        priority_fn: Box<dyn LinkPriority>,
+        seed: u64,
+    ) -> Self {
+        let (n, ports) = (specs.len(), cfg.router.ports);
+        for (i, s) in specs.iter().enumerate() {
+            assert_eq!(s.id.idx(), i, "connection ids must be dense");
+            assert!(s.input < ports && s.output < ports, "ports out of range");
+        }
+        let qos = (specs.iter())
+            .map(|s| VcQosInfo {
+                output: s.output,
+                reserved_slots: s.reserved_slots,
+                iat_rc: s.iat_router_cycles(&cfg.router.time),
+            })
+            .collect();
+        let metrics = MetricsCollector::new(n, cfg.router.time);
+        let core = SwitchCore::new(
+            &cfg.router,
+            qos,
+            sources,
+            Wiring {
+                input_of_vc: |vc: usize| specs[vc].input,
+                vc_of_source: |i| i,
+            },
+            arbiter,
+            priority_fn,
+            SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
+        );
+        let outputs = OutputPorts::new(ports);
+        let (faults, telemetry) = (FaultState::inactive(ports, n), RouterTelemetry::disabled());
+        let route = (specs.iter())
+            .map(|s| VcRoute {
+                next: HopNext::Deliver,
+                back: HopBack::Nic,
+                class: s.class,
+            })
+            .collect();
+        let feeds = (specs.iter())
+            .map(|s| Feed {
+                conn: s.id,
+                class: s.class,
+            })
+            .collect();
+        let node = FabricNode {
+            core,
+            credits_down: CreditBank::new(n, cfg.router.vc_buffer_flits as u32),
+            route,
+            feeds,
+            out_count: 0,
+            in_count: 0,
+            events: Vec::with_capacity(ports),
+            committed: 0,
+            generated: [0; CLASS_COUNT],
+            horizon: 0,
+            exhausted_at: None,
+            faults,
+            telemetry,
+        };
+        let rc_per_flit = cfg.router.router_cycles_per_flit();
+        Fabric {
+            nodes: vec![node],
+            in_start: vec![0, 0],
+            flit_out: Vec::new(),
+            flit_rx: Vec::new(),
+            cred_out: Vec::new(),
+            cred_rx: Vec::new(),
+            path_out: specs.iter().map(|s| s.output).collect(),
+            path_start: (0..=n).collect(),
+            ledger: Ledger {
+                specs,
+                link_slots: Vec::new(),
+                metrics,
+                outputs,
+                generated_total: 0,
+                delivered_total: 0,
+                generation_ended_at: None,
+                delivered_in_window: 0,
+            },
+            timing: Timing {
+                rc_per_flit,
+                crossing_rc: cfg.router.crossing_latency_flits * rc_per_flit,
+                link_latency: cfg.link_latency,
+            },
             cfg,
         }
     }
@@ -945,19 +1337,9 @@ impl Fabric {
         self.nodes.len()
     }
 
-    /// Directed inter-node link count.
-    pub fn link_count(&self) -> usize {
-        self.link_slots.len()
-    }
-
-    /// Admitted connection count.
-    pub fn connection_count(&self) -> usize {
-        self.specs.len()
-    }
-
     /// The reserved path of one connection: out port at each hop.
     pub fn path_of(&self, conn: usize) -> &[usize] {
-        &self.paths_out[conn]
+        &self.path_out[self.path_start[conn]..self.path_start[conn + 1]]
     }
 
     /// Flits buffered anywhere: NICs, VC memories, and in flight on
@@ -989,29 +1371,69 @@ impl Fabric {
 
     /// Run summary.
     pub fn summary(&self) -> FabricSummary {
-        let hop_total: usize = self.paths_out.iter().map(Vec::len).sum();
+        let l = &self.ledger;
         FabricSummary {
             topology: self.cfg.topology.label(),
             nodes: self.nodes.len(),
-            links: self.link_slots.len(),
-            connections: self.specs.len(),
-            mean_hops: hop_total as f64 / self.specs.len().max(1) as f64,
-            metrics: self.metrics.report(),
+            links: l.link_slots.len(),
+            connections: l.specs.len(),
+            mean_hops: self.path_out.len() as f64 / l.specs.len().max(1) as f64,
+            metrics: l.metrics.report(),
             node_utilization: self
                 .nodes
                 .iter()
                 .map(|nd| nd.core.crossbar.mean_utilization())
                 .collect(),
-            generated_flits: self.generated_total,
-            delivered_flits: self.delivered_total,
+            generated_flits: l.generated_total,
+            delivered_flits: l.delivered_total,
             backlog_flits: self.backlog(),
+        }
+    }
+
+    /// The fabric as one switch: end-to-end results in the single
+    /// router's terms.  A one-node fabric reports exactly the router's
+    /// numbers.  Across nodes, crossbar utilization and busy fraction
+    /// are node means, reconfigurations add up, and the high-water marks
+    /// are the worst node's.
+    pub fn end_to_end_summary(&self) -> RouterSummary {
+        let l = &self.ledger;
+        let head = &self.nodes[0];
+        let xbars = || self.nodes.iter().map(|nd| &nd.core.crossbar);
+        let node_mean = |v: f64| v / self.nodes.len() as f64;
+        // Best-effort connections, with zero reservation, are excluded.
+        let reserved: Vec<f64> = l.specs.iter().map(|s| s.reserved_slots as f64).collect();
+        RouterSummary {
+            arbiter: head.core.arbiter.name().to_string(),
+            priority_fn: head.core.priority_fn.name().to_string(),
+            reservation_fairness: l.metrics.jain_fairness(&reserved),
+            metrics: l.metrics.report(),
+            crossbar_utilization: node_mean(xbars().map(|x| x.mean_utilization()).sum()),
+            crossbar_busy_fraction: node_mean(xbars().map(|x| x.busy_fraction()).sum()),
+            reconfigurations: xbars().map(|x| x.reconfigurations()).sum(),
+            measured_cycles: head.core.crossbar.cycles(),
+            generated_flits: l.generated_total,
+            delivered_flits: l.delivered_total,
+            delivered_per_output: l.outputs.per_port().to_vec(),
+            peak_nic_depth: (self.nodes.iter())
+                .flat_map(|nd| nd.core.nics.iter().map(Nic::peak_depth))
+                .max()
+                .unwrap_or(0),
+            peak_vc_occupancy: (self.nodes.iter())
+                .map(|nd| nd.core.mem.peak_occupancy())
+                .max()
+                .unwrap_or(0),
+            backlog_flits: self.backlog(),
+            generation_window_cycles: l.generation_ended_at,
+            delivered_in_window: l.delivered_in_window,
+            // Faults install on a one-node fabric only.
+            faults: head.faults.report(),
         }
     }
 
     /// Split the fabric into its two views: all nodes and lanes as one
     /// chunk (the state the parallel phase works on, to be split
     /// further per worker) and the ledger only the leader touches.
-    fn parts(&mut self) -> (Chunk<'_>, Ledger<'_>) {
+    fn parts(&mut self) -> (Chunk<'_>, &mut Ledger) {
         (
             Chunk {
                 nodes: &mut self.nodes,
@@ -1022,13 +1444,7 @@ impl Fabric {
                 flit_rx: &mut self.flit_rx,
                 cred_out: &mut self.cred_out,
             },
-            Ledger {
-                specs: &self.specs,
-                link_slots: &self.link_slots,
-                metrics: &mut self.metrics,
-                generated_total: &mut self.generated_total,
-                delivered_total: &mut self.delivered_total,
-            },
+            &mut self.ledger,
         )
     }
 
@@ -1070,7 +1486,7 @@ impl Fabric {
         let timing = self.timing;
         let nchunks = self.chunk_count(workers);
         let threads = self.thread_count(workers);
-        let (mut rest, mut ledger) = self.parts();
+        let (mut rest, ledger) = self.parts();
         let (base, rem) = (rest.nodes.len() / nchunks, rest.nodes.len() % nchunks);
         let chunks: Vec<Mutex<Chunk<'_>>> = (0..nchunks)
             .map(|k| Mutex::new(rest.split_front(base + usize::from(k < rem))))
@@ -1119,7 +1535,7 @@ impl Fabric {
                 handoff.wait();
                 // Serial phase: take them all back.
                 held.extend(chunks.iter().map(lock_chunk));
-                ledger.finish_epoch(&mut held, b - t, measuring);
+                ledger.finish_epoch(&mut held, ep);
                 out.executed += b - t;
                 if measuring {
                     out.measured += b - t;
@@ -1134,7 +1550,7 @@ impl Fabric {
                     if target > t {
                         let gap = target - t;
                         let gap_measuring = t >= warmup;
-                        skip_cycles(&mut held, gap, gap_measuring);
+                        skip_cycles(&mut held, t, gap, gap_measuring);
                         out.executed += gap;
                         out.skipped += gap;
                         if gap_measuring {
@@ -1158,73 +1574,86 @@ fn lock_chunk<'m, 'a>(chunk: &'m Mutex<Chunk<'a>>) -> MutexGuard<'m, Chunk<'a>> 
         .expect("a fabric worker panicked while holding this chunk")
 }
 
-/// The state only the leader touches, between epochs: where node events
-/// are committed and how the mailbox lanes are wired.  Its methods are
-/// the serial phase, written once over chunk views — `C` is a lock
-/// guard under [`Fabric::run_parallel`] and a plain `&mut` under
-/// [`Fabric::step`].
-struct Ledger<'a> {
-    specs: &'a [ConnectionSpec],
-    link_slots: &'a [(usize, usize)],
-    metrics: &'a mut MetricsCollector,
-    generated_total: &'a mut u64,
-    delivered_total: &'a mut u64,
+/// The state only the leader touches, between epochs: the end-to-end
+/// accounts node events are committed into, and how the mailbox lanes
+/// are wired.  Its methods are the serial phase, written once over chunk
+/// views — `C` is a lock guard under [`Fabric::run_parallel`] and a plain
+/// `&mut` under [`Fabric::step`].
+pub(crate) struct Ledger {
+    pub(crate) specs: Vec<ConnectionSpec>,
+    /// Per link: (out slot, in slot) — the double-buffer swap map.
+    link_slots: Vec<(usize, usize)>,
+    pub(crate) metrics: MetricsCollector,
+    /// Deliveries per workload output port.
+    outputs: OutputPorts,
+    generated_total: u64,
+    delivered_total: u64,
+    /// Flit cycle at which every node's sources had run dry (the end of
+    /// the generation window), once that has happened.
+    generation_ended_at: Option<u64>,
+    /// Flits delivered while sources were still generating.
+    delivered_in_window: u64,
 }
 
-impl Ledger<'_> {
+impl Ledger {
     /// Open the measurement window: forget everything recorded so far.
     fn measurement_start<'c, C: DerefMut<Target = Chunk<'c>>>(&mut self, chunks: &mut [C]) {
         self.metrics.reset();
+        self.outputs.reset();
         for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
             node.core.crossbar.reset_stats();
+            node.faults.reset_stats();
+            node.exhausted_at = None;
         }
-        *self.generated_total = 0;
-        *self.delivered_total = 0;
+        self.generated_total = 0;
+        self.delivered_total = 0;
+        self.generation_ended_at = None;
+        self.delivered_in_window = 0;
     }
 
-    /// Close an epoch of `len` cycles: commit events, swap mailboxes.
-    fn finish_epoch<'c, C: DerefMut<Target = Chunk<'c>>>(
-        &mut self,
-        chunks: &mut [C],
-        len: u64,
-        measuring: bool,
-    ) {
-        self.commit_events(chunks, len, measuring);
+    /// Close epoch `ep`: commit events, swap mailboxes.
+    fn finish_epoch<'c, C: DerefMut<Target = Chunk<'c>>>(&mut self, chunks: &mut [C], ep: Epoch) {
+        self.commit_events(chunks, ep);
         self.swap_boxes(chunks);
     }
 
-    /// Commit per-node event buffers into the global metrics collector
-    /// in deterministic (cycle offset, node, emission) order — the same
-    /// order for every chunking, so float accumulation is bit-identical.
-    fn commit_events<'c, C: DerefMut<Target = Chunk<'c>>>(
-        &mut self,
-        chunks: &mut [C],
-        len: u64,
-        measuring: bool,
-    ) {
-        for off in 0..len as u32 {
+    /// Commit per-node generation counts and deliveries into the
+    /// end-to-end accounts, deliveries in deterministic (cycle offset,
+    /// node, emission) order — the same order for every chunking, so
+    /// float accumulation is bit-identical.  A cycle's deliveries count
+    /// toward the generation window unless it closed at an earlier
+    /// cycle's end.
+    fn commit_events<'c, C: DerefMut<Target = Chunk<'c>>>(&mut self, chunks: &mut [C], ep: Epoch) {
+        for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
+            for (class, n) in ALL_CLASSES.into_iter().zip(&mut node.generated) {
+                self.generated_total += *n;
+                if ep.measuring {
+                    (0..*n).for_each(|_| self.metrics.record_generated(class));
+                }
+                *n = 0;
+            }
+        }
+        for off in 0..(ep.b - ep.a) as u32 {
             for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
                 let mut c = node.committed;
-                while c < node.events.len() && node.events[c].off == off {
-                    match &node.events[c].kind {
-                        EventKind::Generated { conn } => {
-                            *self.generated_total += 1;
-                            if measuring {
-                                self.metrics
-                                    .record_generated(self.specs[*conn as usize].class);
-                            }
-                        }
-                        EventKind::Delivered { delivery } => {
-                            *self.delivered_total += 1;
-                            if measuring {
-                                let class = self.specs[delivery.flit.connection.idx()].class;
-                                self.metrics.record_delivery(delivery, class);
-                            }
-                        }
+                while let Some(NodeEvent { delivery, .. }) =
+                    node.events.get(c).filter(|e| e.off == off)
+                {
+                    let spec = &self.specs[delivery.flit.connection.idx()];
+                    self.delivered_total += 1;
+                    self.outputs.record(spec.output);
+                    if self.generation_ended_at.is_none() {
+                        self.delivered_in_window += 1;
+                    }
+                    if ep.measuring {
+                        self.metrics.record_delivery(delivery, spec.class);
                     }
                     c += 1;
                 }
                 node.committed = c;
+            }
+            if self.generation_ended_at.is_none() {
+                self.generation_ended_at = generation_end(chunks, ep.a + u64::from(off) + 1);
             }
         }
         for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
@@ -1239,7 +1668,7 @@ impl Ledger<'_> {
     /// A link's two ends may sit in different chunks, so each lane is
     /// lifted out of its chunk for the exchange.
     fn swap_boxes<'c, C: DerefMut<Target = Chunk<'c>>>(&self, chunks: &mut [C]) {
-        for &(o, i) in self.link_slots {
+        for &(o, i) in &self.link_slots {
             let co = chunks.partition_point(|c| c.out_base <= o) - 1;
             let ci = chunks.partition_point(|c| c.in_base <= i) - 1;
             let (lo, li) = (o - chunks[co].out_base, i - chunks[ci].in_base);
@@ -1251,6 +1680,16 @@ impl Ledger<'_> {
             chunks[ci].cred_out[li] = creds;
         }
     }
+}
+
+/// The end of the generation window if every node's sources had run dry
+/// by cycle `by`: the latest node's.
+fn generation_end<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C], by: u64) -> Option<u64> {
+    let mut end = 0;
+    for node in chunks.iter().flat_map(|c| c.nodes.iter()) {
+        end = end.max(node.exhausted_at.filter(|&e| e <= by)?);
+    }
+    Some(end)
 }
 
 /// Fabric-wide horizon after an epoch: minimum of the per-node horizons
@@ -1269,10 +1708,15 @@ fn horizon_after_epoch<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C]) -> u64 {
     h
 }
 
-/// Bulk-advance `n` quiescent cycles on every node.
-fn skip_cycles<'c, C: DerefMut<Target = Chunk<'c>>>(chunks: &mut [C], n: u64, measuring: bool) {
+/// Bulk-advance `n` quiescent cycles from `from` on every node.
+fn skip_cycles<'c, C: DerefMut<Target = Chunk<'c>>>(
+    chunks: &mut [C],
+    from: u64,
+    n: u64,
+    measuring: bool,
+) {
     for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
-        node.core.skip_quiescent(n, measuring);
+        node.skip_quiescent(from, n, measuring);
     }
 }
 
@@ -1421,7 +1865,7 @@ impl CycleModel for Fabric {
         // two phases the parallel path uses — there is a single
         // algorithm, not two.
         let timing = self.timing;
-        let (mut whole, mut ledger) = self.parts();
+        let (mut whole, ledger) = self.parts();
         let ep = Epoch {
             a: now.0,
             b: now.0 + 1,
@@ -1429,11 +1873,11 @@ impl CycleModel for Fabric {
             horizon: false,
         };
         whole.run(ep, timing);
-        ledger.finish_epoch(&mut [&mut whole], 1, measuring);
+        ledger.finish_epoch(&mut [&mut whole], ep);
     }
 
     fn on_measurement_start(&mut self, _now: FlitCycle) {
-        let (mut whole, mut ledger) = self.parts();
+        let (mut whole, ledger) = self.parts();
         ledger.measurement_start(&mut [&mut whole]);
     }
 
@@ -1453,8 +1897,8 @@ impl CycleModel for Fabric {
         FlitCycle(h.max(now.0 + 1))
     }
 
-    fn skip_quiescent(&mut self, _from: FlitCycle, n: u64, measuring: bool) {
-        skip_cycles(&mut [&mut self.parts().0], n, measuring);
+    fn skip_quiescent(&mut self, from: FlitCycle, n: u64, measuring: bool) {
+        skip_cycles(&mut [&mut self.parts().0], from.0, n, measuring);
     }
 }
 
@@ -1838,12 +2282,12 @@ mod tests {
         // One-stage line: every connection takes exactly one hop and the
         // reserved path is the spec output.
         let f = fabric(Topology::Line { stages: 1 }, 0.3, 4);
-        for conn in 0..f.connection_count() {
+        for conn in 0..f.ledger.specs.len() {
             assert_eq!(f.path_of(conn).len(), 1);
-            assert_eq!(f.path_of(conn)[0], f.specs[conn].output);
+            assert_eq!(f.path_of(conn)[0], f.ledger.specs[conn].output);
         }
         let mut f = fabric(Topology::Line { stages: 3 }, 0.3, 4);
-        assert_eq!(f.link_count(), 2 * RouterConfig::default().ports);
+        assert_eq!(f.ledger.link_slots.len(), 2 * RouterConfig::default().ports);
         Runner::new(300, StopCondition::Cycles(4_000)).run(&mut f);
         assert!(f.summary().delivered_flits > 0);
     }

@@ -3,21 +3,20 @@
 //! [`SwitchCore`] owns what every MMR has — traffic sources behind their
 //! injection calendar, NICs with their credit bank, the VC memory, one
 //! link scheduler per input, the switch scheduler with its RNG, and the
-//! crossbar — and exposes a flit cycle as one method per stage.  The two
-//! models built from it, [`MmrRouter`](crate::router::MmrRouter) (one
-//! switch with faults and telemetry) and the nodes of a
-//! [`Fabric`](crate::fabric::Fabric) (many switches joined by links),
-//! are adapters: each calls the stages in order and supplies, as
-//! static-dispatch closures, only what differs between them.
+//! crossbar — and exposes a flit cycle as one method per stage.  One
+//! adapter steps it: the node of a [`Fabric`](crate::fabric::Fabric),
+//! which calls the stages in order and supplies, as static-dispatch
+//! closures, what surrounds them.  The single router,
+//! [`MmrRouter`](crate::router::MmrRouter), is the one-node fabric.
 //!
-//! | stage | call | the adapter supplies |
+//! | stage | call | the node adapter supplies |
 //! |---|---|---|
-//! | source generation | [`inject`](SwitchCore::inject) | `on_generated`: router counts, meters and polices the flit; fabric buffers a `Generated` event |
-//! | link scheduling | [`select`](SwitchCore::select) | `eligible`: router excludes VCs routed to a stalled output; fabric requires a next-hop credit |
+//! | source generation | [`inject`](SwitchCore::inject) | `on_generated`: buffers a `Generated` event; meters the flit for contract policing under faults |
+//! | link scheduling | [`select`](SwitchCore::select) | `eligible`: a next-hop credit, and no stalled output under faults |
 //! | switch scheduling | [`arbitrate`](SwitchCore::arbitrate) | — |
-//! | crossbar traversal | [`cross`](SwitchCore::cross), [`recycle`](SwitchCore::recycle) | the loop over the crossed flits: router delivers, fabric ejects or forwards |
-//! | NIC forwarding | [`forward`](SwitchCore::forward) | `ingress`: router runs its link-fault checks; fabric always admits |
-//! | credit return | [`queue_credit_return`](SwitchCore::queue_credit_return) per crossed flit, [`return_credits`](SwitchCore::return_credits) to end the cycle | which crossings return a credit to a NIC here; the router clamps and audits instead under faults |
+//! | crossbar traversal | [`cross`](SwitchCore::cross), [`recycle`](SwitchCore::recycle) | the loop over the crossed flits: eject (a `Delivered` event) or forward |
+//! | NIC forwarding | [`forward`](SwitchCore::forward) | `ingress`: admits, or runs the link-fault checks under faults |
+//! | credit return | [`queue_credit_return`](SwitchCore::queue_credit_return) per crossed flit, [`return_credits`](SwitchCore::return_credits) to end the cycle | which crossings return a credit to a NIC here; under faults the counters clamp and the watchdog audits them instead |
 //!
 //! Within a cycle `select` and `arbitrate` see the VC state from before
 //! `forward`, so a flit spends one full cycle on its input link before it
@@ -26,10 +25,10 @@
 //! one-phit-credit timing.  The fabric also feeds the VC memory from its
 //! in-links: it pushes into the crate-visible `mem` before `select`.
 //!
-//! **The arbitration RNG is passed in**, not derived here: the single
-//! router seeds it `seed ^ 0x4D4D_5221`, fabric node *k* takes split *k*
-//! of `seed ^ 0x6E65_7477`, and every golden result depends on those
-//! streams.
+//! **The arbitration RNG is passed in**, not derived here: a one-node
+//! fabric (the single router) seeds it `seed ^ 0x4D4D_5221`, node *k* of
+//! a larger fabric takes split *k* of `seed ^ 0x6E65_7477`, and every
+//! golden result depends on those streams.
 //!
 //! **Allocation order.**  Set-up time is a benchmark metric, and glibc
 //! ties it to block placement: when a dropped router's ~270 `calloc`ed
@@ -40,7 +39,10 @@
 //! round against 6-11 k); *before* it, under the core's many small
 //! blocks: 0.88-1.11x at all 20.  (A dropped router is the only source
 //! of such frees: `MetricsCollector::reset` works in place.)  So
-//! `MmrRouter::new` builds its metrics first, and [`SwitchCore::new`] frees no multi-KiB temporaries: `qos`
+//! `Fabric::new` builds its metrics before its cores, the one-stage line
+//! (the single router) is built apart in exactly the order above, with
+//! no path tables (through the general path, `cbr4_armed` `setup_s`
+//! read 1.3-2.7x, with 2-5x the page faults), and [`SwitchCore::new`] frees no multi-KiB temporaries: `qos`
 //! and the sources are kept as passed, the two lookups are closures
 //! ([`Wiring`]), the per-input VC lists move into schedulers and NICs.
 //!

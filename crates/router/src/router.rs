@@ -1,54 +1,32 @@
 //! The top-level single-router model (paper Fig. 4).
 //!
-//! [`MmrRouter`] is the single-switch adapter over the shared
-//! [`SwitchCore`] ([`crate::pipeline`] has the stage list and the
-//! intra-cycle timing).  This module adds what only the one-router
-//! model has: output sinks and QoS metrics behind the crossbar, fault
-//! injection and recovery hooked into the stages, and the telemetry
-//! brackets around them.
+//! [`MmrRouter`] is the one-node [`Fabric`]: a single-stage line, which
+//! has no links and steps on one chunk with no thread and no lock.  The
+//! node adapter ([`crate::fabric`]) runs the shared [`SwitchCore`]
+//! stages ([`crate::pipeline`] has the stage list and the intra-cycle
+//! timing) with the fault hooks and telemetry brackets around them, and
+//! the fabric's ledger keeps the end-to-end accounts.  This module adds
+//! only the single-router surface: arming telemetry and faults on the
+//! one node, and reading its results.
+//!
+//! [`SwitchCore`]: crate::pipeline::SwitchCore
 
 use crate::config::RouterConfig;
-use crate::fault::{FaultProfile, FaultReport, FaultState, LinkFate};
-use crate::link_scheduler::VcQosInfo;
-use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::nic::Nic;
-use crate::output::{Delivery, OutputPorts};
-use crate::pipeline::{Ingress, SwitchCore, Wiring};
+use crate::fabric::{Fabric, FabricConfig, FabricNode, Topology};
+use crate::fault::{FaultProfile, FaultReport};
+use crate::metrics::MetricsReport;
 use crate::telemetry::{RouterTelemetry, TelemetryConfig, TelemetryReport};
 use mmr_arbiter::priority::LinkPriority;
 use mmr_arbiter::scheduler::SwitchScheduler;
 use mmr_sim::engine::CycleModel;
-use mmr_sim::rng::SimRng;
-use mmr_sim::time::{FlitCycle, RouterCycle};
-use mmr_traffic::calendar;
+use mmr_sim::time::FlitCycle;
 use mmr_traffic::connection::ConnectionSpec;
-use mmr_traffic::flit::Flit;
 use mmr_traffic::workload::Workload;
 use serde::{Deserialize, Serialize};
 
 /// The Multimedia Router with its NICs and traffic sources.
 pub struct MmrRouter {
-    cfg: RouterConfig,
-    specs: Vec<ConnectionSpec>,
-    /// The switch pipeline; VC and source indices are connection ids.
-    core: SwitchCore,
-    outputs: OutputPorts,
-    metrics: MetricsCollector,
-    rc_per_flit: u64,
-    crossing_rc: u64,
-    generated_total: u64,
-    delivered_total: u64,
-    /// Flit cycle at which every finite source had been exhausted, if
-    /// that has happened (the end of the generation window).
-    generation_ended_at: Option<u64>,
-    /// Flits delivered while sources were still generating.
-    delivered_in_window: u64,
-    /// Fault injection + detection/recovery; inert unless a plan is
-    /// installed with [`MmrRouter::set_faults`].
-    faults: FaultState,
-    /// Observability hooks; the disarmed default costs one branch per
-    /// probe point (see [`MmrRouter::set_telemetry`]).
-    telemetry: RouterTelemetry,
+    fabric: Fabric,
 }
 
 impl MmrRouter {
@@ -62,58 +40,20 @@ impl MmrRouter {
         priority_fn: Box<dyn LinkPriority>,
         seed: u64,
     ) -> Self {
-        cfg.validate();
-        let Workload {
-            connections: specs,
-            sources,
-            ..
-        } = workload;
-        let n_conns = specs.len();
-        for (i, s) in specs.iter().enumerate() {
-            assert_eq!(s.id.idx(), i, "connection ids must be dense");
-            assert!(
-                s.input < cfg.ports && s.output < cfg.ports,
-                "ports out of range"
-            );
-        }
-        let qos: Vec<VcQosInfo> = specs
-            .iter()
-            .map(|s| VcQosInfo {
-                output: s.output,
-                reserved_slots: s.reserved_slots,
-                iat_rc: s.iat_router_cycles(&cfg.time),
-            })
-            .collect();
-        // Histograms before the core ("Allocation order", pipeline docs).
-        let metrics = MetricsCollector::new(n_conns, cfg.time);
-        let core = SwitchCore::new(
-            &cfg,
-            qos,
-            sources,
-            Wiring {
-                input_of_vc: |vc: usize| specs[vc].input,
-                vc_of_source: |i| i,
-            },
-            arbiter,
-            priority_fn,
-            SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
-        );
-        let rc_per_flit = cfg.router_cycles_per_flit();
-        MmrRouter {
-            core,
-            outputs: OutputPorts::new(cfg.ports),
-            metrics,
-            rc_per_flit,
-            crossing_rc: cfg.crossing_latency_flits * rc_per_flit,
-            generated_total: 0,
-            delivered_total: 0,
-            generation_ended_at: None,
-            delivered_in_window: 0,
-            faults: FaultState::inactive(cfg.ports, n_conns),
-            telemetry: RouterTelemetry::disabled(),
-            specs,
-            cfg,
-        }
+        let mut switch = Some((arbiter, priority_fn));
+        let cfg = FabricConfig::new(cfg, Topology::Line { stages: 1 });
+        let fabric = Fabric::build(cfg, workload, seed, || {
+            switch.take().expect("a one-node fabric builds one switch")
+        });
+        MmrRouter { fabric }
+    }
+
+    fn node(&self) -> &FabricNode {
+        &self.fabric.nodes[0]
+    }
+
+    fn node_mut(&mut self) -> &mut FabricNode {
+        &mut self.fabric.nodes[0]
     }
 
     /// Arm telemetry per `cfg` and the arbiter's work-count probe.  All
@@ -121,25 +61,22 @@ impl MmrRouter {
     /// Reports stay bit-deterministic unless `cfg.wall_clock` opts into
     /// real stage timing.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        let classes: Vec<_> = self.specs.iter().map(|s| s.class).collect();
-        self.telemetry = RouterTelemetry::armed(cfg, &classes);
-        self.core.arbiter.set_probe_enabled(true);
+        let classes: Vec<_> = self.connections().iter().map(|s| s.class).collect();
+        let node = self.node_mut();
+        node.telemetry = RouterTelemetry::armed(cfg, &classes);
+        node.core.arbiter.set_probe_enabled(true);
     }
 
     /// Telemetry state (disarmed by default).
     pub fn telemetry(&self) -> &RouterTelemetry {
-        &self.telemetry
-    }
-
-    /// Mutable telemetry state (e.g. to reach the flight recorder).
-    pub fn telemetry_mut(&mut self) -> &mut RouterTelemetry {
-        &mut self.telemetry
+        &self.node().telemetry
     }
 
     /// Snapshot everything telemetry observed, including the arbitration
     /// kernel's work counters.
     pub fn telemetry_report(&self) -> TelemetryReport {
-        self.telemetry.report(self.core.arbiter.kernel_stats())
+        let node = self.node();
+        node.telemetry.report(node.core.arbiter.kernel_stats())
     }
 
     /// Append a Prometheus text exposition of the live telemetry state
@@ -148,10 +85,11 @@ impl MmrRouter {
     /// heap allocation once `out` has grown to its working size, so a
     /// scrape loop can reuse one buffer.
     pub fn prometheus_into(&self, out: &mut String) {
-        self.telemetry.write_prometheus(
+        let node = self.node();
+        node.telemetry.write_prometheus(
             out,
-            &self.core.arbiter.kernel_stats(),
-            self.cfg.time.router_cycle_secs(),
+            &node.core.arbiter.kernel_stats(),
+            self.config().time.router_cycle_secs(),
         );
     }
 
@@ -160,7 +98,7 @@ impl MmrRouter {
     /// sequences.  Used by determinism tests to prove telemetry never
     /// touches the RNG.
     pub fn rng_fingerprint(&self) -> u64 {
-        self.core.rng_fingerprint()
+        self.node().core.rng_fingerprint()
     }
 
     /// Install a fault plan and recovery profile (chaos experiments).
@@ -170,366 +108,100 @@ impl MmrRouter {
     /// bound (flit cycles) is handed to the metrics collector so QoS
     /// violations are counted per connection.
     pub fn set_faults(&mut self, plan: mmr_sim::fault::FaultPlan, profile: FaultProfile) {
-        let window_rc = (profile.rate_window * self.rc_per_flit) as f64;
-        let contract: Vec<f64> = self
-            .core
-            .qos
+        let rc_per_flit = self.config().router_cycles_per_flit();
+        let window_rc = (profile.rate_window * rc_per_flit) as f64;
+        self.fabric
+            .ledger
+            .metrics
+            .set_delay_bound(profile.delay_bound_flit_cycles.map(|b| b * rc_per_flit));
+        let node = self.node_mut();
+        let qos = &node.core.qos;
+        let contract = qos
             .iter()
-            .map(|q| {
-                if q.iat_rc > 0.0 {
-                    window_rc / q.iat_rc
-                } else {
-                    0.0
-                }
+            .map(|q| match q.iat_rc > 0.0 {
+                true => window_rc / q.iat_rc,
+                false => 0.0,
             })
             .collect();
-        let guaranteed: Vec<bool> = self.core.qos.iter().map(|q| q.reserved_slots > 0).collect();
-        self.metrics.set_delay_bound(
-            profile
-                .delay_bound_flit_cycles
-                .map(|b| b * self.rc_per_flit),
-        );
-        self.faults.install(plan, profile, contract, guaranteed);
+        let guaranteed = qos.iter().map(|q| q.reserved_slots > 0).collect();
+        node.faults.install(plan, profile, contract, guaranteed);
     }
 
     /// Fault-subsystem counters (all zero when no plan is installed).
     pub fn fault_report(&self) -> FaultReport {
-        self.faults.report()
+        self.node().faults.report()
     }
 
     /// Per-connection quarantine flags.
     pub fn quarantined(&self) -> &[bool] {
-        self.faults.quarantined()
+        self.node().faults.quarantined()
     }
 
     /// True if every connection's NIC credit counters agree with its VC
     /// occupancy (call between cycles; the watchdog restores this after
     /// credit-path faults).
     pub fn credits_consistent(&self) -> bool {
-        (0..self.specs.len()).all(|c| self.core.credits.consistent(c, self.core.mem.len(c)))
+        let core = &self.node().core;
+        (0..self.connections().len()).all(|c| core.credits.consistent(c, core.mem.len(c)))
     }
 
     /// Delay-bound violations per connection in the current measurement
     /// window (all zero unless a fault profile set a bound).
     pub fn violations_per_connection(&self) -> &[u64] {
-        self.metrics.violations_per_connection()
+        self.fabric.ledger.metrics.violations_per_connection()
     }
 
     /// Flits delivered per connection in the current measurement window.
     pub fn delivered_per_connection(&self) -> &[u64] {
-        self.metrics.delivered_per_connection()
+        self.fabric.ledger.metrics.delivered_per_connection()
     }
 
     /// Router configuration.
     pub fn config(&self) -> &RouterConfig {
-        &self.cfg
+        &self.fabric.config().router
     }
 
     /// Connection specs (index = connection id).
     pub fn connections(&self) -> &[ConnectionSpec] {
-        &self.specs
-    }
-
-    /// Live metrics snapshot.
-    pub fn metrics_report(&self) -> MetricsReport {
-        self.metrics.report()
-    }
-
-    /// Jain fairness of delivered throughput normalized by reservations
-    /// (best-effort connections, with zero reservation, are excluded).
-    pub fn reservation_fairness(&self) -> f64 {
-        let weights: Vec<f64> = self.specs.iter().map(|s| s.reserved_slots as f64).collect();
-        self.metrics.jain_fairness(&weights)
+        &self.fabric.ledger.specs
     }
 
     /// Aggregate run summary.
     pub fn summary(&self) -> RouterSummary {
-        let core = &self.core;
-        RouterSummary {
-            arbiter: core.arbiter.name().to_string(),
-            priority_fn: core.priority_fn.name().to_string(),
-            reservation_fairness: self.reservation_fairness(),
-            metrics: self.metrics.report(),
-            crossbar_utilization: core.crossbar.mean_utilization(),
-            crossbar_busy_fraction: core.crossbar.busy_fraction(),
-            reconfigurations: core.crossbar.reconfigurations(),
-            measured_cycles: core.crossbar.cycles(),
-            generated_flits: self.generated_total,
-            delivered_flits: self.delivered_total,
-            delivered_per_output: self.outputs.per_port().to_vec(),
-            peak_nic_depth: core.nics.iter().map(Nic::peak_depth).max().unwrap_or(0),
-            peak_vc_occupancy: core.mem.peak_occupancy(),
-            backlog_flits: self.backlog(),
-            generation_window_cycles: self.generation_ended_at,
-            delivered_in_window: self.delivered_in_window,
-            faults: self.faults.report(),
-        }
+        self.fabric.end_to_end_summary()
     }
 
     /// Flits currently buffered anywhere (NICs + VC memory).
     pub fn backlog(&self) -> usize {
-        self.core.backlog()
+        self.fabric.backlog()
     }
 
     /// True when all finite sources are exhausted and every buffer is
     /// empty.
     pub fn drained(&self) -> bool {
-        self.core.next_injection_rc() == calendar::NEVER && self.backlog() == 0
+        self.fabric.drained()
     }
 }
 
 impl CycleModel for MmrRouter {
     fn step(&mut self, now: FlitCycle, measuring: bool) {
-        let now_rc = RouterCycle(now.0 * self.rc_per_flit);
-
-        // 0. Fault events due this cycle fire before anything moves.
-        let faults_active = self.faults.is_active();
-        if faults_active {
-            self.faults.begin_cycle(now.0);
-            for conn in self.faults.take_pending_dups() {
-                // A phantom credit return materializes on the return path.
-                self.core.credits.queue_return(conn);
-            }
-        }
-
-        // 1. Source generation into NIC queues.
-        let t_gen = self.telemetry.stage_begin();
-        let mut gen_count = 0u64;
-        self.core.inject(now_rc, |i| {
-            let class = self.specs[i].class;
-            self.generated_total += 1;
-            gen_count += 1;
-            self.telemetry.on_generated(class);
-            if measuring {
-                self.metrics.record_generated(class);
-            }
-            if faults_active {
-                self.faults.note_generated(i);
-            }
-        });
-        // 1b. Rogue sources inject beyond their admitted contract; the
-        // rate meter sees the excess and may quarantine the connection.
-        if faults_active {
-            for i in 0..self.specs.len() {
-                if let Some((seq0, n)) = self.faults.rogue_take(i, now.0) {
-                    let class = self.specs[i].class;
-                    for k in 0..n as u64 {
-                        let flit = Flit::cbr(self.specs[i].id, seq0 + k, now_rc);
-                        self.core.enqueue(i, flit);
-                        self.generated_total += 1;
-                        gen_count += 1;
-                        self.telemetry.on_generated(class);
-                        if measuring {
-                            self.metrics.record_generated(class);
-                        }
-                        self.faults.note_generated(i);
-                    }
-                }
-            }
-            self.faults.poll_contracts(now.0);
-            for idx in 0..self.faults.newly_quarantined().len() {
-                // Degradation policy: the violator loses its reservation,
-                // so the link schedulers treat it as best-effort and its
-                // slots return to the best-effort pool.
-                let conn = self.faults.newly_quarantined()[idx];
-                self.core.qos[conn].reserved_slots = 0;
-                self.telemetry.on_quarantine(now.0, conn);
-            }
-            self.faults.clear_newly_quarantined();
-        }
-        self.telemetry.end_source_gen(t_gen, gen_count);
-
-        // 2. Link scheduling.  VCs routed to a stalled output are
-        // ineligible — offering them would waste crossbar grants on a
-        // port that cannot accept.
-        let t_ls = self.telemetry.stage_begin();
-        let cand_count = if faults_active && self.faults.any_stall(now.0) {
-            let faults = &self.faults;
-            self.core
-                .select(now_rc, |_, q| !faults.output_stalled(q.output, now.0))
-        } else {
-            self.core.select(now_rc, |_, _| true)
-        };
-        self.telemetry.end_link_schedule(t_ls, cand_count);
-
-        // 3. Switch scheduling.
-        let t_arb = self.telemetry.stage_begin();
-        let matched = self.core.arbitrate();
-        self.telemetry.end_arbitration(t_arb, matched as u64);
-        if self.telemetry.is_enabled() {
-            // Trace grants, and inputs that offered a head candidate but
-            // went unmatched (VC stalled for at least this cycle).
-            for g in self.core.matching.grants() {
-                self.telemetry.on_grant(now.0, g.input, g.output, g.vc);
-            }
-            for input in 0..self.cfg.ports {
-                if !self.core.matching.input_matched(input) {
-                    if let Some(c) = self.core.candidates.get(input, 0) {
-                        self.telemetry.on_vc_stall(now.0, input, c.output, c.vc);
-                    }
-                }
-            }
-        }
-
-        // 4. Crossbar traversal + delivery + credit returns.
-        let t_xbar = self.telemetry.stage_begin();
-        let crossed = self.core.cross(measuring);
-        self.telemetry.end_crossbar(t_xbar, crossed.len() as u64);
-        let t_dlv = self.telemetry.stage_begin();
-        let mut returns_queued = 0u64;
-        for cf in &crossed {
-            self.outputs.record(cf.output);
-            self.delivered_total += 1;
-            if self.generation_ended_at.is_none() {
-                self.delivered_in_window += 1;
-            }
-            let delivery = Delivery {
-                flit: cf.buffered.flit,
-                output: cf.output,
-                delivered_at: RouterCycle(now_rc.0 + self.crossing_rc),
-            };
-            if measuring {
-                self.metrics
-                    .record_delivery(&delivery, self.specs[cf.vc].class);
-            }
-            self.telemetry.on_delivered(
-                self.specs[cf.vc].class,
-                cf.vc,
-                delivery.delay().0,
-                delivery.delivered_at.0 - cf.buffered.entered_at.0,
-            );
-            // A credit return stolen on the return path leaves the NIC's
-            // counter low until the watchdog resynchronizes.
-            if !(faults_active && self.faults.steal_return(cf.vc)) {
-                self.core.queue_credit_return(cf.vc);
-                returns_queued += 1;
-            }
-        }
-        self.telemetry.end_delivery(t_dlv, crossed.len() as u64);
-        self.core.recycle(crossed);
-
-        // 5. NIC link controllers forward one flit per input link.
-        let t_fwd = self.telemetry.stage_begin();
-        let mut forwarded = 0u64;
-        let arrival = RouterCycle(now_rc.0 + self.rc_per_flit);
-        self.core.forward(arrival, |mem, input, conn, flit| {
-            forwarded += 1;
-            self.telemetry.on_credit_consumed(now.0, conn);
-            if !faults_active {
-                return Ingress::Admit;
-            }
-            if self.faults.on_link_flit(input, flit) == LinkFate::Dropped {
-                // Silent loss: the spent credit vanishes with the flit;
-                // only the watchdog can recover it.
-                return Ingress::Discard;
-            }
-            if !flit.integrity_ok() {
-                // Ingress checksum catch: discard the damaged flit and
-                // return its credit immediately (the buffer slot was
-                // never consumed).
-                self.faults.note_corrupt_detected();
-                self.telemetry.on_fault_detected(now.0, 0);
-                returns_queued += 1;
-                return Ingress::DiscardAndReturnCredit;
-            }
-            if mem.free_space(conn) == 0 {
-                // Phantom-credit guard: a duplicated credit let the NIC
-                // send into a full buffer.  Discarding the flit without a
-                // credit return annihilates the phantom.
-                self.faults.note_phantom_drop();
-                self.telemetry.on_fault_detected(now.0, 1);
-                return Ingress::Discard;
-            }
-            Ingress::Admit
-        });
-        self.telemetry.end_nic_forward(t_fwd, forwarded);
-
-        // 6. Credit returns become visible next cycle.  Under fault
-        // injection the counters saturate instead of panicking, and the
-        // watchdog periodically audits them against VC occupancy.
-        let t_cr = self.telemetry.stage_begin();
-        if faults_active {
-            let excess = self.core.credits.apply_returns_clamped();
-            if excess > 0 {
-                self.faults.note_excess_credits(excess);
-            }
-            if self.faults.watchdog_due(now.0) {
-                for conn in 0..self.specs.len() {
-                    let occupancy = self.core.mem.len(conn);
-                    if !self.core.credits.consistent(conn, occupancy) {
-                        let expected = self.core.credits.capacity() - occupancy as u32;
-                        self.core.credits.resync(conn, expected);
-                        self.faults.note_resync();
-                        self.telemetry.on_fault_detected(now.0, 2);
-                    }
-                }
-            }
-        } else {
-            self.core.return_credits();
-        }
-        self.telemetry.end_credit_return(t_cr, returns_queued);
-
-        // Track the end of the generation window (finite workloads only):
-        // the injection bound reaches NEVER on exactly the cycle the last
-        // source drains.
-        if self.generation_ended_at.is_none() && self.core.next_injection_rc() == calendar::NEVER {
-            self.generation_ended_at = Some(now.0 + 1);
-        }
-
-        // Close the telemetry cycle (gauges + snapshot-window roll); the
-        // backlog scan runs only when armed.
-        if self.telemetry.is_enabled() {
-            let backlog = self.backlog() as u64;
-            self.telemetry.end_cycle(now.0, backlog);
-        }
+        self.fabric.step(now, measuring);
     }
 
-    fn on_measurement_start(&mut self, _now: FlitCycle) {
-        self.metrics.reset();
-        self.core.crossbar.reset_stats();
-        self.outputs.reset();
-        self.generated_total = 0;
-        self.delivered_total = 0;
-        self.delivered_in_window = 0;
-        self.generation_ended_at = None;
-        self.faults.reset_stats();
+    fn on_measurement_start(&mut self, now: FlitCycle) {
+        self.fabric.on_measurement_start(now);
     }
 
-    fn is_done(&self, _now: FlitCycle) -> bool {
-        self.drained()
+    fn is_done(&self, now: FlitCycle) -> bool {
+        self.fabric.is_done(now)
     }
 
     fn next_event(&self, now: FlitCycle) -> FlitCycle {
-        // Any buffered flit means credits, queues and metrics can move
-        // next cycle: no skipping.
-        if self.backlog() > 0 {
-            return FlitCycle(now.0 + 1);
-        }
-        // Quiescent.  The next state change is the earliest of: the next
-        // injection, the next armed fault activity, and — if credit
-        // counters drifted under faults — the next watchdog audit (its
-        // resync must execute on the same cycle as in the naive loop).
-        let mut horizon = match self.core.next_injection_rc() {
-            calendar::NEVER => u64::MAX,
-            rc => rc.div_ceil(self.rc_per_flit),
-        };
-        if self.faults.is_active() {
-            horizon = horizon.min(self.faults.horizon(now.0));
-            let period = self.faults.profile().watchdog_period;
-            if period > 0 && !self.core.credits.all_at_capacity() {
-                horizon = horizon.min((now.0 / period + 1) * period);
-            }
-        }
-        FlitCycle(horizon.max(now.0 + 1))
+        self.fabric.next_event(now)
     }
 
     fn skip_quiescent(&mut self, from: FlitCycle, n: u64, measuring: bool) {
-        // Measured-cycle counts and TDM table phase live in the core;
-        // telemetry epochs here.  Nothing else can move while quiescent.
-        self.core.skip_quiescent(n, measuring);
-        if self.telemetry.is_enabled() {
-            self.telemetry.skip_quiescent(from.0, n);
-        }
+        self.fabric.skip_quiescent(from, n, measuring);
     }
 }
 
@@ -605,6 +277,7 @@ mod tests {
     use mmr_arbiter::priority::Siabp;
     use mmr_arbiter::scheduler::ArbiterKind;
     use mmr_sim::engine::{Runner, StopCondition};
+    use mmr_sim::rng::SimRng;
     use mmr_sim::units::Bandwidth;
     use mmr_traffic::admission::RoundConfig;
     use mmr_traffic::connection::TrafficClass;

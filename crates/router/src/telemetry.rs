@@ -396,7 +396,8 @@ fn write_observatory_prometheus<'a>(
     );
 }
 
-/// Telemetry state owned by one `MmrRouter`.
+/// Telemetry state owned by one fabric node (the single router's, when
+/// armed).
 ///
 /// All hooks early-return when disabled; the armed path touches only
 /// pre-sized buffers.
@@ -491,11 +492,6 @@ impl RouterTelemetry {
     /// The flight recorder (for dumping traces).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
-    }
-
-    /// Mutable flight recorder (for dump-on-panic plumbing).
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.recorder
     }
 
     // ---- step() hooks ----------------------------------------------------

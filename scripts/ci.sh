@@ -39,9 +39,9 @@ cargo test -q
 
 stage "one pipeline"
 # The switch stages are called from crates/router/src/pipeline.rs
-# (SwitchCore) and nowhere else: MmrRouter and FabricNode are adapters
-# over it.  A stage call in either adapter's non-test code is a second
-# copy of the pipeline creeping back.
+# (SwitchCore) and nowhere else: FabricNode is the one adapter over it.
+# A layer call in either module's non-test code is a second copy of the
+# pipeline creeping back.
 for f in crates/router/src/router.rs crates/router/src/fabric.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" |
         grep -nE 'schedule_into|\.transfer\(|forward_one\(|drain_due\('; then
@@ -49,6 +49,13 @@ for f in crates/router/src/router.rs crates/router/src/fabric.rs; do
         exit 1
     fi
 done
+# MmrRouter is the one-node fabric: it steps through the node adapter,
+# so router.rs calls no SwitchCore stage method either.
+if sed '/#\[cfg(test)\]/,$d' crates/router/src/router.rs |
+    grep -nE '\b(inject|select|arbitrate|cross|forward|return_credits)\('; then
+    echo "error: router.rs steps a SwitchCore stage; MmrRouter steps its one-node Fabric" >&2
+    exit 1
+fi
 
 stage "bench_report smoke + perf gates"
 # Write the next auto-numbered results/BENCH_<n>.json so every CI run

@@ -32,13 +32,11 @@ use mmr_core::workload_lang::{
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
-/// The committed packs that run through the cache (fabric packs run
-/// outside it and carry no claims), compiled at quick fidelity.
+/// The committed packs, compiled at quick fidelity.
 fn committed_packs() -> Vec<CompiledPack> {
     read_pack_dir(&workloads_dir())
         .expect("committed packs validate as a set")
         .iter()
-        .filter(|s| s.fabric.is_none())
         .map(|s| s.compile(Fidelity::Quick).expect("pack compiles"))
         .collect()
 }
@@ -430,8 +428,8 @@ fn every_committed_claim_passes_at_the_ensemble_median() {
     let outcomes = outcomes(&g.packs, &g.ensemble);
     assert_eq!(
         outcomes.len(),
-        49,
-        "23 paper claims, 11 scenario claims and 15 ablation claims"
+        50,
+        "23 paper claims, 11 scenario claims, 15 ablation claims and 1 fabric claim"
     );
     let failures: Vec<String> = outcomes
         .iter()

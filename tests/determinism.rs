@@ -8,7 +8,7 @@ use mmr_core::config::{
 };
 use mmr_core::experiment::{
     build_fabric, build_fabric_workload, build_router, build_workload, run_experiment,
-    run_fabric_experiment, ExperimentResult,
+    ExperimentResult,
 };
 use mmr_core::router::config::LinkPolicy;
 use mmr_core::router::fabric::{Fabric, Topology};
@@ -631,7 +631,7 @@ fn shortened_epochs_carry_their_inbox_tails_identically_on_every_path() {
                 "both boundaries must fall inside an epoch"
             );
             assert_fabric_paths_agree(&cfg, &[1, 2, 8]);
-            let fabric = run_fabric_experiment(&cfg);
+            let fabric = run_experiment(&cfg);
             assert!(
                 fabric.summary.delivered_flits > 1_000,
                 "{}: the lanes must carry traffic",
@@ -751,109 +751,13 @@ fn fabric_per_router_rng_fingerprints_are_stable() {
 #[test]
 fn fabric_experiments_are_bit_identical() {
     let cfg = fabric_cfg(0.5, 33);
-    let a = run_fabric_experiment(&cfg);
-    let b = run_fabric_experiment(&cfg);
+    let a = run_experiment(&cfg);
+    let b = run_experiment(&cfg);
     assert_eq!(a, b);
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap()
     );
-}
-
-// ---------------------------------------------------------------------------
-// One pipeline: `MmrRouter` and a one-stage line `Fabric` are the same
-// switch (`SwitchCore`) behind two adapters, so they must agree wherever
-// their arbitration streams cannot differ.
-// ---------------------------------------------------------------------------
-
-/// Run the single router (naive loop) and the one-stage line fabric
-/// (horizon loop) under `link_policy` over {WFA, WFA-fixed, iSLIP-2} x
-/// {CBR 0.8, CBR 0.5, drained 1-GOP VBR} and return the cases whose
-/// metrics JSON, flit counts, utilization or engine accounting differ.
-///
-/// The router seeds its arbiter RNG differently from fabric node 0, so
-/// the comparison uses arbiters that never draw — and asserts they did
-/// not.
-fn line_fabric_vs_router_mismatches(link_policy: LinkPolicy) -> Vec<String> {
-    let arbiters = [
-        ArbiterKind::Wfa,
-        ArbiterKind::WfaFixed,
-        ArbiterKind::Islip { iterations: 2 },
-    ];
-    let drained_vbr = WorkloadSpec::Vbr {
-        target_load: 0.4,
-        gops: 1,
-        injection: InjectionKind::SmoothRate,
-        enforce_peak: false,
-    };
-    let workloads = [
-        (WorkloadSpec::cbr(0.8), StopCondition::Cycles(20_000)),
-        (WorkloadSpec::cbr(0.5), StopCondition::Cycles(20_000)),
-        (
-            drained_vbr,
-            StopCondition::ModelDoneOrCycles(vbr_cycle_budget(1)),
-        ),
-    ];
-    let spec = FabricSpec::new(Topology::Line { stages: 1 });
-    let mut mismatches = Vec::new();
-    for arbiter in arbiters {
-        for (workload, stop) in &workloads {
-            let mut cfg = SimConfig {
-                workload: workload.clone(),
-                arbiter,
-                seed: 61,
-                ..Default::default()
-            };
-            cfg.router.link_policy = link_policy;
-            let case = format!("{arbiter:?} / {workload:?}");
-            let runner = Runner::new(500, *stop);
-
-            let mut router = build_router(&cfg, build_workload(&cfg));
-            let untouched = router.rng_fingerprint();
-            let r_out = runner.run(&mut router);
-            assert_eq!(router.rng_fingerprint(), untouched, "{case}: arbiter drew");
-            let r = router.summary();
-            assert!(r.delivered_flits > 0, "{case}: nothing delivered");
-
-            let mut fabric = build_fabric(&cfg, &spec, build_fabric_workload(&cfg, &spec));
-            let untouched = fabric.rng_fingerprints();
-            let f_out = runner.run_horizon(&mut fabric);
-            assert_eq!(fabric.rng_fingerprints(), untouched, "{case}: arbiter drew");
-            let f = fabric.summary();
-
-            let same = serde_json::to_string(&r.metrics).unwrap()
-                == serde_json::to_string(&f.metrics).unwrap()
-                && (r.generated_flits, r.delivered_flits, r.backlog_flits)
-                    == (f.generated_flits, f.delivered_flits, f.backlog_flits)
-                && vec![r.crossbar_utilization] == f.node_utilization
-                && (r_out.executed, r_out.measured, r_out.model_finished)
-                    == (f_out.executed, f_out.measured, f_out.model_finished);
-            if !same {
-                mismatches.push(format!(
-                    "{case}: router delivered {} in {} cycles, fabric {} in {}",
-                    r.delivered_flits, r_out.executed, f.delivered_flits, f_out.executed
-                ));
-            }
-        }
-    }
-    mismatches
-}
-
-#[test]
-fn one_stage_line_fabric_matches_the_single_router() {
-    let mismatches = line_fabric_vs_router_mismatches(LinkPolicy::Priority);
-    assert!(mismatches.is_empty(), "{mismatches:#?}");
-}
-
-#[test]
-fn one_stage_line_fabric_honours_the_slot_table_link_policy() {
-    // The half that failed while the fabric had its own builder, which
-    // never read `RouterConfig::link_policy`.
-    let mismatches = line_fabric_vs_router_mismatches(LinkPolicy::SlotTable {
-        backfill: true,
-        table_len: 64,
-    });
-    assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
 #[test]

@@ -24,8 +24,8 @@ use mmr_core::sim::engine::{Runner, StopCondition};
 use mmr_core::sweep::{SweepPoint, SweepSpec};
 use mmr_core::traffic::admission::RoundConfig;
 use mmr_core::workload_lang::{
-    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, FaultSec, Fidelity, RouterSec,
-    SpecError, WorkloadSpec,
+    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, FabricSec, FaultSec, Fidelity,
+    RouterSec, SpecError, WorkloadSpec,
 };
 use proptest::prelude::*;
 use std::path::Path;
@@ -150,7 +150,8 @@ fn fig9_literal(injection: InjectionKind, fidelity: Fidelity) -> SweepSpec {
     }
 }
 
-/// The 16-router mesh at load 0.6, as one config (`fabric_mesh.toml`).
+/// The 16-router mesh at load 0.6 under COA (`fabric_mesh.toml`, which
+/// also runs it under WFA).
 fn fabric_mesh_literal(fidelity: Fidelity) -> SimConfig {
     let (warmup, cycles) = match fidelity {
         Fidelity::Quick => (1_000, 15_000),
@@ -340,9 +341,11 @@ fn paper_packs_compile_to_their_transcribed_sweeps() {
             assert_eq!(pack.sweep, want, "{name} ({fidelity:?}) diverged");
             assert_eq!(pack.trace_gops, None);
         }
-        let mesh = compiled("fabric_mesh");
-        assert!(mesh.fabric);
-        assert_eq!(mesh.sweep.configs(), vec![fabric_mesh_literal(fidelity)]);
+        let mesh = fabric_mesh_literal(fidelity);
+        assert_eq!(
+            compiled("fabric_mesh").sweep.configs(),
+            vec![mesh.clone(), mesh.with_arbiter(ArbiterKind::Wfa)]
+        );
         // The MPEG pack runs no router: five seeds of 4 (quick) or 40
         // (full) GOPs per Table 1 sequence.
         let mpeg = compiled("mpeg");
@@ -580,17 +583,22 @@ fn a_claim_load_missing_from_the_read_pack_is_a_typed_error() {
     );
 }
 
+/// `fabric_mesh.toml` with its `[fabric]` table changed by `edit`,
+/// validated.
+fn edited_fabric(edit: impl FnOnce(&mut FabricSec)) -> Result<(), SpecError> {
+    let mut spec = load_pack("fabric_mesh.toml");
+    edit(spec.fabric.as_mut().expect("fabric_mesh has a [fabric]"));
+    spec.validate()
+}
+
 /// `fabric_mesh.toml` with `field = 0` added to its `[fabric]` table.
 fn zero_fabric_field(field: &str) -> Result<(), SpecError> {
-    let mut spec = load_pack("fabric_mesh.toml");
-    let fabric = spec.fabric.as_mut().expect("fabric_mesh has a [fabric]");
-    match field {
+    edited_fabric(|fabric| match field {
         "host_ports" => fabric.host_ports = Some(0),
         "workers" => fabric.workers = Some(0),
         "link_latency" => fabric.link_latency = Some(0),
         other => panic!("no fabric field {other}"),
-    }
-    spec.validate()
+    })
 }
 
 #[test]
@@ -615,6 +623,47 @@ fn zero_fabric_link_latency_is_a_typed_error() {
         zero_fabric_field("link_latency"),
         Err(SpecError::BadFabric { msg }) if msg.contains("link_latency")
     ));
+}
+
+// Shapes `Fabric::new` would refuse with a panic are typed errors at the
+// pack's front door (`FabricConfig::check`).
+
+#[test]
+fn a_one_node_ring_is_a_typed_error() {
+    let one_node_ring = edited_fabric(|fabric| {
+        fabric.topology = "ring".into();
+        fabric.nodes = Some(1);
+    });
+    assert!(matches!(
+        one_node_ring,
+        Err(SpecError::BadFabric { msg }) if msg.contains("ring needs at least two nodes")
+    ));
+}
+
+#[test]
+fn a_torus_one_node_wide_is_a_typed_error() {
+    let thin_torus = edited_fabric(|fabric| {
+        fabric.topology = "torus".into();
+        fabric.x = Some(1);
+    });
+    assert!(matches!(
+        thin_torus,
+        Err(SpecError::BadFabric { msg }) if msg.contains("torus axes need at least two nodes")
+    ));
+}
+
+#[test]
+fn host_ports_past_the_kernel_limit_are_a_typed_error() {
+    // Four mesh links plus 253 host links: a 257-port node.
+    let wide = edited_fabric(|fabric| fabric.host_ports = Some(253));
+    assert!(matches!(
+        wide,
+        Err(SpecError::BadFabric { msg }) if msg.contains("fabric node") && msg.contains("at most 256")
+    ));
+    assert_eq!(
+        edited_fabric(|fabric| fabric.host_ports = Some(252)),
+        Ok(())
+    );
 }
 
 #[test]
