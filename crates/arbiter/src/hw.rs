@@ -175,10 +175,42 @@ pub fn coa_cost(ports: u32, levels: u32, priority_bits: u32) -> HwCost {
     }
 }
 
-/// The complete §3.1 comparison: SIABP vs IABP for the MMR's default
-/// geometry (24-bit delay counters, 16-bit priorities).
-pub fn priority_comparison() -> (HwCost, HwCost) {
-    (siabp_cost(24, 16), iabp_cost(24))
+/// A block the model prices at the MMR's default geometry: 4 ports,
+/// k = 4 candidate levels, 16-bit priorities, 24-bit delay counters.
+/// The `hw-*-ratio-at-least` pack claims name these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HwBlock {
+    /// SIABP's shift-based priority update, per virtual channel.
+    Siabp,
+    /// IABP's division-based priority, per virtual channel.
+    Iabp,
+    /// The 4×4 Candidate-Order Arbiter.
+    Coa,
+    /// The 4×4 Wave Front Arbiter.
+    Wfa,
+}
+
+impl HwBlock {
+    /// The block named `name` (`siabp`, `iabp`, `coa`, `wfa`).
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "siabp" => Some(HwBlock::Siabp),
+            "iabp" => Some(HwBlock::Iabp),
+            "coa" => Some(HwBlock::Coa),
+            "wfa" => Some(HwBlock::Wfa),
+            _ => None,
+        }
+    }
+
+    /// The block's estimated cost.
+    pub fn cost(self) -> HwCost {
+        match self {
+            HwBlock::Siabp => siabp_cost(24, 16),
+            HwBlock::Iabp => iabp_cost(24),
+            HwBlock::Coa => coa_cost(4, 4, 16),
+            HwBlock::Wfa => wfa_cost(4),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -187,7 +219,7 @@ mod tests {
 
     #[test]
     fn siabp_vs_iabp_matches_paper_ratios() {
-        let (siabp, iabp) = priority_comparison();
+        let (siabp, iabp) = (HwBlock::Siabp.cost(), HwBlock::Iabp.cost());
         let area_ratio = iabp.area_ratio(&siabp);
         let delay_ratio = iabp.delay_ratio(&siabp);
         // Paper: ≈30x area (companion report), 38x delay.

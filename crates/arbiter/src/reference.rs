@@ -162,7 +162,6 @@ pub struct ReferenceWfa {
     ports: usize,
     start_diag: usize,
     wrapped: bool,
-    top_level_only: bool,
     requests: Vec<bool>,
 }
 
@@ -174,7 +173,6 @@ impl ReferenceWfa {
             ports,
             start_diag: 0,
             wrapped: true,
-            top_level_only: false,
             requests: vec![false; ports * ports],
         }
     }
@@ -183,14 +181,6 @@ impl ReferenceWfa {
     pub fn fixed(ports: usize) -> Self {
         ReferenceWfa {
             wrapped: false,
-            ..ReferenceWfa::new(ports)
-        }
-    }
-
-    /// Reference level-1-requests variant.
-    pub fn first_level_only(ports: usize) -> Self {
-        ReferenceWfa {
-            top_level_only: true,
             ..ReferenceWfa::new(ports)
         }
     }
@@ -203,16 +193,8 @@ impl SwitchScheduler for ReferenceWfa {
         assert_eq!(cs.ports(), n);
         out.clear();
         self.requests.fill(false);
-        if self.top_level_only {
-            for input in 0..n {
-                if let Some(c) = cs.get(input, 0) {
-                    self.requests[c.input * n + c.output] = true;
-                }
-            }
-        } else {
-            for c in cs.iter() {
-                self.requests[c.input * n + c.output] = true;
-            }
+        for c in cs.iter() {
+            self.requests[c.input * n + c.output] = true;
         }
 
         let mut row_free = vec![true; n];

@@ -155,9 +155,6 @@ pub enum ArbiterKind {
     Wfa,
     /// Unwrapped WFA (fixed priority diagonal) — study variant.
     WfaFixed,
-    /// Wrapped WFA with requests from level-1 candidates only — study
-    /// variant adding coarse priority awareness.
-    WfaFirstLevel,
     /// iSLIP with the given number of iterations.
     Islip {
         /// Request-grant-accept iterations per cycle.
@@ -200,9 +197,6 @@ impl ArbiterKind {
             ArbiterKind::Coa => Box::new(crate::coa::CandidateOrderArbiter::new(ports)),
             ArbiterKind::Wfa => Box::new(crate::wfa::WaveFrontArbiter::new(ports)),
             ArbiterKind::WfaFixed => Box::new(crate::wfa::WaveFrontArbiter::fixed(ports)),
-            ArbiterKind::WfaFirstLevel => {
-                Box::new(crate::wfa::WaveFrontArbiter::first_level_only(ports))
-            }
             ArbiterKind::Islip { iterations } => {
                 Box::new(crate::islip::IslipArbiter::new(ports, iterations))
             }
@@ -233,7 +227,6 @@ impl ArbiterKind {
             ArbiterKind::Coa => Box::new(r::ReferenceCoa::new(ports)),
             ArbiterKind::Wfa => Box::new(r::ReferenceWfa::new(ports)),
             ArbiterKind::WfaFixed => Box::new(r::ReferenceWfa::fixed(ports)),
-            ArbiterKind::WfaFirstLevel => Box::new(r::ReferenceWfa::first_level_only(ports)),
             ArbiterKind::Islip { iterations } => {
                 Box::new(r::ReferenceIslip::new(ports, iterations))
             }
@@ -253,7 +246,6 @@ impl ArbiterKind {
             ArbiterKind::Coa => "COA",
             ArbiterKind::Wfa => "WFA",
             ArbiterKind::WfaFixed => "WFA-fix",
-            ArbiterKind::WfaFirstLevel => "WFA-L1",
             ArbiterKind::Islip { .. } => "iSLIP",
             ArbiterKind::Pim { .. } => "PIM",
             ArbiterKind::GreedyPriority => "Greedy",
@@ -272,7 +264,6 @@ impl ArbiterKind {
             ArbiterKind::Coa,
             ArbiterKind::Wfa,
             ArbiterKind::WfaFixed,
-            ArbiterKind::WfaFirstLevel,
             ArbiterKind::Islip { iterations: 2 },
             ArbiterKind::Pim { iterations: 2 },
             ArbiterKind::GreedyPriority,

@@ -27,7 +27,7 @@ use crate::portset::{words_for_ports, PortSet};
 use crate::scheduler::{KernelProbe, KernelStats, SwitchScheduler};
 use mmr_sim::rng::SimRng;
 
-/// Wrapped Wave Front Arbiter (plus two study variants).
+/// Wrapped Wave Front Arbiter (plus the unwrapped study variant).
 #[derive(Debug, Clone)]
 pub struct WaveFrontArbiter {
     ports: usize,
@@ -36,9 +36,6 @@ pub struct WaveFrontArbiter {
     start_diag: usize,
     /// Rotate the priority diagonal every cycle (the wrapped variant).
     wrapped: bool,
-    /// Build the request matrix from level-1 candidates only, making the
-    /// wave see exactly what the link scheduler ranked best.
-    top_level_only: bool,
     /// Request matrix scratch: per input, `words` words of requested
     /// outputs.
     rows: Vec<u64>,
@@ -55,7 +52,6 @@ impl WaveFrontArbiter {
             words,
             start_diag: 0,
             wrapped: true,
-            top_level_only: false,
             rows: vec![0; ports * words],
             probe: KernelProbe::default(),
         }
@@ -71,16 +67,6 @@ impl WaveFrontArbiter {
         }
     }
 
-    /// Study variant: requests restricted to each input's level-1
-    /// candidate — a cheap way to make the wave respect the link
-    /// scheduler's priority ranking, at the cost of matching cardinality.
-    pub fn first_level_only(ports: usize) -> Self {
-        WaveFrontArbiter {
-            top_level_only: true,
-            ..WaveFrontArbiter::new(ports)
-        }
-    }
-
     /// The diagonal that will be served first on the next call.
     pub fn current_diagonal(&self) -> usize {
         self.start_diag
@@ -90,20 +76,9 @@ impl WaveFrontArbiter {
         let n = self.ports;
         out.clear();
         // Build the request matrix: input i requests output o if *any* of
-        // its candidates targets o (the arbiter is priority-blind).  The
-        // first-level variant only admits level-1 candidates.
-        if self.top_level_only {
-            for input in 0..n {
-                let row = &mut self.rows[input * W..(input + 1) * W];
-                row.fill(0);
-                if let Some(c) = cs.get(input, 0) {
-                    row[c.output >> 6] |= 1u64 << (c.output & 63);
-                }
-            }
-        } else {
-            for input in 0..n {
-                self.rows[input * W..(input + 1) * W].copy_from_slice(cs.output_mask(input));
-            }
+        // its candidates targets o (the arbiter is priority-blind).
+        for input in 0..n {
+            self.rows[input * W..(input + 1) * W].copy_from_slice(cs.output_mask(input));
         }
 
         let mut row_free = PortSet::<W>::full(n);
@@ -158,10 +133,10 @@ impl SwitchScheduler for WaveFrontArbiter {
     }
 
     fn name(&self) -> &'static str {
-        match (self.wrapped, self.top_level_only) {
-            (true, false) => "Wave Front Arbiter",
-            (false, _) => "Wave Front Arbiter (fixed diagonal)",
-            (true, true) => "Wave Front Arbiter (level-1 requests)",
+        if self.wrapped {
+            "Wave Front Arbiter"
+        } else {
+            "Wave Front Arbiter (fixed diagonal)"
         }
     }
 
@@ -299,31 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn first_level_variant_ignores_lower_levels() {
-        let mut wfa = WaveFrontArbiter::first_level_only(2);
-        let mut cs = CandidateSet::new(2, 2);
-        // Both inputs' level-1 candidates want output 0; input 1 has a
-        // level-2 candidate for output 1, which this variant must ignore.
-        cs.set_input(0, &[cand(0, 0, 0, 9.0)]);
-        cs.set_input(1, &[cand(1, 0, 0, 8.0), cand(1, 1, 1, 1.0)]);
-        let m = wfa.schedule(&cs, &mut rng());
-        assert_eq!(m.size(), 1, "level-2 fallback must not be used");
-        // The plain WFA with identical input uses it.
-        let mut plain = WaveFrontArbiter::new(2);
-        let m2 = plain.schedule(&cs, &mut rng());
-        assert_eq!(m2.size(), 2);
-    }
-
-    #[test]
     fn variant_names_differ() {
-        let names = [
+        assert_ne!(
             WaveFrontArbiter::new(2).name(),
-            WaveFrontArbiter::fixed(2).name(),
-            WaveFrontArbiter::first_level_only(2).name(),
-        ];
-        assert_eq!(
-            names.iter().collect::<std::collections::HashSet<_>>().len(),
-            3
+            WaveFrontArbiter::fixed(2).name()
         );
     }
 

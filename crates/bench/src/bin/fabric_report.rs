@@ -1,17 +1,11 @@
-//! Fabric scaling report and gate, plus the line-network table.
-//!
-//! Two sections:
-//!
-//! * **Line network** (§6 extension, `results/fabric_line.txt`): the
-//!   CBR mix through 1–4 routers in tandem, COA vs WFA,
-//!   end-to-end high-class delay / max stage utilization / throughput.
-//! * **Fabric scaling**: the 16-router 4×4 mesh at load 0.6
-//!   (`workloads/fabric_mesh.toml`) executed at worker counts 1/2/8,
-//!   reporting routers × connections × simulated cycles/sec, with the
-//!   run results asserted bit-identical across every worker count.
-//!   `workers` is the number of chunks the fabric is split into; each
-//!   row also carries `threads`, the number of threads that ran them
-//!   (`Fabric::thread_count`: capped at the host's CPUs).
+//! Fabric scaling report and gate: the 16-router 4×4 mesh at load 0.6
+//! (`workloads/fabric_mesh.toml`) executed at worker counts 1/2/8,
+//! reporting routers × connections × simulated cycles/sec, with the run
+//! results asserted bit-identical across every worker count.  `workers`
+//! is the number of chunks the fabric is split into; each row also
+//! carries `threads`, the number of threads that ran them
+//! (`Fabric::thread_count`: capped at the host's CPUs).  The line
+//! network is a workload pack (`workloads/fabric_line.toml`).
 //!
 //! Flags:
 //!
@@ -43,86 +37,15 @@
 //!     co-vary tightly enough under scheduler noise to trust the
 //!     normalization in the demanding direction.
 
-use mmr_arbiter::scheduler::ArbiterKind;
-use mmr_bench::{banner, committed_pack, emit, fidelity_from_args, results_dir};
-use mmr_core::config::{FabricSpec, RunLength, SimConfig, WorkloadSpec};
-use mmr_core::experiment::{
-    build_fabric, build_fabric_workload, build_router, build_workload, run_experiment,
-};
-use mmr_core::report::TextTable;
+use mmr_bench::{committed_pack, fidelity_from_args, results_dir};
+use mmr_core::config::{RunLength, SimConfig, WorkloadSpec};
+use mmr_core::experiment::{build_fabric, build_fabric_workload, build_router, build_workload};
 use mmr_core::workload_lang::Fidelity;
-use mmr_router::fabric::{FabricRunOutcome, Topology};
+use mmr_router::fabric::FabricRunOutcome;
 use mmr_sim::engine::{Runner, StopCondition};
-use mmr_traffic::connection::TrafficClass;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// One end-to-end line-network point: high-class delay, max stage
-/// utilization, throughput.
-fn run_net(
-    stages: usize,
-    load: f64,
-    kind: ArbiterKind,
-    cycles: u64,
-    warmup: u64,
-) -> (f64, f64, f64) {
-    let cfg = SimConfig {
-        workload: WorkloadSpec::cbr(load),
-        arbiter: kind,
-        warmup_cycles: warmup,
-        run: RunLength::Cycles(cycles),
-        ..Default::default()
-    }
-    .with_fabric(FabricSpec::new(Topology::Line { stages }));
-    let r = run_experiment(&cfg);
-    let high = (r.summary.metrics.class(TrafficClass::CbrHigh)).map_or(0.0, |c| c.mean_delay_us);
-    let util = r.fabric.map_or(r.summary.crossbar_utilization, |f| {
-        f.node_utilization.iter().copied().fold(0.0, f64::max)
-    });
-    (high, util, r.summary.throughput_ratio())
-}
-
-fn line_section(fidelity: Fidelity) {
-    let (cycles, warmup, loads): (u64, u64, Vec<f64>) = match fidelity {
-        Fidelity::Quick => (15_000, 1_000, vec![0.5, 0.8]),
-        Fidelity::Full => (150_000, 10_000, vec![0.3, 0.5, 0.7, 0.8]),
-    };
-    let mut out = banner(
-        "Extension",
-        "line network of MMRs (end-to-end, CBR mix)",
-        fidelity,
-    );
-    let mut table = TextTable::new(vec![
-        "stages",
-        "load(%)",
-        "arbiter",
-        "high-class delay(µs)",
-        "max stage util(%)",
-        "throughput",
-    ]);
-    for stages in [1usize, 2, 3, 4] {
-        for &load in &loads {
-            for kind in [ArbiterKind::Coa, ArbiterKind::Wfa] {
-                let (delay, util, tput) = run_net(stages, load, kind, cycles, warmup);
-                table.row(vec![
-                    format!("{stages}"),
-                    format!("{:.0}", load * 100.0),
-                    kind.label().to_string(),
-                    format!("{delay:.2}"),
-                    format!("{:.1}", util * 100.0),
-                    format!("{tput:.3}"),
-                ]);
-            }
-        }
-    }
-    out.push_str(&table.render());
-    out.push_str(
-        "# expectation: delay grows ~linearly with hops below saturation;\n\
-                  # COA's QoS advantage compounds across stages\n",
-    );
-    emit("fabric_line.txt", &out);
-}
 
 /// Wall-clock one fabric run (construction excluded) and return the
 /// identity probe for cross-worker comparison.
@@ -254,8 +177,6 @@ fn main() {
         .iter()
         .position(|a| a == "--gate")
         .map(|i| PathBuf::from(args.get(i + 1).expect("--gate needs a baseline path")));
-
-    line_section(fidelity);
 
     // --- Fabric scaling: 4x4 mesh, load 0.6, workers 1/2/8 ---------------
     let cfg = committed_pack("fabric_mesh", fidelity)

@@ -12,11 +12,16 @@
 //! `mmr gate` is the claim gate: it runs every workload pack under
 //! `workloads/` (or only `--pack NAME` and the packs its claims read)
 //! through one experiment cache, writes
-//! `results/workload_<pack>.{json,txt,html}`, and exits 1 when any claim
+//! `results/workload_<pack>.{json,txt}`, and exits 1 when any claim
 //! misses its threshold at the ensemble median.  Each report renders the
 //! pack's curves; the router-less `mpeg` pack's renders Table 1, the
 //! Fig. 6 Flower Garden profile and both Fig. 7 histograms from its
-//! first seed.  `--list` validates the pack set — every pack on its own,
+//! first seed.  For each single-router pack it also runs the
+//! representative point (the first claim's load and arbiter, else the
+//! highest load and first arbiter) once with telemetry armed and writes
+//! `results/workload_<pack>.{html,prom,telemetry.json,trace.jsonl}`: the
+//! dashboard, the self-validated Prometheus exposition, the telemetry
+//! report and the grant trace.  `--list` validates the pack set — every pack on its own,
 //! claim ids unique across packs, cross-pack panels resolvable — and
 //! prints the catalog without simulating.
 //!
@@ -38,6 +43,8 @@ use mmr_core::workload_lang::{
     parse_arbiter, parse_priority, read_pack_dir, workloads_dir, CompiledPack, Fidelity,
     WorkloadSpec as Pack,
 };
+use mmr_sim::telemetry::recorder::to_jsonl;
+use mmr_sim::telemetry::validate_exposition;
 use mmr_traffic::mpeg::FRAME_TIME_SECS;
 use std::collections::HashMap;
 use std::process::exit;
@@ -49,7 +56,7 @@ fn usage() -> ! {
          run flags:\n\
            --config FILE          load a full SimConfig from JSON (other flags override)\n\
            --load F               target offered load fraction (default 0.7)\n\
-           --arbiter NAME         coa|wfa|wfa-fixed|wfa-first-level|islip[:N]|pim[:N]|greedy|random|\n\
+           --arbiter NAME         coa|wfa|wfa-fixed|islip[:N]|pim[:N]|greedy|random|\n\
                                   mwm|mwm-approx|frame-fair|cq (default coa)\n\
            --priority NAME        siabp|iabp|fifo|static (default siabp)\n\
            --vbr sr|bb            use MPEG-2 VBR with the given injection model\n\
@@ -384,31 +391,64 @@ fn render_traces(data: &PackData) -> String {
     out
 }
 
-/// The overview dashboard of a router pack's representative point:
-/// highest load, first arbiter, base seed, observatory armed.
-fn write_overview(pack: &CompiledPack) {
-    let peak = pack
-        .sweep
-        .loads
-        .iter()
-        .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-    let mut rep = pack.sweep.base.with_load(peak);
-    rep.arbiter = pack.sweep.arbiters[0];
+/// A router pack's representative point: its first claim's `at_load`
+/// and `arbiter` when that claim names both, else the highest load and
+/// the first arbiter.
+fn representative_point(spec: &Pack, pack: &CompiledPack) -> (f64, ArbiterKind) {
+    let first = spec.claim.as_deref().and_then(<[_]>::first);
+    first
+        .and_then(|c| Some((c.at_load?, parse_arbiter(c.arbiter.as_deref()?).ok()?)))
+        .unwrap_or_else(|| {
+            let peak = pack
+                .sweep
+                .loads
+                .iter()
+                .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+            (peak, pack.sweep.arbiters[0])
+        })
+}
+
+/// The artifacts of a router pack's representative point, from one run
+/// with telemetry and the observatory armed (base seed, no wall clock, so
+/// every byte is deterministic): `workload_<pack>.html` (the dashboard),
+/// `.prom` (the Prometheus exposition), `.telemetry.json` (the telemetry
+/// report) and `.trace.jsonl` (the flight recorder's retained events).
+/// Exits 1 when the exposition or the dashboard fails its self-check.
+fn write_artifacts(spec: &Pack, pack: &CompiledPack) {
+    let (load, arbiter) = representative_point(spec, pack);
+    let mut rep = pack.sweep.base.with_load(load);
+    rep.arbiter = arbiter;
     rep.telemetry = Some(TelemetrySpec::default());
     let result = run_experiment(&rep);
-    let scenario = format!("{} @ load {peak}", pack.name);
-    let bench = load_bench_trajectory(&results_dir());
-    let Some(html) = render_overview(&scenario, &result, &bench) else {
-        eprintln!("mmr gate: {} produced no observatory data", pack.name);
+    let fail = |what: String| -> ! {
+        eprintln!("mmr gate: {}: {what}", pack.name);
         exit(1)
     };
-    if let Err(e) = validate_overview(&html) {
-        eprintln!("mmr gate: {} overview invalid: {e}", pack.name);
-        exit(1)
+    let prom = result.prometheus();
+    if let Err(e) = validate_exposition(&prom) {
+        fail(format!("exposition failed validation: {e}"))
     }
-    let path = results_dir().join(format!("workload_{}.html", pack.name));
-    std::fs::write(&path, &html).expect("write pack overview");
-    eprintln!("[written {}]", path.display());
+    let bench = load_bench_trajectory(&results_dir());
+    let scenario = format!("{} @ load {load}", pack.name);
+    let Some(html) = render_overview(&scenario, &result, &bench) else {
+        fail("the run produced no observatory data".into())
+    };
+    if let Err(e) = validate_overview(&html) {
+        fail(format!("overview failed validation: {e}"))
+    }
+    let report = result.telemetry.as_ref().expect("an armed run reports");
+    let telemetry = serde_json::to_string_pretty(report).expect("report serializes") + "\n";
+    let trace = to_jsonl(result.trace.iter().flatten().copied());
+    for (ext, body) in [
+        ("html", &html),
+        ("prom", &prom),
+        ("telemetry.json", &telemetry),
+        ("trace.jsonl", &trace),
+    ] {
+        let path = results_dir().join(format!("workload_{}.{ext}", pack.name));
+        std::fs::write(&path, body).expect("write pack artifact");
+        eprintln!("[written {}]", path.display());
+    }
 }
 
 /// The pack catalog `--list` prints once the set validates.
@@ -521,10 +561,10 @@ fn cmd_gate(args: &[String]) {
         let json = serde_json::to_string(&report).expect("pack report serializes");
         std::fs::write(&path, json).expect("write pack report json");
         eprintln!("[written {}]", path.display());
-        // The dashboard reads the observatory, which arms the single
-        // router only.
+        // The artifacts read telemetry, which arms the single router only.
         if !points.is_empty() && pack.sweep.base.fabric.is_none() {
-            write_overview(pack);
+            let spec = specs.iter().find(|s| s.meta.name == pack.name);
+            write_artifacts(spec.expect("every pack has a spec"), pack);
         }
         outcomes.extend(report.claims);
     }

@@ -1,14 +1,14 @@
 //! # mmr-bench — the benchmark harness
 //!
-//! `mmr gate` runs every workload pack — the paper's figures, tables and
-//! ablations — and gates their claims (DESIGN.md §4 has the index).  The
-//! other binaries report on the machinery rather than the paper:
-//! `bench_report` (kernel numbers into `results/BENCH_<n>.json` for
-//! trajectory tracking), `fabric_report` (fabric scaling and the
-//! line-network table), `chaos_report`, `trace_report`, `metrics_dump`
-//! and `hw_cost_report`.  Micro-benchmarks for the arbitration and
-//! priority kernels live under `benches/` and run on the self-contained
-//! [`harness`] module (no external benchmark framework).
+//! `mmr gate` runs every workload pack — the paper's figures, tables,
+//! ablations, the chaos, line-network and hardware-cost scenarios — gates
+//! their claims (DESIGN.md §4 has the index), and writes each
+//! single-router pack's telemetry artifacts.  The two other binaries
+//! are performance gates, not scenarios: `bench_report` (kernel numbers
+//! into `results/BENCH_<n>.json` for trajectory tracking) and
+//! `fabric_report` (fabric scaling).  Micro-benchmarks for the
+//! arbitration and priority kernels live under `benches/` and run on the
+//! self-contained [`harness`] module (no external benchmark framework).
 //!
 //! The binaries accept `--full` for paper-scale runs (minutes) and
 //! default to a quick mode (seconds) that preserves the shapes.  Results

@@ -1,10 +1,13 @@
 //! `mmr run --config` refuses a router it cannot build: exit 2 and the
 //! bad field named on stderr, never a panic inside `MmrRouter::new`.
+//! `mmr gate --pack` writes a router pack's four artifacts.
 
 use mmr_core::config::SimConfig;
 use mmr_core::router::config::{
     LinkPolicy, RouterConfig, MAX_CANDIDATE_LEVELS, MAX_VC_BUFFER_FLITS,
 };
+use mmr_core::sim::telemetry::recorder::{FlightRecorder, TraceKind};
+use mmr_core::sim::telemetry::validate_exposition;
 use std::process::Command;
 
 #[test]
@@ -78,5 +81,36 @@ fn run_config_with_a_bad_router_exits_2_naming_the_field() {
         assert_eq!(out.status.code(), Some(2), "{expected}: {stderr}");
         assert!(stderr.contains(expected), "{expected}: {stderr}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gate_writes_the_chaos_artifacts() {
+    let dir = std::env::temp_dir().join(format!("mmr-cli-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_mmr"))
+        .args(["gate", "--pack", "chaos"])
+        .env("MMR_RESULTS_DIR", &dir)
+        .output()
+        .expect("mmr runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "mmr gate --pack chaos failed: {stderr}"
+    );
+    let read = |ext: &str| {
+        let path = dir.join(format!("workload_chaos.{ext}"));
+        let body = std::fs::read_to_string(&path).unwrap_or_default();
+        assert!(!body.is_empty(), "{} is missing or empty", path.display());
+        body
+    };
+    read("html");
+    serde_json::parse_value(&read("telemetry.json")).expect("the telemetry report parses");
+    validate_exposition(&read("prom")).expect("the exposition validates");
+    let trace = FlightRecorder::parse_jsonl(&read("trace.jsonl")).expect("the trace parses");
+    assert!(
+        trace.iter().any(|e| e.kind == TraceKind::FaultDetected),
+        "the chaos trace holds no fault detection"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,6 +27,7 @@
 use crate::experiment::ExperimentResult;
 use crate::saturation::{detect_saturation, SaturationCriteria};
 use crate::sweep::SweepPoint;
+use mmr_arbiter::hw::HwBlock;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::TimeBase;
@@ -328,6 +329,28 @@ pub enum Check {
         /// Minimum allowed ratio at each step of the ordering.
         min_ratio: f64,
     },
+    /// The analytic hardware model's `num`/`den` cost ratio on one axis
+    /// (§3.1, §6).  It reads no panel and runs no simulation, so its one
+    /// value stands for every seed.
+    HwRatio {
+        /// Area or delay.
+        axis: HwAxis,
+        /// Numerator block.
+        num: HwBlock,
+        /// Denominator block.
+        den: HwBlock,
+        /// Gate on the ratio.
+        bound: Bound,
+    },
+}
+
+/// The cost a [`Check::HwRatio`] compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HwAxis {
+    /// Area in gate equivalents.
+    Area,
+    /// Critical-path delay.
+    Delay,
 }
 
 /// Calibrated Table 1 average rates (Mbps) — the EXPERIMENTS.md record of
@@ -992,6 +1015,19 @@ impl Check {
                     })
                     .collect();
                 (vals, Bound::AtLeast(*min_ratio), "ratio")
+            }
+            Check::HwRatio {
+                axis,
+                num,
+                den,
+                bound,
+            } => {
+                let (n, d) = (num.cost(), den.cost());
+                let ratio = match axis {
+                    HwAxis::Area => n.area_ratio(&d),
+                    HwAxis::Delay => n.delay_ratio(&d),
+                };
+                (vec![ratio], *bound, "x")
             }
         }
     }

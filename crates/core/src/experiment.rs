@@ -7,6 +7,7 @@ use mmr_router::router::{MmrRouter, RouterSummary};
 use mmr_router::telemetry::TelemetryReport;
 use mmr_sim::engine::{Runner, StopCondition};
 use mmr_sim::rng::SimRng;
+use mmr_sim::telemetry::recorder::TraceEvent;
 use mmr_traffic::workload::{
     AdmissionTally, CbrMixBuilder, MixWorkloadBuilder, VbrInjection, VbrMixBuilder, Workload,
 };
@@ -34,6 +35,10 @@ pub struct ExperimentResult {
     /// Telemetry observations (`None` unless the config armed telemetry
     /// on a single router).
     pub telemetry: Option<TelemetryReport>,
+    /// The flight recorder's retained events, oldest first (`None`
+    /// unless the config armed telemetry on a single router).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub trace: Option<Vec<TraceEvent>>,
     /// Per-node fabric results, present only when the config's fabric
     /// has more than one node.
     #[serde(skip_serializing_if = "Option::is_none")]
@@ -191,7 +196,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
     let connections = workload.len();
     let admission = workload.admission;
     let horizon = cfg.engine_mode() == EngineMode::EventHorizon;
-    let result = |executed_cycles, drained, summary, telemetry, fabric| ExperimentResult {
+    let result = |executed_cycles, drained, summary, telemetry, trace, fabric| ExperimentResult {
         config: cfg.clone(),
         achieved_load,
         connections,
@@ -200,6 +205,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
         drained,
         summary,
         telemetry,
+        trace,
         fabric,
     };
     if let Some(spec) = &cfg.fabric {
@@ -211,6 +217,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
             outcome.executed,
             fabric.drained(),
             fabric.end_to_end_summary(),
+            None,
             None,
             nodes,
         );
@@ -244,6 +251,8 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
         router.drained(),
         router.summary(),
         cfg.telemetry.map(|_| router.telemetry_report()),
+        cfg.telemetry
+            .map(|_| router.telemetry().recorder().events().collect()),
         None,
     )
 }

@@ -154,6 +154,7 @@ mod tests {
                 drained: true,
                 summary,
                 telemetry: None,
+                trace: None,
                 fabric: None,
             }],
         }

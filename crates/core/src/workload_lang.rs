@@ -26,11 +26,12 @@ use crate::config::{
     RampScheduleConfig, RampStepConfig, RunLength, SimConfig, WorkloadSpec as ConfigWorkload,
 };
 use crate::conformance::{
-    ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, PackData,
-    Panel,
+    ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, HwAxis,
+    PackData, Panel,
 };
 use crate::saturation::ExperimentCache;
 use crate::sweep::{group_points, SweepSpec};
+use mmr_arbiter::hw::HwBlock;
 use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::{LinkPolicy, RouterConfig};
@@ -227,6 +228,13 @@ pub enum SpecError {
         /// The unknown kind.
         kind: String,
     },
+    /// The `[fault]` plan cannot run: a negative or non-finite rate
+    /// factor, an empty window, a window that overflows or ends past the
+    /// run, or more expected events than window cycles.
+    BadFault {
+        /// What went wrong.
+        msg: String,
+    },
     /// The fabric topology is not recognized, misses its dimensions, or
     /// sets a zero size.
     BadFabric {
@@ -325,6 +333,7 @@ impl fmt::Display for SpecError {
             SpecError::UnknownClaimKind { id, kind } => {
                 write!(f, "claim `{id}` has unknown kind `{kind}`")
             }
+            SpecError::BadFault { msg } => write!(f, "bad fault plan: {msg}"),
             SpecError::BadFabric { msg } => write!(f, "bad fabric: {msg}"),
             SpecError::DuplicatePack { name } => write!(f, "two packs are named `{name}`"),
             SpecError::DuplicateClaimId { id } => write!(f, "two claims have id `{id}`"),
@@ -1080,7 +1089,6 @@ pub fn parse_arbiter(name: &str) -> Result<ArbiterKind, SpecError> {
         "coa" => ArbiterKind::Coa,
         "wfa" => ArbiterKind::Wfa,
         "wfa-fixed" => ArbiterKind::WfaFixed,
-        "wfa-first-level" => ArbiterKind::WfaFirstLevel,
         "islip" => ArbiterKind::Islip {
             iterations: iterations(2)?,
         },
@@ -1148,6 +1156,17 @@ fn parse_injection(label: &str) -> Result<InjectionKind, SpecError> {
             msg: format!("traffic.vbr `{other}` is neither `sr` nor `bb`"),
         }),
     }
+}
+
+/// The default fault plan over `[fault]`'s window, its rates scaled by
+/// `factor`.
+fn fault_plan(sec: &FaultSec) -> FaultPlanConfig {
+    FaultPlanConfig {
+        window_start: sec.window_start,
+        window_len: sec.window_len,
+        ..FaultPlanConfig::default()
+    }
+    .scaled(sec.factor)
 }
 
 /// A required claim field, or the typed error naming it.
@@ -1455,16 +1474,7 @@ impl WorkloadSpec {
             }
         }
         if let Some(fault) = &self.fault {
-            if !fault.factor.is_finite() || fault.factor < 0.0 {
-                return Err(SpecError::Schema {
-                    msg: format!("fault.factor {} must be non-negative", fault.factor),
-                });
-            }
-            if fault.window_len == 0 {
-                return Err(SpecError::Schema {
-                    msg: "fault.window_len must be positive".into(),
-                });
-            }
+            self.check_fault(fault)?;
         }
         let (router, _) = self.router_config()?;
         if let Some(fabric) = &self.fabric {
@@ -1512,9 +1522,14 @@ impl WorkloadSpec {
             parse_class(label)?;
         }
         // A `versus` read from another pack is checked against that pack
-        // by `validate_pack_set`.
+        // by `validate_pack_set`; a hardware check names blocks, not
+        // arbiters of the sweep.
         let versus = c.versus.as_ref().filter(|_| c.versus_pack.is_none());
-        for name in [c.arbiter.as_ref(), versus].into_iter().flatten() {
+        let arbiters = match check {
+            Check::HwRatio { .. } => [None, None],
+            _ => [c.arbiter.as_ref(), versus],
+        };
+        for name in arbiters.into_iter().flatten() {
             parse_arbiter(name)?;
             if !self.arbiter_names().contains(name) {
                 return schema(format!(
@@ -1533,6 +1548,41 @@ impl WorkloadSpec {
                     at_load,
                 });
             }
+        }
+        Ok(())
+    }
+
+    /// `[fault]` as a plan that can run: a finite non-negative factor, a
+    /// window that ends (without overflow) inside the run of both
+    /// fidelities, and at most one expected event per window cycle, so
+    /// generating the plan stays bounded.
+    fn check_fault(&self, sec: &FaultSec) -> Result<(), SpecError> {
+        let bad = |msg: String| Err(SpecError::BadFault { msg });
+        if !sec.factor.is_finite() || sec.factor < 0.0 {
+            return bad(format!("factor {} must be non-negative", sec.factor));
+        }
+        if sec.window_len == 0 {
+            return bad("window_len must be positive".into());
+        }
+        let Some(end) = sec.window_start.checked_add(sec.window_len) else {
+            return bad("window_start + window_len overflows".into());
+        };
+        for fidelity in [Fidelity::Quick, Fidelity::Full] {
+            let (RunLength::Cycles(last) | RunLength::UntilDrained { max_cycles: last }) =
+                self.run_length(fidelity)?.1;
+            if end > last {
+                return bad(format!(
+                    "the window ends at cycle {end}, past the {} run's last cycle {last}",
+                    fidelity.label()
+                ));
+            }
+        }
+        let events = fault_plan(sec).expected_events();
+        if events > sec.window_len as f64 {
+            return bad(format!(
+                "{events:.0} expected events in a {}-cycle window; at most one per cycle",
+                sec.window_len
+            ));
         }
         Ok(())
     }
@@ -1688,12 +1738,7 @@ impl WorkloadSpec {
         }
         if let Some(fault) = &self.fault {
             base.fault = Some(FaultSpec {
-                plan: FaultPlanConfig {
-                    window_start: fault.window_start,
-                    window_len: fault.window_len,
-                    ..FaultPlanConfig::default()
-                }
-                .scaled(fault.factor),
+                plan: fault_plan(fault),
                 profile: Default::default(),
             });
         }
@@ -1786,6 +1831,23 @@ impl WorkloadSpec {
             })
         };
         let (at_most, at_least) = (Bound::AtMost(t), Bound::AtLeast(t));
+        let block = |field: &str, name: &Option<String>| {
+            let name = need(c, field, name.as_deref())?;
+            HwBlock::parse(name).ok_or_else(|| SpecError::Schema {
+                msg: format!(
+                    "claim `{}`: `{name}` is none of the hardware blocks siabp / iabp / coa / wfa",
+                    c.id
+                ),
+            })
+        };
+        let hw = |axis: HwAxis| -> Result<Check, SpecError> {
+            Ok(Check::HwRatio {
+                axis,
+                num: block("arbiter", &c.arbiter)?,
+                den: block("versus", &c.versus)?,
+                bound: at_least,
+            })
+        };
         match c.kind.as_str() {
             "delay-below" => at_point(delay()?, at_most),
             "frame-delay-below" => at_point(CurveMetric::FrameDelayUs, at_most),
@@ -1883,6 +1945,8 @@ impl WorkloadSpec {
                 panel: panel(),
                 min_ratio: t,
             }),
+            "hw-area-ratio-at-least" => hw(HwAxis::Area),
+            "hw-delay-ratio-at-least" => hw(HwAxis::Delay),
             other => Err(SpecError::UnknownClaimKind {
                 id: c.id.clone(),
                 kind: other.to_string(),

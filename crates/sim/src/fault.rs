@@ -180,6 +180,17 @@ impl FaultPlanConfig {
         }
     }
 
+    /// Expected event count over the window, every kind together.
+    pub fn expected_events(&self) -> f64 {
+        let per_kcycle = self.corrupt_per_kcycle
+            + self.drop_per_kcycle
+            + self.credit_loss_per_kcycle
+            + self.credit_dup_per_kcycle
+            + self.stall_per_kcycle
+            + self.rogue_per_kcycle;
+        per_kcycle * self.window_len as f64 / 1_000.0
+    }
+
     /// Expected event count for one rate over the window.
     fn count(&self, per_kcycle: f64) -> usize {
         (per_kcycle * self.window_len as f64 / 1_000.0).round() as usize

@@ -200,12 +200,7 @@ impl FlightRecorder {
     /// Render the retained window as JSONL, one event per line, oldest
     /// first.  Allocates — dump-time only.
     pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.events() {
-            out.push_str(&serde_json::to_string(&ev).expect("trace events serialize"));
-            out.push('\n');
-        }
-        out
+        to_jsonl(self.events())
     }
 
     /// Parse a JSONL dump back into events (the inverse of
@@ -218,6 +213,18 @@ impl FlightRecorder {
             .map(serde_json::from_str)
             .collect()
     }
+}
+
+/// Render `events` as JSONL, one event per line — the format
+/// [`FlightRecorder::dump_jsonl`] writes and
+/// [`FlightRecorder::parse_jsonl`] reads.
+pub fn to_jsonl(events: impl IntoIterator<Item = TraceEvent>) -> String {
+    let mut out = String::new();
+    for ev in events {
+        out.push_str(&serde_json::to_string(&ev).expect("trace events serialize"));
+        out.push('\n');
+    }
+    out
 }
 
 /// Run `f` with the recorder; if it panics, dump the retained trace to

@@ -37,6 +37,16 @@ cargo build --release
 stage "cargo test"
 cargo test -q
 
+stage "one binary"
+# Scenarios are workload packs and artifacts are `mmr gate` outputs: the
+# bench crate ships `mmr` plus the two performance gates, and no
+# print-only binary comes back beside them.
+BINS="$(cd crates/bench/src/bin && ls | sort | tr '\n' ' ')"
+if [[ "$BINS" != "bench_report.rs fabric_report.rs mmr.rs " ]]; then
+    echo "error: crates/bench/src/bin holds $BINS; expected bench_report.rs fabric_report.rs mmr.rs" >&2
+    exit 1
+fi
+
 stage "one pipeline"
 # The switch stages are called from crates/router/src/pipeline.rs
 # (SwitchCore) and nowhere else: FabricNode is the one adapter over it.
@@ -114,31 +124,6 @@ stage "fabric scaling gate"
 NEWEST="$(ls results/BENCH_*.json | sort -V | tail -1)"
 cargo run --release -q -p mmr-bench --bin fabric_report -- --merge "$NEWEST" --gate "$BASELINE"
 
-stage "trace_report smoke"
-cargo run --release -q -p mmr-bench --bin trace_report
-test -s results/telemetry_fig5_cbr.json
-test -s results/trace_fig5_cbr.jsonl
-test -s results/telemetry_chaos.json
-test -s results/trace_chaos.jsonl
-
-stage "observatory artifacts"
-# Run the Fig. 5 mix with the QoS observatory armed and emit both
-# observability artifacts.  metrics_dump self-validates each one —
-# the Prometheus exposition re-parses (declared families, monotone
-# cumulative buckets, +Inf/_count agreement) and the dashboard's
-# inline JSON + panels check out — and exits non-zero on any failure;
-# the trajectory panel reads the same BENCH_<n>.json files the perf
-# gate above maintains.
-cargo run --release -q -p mmr-bench --bin metrics_dump
-test -s results/metrics.prom
-test -s results/overview.html
-
-stage "chaos smoke"
-cargo test --release -q -p mmr-core --test chaos
-cargo run --release -q -p mmr-bench --bin chaos_report
-test -s results/chaos_report.txt
-test -s results/chaos_report.json
-
 stage "claim gate"
 # Every workload pack under workloads/ — the paper's Fig. 5/7/8/9 and
 # Table 1 claims, the arbiter frontier, the ablations and the scenario
@@ -150,6 +135,15 @@ stage "claim gate"
 # claim regression, naming the claim and its margin.  Every pack file
 # must leave its results, and every listed id a PASS line, so a new pack
 # is gated without editing this script.
+#
+# The gate also writes each single-router pack's artifacts from one
+# armed run at its representative point, and exits non-zero when one
+# fails its self-check: the Prometheus exposition re-parses (declared
+# families, monotone cumulative buckets, +Inf/_count agreement) and the
+# dashboard's inline JSON and panels check out.  paper_fig5's point is
+# the Fig. 5 mix at load 0.7 under COA; chaos's is the factor-4 fault
+# run, whose grant trace ends at the fault-window end and so holds fault
+# detections and quarantines.
 CATALOG="$(cargo run --release -q -p mmr-bench --bin mmr -- gate --list)"
 echo "$CATALOG"
 cargo run --release -q -p mmr-bench --bin mmr -- gate
@@ -157,6 +151,11 @@ for toml in workloads/*.toml; do
     test -s "results/workload_$(basename "$toml" .toml).json"
 done
 test -s results/workload_fig5.html
+for pack in paper_fig5 chaos; do
+    for ext in prom html telemetry.json trace.jsonl; do
+        test -s "results/workload_$pack.$ext"
+    done
+done
 CLAIM_IDS="$(sed -n 's/^    \([^ ]*\)$/\1/p' <<<"$CATALOG")"
 test -n "$CLAIM_IDS"
 for id in $CLAIM_IDS; do

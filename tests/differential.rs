@@ -113,11 +113,6 @@ fn wfa_fixed_matches_reference() {
 }
 
 #[test]
-fn wfa_first_level_matches_reference() {
-    differential_matrix(ArbiterKind::WfaFirstLevel);
-}
-
-#[test]
 fn islip_matches_reference() {
     differential_matrix(ArbiterKind::Islip { iterations: 2 });
     assert_matches_reference(ArbiterKind::Islip { iterations: 4 }, 8, 64, 4);

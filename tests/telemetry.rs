@@ -8,13 +8,13 @@
 //! reports, that the trace survives a round-trip through JSONL, and that
 //! a panic mid-simulation leaves the trace on disk.
 
-use mmr_core::config::{chaos, RunLength, SimConfig, TelemetrySpec, WorkloadSpec};
+use mmr_core::config::{RunLength, SimConfig, TelemetrySpec, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
 use mmr_core::router::telemetry::TelemetryConfig;
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::telemetry::recorder::{run_with_dump_on_panic, FlightRecorder, TraceEvent};
 use mmr_core::sim::time::FlitCycle;
-use mmr_core::workload_lang::Fidelity;
+use mmr_core::workload_lang::{compile_committed, Fidelity};
 
 fn fig5_style(load: f64) -> SimConfig {
     SimConfig {
@@ -207,14 +207,15 @@ fn observatory_opt_out_removes_the_report_section() {
 
 #[test]
 fn chaos_run_traces_fault_detections() {
-    // The hottest quick chaos point, truncated to the fault window so
-    // detections land in the retained ring tail.
-    let mut cfg = chaos(Fidelity::Quick)
+    // The chaos pack's base-seed point, which runs to the fault-window
+    // end so detections land in the retained ring tail.
+    let mut cfg = compile_committed("chaos", Fidelity::Quick)
+        .expect("the chaos pack compiles")
+        .sweep
         .configs()
-        .pop()
-        .expect("chaos spec has factors");
-    let plan = cfg.fault.expect("chaos config carries faults").plan;
-    cfg.run = RunLength::Cycles(plan.window_start + plan.window_len);
+        .remove(0);
+    let plan = cfg.fault.expect("the chaos pack carries faults").plan;
+    assert_eq!(cfg.run, RunLength::Cycles(plan.window_end()));
     cfg.telemetry = Some(TelemetrySpec::default());
     let result = run_experiment(&cfg);
     let report = result.telemetry.expect("armed run returns a report");
