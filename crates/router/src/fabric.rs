@@ -1113,7 +1113,10 @@ impl Fabric {
         };
         // Histograms before the cores ("Allocation order", pipeline docs).
         let ledger = Ledger {
-            metrics: MetricsCollector::new(n, cfg.router.time),
+            metrics: MetricsCollector::with_frames(
+                cfg.router.time,
+                specs.iter().map(ConnectionSpec::closes_frames),
+            ),
             outputs: OutputPorts::new(workload_ports),
             link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
             specs,
@@ -1234,7 +1237,10 @@ impl Fabric {
     /// because set-up time is a benchmark metric and glibc ties it to
     /// block placement ("Allocation order", pipeline docs): through the
     /// general path, `cbr4_armed` `setup_s` read 1.3–2.7× the router's,
-    /// with 2–5× the page faults.
+    /// with 2–5× the page faults.  With jitter histograms for video
+    /// connections only it still read 12.2 / 12.7 ms against 6.0 ms;
+    /// the armed observatory's 213 per-connection delay histograms are
+    /// the likely remaining trigger.
     fn single(
         cfg: FabricConfig,
         specs: Vec<ConnectionSpec>,
@@ -1255,7 +1261,10 @@ impl Fabric {
                 iat_rc: s.iat_router_cycles(&cfg.router.time),
             })
             .collect();
-        let metrics = MetricsCollector::new(n, cfg.router.time);
+        let metrics = MetricsCollector::with_frames(
+            cfg.router.time,
+            specs.iter().map(ConnectionSpec::closes_frames),
+        );
         let core = SwitchCore::new(
             &cfg.router,
             qos,

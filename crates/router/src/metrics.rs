@@ -4,7 +4,9 @@
 //! * **Frame delay since generation** (Fig. 9) — the delay of the *last*
 //!   flit of each video frame, independent of injection model.
 //! * **Frame jitter** (§5.2) — delay variation between adjacent frames of
-//!   the same connection.
+//!   the same connection.  Only connections that can close a frame carry
+//!   a jitter tracker (a 4 KiB histogram each), so a CBR-only workload
+//!   allocates none.
 //! * Throughput per class and aggregate (generated vs delivered flits).
 
 use crate::output::Delivery;
@@ -63,7 +65,9 @@ pub struct MetricsCollector {
     frame_delay: Running,
     frame_hist: LogHistogram,
     frames_delivered: u64,
-    jitter_per_conn: Vec<JitterTracker>,
+    /// `None` for a connection built without frame storage
+    /// ([`MetricsCollector::with_frames`]): it may never close a frame.
+    jitter_per_conn: Vec<Option<JitterTracker>>,
     delivered_per_conn: Vec<u64>,
     delay_per_conn: Vec<Running>,
     /// Per-connection QoS delay bound (router cycles); deliveries slower
@@ -73,15 +77,29 @@ pub struct MetricsCollector {
 }
 
 impl MetricsCollector {
-    /// Collector for `connections` connections.
+    /// Collector for `connections` connections, any of which may close
+    /// frames.
     pub fn new(connections: usize, tb: TimeBase) -> Self {
+        Self::with_frames(tb, (0..connections).map(|_| true))
+    }
+
+    /// Collector with one connection per item of `closes_frames`, in
+    /// connection order; jitter storage is allocated only where the item
+    /// is true (see `ConnectionSpec::closes_frames`).  Delivering a
+    /// frame-closing flit on any other connection is a caller bug, caught
+    /// by a debug assertion.
+    pub fn with_frames(tb: TimeBase, closes_frames: impl IntoIterator<Item = bool>) -> Self {
+        let jitter_per_conn: Vec<Option<JitterTracker>> = (closes_frames.into_iter())
+            .map(|frames| frames.then(JitterTracker::new))
+            .collect();
+        let connections = jitter_per_conn.len();
         MetricsCollector {
             tb,
             classes: (0..CLASS_COUNT).map(|_| ClassAccumulator::new()).collect(),
             frame_delay: Running::new(),
             frame_hist: LogHistogram::new(3),
             frames_delivered: 0,
-            jitter_per_conn: (0..connections).map(|_| JitterTracker::new()).collect(),
+            jitter_per_conn,
             delivered_per_conn: vec![0; connections],
             delay_per_conn: (0..connections).map(|_| Running::new()).collect(),
             delay_bound_rc: None,
@@ -118,16 +136,22 @@ impl MetricsCollector {
             self.frame_delay.push(delay_rc as f64);
             self.frame_hist.record(delay_rc);
             self.frames_delivered += 1;
-            let conn = delivery.flit.connection.idx();
-            self.jitter_per_conn[conn].record_delay(delay_rc as f64);
+            let jitter = self.jitter_per_conn[conn_idx].as_mut();
+            debug_assert!(
+                jitter.is_some(),
+                "connection {conn_idx} closed a frame but its collector was built \
+                 without jitter storage for it"
+            );
+            if let Some(jitter) = jitter {
+                jitter.record_delay(delay_rc as f64);
+            }
         }
     }
 
     /// Reset all statistics (start of measurement window), **in place**:
     /// every accumulator returns to the state [`MetricsCollector::new`]
     /// builds and the delay bound is kept.  Nothing is allocated or
-    /// freed, and a histogram nothing was recorded into is not swept
-    /// (the per-connection jitter histograms of CBR traffic never are),
+    /// freed, and a histogram nothing was recorded into is not swept,
     /// because the call sits inside every timed run — on the fabric in
     /// the leader's serial phase, while the helpers wait (DESIGN.md §17).
     pub fn reset(&mut self) {
@@ -142,6 +166,7 @@ impl MetricsCollector {
         self.frames_delivered = 0;
         self.jitter_per_conn
             .iter_mut()
+            .flatten()
             .for_each(JitterTracker::reset);
         self.delivered_per_conn.fill(0);
         self.delay_per_conn.fill(Running::new());
@@ -217,7 +242,7 @@ impl MetricsCollector {
         // Aggregate jitter over connections that produced samples.
         let mut jitter = Running::new();
         let mut jitter_hist = LogHistogram::new(3);
-        for t in &self.jitter_per_conn {
+        for t in self.jitter_per_conn.iter().flatten() {
             jitter.merge(t.stats());
             jitter_hist.merge(t.histogram());
         }
@@ -538,6 +563,83 @@ mod tests {
         assert_eq!(m.jain_fairness(&[1.0, 1.0]), 1.0);
         let m0 = MetricsCollector::new(0, TimeBase::default());
         assert_eq!(m0.jain_fairness(&[]), 1.0);
+    }
+
+    /// Every number a report carries, floats as their bit patterns.
+    fn report_bits(r: &MetricsReport) -> Vec<u64> {
+        let mut bits = vec![r.qos_violations, r.frames_delivered];
+        bits.extend(
+            [
+                r.mean_frame_delay_us,
+                r.max_frame_delay_us,
+                r.p99_frame_delay_us,
+                r.mean_frame_jitter_us,
+                r.p99_frame_jitter_us,
+                r.max_frame_jitter_us,
+            ]
+            .map(f64::to_bits),
+        );
+        for c in &r.classes {
+            bits.extend([class_index(c.class) as u64, c.generated, c.delivered]);
+            bits.extend([c.mean_delay_us, c.p99_delay_us, c.max_delay_us].map(f64::to_bits));
+        }
+        bits
+    }
+
+    #[test]
+    fn frame_storage_only_where_frames_close_reports_the_same_bits() {
+        use mmr_sim::units::Bandwidth;
+        use mmr_traffic::connection::{ConnectionKind, ConnectionSpec, QosSpec};
+        let bw = Bandwidth::mbps(1.54);
+        let spec = |id: u32, class, kind| ConnectionSpec {
+            id: ConnectionId(id),
+            input: 0,
+            output: 1,
+            class,
+            qos: QosSpec::cbr(bw),
+            kind,
+            reserved_slots: 1,
+        };
+        let video = ConnectionKind::Vbr { sequence: 0 };
+        // CBR, MPEG-2 video, a CBR-fed mix group of class `Vbr`, video, CBR.
+        let specs = [
+            spec(0, TrafficClass::CbrLow, ConnectionKind::Cbr),
+            spec(1, TrafficClass::Vbr, video),
+            spec(2, TrafficClass::Vbr, ConnectionKind::Cbr),
+            spec(3, TrafficClass::Vbr, video),
+            spec(4, TrafficClass::CbrHigh, ConnectionKind::Cbr),
+        ];
+        let closes: Vec<bool> = specs.iter().map(ConnectionSpec::closes_frames).collect();
+        assert_eq!(closes, [false, true, false, true, false]);
+        let tb = TimeBase::default();
+        let mut lean = MetricsCollector::with_frames(tb, closes);
+        let mut full = MetricsCollector::new(specs.len(), tb);
+        lean.set_delay_bound(Some(400));
+        full.set_delay_bound(Some(400));
+        for m in [&mut lean, &mut full] {
+            for i in 0..300u64 {
+                let s = &specs[(i % 5) as usize];
+                let frame_end = s.closes_frames().then_some((i / 5) as u32);
+                let (gen, delay) = (i * 11, 40 + i * 37 % 700);
+                m.record_generated(s.class);
+                m.record_delivery(&delivery(s.id.0, gen, gen + delay, frame_end), s.class);
+            }
+        }
+        let (l, f) = (lean.report(), full.report());
+        assert!(l.frames_delivered > 0 && l.max_frame_jitter_us > 0.0);
+        assert_eq!(report_bits(&l), report_bits(&f));
+        lean.reset();
+        full.reset();
+        assert_eq!(report_bits(&lean.report()), report_bits(&full.report()));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "closed a frame but its collector was built without jitter storage")]
+    fn frame_end_without_jitter_storage_is_caught() {
+        let mut m = MetricsCollector::with_frames(TimeBase::default(), [true, false]);
+        m.record_delivery(&delivery(0, 0, 100, Some(0)), TrafficClass::Vbr);
+        m.record_delivery(&delivery(1, 0, 100, Some(0)), TrafficClass::Vbr);
     }
 
     #[test]

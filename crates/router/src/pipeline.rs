@@ -31,19 +31,26 @@
 //! golden result depends on those streams.
 //!
 //! **Allocation order.**  Set-up time is a benchmark metric, and glibc
-//! ties it to block placement: when a dropped router's ~270 `calloc`ed
-//! 4 KiB histograms (`MetricsCollector::new`) coalesce up to the heap
-//! top, the heap is trimmed and each later build page-faults it back.
-//! Histograms allocated *after* the core: `cbr4_sat` `setup_s` 1.23-1.64x
-//! the parent's at 3 of 20 seeds (11-14 k minor faults per benchmark
-//! round against 6-11 k); *before* it, under the core's many small
-//! blocks: 0.88-1.11x at all 20.  (A dropped router is the only source
-//! of such frees: `MetricsCollector::reset` works in place.)  So
-//! `Fabric::new` builds its metrics before its cores, the one-stage line
-//! (the single router) is built apart in exactly the order above, with
-//! no path tables (through the general path, `cbr4_armed` `setup_s`
-//! read 1.3-2.7x, with 2-5x the page faults), and [`SwitchCore::new`] frees no multi-KiB temporaries: `qos`
-//! and the sources are kept as passed, the two lookups are closures
+//! ties it to block placement: when a dropped router's many `calloc`ed
+//! 4 KiB histograms coalesce up to the heap top, the heap is trimmed and
+//! each later build page-faults it back.  Measured while every
+//! connection still carried a jitter histogram (213 per `cbr4_sat`
+//! router): histograms allocated *after* the core read `cbr4_sat`
+//! `setup_s` 1.23-1.64x the parent's at 3 of 20 seeds (11-14 k minor
+//! faults per benchmark round against 6-11 k); *before* it, under the
+//! core's many small blocks: 0.88-1.11x at all 20.  (A dropped router is
+//! the only source of such frees: `MetricsCollector::reset` works in
+//! place.)  Now only video connections get a jitter histogram
+//! (`ConnectionSpec::closes_frames`), so a CBR collector holds six
+//! histograms and `setup_s` fell 30-37 % on the five CBR workloads
+//! (`scripts/ab.sh`, 10 pairs each).  The 4 KiB blocks left are the
+//! video jitter trackers and, with telemetry armed, the observatory's
+//! per-connection delay histograms (213 on `cbr4_armed`), so the order
+//! stays: `Fabric::new` builds its metrics before its cores, the
+//! one-stage line (the single router) is built apart in exactly the
+//! order above, with no path tables (see `Fabric::single`), and
+//! [`SwitchCore::new`] frees no multi-KiB temporaries: `qos` and the
+//! sources are kept as passed, the two lookups are closures
 //! ([`Wiring`]), the per-input VC lists move into schedulers and NICs.
 //!
 //! The stage methods are `#[inline(always)]`: the closures must fold into

@@ -110,6 +110,14 @@ impl ConnectionSpec {
     pub fn iat_router_cycles(&self, tb: &mmr_sim::time::TimeBase) -> f64 {
         tb.flit_iat_router_cycles(self.qos.avg.as_bps())
     }
+
+    /// Whether this connection's flits can close a video frame: only an
+    /// MPEG-2 source (`ConnectionKind::Vbr`) emits frame ends.  A mix
+    /// group of class `Vbr` is fed at a constant rate and never does, so
+    /// this keys on the kind, not the class.
+    pub fn closes_frames(&self) -> bool {
+        matches!(self.kind, ConnectionKind::Vbr { .. })
+    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,10 @@
 # and which side goes first alternates from pair to pair.
 #
 #   scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs] [seconds]
+#   scripts/ab.sh <parent-checkout> <change-checkout> all [pairs] [seconds]
+#
+# The `all` form runs every workload BENCHMARK.json names, one after the
+# other, and ends with each workload's per-metric verdict block.
 #
 # Both checkouts are repository roots (the parent is typically a
 # `git clone` of the parent commit), each built into its own
@@ -22,8 +26,26 @@
 set -euo pipefail
 
 if (($# < 3)); then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
+fi
+
+if [[ "$3" == all ]]; then
+    log="$(mktemp)"
+    trap 'rm -f "$log"' EXIT
+    names="$(awk '/"workloads": *\[/ { on = 1; next }
+        on && /^ *\]/ { exit }
+        on && match($0, /"name": *"[^"]*"/) {
+            s = substr($0, RSTART, RLENGTH); sub(/"name": *"/, "", s); sub(/"$/, "", s); print s
+        }' "$2/BENCHMARK.json")"
+    for w in $names; do
+        bash "$0" "$1" "$2" "$w" "${@:4}" | tee -a "$log"
+    done
+    echo "# verdicts"
+    awk '/^# [a-z0-9_]+, / { w = $2; sub(/,$/, "", w) }
+        $1 == "sim_cycles_per_s" || $1 == "setup_s" || $1 == "peak_rss_mib" { m = $1; next }
+        /^ +(gain|LOSS|no resolved difference) / { sub(/^ +/, ""); printf "%-13s %-16s %s\n", w, m, $0 }' "$log"
+    exit 0
 fi
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"

@@ -29,7 +29,7 @@ use mmr_core::sim::log::EventLog;
 use mmr_core::sim::rng::SimRng;
 use mmr_core::sim::time::FlitCycle;
 use mmr_core::traffic::admission::RoundConfig;
-use mmr_core::traffic::workload::CbrMixBuilder;
+use mmr_core::traffic::workload::{CbrMixBuilder, VbrInjection, VbrMixBuilder};
 
 struct CountingAlloc;
 
@@ -101,6 +101,31 @@ fn random_fill(cs: &mut CandidateSet, rng: &mut SimRng) {
             });
         }
     }
+}
+
+/// Step `router` for `cycles` flit cycles from `from`, fast-forwarding
+/// quiescent gaps, and return the next cycle.  The same loop shape as
+/// `Runner::run_horizon`, inlined so a measured window can start mid-run.
+fn advance(
+    router: &mut MmrRouter,
+    from: u64,
+    cycles: u64,
+    measuring: bool,
+    skipped: &mut u64,
+) -> u64 {
+    let mut t = from;
+    let end = from + cycles;
+    while t < end {
+        router.step(FlitCycle(t), measuring);
+        let target = router.next_event(FlitCycle(t)).0.max(t + 1).min(end);
+        let gap = target - (t + 1);
+        if gap > 0 {
+            router.skip_quiescent(FlitCycle(t + 1), gap, measuring);
+            *skipped += gap;
+        }
+        t = target;
+    }
+    t
 }
 
 #[test]
@@ -330,6 +355,56 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
         );
     }
 
+    // --- Drained MPEG-2 VBR router ---------------------------------------
+    // Smooth-Rate video streams, one GOP each, start at random points of
+    // a GOP time, so the warm-up ends before most of them have closed a
+    // frame.  Their first frame ends, and with them the first writes to
+    // their jitter trackers, land in the measured region, which runs
+    // until the router is drained: frame storage must be in place from
+    // construction, not grown on a stream's first frame.
+    {
+        let cfg = RouterConfig::default();
+        let mut rng = SimRng::seed_from_u64(5);
+        let workload = VbrMixBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
+            .target_load(0.5)
+            .gops(1)
+            .injection(VbrInjection::SmoothRate)
+            .build(&mut rng);
+        let streams = workload.len() as u64;
+        let arbiter_ports = cfg.ports;
+        let mut router = MmrRouter::new(
+            cfg,
+            workload,
+            ArbiterKind::Coa.instantiate(arbiter_ports),
+            Box::new(Siabp),
+            5,
+        );
+        let mut skipped = 0u64;
+        let mut t = advance(&mut router, 0, 5_000, true, &mut skipped);
+        let warm_frames = router.summary().metrics.frames_delivered;
+        assert!(
+            2 * warm_frames < streams,
+            "warm-up closed {warm_frames} frames over {streams} streams"
+        );
+        router.on_measurement_start(FlitCycle(t));
+        let allocs = allocations_in(|| {
+            while !router.drained() {
+                t = advance(&mut router, t, 10_000, true, &mut skipped);
+            }
+        });
+        // One GOP is 15 frames (`IBBPBBPBBPBBPBB`).
+        let frames = router.summary().metrics.frames_delivered;
+        assert_eq!(
+            warm_frames + frames,
+            15 * streams,
+            "every stream's GOP must close by the time the router drains"
+        );
+        assert_eq!(
+            allocs, 0,
+            "drained VBR router step allocated {allocs} times over {frames} frames"
+        );
+    }
+
     // --- Router step with fault machinery armed ------------------------
     // A FaultPlan is installed (so every fault path — begin_cycle, the
     // credit watchdog, the pending-duplicate drain — runs each cycle) but
@@ -481,23 +556,6 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     // (A calendar rebuilt per skip would show up here as a Vec
     // allocation on every fast-forward.)
     {
-        fn advance(router: &mut MmrRouter, from: u64, cycles: u64, skipped: &mut u64) -> u64 {
-            // The same loop shape as Runner::run_horizon, inlined so the
-            // measured window can start mid-run.
-            let mut t = from;
-            let end = from + cycles;
-            while t < end {
-                router.step(FlitCycle(t), false);
-                let target = router.next_event(FlitCycle(t)).0.max(t + 1).min(end);
-                let gap = target - (t + 1);
-                if gap > 0 {
-                    router.skip_quiescent(FlitCycle(t + 1), gap, false);
-                    *skipped += gap;
-                }
-                t = target;
-            }
-            t
-        }
         let cfg = RouterConfig::default();
         let mut rng = SimRng::seed_from_u64(5);
         let workload = CbrMixBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
@@ -517,10 +575,10 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             ..TelemetryConfig::default()
         });
         let mut skipped = 0u64;
-        let t = advance(&mut router, 0, 5_000, &mut skipped);
+        let t = advance(&mut router, 0, 5_000, false, &mut skipped);
         skipped = 0;
         let allocs = allocations_in(|| {
-            advance(&mut router, t, 20_000, &mut skipped);
+            advance(&mut router, t, 20_000, false, &mut skipped);
         });
         assert!(
             skipped > 5_000,
@@ -620,8 +678,9 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     // --- Measurement reset ------------------------------------------------
     // `MetricsCollector::reset` runs inside every timed run, at the
     // warm-up boundary.  At the 16-router mesh's scale — 830 connections,
-    // some of them video, so class, frame and per-connection jitter
-    // histograms all hold samples — it must reuse every buffer it has.
+    // every fifth of them video and built with frame storage, so class,
+    // frame and per-connection jitter histograms all hold samples — it
+    // must reuse every buffer it has.
     {
         use mmr_core::router::metrics::{MetricsCollector, ALL_CLASSES};
         use mmr_core::router::output::Delivery;
@@ -629,14 +688,16 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
         use mmr_core::traffic::connection::ConnectionId;
         use mmr_core::traffic::flit::Flit;
         let conns = 830u32;
-        let mut metrics = MetricsCollector::new(conns as usize, TimeBase::default());
+        let video = |conn: u32| conn.is_multiple_of(5);
+        let collector =
+            || MetricsCollector::with_frames(TimeBase::default(), (0..conns).map(video));
+        let mut metrics = collector();
         metrics.set_delay_bound(Some(900));
         for i in 0..20_000u64 {
             let conn = ConnectionId((i * 7 % conns as u64) as u32);
             let generated = RouterCycle(i * 3);
-            // Every fifth connection is video: each of its flits closes
-            // a frame.
-            let flit = if conn.0.is_multiple_of(5) {
+            // Each flit of a video connection closes a frame.
+            let flit = if video(conn.0) {
                 Flit::vbr(conn, i, generated, (i / conns as u64) as u32, true)
             } else {
                 Flit::cbr(conn, i, generated)
@@ -663,8 +724,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             allocs, 0,
             "MetricsCollector::reset allocated {allocs} times"
         );
-        let fresh = MetricsCollector::new(conns as usize, TimeBase::default());
-        assert_eq!(metrics.report(), fresh.report());
+        assert_eq!(metrics.report(), collector().report());
         assert!(metrics.delivered_per_connection().iter().all(|&d| d == 0));
     }
 
