@@ -1238,9 +1238,10 @@ impl Fabric {
     /// block placement ("Allocation order", pipeline docs): through the
     /// general path, `cbr4_armed` `setup_s` read 1.3–2.7× the router's,
     /// with 2–5× the page faults.  With jitter histograms for video
-    /// connections only it still read 12.2 / 12.7 ms against 6.0 ms;
-    /// the armed observatory's 213 per-connection delay histograms are
-    /// the likely remaining trigger.
+    /// connections only it still read 12.8 ms against 3.9 ms (median of
+    /// 6 pairs, `scripts/ab.sh`), while unarmed `cbr4_sat` read 2.3 ms
+    /// against 2.2 ms: the armed observatory's 213 per-connection delay
+    /// histograms are the likely remaining trigger.
     fn single(
         cfg: FabricConfig,
         specs: Vec<ConnectionSpec>,
