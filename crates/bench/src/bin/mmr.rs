@@ -25,8 +25,9 @@
 //! claim ids unique across packs, cross-pack panels resolvable — and
 //! prints the catalog without simulating.
 //!
-//! `mmr run --config` checks the router half of the config
-//! (`RouterConfig::check`) and exits 2 naming the bad field.
+//! `mmr run --config` checks the router (`RouterConfig::check`) and, when
+//! present, the fabric (`FabricConfig::check`) and exits 2 naming the bad
+//! field.
 
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overview};
@@ -182,6 +183,9 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
         cfg.seed = parse_u64(v);
     }
     or_exit(cfg.router.check());
+    if let Some(fabric) = cfg.fabric {
+        or_exit(fabric.to_config(cfg.router).check());
+    }
     cfg
 }
 

@@ -1,11 +1,13 @@
-//! `mmr run --config` refuses a router it cannot build: exit 2 and the
-//! bad field named on stderr, never a panic inside `MmrRouter::new`.
-//! `mmr gate --pack` writes a router pack's four artifacts.
+//! `mmr run --config` refuses a router or fabric it cannot build: exit 2
+//! and the bad field named on stderr, never a panic inside
+//! `MmrRouter::new` or `Fabric::new`.  `mmr gate --pack` writes a router
+//! pack's four artifacts.
 
-use mmr_core::config::SimConfig;
+use mmr_core::config::{FabricSpec, SimConfig};
 use mmr_core::router::config::{
     LinkPolicy, RouterConfig, MAX_CANDIDATE_LEVELS, MAX_VC_BUFFER_FLITS,
 };
+use mmr_core::router::fabric::Topology;
 use mmr_core::sim::telemetry::recorder::{FlightRecorder, TraceKind};
 use mmr_core::sim::telemetry::validate_exposition;
 use std::process::Command;
@@ -59,14 +61,52 @@ fn run_config_with_a_bad_router_exits_2_naming_the_field() {
         ),
         (low_concurrency, "concurrency factor"),
     ];
-    let dir = std::env::temp_dir().join(format!("mmr-cli-test-{}", std::process::id()));
+    let cases = cases.map(|(router, expected)| {
+        (
+            SimConfig {
+                router,
+                ..SimConfig::default()
+            },
+            expected,
+        )
+    });
+    assert_run_config_exits_2("router", cases);
+}
+
+#[test]
+fn run_config_with_a_bad_fabric_exits_2_naming_the_field() {
+    let ring = FabricSpec::new(Topology::Ring { nodes: 4 });
+    let fabric = |spec: FabricSpec| SimConfig::default().with_fabric(spec);
+    let cases = [
+        (
+            fabric(FabricSpec::new(Topology::Ring { nodes: 1 })),
+            "ring needs at least two nodes",
+        ),
+        (
+            fabric(FabricSpec {
+                link_latency: 0,
+                ..ring
+            }),
+            "links need at least one cycle",
+        ),
+        (
+            fabric(FabricSpec {
+                host_ports: 0,
+                ..ring
+            }),
+            "at least one host port",
+        ),
+    ];
+    assert_run_config_exits_2("fabric", cases);
+}
+
+/// Write each config to a file, run `mmr run --config` on it, and expect
+/// exit 2 with the paired message on stderr.
+fn assert_run_config_exits_2<const N: usize>(tag: &str, cases: [(SimConfig, &str); N]) {
+    let dir = std::env::temp_dir().join(format!("mmr-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (i, (router, expected)) in cases.into_iter().enumerate() {
+    for (i, (cfg, expected)) in cases.into_iter().enumerate() {
         let path = dir.join(format!("sim{i}.json"));
-        let cfg = SimConfig {
-            router,
-            ..SimConfig::default()
-        };
         std::fs::write(
             &path,
             serde_json::to_string(&cfg).expect("config serializes"),

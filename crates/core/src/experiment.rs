@@ -57,6 +57,8 @@ impl ExperimentResult {
     }
 
     /// As [`Self::prometheus`], appending into a caller-owned buffer.
+    /// Performs no heap allocation once `out` has grown to its working
+    /// size, so a scrape loop can reuse one buffer.
     pub fn prometheus_into(&self, out: &mut String) {
         let Some(t) = &self.telemetry else { return };
         t.write_prometheus(out, self.config.router.time.router_cycle_secs());

@@ -407,6 +407,17 @@ struct VcRoute {
     class: TrafficClass,
 }
 
+/// One hop of a reserved path, as the builder lays it out.
+#[derive(Clone, Copy)]
+struct Hop {
+    conn: u32,
+    node: u32,
+    /// The in port the connection enters the node on.
+    inp: u32,
+    /// The node-local VC the hop occupies.
+    vc: u32,
+}
+
 /// The connection a node's traffic source feeds.
 #[derive(Debug, Clone, Copy)]
 struct Feed {
@@ -935,10 +946,6 @@ impl Fabric {
             sources,
             ..
         } = workload;
-        if cfg.topology == (Topology::Line { stages: 1 }) {
-            let (arbiter, priority_fn) = switch();
-            return Fabric::single(cfg, specs, sources, arbiter, priority_fn, seed);
-        }
         let n = specs.len();
         let nnodes = cfg.topology.node_count();
         let degree = cfg.topology.degree();
@@ -1012,31 +1019,44 @@ impl Fabric {
             in_start[nd + 1] += in_start[nd];
         }
         // Node-local lookup: out port -> local out-link index, in port
-        // -> local in-link index.
-        let mut out_of_port = vec![vec![u32::MAX; node_ports]; nnodes];
-        let mut in_of_port = vec![vec![u32::MAX; node_ports]; nnodes];
+        // -> local in-link index, node `nd`'s at `nd * node_ports + port`.
+        let mut out_of_port = vec![u32::MAX; nnodes * node_ports];
+        let mut in_of_port = vec![u32::MAX; nnodes * node_ports];
         for (slot, &l) in out_order.iter().enumerate() {
             let (from, port, _, _) = links[l];
-            out_of_port[from][port] = (slot - out_start[from]) as u32;
+            out_of_port[from * node_ports + port] = (slot - out_start[from]) as u32;
         }
         for (slot, &l) in in_order.iter().enumerate() {
             let (_, _, to, port) = links[l];
-            in_of_port[to][port] = (slot - in_start[to]) as u32;
+            in_of_port[to * node_ports + port] = (slot - in_start[to]) as u32;
         }
 
-        // ---- Reserved paths: (node, in port, out port) per hop, the hops
-        // of connection `c` at `hop_start[c]..hop_start[c + 1]`. ---------
+        // ---- Reserved paths: connection `c`'s hops are
+        // `path_start[c]..path_start[c + 1]`, hop `h` leaves its node on
+        // `path_out[h]`, and a hop's local VC numbers the hops through
+        // its node in connection order. -----------------------------------
         let mut path_rng = SimRng::seed_from_u64(seed ^ 0x4C49_4E45);
-        let mut hops: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
-        let mut hop_start = Vec::with_capacity(n + 1);
+        let mut hops: Vec<Hop> = Vec::with_capacity(n);
+        let mut path_out = Vec::with_capacity(n);
+        let mut path_start = Vec::with_capacity(n + 1);
+        let (mut visits, mut sourced) = (vec![0u32; nnodes], vec![0usize; nnodes]);
         for (i, s) in specs.iter().enumerate() {
             assert_eq!(s.id.idx(), i, "connection ids must be dense");
             assert!(
                 s.input < workload_ports && s.output < workload_ports,
                 "spec port outside the fabric's workload port space"
             );
-            hop_start.push(hops.len());
-            let h = &mut hops;
+            path_start.push(hops.len());
+            let mut hop = |node: usize, inp: usize, out: usize| {
+                hops.push(Hop {
+                    conn: i as u32,
+                    node: node as u32,
+                    inp: inp as u32,
+                    vc: visits[node],
+                });
+                visits[node] += 1;
+                path_out.push(out);
+            };
             match cfg.topology {
                 Topology::Line { stages } => {
                     // One draw per intermediate hop, in connection
@@ -1048,7 +1068,7 @@ impl Fabric {
                         } else {
                             path_rng.index(node_ports)
                         };
-                        h.push((stage, inp, out));
+                        hop(stage, inp, out);
                         inp = out;
                     }
                 }
@@ -1065,7 +1085,7 @@ impl Fabric {
                     let mut node = src;
                     let mut inp = degree + hm.slot_of(s.input);
                     for d in &route {
-                        h.push((node, inp, d.index()));
+                        hop(node, inp, d.index());
                         node = {
                             let (nx, ny) = (node % gx, node / gx);
                             match d {
@@ -1077,29 +1097,21 @@ impl Fabric {
                         };
                         inp = d.opposite().index();
                     }
-                    h.push((node, inp, degree + hm.slot_of(s.output)));
+                    hop(node, inp, degree + hm.slot_of(s.output));
                 }
             }
+            sourced[hops[path_start[i]].node as usize] += 1;
         }
-        hop_start.push(hops.len());
-        let path_out: Vec<usize> = hops.iter().map(|&(_, _, out)| out).collect();
-
-        // ---- Local VC spaces: the (connection, hop) pairs traversing
-        // each node, in global connection order, and each hop's local
-        // VC. ----------------------------------------------------------
-        // Sized up front, like everything built here: set-up time is a
-        // benchmark metric.
-        let (mut visits, mut sourced) = (vec![0usize; nnodes], vec![0usize; nnodes]);
-        hops.iter().for_each(|&(node, _, _)| visits[node] += 1);
-        (0..n).for_each(|conn| sourced[hops[hop_start[conn]].0] += 1);
-        let mut local_conns: Vec<Vec<(usize, usize)>> =
-            visits.iter().map(|&k| Vec::with_capacity(k)).collect();
-        let mut local_of: Vec<u32> = Vec::with_capacity(hops.len());
-        for (conn, w) in hop_start.windows(2).enumerate() {
-            for (h, &(node, _, _)) in (w[0]..w[1]).zip(&hops[w[0]..w[1]]) {
-                local_of.push(local_conns[node].len() as u32);
-                local_conns[node].push((conn, h));
-            }
+        path_start.push(hops.len());
+        // Each node's hops in local VC order: node `nd`'s are
+        // `by_node[node_first[nd]..node_first[nd + 1]]`.
+        let mut node_first = vec![0usize; nnodes + 1];
+        for nd in 0..nnodes {
+            node_first[nd + 1] = node_first[nd] + visits[nd] as usize;
+        }
+        let mut by_node = vec![0u32; hops.len()];
+        for (h, hop) in hops.iter().enumerate() {
+            by_node[node_first[hop.node as usize] + hop.vc as usize] = h as u32;
         }
 
         // ---- Per-node construction: each node is one `SwitchCore`
@@ -1111,67 +1123,58 @@ impl Fabric {
             1 => SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
             _ => arb_base.split(nd as u64),
         };
-        // Histograms before the cores ("Allocation order", pipeline docs).
-        let ledger = Ledger {
-            metrics: MetricsCollector::with_frames(
-                cfg.router.time,
-                specs.iter().map(ConnectionSpec::closes_frames),
-            ),
-            outputs: OutputPorts::new(workload_ports),
-            link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
-            specs,
-            generated_total: 0,
-            delivered_total: 0,
-            generation_ended_at: None,
-            delivered_in_window: 0,
-        };
-        let specs = &ledger.specs;
         // Per node: its sources and the connection each one feeds.
         type NodeSources = (Vec<Box<dyn TrafficSource + Send>>, Vec<u32>);
         let mut node_sources: Vec<NodeSources> = (sourced.iter())
             .map(|&k| (Vec::with_capacity(k), Vec::with_capacity(k)))
             .collect();
         for (conn, src) in sources.into_iter().enumerate() {
-            let (srcs, conns) = &mut node_sources[hops[hop_start[conn]].0];
+            let (srcs, conns) = &mut node_sources[hops[path_start[conn]].node as usize];
             srcs.push(src);
             conns.push(conn as u32);
         }
 
         let mut nodes = Vec::with_capacity(nnodes);
         for (nd, (sources, source_conn)) in node_sources.into_iter().enumerate() {
-            let locals = &local_conns[nd];
+            let locals = &by_node[node_first[nd]..node_first[nd + 1]];
             let nloc = locals.len();
             let mut qos = Vec::with_capacity(nloc);
             let mut route = Vec::with_capacity(nloc);
-            for &(conn, h) in locals {
-                let class = specs[conn].class;
-                let (_, inp, out) = hops[h];
+            for &h in locals {
+                let h = h as usize;
+                let (Hop { conn, inp, .. }, out) = (hops[h], path_out[h]);
+                let (conn, inp) = (conn as usize, inp as usize);
+                let spec = &specs[conn];
                 qos.push(VcQosInfo {
                     output: out,
-                    reserved_slots: specs[conn].reserved_slots,
-                    iat_rc: specs[conn].iat_router_cycles(&cfg.router.time),
+                    reserved_slots: spec.reserved_slots,
+                    iat_rc: spec.iat_router_cycles(&cfg.router.time),
                 });
-                let next = if h + 1 == hop_start[conn + 1] {
+                let next = if h + 1 == path_start[conn + 1] {
                     HopNext::Deliver
                 } else {
                     HopNext::Forward {
-                        out: out_of_port[nd][out],
-                        next_vc: local_of[h + 1],
+                        out: out_of_port[nd * node_ports + out],
+                        next_vc: hops[h + 1].vc,
                     }
                 };
                 debug_assert!(
                     !matches!(next, HopNext::Forward { out: u32::MAX, .. }),
                     "route uses an unwired out port"
                 );
-                let back = if h == hop_start[conn] {
+                let back = if h == path_start[conn] {
                     HopBack::Nic
                 } else {
                     HopBack::Wire {
-                        link: in_of_port[nd][inp],
-                        up_vc: local_of[h - 1],
+                        link: in_of_port[nd * node_ports + inp],
+                        up_vc: hops[h - 1].vc,
                     }
                 };
-                route.push(VcRoute { next, back, class });
+                route.push(VcRoute {
+                    next,
+                    back,
+                    class: spec.class,
+                });
             }
             let (arbiter, priority_fn) = switch();
             let core = SwitchCore::new(
@@ -1179,8 +1182,8 @@ impl Fabric {
                 qos,
                 sources,
                 Wiring {
-                    input_of_vc: |vc: usize| hops[locals[vc].1].1,
-                    vc_of_source: |i: usize| local_of[hop_start[source_conn[i] as usize]] as usize,
+                    input_of_vc: |vc: usize| hops[locals[vc] as usize].inp as usize,
+                    vc_of_source: |i: usize| hops[path_start[source_conn[i] as usize]].vc as usize,
                 },
                 arbiter,
                 priority_fn,
@@ -1219,115 +1222,18 @@ impl Fabric {
             flit_rx: (0..nlinks).map(|_| Rx::new()).collect(),
             cred_out: (0..nlinks).map(|_| Vec::new()).collect(),
             cred_rx: (0..nlinks).map(|_| Rx::new()).collect(),
-            ledger,
-            path_out,
-            path_start: hop_start,
-            timing: Timing {
-                rc_per_flit,
-                crossing_rc: cfg.router.crossing_latency_flits * rc_per_flit,
-                link_latency: cfg.link_latency,
-            },
-            cfg,
-        }
-    }
-
-    /// The one-stage line: the single router.  Built apart from the
-    /// general path, with no path tables, in the order the single router
-    /// always allocated — per-VC QoS, histograms, core, then the rest —
-    /// because set-up time is a benchmark metric and glibc ties it to
-    /// block placement ("Allocation order", pipeline docs): through the
-    /// general path, `cbr4_armed` `setup_s` read 1.3–2.7× the router's,
-    /// with 2–5× the page faults.  With jitter histograms for video
-    /// connections only it still read 12.8 ms against 3.9 ms (median of
-    /// 6 pairs, `scripts/ab.sh`), while unarmed `cbr4_sat` read 2.3 ms
-    /// against 2.2 ms: the armed observatory's 213 per-connection delay
-    /// histograms are the likely remaining trigger.
-    fn single(
-        cfg: FabricConfig,
-        specs: Vec<ConnectionSpec>,
-        sources: Vec<Box<dyn TrafficSource + Send>>,
-        arbiter: Box<dyn SwitchScheduler>,
-        priority_fn: Box<dyn LinkPriority>,
-        seed: u64,
-    ) -> Self {
-        let (n, ports) = (specs.len(), cfg.router.ports);
-        for (i, s) in specs.iter().enumerate() {
-            assert_eq!(s.id.idx(), i, "connection ids must be dense");
-            assert!(s.input < ports && s.output < ports, "ports out of range");
-        }
-        let qos = (specs.iter())
-            .map(|s| VcQosInfo {
-                output: s.output,
-                reserved_slots: s.reserved_slots,
-                iat_rc: s.iat_router_cycles(&cfg.router.time),
-            })
-            .collect();
-        let metrics = MetricsCollector::with_frames(
-            cfg.router.time,
-            specs.iter().map(ConnectionSpec::closes_frames),
-        );
-        let core = SwitchCore::new(
-            &cfg.router,
-            qos,
-            sources,
-            Wiring {
-                input_of_vc: |vc: usize| specs[vc].input,
-                vc_of_source: |i| i,
-            },
-            arbiter,
-            priority_fn,
-            SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
-        );
-        let outputs = OutputPorts::new(ports);
-        let (faults, telemetry) = (FaultState::inactive(ports, n), RouterTelemetry::disabled());
-        let route = (specs.iter())
-            .map(|s| VcRoute {
-                next: HopNext::Deliver,
-                back: HopBack::Nic,
-                class: s.class,
-            })
-            .collect();
-        let feeds = (specs.iter())
-            .map(|s| Feed {
-                conn: s.id,
-                class: s.class,
-            })
-            .collect();
-        let node = FabricNode {
-            core,
-            credits_down: CreditBank::new(n, cfg.router.vc_buffer_flits as u32),
-            route,
-            feeds,
-            out_count: 0,
-            in_count: 0,
-            events: Vec::with_capacity(ports),
-            committed: 0,
-            generated: [0; CLASS_COUNT],
-            horizon: 0,
-            exhausted_at: None,
-            faults,
-            telemetry,
-        };
-        let rc_per_flit = cfg.router.router_cycles_per_flit();
-        Fabric {
-            nodes: vec![node],
-            in_start: vec![0, 0],
-            flit_out: Vec::new(),
-            flit_rx: Vec::new(),
-            cred_out: Vec::new(),
-            cred_rx: Vec::new(),
-            path_out: specs.iter().map(|s| s.output).collect(),
-            path_start: (0..=n).collect(),
             ledger: Ledger {
+                metrics: MetricsCollector::new(n, cfg.router.time),
+                outputs: OutputPorts::new(workload_ports),
+                link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
                 specs,
-                link_slots: Vec::new(),
-                metrics,
-                outputs,
                 generated_total: 0,
                 delivered_total: 0,
                 generation_ended_at: None,
                 delivered_in_window: 0,
             },
+            path_out,
+            path_start,
             timing: Timing {
                 rc_per_flit,
                 crossing_rc: cfg.router.crossing_latency_flits * rc_per_flit,

@@ -4,7 +4,8 @@
 //! *and worst-case* delay per traffic class — so scalar counters are not
 //! enough.  The observatory records three [`LogHistogram`] channels per
 //! traffic class (end-to-end delay, inter-flit jitter, VC-queue
-//! residency) plus a per-connection delay histogram, and tracks SLO
+//! residency) plus a per-connection delay histogram (one
+//! [`LogHistogramBank`] row per connection), and tracks SLO
 //! compliance against a configurable delay bound:
 //!
 //! * **Delay-bound violations** — deliveries of guaranteed-class flits
@@ -21,7 +22,7 @@
 //! off, allocation-free and perturbation-free when armed.
 
 use crate::metrics::{class_index, ALL_CLASSES, CLASS_COUNT};
-use mmr_sim::stats::LogHistogram;
+use mmr_sim::stats::{LogHistogram, LogHistogramBank};
 use mmr_traffic::connection::TrafficClass;
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +108,7 @@ pub struct Observatory {
     class_violations: [u64; CLASS_COUNT],
     // Per-connection state, indexed by global connection index.
     conn_class: Vec<TrafficClass>,
-    conn_delay: Vec<LogHistogram>,
+    conn_delay: LogHistogramBank,
     conn_last_delay: Vec<u64>,
     conn_violations: Vec<u64>,
     // SLO window tracking.
@@ -127,7 +128,7 @@ impl Observatory {
             class_residency: Vec::new(),
             class_violations: [0; CLASS_COUNT],
             conn_class: Vec::new(),
-            conn_delay: Vec::new(),
+            conn_delay: LogHistogramBank::new(0),
             conn_last_delay: Vec::new(),
             conn_violations: Vec::new(),
             be_starved_windows: 0,
@@ -137,8 +138,8 @@ impl Observatory {
     }
 
     /// Arm for `conn_classes.len()` connections.  Every buffer — one
-    /// histogram per class channel, one per connection — is allocated
-    /// here; the record path never allocates.
+    /// histogram per class channel, one bank row per connection — is
+    /// allocated here; the record path never allocates.
     pub fn armed(delay_bound_rc: u64, conn_classes: &[TrafficClass]) -> Self {
         let n = conn_classes.len();
         Observatory {
@@ -149,23 +150,13 @@ impl Observatory {
             class_residency: (0..CLASS_COUNT).map(|_| LogHistogram::default()).collect(),
             class_violations: [0; CLASS_COUNT],
             conn_class: conn_classes.to_vec(),
-            conn_delay: (0..n).map(|_| LogHistogram::default()).collect(),
+            conn_delay: LogHistogramBank::new(n),
             conn_last_delay: vec![NO_DELAY; n],
             conn_violations: vec![0; n],
             be_starved_windows: 0,
             be_starved_cycles: 0,
             windows_observed: 0,
         }
-    }
-
-    /// Whether the hooks record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The armed delay bound (router cycles).
-    pub fn delay_bound_rc(&self) -> u64 {
-        self.delay_bound_rc
     }
 
     /// Record one delivery.  Returns `true` when it violated the delay
@@ -185,7 +176,7 @@ impl Observatory {
         let i = class_index(class);
         self.class_delay[i].record(delay_rc);
         self.class_residency[i].record(residency_rc);
-        self.conn_delay[conn].record(delay_rc);
+        self.conn_delay.record(conn, delay_rc);
         let last = self.conn_last_delay[conn];
         if last != NO_DELAY {
             self.class_jitter[i].record(delay_rc.abs_diff(last));
@@ -213,26 +204,6 @@ impl Observatory {
             self.be_starved_windows += 1;
             self.be_starved_cycles += window_cycles;
         }
-    }
-
-    /// Per-class delay histogram (router cycles).
-    pub fn class_delay(&self, class: TrafficClass) -> &LogHistogram {
-        &self.class_delay[class_index(class)]
-    }
-
-    /// Per-class jitter histogram (router cycles).
-    pub fn class_jitter(&self, class: TrafficClass) -> &LogHistogram {
-        &self.class_jitter[class_index(class)]
-    }
-
-    /// Per-class queue-residency histogram (router cycles).
-    pub fn class_residency(&self, class: TrafficClass) -> &LogHistogram {
-        &self.class_residency[class_index(class)]
-    }
-
-    /// Delay-bound violations recorded for `class`.
-    pub fn class_violations(&self, class: TrafficClass) -> u64 {
-        self.class_violations[class_index(class)]
     }
 
     /// Aggregate SLO figures so far.
@@ -265,20 +236,20 @@ impl Observatory {
                 }
             })
             .collect();
-        let connections = self
-            .conn_delay
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(conn, h)| ConnectionObservation {
-                connection: conn as u32,
-                class: self.conn_class[conn],
-                delivered: h.count(),
-                mean_delay_rc: h.mean(),
-                p50_delay_rc: h.quantile(0.5).unwrap_or(0),
-                p99_delay_rc: h.quantile(0.99).unwrap_or(0),
-                max_delay_rc: h.max(),
-                slo_violations: self.conn_violations[conn],
+        let connections = (0..self.conn_delay.rows())
+            .filter(|&conn| self.conn_delay.count(conn) > 0)
+            .map(|conn| {
+                let h = self.conn_delay.row(conn);
+                ConnectionObservation {
+                    connection: conn as u32,
+                    class: self.conn_class[conn],
+                    delivered: h.count(),
+                    mean_delay_rc: h.mean(),
+                    p50_delay_rc: h.quantile(0.5).unwrap_or(0),
+                    p99_delay_rc: h.quantile(0.99).unwrap_or(0),
+                    max_delay_rc: h.max(),
+                    slo_violations: self.conn_violations[conn],
+                }
             })
             .collect();
         Some(ObservatoryReport {

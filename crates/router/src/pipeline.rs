@@ -30,28 +30,17 @@
 //! a larger fabric takes split *k* of `seed ^ 0x6E65_7477`, and every
 //! golden result depends on those streams.
 //!
-//! **Allocation order.**  Set-up time is a benchmark metric, and glibc
-//! ties it to block placement: when a dropped router's many `calloc`ed
-//! 4 KiB histograms coalesce up to the heap top, the heap is trimmed and
-//! each later build page-faults it back.  Measured while every
-//! connection still carried a jitter histogram (213 per `cbr4_sat`
-//! router): histograms allocated *after* the core read `cbr4_sat`
-//! `setup_s` 1.23-1.64x the parent's at 3 of 20 seeds (11-14 k minor
-//! faults per benchmark round against 6-11 k); *before* it, under the
-//! core's many small blocks: 0.88-1.11x at all 20.  (A dropped router is
-//! the only source of such frees: `MetricsCollector::reset` works in
-//! place.)  Now only video connections get a jitter histogram
-//! (`ConnectionSpec::closes_frames`), so a CBR collector holds six
-//! histograms and `setup_s` fell 30-37 % on the five CBR workloads
-//! (`scripts/ab.sh`, 10 pairs each).  The 4 KiB blocks left are the
-//! video jitter trackers and, with telemetry armed, the observatory's
-//! per-connection delay histograms (213 on `cbr4_armed`), so the order
-//! stays: `Fabric::new` builds its metrics before its cores, the
-//! one-stage line (the single router) is built apart in exactly the
-//! order above, with no path tables (see `Fabric::single`), and
-//! [`SwitchCore::new`] frees no multi-KiB temporaries: `qos` and the
-//! sources are kept as passed, the two lookups are closures
-//! ([`Wiring`]), the per-input VC lists move into schedulers and NICs.
+//! **Histogram storage.**  A histogram family that grows with the
+//! connection count is one block: the observatory's per-connection delay
+//! histograms are one [`LogHistogramBank`](mmr_sim::stats::LogHistogramBank),
+//! frame jitter is one aggregate histogram in the metrics collector.
+//! Never a `Vec` of per-connection 4 KiB histograms, because of glibc:
+//! a dropped router's hundreds of separately freed 4 KiB blocks coalesce
+//! at the heap top, glibc trims the top once it passes its 128 KiB trim
+//! threshold, and the next build page-faults it back, so set-up time (a
+//! benchmark metric) hung on allocation order.  With that storage gone,
+//! every topology — the one-node line (the single router) included — is
+//! built by one builder, in one order, and no order is load-bearing.
 //!
 //! The stage methods are `#[inline(always)]`: the closures must fold into
 //! the adapter's step, and plain `#[inline]` left the same shape out of

@@ -79,20 +79,6 @@ impl MmrRouter {
         node.telemetry.report(node.core.arbiter.kernel_stats())
     }
 
-    /// Append a Prometheus text exposition of the live telemetry state
-    /// (counters, stage profile, kernel probe, observatory histograms)
-    /// to `out`.  Histogram values are exposed in seconds.  Performs no
-    /// heap allocation once `out` has grown to its working size, so a
-    /// scrape loop can reuse one buffer.
-    pub fn prometheus_into(&self, out: &mut String) {
-        let node = self.node();
-        node.telemetry.write_prometheus(
-            out,
-            &node.core.arbiter.kernel_stats(),
-            self.config().time.router_cycle_secs(),
-        );
-    }
-
     /// Fingerprint of the arbiter RNG's stream position: equal
     /// fingerprints mean the two routers consumed identical draw
     /// sequences.  Used by determinism tests to prove telemetry never

@@ -20,8 +20,9 @@
 //! telemetry can never perturb simulation results, only observe them.
 
 use crate::metrics::{class_index, ALL_CLASSES, CLASS_COUNT};
-use crate::observatory::{Observatory, ObservatoryReport};
+use crate::observatory::{ClassObservation, Observatory, ObservatoryReport};
 use mmr_arbiter::scheduler::KernelStats;
+use mmr_sim::stats::LogHistogram;
 use mmr_sim::telemetry::{
     expose, Clock, CounterId, CounterSample, FlightRecorder, MonotonicClock, NullClock, Registry,
     SnapshotRing, StageId, StageProfiler, StageSample, TraceEvent,
@@ -238,11 +239,11 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Render this report as a Prometheus text exposition.  `scale`
+    /// Render this report as a Prometheus text exposition: counters,
+    /// stage profile, kernel probe and observatory histograms.  `scale`
     /// converts router cycles to the exposed unit — pass the time base's
-    /// `router_cycle_secs()` to expose seconds.  Produces the same
-    /// families as [`RouterTelemetry::write_prometheus`], but from the
-    /// owned snapshot (usable after the router is gone).
+    /// `router_cycle_secs()` to expose seconds.  Performs no heap
+    /// allocation once `out` has grown to its working size.
     pub fn write_prometheus(&self, out: &mut String, scale: f64) {
         expose::write_counters(
             out,
@@ -256,106 +257,51 @@ impl TelemetryReport {
                 .iter()
                 .map(|s| (s.name.as_str(), s.calls, s.work, s.wall_ns)),
         );
-        write_kernel_prometheus(out, &self.kernel);
+        expose::write_counters(
+            out,
+            "mmr_kernel",
+            [
+                ("matchings", self.kernel.matchings),
+                ("grants", self.kernel.grants),
+                ("candidates_examined", self.kernel.candidates_examined),
+                ("conflicts_retired", self.kernel.conflicts_retired),
+                ("iterations", self.kernel.iterations),
+            ]
+            .into_iter(),
+        );
         if let Some(obs) = &self.observatory {
-            write_observatory_prometheus(
-                out,
-                scale,
-                obs.slo.delay_bound_rc,
-                obs.slo.violations_total,
-                obs.slo.best_effort_starved_windows,
-                obs.slo.best_effort_starved_cycles,
-                obs.slo.windows_observed,
-                obs.classes
-                    .iter()
-                    .map(|c| (c.class, &c.delay, &c.jitter, &c.residency, c.slo_violations)),
-            );
+            write_observatory_prometheus(out, scale, obs);
         }
     }
 }
 
-/// Arbitration-kernel counter families.
-fn write_kernel_prometheus(out: &mut String, kernel: &KernelStats) {
-    expose::write_counters(
-        out,
-        "mmr_kernel",
-        [
-            ("matchings", kernel.matchings),
-            ("grants", kernel.grants),
-            ("candidates_examined", kernel.candidates_examined),
-            ("conflicts_retired", kernel.conflicts_retired),
-            ("iterations", kernel.iterations),
-        ]
-        .into_iter(),
-    );
-}
+/// One observatory histogram channel of a [`ClassObservation`].
+type Channel = fn(&ClassObservation) -> &LogHistogram;
 
-/// Observatory families: per-class histograms and SLO counters.  Shared
-/// between the live writer (borrowing the [`Observatory`]) and the
-/// report writer (borrowing an [`ObservatoryReport`]).
-#[allow(clippy::too_many_arguments)]
-fn write_observatory_prometheus<'a>(
-    out: &mut String,
-    scale: f64,
-    delay_bound_rc: u64,
-    violations_total: u64,
-    starved_windows: u64,
-    starved_cycles: u64,
-    windows_observed: u64,
-    classes: impl Iterator<
-            Item = (
-                TrafficClass,
-                &'a mmr_sim::stats::LogHistogram,
-                &'a mmr_sim::stats::LogHistogram,
-                &'a mmr_sim::stats::LogHistogram,
-                u64,
-            ),
-        > + Clone,
-) {
-    expose::write_header(
-        out,
-        "mmr_delay_seconds",
-        "End-to-end flit delay per traffic class.",
-        "histogram",
-    );
-    for (class, delay, _, _, _) in classes.clone() {
-        expose::write_histogram(
-            out,
+/// Observatory families: per-class histograms and SLO counters.
+fn write_observatory_prometheus(out: &mut String, scale: f64, obs: &ObservatoryReport) {
+    let channels: [(&str, &str, Channel); 3] = [
+        (
             "mmr_delay_seconds",
-            &[("class", class.label())],
-            delay,
-            scale,
-        );
-    }
-    expose::write_header(
-        out,
-        "mmr_jitter_seconds",
-        "Delay difference between consecutive deliveries of a connection.",
-        "histogram",
-    );
-    for (class, _, jitter, _, _) in classes.clone() {
-        expose::write_histogram(
-            out,
+            "End-to-end flit delay per traffic class.",
+            |c| &c.delay,
+        ),
+        (
             "mmr_jitter_seconds",
-            &[("class", class.label())],
-            jitter,
-            scale,
-        );
-    }
-    expose::write_header(
-        out,
-        "mmr_residency_seconds",
-        "VC-queue residency (router entry to crossbar exit).",
-        "histogram",
-    );
-    for (class, _, _, residency, _) in classes.clone() {
-        expose::write_histogram(
-            out,
+            "Delay difference between consecutive deliveries of a connection.",
+            |c| &c.jitter,
+        ),
+        (
             "mmr_residency_seconds",
-            &[("class", class.label())],
-            residency,
-            scale,
-        );
+            "VC-queue residency (router entry to crossbar exit).",
+            |c| &c.residency,
+        ),
+    ];
+    for (name, help, channel) in channels {
+        expose::write_header(out, name, help, "histogram");
+        for c in &obs.classes {
+            expose::write_histogram(out, name, &[("class", c.class.label())], channel(c), scale);
+        }
     }
     expose::write_header(
         out,
@@ -363,12 +309,12 @@ fn write_observatory_prometheus<'a>(
         "Deliveries that broke the delay bound, per class.",
         "counter",
     );
-    for (class, _, _, _, violations) in classes {
+    for c in &obs.classes {
         expose::write_sample(
             out,
             "mmr_slo_violations_total",
-            &[("class", class.label())],
-            violations,
+            &[("class", c.class.label())],
+            c.slo_violations,
         );
     }
     expose::write_header(
@@ -377,20 +323,24 @@ fn write_observatory_prometheus<'a>(
         "The armed delay bound (0 = violation counting disabled).",
         "gauge",
     );
+    let slo = &obs.slo;
     expose::write_sample_f64(
         out,
         "mmr_slo_delay_bound_seconds",
         &[],
-        delay_bound_rc as f64 * scale,
+        slo.delay_bound_rc as f64 * scale,
     );
     expose::write_counters(
         out,
         "mmr_slo",
         [
-            ("violations_all_classes", violations_total),
-            ("best_effort_starved_windows", starved_windows),
-            ("best_effort_starved_cycles", starved_cycles),
-            ("windows_observed", windows_observed),
+            ("violations_all_classes", slo.violations_total),
+            (
+                "best_effort_starved_windows",
+                slo.best_effort_starved_windows,
+            ),
+            ("best_effort_starved_cycles", slo.best_effort_starved_cycles),
+            ("windows_observed", slo.windows_observed),
         ]
         .into_iter(),
     );
@@ -477,11 +427,6 @@ impl RouterTelemetry {
                 Observatory::disabled()
             },
         }
-    }
-
-    /// The QoS observatory (disarmed unless the config asked for it).
-    pub fn observatory(&self) -> &Observatory {
-        &self.observatory
     }
 
     /// Whether the hooks record anything.
@@ -730,40 +675,6 @@ impl RouterTelemetry {
             observatory: self.observatory.report(),
         }
     }
-
-    /// Render the live state as a Prometheus text exposition without
-    /// allocating (given a warm `out` buffer): counters, stages and
-    /// histograms are walked through their non-allocating iterators.
-    /// `kernel` comes from the scheduler's probe; `scale` converts router
-    /// cycles to the exposed unit (pass `router_cycle_secs()` for
-    /// seconds).  Emits the same families as
-    /// [`TelemetryReport::write_prometheus`].
-    pub fn write_prometheus(&self, out: &mut String, kernel: &KernelStats, scale: f64) {
-        expose::write_counters(out, "mmr", self.registry.iter());
-        expose::write_stages(out, "mmr", self.profiler.iter());
-        write_kernel_prometheus(out, kernel);
-        if self.observatory.is_enabled() {
-            let slo = self.observatory.slo_summary();
-            write_observatory_prometheus(
-                out,
-                scale,
-                slo.delay_bound_rc,
-                slo.violations_total,
-                slo.best_effort_starved_windows,
-                slo.best_effort_starved_cycles,
-                slo.windows_observed,
-                ALL_CLASSES.iter().map(|&class| {
-                    (
-                        class,
-                        self.observatory.class_delay(class),
-                        self.observatory.class_jitter(class),
-                        self.observatory.class_residency(class),
-                        self.observatory.class_violations(class),
-                    )
-                }),
-            );
-        }
-    }
 }
 
 impl Default for RouterTelemetry {
@@ -961,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn live_and_report_prometheus_expositions_agree() {
+    fn report_exposition_validates_and_covers_the_observatory() {
         let mut t = RouterTelemetry::armed(
             TelemetryConfig {
                 snapshot_interval: 10,
@@ -983,16 +894,13 @@ mod tests {
             conflicts_retired: 10,
             iterations: 30,
         };
-        let scale = 1e-6;
-        let mut live = String::new();
-        t.write_prometheus(&mut live, &kernel, scale);
-        let mut from_report = String::new();
-        t.report(kernel).write_prometheus(&mut from_report, scale);
-        assert_eq!(live, from_report, "both writers emit identical expositions");
+        let mut prom = String::new();
+        t.report(kernel).write_prometheus(&mut prom, 1e-6);
         let stats =
-            mmr_sim::telemetry::validate_exposition(&live).expect("generated exposition validates");
+            mmr_sim::telemetry::validate_exposition(&prom).expect("generated exposition validates");
         assert!(stats.families > 10);
-        assert!(live.contains("mmr_delay_seconds_bucket{class=\"cbr-high\""));
-        assert!(live.contains("mmr_slo_violations_total{class=\"cbr-high\"}"));
+        assert!(prom.contains("mmr_delay_seconds_bucket{class=\"cbr-high\""));
+        assert!(prom.contains("mmr_slo_violations_total{class=\"cbr-high\"}"));
+        assert!(prom.contains("mmr_kernel_grants 60"));
     }
 }

@@ -13,6 +13,8 @@
 //! interval the true order statistic provably lies in.  Serialization is
 //! sparse (only populated buckets), so an armed observatory's report
 //! stays proportional to the distribution's support, not its range.
+//! [`LogHistogramBank`] holds a family of same-shaped histograms in one
+//! block.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -66,13 +68,7 @@ impl LogHistogram {
 
     #[inline]
     fn bucket_of(&self, v: u64) -> usize {
-        let sub = self.sub_bits;
-        if v < (1 << sub) {
-            return v as usize;
-        }
-        let exp = 63 - v.leading_zeros(); // >= sub
-        let sub_idx = (v >> (exp - sub)) - (1 << sub); // top sub bits after the leading 1
-        (((exp - sub + 1) as usize) << sub) + sub_idx as usize
+        bucket_of(self.sub_bits, v)
     }
 
     /// Inclusive value range `[lo, hi]` covered by bucket `idx`.
@@ -237,7 +233,92 @@ impl LogHistogram {
 
 impl Default for LogHistogram {
     fn default() -> Self {
-        LogHistogram::new(3)
+        LogHistogram::new(DEFAULT_SUB_BITS)
+    }
+}
+
+/// Sub-bucket bits of [`LogHistogram::default`] and of every
+/// [`LogHistogramBank`] row.
+const DEFAULT_SUB_BITS: u32 = 3;
+
+/// Slots per histogram of [`DEFAULT_SUB_BITS`].
+const DEFAULT_SLOTS: usize = 64 << DEFAULT_SUB_BITS;
+
+/// Dense bucket index of `v` in a histogram with `sub` sub-bucket bits.
+#[inline]
+fn bucket_of(sub: u32, v: u64) -> usize {
+    if v < (1 << sub) {
+        return v as usize;
+    }
+    let exp = 63 - v.leading_zeros(); // >= sub
+    let sub_idx = (v >> (exp - sub)) - (1 << sub); // top sub bits after the leading 1
+    (((exp - sub + 1) as usize) << sub) + sub_idx as usize
+}
+
+/// `n` histograms of [`LogHistogram::default`]'s shape, one per row, in
+/// one counts block plus one block of per-row totals, sums and maxima.
+///
+/// A family of histograms that grows with the connection count lives
+/// here rather than in a `Vec<LogHistogram>`: it is allocated and freed
+/// as one block, where hundreds of separately freed 4 KiB blocks
+/// coalesce at the heap top and glibc trims them, so the next build
+/// page-faults them back.  [`LogHistogramBank::record`] never allocates;
+/// a row is read back as a [`LogHistogram`], at report time, so bucket
+/// and quantile arithmetic exist once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHistogramBank {
+    counts: Vec<u64>,
+    rows: Vec<RowTotals>,
+}
+
+/// One bank row's count, exact sum and maximum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RowTotals {
+    total: u64,
+    sum: u128,
+    max: u64,
+}
+
+impl LogHistogramBank {
+    /// A bank of `rows` empty histograms.
+    pub fn new(rows: usize) -> Self {
+        LogHistogramBank {
+            counts: vec![0; rows * DEFAULT_SLOTS],
+            rows: vec![RowTotals::default(); rows],
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Record one value in row `row`.
+    #[inline]
+    pub fn record(&mut self, row: usize, v: u64) {
+        self.counts[row * DEFAULT_SLOTS + bucket_of(DEFAULT_SUB_BITS, v)] += 1;
+        let r = &mut self.rows[row];
+        r.total += 1;
+        r.sum += v as u128;
+        r.max = r.max.max(v);
+    }
+
+    /// Values recorded in row `row`.
+    pub fn count(&self, row: usize) -> u64 {
+        self.rows[row].total
+    }
+
+    /// Row `row` as a histogram.  Allocates — report-time only.
+    pub fn row(&self, row: usize) -> LogHistogram {
+        let RowTotals { total, sum, max } = self.rows[row];
+        let start = row * DEFAULT_SLOTS;
+        LogHistogram {
+            sub_bits: DEFAULT_SUB_BITS,
+            counts: self.counts[start..start + DEFAULT_SLOTS].to_vec(),
+            total,
+            sum,
+            max,
+        }
     }
 }
 

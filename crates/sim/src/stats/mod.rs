@@ -9,7 +9,7 @@ mod jitter;
 mod running;
 mod timeseries;
 
-pub use histogram::{Bucket, LogHistogram};
+pub use histogram::{Bucket, LogHistogram, LogHistogramBank};
 pub use jitter::JitterTracker;
 pub use running::Running;
 pub use timeseries::WindowedSeries;

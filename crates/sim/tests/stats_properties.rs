@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use mmr_sim::rng::SimRng;
-use mmr_sim::stats::{LogHistogram, Running, WindowedSeries};
+use mmr_sim::stats::{LogHistogram, LogHistogramBank, Running, WindowedSeries};
 use proptest::prelude::*;
 
 proptest! {
@@ -178,6 +178,29 @@ proptest! {
             prop_assert!(
                 h.nonzero_buckets().any(|b| b.lo <= x && x <= b.hi),
                 "recorded value {x} falls in no non-empty bucket"
+            );
+        }
+    }
+
+    #[test]
+    fn bank_rows_equal_histograms_fed_the_same_values(
+        xs in proptest::collection::vec((0usize..5, 0u64..u64::MAX), 0..300),
+    ) {
+        // Values land in five rows, interleaved; each row must read back
+        // as the default histogram fed that row's values, down to its JSON.
+        let mut bank = LogHistogramBank::new(5);
+        let mut hists = vec![LogHistogram::default(); 5];
+        for &(row, x) in &xs {
+            bank.record(row, x);
+            hists[row].record(x);
+        }
+        prop_assert_eq!(bank.rows(), 5);
+        for (row, h) in hists.iter().enumerate() {
+            prop_assert_eq!(bank.count(row), h.count());
+            prop_assert_eq!(&bank.row(row), h);
+            prop_assert_eq!(
+                serde_json::to_string(&bank.row(row)).unwrap(),
+                serde_json::to_string(h).unwrap()
             );
         }
     }

@@ -27,6 +27,7 @@ stage "scripts parse"
 # scripts/ab.sh (parent-vs-change pairing for performance claims) is run
 # by hand, against a second checkout: keep it at least syntactically alive.
 bash -n scripts/ab.sh
+bash -n scripts/loc.sh
 
 stage "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -66,6 +67,15 @@ if sed '/#\[cfg(test)\]/,$d' crates/router/src/router.rs |
     echo "error: router.rs steps a SwitchCore stage; MmrRouter steps its one-node Fabric" >&2
     exit 1
 fi
+# One builder: the one-node line goes through Fabric::build like every
+# other topology, so fabric.rs's non-test code tests no stage count of 1.
+if sed '/#\[cfg(test)\]/,$d' crates/router/src/fabric.rs | grep -vE '^\s*//' |
+    grep -nE 'stages(: | == )1\b'; then
+    echo "error: fabric.rs special-cases the one-stage line; build it like any topology" >&2
+    exit 1
+fi
+# Information, not a gate: the non-test line count (scripts/loc.sh).
+echo "non-test lines under crates/*/src: $(bash scripts/loc.sh)"
 
 stage "bench_report smoke + perf gates"
 # Write the next auto-numbered results/BENCH_<n>.json so every CI run

@@ -528,16 +528,28 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             obs.classes.iter().map(|c| c.delay.count()).sum::<u64>() > 0,
             "observatory must have recorded deliveries in the measured region"
         );
+    }
 
-        // Prometheus exposition into a warm buffer is allocation-free:
-        // one sizing pass, then clear + rewrite must never touch the heap.
+    // --- Prometheus exposition ------------------------------------------
+    // The one exposition writer renders an armed experiment's report.
+    // Into a warm buffer it is allocation-free: one sizing pass, then
+    // clear + rewrite must never touch the heap.
+    {
+        use mmr_core::config::{RunLength, SimConfig, TelemetrySpec};
+        use mmr_core::experiment::run_experiment;
+        let cfg = SimConfig {
+            run: RunLength::Cycles(6_000),
+            ..SimConfig::default()
+        }
+        .with_telemetry(TelemetrySpec::default());
+        let result = run_experiment(&cfg);
         let mut buf = String::new();
-        router.prometheus_into(&mut buf);
+        result.prometheus_into(&mut buf);
         assert!(buf.contains("# TYPE mmr_delay_seconds histogram"));
         let expected = buf.clone();
         let allocs = allocations_in(|| {
             buf.clear();
-            router.prometheus_into(&mut buf);
+            result.prometheus_into(&mut buf);
         });
         assert_eq!(
             allocs, 0,
@@ -678,8 +690,8 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     // --- Measurement reset ------------------------------------------------
     // `MetricsCollector::reset` runs inside every timed run, at the
     // warm-up boundary.  At the 16-router mesh's scale — 830 connections,
-    // every fifth of them video and built with frame storage, so class,
-    // frame and per-connection jitter histograms all hold samples — it
+    // every fifth of them video, so the class, frame and aggregate jitter
+    // histograms and the per-connection jitter sums all hold samples — it
     // must reuse every buffer it has.
     {
         use mmr_core::router::metrics::{MetricsCollector, ALL_CLASSES};
@@ -689,8 +701,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
         use mmr_core::traffic::flit::Flit;
         let conns = 830u32;
         let video = |conn: u32| conn.is_multiple_of(5);
-        let collector =
-            || MetricsCollector::with_frames(TimeBase::default(), (0..conns).map(video));
+        let collector = || MetricsCollector::new(conns as usize, TimeBase::default());
         let mut metrics = collector();
         metrics.set_delay_bound(Some(900));
         for i in 0..20_000u64 {
@@ -726,6 +737,31 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
         );
         assert_eq!(metrics.report(), collector().report());
         assert!(metrics.delivered_per_connection().iter().all(|&d| d == 0));
+    }
+
+    // --- Per-connection storage ------------------------------------------
+    // No histogram is allocated per connection: the metrics collector and
+    // armed telemetry (observatory included) make as many allocator calls
+    // for 4n connections as for n, so set-up never frees or faults in a
+    // heap of small per-connection blocks.
+    {
+        use mmr_core::router::metrics::{MetricsCollector, ALL_CLASSES};
+        use mmr_core::router::telemetry::RouterTelemetry;
+        use mmr_core::sim::time::TimeBase;
+        let calls = |n: usize| {
+            let classes: Vec<_> = (0..n).map(|c| ALL_CLASSES[c % ALL_CLASSES.len()]).collect();
+            (
+                allocations_in(|| drop(MetricsCollector::new(n, TimeBase::default()))),
+                allocations_in(|| {
+                    drop(RouterTelemetry::armed(TelemetryConfig::default(), &classes))
+                }),
+            )
+        };
+        let (n, four_n) = (calls(53), calls(4 * 53));
+        assert_eq!(
+            n, four_n,
+            "(collector, telemetry) allocator calls grew with the connection count"
+        );
     }
 
     // --- Scenario-pack steady state (Mix + ramp + churn) -----------------
