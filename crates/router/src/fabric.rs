@@ -1544,7 +1544,7 @@ impl Ledger {
             for (class, n) in ALL_CLASSES.into_iter().zip(&mut node.generated) {
                 self.generated_total += *n;
                 if ep.measuring {
-                    (0..*n).for_each(|_| self.metrics.record_generated(class));
+                    self.metrics.record_generated_n(class, *n);
                 }
                 *n = 0;
             }

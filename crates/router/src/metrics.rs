@@ -103,7 +103,12 @@ impl MetricsCollector {
 
     /// Record a generated flit.
     pub fn record_generated(&mut self, class: TrafficClass) {
-        self.classes[class_index(class)].generated += 1;
+        self.record_generated_n(class, 1);
+    }
+
+    /// Record `n` generated flits of one class.
+    pub fn record_generated_n(&mut self, class: TrafficClass, n: u64) {
+        self.classes[class_index(class)].generated += n;
     }
 
     /// Record a delivered flit (and, for frame-closing flits, the frame

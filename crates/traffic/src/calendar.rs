@@ -6,7 +6,8 @@
 //! reports), plus the minimum over all of them.  Connection-oriented
 //! CBR/VBR traffic injects one flit every tens to hundreds of flit
 //! cycles, so on a typical cycle ~1 % of sources are due: the calendar
-//! turns "poll every boxed source" into one integer compare.
+//! turns "poll every boxed source" into one integer compare, and a
+//! cycle that does inject touches only the sources that are due.
 //!
 //! # One injection path
 //!
@@ -15,23 +16,41 @@
 //! — the one switch pipeline behind `MmrRouter` and every fabric node —
 //! hands it the boxed sources and a sink that queues each generated flit
 //! at its NIC.  It returns at once while the cached minimum is in
-//! the future; otherwise it makes one pass over the cache, makes virtual
-//! calls only into sources that are due, and installs the exact new
-//! minimum in the same pass.
+//! the future; otherwise it drains the due sources and installs the
+//! exact new minimum.
 //!
-//! Because every scan ends by installing the exact minimum and entries
-//! change only inside a scan, [`InjectionCalendar::min_lower_bound`] is
+//! # The timing wheel
+//!
+//! Live entries sit in a hashed timing wheel (Varghese & Lauck, SOSP
+//! 1987): 256 buckets of 64 router cycles each — one flit cycle at the
+//! default `TimeBase`, ending on its boundary — as intrusive `u32`
+//! lists (a head per bucket, a link per source), so the calendar is a
+//! fixed three allocations whatever its size, and none per cycle.  The
+//! wheel covers the buckets `[base, base + 256)`, `base` being the
+//! bucket of the last drain; an entry further out (64 Kbps and
+//! 1.54 Mbps CBR, a VBR stream that has not started) goes on one far
+//! list with its minimum.  The far list is walked only when that
+//! minimum is due, and the walk moves everything the window now reaches
+//! into the wheel, so the next walk is at least 255 buckets later.  A
+//! drain walks only the buckets from the minimum's to `now`'s, marks
+//! the due sources in a bitset and drains that word by word, so flits
+//! still reach the sink in (source index, emission) order with no sort.
+//! It ends by reading the exact new minimum: every bucket and the far
+//! list keep their own, and an occupancy bitmap finds the first
+//! non-empty bucket.
+//!
+//! Because every drain ends by installing the exact minimum and entries
+//! change only inside a drain, [`InjectionCalendar::min_lower_bound`] is
 //! **exact between steps** for a calendar driven through `drain_due`.
 //! That is what lets the owners read their injection horizon and their
 //! "all sources exhausted" test from it in O(1) (`== NEVER`) instead of
 //! sweeping `peek_next`; `drain_due` debug-asserts it on entry.
-//! [`InjectionCalendar::update`] / [`InjectionCalendar::set_min_lb`]
-//! remain for the benchmark's hand-mirrored stage-1 replay only; a
-//! calendar mutated through them carries just a lower bound until the
-//! next `set_min_lb`.
 //!
-//! The calendar is built once at admission time and updated in place;
-//! no per-cycle or per-skip allocation.
+//! [`InjectionCalendar::update`] / [`InjectionCalendar::set_min_lb`]
+//! are for the benchmark's hand-mirrored stage-1 replay only: `update`
+//! moves an entry without re-bucketing it, so a calendar mutated
+//! through them carries just a lower bound until the next `set_min_lb`,
+//! and draining it afterwards trips a `debug_assert!`.
 
 use crate::flit::Flit;
 use crate::source::TrafficSource;
@@ -40,16 +59,50 @@ use mmr_sim::time::RouterCycle;
 /// Sentinel for "this source will never inject again".
 pub const NEVER: u64 = u64::MAX;
 
+/// log2 of a wheel bucket's width in router cycles.
+const SHIFT: u32 = 6;
+
+/// Buckets in the wheel; it spans `SLOTS << SHIFT` router cycles.
+const SLOTS: usize = 256;
+
+/// Wheel bucket of router cycle `rc`: bucket `b` holds the cycles
+/// `(64(b - 1), 64b]`, so a drain at a flit-cycle boundary (a multiple
+/// of 64 at the default `TimeBase`) finds every entry of its bucket due.
+#[inline]
+fn bucket(rc: u64) -> u64 {
+    rc.div_ceil(1 << SHIFT)
+}
+
+/// End of an intrusive list.
+const NIL: u32 = u32::MAX;
+
 /// Per-connection cache of the next injection time (router cycles).
 #[derive(Debug, Clone)]
 pub struct InjectionCalendar {
     next_rc: Vec<u64>,
-    /// Lower bound on `min(next_rc)`; exact after every
-    /// [`Self::drain_due`] scan and every [`Self::set_min_lb`].  Sound
-    /// in between because source timestamps are monotone:
-    /// [`Self::update`] can only move an entry later, so a previously
-    /// exact minimum stays a valid lower bound.
+    /// Exact `min(next_rc)` after every [`Self::drain_due`] and every
+    /// [`Self::set_min_lb`].  Sound in between because source
+    /// timestamps are monotone: [`Self::update`] can only move an entry
+    /// later, so a previously exact minimum stays a valid lower bound.
     min_lb: u64,
+    /// Next source in the same bucket or on the far list.
+    link: Vec<u32>,
+    /// One bit per source, set while a drain collects the due ones.
+    due: Vec<u64>,
+    /// First source of each bucket; slot `b % SLOTS` holds bucket `b`.
+    head: [u32; SLOTS],
+    /// Exact minimum of each slot's list ([`NEVER`] when empty).
+    slot_min: [u64; SLOTS],
+    /// One bit per slot: its list is non-empty.
+    occupied: [u64; SLOTS / 64],
+    /// [`bucket`] of the last drain; the wheel holds the buckets
+    /// `[base, base + SLOTS)`.
+    base: u64,
+    far_head: u32,
+    /// Exact minimum over the far list ([`NEVER`] when empty).
+    far_min: u64,
+    /// Set by [`Self::update`]: the buckets no longer match `next_rc`.
+    replayed: bool,
 }
 
 impl InjectionCalendar {
@@ -62,8 +115,26 @@ impl InjectionCalendar {
             .into_iter()
             .map(|p| p.map_or(NEVER, |t| t.0))
             .collect();
-        let min_lb = next_rc.iter().copied().min().unwrap_or(NEVER);
-        InjectionCalendar { next_rc, min_lb }
+        let n = next_rc.len();
+        assert!(n < NIL as usize, "{n} sources overflow the u32 links");
+        let min = next_rc.iter().copied().min().unwrap_or(NEVER);
+        let mut cal = InjectionCalendar {
+            link: vec![NIL; n],
+            due: vec![0; n.div_ceil(64)],
+            head: [NIL; SLOTS],
+            slot_min: [NEVER; SLOTS],
+            occupied: [0; SLOTS / 64],
+            base: bucket(min),
+            far_head: NIL,
+            far_min: NEVER,
+            min_lb: min,
+            replayed: false,
+            next_rc,
+        };
+        for i in 0..n {
+            cal.place(i, cal.next_rc[i]);
+        }
+        cal
     }
 
     /// Build directly from a slice of boxed sources.
@@ -88,9 +159,19 @@ impl InjectionCalendar {
         self.next_rc[i]
     }
 
-    /// Refresh connection `i` after its source was drained.
+    /// Refresh connection `i` after its source was drained — for the
+    /// benchmark's hand-mirrored replay only.  The entry is not
+    /// re-bucketed, so [`Self::drain_due`] refuses (debug-asserts on) a
+    /// calendar this has touched.
     #[inline]
     pub fn update(&mut self, i: usize, peek: Option<RouterCycle>) {
+        self.store(i, peek);
+        self.replayed = true;
+    }
+
+    /// Cache `peek` as connection `i`'s next time and return it.
+    #[inline]
+    fn store(&mut self, i: usize, peek: Option<RouterCycle>) -> u64 {
         let rc = peek.map_or(NEVER, |t| t.0);
         debug_assert!(
             rc >= self.next_rc[i],
@@ -98,6 +179,7 @@ impl InjectionCalendar {
             self.next_rc[i]
         );
         self.next_rc[i] = rc;
+        rc
     }
 
     /// Earliest upcoming injection across all connections ([`NEVER`] when
@@ -108,7 +190,7 @@ impl InjectionCalendar {
     }
 
     /// O(1) lower bound on [`Self::min_next_rc`].  `min_lb > now` proves
-    /// no injection is due, so a per-cycle scan can be skipped outright;
+    /// no injection is due, so a per-cycle drain can be skipped outright;
     /// as a fast-forward horizon it may only be *too early* — exactly
     /// what the event-horizon contract permits (DESIGN.md §12).
     #[inline]
@@ -116,7 +198,8 @@ impl InjectionCalendar {
         self.min_lb
     }
 
-    /// Install the exact minimum recomputed during a full scan.
+    /// Install the exact minimum the benchmark's replay recomputed
+    /// during its full scan.
     #[inline]
     pub fn set_min_lb(&mut self, min: u64) {
         debug_assert!(min >= self.min_lb, "minimum moved backwards");
@@ -129,8 +212,10 @@ impl InjectionCalendar {
     /// calendar was built from; `buf` is the caller's scratch buffer
     /// (cleared per source, capacity retained).
     ///
-    /// O(1) while nothing is due.  A scan touches only sources whose
-    /// cached time has come and leaves [`Self::min_lower_bound`] exact.
+    /// O(1) while nothing is due.  A drain touches only the wheel
+    /// buckets up to `now`, and makes virtual calls only into sources
+    /// whose cached time has come; it leaves [`Self::min_lower_bound`]
+    /// exact.
     ///
     /// `inline(always)`: with plain `inline` rustc leaves this out of
     /// line in `MmrRouter::step`, and the saturated-CBR step loses ~11 %
@@ -144,6 +229,10 @@ impl InjectionCalendar {
         mut sink: impl FnMut(usize, Flit),
     ) {
         debug_assert_eq!(self.next_rc.len(), sources.len(), "foreign source slice");
+        debug_assert!(
+            !self.replayed,
+            "drain_due on a calendar `update` moved: its buckets are stale"
+        );
         debug_assert_eq!(
             self.min_lb,
             self.min_next_rc(),
@@ -152,25 +241,124 @@ impl InjectionCalendar {
         if self.min_lb > now.0 {
             return;
         }
-        // Statement for statement the scan the benchmark's replay
-        // mirrors by hand (benchmark/src/replay.rs): until the replay
-        // calls this method, a tighter loop here would skew
-        // `replay.step_ratio` (DESIGN.md §18).
-        let mut new_min = NEVER;
-        for (i, src) in sources.iter_mut().enumerate() {
-            let mut next = self.next_rc[i];
-            if next <= now.0 {
+        let now = now.0;
+        // Every live entry is at or after the minimum, so the first
+        // bucket that can hold a due one is the minimum's; past the
+        // wheel's end only the far list can.
+        let target = bucket(now);
+        let last = target.min(self.base + SLOTS as u64 - 1);
+        for b in bucket(self.min_lb)..=last {
+            self.collect_bucket(b as usize % SLOTS, now);
+        }
+        self.base = target;
+        if self.far_min <= now {
+            self.collect_far(now);
+        }
+        for w in 0..self.due.len() {
+            let mut bits = std::mem::take(&mut self.due[w]);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 buf.clear();
-                src.drain_until(now, buf);
-                self.update(i, src.peek_next());
-                next = self.next_rc[i];
+                sources[i].drain_until(RouterCycle(now), buf);
+                let rc = self.store(i, sources[i].peek_next());
+                self.place(i, rc);
                 for &flit in buf.iter() {
                     sink(i, flit);
                 }
             }
-            new_min = new_min.min(next);
         }
-        self.set_min_lb(new_min);
+        self.min_lb = self.first_bucket_min().min(self.far_min);
+    }
+
+    /// Link source `i` (not on any list) into its bucket, or onto the
+    /// far list past the wheel's end; an exhausted source goes nowhere.
+    #[inline]
+    fn place(&mut self, i: usize, rc: u64) {
+        if rc == NEVER {
+            return;
+        }
+        let b = bucket(rc);
+        if b < self.base + SLOTS as u64 {
+            let slot = b as usize % SLOTS;
+            self.link[i] = self.head[slot];
+            self.head[slot] = i as u32;
+            self.slot_min[slot] = self.slot_min[slot].min(rc);
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        } else {
+            self.link[i] = self.far_head;
+            self.far_head = i as u32;
+            self.far_min = self.far_min.min(rc);
+        }
+    }
+
+    #[inline]
+    fn mark_due(&mut self, i: usize) {
+        self.due[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Unlink every entry of `slot` that is due at `now` and mark it.
+    #[inline]
+    fn collect_bucket(&mut self, slot: usize, now: u64) {
+        let (mut i, mut kept, mut min) = (self.head[slot], NIL, NEVER);
+        while i != NIL {
+            let next = self.link[i as usize];
+            let rc = self.next_rc[i as usize];
+            if rc <= now {
+                self.mark_due(i as usize);
+            } else {
+                self.link[i as usize] = kept;
+                kept = i;
+                min = min.min(rc);
+            }
+            i = next;
+        }
+        self.head[slot] = kept;
+        self.slot_min[slot] = min;
+        if kept == NIL {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+    }
+
+    /// Walk the far list: mark what is due, move what the window now
+    /// reaches into the wheel, keep the rest with its exact minimum.
+    #[cold]
+    fn collect_far(&mut self, now: u64) {
+        let mut i = std::mem::replace(&mut self.far_head, NIL);
+        self.far_min = NEVER;
+        while i != NIL {
+            let next = self.link[i as usize];
+            let rc = self.next_rc[i as usize];
+            if rc <= now {
+                self.mark_due(i as usize);
+            } else {
+                self.place(i as usize, rc);
+            }
+            i = next;
+        }
+    }
+
+    /// Earliest time in the wheel: the minimum of its first non-empty
+    /// bucket from `base` on ([`NEVER`] when the wheel is empty).  Every
+    /// entry lies in the buckets `[base, base + SLOTS)`, so that bucket
+    /// holds the earliest ones.
+    #[inline]
+    fn first_bucket_min(&self) -> u64 {
+        const WORDS: usize = SLOTS / 64;
+        let start = self.base as usize % SLOTS;
+        let (w0, bit) = (start / 64, start % 64);
+        // The start word from `bit` up, the other words, then the start
+        // word below `bit`: slot order from `base`, wrapping once.
+        let first = (0..=WORDS).find_map(|k| {
+            let w = (w0 + k) % WORDS;
+            let bits = match k {
+                0 => self.occupied[w] & (!0 << bit),
+                WORDS => self.occupied[w] & !(!0 << bit),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        });
+        first.map_or(NEVER, |slot| self.slot_min[slot])
     }
 }
 
@@ -286,6 +474,53 @@ mod tests {
         cal.update(0, None);
         cal.update(2, None);
         assert_eq!(cal.min_next_rc(), NEVER);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "buckets are stale")]
+    fn draining_after_update_trips_the_stale_bucket_assert() {
+        let (mut sources, _) = counted(&[&[100, 300], &[200]]);
+        let mut cal = InjectionCalendar::from_sources(&sources);
+        // The replay's moves: source 0 leaves its bucket for 300 without
+        // being re-bucketed, and the installed minimum is exact, so only
+        // the stale bucket is left to catch.
+        cal.update(0, Some(RouterCycle(300)));
+        cal.set_min_lb(cal.min_next_rc());
+        cal.drain_due(&mut sources, RouterCycle(250), &mut Vec::new(), |_, _| {});
+    }
+
+    #[test]
+    fn far_entries_migrate_and_jumps_pass_the_span() {
+        let span = (SLOTS as u64) << SHIFT;
+        // Source 0 starts far beyond the wheel, source 1 ticks inside it,
+        // source 2 lies two spans out, past a jump over the whole wheel.
+        let (mut sources, _) = counted(&[
+            &[span + 70, span + 5_000],
+            &[64, 128, 3 * span],
+            &[2 * span + 1],
+        ]);
+        let mut cal = InjectionCalendar::from_sources(&sources);
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        for now in [64, 128, span + 64, span + 70, 2 * span + 1, 4 * span] {
+            cal.drain_due(&mut sources, RouterCycle(now), &mut buf, |i, f| {
+                got.push((i, f.generated_at.0))
+            });
+            assert_eq!(cal.min_lower_bound(), cal.min_next_rc(), "at rc {now}");
+        }
+        assert_eq!(
+            got,
+            [
+                (1, 64),
+                (1, 128),
+                (0, span + 70),
+                (0, span + 5_000),
+                (2, 2 * span + 1),
+                (1, 3 * span)
+            ]
+        );
+        assert_eq!(cal.min_lower_bound(), NEVER);
     }
 
     #[test]

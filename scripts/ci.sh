@@ -60,6 +60,16 @@ for f in crates/router/src/router.rs crates/router/src/fabric.rs; do
         exit 1
     fi
 done
+# One injection path: InjectionCalendar::drain_due is the only non-test
+# code that drains a traffic source (the benchmark's replay, outside
+# crates/, mirrors the stage by hand).
+for f in $(find crates/*/src examples -name '*.rs' ! -path crates/traffic/src/calendar.rs); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -v 'fn drain_until(' |
+        grep -E 'drain_until\('; then
+        echo "error: $f drains a source itself; go through InjectionCalendar::drain_due" >&2
+        exit 1
+    fi
+done
 # MmrRouter is the one-node fabric: it steps through the node adapter,
 # so router.rs calls no SwitchCore stage method either.
 if sed '/#\[cfg(test)\]/,$d' crates/router/src/router.rs |

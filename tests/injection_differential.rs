@@ -7,7 +7,10 @@
 //! call `drain_until` on **every** source, every time — on two identical
 //! source sets, and demands the same `(source index, flit)` sequence, a
 //! cache that equals `peek_next()` entry for entry, and a bound that is
-//! the exact minimum after every call.
+//! the exact minimum after every call.  The calendar is a timing wheel
+//! with a far list (`crates/traffic/src/calendar.rs`), so the strides
+//! reach past the wheel's span and some sources retire right after a
+//! flit they held on the far list.
 
 use mmr_core::sim::rng::SimRng;
 use mmr_core::sim::time::{RouterCycle, TimeBase};
@@ -22,16 +25,21 @@ use proptest::prelude::*;
 
 type Sources = Vec<Box<dyn TrafficSource + Send>>;
 
-/// Source-set sizes: one source, both sides of a 64-entry boundary (a
-/// bucketed successor to the linear scan would pack by words), and a
-/// router's worth.
-const SIZES: [usize; 5] = [1, 63, 64, 65, 300];
+/// Source-set sizes: one source, both sides of the due bitset's 64-entry
+/// word, a router's worth, and a 64-word bitset.
+const SIZES: [usize; 6] = [1, 63, 64, 65, 300, 4_096];
+
+/// The 64 Kbps CBR period in router cycles at the default `TimeBase`:
+/// 76 wheel spans, so such a source lives on the far list.
+const FAR_PERIOD: u64 = 1_240_000;
 
 /// A mixed set of `n` sources, fully determined by `seed`: the paper's
 /// three CBR rates, 1-GOP MPEG-2 VBR under both injection models,
 /// Poisson best-effort, and — for a `retire_pct` share, all of them at
 /// 100 — an `ExpiringSource` wrapper that departs inside `span` (some at
-/// cycle 0: exhausted before the first drain).
+/// cycle 0: exhausted before the first drain; some within four 64 Kbps
+/// periods of their phase: they retire after a flit the calendar held
+/// on its far list).
 fn build_sources(n: usize, seed: u64, retire_pct: u64, span: u64) -> Sources {
     let tb = TimeBase::default();
     let mut rng = SimRng::seed_from_u64(seed);
@@ -68,6 +76,7 @@ fn build_sources(n: usize, seed: u64, retire_pct: u64, span: u64) -> Sources {
             if rng.below(100) < retire_pct {
                 let end = match rng.below(8) {
                     0 => 0,
+                    1 => phase.0 + rng.below(4 * FAR_PERIOD),
                     _ => rng.below(span),
                 };
                 Box::new(ExpiringSource::new(src, RouterCycle(end)))
@@ -99,11 +108,19 @@ proptest! {
         // all-exhausted state.
         retire in 0usize..4,
         // (kind, length): back-to-back router cycles, whole flit cycles,
-        // and strides of up to 5 000 router cycles — what a horizon skip
-        // produces.
-        strides in proptest::collection::vec((0usize..3, 1u64..=5_000), 1..400),
+        // strides of up to 5 000 router cycles — what a horizon skip
+        // produces — and of 10^5 to 7·10^6, past the wheel's span (a
+        // drained-VBR horizon skip).
+        strides in proptest::collection::vec((0usize..4, 1u64..=5_000), 1..400),
     ) {
         let n = SIZES[size];
+        // Hundreds of sources drain ~10^5–10^6 flits per long stride: the
+        // large sizes take only the first few, then the stride's length.
+        let mut long_left = match n {
+            4_096 => 1,
+            300 => 8,
+            _ => usize::MAX,
+        };
         let retire_pct = if retire == 0 { 100 } else { 25 };
         let span = 2_500 * strides.len() as u64;
         let mut due_side = build_sources(n, seed, retire_pct, span);
@@ -115,11 +132,15 @@ proptest! {
         let mut now = 0u64;
         let mut generated = 0usize;
         // A last call past every departure closes the all-retire cases.
-        let tail = (retire == 0).then_some((2, span));
+        let tail = (retire == 0).then_some((2, span.max(20_000 + 4 * FAR_PERIOD)));
         for (kind, len) in strides.into_iter().chain(tail) {
             now += match kind {
                 0 => 1,
                 1 => 64,
+                3 if long_left > 0 => {
+                    long_left -= 1;
+                    (100_000 + len) << (len % 7)
+                }
                 _ => len,
             };
             got.clear();

@@ -27,9 +27,14 @@ use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use mmr_core::sim::log::EventLog;
 use mmr_core::sim::rng::SimRng;
-use mmr_core::sim::time::FlitCycle;
+use mmr_core::sim::time::{FlitCycle, RouterCycle, TimeBase};
+use mmr_core::sim::units::Bandwidth;
 use mmr_core::traffic::admission::RoundConfig;
+use mmr_core::traffic::calendar::InjectionCalendar;
+use mmr_core::traffic::connection::ConnectionId;
+use mmr_core::traffic::source::TrafficSource;
 use mmr_core::traffic::workload::{CbrMixBuilder, VbrInjection, VbrMixBuilder};
+use mmr_core::traffic::CbrSource;
 
 struct CountingAlloc;
 
@@ -101,6 +106,28 @@ fn random_fill(cs: &mut CandidateSet, rng: &mut SimRng) {
             });
         }
     }
+}
+
+/// `n` CBR sources cycling through 64 Kbps, 1.54 Mbps and 55 Mbps, with
+/// phases spread over 10^6 router cycles.
+fn cbr_sources(n: u32) -> Vec<Box<dyn TrafficSource + Send>> {
+    let tb = TimeBase::default();
+    let rates = [
+        Bandwidth::kbps(64.0),
+        Bandwidth::mbps(1.54),
+        Bandwidth::mbps(55.0),
+    ];
+    (0..n)
+        .map(|i| {
+            let phase = RouterCycle(u64::from(i) * 7_919 % 1_000_000);
+            Box::new(CbrSource::new(
+                ConnectionId(i),
+                rates[i as usize % 3],
+                phase,
+                &tb,
+            )) as _
+        })
+        .collect()
 }
 
 /// Step `router` for `cycles` flit cycles from `from`, fast-forwarding
@@ -249,8 +276,6 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
         use mmr_core::router::link_scheduler::VcQosInfo;
         use mmr_core::router::tdm::TdmLinkScheduler;
         use mmr_core::router::vcmem::VcMemory;
-        use mmr_core::sim::time::RouterCycle;
-        use mmr_core::traffic::connection::ConnectionId;
         use mmr_core::traffic::flit::Flit;
         let vcs = 8;
         let reservations: Vec<(usize, u64)> = (0..vcs)
@@ -696,8 +721,6 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     {
         use mmr_core::router::metrics::{MetricsCollector, ALL_CLASSES};
         use mmr_core::router::output::Delivery;
-        use mmr_core::sim::time::{RouterCycle, TimeBase};
-        use mmr_core::traffic::connection::ConnectionId;
         use mmr_core::traffic::flit::Flit;
         let conns = 830u32;
         let video = |conn: u32| conn.is_multiple_of(5);
@@ -747,7 +770,6 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     {
         use mmr_core::router::metrics::{MetricsCollector, ALL_CLASSES};
         use mmr_core::router::telemetry::RouterTelemetry;
-        use mmr_core::sim::time::TimeBase;
         let calls = |n: usize| {
             let classes: Vec<_> = (0..n).map(|c| ALL_CLASSES[c % ALL_CLASSES.len()]).collect();
             (
@@ -762,6 +784,52 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             n, four_n,
             "(collector, telemetry) allocator calls grew with the connection count"
         );
+        // The injection calendar is a fixed number of blocks too: its
+        // timing wheel keeps intrusive lists, not a `Vec` per bucket.
+        let calendar = |n: u32| {
+            let sources = cbr_sources(n);
+            allocations_in(|| drop(InjectionCalendar::from_sources(&sources)))
+        };
+        let (small, large) = (calendar(53), calendar(4_096));
+        assert_eq!(
+            small, large,
+            "InjectionCalendar::from_sources allocated {small} times for 53 sources, {large} for 4 096"
+        );
+    }
+
+    // --- Injection calendar past the wheel -------------------------------
+    // 64 Kbps and 1.54 Mbps CBR sources come due beyond the wheel's span,
+    // so per-flit-cycle drains walk the far list and move its entries into
+    // the wheel, and long horizon skips jump past the whole span.  With
+    // the flit buffer grown by one such round, another makes no
+    // allocator call.
+    {
+        let mut sources = cbr_sources(300);
+        let mut cal = InjectionCalendar::from_sources(&sources);
+        let (mut buf, mut now) = (Vec::new(), 0u64);
+        // Flits drained per rate (64 Kbps, 1.54 Mbps, 55 Mbps).
+        let mut seen = [0u64; 3];
+        let mut round = |cal: &mut InjectionCalendar, sources: &mut [_], seen: &mut [u64; 3]| {
+            for _ in 0..2_000 {
+                now += 64;
+                cal.drain_due(sources, RouterCycle(now), &mut buf, |i, _| seen[i % 3] += 1);
+            }
+            for _ in 0..3 {
+                now += 1_000_000;
+                cal.drain_due(sources, RouterCycle(now), &mut buf, |i, _| seen[i % 3] += 1);
+            }
+        };
+        round(&mut cal, &mut sources, &mut seen);
+        let warm = seen;
+        let allocs = allocations_in(|| round(&mut cal, &mut sources, &mut seen));
+        assert_eq!(
+            allocs, 0,
+            "far-list walks and span jumps allocated {allocs} times"
+        );
+        assert!(
+            (0..3).all(|r| seen[r] > warm[r]),
+            "every rate must inject in the measured round: {warm:?} -> {seen:?}"
+        );
     }
 
     // --- Scenario-pack steady state (Mix + ramp + churn) -----------------
@@ -773,7 +841,6 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     // active, the usual queues at their high-water marks — must make zero
     // allocator calls per step.
     {
-        use mmr_core::sim::units::Bandwidth;
         use mmr_core::traffic::connection::TrafficClass;
         use mmr_core::traffic::workload::MixWorkloadBuilder;
         let cfg = RouterConfig::default();
