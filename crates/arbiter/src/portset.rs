@@ -104,13 +104,6 @@ impl<const W: usize> PortSet<W> {
         self.words[port >> 6] &= !(1u64 << (port & 63));
     }
 
-    /// Add `port` iff `cond`, without a branch — the tie-mask builder in
-    /// the COA row scan.
-    #[inline]
-    pub fn insert_if(&mut self, port: usize, cond: bool) {
-        self.words[port >> 6] |= u64::from(cond) << (port & 63);
-    }
-
     /// True if `port` is in the set.
     #[inline]
     pub fn contains(&self, port: usize) -> bool {
@@ -280,10 +273,6 @@ mod tests {
         s.remove(127);
         assert!(!s.contains(127));
         assert_eq!(s.count_ones(), 5);
-        s.insert_if(10, false);
-        assert!(!s.contains(10));
-        s.insert_if(10, true);
-        assert!(s.contains(10));
     }
 
     #[test]

@@ -182,10 +182,7 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
     if let Some(v) = flags.get("seed") {
         cfg.seed = parse_u64(v);
     }
-    or_exit(cfg.router.check());
-    if let Some(fabric) = cfg.fabric {
-        or_exit(fabric.to_config(cfg.router).check());
-    }
+    or_exit(cfg.check());
     cfg
 }
 
@@ -251,6 +248,9 @@ fn cmd_sweep(args: &[String]) {
                 .collect()
         })
         .unwrap_or_else(|| vec![0.5, 0.7, 0.8, 0.9]);
+    for &load in &loads {
+        or_exit(base.with_load(load).check());
+    }
     let arbiters: Vec<ArbiterKind> = flags
         .get("arbiters")
         .map(|s| s.split(',').map(|x| arbiter(x.trim())).collect())

@@ -1,15 +1,16 @@
-//! `mmr run --config` refuses a router or fabric it cannot build: exit 2
+//! `mmr run` refuses a router, fabric or workload it cannot build: exit 2
 //! and the bad field named on stderr, never a panic inside
-//! `MmrRouter::new` or `Fabric::new`.  `mmr gate --pack` writes a router
-//! pack's four artifacts.
+//! `MmrRouter::new`, `Fabric::new` or a workload builder.  `mmr gate
+//! --pack` writes a router pack's four artifacts.
 
-use mmr_core::config::{FabricSpec, SimConfig};
+use mmr_core::config::{ChurnConfig, FabricSpec, MixGroup, SimConfig, WorkloadSpec};
 use mmr_core::router::config::{
     LinkPolicy, RouterConfig, MAX_CANDIDATE_LEVELS, MAX_VC_BUFFER_FLITS,
 };
 use mmr_core::router::fabric::Topology;
 use mmr_core::sim::telemetry::recorder::{FlightRecorder, TraceKind};
 use mmr_core::sim::telemetry::validate_exposition;
+use mmr_core::traffic::connection::TrafficClass;
 use std::process::Command;
 
 #[test]
@@ -100,6 +101,35 @@ fn run_config_with_a_bad_fabric_exits_2_naming_the_field() {
     assert_run_config_exits_2("fabric", cases);
 }
 
+#[test]
+fn run_with_a_bad_workload_exits_2_naming_the_field() {
+    for (load, expected) in [("1.5", "load 1.5 must be"), ("-0.2", "load -0.2 must be")] {
+        assert_mmr_exits_2(&["run", "--load", load], expected);
+    }
+    let inverted_churn = SimConfig {
+        workload: WorkloadSpec::Mix {
+            target_load: 0.5,
+            groups: vec![MixGroup {
+                class: TrafficClass::CbrMedium,
+                rate_bps: 1.54e6,
+                weight: 1.0,
+            }],
+            ramp: None,
+            churn: Some(ChurnConfig {
+                start: 9_000,
+                end: 8_000,
+                departures: 0.1,
+                arrivals: 0.1,
+            }),
+        },
+        ..SimConfig::default()
+    };
+    assert_run_config_exits_2(
+        "workload",
+        [(inverted_churn, "churn window 9000..8000 is empty")],
+    );
+}
+
 /// Write each config to a file, run `mmr run --config` on it, and expect
 /// exit 2 with the paired message on stderr.
 fn assert_run_config_exits_2<const N: usize>(tag: &str, cases: [(SimConfig, &str); N]) {
@@ -112,16 +142,21 @@ fn assert_run_config_exits_2<const N: usize>(tag: &str, cases: [(SimConfig, &str
             serde_json::to_string(&cfg).expect("config serializes"),
         )
         .expect("write config");
-        let out = Command::new(env!("CARGO_BIN_EXE_mmr"))
-            .args(["run", "--config"])
-            .arg(&path)
-            .output()
-            .expect("mmr runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{expected}: {stderr}");
-        assert!(stderr.contains(expected), "{expected}: {stderr}");
+        let path = path.to_str().expect("UTF-8 temp path");
+        assert_mmr_exits_2(&["run", "--config", path], expected);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run `mmr` with `args` and expect exit 2 with `expected` on stderr.
+fn assert_mmr_exits_2(args: &[&str], expected: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmr"))
+        .args(args)
+        .output()
+        .expect("mmr runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{expected}: {stderr}");
+    assert!(stderr.contains(expected), "{expected}: {stderr}");
 }
 
 #[test]

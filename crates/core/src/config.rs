@@ -5,7 +5,6 @@ use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::RouterConfig;
 use mmr_router::fabric::{FabricConfig, Topology};
 use mmr_router::fault::FaultProfile;
-use mmr_router::telemetry::TelemetryConfig;
 use mmr_sim::fault::FaultPlanConfig;
 use serde::{Deserialize, Serialize};
 
@@ -74,17 +73,6 @@ impl RampScheduleConfig {
             }
         }
         active.min(total)
-    }
-
-    /// Activation cycle of connection `index` (admission order) out of
-    /// `total`: the first breakpoint whose fraction covers it.
-    pub fn activation_of(&self, total: usize, index: usize) -> u64 {
-        for s in &self.steps {
-            if index < ((s.fraction * total as f64).round() as usize).min(total) {
-                return s.at_cycle;
-            }
-        }
-        self.steps.last().map(|s| s.at_cycle).unwrap_or(0)
     }
 }
 
@@ -240,54 +228,8 @@ impl FaultSpec {
 
 /// Telemetry for a simulation: arming parameters for the router's
 /// counter registry, stage profiler, flight recorder, and snapshot
-/// windows.  Mirrors [`TelemetryConfig`] so it serializes alongside the
-/// rest of the config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TelemetrySpec {
-    /// Flit cycles per snapshot window (0 disables windowing).
-    pub snapshot_interval: u64,
-    /// Flight-recorder capacity in events (0 disables tracing).
-    pub trace_capacity: usize,
-    /// Maximum retained snapshot windows.
-    pub max_snapshots: usize,
-    /// Measure stage wall time with a real clock (sacrifices report
-    /// determinism for the wall-time fields only).
-    pub wall_clock: bool,
-    /// Arm the QoS observatory (per-class/per-connection delay, jitter
-    /// and residency histograms plus SLO tracking).
-    pub observatory: bool,
-    /// Delay bound in router cycles for SLO violation counting
-    /// (0 disables the bound; best-effort traffic is always exempt).
-    pub slo_delay_bound_rc: u64,
-}
-
-impl Default for TelemetrySpec {
-    fn default() -> Self {
-        let d = TelemetryConfig::default();
-        TelemetrySpec {
-            snapshot_interval: d.snapshot_interval,
-            trace_capacity: d.trace_capacity,
-            max_snapshots: d.max_snapshots,
-            wall_clock: d.wall_clock,
-            observatory: d.observatory,
-            slo_delay_bound_rc: d.slo_delay_bound_rc,
-        }
-    }
-}
-
-impl TelemetrySpec {
-    /// The router-side arming config this spec describes.
-    pub fn to_config(self) -> TelemetryConfig {
-        TelemetryConfig {
-            snapshot_interval: self.snapshot_interval,
-            trace_capacity: self.trace_capacity,
-            max_snapshots: self.max_snapshots,
-            wall_clock: self.wall_clock,
-            observatory: self.observatory,
-            slo_delay_bound_rc: self.slo_delay_bound_rc,
-        }
-    }
-}
+/// windows — the router's own config, serialized with the rest.
+pub use mmr_router::telemetry::TelemetryConfig as TelemetrySpec;
 
 /// Multi-router fabric geometry (the paper-§6 extension at scale).
 ///
@@ -473,6 +415,76 @@ impl SimConfig {
     pub fn engine_mode(&self) -> EngineMode {
         self.engine.unwrap_or(EngineMode::EventHorizon)
     }
+
+    /// Check everything a run would otherwise panic on, naming the first
+    /// nonsense field: the router ([`RouterConfig::check`]), any fabric
+    /// ([`FabricConfig::check`]) and the workload builders'
+    /// preconditions.
+    pub fn check(&self) -> Result<(), String> {
+        self.router.check()?;
+        if let Some(fabric) = self.fabric {
+            fabric.to_config(self.router).check()?;
+        }
+        let fraction = |x: f64| (0.0..=1.0).contains(&x);
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let load = self.workload.target_load();
+        if !fraction(load) {
+            return Err(format!("load {load} must be a fraction in [0, 1]"));
+        }
+        match &self.workload {
+            WorkloadSpec::Cbr { .. } => {}
+            WorkloadSpec::Vbr { gops, .. } => {
+                if *gops == 0 {
+                    return Err("VBR workload needs at least one GOP".into());
+                }
+            }
+            WorkloadSpec::Mix { groups, churn, .. } => {
+                if groups.is_empty() {
+                    return Err("mix workload needs at least one group".into());
+                }
+                for g in groups {
+                    if !(positive(g.rate_bps) && positive(g.weight)) {
+                        return Err(format!(
+                            "mix group {:?} needs a positive rate and weight, not {} bps and {}",
+                            g.class, g.rate_bps, g.weight
+                        ));
+                    }
+                }
+                if let Some(c) = churn {
+                    if c.end <= c.start {
+                        return Err(format!("churn window {}..{} is empty", c.start, c.end));
+                    }
+                    if !fraction(c.departures) {
+                        return Err(format!(
+                            "churn departures {} must be a fraction in [0, 1]",
+                            c.departures
+                        ));
+                    }
+                    if !(c.arrivals.is_finite() && c.arrivals >= 0.0) {
+                        return Err(format!(
+                            "churn arrivals {} must be finite and non-negative",
+                            c.arrivals
+                        ));
+                    }
+                }
+            }
+        }
+        if let Some(be) = &self.best_effort {
+            if !fraction(be.per_link_load) {
+                return Err(format!(
+                    "best-effort load {} must be a fraction in [0, 1]",
+                    be.per_link_load
+                ));
+            }
+            if !(be.mean_flits.is_finite() && be.mean_flits >= 1.0) {
+                return Err(format!(
+                    "best-effort messages need a mean of at least one flit, not {}",
+                    be.mean_flits
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Flit cycles needed for `gops` GOPs (15 frames × 33 ms each) plus a
@@ -598,5 +610,74 @@ mod tests {
     fn injection_labels() {
         assert_eq!(InjectionKind::SmoothRate.label(), "SR");
         assert_eq!(InjectionKind::BackToBack.label(), "BB");
+    }
+
+    #[test]
+    fn check_names_each_bad_workload_field() {
+        use mmr_traffic::connection::TrafficClass;
+        let group = |rate_bps, weight| MixGroup {
+            class: TrafficClass::CbrMedium,
+            rate_bps,
+            weight,
+        };
+        let churn = |start, end, departures, arrivals| ChurnConfig {
+            start,
+            end,
+            departures,
+            arrivals,
+        };
+        let mix = |groups, churn| WorkloadSpec::Mix {
+            target_load: 0.5,
+            groups,
+            ramp: None,
+            churn,
+        };
+        let good = || vec![group(1.54e6, 1.0)];
+        let vbr = WorkloadSpec::Vbr {
+            target_load: 0.5,
+            gops: 0,
+            injection: InjectionKind::SmoothRate,
+            enforce_peak: false,
+        };
+        let d = SimConfig::default();
+        assert_eq!(d.check(), Ok(()));
+        assert_eq!(d.with_load(1.0).check(), Ok(()));
+        let be = |per_link_load, mean_flits| SimConfig {
+            best_effort: Some(BestEffortSpec {
+                per_link_load,
+                mean_flits,
+            }),
+            ..d.clone()
+        };
+        let with = |workload| SimConfig {
+            workload,
+            ..d.clone()
+        };
+        for (cfg, expected) in [
+            (d.with_load(1.5), "load 1.5"),
+            (d.with_load(-0.2), "load -0.2"),
+            (d.with_load(f64::NAN), "load NaN"),
+            (with(vbr), "GOP"),
+            (with(mix(vec![], None)), "at least one group"),
+            (with(mix(vec![group(0.0, 1.0)], None)), "positive rate"),
+            (with(mix(vec![group(1.54e6, -1.0)], None)), "positive rate"),
+            (
+                with(mix(good(), Some(churn(9, 9, 0.1, 0.1)))),
+                "churn window 9..9",
+            ),
+            (
+                with(mix(good(), Some(churn(0, 9, 1.5, 0.1)))),
+                "departures 1.5",
+            ),
+            (
+                with(mix(good(), Some(churn(0, 9, 0.1, -1.0)))),
+                "arrivals -1",
+            ),
+            (be(1.2, 8.0), "best-effort load 1.2"),
+            (be(0.1, 0.5), "at least one flit"),
+        ] {
+            let err = cfg.check().expect_err(expected);
+            assert!(err.contains(expected), "{expected}: {err}");
+        }
     }
 }

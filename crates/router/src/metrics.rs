@@ -69,7 +69,6 @@ pub struct MetricsCollector {
     /// Every connection's frame-jitter samples, in whole router cycles.
     jitter_hist: LogHistogram,
     delivered_per_conn: Vec<u64>,
-    delay_per_conn: Vec<Running>,
     /// Per-connection QoS delay bound (router cycles); deliveries slower
     /// than this count as violations.  `None` disables the accounting.
     delay_bound_rc: Option<u64>,
@@ -89,7 +88,6 @@ impl MetricsCollector {
             jitter_per_conn: vec![JitterTracker::new(); connections],
             jitter_hist: LogHistogram::new(3),
             delivered_per_conn: vec![0; connections],
-            delay_per_conn: (0..connections).map(|_| Running::new()).collect(),
             delay_bound_rc: None,
             violations_per_conn: vec![0; connections],
         }
@@ -121,7 +119,6 @@ impl MetricsCollector {
         acc.hist.record(delay_rc);
         let conn_idx = delivery.flit.connection.idx();
         self.delivered_per_conn[conn_idx] += 1;
-        self.delay_per_conn[conn_idx].push(delay_rc as f64);
         if self.delay_bound_rc.is_some_and(|b| delay_rc > b) {
             self.violations_per_conn[conn_idx] += 1;
         }
@@ -154,7 +151,6 @@ impl MetricsCollector {
         self.jitter_per_conn.fill(JitterTracker::new());
         self.jitter_hist.reset();
         self.delivered_per_conn.fill(0);
-        self.delay_per_conn.fill(Running::new());
         self.violations_per_conn.fill(0);
     }
 
@@ -168,15 +164,6 @@ impl MetricsCollector {
     /// [`MetricsCollector::set_delay_bound`]).
     pub fn violations_per_connection(&self) -> &[u64] {
         &self.violations_per_conn
-    }
-
-    /// Mean delay per connection, in microseconds (`None` for connections
-    /// that delivered nothing).
-    pub fn mean_delay_per_connection_us(&self) -> Vec<Option<f64>> {
-        self.delay_per_conn
-            .iter()
-            .map(|r| (r.count() > 0).then(|| r.mean() * self.tb.router_cycle_secs() * 1e6))
-            .collect()
     }
 
     /// Jain's fairness index over per-connection throughput normalized by
@@ -297,18 +284,6 @@ impl MetricsReport {
     pub fn class(&self, class: TrafficClass) -> Option<&ClassStats> {
         self.classes.iter().find(|c| c.class == class)
     }
-
-    /// Delivered / generated across all classes (1.0 when the router kept
-    /// up; < 1.0 when flits are still queued at measurement end).
-    pub fn delivery_ratio(&self) -> f64 {
-        let gen: u64 = self.classes.iter().map(|c| c.generated).sum();
-        let del: u64 = self.classes.iter().map(|c| c.delivered).sum();
-        if gen == 0 {
-            1.0
-        } else {
-            del as f64 / gen as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -379,13 +354,13 @@ mod tests {
     #[test]
     fn delivery_ratio() {
         let mut m = MetricsCollector::new(1, TimeBase::default());
-        for _ in 0..10 {
-            m.record_generated(TrafficClass::CbrLow);
-        }
+        m.record_generated_n(TrafficClass::CbrLow, 10);
         for _ in 0..7 {
             m.record_delivery(&delivery(0, 0, 64, None), TrafficClass::CbrLow);
         }
-        assert!((m.report().delivery_ratio() - 0.7).abs() < 1e-12);
+        let r = m.report();
+        let low = r.class(TrafficClass::CbrLow).unwrap();
+        assert_eq!((low.generated, low.delivered), (10, 7));
     }
 
     #[test]
@@ -419,14 +394,11 @@ mod tests {
     /// Everything a caller can read out of a collector, plus its whole
     /// state as `Debug` prints it (histogram buckets, running moments and
     /// the jitter trackers' last delays included).
-    fn observe(
-        m: &MetricsCollector,
-    ) -> (MetricsReport, Vec<u64>, Vec<u64>, Vec<Option<f64>>, String) {
+    fn observe(m: &MetricsCollector) -> (MetricsReport, Vec<u64>, Vec<u64>, String) {
         (
             m.report(),
             m.delivered_per_connection().to_vec(),
             m.violations_per_connection().to_vec(),
-            m.mean_delay_per_connection_us(),
             format!("{m:?}"),
         )
     }
@@ -488,9 +460,6 @@ mod tests {
         m.record_delivery(&delivery(0, 0, 128, None), TrafficClass::CbrLow);
         m.record_delivery(&delivery(2, 0, 64, None), TrafficClass::CbrHigh);
         assert_eq!(m.delivered_per_connection(), &[2, 0, 1]);
-        let delays = m.mean_delay_per_connection_us();
-        assert!(delays[0].unwrap() > 0.0);
-        assert!(delays[1].is_none());
     }
 
     #[test]
@@ -601,7 +570,7 @@ mod tests {
     fn empty_report_is_sane() {
         let m = MetricsCollector::new(0, TimeBase::default());
         let r = m.report();
-        assert_eq!(r.delivery_ratio(), 1.0);
+        assert!(r.classes.is_empty());
         assert_eq!(r.mean_frame_delay_us, 0.0);
         assert_eq!(r.max_frame_jitter_us, 0.0);
     }

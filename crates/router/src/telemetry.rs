@@ -5,9 +5,10 @@
 //! router instance:
 //!
 //! * a counter [`Registry`] (grants, stalls, credits, faults …);
-//! * a [`StageProfiler`] bracketing every stage of `MmrRouter::step`
-//!   (source generation, link scheduling, arbitration, crossbar
-//!   traversal, delivery, NIC forwarding, credit return);
+//! * a [`StageProfiler`] bracketing every stage `FabricNode::step_cycle`
+//!   runs on its `SwitchCore` (source generation, link scheduling,
+//!   arbitration, crossbar traversal, delivery, NIC forwarding, credit
+//!   return);
 //! * a [`FlightRecorder`] ring of binary [`TraceEvent`]s (grants, VC
 //!   stalls, credit consumption, fault detections, quarantines);
 //! * periodic per-class window accumulators feeding a report of
@@ -30,15 +31,18 @@ use mmr_sim::telemetry::{
 use mmr_traffic::connection::TrafficClass;
 use serde::{Deserialize, Serialize};
 
-/// How a router's telemetry should be armed.
+/// Snapshot windows an armed router retains; later windows are counted
+/// as dropped.
+const MAX_SNAPSHOTS: usize = 512;
+
+/// How a router's telemetry should be armed (serialized in a
+/// `SimConfig` as `mmr_core::config::TelemetrySpec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Flight-recorder capacity in events (0 disables tracing).
-    pub trace_capacity: usize,
     /// Flit cycles per snapshot window (0 disables windowing).
     pub snapshot_interval: u64,
-    /// Maximum retained windows; later windows are counted as dropped.
-    pub max_snapshots: usize,
+    /// Flight-recorder capacity in events (0 disables tracing).
+    pub trace_capacity: usize,
     /// Measure stage wall time with a real monotonic clock.  Off by
     /// default: the `NullClock` keeps reports bit-deterministic.
     pub wall_clock: bool,
@@ -55,9 +59,8 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            trace_capacity: 4096,
             snapshot_interval: 1000,
-            max_snapshots: 512,
+            trace_capacity: 4096,
             wall_clock: false,
             observatory: true,
             slo_delay_bound_rc: 4096,
@@ -65,7 +68,16 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Pipeline stages of `MmrRouter::step`, in execution order.
+impl TelemetryConfig {
+    /// Identity, kept only for the benchmark's pinned surface
+    /// (`benchmark/src/sut.rs`), which arms routers through
+    /// `TelemetrySpec::to_config`.
+    pub fn to_config(self) -> TelemetryConfig {
+        self
+    }
+}
+
+/// Pipeline stages of `FabricNode::step_cycle`, in execution order.
 struct StageIds {
     source_gen: StageId,
     link_schedule: StageId,
@@ -418,7 +430,7 @@ impl RouterTelemetry {
             profiler,
             stages,
             recorder: FlightRecorder::new(cfg.trace_capacity),
-            windows: SnapshotRing::with_capacity(cfg.max_snapshots),
+            windows: SnapshotRing::with_capacity(MAX_SNAPSHOTS),
             current: WindowAccum::fresh(0, 0),
             interval: cfg.snapshot_interval,
             observatory: if cfg.observatory {

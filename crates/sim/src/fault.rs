@@ -102,11 +102,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Cycle of the last scheduled event, if any.
-    pub fn last_cycle(&self) -> Option<u64> {
-        self.events.last().map(|e| e.at)
-    }
 }
 
 /// Generation parameters for a randomized [`FaultPlan`].
@@ -276,7 +271,6 @@ mod tests {
     fn empty_plan_has_no_events() {
         let p = FaultPlan::empty();
         assert!(p.is_empty());
-        assert_eq!(p.last_cycle(), None);
     }
 
     #[test]
@@ -297,7 +291,6 @@ mod tests {
         ]);
         let cycles: Vec<u64> = p.events().iter().map(|e| e.at).collect();
         assert_eq!(cycles, vec![10, 20, 30]);
-        assert_eq!(p.last_cycle(), Some(30));
     }
 
     #[test]

@@ -10,12 +10,10 @@
 //!   stream splitting, so every experiment is reproducible from a single
 //!   seed without depending on platform RNG state.
 //! * [`stats`] — streaming statistics (Welford mean/variance, min/max,
-//!   log-bucket histograms with percentile queries, inter-sample jitter,
-//!   windowed time series).
+//!   log-bucket histograms with percentile queries, inter-sample jitter).
 //! * [`engine`] — a tiny cycle-driven engine: a [`engine::CycleModel`] is
 //!   stepped one flit cycle at a time with warm-up handling and stop
 //!   conditions.
-//! * [`log`] — a bounded event ring buffer used for debugging simulations.
 //! * [`telemetry`] — the zero-overhead observability substrate: a masked
 //!   counter [`telemetry::Registry`], a [`telemetry::Clock`]-injected
 //!   per-stage profiler, the binary [`telemetry::FlightRecorder`], and
@@ -32,7 +30,6 @@
 
 pub mod engine;
 pub mod fault;
-pub mod log;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;

@@ -7,9 +7,7 @@
 mod histogram;
 mod jitter;
 mod running;
-mod timeseries;
 
 pub use histogram::{Bucket, LogHistogram, LogHistogramBank};
 pub use jitter::JitterTracker;
 pub use running::Running;
-pub use timeseries::WindowedSeries;

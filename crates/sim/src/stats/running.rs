@@ -65,12 +65,6 @@ impl Running {
         }
     }
 
-    /// Population standard deviation.
-    #[inline]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum sample; `None` if empty.
     #[inline]
     pub fn min(&self) -> Option<f64> {
@@ -126,7 +120,6 @@ mod tests {
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
         assert!((r.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(r.std_dev(), 2.0);
         assert_eq!(r.min(), Some(2.0));
         assert_eq!(r.max(), Some(9.0));
     }

@@ -3,9 +3,9 @@
 //!
 //! Observability in a cycle-accurate simulator has two hard constraints:
 //!
-//! 1. **Free when off.**  The hot path (`MmrRouter::step` and the
-//!    arbitration kernels) is pinned allocation-free and benchmarked per
-//!    cycle; instrumentation must cost at most a predictable handful of
+//! 1. **Free when off.**  The hot path (`FabricNode::step_cycle` over
+//!    the `SwitchCore` stages, and the arbitration kernels) is pinned
+//!    allocation-free and benchmarked per cycle; instrumentation must cost at most a predictable handful of
 //!    branch-free instructions when disabled.
 //! 2. **Deterministic when on.**  Experiments replay bit-for-bit from a
 //!    seed; telemetry must never perturb the RNG streams, and its own

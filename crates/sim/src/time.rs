@@ -160,31 +160,11 @@ impl TimeBase {
         self.flit_bits as f64 / self.link_bits_per_sec
     }
 
-    /// Convert a flit-cycle timestamp to router cycles.
-    #[inline]
-    pub fn to_router(&self, t: FlitCycle) -> RouterCycle {
-        RouterCycle(t.0 * self.router_cycles_per_flit())
-    }
-
-    /// Convert a router-cycle count to microseconds.
-    #[inline]
-    pub fn router_cycles_to_us(&self, c: RouterCycle) -> f64 {
-        c.0 as f64 * self.router_cycle_secs() * 1e6
-    }
-
     /// Convert a duration in seconds to whole router cycles (rounded to
     /// nearest).
     #[inline]
     pub fn secs_to_router_cycles(&self, secs: f64) -> RouterCycle {
         RouterCycle((secs / self.router_cycle_secs()).round() as u64)
-    }
-
-    /// Convert a duration in seconds to whole flit cycles (rounded to
-    /// nearest, at least 1 for positive durations).
-    #[inline]
-    pub fn secs_to_flit_cycles(&self, secs: f64) -> FlitCycle {
-        let c = (secs / self.flit_cycle_secs()).round() as u64;
-        FlitCycle(c.max(if secs > 0.0 { 1 } else { 0 }))
     }
 
     /// Inter-arrival time, in router cycles, of flits of a connection with
@@ -218,9 +198,6 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         let tb = TimeBase::default();
-        assert_eq!(tb.to_router(FlitCycle(3)), RouterCycle(192));
-        let us = tb.router_cycles_to_us(RouterCycle(64));
-        assert!((us - 0.8258).abs() < 0.01);
         assert_eq!(
             tb.secs_to_router_cycles(tb.router_cycle_secs() * 10.0),
             RouterCycle(10)

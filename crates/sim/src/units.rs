@@ -25,11 +25,6 @@ impl Bandwidth {
     pub const fn mbps(v: f64) -> Self {
         Bandwidth(v * 1e6)
     }
-    /// From gigabits per second (10^9).
-    #[inline]
-    pub const fn gbps(v: f64) -> Self {
-        Bandwidth(v * 1e9)
-    }
     /// Value in bits per second.
     #[inline]
     pub const fn as_bps(self) -> f64 {
@@ -78,16 +73,6 @@ impl DataSize {
     pub const fn bits(v: u64) -> Self {
         DataSize(v)
     }
-    /// From kilobits (10^3).
-    #[inline]
-    pub const fn kbits(v: u64) -> Self {
-        DataSize(v * 1_000)
-    }
-    /// Value in bits.
-    #[inline]
-    pub const fn as_bits(self) -> u64 {
-        self.0
-    }
     /// Number of flits of `flit_bits` needed to carry this payload
     /// (rounded up, at least 1 for non-empty payloads).
     #[inline]
@@ -108,8 +93,8 @@ mod tests {
     fn bandwidth_conversions() {
         assert_eq!(Bandwidth::kbps(64.0).as_bps(), 64_000.0);
         assert_eq!(Bandwidth::mbps(1.54).as_bps(), 1.54e6);
-        assert_eq!(Bandwidth::gbps(1.24).as_mbps(), 1240.0);
-        let frac = Bandwidth::mbps(55.0).fraction_of(Bandwidth::gbps(1.24));
+        assert_eq!(Bandwidth::mbps(1240.0).as_mbps(), 1240.0);
+        let frac = Bandwidth::mbps(55.0).fraction_of(Bandwidth::mbps(1240.0));
         assert!((frac - 0.044355).abs() < 1e-6);
     }
 
@@ -134,6 +119,6 @@ mod tests {
         assert_eq!(DataSize::bits(1).flits(1024), 1);
         assert_eq!(DataSize::bits(1024).flits(1024), 1);
         assert_eq!(DataSize::bits(1025).flits(1024), 2);
-        assert_eq!(DataSize::kbits(100).flits(1024), 98); // 100_000 / 1024 = 97.66
+        assert_eq!(DataSize::bits(100_000).flits(1024), 98); // 100_000 / 1024 = 97.66
     }
 }

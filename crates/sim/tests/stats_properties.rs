@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use mmr_sim::rng::SimRng;
-use mmr_sim::stats::{LogHistogram, LogHistogramBank, Running, WindowedSeries};
+use mmr_sim::stats::{LogHistogram, LogHistogramBank, Running};
 use proptest::prelude::*;
 
 proptest! {
@@ -203,23 +203,6 @@ proptest! {
                 serde_json::to_string(h).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn windowed_series_conserves_mass(
-        samples in proptest::collection::vec((0u64..10_000, -100.0f64..100.0), 1..200),
-        window in 1u64..500,
-    ) {
-        let mut s = WindowedSeries::new(window);
-        let mut total = 0.0;
-        for &(t, v) in &samples {
-            s.record(t, v);
-            total += v;
-        }
-        let summed: f64 = s.sums().iter().sum();
-        prop_assert!((summed - total).abs() < 1e-9 * (1.0 + total.abs()));
-        let max_t = samples.iter().map(|&(t, _)| t).max().unwrap();
-        prop_assert_eq!(s.len(), (max_t / window) as usize + 1);
     }
 
     #[test]

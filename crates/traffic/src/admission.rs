@@ -198,12 +198,6 @@ impl AdmissionControl {
     pub fn input_load(&self, input: usize) -> f64 {
         self.inputs[input].avg_slots as f64 / self.round.cycles_per_round as f64
     }
-
-    /// Fraction of the round already reserved (average slots) on an output
-    /// link.
-    pub fn output_load(&self, output: usize) -> f64 {
-        self.outputs[output].avg_slots as f64 / self.round.cycles_per_round as f64
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +359,6 @@ mod tests {
             c.admit(0, 0, voice, voice).unwrap();
         }
         assert_eq!(c.input_load(0), 1.0, "round must be exactly full");
-        assert_eq!(c.output_load(0), 1.0);
         // Every class is now refused, smallest first — and the medium
         // class reports the same exhaustion, not a peak error.
         assert_eq!(

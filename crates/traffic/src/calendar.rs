@@ -218,7 +218,8 @@ impl InjectionCalendar {
     /// exact.
     ///
     /// `inline(always)`: with plain `inline` rustc leaves this out of
-    /// line in `MmrRouter::step`, and the saturated-CBR step loses ~11 %
+    /// line in the router step (`SwitchCore::inject` inside
+    /// `FabricNode::step_cycle`), and the saturated-CBR step loses ~11 %
     /// (`cbr4_sat`, measured).
     #[inline(always)]
     pub fn drain_due(

@@ -174,6 +174,128 @@ impl Workload {
 /// input link (the link is effectively full at that point).
 const MAX_PLACEMENT_FAILURES: usize = 64;
 
+/// One admission made by [`fill_inputs`]: the link pair, the reserved
+/// slots and the builder's candidate.
+struct Placed<C> {
+    input: usize,
+    output: usize,
+    slots: u64,
+    candidate: C,
+}
+
+/// The §5 placement policy every load-targeted builder shares: fill each
+/// input link in turn until its admitted load reaches `target_load`.
+///
+/// `draw(rng, admitted)` proposes a candidate with its average bandwidth
+/// and the peak to present to the CAC (`admitted` counts this loop's
+/// admissions so far).  A candidate that would overshoot the target by
+/// more than half its own bandwidth is skipped; otherwise a uniform
+/// output is drawn, the CAC is asked, and every admission goes to
+/// `on_admit`.  An input is given up after [`MAX_PLACEMENT_FAILURES`]
+/// consecutive skips or rejections.  Returns the ledger and its tally.
+fn fill_inputs<C>(
+    ports: usize,
+    tb: &TimeBase,
+    round: RoundConfig,
+    target_load: f64,
+    rng: &mut SimRng,
+    mut draw: impl FnMut(&mut SimRng, usize) -> (C, Bandwidth, Bandwidth),
+    mut on_admit: impl FnMut(&mut SimRng, Placed<C>),
+) -> (AdmissionControl, AdmissionTally) {
+    let mut cac = AdmissionControl::new(ports, round, *tb);
+    let mut tally = AdmissionTally::default();
+    let link = Bandwidth::bps(tb.link_bits_per_sec);
+    for input in 0..ports {
+        let mut failures = 0;
+        while cac.input_load(input) < target_load && failures < MAX_PLACEMENT_FAILURES {
+            let (candidate, avg, peak) = draw(rng, tally.accepted as usize);
+            // Do not overshoot the target by a whole connection: skip a
+            // candidate whose bandwidth would push load far past the goal.
+            let frac = avg.fraction_of(link);
+            if cac.input_load(input) + frac > target_load + frac * 0.5 {
+                failures += 1;
+                continue;
+            }
+            let output = rng.index(ports);
+            match cac.admit(input, output, avg, peak) {
+                Ok(slots) => {
+                    tally.accepted += 1;
+                    failures = 0;
+                    on_admit(
+                        rng,
+                        Placed {
+                            input,
+                            output,
+                            slots,
+                            candidate,
+                        },
+                    );
+                }
+                Err(_) => {
+                    tally.rejected += 1;
+                    failures += 1;
+                }
+            }
+        }
+    }
+    (cac, tally)
+}
+
+/// The three index-aligned vectors a builder fills.
+#[derive(Default)]
+struct Assembly {
+    connections: Vec<ConnectionSpec>,
+    sources: Vec<BoxedSource>,
+    windows: Vec<ActiveWindow>,
+}
+
+impl Assembly {
+    fn next_id(&self) -> ConnectionId {
+        ConnectionId(self.connections.len() as u32)
+    }
+
+    /// Push a CBR connection for `placed` whose first flit lands a
+    /// uniform phase (one inter-arrival time wide) after its window
+    /// opens; a departing window wraps the source so it stops emitting.
+    fn push_cbr(
+        &mut self,
+        tb: &TimeBase,
+        rng: &mut SimRng,
+        placed: &Placed<(TrafficClass, Bandwidth)>,
+        window: ActiveWindow,
+    ) {
+        let id = self.next_id();
+        let (class, bw) = placed.candidate;
+        let iat = tb.flit_iat_router_cycles(bw.as_bps());
+        let phase = RouterCycle(window.start.0 + (rng.uniform() * iat) as u64);
+        self.connections.push(ConnectionSpec {
+            id,
+            input: placed.input,
+            output: placed.output,
+            class,
+            qos: QosSpec::cbr(bw),
+            kind: ConnectionKind::Cbr,
+            reserved_slots: placed.slots,
+        });
+        let cbr: BoxedSource = Box::new(CbrSource::new(id, bw, phase, tb));
+        self.sources.push(match window.end {
+            Some(end) => Box::new(crate::source::ExpiringSource::new(cbr, end)),
+            None => cbr,
+        });
+        self.windows.push(window);
+    }
+
+    fn finish(self, cac: &AdmissionControl, ports: usize, admission: AdmissionTally) -> Workload {
+        Workload {
+            connections: self.connections,
+            sources: self.sources,
+            windows: self.windows,
+            per_input_load: (0..ports).map(|i| cac.input_load(i)).collect(),
+            admission,
+        }
+    }
+}
+
 /// Builder for the paper's CBR mixes (§5.1): random mixture of 64 Kbps,
 /// 1.54 Mbps and 55 Mbps connections.
 #[derive(Debug, Clone)]
@@ -230,58 +352,35 @@ impl CbrMixBuilder {
         (last.0, last.1)
     }
 
+    /// [`fill_inputs`] over the class mix, each candidate admitted at its
+    /// constant rate.
+    fn fill_with_classes(
+        &self,
+        rng: &mut SimRng,
+        on_admit: impl FnMut(&mut SimRng, Placed<(TrafficClass, Bandwidth)>),
+    ) -> (AdmissionControl, AdmissionTally) {
+        let draw = |rng: &mut SimRng, _| {
+            let (class, bw) = self.pick_class(rng);
+            ((class, bw), bw, bw)
+        };
+        fill_inputs(
+            self.ports,
+            &self.tb,
+            self.round,
+            self.target_load,
+            rng,
+            draw,
+            on_admit,
+        )
+    }
+
     /// Assemble the workload.
     pub fn build(&self, rng: &mut SimRng) -> Workload {
-        let mut cac = AdmissionControl::new(self.ports, self.round, self.tb);
-        let mut admission = AdmissionTally::default();
-        let mut connections = Vec::new();
-        let mut sources: Vec<BoxedSource> = Vec::new();
-        for input in 0..self.ports {
-            let mut failures = 0;
-            while cac.input_load(input) < self.target_load && failures < MAX_PLACEMENT_FAILURES {
-                let (class, bw) = self.pick_class(rng);
-                // Do not overshoot the target by a whole connection: skip a
-                // class whose bandwidth would push load far past the goal.
-                let frac = bw.fraction_of(Bandwidth::bps(self.tb.link_bits_per_sec));
-                if cac.input_load(input) + frac > self.target_load + frac * 0.5 {
-                    failures += 1;
-                    continue;
-                }
-                let output = rng.index(self.ports);
-                match cac.admit(input, output, bw, bw) {
-                    Ok(slots) => {
-                        admission.accepted += 1;
-                        failures = 0;
-                        let id = ConnectionId(connections.len() as u32);
-                        let iat = self.tb.flit_iat_router_cycles(bw.as_bps());
-                        let phase = RouterCycle((rng.uniform() * iat) as u64);
-                        connections.push(ConnectionSpec {
-                            id,
-                            input,
-                            output,
-                            class,
-                            qos: QosSpec::cbr(bw),
-                            kind: ConnectionKind::Cbr,
-                            reserved_slots: slots,
-                        });
-                        sources.push(Box::new(CbrSource::new(id, bw, phase, &self.tb)));
-                    }
-                    Err(_) => {
-                        admission.rejected += 1;
-                        failures += 1;
-                    }
-                }
-            }
-        }
-        let per_input_load = (0..self.ports).map(|i| cac.input_load(i)).collect();
-        let windows = vec![ActiveWindow::always(); connections.len()];
-        Workload {
-            connections,
-            sources,
-            windows,
-            per_input_load,
-            admission,
-        }
+        let mut out = Assembly::default();
+        let (cac, admission) = self.fill_with_classes(rng, |rng, placed| {
+            out.push_cbr(&self.tb, rng, &placed, ActiveWindow::always())
+        });
+        out.finish(&cac, self.ports, admission)
     }
 }
 
@@ -328,7 +427,7 @@ impl VbrMixBuilder {
 
     /// Set the target generated load per input link.
     pub fn target_load(mut self, load: f64) -> Self {
-        assert!((0.0..=1.0).contains(&load));
+        assert!((0.0..=1.0).contains(&load), "load must be a fraction");
         self.target_load = load;
         self
     }
@@ -391,67 +490,53 @@ impl VbrMixBuilder {
     /// Assemble the workload.
     pub fn build(&self, rng: &mut SimRng) -> Workload {
         let model = self.model();
-        let mut cac = AdmissionControl::new(self.ports, self.round, self.tb);
-        let mut admission = AdmissionTally::default();
-        let mut connections = Vec::new();
-        let mut sources: Vec<BoxedSource> = Vec::new();
         let gop_time_rc =
             crate::mpeg::GOP_PATTERN.len() as f64 * FRAME_TIME_SECS / self.tb.router_cycle_secs();
-        for input in 0..self.ports {
-            let mut failures = 0;
-            while cac.input_load(input) < self.target_load && failures < MAX_PLACEMENT_FAILURES {
-                let seq_idx = rng.index(self.sequences.len());
-                let params = &self.sequences[seq_idx];
-                let mut trace_rng = rng.split(connections.len() as u64 + 1);
-                let trace = MpegTrace::generate(params, self.gops, &self.tb, &mut trace_rng);
-                let stats = trace.stats();
-                let avg = stats.avg_bandwidth;
-                let peak = match self.injection {
-                    VbrInjection::SmoothRate => stats.peak_bandwidth,
-                    VbrInjection::BackToBack => self.bb_peak(),
-                };
-                let admit_peak = if self.enforce_peak { peak } else { avg };
-                let frac = avg.fraction_of(Bandwidth::bps(self.tb.link_bits_per_sec));
-                if cac.input_load(input) + frac > self.target_load + frac * 0.5 {
-                    failures += 1;
-                    continue;
-                }
-                let output = rng.index(self.ports);
-                match cac.admit(input, output, avg, admit_peak) {
-                    Ok(slots) => {
-                        admission.accepted += 1;
-                        failures = 0;
-                        let id = ConnectionId(connections.len() as u32);
-                        // "randomly aligned, that is, they start at a random
-                        // time within a GOP time" (§5.2)
-                        let start = RouterCycle((rng.uniform() * gop_time_rc) as u64);
-                        connections.push(ConnectionSpec {
-                            id,
-                            input,
-                            output,
-                            class: TrafficClass::Vbr,
-                            qos: QosSpec::vbr(avg, peak),
-                            kind: ConnectionKind::Vbr { sequence: seq_idx },
-                            reserved_slots: slots,
-                        });
-                        sources.push(Box::new(VbrSource::new(id, trace, model, start, &self.tb)));
-                    }
-                    Err(_) => {
-                        admission.rejected += 1;
-                        failures += 1;
-                    }
-                }
-            }
-        }
-        let per_input_load = (0..self.ports).map(|i| cac.input_load(i)).collect();
-        let windows = vec![ActiveWindow::always(); connections.len()];
-        Workload {
-            connections,
-            sources,
-            windows,
-            per_input_load,
-            admission,
-        }
+        // Each candidate's trace comes from its own stream, split off by
+        // the index the connection would get.
+        let draw = |rng: &mut SimRng, admitted: usize| {
+            let seq_idx = rng.index(self.sequences.len());
+            let mut trace_rng = rng.split(admitted as u64 + 1);
+            let params = &self.sequences[seq_idx];
+            let trace = MpegTrace::generate(params, self.gops, &self.tb, &mut trace_rng);
+            let stats = trace.stats();
+            let avg = stats.avg_bandwidth;
+            let peak = match self.injection {
+                VbrInjection::SmoothRate => stats.peak_bandwidth,
+                VbrInjection::BackToBack => self.bb_peak(),
+            };
+            let admit_peak = if self.enforce_peak { peak } else { avg };
+            ((seq_idx, trace, avg, peak), avg, admit_peak)
+        };
+        let mut out = Assembly::default();
+        let (cac, admission) = fill_inputs(
+            self.ports,
+            &self.tb,
+            self.round,
+            self.target_load,
+            rng,
+            draw,
+            |rng, placed| {
+                let (sequence, trace, avg, peak) = placed.candidate;
+                let id = out.next_id();
+                // "randomly aligned, that is, they start at a random
+                // time within a GOP time" (§5.2)
+                let start = RouterCycle((rng.uniform() * gop_time_rc) as u64);
+                out.connections.push(ConnectionSpec {
+                    id,
+                    input: placed.input,
+                    output: placed.output,
+                    class: TrafficClass::Vbr,
+                    qos: QosSpec::vbr(avg, peak),
+                    kind: ConnectionKind::Vbr { sequence },
+                    reserved_slots: placed.slots,
+                });
+                out.sources
+                    .push(Box::new(VbrSource::new(id, trace, model, start, &self.tb)));
+                out.windows.push(ActiveWindow::always());
+            },
+        );
+        out.finish(&cac, self.ports, admission)
     }
 }
 
@@ -471,11 +556,8 @@ impl VbrMixBuilder {
 /// cycles staggered across the window.
 #[derive(Debug, Clone)]
 pub struct MixWorkloadBuilder {
-    ports: usize,
-    tb: TimeBase,
-    round: RoundConfig,
-    target_load: f64,
-    classes: Vec<(TrafficClass, Bandwidth, f64)>,
+    /// Geometry, load target and class mix of the base population.
+    mix: CbrMixBuilder,
     /// `(at_cycle, cumulative_fraction)` steps, non-decreasing in both.
     ramp: Vec<(u64, f64)>,
     /// `(start, end, departures_fraction, arrivals_fraction)`.
@@ -486,15 +568,7 @@ impl MixWorkloadBuilder {
     /// Builder with the paper's default three-class mix and no schedule.
     pub fn new(ports: usize, tb: TimeBase, round: RoundConfig) -> Self {
         MixWorkloadBuilder {
-            ports,
-            tb,
-            round,
-            target_load: 0.5,
-            classes: vec![
-                (TrafficClass::CbrLow, Bandwidth::kbps(64.0), 1.0),
-                (TrafficClass::CbrMedium, Bandwidth::mbps(1.54), 1.0),
-                (TrafficClass::CbrHigh, Bandwidth::mbps(55.0), 1.0),
-            ],
+            mix: CbrMixBuilder::new(ports, tb, round),
             ramp: Vec::new(),
             churn: None,
         }
@@ -502,15 +576,13 @@ impl MixWorkloadBuilder {
 
     /// Set the target offered load per input link.
     pub fn target_load(mut self, load: f64) -> Self {
-        assert!((0.0..=1.0).contains(&load), "load must be a fraction");
-        self.target_load = load;
+        self.mix = self.mix.target_load(load);
         self
     }
 
     /// Replace the class mix: `(class, bandwidth, weight)` triples.
     pub fn classes(mut self, classes: Vec<(TrafficClass, Bandwidth, f64)>) -> Self {
-        assert!(!classes.is_empty());
-        self.classes = classes;
+        self.mix = self.mix.classes(classes);
         self
     }
 
@@ -540,87 +612,16 @@ impl MixWorkloadBuilder {
         self.ramp.last().map(|s| s.0).unwrap_or(0)
     }
 
-    fn pick_class(&self, rng: &mut SimRng) -> (TrafficClass, Bandwidth) {
-        let total: f64 = self.classes.iter().map(|c| c.2).sum();
-        let mut x = rng.uniform() * total;
-        for &(class, bw, w) in &self.classes {
-            if x < w {
-                return (class, bw);
-            }
-            x -= w;
-        }
-        let last = self.classes.last().unwrap();
-        (last.0, last.1)
-    }
-
-    #[allow(clippy::too_many_arguments)] // builder internals: three parallel output vecs
-    fn push_connection(
-        connections: &mut Vec<ConnectionSpec>,
-        sources: &mut Vec<BoxedSource>,
-        windows: &mut Vec<ActiveWindow>,
-        tb: &TimeBase,
-        rng: &mut SimRng,
-        input: usize,
-        output: usize,
-        class: TrafficClass,
-        bw: Bandwidth,
-        slots: u64,
-        window: ActiveWindow,
-    ) {
-        let id = ConnectionId(connections.len() as u32);
-        let iat = tb.flit_iat_router_cycles(bw.as_bps());
-        let phase = RouterCycle(window.start.0 + (rng.uniform() * iat) as u64);
-        connections.push(ConnectionSpec {
-            id,
-            input,
-            output,
-            class,
-            qos: QosSpec::cbr(bw),
-            kind: ConnectionKind::Cbr,
-            reserved_slots: slots,
-        });
-        let cbr: BoxedSource = Box::new(CbrSource::new(id, bw, phase, tb));
-        match window.end {
-            Some(end) => sources.push(Box::new(crate::source::ExpiringSource::new(cbr, end))),
-            None => sources.push(cbr),
-        }
-        windows.push(window);
-    }
-
     /// Assemble the workload.
     pub fn build(&self, rng: &mut SimRng) -> Workload {
-        let mut cac = AdmissionControl::new(self.ports, self.round, self.tb);
-        let mut admission = AdmissionTally::default();
-        let mut connections = Vec::new();
-        let mut sources: Vec<BoxedSource> = Vec::new();
-        let mut windows = Vec::new();
+        let (ports, tb) = (self.mix.ports, &self.mix.tb);
         // Phase 1: admit the base mix exactly like `CbrMixBuilder`, but
         // defer source construction until the base population is known
         // (ramp activation depends on the final count).
-        let mut base: Vec<(usize, usize, TrafficClass, Bandwidth, u64)> = Vec::new();
-        for input in 0..self.ports {
-            let mut failures = 0;
-            while cac.input_load(input) < self.target_load && failures < MAX_PLACEMENT_FAILURES {
-                let (class, bw) = self.pick_class(rng);
-                let frac = bw.fraction_of(Bandwidth::bps(self.tb.link_bits_per_sec));
-                if cac.input_load(input) + frac > self.target_load + frac * 0.5 {
-                    failures += 1;
-                    continue;
-                }
-                let output = rng.index(self.ports);
-                match cac.admit(input, output, bw, bw) {
-                    Ok(slots) => {
-                        admission.accepted += 1;
-                        failures = 0;
-                        base.push((input, output, class, bw, slots));
-                    }
-                    Err(_) => {
-                        admission.rejected += 1;
-                        failures += 1;
-                    }
-                }
-            }
-        }
+        let mut base = Vec::new();
+        let (mut cac, mut admission) = self
+            .mix
+            .fill_with_classes(rng, |_, placed| base.push(placed));
         let n = base.len();
         // Phase 2: departure plan — evenly spaced base indices retire at
         // evenly spaced cycles inside the churn window.
@@ -635,23 +636,12 @@ impl MixWorkloadBuilder {
             }
         }
         // Phase 3: materialize base connections with ramp/churn windows.
-        for (i, &(input, output, class, bw, slots)) in base.iter().enumerate() {
+        let mut out = Assembly::default();
+        for (i, placed) in base.iter().enumerate() {
             let start = RouterCycle(self.activation_of(n, i));
             // A connection must exist before it can depart.
             let end = ends[i].map(|e| RouterCycle(e.0.max(start.0 + 1)));
-            Self::push_connection(
-                &mut connections,
-                &mut sources,
-                &mut windows,
-                &self.tb,
-                rng,
-                input,
-                output,
-                class,
-                bw,
-                slots,
-                ActiveWindow { start, end },
-            );
+            out.push_cbr(tb, rng, placed, ActiveWindow { start, end });
         }
         // Phase 4: churn arrivals — extra admissions on top of the base
         // target, starting at staggered cycles inside the window.
@@ -661,31 +651,26 @@ impl MixWorkloadBuilder {
             let mut admitted = 0usize;
             let mut failures = 0;
             while admitted < m && failures < MAX_PLACEMENT_FAILURES {
-                let (class, bw) = self.pick_class(rng);
-                let input = rng.index(self.ports);
-                let output = rng.index(self.ports);
+                let (class, bw) = self.mix.pick_class(rng);
+                let input = rng.index(ports);
+                let output = rng.index(ports);
                 match cac.admit(input, output, bw, bw) {
                     Ok(slots) => {
                         admission.accepted += 1;
                         failures = 0;
                         let at = start + ((admitted as u64 + 1) * span) / (m as u64 + 1);
                         admitted += 1;
-                        Self::push_connection(
-                            &mut connections,
-                            &mut sources,
-                            &mut windows,
-                            &self.tb,
-                            rng,
+                        let placed = Placed {
                             input,
                             output,
-                            class,
-                            bw,
                             slots,
-                            ActiveWindow {
-                                start: RouterCycle(at),
-                                end: None,
-                            },
-                        );
+                            candidate: (class, bw),
+                        };
+                        let window = ActiveWindow {
+                            start: RouterCycle(at),
+                            end: None,
+                        };
+                        out.push_cbr(tb, rng, &placed, window);
                     }
                     Err(_) => {
                         admission.rejected += 1;
@@ -694,14 +679,7 @@ impl MixWorkloadBuilder {
                 }
             }
         }
-        let per_input_load = (0..self.ports).map(|i| cac.input_load(i)).collect();
-        Workload {
-            connections,
-            sources,
-            windows,
-            per_input_load,
-            admission,
-        }
+        out.finish(&cac, ports, admission)
     }
 }
 

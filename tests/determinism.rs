@@ -904,3 +904,108 @@ fn single_router_results_are_pinned_for_every_arbiter() {
     let want: Vec<(String, u64)> = want.iter().map(|&(a, h)| (a.to_string(), h)).collect();
     assert_eq!(got, want, "the single router's results moved");
 }
+
+// ---------------------------------------------------------------------------
+// Workload pin: every builder's admitted connection list, lifetimes, loads
+// and CAC tally, plus each source's first 16 injection times, hashed at
+// three seeds.  A refactor of the builders that keeps their RNG draw order
+// keeps every hash.
+// ---------------------------------------------------------------------------
+
+fn workload_hash(cfg: &SimConfig) -> u64 {
+    let mut workload = build_workload(cfg);
+    let mut h = fnv1a(&[format!(
+        "{:?}{:?}{:?}{:?}",
+        workload.connections, workload.windows, workload.per_input_load, workload.admission
+    )
+    .as_bytes()]);
+    for source in &mut workload.sources {
+        let mut times = Vec::with_capacity(16);
+        while times.len() < 16 {
+            let Some(t) = source.peek_next() else { break };
+            times.push(t.0);
+            source.emit();
+        }
+        h = fnv1a(&[&h.to_le_bytes(), format!("{times:?}").as_bytes()]);
+    }
+    h
+}
+
+#[test]
+fn workload_builders_are_pinned() {
+    use mmr_core::config::{RampScheduleConfig, RampStepConfig};
+    let mix = WorkloadSpec::Mix {
+        target_load: 0.6,
+        groups: vec![
+            MixGroup {
+                class: TrafficClass::CbrLow,
+                rate_bps: 64_000.0,
+                weight: 2.0,
+            },
+            MixGroup {
+                class: TrafficClass::CbrHigh,
+                rate_bps: 55e6,
+                weight: 1.0,
+            },
+        ],
+        ramp: Some(RampScheduleConfig {
+            steps: vec![
+                RampStepConfig {
+                    at_cycle: 0,
+                    fraction: 0.5,
+                },
+                RampStepConfig {
+                    at_cycle: 4_000,
+                    fraction: 1.0,
+                },
+            ],
+        }),
+        churn: Some(ChurnConfig {
+            start: 8_000,
+            end: 16_000,
+            departures: 0.25,
+            arrivals: 0.2,
+        }),
+    };
+    let vbr = |injection| WorkloadSpec::Vbr {
+        target_load: 0.5,
+        gops: 1,
+        injection,
+        enforce_peak: false,
+    };
+    let cases = [
+        ("cbr", WorkloadSpec::cbr(0.7), None),
+        ("vbr_sr", vbr(InjectionKind::SmoothRate), None),
+        ("vbr_bb", vbr(InjectionKind::BackToBack), None),
+        ("mix", mix, None),
+        (
+            "cbr+best_effort",
+            WorkloadSpec::cbr(0.5),
+            Some(BestEffortSpec::default()),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, workload, best_effort) in cases {
+        let hashes: Vec<String> = [3u64, 29, 0xB1ACA]
+            .iter()
+            .map(|&seed| {
+                let cfg = SimConfig {
+                    workload: workload.clone(),
+                    best_effort,
+                    seed,
+                    ..Default::default()
+                };
+                format!("{:016X}", workload_hash(&cfg))
+            })
+            .collect();
+        got.push(format!("{name}: {}", hashes.join(" ")));
+    }
+    let want = [
+        "cbr: 44A4550C233E5C40 55548A6360E8D397 DB44EAEB97A67214",
+        "vbr_sr: B3CEBF5A9FFC38F5 CD8D711EE3BCD577 4B7FB69D3406EAFF",
+        "vbr_bb: 7AAC775105A40DF5 48B2D0BE00BFF11A 6C44B545E0B128D6",
+        "mix: 0FBBBF01DCB7B00D 64887AA3FA51B415 1DDDF7024A6B27F4",
+        "cbr+best_effort: 3FA7550D6D14C6B3 045D84BBC880880F 51F7B45812E3ECA7",
+    ];
+    assert_eq!(got, want, "a workload builder's output moved");
+}

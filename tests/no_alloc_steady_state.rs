@@ -4,7 +4,8 @@
 //! warm-up phase that grows every scratch buffer to its steady-state
 //! capacity, the arbitration kernels and the whole router step must
 //! perform **zero** heap allocations.  This pins the perf contract of
-//! `SwitchScheduler::schedule_into` and `MmrRouter::step`: reusable
+//! `SwitchScheduler::schedule_into` and the router step
+//! (`FabricNode::step_cycle` over the `SwitchCore` stages): reusable
 //! `Matching`/`CandidateSet` buffers plus per-arbiter struct scratch,
 //! nothing allocated per cycle.
 //!
@@ -25,7 +26,6 @@ use mmr_core::router::router::MmrRouter;
 use mmr_core::router::telemetry::TelemetryConfig;
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::fault::{FaultEvent, FaultKind, FaultPlan};
-use mmr_core::sim::log::EventLog;
 use mmr_core::sim::rng::SimRng;
 use mmr_core::sim::time::{FlitCycle, RouterCycle, TimeBase};
 use mmr_core::sim::units::Bandwidth;
@@ -882,29 +882,5 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             allocs, 0,
             "pack (Mix+ramp+churn) router step allocated {allocs} times in steady state"
         );
-    }
-
-    // --- EventLog recording ---------------------------------------------
-    // The debug event log formats into a reusable byte arena: recording
-    // (including wrap-around eviction of old entries) makes no allocator
-    // calls once constructed.
-    {
-        let mut log = EventLog::new(64);
-        for tick in 0..64 {
-            log.record(tick, format_args!("warm {tick}"));
-        }
-        let allocs = allocations_in(|| {
-            for tick in 0..1_000u64 {
-                log.record(
-                    tick,
-                    format_args!("grant in={} out={}", tick % 16, tick % 7),
-                );
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "EventLog::record allocated {allocs} times in steady state"
-        );
-        assert_eq!(log.len(), 64, "ring retains the newest entries");
     }
 }
