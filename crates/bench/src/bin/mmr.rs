@@ -25,9 +25,10 @@
 //! claim ids unique across packs, cross-pack panels resolvable — and
 //! prints the catalog without simulating.
 //!
-//! `mmr run --config` checks the router (`RouterConfig::check`) and, when
-//! present, the fabric (`FabricConfig::check`) and exits 2 naming the bad
-//! field.
+//! Exits 0 on success, 1 when a claim fails or a `--config` file cannot
+//! be read or parsed, and 2 on a usage error or a config the simulator
+//! cannot run: every point `run`, `sweep` and `gate` would simulate is
+//! checked by `SimConfig::check` first, and the bad field named.
 
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_bench::overview::{load_bench_trajectory, render_overview, validate_overview};
@@ -248,13 +249,15 @@ fn cmd_sweep(args: &[String]) {
                 .collect()
         })
         .unwrap_or_else(|| vec![0.5, 0.7, 0.8, 0.9]);
-    for &load in &loads {
-        or_exit(base.with_load(load).check());
-    }
     let arbiters: Vec<ArbiterKind> = flags
         .get("arbiters")
         .map(|s| s.split(',').map(|x| arbiter(x.trim())).collect())
         .unwrap_or_else(|| vec![ArbiterKind::Coa, ArbiterKind::Wfa]);
+    for &load in &loads {
+        for &a in &arbiters {
+            or_exit(base.with_load(load).with_arbiter(a).check());
+        }
+    }
     let spec = SweepSpec {
         seeds: vec![base.seed],
         base,
@@ -506,7 +509,7 @@ fn cmd_gate(args: &[String]) {
     let dir = workloads_dir();
     let specs = read_pack_dir(&dir).unwrap_or_else(|e| {
         eprintln!("mmr gate: {e}");
-        exit(1)
+        exit(2)
     });
     if list {
         print_catalog(&specs, fidelity);

@@ -1,15 +1,21 @@
-//! `mmr run` refuses a router, fabric or workload it cannot build: exit 2
-//! and the bad field named on stderr, never a panic inside
-//! `MmrRouter::new`, `Fabric::new` or a workload builder.  `mmr gate
-//! --pack` writes a router pack's four artifacts.
+//! `mmr run` refuses a router, fabric, arbiter, run length or workload it
+//! cannot build or measure: exit 2 and the bad field named on stderr,
+//! never a panic inside `MmrRouter::new`, `Fabric::new`, an arbiter or a
+//! workload builder.  `mmr gate` refuses such a pack before any run.
+//! `mmr gate --pack` writes a router pack's four artifacts.
 
-use mmr_core::config::{ChurnConfig, FabricSpec, MixGroup, SimConfig, WorkloadSpec};
+use mmr_core::arbiter::scheduler::ArbiterKind;
+use mmr_core::config::{
+    ChurnConfig, FabricSpec, FaultSpec, MixGroup, RampScheduleConfig, RampStepConfig, RunLength,
+    SimConfig, TelemetrySpec, WorkloadSpec,
+};
 use mmr_core::router::config::{
     LinkPolicy, RouterConfig, MAX_CANDIDATE_LEVELS, MAX_VC_BUFFER_FLITS,
 };
 use mmr_core::router::fabric::Topology;
 use mmr_core::sim::telemetry::recorder::{FlightRecorder, TraceKind};
 use mmr_core::sim::telemetry::validate_exposition;
+use mmr_core::sim::time::TimeBase;
 use mmr_core::traffic::connection::TrafficClass;
 use std::process::Command;
 
@@ -21,6 +27,13 @@ fn run_config_with_a_bad_router_exits_2_naming_the_field() {
     let slot_table = LinkPolicy::SlotTable {
         backfill: false,
         table_len: 0,
+    };
+    let flit_bits = |flit_bits| RouterConfig {
+        time: TimeBase {
+            flit_bits,
+            ..d.time
+        },
+        ..d
     };
     let cases = [
         (
@@ -61,6 +74,14 @@ fn run_config_with_a_bad_router_exits_2_naming_the_field() {
             "slot table",
         ),
         (low_concurrency, "concurrency factor"),
+        (
+            flit_bits(0),
+            "router.time.flit_bits: flits must be at least one bit",
+        ),
+        (
+            flit_bits(1_000),
+            "router.time.flit_bits: flit width (1000) must be a multiple",
+        ),
     ];
     let cases = cases.map(|(router, expected)| {
         (
@@ -97,6 +118,15 @@ fn run_config_with_a_bad_fabric_exits_2_naming_the_field() {
             }),
             "at least one host port",
         ),
+        (fabric(ring.with_workers(0)), "fabric.workers"),
+        (
+            fabric(ring).with_fault(FaultSpec::default()),
+            "fault: a fabric runs no fault plan",
+        ),
+        (
+            fabric(ring).with_telemetry(TelemetrySpec::default()),
+            "telemetry: telemetry arms the single router only",
+        ),
     ];
     assert_run_config_exits_2("fabric", cases);
 }
@@ -106,7 +136,7 @@ fn run_with_a_bad_workload_exits_2_naming_the_field() {
     for (load, expected) in [("1.5", "load 1.5 must be"), ("-0.2", "load -0.2 must be")] {
         assert_mmr_exits_2(&["run", "--load", load], expected);
     }
-    let inverted_churn = SimConfig {
+    let mix = |ramp: Option<&[(u64, f64)]>, churn| SimConfig {
         workload: WorkloadSpec::Mix {
             target_load: 0.5,
             groups: vec![MixGroup {
@@ -114,20 +144,103 @@ fn run_with_a_bad_workload_exits_2_naming_the_field() {
                 rate_bps: 1.54e6,
                 weight: 1.0,
             }],
-            ramp: None,
-            churn: Some(ChurnConfig {
-                start: 9_000,
-                end: 8_000,
-                departures: 0.1,
-                arrivals: 0.1,
+            ramp: ramp.map(|steps| RampScheduleConfig {
+                steps: steps
+                    .iter()
+                    .map(|&(at_cycle, fraction)| RampStepConfig { at_cycle, fraction })
+                    .collect(),
             }),
+            churn,
         },
         ..SimConfig::default()
     };
+    let inverted_churn = ChurnConfig {
+        start: 9_000,
+        end: 8_000,
+        departures: 0.1,
+        arrivals: 0.1,
+    };
     assert_run_config_exits_2(
         "workload",
-        [(inverted_churn, "churn window 9000..8000 is empty")],
+        [
+            (
+                mix(None, Some(inverted_churn)),
+                "churn window 9000..8000 is empty",
+            ),
+            (
+                mix(Some(&[(0, 2.0), (9, 1.0)]), None),
+                "workload.ramp.steps[0].fraction: ramp fraction 2 outside",
+            ),
+            (
+                mix(Some(&[(0, -1.0), (9, 1.0)]), None),
+                "workload.ramp.steps[0].fraction: ramp fraction -1 outside",
+            ),
+            (
+                mix(Some(&[(9, 0.5), (3, 1.0)]), None),
+                "workload.ramp.steps[1].at_cycle: ramp steps overlap",
+            ),
+            (
+                mix(Some(&[]), None),
+                "workload.ramp.steps: the last ramp step",
+            ),
+        ],
     );
+}
+
+#[test]
+fn run_with_a_bad_arbiter_or_run_length_exits_2_naming_the_field() {
+    for (args, expected) in [
+        (&["--arbiter", "islip:0"][..], "arbiter.iterations"),
+        (&["--arbiter", "pim:0"], "arbiter.iterations"),
+        (
+            &["--warmup", "5000", "--cycles", "100"],
+            "run: a 100-cycle run ends inside its 5000-cycle warm-up",
+        ),
+        (&["--cycles", "0"], "run: a 0-cycle run ends inside"),
+    ] {
+        assert_mmr_exits_2(&[&["run"], args].concat(), expected);
+    }
+    let d = SimConfig::default();
+    let drained = SimConfig {
+        warmup_cycles: 5_000,
+        run: RunLength::UntilDrained { max_cycles: 5_000 },
+        ..d.clone()
+    };
+    assert_run_config_exits_2(
+        "arbiter",
+        [
+            (
+                d.with_arbiter(ArbiterKind::FrameFair { frame: 0 }),
+                "arbiter.frame",
+            ),
+            (
+                d.with_arbiter(ArbiterKind::CrosspointQueued { cap: 0 }),
+                "arbiter.cap",
+            ),
+            (drained, "run: a 5000-cycle run ends inside"),
+        ],
+    );
+}
+
+#[test]
+fn gate_refuses_a_pack_with_a_bad_arbiter_before_any_run() {
+    let dir = std::env::temp_dir().join(format!("mmr-cli-gate-pack-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let pack = "[meta]\nname = \"zero_iterations\"\ndescription = \"iSLIP with no passes\"\n\n\
+                [traffic]\npreset = \"paper-cbr\"\n\n[run]\nwarmup = 100\ncycles = 1000\n\n\
+                [sweep]\nloads = [0.5]\narbiters = [\"islip:0\"]\nseeds = 1\n";
+    std::fs::write(dir.join("zero_iterations.toml"), pack).expect("write pack");
+    let out = Command::new(env!("CARGO_BIN_EXE_mmr"))
+        .args(["gate", "--pack", "zero_iterations"])
+        .env("MMR_WORKLOADS_DIR", &dir)
+        .env("MMR_RESULTS_DIR", &dir)
+        .output()
+        .expect("mmr runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("arbiter.iterations"), "{stderr}");
+    assert!(!stderr.contains("running pack"), "a run started: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Write each config to a file, run `mmr run --config` on it, and expect

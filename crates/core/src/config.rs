@@ -5,6 +5,10 @@ use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::RouterConfig;
 use mmr_router::fabric::{FabricConfig, Topology};
 use mmr_router::fault::FaultProfile;
+use mmr_router::telemetry::MAX_TRACE_CAPACITY;
+pub use mmr_sim::check::ConfigError;
+use mmr_sim::check::{within_span, MAX_SPAN};
+use mmr_sim::ensure;
 use mmr_sim::fault::FaultPlanConfig;
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +66,30 @@ pub struct RampScheduleConfig {
 }
 
 impl RampScheduleConfig {
+    /// Check the steps rise in cycle (to [`MAX_SPAN`]) and, within
+    /// `(0, 1]`, in fraction, up to a last step of 1.0.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let last = self.steps.last().map_or(0.0, |s| s.fraction);
+        let mut prev: Option<RampStepConfig> = None;
+        for (i, s) in self.steps.iter().enumerate() {
+            let field = |name: &str| format!("steps[{i}].{name}");
+            let (at, fraction) = (s.at_cycle, s.fraction);
+            if let Some(p) = prev {
+                ensure!(at > p.at_cycle; &field("at_cycle"),
+                    "ramp steps overlap: cycle {at} does not follow {}", p.at_cycle);
+            }
+            within_span(at, &field("at_cycle"))?;
+            ensure!(fraction > 0.0 && fraction <= 1.0; &field("fraction"),
+                "ramp fraction {fraction} outside (0, 1]");
+            ensure!(prev.is_none_or(|p| fraction >= p.fraction); &field("fraction"),
+                "ramp fraction decreases at step {i}");
+            prev = Some(*s);
+        }
+        ensure!((last - 1.0).abs() <= 1e-6; "steps",
+            "the last ramp step must reach 1.0, got {last}");
+        Ok(())
+    }
+
     /// Number of connections the schedule makes active at `cycle`, out of
     /// `total` admitted — the contract the workload builder implements
     /// and the ramp tests check against.
@@ -91,6 +119,20 @@ pub struct ChurnConfig {
     /// the base target load (the arrivals go through the CAC like any
     /// other admission request).
     pub arrivals: f64,
+}
+
+impl ChurnConfig {
+    /// Check the window is non-empty and both fractions lie in `[0, 1]`.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let (start, end) = (self.start, self.end);
+        ensure!(end > start; "end", "churn window {start}..{end} is empty");
+        within_span(end, "end")?;
+        for (x, field) in [(self.departures, "departures"), (self.arrivals, "arrivals")] {
+            ensure!((0.0..=1.0).contains(&x); field,
+                "churn {field} {x} must be a fraction in [0, 1]");
+        }
+        Ok(())
+    }
 }
 
 /// The traffic side of a simulation.
@@ -154,6 +196,47 @@ impl WorkloadSpec {
         }
     }
 
+    /// Check the workload builders' preconditions on a `link_bps` link:
+    /// every source sends within [`MAX_SPAN`] and no faster than the link.
+    pub fn check(&self, link_bps: f64) -> Result<(), ConfigError> {
+        let load = self.target_load();
+        ensure!((0.0..=1.0).contains(&load); "target_load",
+            "load {load} must be a fraction in [0, 1]");
+        match self {
+            WorkloadSpec::Cbr { .. } => Ok(()),
+            WorkloadSpec::Vbr { gops, .. } => {
+                ensure!(*gops > 0; "gops", "VBR workload needs at least one GOP");
+                let budget = vbr_cycle_budget(1).saturating_mul(*gops as u64);
+                within_span(budget, "gops")
+            }
+            WorkloadSpec::Mix {
+                groups,
+                ramp,
+                churn,
+                ..
+            } => {
+                ensure!(!groups.is_empty(); "groups", "mix workload needs at least one group");
+                for (i, g) in groups.iter().enumerate() {
+                    let field = |name: &str| format!("groups[{i}].{name}");
+                    let (rate, weight) = (g.rate_bps, g.weight);
+                    // At least one flit per longest span, at most the link.
+                    let slowest = link_bps / MAX_SPAN as f64;
+                    ensure!(rate >= slowest && rate <= link_bps; &field("rate_bps"),
+                        "{rate} bps must lie within {slowest:.3}..={link_bps} bps");
+                    ensure!(weight > 0.0 && weight.is_finite(); &field("weight"),
+                        "weight {weight} must be positive and finite");
+                }
+                if let Some(r) = ramp {
+                    r.check().map_err(|e| e.within("ramp"))?;
+                }
+                match churn {
+                    Some(c) => c.check().map_err(|e| e.within("churn")),
+                    None => Ok(()),
+                }
+            }
+        }
+    }
+
     /// With a different target load (for sweeps).
     pub fn with_load(&self, load: f64) -> Self {
         let mut s = self.clone();
@@ -197,6 +280,22 @@ impl Default for BestEffortSpec {
             per_link_load: 0.1,
             mean_flits: 8.0,
         }
+    }
+}
+
+impl BestEffortSpec {
+    /// Check, over `ports` links, a load fraction and a mean of at least
+    /// one flit that each link pair sends within [`MAX_SPAN`].
+    pub fn check(&self, ports: usize) -> Result<(), ConfigError> {
+        let (load, mean) = (self.per_link_load, self.mean_flits);
+        ensure!((0.0..=1.0).contains(&load); "per_link_load",
+            "best-effort load {load} must be a fraction in [0, 1]");
+        ensure!(mean >= 1.0; "mean_flits",
+            "best-effort messages need a mean of at least one flit, not {mean}");
+        let gap = mean * ports as f64 / load;
+        ensure!(load == 0.0 || gap <= MAX_SPAN as f64; "mean_flits",
+            "{mean}-flit messages at load {load} are {gap:.0} cycles apart on a pair");
+        Ok(())
     }
 }
 
@@ -416,75 +515,73 @@ impl SimConfig {
         self.engine.unwrap_or(EngineMode::EventHorizon)
     }
 
-    /// Check everything a run would otherwise panic on, naming the first
-    /// nonsense field: the router ([`RouterConfig::check`]), any fabric
-    /// ([`FabricConfig::check`]) and the workload builders'
-    /// preconditions.
-    pub fn check(&self) -> Result<(), String> {
-        self.router.check()?;
+    /// The one validator (workload packs call it on every point): check
+    /// everything a run would panic on or silently ignore — router,
+    /// fabric, arbiter, a measured window, workload, best effort, faults
+    /// and telemetry — naming the first bad field by its path.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.router.check().map_err(|e| e.within("router"))?;
         if let Some(fabric) = self.fabric {
-            fabric.to_config(self.router).check()?;
+            ensure!(fabric.workers > 0; "fabric.workers", "a fabric needs at least one worker");
+            let geometry = fabric.to_config(self.router).check();
+            geometry.map_err(|e| e.within("fabric"))?;
+            // Faults and telemetry arm the single router only.
+            ensure!(self.fault.is_none(); "fault", "a fabric runs no fault plan");
+            ensure!(self.telemetry.is_none(); "telemetry",
+                "telemetry arms the single router only, not a fabric");
         }
-        let fraction = |x: f64| (0.0..=1.0).contains(&x);
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        let load = self.workload.target_load();
-        if !fraction(load) {
-            return Err(format!("load {load} must be a fraction in [0, 1]"));
-        }
-        match &self.workload {
-            WorkloadSpec::Cbr { .. } => {}
-            WorkloadSpec::Vbr { gops, .. } => {
-                if *gops == 0 {
-                    return Err("VBR workload needs at least one GOP".into());
-                }
-            }
-            WorkloadSpec::Mix { groups, churn, .. } => {
-                if groups.is_empty() {
-                    return Err("mix workload needs at least one group".into());
-                }
-                for g in groups {
-                    if !(positive(g.rate_bps) && positive(g.weight)) {
-                        return Err(format!(
-                            "mix group {:?} needs a positive rate and weight, not {} bps and {}",
-                            g.class, g.rate_bps, g.weight
-                        ));
-                    }
-                }
-                if let Some(c) = churn {
-                    if c.end <= c.start {
-                        return Err(format!("churn window {}..{} is empty", c.start, c.end));
-                    }
-                    if !fraction(c.departures) {
-                        return Err(format!(
-                            "churn departures {} must be a fraction in [0, 1]",
-                            c.departures
-                        ));
-                    }
-                    if !(c.arrivals.is_finite() && c.arrivals >= 0.0) {
-                        return Err(format!(
-                            "churn arrivals {} must be finite and non-negative",
-                            c.arrivals
-                        ));
-                    }
-                }
-            }
-        }
+        check_arbiter(self.arbiter).map_err(|e| e.within("arbiter"))?;
+        let (RunLength::Cycles(last) | RunLength::UntilDrained { max_cycles: last }) = self.run;
+        let warmup = self.warmup_cycles;
+        ensure!(last > warmup; "run",
+            "a {last}-cycle run ends inside its {warmup}-cycle warm-up (warmup_cycles): nothing is measured");
+        within_span(last, "run")?;
+        self.workload
+            .check(self.router.time.link_bits_per_sec)
+            .map_err(|e| e.within("workload"))?;
         if let Some(be) = &self.best_effort {
-            if !fraction(be.per_link_load) {
-                return Err(format!(
-                    "best-effort load {} must be a fraction in [0, 1]",
-                    be.per_link_load
-                ));
-            }
-            if !(be.mean_flits.is_finite() && be.mean_flits >= 1.0) {
-                return Err(format!(
-                    "best-effort messages need a mean of at least one flit, not {}",
-                    be.mean_flits
-                ));
-            }
+            let ports = self.fabric.map_or(self.router.ports, |f| {
+                f.topology.workload_ports(self.router.ports, f.host_ports)
+            });
+            be.check(ports).map_err(|e| e.within("best_effort"))?;
+        }
+        if let Some(fault) = &self.fault {
+            let plan = &fault.plan;
+            plan.check().map_err(|e| e.within("fault.plan"))?;
+            let end = plan.window_start + plan.window_len;
+            ensure!(end <= last; "fault.plan.window_len",
+                "the window ends at cycle {end}, past the run's last cycle {last}");
+            let p = &fault.profile;
+            within_span(p.watchdog_period, "fault.profile.watchdog_period")?;
+            within_span(p.rate_window, "fault.profile.rate_window")?;
+            let bound = p.delay_bound_flit_cycles.unwrap_or(0);
+            within_span(bound, "fault.profile.delay_bound_flit_cycles")?;
+            let t = p.rogue_threshold;
+            ensure!(t > 0.0 && t.is_finite(); "fault.profile.rogue_threshold",
+                "rogue threshold {t} must be finite and positive");
+        }
+        if let Some(t) = &self.telemetry {
+            let n = t.trace_capacity;
+            ensure!(n <= MAX_TRACE_CAPACITY; "telemetry.trace_capacity",
+                "{n} events exceed the flight recorder's {MAX_TRACE_CAPACITY}");
         }
         Ok(())
     }
+}
+
+/// An arbiter's parameters: iSLIP and PIM passes, a frame's cycles and
+/// a crosspoint buffer's slots number at least one.
+fn check_arbiter(arbiter: ArbiterKind) -> Result<(), ConfigError> {
+    let (n, field) = match arbiter {
+        ArbiterKind::Islip { iterations } | ArbiterKind::Pim { iterations } => {
+            (iterations, "iterations")
+        }
+        ArbiterKind::FrameFair { frame } => (frame as usize, "frame"),
+        ArbiterKind::CrosspointQueued { cap } => (cap as usize, "cap"),
+        _ => return Ok(()),
+    };
+    ensure!(n > 0; field, "must be at least 1, not 0");
+    Ok(())
 }
 
 /// Flit cycles needed for `gops` GOPs (15 frames × 33 ms each) plus a
@@ -626,10 +723,16 @@ mod tests {
             departures,
             arrivals,
         };
-        let mix = |groups, churn| WorkloadSpec::Mix {
+        let ramp = |steps: &[(u64, f64)]| RampScheduleConfig {
+            steps: steps
+                .iter()
+                .map(|&(at_cycle, fraction)| RampStepConfig { at_cycle, fraction })
+                .collect(),
+        };
+        let mix = |groups, ramp, churn| WorkloadSpec::Mix {
             target_load: 0.5,
             groups,
-            ramp: None,
+            ramp,
             churn,
         };
         let good = || vec![group(1.54e6, 1.0)];
@@ -649,35 +752,159 @@ mod tests {
             }),
             ..d.clone()
         };
+        assert_eq!(
+            be(1.0, 8.0).check(),
+            Ok(()),
+            "best-effort load is in [0, 1]"
+        );
         let with = |workload| SimConfig {
             workload,
             ..d.clone()
         };
-        for (cfg, expected) in [
-            (d.with_load(1.5), "load 1.5"),
-            (d.with_load(-0.2), "load -0.2"),
-            (d.with_load(f64::NAN), "load NaN"),
-            (with(vbr), "GOP"),
-            (with(mix(vec![], None)), "at least one group"),
-            (with(mix(vec![group(0.0, 1.0)], None)), "positive rate"),
-            (with(mix(vec![group(1.54e6, -1.0)], None)), "positive rate"),
+        let run = |warmup_cycles, run| SimConfig {
+            warmup_cycles,
+            run,
+            ..d.clone()
+        };
+        let mut flit_bits = d.clone();
+        flit_bits.router.time.flit_bits = 1_000;
+        let mut rate = d.clone();
+        rate.router.time.link_bits_per_sec = f64::INFINITY;
+        let mesh = d.with_fabric(FabricSpec::new(Topology::Mesh { x: 2, y: 2 }));
+        let window = |window_start, window_len| FaultSpec {
+            plan: FaultPlanConfig {
+                window_start,
+                window_len,
+                ..FaultPlanConfig::default()
+            },
+            profile: FaultProfile::default(),
+        };
+        for (cfg, field, expected) in [
+            (d.with_load(1.5), "workload.target_load", "load 1.5"),
+            (d.with_load(-0.2), "workload.target_load", "load -0.2"),
+            (d.with_load(f64::NAN), "workload.target_load", "load NaN"),
+            (with(vbr), "workload.gops", "GOP"),
             (
-                with(mix(good(), Some(churn(9, 9, 0.1, 0.1)))),
+                with(mix(vec![], None, None)),
+                "workload.groups",
+                "at least one group",
+            ),
+            (
+                with(mix(vec![group(0.0, 1.0)], None, None)),
+                "workload.groups[0].rate_bps",
+                "0 bps must lie within",
+            ),
+            (
+                with(mix(vec![group(2e9, 1.0)], None, None)),
+                "workload.groups[0].rate_bps",
+                "..=1240000000 bps",
+            ),
+            (
+                with(mix(vec![group(1.54e6, -1.0)], None, None)),
+                "workload.groups[0].weight",
+                "weight -1",
+            ),
+            (
+                with(mix(good(), Some(ramp(&[])), None)),
+                "workload.ramp.steps",
+                "reach 1.0",
+            ),
+            (
+                with(mix(good(), Some(ramp(&[(0, 2.0), (9, 1.0)])), None)),
+                "workload.ramp.steps[0].fraction",
+                "fraction 2 outside",
+            ),
+            (
+                with(mix(good(), Some(ramp(&[(9, 0.5), (3, 1.0)])), None)),
+                "workload.ramp.steps[1].at_cycle",
+                "overlap",
+            ),
+            (
+                with(mix(good(), Some(ramp(&[(0, 0.8), (9, 0.5)])), None)),
+                "workload.ramp.steps[1].fraction",
+                "decreases",
+            ),
+            (
+                with(mix(good(), None, Some(churn(9, 9, 0.1, 0.1)))),
+                "workload.churn.end",
                 "churn window 9..9",
             ),
             (
-                with(mix(good(), Some(churn(0, 9, 1.5, 0.1)))),
+                with(mix(good(), None, Some(churn(0, 9, 1.5, 0.1)))),
+                "workload.churn.departures",
                 "departures 1.5",
             ),
             (
-                with(mix(good(), Some(churn(0, 9, 0.1, -1.0)))),
+                with(mix(good(), None, Some(churn(0, 9, 0.1, -1.0)))),
+                "workload.churn.arrivals",
                 "arrivals -1",
             ),
-            (be(1.2, 8.0), "best-effort load 1.2"),
-            (be(0.1, 0.5), "at least one flit"),
+            (
+                with(mix(good(), None, Some(churn(0, 9, 0.1, 1.5)))),
+                "workload.churn.arrivals",
+                "arrivals 1.5",
+            ),
+            (
+                be(1.2, 8.0),
+                "best_effort.per_link_load",
+                "best-effort load 1.2",
+            ),
+            (be(0.1, 0.5), "best_effort.mean_flits", "at least one flit"),
+            (
+                d.with_arbiter(ArbiterKind::Islip { iterations: 0 }),
+                "arbiter.iterations",
+                "at least 1",
+            ),
+            (
+                d.with_arbiter(ArbiterKind::Pim { iterations: 0 }),
+                "arbiter.iterations",
+                "at least 1",
+            ),
+            (
+                d.with_arbiter(ArbiterKind::FrameFair { frame: 0 }),
+                "arbiter.frame",
+                "at least 1",
+            ),
+            (
+                d.with_arbiter(ArbiterKind::CrosspointQueued { cap: 0 }),
+                "arbiter.cap",
+                "at least 1",
+            ),
+            (run(5_000, RunLength::Cycles(100)), "run", "warm-up"),
+            (run(2_000, RunLength::Cycles(0)), "run", "warm-up"),
+            (
+                run(7, RunLength::UntilDrained { max_cycles: 7 }),
+                "run",
+                "warm-up",
+            ),
+            (flit_bits, "router.time.flit_bits", "multiple"),
+            (rate, "router.time.link_bits_per_sec", "at most"),
+            (
+                mesh.with_fabric(FabricSpec::new(Topology::Mesh { x: 2, y: 2 }).with_workers(0)),
+                "fabric.workers",
+                "worker",
+            ),
+            (mesh.with_fault(FaultSpec::default()), "fault", "fabric"),
+            (
+                mesh.with_telemetry(TelemetrySpec::default()),
+                "telemetry",
+                "single router",
+            ),
+            (
+                d.with_fault(window(49_000, 1_001)),
+                "fault.plan.window_len",
+                "last cycle 50000",
+            ),
+            (
+                d.with_fault(window(5_000, 0)),
+                "fault.plan.window_len",
+                "positive",
+            ),
         ] {
             let err = cfg.check().expect_err(expected);
-            assert!(err.contains(expected), "{expected}: {err}");
+            assert_eq!(err.field, field, "{err}");
+            assert!(err.reason.contains(expected), "{expected}: {err}");
         }
+        assert_eq!(d.with_fault(window(49_000, 1_000)).check(), Ok(()));
     }
 }

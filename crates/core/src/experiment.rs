@@ -188,7 +188,7 @@ pub fn build_fabric(cfg: &SimConfig, spec: &FabricSpec, workload: Workload) -> F
 /// through [`Fabric::run_parallel`], up to its cycle bound (a drained
 /// fabric idles out the rest), and its results are bit-identical for
 /// every worker count and engine mode.  Fault injection and telemetry
-/// arm the single router only; on a fabric they are ignored.
+/// arm the single router only ([`SimConfig::check`] refuses a fabric's).
 pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
     let workload = match &cfg.fabric {
         Some(spec) => build_fabric_workload(cfg, spec),

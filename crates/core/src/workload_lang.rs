@@ -22,8 +22,9 @@
 //! detected by a leading `{` and parsed with the vendored `serde_json`.
 
 use crate::config::{
-    vbr_cycle_budget, BestEffortSpec, ChurnConfig, FabricSpec, FaultSpec, InjectionKind, MixGroup,
-    RampScheduleConfig, RampStepConfig, RunLength, SimConfig, WorkloadSpec as ConfigWorkload,
+    vbr_cycle_budget, BestEffortSpec, ChurnConfig, ConfigError, FabricSpec, FaultSpec,
+    InjectionKind, MixGroup, RampScheduleConfig, RampStepConfig, RunLength, SimConfig,
+    WorkloadSpec as ConfigWorkload,
 };
 use crate::conformance::{
     ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, HwAxis,
@@ -57,8 +58,9 @@ const MPEG_PRESET: &str = "mpeg-sequences";
 /// Entries per round of the `tdm` / `tdm-backfill` slot tables.
 const SLOT_TABLE_LEN: usize = 1024;
 
-/// Largest seed ensemble a pack may ask for: far past any median a
-/// claim needs, and small enough that compiling never fails to allocate.
+/// Largest seed ensemble (and generated load grid) a pack may ask for:
+/// far past any median a claim needs, and small enough that compiling
+/// never fails to allocate.
 const MAX_SEEDS: usize = 1024;
 
 /// How much simulation to spend per point: every pack names a quick run
@@ -131,26 +133,6 @@ pub enum SpecError {
         /// The unknown name.
         priority: String,
     },
-    /// A `[router]` value names no router the simulator can build.
-    BadRouter {
-        /// What went wrong.
-        msg: String,
-    },
-    /// A group rate is zero, negative, or non-finite.
-    NegativeRate {
-        /// Offending group name.
-        group: String,
-    },
-    /// A group weight is zero, negative, or non-finite.
-    NonPositiveWeight {
-        /// Offending group name.
-        group: String,
-    },
-    /// A single connection's rate exceeds the link bandwidth.
-    RateOverLink {
-        /// Offending group name.
-        group: String,
-    },
     /// The declared class totals oversubscribe the link: peak swept load
     /// (plus churn arrivals and best-effort background) exceeds capacity.
     CapacityExceeded {
@@ -160,52 +142,13 @@ pub enum SpecError {
     /// The sweep declares no loads (or both an explicit list and an
     /// `initial`/`max`/`step` generator).
     NoLoads,
-    /// A swept load is outside `(0, 1]`.
-    LoadOutOfRange {
-        /// The offending load.
-        load: f64,
-    },
     /// `seeds` is zero.
     NoSeeds,
     /// The sweep declares no arbiters.
     NoArbiters,
-    /// Ramp steps overlap: `at_cycle` is not strictly increasing.
-    OverlappingRampWindows {
-        /// Previous breakpoint cycle.
-        prev_cycle: u64,
-        /// Offending breakpoint cycle.
-        at_cycle: u64,
-    },
-    /// Ramp fractions decrease across steps.
-    RampFractionOutOfOrder {
-        /// Offending step index.
-        step: usize,
-    },
-    /// A ramp fraction is outside `(0, 1]`.
-    RampFractionOutOfRange {
-        /// The offending fraction.
-        fraction: f64,
-    },
-    /// The last ramp step must activate the full population (1.0).
-    RampMustEndFull {
-        /// The final fraction declared.
-        last: f64,
-    },
     /// A ramp or churn schedule requires explicit `[[traffic.group]]`s.
     ScheduleNeedsGroups,
-    /// The churn window is empty or inverted.
-    ChurnWindowInverted {
-        /// Window start.
-        start: u64,
-        /// Window end.
-        end: u64,
-    },
-    /// A churn fraction is outside `[0, 1]`.
-    ChurnFractionOutOfRange {
-        /// The offending fraction.
-        fraction: f64,
-    },
-    /// The run length is zero cycles.
+    /// The run counts zero GOPs.
     ZeroRun,
     /// A claim anchors at a load the sweep never visits.
     ClaimLoadNotSwept {
@@ -228,15 +171,7 @@ pub enum SpecError {
         /// The unknown kind.
         kind: String,
     },
-    /// The `[fault]` plan cannot run: a negative or non-finite rate
-    /// factor, an empty window, a window that overflows or ends past the
-    /// run, or more expected events than window cycles.
-    BadFault {
-        /// What went wrong.
-        msg: String,
-    },
-    /// The fabric topology is not recognized, misses its dimensions, or
-    /// sets a zero size.
+    /// The fabric topology is not recognized or misses its dimensions.
     BadFabric {
         /// What went wrong.
         msg: String,
@@ -258,6 +193,10 @@ pub enum SpecError {
         /// The missing pack.
         pack: String,
     },
+    /// A compiled point fails [`SimConfig::check`]: the router, fabric,
+    /// arbiter, workload, best-effort or fault value the pack sets
+    /// cannot run.
+    Config(ConfigError),
 }
 
 impl fmt::Display for SpecError {
@@ -278,16 +217,6 @@ impl fmt::Display for SpecError {
             SpecError::UnknownPriority { priority } => {
                 write!(f, "unknown priority function `{priority}`")
             }
-            SpecError::BadRouter { msg } => write!(f, "bad router: {msg}"),
-            SpecError::NegativeRate { group } => {
-                write!(f, "group `{group}` has a non-positive rate")
-            }
-            SpecError::NonPositiveWeight { group } => {
-                write!(f, "group `{group}` has a non-positive weight")
-            }
-            SpecError::RateOverLink { group } => {
-                write!(f, "group `{group}` rate exceeds the link bandwidth")
-            }
             SpecError::CapacityExceeded { declared } => {
                 write!(f, "declared load {declared:.3} exceeds link capacity")
             }
@@ -295,35 +224,12 @@ impl fmt::Display for SpecError {
                 f,
                 "[sweep] needs exactly one of `loads` / `initial`+`max`+`step`"
             ),
-            SpecError::LoadOutOfRange { load } => write!(f, "load {load} outside (0, 1]"),
             SpecError::NoSeeds => write!(f, "`seeds` must be at least 1"),
             SpecError::NoArbiters => write!(f, "`arbiters` must name at least one arbiter"),
-            SpecError::OverlappingRampWindows {
-                prev_cycle,
-                at_cycle,
-            } => write!(
-                f,
-                "ramp steps overlap: cycle {at_cycle} does not follow {prev_cycle}"
-            ),
-            SpecError::RampFractionOutOfOrder { step } => {
-                write!(f, "ramp fraction decreases at step {step}")
-            }
-            SpecError::RampFractionOutOfRange { fraction } => {
-                write!(f, "ramp fraction {fraction} outside (0, 1]")
-            }
-            SpecError::RampMustEndFull { last } => {
-                write!(f, "last ramp step must reach 1.0, got {last}")
-            }
             SpecError::ScheduleNeedsGroups => {
                 write!(f, "ramp/churn schedules require [[traffic.group]]s")
             }
-            SpecError::ChurnWindowInverted { start, end } => {
-                write!(f, "churn window [{start}, {end}) is empty or inverted")
-            }
-            SpecError::ChurnFractionOutOfRange { fraction } => {
-                write!(f, "churn fraction {fraction} outside [0, 1]")
-            }
-            SpecError::ZeroRun => write!(f, "run length must be positive"),
+            SpecError::ZeroRun => write!(f, "a run needs at least one GOP"),
             SpecError::ClaimLoadNotSwept { id, at_load } => {
                 write!(f, "claim `{id}` anchors at unswept load {at_load}")
             }
@@ -333,13 +239,13 @@ impl fmt::Display for SpecError {
             SpecError::UnknownClaimKind { id, kind } => {
                 write!(f, "claim `{id}` has unknown kind `{kind}`")
             }
-            SpecError::BadFault { msg } => write!(f, "bad fault plan: {msg}"),
             SpecError::BadFabric { msg } => write!(f, "bad fabric: {msg}"),
             SpecError::DuplicatePack { name } => write!(f, "two packs are named `{name}`"),
             SpecError::DuplicateClaimId { id } => write!(f, "two claims have id `{id}`"),
             SpecError::UnknownPanel { id, pack } => {
                 write!(f, "claim `{id}` reads pack `{pack}`, which the set lacks")
             }
+            SpecError::Config(e) => write!(f, "{e}"),
         }
     }
 }
@@ -878,7 +784,7 @@ pub struct BestEffortSec {
 pub struct RunFull {
     /// Warm-up flit cycles.
     pub warmup: Option<u64>,
-    /// Measured flit cycles.
+    /// Flit cycles to run, the warm-up included.
     pub cycles: Option<u64>,
     /// GOPs per VBR connection or synthesized sequence.
     pub gops: Option<u64>,
@@ -892,7 +798,7 @@ pub struct RunFull {
 pub struct RunSec {
     /// Warm-up flit cycles.
     pub warmup: Option<u64>,
-    /// Measured flit cycles.
+    /// Flit cycles to run, the warm-up included.
     pub cycles: Option<u64>,
     /// GOPs per VBR connection or synthesized sequence.
     pub gops: Option<u64>,
@@ -1141,9 +1047,10 @@ pub fn parse_link_policy(name: &str) -> Result<LinkPolicy, SpecError> {
         "priority" => Ok(LinkPolicy::Priority),
         "tdm" => Ok(table(false)),
         "tdm-backfill" => Ok(table(true)),
-        other => Err(SpecError::BadRouter {
-            msg: format!("link_policy `{other}` is none of priority / tdm / tdm-backfill"),
-        }),
+        other => Err(SpecError::Config(ConfigError::new(
+            "router.link_policy",
+            format!("`{other}` is none of priority / tdm / tdm-backfill"),
+        ))),
     }
 }
 
@@ -1248,7 +1155,7 @@ impl WorkloadSpec {
             (Fidelity::Full, Some(f)) => (f.warmup, f.cycles, f.gops),
             _ => (self.run.warmup, self.run.cycles, self.run.gops),
         };
-        if cycles == Some(0) || gops == Some(0) {
+        if gops == Some(0) {
             return Err(SpecError::ZeroRun);
         }
         let counts_gops = self.traffic.vbr.is_some() || self.is_trace_pack();
@@ -1272,8 +1179,11 @@ impl WorkloadSpec {
     }
 
     /// Validate the document, returning the first typed error found.
+    /// The pack's own schema comes first: meta, section exclusivity, the
+    /// run and sweep shape, seeds, capacity and claims.  Then every
+    /// `(fidelity, load, arbiter)` point compiles and must pass
+    /// [`SimConfig::check`], the one semantic validator.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let link_bps = mmr_sim::time::TimeBase::default().link_bits_per_sec;
         if self.meta.name.is_empty() || !is_bare_key(&self.meta.name) {
             return Err(SpecError::Schema {
                 msg: format!("meta.name `{}` must be [a-zA-Z0-9_-]+", self.meta.name),
@@ -1312,33 +1222,6 @@ impl WorkloadSpec {
             }
             for g in groups {
                 parse_class(&g.class)?;
-                if !g.rate_kbps.is_finite() || g.rate_kbps <= 0.0 {
-                    return Err(SpecError::NegativeRate {
-                        group: g.name.clone(),
-                    });
-                }
-                if !g.weight.is_finite() || g.weight <= 0.0 {
-                    return Err(SpecError::NonPositiveWeight {
-                        group: g.name.clone(),
-                    });
-                }
-                if g.rate_kbps * 1_000.0 > link_bps {
-                    return Err(SpecError::RateOverLink {
-                        group: g.name.clone(),
-                    });
-                }
-            }
-        }
-        if let Some(be) = &self.best_effort {
-            if !be.load.is_finite() || !(0.0..1.0).contains(&be.load) {
-                return Err(SpecError::Schema {
-                    msg: format!("best_effort.load {} outside [0, 1)", be.load),
-                });
-            }
-            if !be.mean_flits.is_finite() || be.mean_flits < 1.0 {
-                return Err(SpecError::Schema {
-                    msg: format!("best_effort.mean_flits {} below 1", be.mean_flits),
-                });
             }
         }
         for fidelity in [Fidelity::Quick, Fidelity::Full] {
@@ -1380,17 +1263,15 @@ impl WorkloadSpec {
                         msg: format!("sweep.step {step} must be positive"),
                     });
                 }
+                let span = self.sweep.max.unwrap_or(0.0) - self.sweep.initial.unwrap_or(0.0);
+                if span / step > MAX_SEEDS as f64 {
+                    return Err(SpecError::Schema {
+                        msg: format!("a generated grid holds at most {MAX_SEEDS} loads"),
+                    });
+                }
             }
-            for fidelity in [Fidelity::Quick, Fidelity::Full] {
-                let loads = self.loads(fidelity);
-                if loads.is_empty() {
-                    return Err(SpecError::NoLoads);
-                }
-                for &load in &loads {
-                    if !load.is_finite() || load <= 0.0 || load > 1.0 {
-                        return Err(SpecError::LoadOutOfRange { load });
-                    }
-                }
+            if [Fidelity::Quick, Fidelity::Full].map(|f| self.loads(f).is_empty()) != [false; 2] {
+                return Err(SpecError::NoLoads);
             }
             if self.arbiter_names().is_empty() {
                 return Err(SpecError::NoArbiters);
@@ -1426,67 +1307,6 @@ impl WorkloadSpec {
         if (self.ramp.is_some() || self.churn.is_some()) && self.traffic.group.is_none() {
             return Err(SpecError::ScheduleNeedsGroups);
         }
-        if let Some(ramp) = &self.ramp {
-            if ramp.step.is_empty() {
-                return Err(SpecError::EmptySection {
-                    section: "ramp.step".into(),
-                });
-            }
-            let mut prev_cycle: Option<u64> = None;
-            let mut prev_fraction = 0.0f64;
-            for (i, s) in ramp.step.iter().enumerate() {
-                if let Some(prev) = prev_cycle {
-                    if s.at_cycle <= prev {
-                        return Err(SpecError::OverlappingRampWindows {
-                            prev_cycle: prev,
-                            at_cycle: s.at_cycle,
-                        });
-                    }
-                }
-                if !s.fraction.is_finite() || s.fraction <= 0.0 || s.fraction > 1.0 {
-                    return Err(SpecError::RampFractionOutOfRange {
-                        fraction: s.fraction,
-                    });
-                }
-                if s.fraction < prev_fraction {
-                    return Err(SpecError::RampFractionOutOfOrder { step: i });
-                }
-                prev_cycle = Some(s.at_cycle);
-                prev_fraction = s.fraction;
-            }
-            if (prev_fraction - 1.0).abs() > LOAD_EPS {
-                return Err(SpecError::RampMustEndFull {
-                    last: prev_fraction,
-                });
-            }
-        }
-        if let Some(churn) = &self.churn {
-            if churn.end <= churn.start {
-                return Err(SpecError::ChurnWindowInverted {
-                    start: churn.start,
-                    end: churn.end,
-                });
-            }
-            for fraction in [churn.departures, churn.arrivals] {
-                if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
-                    return Err(SpecError::ChurnFractionOutOfRange { fraction });
-                }
-            }
-        }
-        if let Some(fault) = &self.fault {
-            self.check_fault(fault)?;
-        }
-        let (router, _) = self.router_config()?;
-        if let Some(fabric) = &self.fabric {
-            self.fabric_spec(fabric, &router)?;
-            // The fabric runner injects no faults: a fabric pack with a
-            // [fault] plan would run something other than it declares.
-            if self.fault.is_some() {
-                return Err(SpecError::BadFabric {
-                    msg: "fabric packs do not support [fault] plans".into(),
-                });
-            }
-        }
         if let Some(claims) = &self.claim {
             if claims.is_empty() {
                 return Err(SpecError::EmptySection {
@@ -1495,6 +1315,15 @@ impl WorkloadSpec {
             }
             for c in claims {
                 self.validate_claim(c)?;
+            }
+        }
+        for fidelity in [Fidelity::Quick, Fidelity::Full] {
+            let sweep = self.sweep_spec(fidelity)?;
+            for &load in &sweep.loads {
+                for &arbiter in &sweep.arbiters {
+                    let point = sweep.base.with_load(load).with_arbiter(arbiter);
+                    point.check().map_err(SpecError::Config)?;
+                }
             }
         }
         Ok(())
@@ -1552,44 +1381,8 @@ impl WorkloadSpec {
         Ok(())
     }
 
-    /// `[fault]` as a plan that can run: a finite non-negative factor, a
-    /// window that ends (without overflow) inside the run of both
-    /// fidelities, and at most one expected event per window cycle, so
-    /// generating the plan stays bounded.
-    fn check_fault(&self, sec: &FaultSec) -> Result<(), SpecError> {
-        let bad = |msg: String| Err(SpecError::BadFault { msg });
-        if !sec.factor.is_finite() || sec.factor < 0.0 {
-            return bad(format!("factor {} must be non-negative", sec.factor));
-        }
-        if sec.window_len == 0 {
-            return bad("window_len must be positive".into());
-        }
-        let Some(end) = sec.window_start.checked_add(sec.window_len) else {
-            return bad("window_start + window_len overflows".into());
-        };
-        for fidelity in [Fidelity::Quick, Fidelity::Full] {
-            let (RunLength::Cycles(last) | RunLength::UntilDrained { max_cycles: last }) =
-                self.run_length(fidelity)?.1;
-            if end > last {
-                return bad(format!(
-                    "the window ends at cycle {end}, past the {} run's last cycle {last}",
-                    fidelity.label()
-                ));
-            }
-        }
-        let events = fault_plan(sec).expected_events();
-        if events > sec.window_len as f64 {
-            return bad(format!(
-                "{events:.0} expected events in a {}-cycle window; at most one per cycle",
-                sec.window_len
-            ));
-        }
-        Ok(())
-    }
-
     /// The router and link-priority function `[router]` selects (the
-    /// paper's defaults for absent keys), checked by
-    /// [`RouterConfig::check`].
+    /// paper's defaults for absent keys).
     fn router_config(&self) -> Result<(RouterConfig, PriorityKind), SpecError> {
         let SimConfig {
             mut router,
@@ -1614,29 +1407,17 @@ impl WorkloadSpec {
                 router.round.concurrency_factor = factor;
             }
         }
-        router.check().map_err(|msg| SpecError::BadRouter { msg })?;
         Ok((router, priority))
     }
 
-    /// The `[fabric]` section as a spec over `router`, checked whole
-    /// (`FabricConfig::check`): a shape the topology cannot take or a
-    /// node wider than the kernels support is a typed error here, not a
-    /// panic in `Fabric::new`.
-    fn fabric_spec(&self, sec: &FabricSec, router: &RouterConfig) -> Result<FabricSpec, SpecError> {
-        let positive = |v: u64, name: &str| -> Result<u64, SpecError> {
-            if v == 0 {
-                Err(SpecError::BadFabric {
-                    msg: format!("`{name}` must be at least 1"),
-                })
-            } else {
-                Ok(v)
-            }
-        };
-        let dim = |v: Option<u64>, name: &str| -> Result<usize, SpecError> {
-            let v = v.ok_or_else(|| SpecError::BadFabric {
+    /// The `[fabric]` section as a spec: the topology it names with the
+    /// dimensions that topology needs, and any overridden defaults.
+    fn fabric_spec(&self, sec: &FabricSec) -> Result<FabricSpec, SpecError> {
+        let size = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+        let dim = |v: Option<u64>, name: &str| {
+            v.map(size).ok_or_else(|| SpecError::BadFabric {
                 msg: format!("`{}` topology needs `{name}`", sec.topology),
-            })?;
-            Ok(positive(v, name)? as usize)
+            })
         };
         let topology = match sec.topology.as_str() {
             "line" => Topology::Line {
@@ -1661,17 +1442,14 @@ impl WorkloadSpec {
         };
         let mut spec = FabricSpec::new(topology);
         if let Some(hp) = sec.host_ports {
-            spec.host_ports = positive(hp, "host_ports")? as usize;
+            spec.host_ports = size(hp);
         }
         if let Some(w) = sec.workers {
-            spec.workers = positive(w, "workers")? as usize;
+            spec.workers = size(w);
         }
         if let Some(l) = sec.link_latency {
-            spec.link_latency = positive(l, "link_latency")?;
+            spec.link_latency = l;
         }
-        spec.to_config(*router)
-            .check()
-            .map_err(|msg| SpecError::BadFabric { msg })?;
         Ok(spec)
     }
 
@@ -1679,6 +1457,32 @@ impl WorkloadSpec {
     /// Validates first, so a successful compile implies a valid document.
     pub fn compile(&self, fidelity: Fidelity) -> Result<CompiledPack, SpecError> {
         self.validate()?;
+        let claims = self
+            .claim
+            .as_deref()
+            .unwrap_or(&[])
+            .iter()
+            .map(|c| {
+                Ok(CompiledClaim {
+                    id: c.id.clone(),
+                    description: c.description.clone(),
+                    check: self.lower_claim(c)?,
+                })
+            })
+            .collect::<Result<Vec<_>, SpecError>>()?;
+        Ok(CompiledPack {
+            name: self.meta.name.clone(),
+            description: self.meta.description.clone(),
+            trace_gops: self.is_trace_pack().then_some(self.run_length(fidelity)?.2),
+            sweep: self.sweep_spec(fidelity)?,
+            claims,
+        })
+    }
+
+    /// The sweep a fidelity runs: the base config the sections describe,
+    /// the load grid, the arbiters and the ensemble seeds.  Checks only
+    /// what lowering needs; [`Self::validate`] checks the rest.
+    fn sweep_spec(&self, fidelity: Fidelity) -> Result<SweepSpec, SpecError> {
         let (warmup, run, gops) = self.run_length(fidelity)?;
         let workload = match (&self.traffic.group, &self.traffic.vbr) {
             (Some(groups), _) => ConfigWorkload::Mix {
@@ -1743,39 +1547,18 @@ impl WorkloadSpec {
             });
         }
         if let Some(fabric) = &self.fabric {
-            base.fabric = Some(self.fabric_spec(fabric, &router)?);
+            base.fabric = Some(self.fabric_spec(fabric)?);
         }
         let arbiters = self
             .arbiter_names()
             .iter()
             .map(|n| parse_arbiter(n))
             .collect::<Result<Vec<_>, _>>()?;
-        let seeds = ensemble_seeds(base.seed, self.seed_count(fidelity));
-        let loads = self.loads(fidelity);
-        let claims = self
-            .claim
-            .as_deref()
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| {
-                Ok(CompiledClaim {
-                    id: c.id.clone(),
-                    description: c.description.clone(),
-                    check: self.lower_claim(c)?,
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        Ok(CompiledPack {
-            name: self.meta.name.clone(),
-            description: self.meta.description.clone(),
-            trace_gops: self.is_trace_pack().then_some(gops),
-            sweep: SweepSpec {
-                base,
-                loads,
-                arbiters,
-                seeds,
-            },
-            claims,
+        Ok(SweepSpec {
+            seeds: ensemble_seeds(base.seed, self.seed_count(fidelity)),
+            loads: self.loads(fidelity),
+            arbiters,
+            base,
         })
     }
 
@@ -2415,7 +2198,7 @@ threshold = 0.9
         );
         assert!(matches!(
             WorkloadSpec::parse(&bad_rate).unwrap().validate(),
-            Err(SpecError::NegativeRate { .. })
+            Err(SpecError::Config(e)) if e.field == "workload.groups[0].rate_bps"
         ));
         let overlap = group_pack(
             "[[traffic.group]]\nname = \"g\"\nclass = \"cbr-low\"\nrate_kbps = 64.0\nweight = 1.0",
@@ -2423,7 +2206,7 @@ threshold = 0.9
         );
         assert!(matches!(
             WorkloadSpec::parse(&overlap).unwrap().validate(),
-            Err(SpecError::OverlappingRampWindows { .. })
+            Err(SpecError::Config(e)) if e.field == "workload.ramp.steps[1].at_cycle"
         ));
         let over_capacity = minimal_pack("\n[best_effort]\nload = 0.7\nmean_flits = 8.0\n")
             .replace("loads = [0.3, 0.5]", "loads = [0.9]");

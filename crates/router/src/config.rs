@@ -1,5 +1,7 @@
 //! Router configuration.
 
+use mmr_sim::check::{within_span, ConfigError};
+use mmr_sim::ensure;
 use mmr_sim::time::TimeBase;
 use mmr_traffic::admission::RoundConfig;
 use serde::{Deserialize, Serialize};
@@ -27,6 +29,9 @@ pub const MAX_CANDIDATE_LEVELS: usize = 64;
 /// up front, and its credit counter is a `u32`.  The paper's buffers
 /// hold "a few flits".
 pub const MAX_VC_BUFFER_FLITS: usize = 4_096;
+
+/// Most entries a slot table may hold: each input keeps its own copy.
+pub const MAX_SLOT_TABLE_LEN: usize = 1 << 16;
 
 /// Geometry and timing of one MMR.
 ///
@@ -70,61 +75,33 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// Check internal consistency, naming the first nonsense field.
-    pub fn check(&self) -> Result<(), String> {
+    /// Check internal consistency, naming the first nonsense field
+    /// (the time base through [`TimeBase::check`]).
+    pub fn check(&self) -> Result<(), ConfigError> {
         let max_ports = mmr_arbiter::candidate::MAX_PORTS;
+        let (ports, levels, depth) = (self.ports, self.candidate_levels, self.vc_buffer_flits);
         let concurrency = self.round.concurrency_factor;
-        if self.ports == 0 {
-            return Err("router needs at least one port".into());
+        ensure!(ports > 0; "ports", "router needs at least one port");
+        ensure!(ports <= max_ports; "ports",
+            "router has {ports} ports but the scheduling kernels support at most {max_ports} (four 64-bit port-set words)");
+        ensure!(levels > 0; "candidate_levels", "need at least one candidate level");
+        ensure!(levels <= MAX_CANDIDATE_LEVELS; "candidate_levels",
+            "{levels} candidate levels exceed the supported {MAX_CANDIDATE_LEVELS}");
+        ensure!(depth > 0; "vc_buffer_flits", "VC buffers need capacity for one flit");
+        ensure!(depth <= MAX_VC_BUFFER_FLITS; "vc_buffer_flits",
+            "{depth} VC buffer flits exceed the supported {MAX_VC_BUFFER_FLITS}");
+        ensure!(self.vc_ram_banks > 0; "vc_ram_banks", "VC memory needs at least one bank");
+        ensure!(self.round.cycles_per_round > 0; "round.cycles_per_round",
+            "round must contain slots");
+        within_span(self.round.cycles_per_round, "round.cycles_per_round")?;
+        within_span(self.crossing_latency_flits, "crossing_latency_flits")?;
+        ensure!(concurrency.is_finite() && concurrency >= 1.0; "round.concurrency_factor",
+            "concurrency factor {concurrency} must be finite and at least 1.0");
+        if let LinkPolicy::SlotTable { table_len, .. } = self.link_policy {
+            ensure!((1..=MAX_SLOT_TABLE_LEN).contains(&table_len); "link_policy.table_len",
+                "slot table needs 1 to {MAX_SLOT_TABLE_LEN} entries, not {table_len}");
         }
-        if self.ports > max_ports {
-            return Err(format!(
-                "router has {} ports but the scheduling kernels support at most \
-                 {max_ports} (four 64-bit port-set words)",
-                self.ports
-            ));
-        }
-        if self.candidate_levels == 0 {
-            return Err("need at least one candidate level".into());
-        }
-        if self.vc_buffer_flits == 0 {
-            return Err("VC buffers need capacity for one flit".into());
-        }
-        for (n, max, what) in [
-            (
-                self.candidate_levels,
-                MAX_CANDIDATE_LEVELS,
-                "candidate levels",
-            ),
-            (self.vc_buffer_flits, MAX_VC_BUFFER_FLITS, "VC buffer flits"),
-        ] {
-            if n > max {
-                return Err(format!("{n} {what} exceed the supported {max}"));
-            }
-        }
-        if self.vc_ram_banks == 0 {
-            return Err("VC memory needs at least one bank".into());
-        }
-        if self.round.cycles_per_round == 0 {
-            return Err("round must contain slots".into());
-        }
-        if !(concurrency.is_finite() && concurrency >= 1.0) {
-            return Err(format!(
-                "concurrency factor {concurrency} must be finite and at least 1.0"
-            ));
-        }
-        if let LinkPolicy::SlotTable { table_len: 0, .. } = self.link_policy {
-            return Err("slot table needs entries".into());
-        }
-        Ok(())
-    }
-
-    /// [`Self::check`], panicking with its message on nonsense
-    /// configurations.
-    pub fn validate(&self) {
-        if let Err(msg) = self.check() {
-            panic!("{msg}");
-        }
+        self.time.check().map_err(|e| e.within("time"))
     }
 
     /// Router cycles per flit cycle, from the time base.
@@ -140,7 +117,7 @@ mod tests {
     #[test]
     fn default_matches_paper() {
         let c = RouterConfig::default();
-        c.validate();
+        c.check().unwrap();
         assert_eq!(c.ports, 4);
         assert_eq!(c.candidate_levels, 4);
         assert_eq!(c.vc_buffer_flits, 4);
@@ -154,7 +131,8 @@ mod tests {
             candidate_levels: 0,
             ..Default::default()
         }
-        .validate();
+        .check()
+        .unwrap();
     }
 
     #[test]
@@ -164,7 +142,8 @@ mod tests {
             ports: 0,
             ..Default::default()
         }
-        .validate();
+        .check()
+        .unwrap();
     }
 
     #[test]
@@ -174,7 +153,8 @@ mod tests {
                 ports,
                 ..Default::default()
             }
-            .validate();
+            .check()
+            .unwrap();
         }
     }
 
@@ -185,7 +165,8 @@ mod tests {
             ports: 257,
             ..Default::default()
         }
-        .validate();
+        .check()
+        .unwrap();
     }
 
     #[test]
@@ -242,7 +223,7 @@ mod tests {
                 "flits exceed",
             ),
         ] {
-            let msg = cfg.check().expect_err(expected);
+            let msg = cfg.check().expect_err(expected).to_string();
             assert!(msg.contains(expected), "{msg}");
         }
         assert_eq!(d.check(), Ok(()));

@@ -130,7 +130,9 @@ use crate::router::RouterSummary;
 use crate::telemetry::RouterTelemetry;
 use mmr_arbiter::priority::{LinkPriority, PriorityKind};
 use mmr_arbiter::scheduler::{ArbiterKind, SwitchScheduler};
+use mmr_sim::check::{within_span, ConfigError};
 use mmr_sim::engine::CycleModel;
+use mmr_sim::ensure;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{FlitCycle, RouterCycle};
 use mmr_traffic::calendar;
@@ -200,7 +202,7 @@ impl Topology {
     pub fn node_ports(&self, router_ports: usize, host_ports: usize) -> usize {
         match self {
             Topology::Line { .. } => router_ports,
-            _ => self.degree() + host_ports,
+            _ => self.degree().saturating_add(host_ports),
         }
     }
 
@@ -225,7 +227,13 @@ impl Topology {
     }
 
     /// Check the shape, naming what is wrong with it.
-    fn check(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), ConfigError> {
+        let nodes = match *self {
+            Topology::Mesh { x, y } | Topology::Torus { x, y } => x.checked_mul(y),
+            _ => Some(self.node_count()),
+        };
+        ensure!(nodes.is_some_and(|n| n <= MAX_NODES); "topology",
+            "a fabric holds at most {MAX_NODES} routers");
         let (ok, msg) = match *self {
             Topology::Line { stages } => (stages >= 1, "line needs at least one stage"),
             Topology::Ring { nodes } => (nodes >= 2, "ring needs at least two nodes"),
@@ -235,9 +243,13 @@ impl Topology {
                 "torus axes need at least two nodes (use a mesh)",
             ),
         };
-        ok.then_some(()).ok_or_else(|| msg.into())
+        ensure!(ok; "topology", "{msg}");
+        Ok(())
     }
 }
+
+/// Most routers a fabric may hold.
+pub const MAX_NODES: usize = 1024;
 
 /// Fabric geometry and timing knobs on top of the per-router
 /// [`RouterConfig`].
@@ -277,17 +289,13 @@ impl FabricConfig {
     /// Check the geometry, naming the first nonsense field: the
     /// topology's shape, the links, the host ports and the router every
     /// node is built from, whose port count the topology sets.
-    pub fn check(&self) -> Result<(), String> {
+    pub fn check(&self) -> Result<(), ConfigError> {
         self.topology.check()?;
-        if self.link_latency == 0 {
-            return Err("links need at least one cycle".into());
-        }
-        if !matches!(self.topology, Topology::Line { .. }) && self.host_ports == 0 {
-            return Err("ring/mesh/torus fabrics need at least one host port".into());
-        }
-        self.node_router()
-            .check()
-            .map_err(|msg| format!("fabric node: {msg}"))
+        ensure!(self.link_latency > 0; "link_latency", "links need at least one cycle");
+        within_span(self.link_latency, "link_latency")?;
+        ensure!(matches!(self.topology, Topology::Line { .. }) || self.host_ports > 0; "host_ports",
+            "ring/mesh/torus fabrics need at least one host port");
+        self.node_router().check().map_err(|e| e.within("node"))
     }
 
     /// The configuration of each node's router.
@@ -937,9 +945,8 @@ impl Fabric {
         seed: u64,
         mut switch: impl FnMut() -> (Box<dyn SwitchScheduler>, Box<dyn LinkPriority>),
     ) -> Self {
-        cfg.router.validate();
-        if let Err(msg) = cfg.check() {
-            panic!("{msg}");
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
         }
         let Workload {
             connections: specs,

@@ -68,6 +68,9 @@ impl Default for TelemetryConfig {
     }
 }
 
+/// Most events a flight recorder may hold: its ring is allocated whole.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 20;
+
 impl TelemetryConfig {
     /// Identity, kept only for the benchmark's pinned surface
     /// (`benchmark/src/sut.rs`), which arms routers through

@@ -12,6 +12,8 @@
 //! interprets.  Consumption state (the cursor) lives with the consumer,
 //! keeping the plan itself serializable and shareable.
 
+use crate::check::{within_span, ConfigError};
+use crate::ensure;
 use crate::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -104,6 +106,10 @@ impl FaultPlan {
     }
 }
 
+/// Most extra flits a rogue source may inject per flit cycle (its link
+/// carries one), which keeps an episode's backlog bounded.
+pub const MAX_ROGUE_BURST: u32 = 64;
+
 /// Generation parameters for a randomized [`FaultPlan`].
 ///
 /// Rates are expressed as expected events per 1 000 flit cycles of the
@@ -173,6 +179,34 @@ impl FaultPlanConfig {
             rogue_per_kcycle: self.rogue_per_kcycle * factor,
             ..*self
         }
+    }
+
+    /// Check the plan generates a bounded schedule: non-negative rates,
+    /// bounded episodes, a non-empty window, at most one event per cycle.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        for (rate, field) in [
+            (self.corrupt_per_kcycle, "corrupt_per_kcycle"),
+            (self.drop_per_kcycle, "drop_per_kcycle"),
+            (self.credit_loss_per_kcycle, "credit_loss_per_kcycle"),
+            (self.credit_dup_per_kcycle, "credit_dup_per_kcycle"),
+            (self.stall_per_kcycle, "stall_per_kcycle"),
+            (self.rogue_per_kcycle, "rogue_per_kcycle"),
+        ] {
+            ensure!(rate.is_finite() && rate >= 0.0; field,
+                "rate {rate} must be finite and non-negative");
+        }
+        within_span(self.stall_len, "stall_len")?;
+        within_span(self.rogue_len, "rogue_len")?;
+        ensure!(self.rogue_burst <= MAX_ROGUE_BURST; "rogue_burst",
+            "at most {MAX_ROGUE_BURST} extra flits per cycle");
+        let len = self.window_len;
+        ensure!(len > 0; "window_len", "the fault window must be positive");
+        ensure!(self.window_start.checked_add(len).is_some(); "window_len",
+            "window_start + window_len overflows");
+        let events = self.expected_events();
+        ensure!(events <= len as f64; "window_len",
+            "{events:.0} expected events in a {len}-cycle window; at most one per cycle");
+        Ok(())
     }
 
     /// Expected event count over the window, every kind together.

@@ -18,6 +18,8 @@
 //!   counter [`telemetry::Registry`], a [`telemetry::Clock`]-injected
 //!   per-stage profiler, the binary [`telemetry::FlightRecorder`], and
 //!   pre-allocated snapshot buffers.
+//! * [`check`] — [`check::ConfigError`], the typed error every
+//!   configuration check returns, naming the offending field.
 //! * [`fault`] — deterministic fault schedules ([`fault::FaultPlan`]):
 //!   seeded, cycle-stamped fault events for chaos experiments that replay
 //!   bit-for-bit.
@@ -28,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod engine;
 pub mod fault;
 pub mod rng;
@@ -36,6 +39,7 @@ pub mod telemetry;
 pub mod time;
 pub mod units;
 
+pub use check::ConfigError;
 pub use engine::{CycleModel, RunOutcome, Runner, StopCondition};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use rng::SimRng;

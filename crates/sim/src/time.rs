@@ -14,6 +14,8 @@
 //! All simulation state is kept in integer router cycles; wall-clock
 //! conversions go through a [`TimeBase`].
 
+use crate::check::ConfigError;
+use crate::ensure;
 use serde::{Deserialize, Serialize};
 
 /// A point in time or a duration, measured in router (phit) cycles.
@@ -97,6 +99,13 @@ impl core::ops::Sub for FlitCycle {
     }
 }
 
+/// Most phits (router cycles) a flit may span.
+pub const MAX_PHITS_PER_FLIT: u32 = 1 << 16;
+
+/// Fastest link, 1 Tbit/s (~800x the paper's): slow enough that a
+/// 64 kbit/s class sends within [`crate::check::MAX_SPAN`] flit cycles.
+pub const MAX_LINK_BPS: f64 = 1e12;
+
 /// Physical time base: link rate, phit and flit widths, and the derived
 /// cycle durations.
 ///
@@ -126,20 +135,31 @@ impl Default for TimeBase {
 }
 
 impl TimeBase {
-    /// Construct a time base, checking that the flit is a whole number of
-    /// phits.
+    /// Construct a time base, panicking with [`Self::check`]'s message
+    /// on nonsense widths or rates.
     pub fn new(link_bits_per_sec: f64, phit_bits: u32, flit_bits: u32) -> Self {
-        assert!(phit_bits > 0 && flit_bits > 0, "widths must be positive");
-        assert!(
-            flit_bits.is_multiple_of(phit_bits),
-            "flit width ({flit_bits}) must be a multiple of phit width ({phit_bits})"
-        );
-        assert!(link_bits_per_sec > 0.0, "link rate must be positive");
-        TimeBase {
+        let tb = TimeBase {
             link_bits_per_sec,
             phit_bits,
             flit_bits,
-        }
+        };
+        tb.check().unwrap_or_else(|e| panic!("{e}"));
+        tb
+    }
+
+    /// Check a flit is a whole, bounded number of positive-width phits
+    /// and the link rate is positive and bounded.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let (phit, flit, rate) = (self.phit_bits, self.flit_bits, self.link_bits_per_sec);
+        ensure!(phit > 0; "phit_bits", "phits must be at least one bit");
+        ensure!(flit > 0; "flit_bits", "flits must be at least one bit");
+        ensure!(flit.is_multiple_of(phit); "flit_bits",
+            "flit width ({flit}) must be a multiple of phit width ({phit})");
+        ensure!(flit / phit <= MAX_PHITS_PER_FLIT; "flit_bits",
+            "a flit of {} phits exceeds {MAX_PHITS_PER_FLIT}", flit / phit);
+        ensure!(rate > 0.0 && rate <= MAX_LINK_BPS; "link_bits_per_sec",
+            "link rate {rate} must be positive and at most {MAX_LINK_BPS} bps");
+        Ok(())
     }
 
     /// Number of router (phit) cycles in one flit cycle.

@@ -653,7 +653,7 @@ fn zero_fabric_field(field: &str) -> Result<(), SpecError> {
 fn zero_fabric_host_ports_is_a_typed_error() {
     assert!(matches!(
         zero_fabric_field("host_ports"),
-        Err(SpecError::BadFabric { msg }) if msg.contains("host_ports")
+        Err(SpecError::Config(e)) if e.field == "fabric.host_ports"
     ));
 }
 
@@ -661,7 +661,7 @@ fn zero_fabric_host_ports_is_a_typed_error() {
 fn zero_fabric_workers_is_a_typed_error() {
     assert!(matches!(
         zero_fabric_field("workers"),
-        Err(SpecError::BadFabric { msg }) if msg.contains("workers")
+        Err(SpecError::Config(e)) if e.field == "fabric.workers"
     ));
 }
 
@@ -669,7 +669,7 @@ fn zero_fabric_workers_is_a_typed_error() {
 fn zero_fabric_link_latency_is_a_typed_error() {
     assert!(matches!(
         zero_fabric_field("link_latency"),
-        Err(SpecError::BadFabric { msg }) if msg.contains("link_latency")
+        Err(SpecError::Config(e)) if e.field == "fabric.link_latency"
     ));
 }
 
@@ -684,7 +684,8 @@ fn a_one_node_ring_is_a_typed_error() {
     });
     assert!(matches!(
         one_node_ring,
-        Err(SpecError::BadFabric { msg }) if msg.contains("ring needs at least two nodes")
+        Err(SpecError::Config(e))
+            if e.field == "fabric.topology" && e.reason.contains("ring needs at least two nodes")
     ));
 }
 
@@ -696,7 +697,8 @@ fn a_torus_one_node_wide_is_a_typed_error() {
     });
     assert!(matches!(
         thin_torus,
-        Err(SpecError::BadFabric { msg }) if msg.contains("torus axes need at least two nodes")
+        Err(SpecError::Config(e))
+            if e.field == "fabric.topology" && e.reason.contains("torus axes need at least two nodes")
     ));
 }
 
@@ -706,7 +708,7 @@ fn host_ports_past_the_kernel_limit_are_a_typed_error() {
     let wide = edited_fabric(|fabric| fabric.host_ports = Some(253));
     assert!(matches!(
         wide,
-        Err(SpecError::BadFabric { msg }) if msg.contains("fabric node") && msg.contains("at most 256")
+        Err(SpecError::Config(e)) if e.field == "fabric.node.ports" && e.reason.contains("at most 256")
     ));
     assert_eq!(
         edited_fabric(|fabric| fabric.host_ports = Some(252)),
@@ -726,7 +728,7 @@ fn a_fabric_pack_with_a_fault_plan_is_a_typed_error() {
     });
     assert!(matches!(
         spec.validate(),
-        Err(SpecError::BadFabric { msg }) if msg.contains("[fault]")
+        Err(SpecError::Config(e)) if e.field == "fault" && e.reason.contains("fabric")
     ));
 }
 
@@ -752,7 +754,7 @@ fn a_fault_window_end_that_overflows_is_a_typed_error() {
     });
     assert!(matches!(
         overflow,
-        Err(SpecError::BadFault { msg }) if msg.contains("overflows")
+        Err(SpecError::Config(e)) if e.field == "fault.plan.window_len" && e.reason.contains("overflows")
     ));
 }
 
@@ -763,7 +765,8 @@ fn a_fault_window_past_the_run_is_a_typed_error() {
     let late = fault_edit(|f| f.window_start = 5_001);
     assert!(matches!(
         late,
-        Err(SpecError::BadFault { msg }) if msg.contains("past the quick run")
+        Err(SpecError::Config(e))
+            if e.field == "fault.plan.window_len" && e.reason.contains("past the run's last cycle 15000")
     ));
     assert_eq!(fault_edit(|f| f.window_start = 5_000), Ok(()));
     // A drained VBR run ends at its cycle budget.
@@ -778,7 +781,8 @@ fn a_fault_window_past_the_run_is_a_typed_error() {
     vbr.fault.as_mut().unwrap().window_len = 1_001;
     assert!(matches!(
         vbr.validate(),
-        Err(SpecError::BadFault { msg }) if msg.contains(&budget.to_string())
+        Err(SpecError::Config(e))
+            if e.field == "fault.plan.window_len" && e.reason.contains(&budget.to_string())
     ));
 }
 
@@ -788,7 +792,8 @@ fn a_fault_plan_past_one_event_per_window_cycle_is_a_typed_error() {
     let flood = fault_edit(|f| f.factor = 1e15);
     assert!(matches!(
         flood,
-        Err(SpecError::BadFault { msg }) if msg.contains("at most one per cycle")
+        Err(SpecError::Config(e))
+            if e.field == "fault.plan.window_len" && e.reason.contains("at most one per cycle")
     ));
     // The default plan fires 5.4 events per 1 000 cycles: factor 185 is
     // the last that stays at or under one per cycle.
@@ -813,7 +818,8 @@ fn router_edit(edit: impl FnOnce(&mut RouterSec)) -> Result<(), SpecError> {
 fn zero_router_candidate_levels_is_a_typed_error() {
     assert!(matches!(
         router_edit(|r| r.candidate_levels = Some(0)),
-        Err(SpecError::BadRouter { msg }) if msg.contains("candidate level")
+        Err(SpecError::Config(e))
+            if e.field == "router.candidate_levels" && e.reason.contains("candidate level")
     ));
 }
 
@@ -821,7 +827,8 @@ fn zero_router_candidate_levels_is_a_typed_error() {
 fn zero_router_vc_buffer_flits_is_a_typed_error() {
     assert!(matches!(
         router_edit(|r| r.vc_buffer_flits = Some(0)),
-        Err(SpecError::BadRouter { msg }) if msg.contains("one flit")
+        Err(SpecError::Config(e))
+            if e.field == "router.vc_buffer_flits" && e.reason.contains("one flit")
     ));
 }
 
@@ -839,7 +846,8 @@ fn unknown_router_priority_is_a_typed_error() {
 fn unknown_router_link_policy_is_a_typed_error() {
     assert!(matches!(
         router_edit(|r| r.link_policy = Some("round-robin".into())),
-        Err(SpecError::BadRouter { msg }) if msg.contains("round-robin")
+        Err(SpecError::Config(e))
+            if e.field == "router.link_policy" && e.reason.contains("round-robin")
     ));
 }
 
@@ -848,7 +856,9 @@ fn router_concurrency_factor_below_one_is_a_typed_error() {
     for factor in [0.5, f64::NAN, f64::INFINITY] {
         assert!(matches!(
             router_edit(|r| r.concurrency_factor = Some(factor)),
-            Err(SpecError::BadRouter { msg }) if msg.contains("concurrency factor")
+            Err(SpecError::Config(e))
+                if e.field == "router.round.concurrency_factor"
+                    && e.reason.contains("concurrency factor")
         ));
     }
 }
@@ -1068,9 +1078,11 @@ proptest! {
         weights in (0.125f64..8.0, 0.125f64..8.0),
         knobs in (1u64..6, 1u64..4_000, 0u64..2),
     ) {
-        let (warmup, cycles) = lengths;
+        // A run must outlast its warm-up (`SimConfig::check`), so the
+        // measured cycles come on top of it.
+        let (warmup, measured) = lengths;
         let (seeds, ramp_gap, churn) = knobs;
-        let spec = build_spec(warmup, cycles, rates, weights, seeds, ramp_gap, churn == 1);
+        let spec = build_spec(warmup, warmup + measured, rates, weights, seeds, ramp_gap, churn == 1);
         prop_assert!(spec.validate().is_ok(), "assembled spec must validate");
         let text = spec.to_toml();
         let back = WorkloadSpec::parse(&text);
@@ -1089,10 +1101,11 @@ proptest! {
         // Negative / zero rates are typed rejections.
         let mut spec = base.clone();
         spec.traffic.group.as_mut().unwrap()[0].rate_kbps = bad_rate;
-        prop_assert_eq!(
+        // Group `a` is the first group.
+        prop_assert!(matches!(
             spec.validate(),
-            Err(SpecError::NegativeRate { group: "a".into() })
-        );
+            Err(SpecError::Config(e)) if e.field == "workload.groups[0].rate_bps"
+        ));
 
         // Overlapping ramp windows: two steps at the same cycle.
         let mut spec = base.clone();
@@ -1103,7 +1116,7 @@ proptest! {
         }
         prop_assert!(matches!(
             spec.validate(),
-            Err(SpecError::OverlappingRampWindows { .. })
+            Err(SpecError::Config(e)) if e.field == "workload.ramp.steps[1].at_cycle"
         ));
 
         // Class totals over slot capacity: peak load plus churn arrivals
@@ -1129,7 +1142,7 @@ proptest! {
         });
         prop_assert!(matches!(
             spec.validate(),
-            Err(SpecError::ChurnWindowInverted { .. })
+            Err(SpecError::Config(e)) if e.field == "workload.churn.end"
         ));
     }
 
