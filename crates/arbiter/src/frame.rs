@@ -19,8 +19,7 @@
 //!
 //! The frame clock counts *arbitration* cycles: the router only invokes
 //! the scheduler on non-empty candidate sets, so idle cycles do not age
-//! the frame and the event-horizon engine stays bit-identical to the
-//! cycle-by-cycle loop (pinned by `tests/determinism.rs`).
+//! the frame (its results are pinned by `tests/determinism.rs`).
 
 use crate::candidate::{Candidate, CandidateSet, MAX_PORTS};
 use crate::matching::{Grant, Matching};

@@ -18,9 +18,9 @@
 //! The report also carries a telemetry-overhead section (router step with
 //! telemetry disabled vs armed) and a whole-experiment sweep section:
 //! the wall clock of a Fig. 5-style CBR run at 0.2/0.6/0.9 normalized
-//! load under both engines — `naive` (cycle-by-cycle) and `horizon`
-//! (event-horizon fast-forwarding) — with the engines' bit-identity
-//! asserted on every rep.
+//! load through the engine's one loop (`naive_s`, the column name older
+//! reports used for the same cycle-by-cycle loop), with the run's
+//! bit-identity asserted across reps.
 //!
 //! Pass `--gate <baseline.json>` to fail (exit 1) if:
 //! * the COA kernel at 16 ports regresses more than
@@ -31,11 +31,10 @@
 //! * the instrumented-but-disabled router step regresses more than
 //!   `MMR_TELEMETRY_GATE_PCT` percent (default 10) against the COA router
 //!   number in the baseline — the "zero-overhead when disarmed" contract;
-//! * the horizon run is more than 2% slower than the naive loop at 0.9
-//!   load (where skips are rare);
-//! * the horizon wall clock regresses more than `MMR_SWEEP_GATE_PCT`
-//!   percent (default 25 — whole-run wall clocks are noisy) against the
-//!   baseline's sweep section, when the baseline has one.
+//! * the sweep wall clock per cycle regresses more than
+//!   `MMR_SWEEP_GATE_PCT` percent (default 35 — whole-run wall clocks are
+//!   noisy) against the baseline's `naive_s` rows, when the baseline has
+//!   a sweep section.
 
 use mmr_arbiter::candidate::{Candidate, CandidateSet, Priority};
 use mmr_arbiter::matching::Matching;
@@ -159,22 +158,16 @@ fn measure_router_telemetry(
 }
 
 /// Best-of-`reps` wall clock of a whole Fig. 5-style CBR experiment at
-/// `load`, per engine.
+/// `load`.
 struct SweepTiming {
     load: f64,
-    /// Cycle-by-cycle loop.
     naive_s: f64,
-    /// Event-horizon loop.
-    horizon_s: f64,
-    /// Fraction of cycles the horizon engine fast-forwarded.
-    skipped_fraction: f64,
 }
 
-/// Time both engines on one load point.  Every rep rebuilds the
-/// router (timing covers the run loop only, not construction) and the
-/// final state — summary, RNG stream position, executed cycles — is
-/// asserted identical across engines, so the benchmark doubles as a
-/// differential check.
+/// Time the run loop on one load point.  Every rep rebuilds the router
+/// (timing covers the run loop only, not construction) and the final
+/// state — summary, RNG stream position, executed cycles — is asserted
+/// identical across reps.
 fn measure_sweep_point(load: f64, warmup: u64, cycles: u64, reps: usize) -> SweepTiming {
     let cfg = SimConfig {
         workload: WorkloadSpec::cbr(load),
@@ -183,45 +176,28 @@ fn measure_sweep_point(load: f64, warmup: u64, cycles: u64, reps: usize) -> Swee
         ..Default::default()
     };
     let runner = Runner::new(warmup, StopCondition::Cycles(cycles));
-    // (naive, horizon)
-    let mut best = [f64::INFINITY; 2];
-    let mut skipped_fraction = 0.0;
+    let mut best = f64::INFINITY;
     let mut identity = None;
     for _ in 0..reps {
-        for (i, horizon) in [false, true].into_iter().enumerate() {
-            let mut router = build_router(&cfg, build_workload(&cfg));
-            let t0 = Instant::now();
-            let out = if horizon {
-                runner.run_horizon(&mut router)
-            } else {
-                runner.run(&mut router)
-            };
-            best[i] = best[i].min(t0.elapsed().as_secs_f64());
-            if horizon {
-                skipped_fraction = out.skipped as f64 / out.executed as f64;
-            }
-            let probe = (router.summary(), router.rng_fingerprint(), out.executed);
-            match &identity {
-                Some(prev) => assert_eq!(
-                    prev, &probe,
-                    "engines diverged at load {load} (horizon={horizon})"
-                ),
-                None => identity = Some(probe),
-            }
+        let mut router = build_router(&cfg, build_workload(&cfg));
+        let t0 = Instant::now();
+        let out = runner.run(&mut router);
+        best = best.min(t0.elapsed().as_secs_f64());
+        let probe = (router.summary(), router.rng_fingerprint(), out.executed);
+        match &identity {
+            Some(prev) => assert_eq!(prev, &probe, "run diverged across reps at load {load}"),
+            None => identity = Some(probe),
         }
     }
     SweepTiming {
         load,
-        naive_s: best[0],
-        horizon_s: best[1],
-        skipped_fraction,
+        naive_s: best,
     }
 }
 
-/// The run length and per-load `horizon_s` wall clocks recorded in a
-/// previous `BENCH_<n>.json`, if it carries a sweep section (reports
-/// predating the horizon engine do not).
-fn baseline_sweep_horizon(path: &Path) -> Option<(u64, Vec<(f64, f64)>)> {
+/// The run length and per-load `naive_s` wall clocks recorded in a
+/// previous `BENCH_<n>.json`, if it carries a sweep section.
+fn baseline_sweep(path: &Path) -> Option<(u64, Vec<(f64, f64)>)> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
     let report = serde_json::parse_value(&text)
@@ -237,8 +213,7 @@ fn baseline_sweep_horizon(path: &Path) -> Option<(u64, Vec<(f64, f64)>)> {
     };
     let mut out = Vec::new();
     for row in rows {
-        if let (Some(Value::F64(load)), Some(Value::F64(s))) =
-            (row.get("load"), row.get("horizon_s"))
+        if let (Some(Value::F64(load)), Some(Value::F64(s))) = (row.get("load"), row.get("naive_s"))
         {
             out.push((*load, *s));
         }
@@ -426,9 +401,9 @@ fn main() {
         ("armed_overhead_pct", Value::F64(armed_overhead_pct)),
     ]);
 
-    // --- Whole-experiment wall clock: naive vs horizon --------------------
-    // Shorter runs under --quick; the speedup ratios are load-dependent,
-    // not length-dependent, so the gate's thresholds hold either way.
+    // --- Whole-experiment wall clock ---------------------------------------
+    // Shorter runs under --quick; the gate compares per-cycle wall clock,
+    // so it holds either way.
     let (sweep_warmup, sweep_cycles, sweep_reps) = if quick {
         (2_000, 80_000, 2)
     } else {
@@ -438,20 +413,10 @@ fn main() {
     let mut timings = Vec::new();
     for &load in &[0.2, 0.6, 0.9] {
         let t = measure_sweep_point(load, sweep_warmup, sweep_cycles, sweep_reps);
-        println!(
-            "  sweep load {load}: naive {:.3}s  horizon {:.3}s  \
-             ({:.2}x vs naive, {:.0}% skipped)",
-            t.naive_s,
-            t.horizon_s,
-            t.naive_s / t.horizon_s,
-            t.skipped_fraction * 100.0,
-        );
+        println!("  sweep load {load}: {:.3}s", t.naive_s);
         sweep_rows.push(obj(vec![
             ("load", Value::F64(t.load)),
             ("naive_s", Value::F64(t.naive_s)),
-            ("horizon_s", Value::F64(t.horizon_s)),
-            ("speedup_vs_naive", Value::F64(t.naive_s / t.horizon_s)),
-            ("skipped_fraction", Value::F64(t.skipped_fraction)),
         ]));
         timings.push(t);
     }
@@ -600,28 +565,9 @@ fn main() {
         }
 
         // --- Sweep wall-clock gate ----------------------------------------
-        // Invariant half, baseline-free: the engine-vs-engine ratios were
-        // measured in this very run, so they are machine-independent.
         let mut failed = false;
-        for t in &timings {
-            // 2% at full fidelity; quick samples are ~0.4 s and carry
-            // scheduler jitter that measures up to ~9% on a busy shared
-            // host, so allow 10% there — the failure this clause catches
-            // (per-cycle horizon bookkeeping leaking into the no-skip
-            // regime) costs tens of percent when real.
-            let overhead_limit = if quick { 1.10 } else { 1.02 };
-            if (t.load - 0.9).abs() < 1e-9 && t.horizon_s > t.naive_s * overhead_limit {
-                eprintln!(
-                    "error: horizon loop {:.1}% slower than cycle-by-cycle at load 0.9 \
-                     (limit {:.0}% — skips are rare there, overhead must be negligible)",
-                    (t.horizon_s / t.naive_s - 1.0) * 100.0,
-                    (overhead_limit - 1.0) * 100.0
-                );
-                failed = true;
-            }
-        }
-        // Trajectory half: horizon wall clock against the committed
-        // baseline, when it has a sweep section.  Generous default — a
+        // The run loop's wall clock against the committed baseline, when
+        // it has a sweep section.  Generous default — a
         // multi-second whole-run wall clock swings far more than a
         // min-of-batches ns/cycle number: back-to-back full runs of
         // identical code have measured a 29% spread on the 0.9-load
@@ -631,7 +577,7 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(35.0);
-        match baseline_sweep_horizon(&baseline_path) {
+        match baseline_sweep(&baseline_path) {
             Some((base_cycles, baseline_rows)) => {
                 for (load, base_s) in baseline_rows {
                     let Some(t) = timings.iter().find(|t| (t.load - load).abs() < 1e-9) else {
@@ -640,17 +586,17 @@ fn main() {
                     // Quick runs are shorter than the committed full-mode
                     // baseline; scale to per-cycle before comparing.
                     let base_per_cycle = base_s / base_cycles as f64;
-                    let here_per_cycle = t.horizon_s / sweep_cycles as f64;
+                    let here_per_cycle = t.naive_s / sweep_cycles as f64;
                     let delta_pct = (here_per_cycle / base_per_cycle - 1.0) * 100.0;
                     println!(
-                        "  gate: sweep load {load} horizon {:.2} us/kcycle vs baseline {:.2} \
+                        "  gate: sweep load {load} {:.2} us/kcycle vs baseline {:.2} \
                          ({delta_pct:+.1}%, limit +{sweep_gate_pct:.0}%)",
                         here_per_cycle * 1e9 / 1e3,
                         base_per_cycle * 1e9 / 1e3,
                     );
                     if delta_pct > sweep_gate_pct {
                         eprintln!(
-                            "error: horizon sweep wall clock at load {load} regressed \
+                            "error: sweep wall clock at load {load} regressed \
                              {delta_pct:.1}% over baseline {} (limit {sweep_gate_pct:.0}%)",
                             baseline_path.display(),
                         );
@@ -659,7 +605,7 @@ fn main() {
                 }
             }
             None => println!(
-                "  gate: baseline {} has no sweep section (pre-horizon report); \
+                "  gate: baseline {} has no sweep section; \
                  skipping the wall-clock trajectory check",
                 baseline_path.display()
             ),

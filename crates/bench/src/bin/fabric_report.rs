@@ -79,7 +79,7 @@ fn measure_fabric(cfg: &SimConfig, workers: usize, reps: usize) -> Measured {
         let mut fabric = build_fabric(cfg, &spec, w);
         threads = fabric.thread_count(workers);
         let t0 = Instant::now();
-        let out = fabric.run_parallel(cfg.warmup_cycles, cycles, workers, true);
+        let out = fabric.run_parallel(cfg.warmup_cycles, cycles, workers, false);
         best = best.min(t0.elapsed().as_secs_f64());
         let p = (fabric.summary(), fabric.rng_fingerprints(), out);
         match &probe {
@@ -120,7 +120,7 @@ fn measure_router_ref(warmup: u64, reps: usize) -> f64 {
     for _ in 0..reps {
         let mut router = build_router(&cfg, build_workload(&cfg));
         let t0 = Instant::now();
-        runner.run_horizon(&mut router);
+        runner.run(&mut router);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     cycles as f64 / best
@@ -237,7 +237,6 @@ fn main() {
                 ("cycles_per_sec", Value::F64(cps(m))),
                 ("speedup_vs_1_worker", Value::F64(cps(m) / w1_cps)),
                 ("executed_cycles", Value::U64(m.probe.2.executed)),
-                ("skipped_cycles", Value::U64(m.probe.2.skipped)),
             ])
         })
         .collect();

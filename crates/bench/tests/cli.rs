@@ -188,6 +188,18 @@ fn run_with_a_bad_workload_exits_2_naming_the_field() {
 }
 
 #[test]
+fn run_with_zero_gops_names_the_workload_not_the_run() {
+    // A VBR run's length derives from its GOP count, so the workload is
+    // checked first: the error names `gops`, not the 0-cycle run.
+    for vbr in ["sr", "bb"] {
+        assert_mmr_exits_2(
+            &["run", "--vbr", vbr, "--gops", "0"],
+            "workload.gops: VBR workload needs at least one GOP",
+        );
+    }
+}
+
+#[test]
 fn run_with_a_bad_arbiter_or_run_length_exits_2_naming_the_field() {
     for (args, expected) in [
         (&["--arbiter", "islip:0"][..], "arbiter.iterations"),

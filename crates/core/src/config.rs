@@ -381,22 +381,6 @@ impl FabricSpec {
     }
 }
 
-/// Which engine loop drives the simulation.
-///
-/// Both produce bit-identical results (`ExperimentResult`, RNG stream
-/// position, armed telemetry reports) — the horizon loop just covers
-/// quiescent stretches in O(1) instead of stepping them.  See DESIGN.md
-/// §12 for the contract; cycle-by-cycle exists as the reference loop and
-/// as a differential-testing oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Event-horizon loop: fast-forward across quiescent cycles (the
-    /// default).
-    EventHorizon,
-    /// Naive reference loop: execute every flit cycle.
-    CycleByCycle,
-}
-
 /// A complete, reproducible description of one simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -422,11 +406,6 @@ pub struct SimConfig {
     /// fully disarmed).  Missing in older serialized configs — tolerated
     /// as `None`.
     pub telemetry: Option<TelemetrySpec>,
-    /// Engine loop override.  `None` (also what older serialized configs
-    /// deserialize to) means [`EngineMode::EventHorizon`]; set
-    /// `Some(EngineMode::CycleByCycle)` to force the naive reference
-    /// loop.
-    pub engine: Option<EngineMode>,
     /// Optional multi-router fabric geometry.  `None` (also what older
     /// serialized configs deserialize to) keeps the single-router model;
     /// `Some` routes fabric experiments through
@@ -447,7 +426,6 @@ impl Default for SimConfig {
             run: RunLength::Cycles(50_000),
             fault: None,
             telemetry: None,
-            engine: None,
             fabric: None,
         }
     }
@@ -494,25 +472,12 @@ impl SimConfig {
         }
     }
 
-    /// A copy forcing a particular engine loop.
-    pub fn with_engine(&self, engine: EngineMode) -> Self {
-        SimConfig {
-            engine: Some(engine),
-            ..self.clone()
-        }
-    }
-
     /// A copy with a multi-router fabric geometry.
     pub fn with_fabric(&self, fabric: FabricSpec) -> Self {
         SimConfig {
             fabric: Some(fabric),
             ..self.clone()
         }
-    }
-
-    /// The effective engine mode (`None` defaults to the horizon loop).
-    pub fn engine_mode(&self) -> EngineMode {
-        self.engine.unwrap_or(EngineMode::EventHorizon)
     }
 
     /// The one validator (workload packs call it on every point): check
@@ -531,14 +496,16 @@ impl SimConfig {
                 "telemetry arms the single router only, not a fabric");
         }
         check_arbiter(self.arbiter).map_err(|e| e.within("arbiter"))?;
+        // The workload first: a VBR run's length derives from its GOP
+        // count, so a bad `gops` would otherwise surface as a bad run.
+        self.workload
+            .check(self.router.time.link_bits_per_sec)
+            .map_err(|e| e.within("workload"))?;
         let (RunLength::Cycles(last) | RunLength::UntilDrained { max_cycles: last }) = self.run;
         let warmup = self.warmup_cycles;
         ensure!(last > warmup; "run",
             "a {last}-cycle run ends inside its {warmup}-cycle warm-up (warmup_cycles): nothing is measured");
         within_span(last, "run")?;
-        self.workload
-            .check(self.router.time.link_bits_per_sec)
-            .map_err(|e| e.within("workload"))?;
         if let Some(be) = &self.best_effort {
             let ports = self.fabric.map_or(self.router.ports, |f| {
                 f.topology.workload_ports(self.router.ports, f.host_ports)
@@ -658,31 +625,24 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_defaults_to_horizon_and_roundtrips() {
-        let cfg = SimConfig::default();
-        assert_eq!(cfg.engine, None);
-        assert_eq!(cfg.engine_mode(), EngineMode::EventHorizon);
-        let forced = cfg.with_engine(EngineMode::CycleByCycle);
-        assert_eq!(forced.engine_mode(), EngineMode::CycleByCycle);
-        let json = serde_json::to_string(&forced).unwrap();
-        let back: SimConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, forced);
-    }
-
-    #[test]
     fn legacy_configs_without_engine_field_deserialize() {
-        // Serialized configs from before the engine and fabric fields
-        // existed must still load, defaulting to the horizon loop and
-        // the single-router model.
+        // Serialized configs from before the fabric field existed must
+        // still load as the single-router model, and so must configs
+        // that still carry the retired `engine` field (`--json` output of
+        // older builds fed back through `--config`).
         let json = serde_json::to_string(&SimConfig::default()).unwrap();
-        let legacy = json
-            .replace(",\"engine\":null", "")
-            .replace(",\"fabric\":null", "");
-        assert_ne!(legacy, json, "fixture must actually drop the fields");
+        assert!(!json.contains("\"engine\""), "the field is retired");
+        let legacy = json.replace(",\"fabric\":null", "");
+        assert_ne!(legacy, json, "fixture must actually drop the field");
         let back: SimConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.engine, None);
-        assert_eq!(back.engine_mode(), EngineMode::EventHorizon);
-        assert_eq!(back.fabric, None);
+        assert_eq!(back, SimConfig::default());
+        let with_engine = json.replace(
+            ",\"fabric\":null",
+            ",\"engine\":\"CycleByCycle\",\"fabric\":null",
+        );
+        assert_ne!(with_engine, json, "fixture must actually add the field");
+        let back: SimConfig = serde_json::from_str(&with_engine).unwrap();
+        assert_eq!(back, SimConfig::default());
     }
 
     #[test]

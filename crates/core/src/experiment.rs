@@ -1,7 +1,7 @@
 //! Build-and-run for one simulation point: one run function and one
 //! result type for the single router and the multi-router fabric alike.
 
-use crate::config::{EngineMode, FabricSpec, InjectionKind, RunLength, SimConfig, WorkloadSpec};
+use crate::config::{FabricSpec, InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_router::fabric::{Fabric, FabricSummary};
 use mmr_router::router::{MmrRouter, RouterSummary};
 use mmr_router::telemetry::TelemetryReport;
@@ -25,7 +25,7 @@ pub struct ExperimentResult {
     pub connections: usize,
     /// CAC accept/reject counts from workload construction.
     pub admission: AdmissionTally,
-    /// Flit cycles executed (stepped plus skipped).
+    /// Flit cycles executed.
     pub executed_cycles: u64,
     /// True if the workload drained completely (finite workloads only).
     pub drained: bool,
@@ -187,8 +187,8 @@ pub fn build_fabric(cfg: &SimConfig, spec: &FabricSpec, workload: Workload) -> F
 /// A config with a fabric runs on `fabric.workers` worker threads
 /// through [`Fabric::run_parallel`], up to its cycle bound (a drained
 /// fabric idles out the rest), and its results are bit-identical for
-/// every worker count and engine mode.  Fault injection and telemetry
-/// arm the single router only ([`SimConfig::check`] refuses a fabric's).
+/// every worker count.  Fault injection and telemetry arm the single
+/// router only ([`SimConfig::check`] refuses a fabric's).
 pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
     let workload = match &cfg.fabric {
         Some(spec) => build_fabric_workload(cfg, spec),
@@ -197,7 +197,6 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
     let achieved_load = workload.mean_load();
     let connections = workload.len();
     let admission = workload.admission;
-    let horizon = cfg.engine_mode() == EngineMode::EventHorizon;
     let result = |executed_cycles, drained, summary, telemetry, trace, fabric| ExperimentResult {
         config: cfg.clone(),
         achieved_load,
@@ -213,7 +212,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
     if let Some(spec) = &cfg.fabric {
         let mut fabric = build_fabric(cfg, spec, workload);
         let (RunLength::Cycles(bound) | RunLength::UntilDrained { max_cycles: bound }) = cfg.run;
-        let outcome = fabric.run_parallel(cfg.warmup_cycles, bound, spec.workers, horizon);
+        let outcome = fabric.run_parallel(cfg.warmup_cycles, bound, spec.workers, false);
         let nodes = (fabric.node_count() > 1).then(|| fabric.summary());
         return result(
             outcome.executed,
@@ -240,14 +239,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
         RunLength::Cycles(n) => StopCondition::Cycles(n),
         RunLength::UntilDrained { max_cycles } => StopCondition::ModelDoneOrCycles(max_cycles),
     };
-    let runner = Runner::new(cfg.warmup_cycles, stop);
-    // Both loops are bit-identical by contract (proven differentially in
-    // tests/determinism.rs); the horizon loop just fast-forwards across
-    // quiescent stretches.
-    let outcome = match horizon {
-        true => runner.run_horizon(&mut router),
-        false => runner.run(&mut router),
-    };
+    let outcome = Runner::new(cfg.warmup_cycles, stop).run(&mut router);
     result(
         outcome.executed,
         router.drained(),

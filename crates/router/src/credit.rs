@@ -125,15 +125,6 @@ impl CreditBank {
         drift
     }
 
-    /// True if every connection's available counter sits at full capacity
-    /// (nothing spent, nothing pending).  With all buffers empty this is
-    /// the state the credit watchdog would find consistent, so a credit
-    /// audit can be skipped — the quiescence predicate the event-horizon
-    /// engine uses to decide whether a future watchdog cycle matters.
-    pub fn all_at_capacity(&self) -> bool {
-        self.dirty.is_empty() && self.credits.iter().all(|&c| c == self.capacity)
-    }
-
     /// Sum of available credits (diagnostic).
     pub fn total_available(&self) -> u32 {
         self.credits.iter().sum()
@@ -192,18 +183,6 @@ mod tests {
         assert_eq!(excess, 2);
         assert_eq!(b.available(0), 2);
         assert_eq!(b.available(1), 2);
-    }
-
-    #[test]
-    fn all_at_capacity_tracks_spends_and_returns() {
-        let mut b = CreditBank::new(2, 2);
-        assert!(b.all_at_capacity());
-        b.spend(1);
-        assert!(!b.all_at_capacity());
-        b.queue_return(1);
-        assert!(!b.all_at_capacity(), "pending returns are not yet usable");
-        b.apply_returns();
-        assert!(b.all_at_capacity());
     }
 
     #[test]

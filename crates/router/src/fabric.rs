@@ -36,9 +36,9 @@
 //! [`Fabric::run_parallel`] — commits the buffered events in canonical
 //! (cycle offset, node, emission) order, swaps outbox and inbox lanes
 //! per directed link (the vectors move, buffers are reused — no
-//! steady-state allocation), and takes the horizon/skip decision.  The
-//! committed events feed the `Ledger`, the end-to-end accounts both
-//! [`Fabric::summary`] and [`Fabric::end_to_end_summary`] read.
+//! steady-state allocation).  The committed events feed the `Ledger`,
+//! the end-to-end accounts both [`Fabric::summary`] and
+//! [`Fabric::end_to_end_summary`] read.
 //! [`CycleModel::step`] is the same two phases on one chunk, inline,
 //! with one-cycle epochs.
 //!
@@ -108,15 +108,8 @@
 //! guard, so the helpers return and the scope joins them before the
 //! panic continues out of `run_parallel`.
 //!
-//! The event-horizon engine extends to the fabric: each shard computes
-//! its local `next_event` (backlog ⇒ next cycle; otherwise the earliest
-//! of its injection calendar and in-flight message dues) and the fabric
-//! fast-forwards to the minimum across shards plus any in-flight wire
-//! messages.  Credits alone never gate the horizon: pending credit
-//! returns are applied with a `due <= now` drain, which is
-//! indistinguishable from eager application because a credit can only
-//! be *observed* by an arbitration, and arbitrations only happen on
-//! cycles with buffered flits — which the horizon never skips.
+//! Every node executes every cycle, busy or idle, so every wire message
+//! is applied on exactly its `due` cycle (debug-asserted on both lanes).
 
 use crate::config::RouterConfig;
 use crate::credit::CreditBank;
@@ -144,7 +137,7 @@ use mmr_traffic::workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Fabric topology: how many routers and how they are wired.
@@ -369,12 +362,6 @@ impl<P: Copy> Rx<P> {
         self.head = 0;
     }
 
-    /// Due cycle of the earliest unconsumed message.
-    fn next_due(&self) -> Option<u64> {
-        let next = self.pend.front().or_else(|| self.inbox.get(self.head));
-        next.map(|m| m.due)
-    }
-
     /// Unconsumed messages.
     fn len(&self) -> usize {
         self.pend.len() + self.inbox.len() - self.head
@@ -472,8 +459,6 @@ pub(crate) struct FabricNode {
     /// Flits generated this epoch, per class (the ledger only counts
     /// them, so their order does not matter).
     generated: [u64; CLASS_COUNT],
-    /// Local next-event horizon computed at epoch end (absolute cycle).
-    horizon: u64,
     /// The cycle after the one at whose end every source here had run
     /// dry, since measurement start.
     exhausted_at: Option<u64>,
@@ -489,17 +474,13 @@ pub(crate) struct FabricNode {
 impl FabricNode {
     /// Execute one whole epoch of this node: its cycles back to back —
     /// legal because nothing another node sends inside the epoch is due
-    /// before its end (module docs) — then close its receiving lanes and
-    /// compute its horizon.
+    /// before its end (module docs) — then close its receiving lanes.
     fn run_epoch(&mut self, ep: Epoch, t: Timing, mut lanes: Lanes<'_>) {
         for u in ep.a..ep.b {
             self.step_cycle(u, (u - ep.a) as u32, ep.measuring, t, &mut lanes);
         }
         lanes.cred_rx.iter_mut().for_each(Rx::close_epoch);
         lanes.flit_rx.iter_mut().for_each(Rx::close_epoch);
-        if ep.horizon {
-            self.horizon = self.horizon_after(lanes.flit_rx, ep.b - 1, t.rc_per_flit);
-        }
     }
 
     /// Execute cycle `u` (offset `off` into its epoch) of this node.
@@ -519,10 +500,9 @@ impl FabricNode {
         // Credit arrivals become spendable before arbitration — a
         // crossing at cycle c downstream frees the upstream slot at
         // c + link_latency (next-cycle visibility at latency 1).
-        // Taken with `due <= u` so a horizon skip that jumped past a
-        // credit-only cycle applies it here, unobservably (module docs).
         for rx in lanes.cred_rx.iter_mut() {
             while let Some(m) = rx.pop_due(u) {
+                debug_assert_eq!(m.due, u, "credit message applied late");
                 self.credits_down.queue_return(m.vc as usize);
             }
         }
@@ -768,38 +748,6 @@ impl FabricNode {
             }
         }
     }
-
-    /// Local next-event horizon after executing cycle `now`: any backlog
-    /// means state can move next cycle; otherwise the earliest of the
-    /// next injection, the next armed fault activity — and, while credit
-    /// counters drifted under faults, the next watchdog audit, whose
-    /// resync must execute on the same cycle as in the naive loop — and
-    /// the in-flight flit dues still on this node's receiving lanes.
-    /// Pending credits never gate the horizon (module docs).
-    fn horizon_after(&self, flit_rx: &[Rx<Flit>], now: u64, rc_per_flit: u64) -> u64 {
-        if self.core.backlog() > 0 {
-            return now + 1;
-        }
-        let mut h = match self.core.next_injection_rc() {
-            calendar::NEVER => u64::MAX,
-            rc => rc.div_ceil(rc_per_flit).max(now + 1),
-        };
-        if self.faults.is_active() {
-            h = h.min(self.faults.horizon(now));
-            let period = self.faults.profile().watchdog_period;
-            if period > 0 && !self.core.credits.all_at_capacity() {
-                h = h.min((now / period + 1) * period);
-            }
-        }
-        flit_rx.iter().filter_map(Rx::next_due).fold(h, u64::min)
-    }
-
-    /// Leave behind what `n` executed quiescent cycles from `from` would
-    /// have: the core's idle accounting and the telemetry epochs.
-    fn skip_quiescent(&mut self, from: u64, n: u64, measuring: bool) {
-        self.core.skip_quiescent(n, measuring);
-        self.telemetry.skip_quiescent(from, n);
-    }
 }
 
 /// Parameters of one epoch: execute cycles `[a, b)`,
@@ -810,8 +758,6 @@ struct Epoch {
     a: u64,
     b: u64,
     measuring: bool,
-    /// Compute the per-node horizons at epoch end.
-    horizon: bool,
 }
 
 /// A contiguous run of nodes together with exactly their mailbox lanes:
@@ -884,24 +830,19 @@ impl<'a> Chunk<'a> {
 }
 
 /// Outcome of a [`Fabric::run_parallel`] call; mirrors
-/// [`mmr_sim::engine::RunOutcome`] (`executed` counts stepped plus
-/// skipped cycles).
+/// [`mmr_sim::engine::RunOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FabricRunOutcome {
-    /// Flit cycles advanced through (stepped plus skipped).
+    /// Flit cycles executed.
     pub executed: u64,
     /// Cycles that counted toward measurement (post-warm-up).
     pub measured: u64,
-    /// Cycles fast-forwarded via the fabric-wide minimum horizon.
-    pub skipped: u64,
 }
 
 /// A sharded multi-router fabric of MMRs.
 pub struct Fabric {
     cfg: FabricConfig,
     pub(crate) nodes: Vec<FabricNode>,
-    /// Node -> first in slot; length `nodes + 1`.
-    in_start: Vec<usize>,
     flit_out: Vec<Vec<FlitWire>>,
     flit_rx: Vec<Rx<Flit>>,
     cred_out: Vec<Vec<CredWire>>,
@@ -1215,7 +1156,6 @@ impl Fabric {
                 events: Vec::with_capacity(cfg.link_latency as usize * node_ports),
                 committed: 0,
                 generated: [0; CLASS_COUNT],
-                horizon: 0,
                 exhausted_at: None,
                 faults: FaultState::inactive(node_ports, nloc),
                 telemetry: RouterTelemetry::disabled(),
@@ -1224,7 +1164,6 @@ impl Fabric {
 
         Fabric {
             nodes,
-            in_start,
             flit_out: (0..nlinks).map(|_| Vec::new()).collect(),
             flit_rx: (0..nlinks).map(|_| Rx::new()).collect(),
             cred_out: (0..nlinks).map(|_| Vec::new()).collect(),
@@ -1387,13 +1326,15 @@ impl Fabric {
 
     /// Run `bound` flit cycles (with `warmup` of them as warm-up) as
     /// `workers` chunks, batching execution into epochs of
-    /// `link_latency` cycles.  With `horizon` set, the fabric
-    /// fast-forwards quiescent gaps to the minimum cross-shard horizon
-    /// between epochs.  The final fabric state is bit-identical to
-    /// [`mmr_sim::engine::Runner`] driving [`CycleModel::step`] for the
-    /// same `warmup`/`bound`, for every worker count — only the
-    /// `skipped`/`executed` split in the outcome may differ from the
-    /// runner's (epochs skip at coarser grain).
+    /// `link_latency` cycles.  The final fabric state and the outcome are
+    /// bit-identical to [`mmr_sim::engine::Runner`] driving
+    /// [`CycleModel::step`] for the same `warmup`/`bound`, for every
+    /// worker count.
+    ///
+    /// The last argument is accepted and ignored.  It selected the
+    /// retired quiescent-cycle skipping and is kept only because
+    /// `benchmark/src/sut.rs` passes it; it goes when the benchmark stops
+    /// naming the engine (ROADMAP item 1).
     ///
     /// The chunks are run by [`Fabric::thread_count`] threads that live
     /// for this call (module docs); a panic on any of them panics out
@@ -1403,7 +1344,7 @@ impl Fabric {
         warmup: u64,
         bound: u64,
         workers: usize,
-        horizon: bool,
+        _retired_skip: bool,
     ) -> FabricRunOutcome {
         let e = self.timing.link_latency.max(1);
         let timing = self.timing;
@@ -1434,7 +1375,6 @@ impl Fabric {
             let mut out = FabricRunOutcome {
                 executed: 0,
                 measured: 0,
-                skipped: 0,
             };
             while t < bound {
                 if t == warmup {
@@ -1445,12 +1385,7 @@ impl Fabric {
                 if t < warmup {
                     b = b.min(warmup);
                 }
-                let ep = Epoch {
-                    a: t,
-                    b,
-                    measuring,
-                    horizon,
-                };
+                let ep = Epoch { a: t, b, measuring };
                 // Parallel phase: hand the chunks to the threads.
                 held.clear();
                 handoff.publish(ep);
@@ -1464,24 +1399,6 @@ impl Fabric {
                     out.measured += b - t;
                 }
                 t = b;
-                if horizon && t < bound {
-                    let mut target = horizon_after_epoch(&held).max(t).min(bound);
-                    if t < warmup {
-                        // Never skip across the measurement boundary.
-                        target = target.min(warmup);
-                    }
-                    if target > t {
-                        let gap = target - t;
-                        let gap_measuring = t >= warmup;
-                        skip_cycles(&mut held, t, gap, gap_measuring);
-                        out.executed += gap;
-                        out.skipped += gap;
-                        if gap_measuring {
-                            out.measured += gap;
-                        }
-                        t = target;
-                    }
-                }
             }
             out
         })
@@ -1615,34 +1532,6 @@ fn generation_end<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C], by: u64) -> Op
     Some(end)
 }
 
-/// Fabric-wide horizon after an epoch: minimum of the per-node horizons
-/// computed at epoch end (which cover what the nodes carried over) and
-/// the earliest due of each inbox just swapped in.
-fn horizon_after_epoch<'c, C: Deref<Target = Chunk<'c>>>(chunks: &[C]) -> u64 {
-    let mut h = u64::MAX;
-    for chunk in chunks {
-        for node in chunk.nodes.iter() {
-            h = h.min(node.horizon);
-        }
-        for due in chunk.flit_rx.iter().filter_map(Rx::next_due) {
-            h = h.min(due);
-        }
-    }
-    h
-}
-
-/// Bulk-advance `n` quiescent cycles from `from` on every node.
-fn skip_cycles<'c, C: DerefMut<Target = Chunk<'c>>>(
-    chunks: &mut [C],
-    from: u64,
-    n: u64,
-    measuring: bool,
-) {
-    for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
-        node.skip_quiescent(from, n, measuring);
-    }
-}
-
 /// Spins a waiter burns before it starts yielding its time slice: long
 /// enough to cover a serial phase or a chunk-length skew (microseconds),
 /// short enough that a descheduled partner costs one yield, not a
@@ -1685,8 +1574,7 @@ struct HandOff {
     epoch: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
-    /// Bit 0 `measuring`, bit 1 `horizon`.
-    flags: AtomicU8,
+    measuring: AtomicBool,
     /// Helper reports, summed over all epochs.
     done: AtomicU64,
     /// A helper unwound out of its closure.
@@ -1702,7 +1590,7 @@ impl HandOff {
             epoch: AtomicU64::new(0),
             a: AtomicU64::new(0),
             b: AtomicU64::new(0),
-            flags: AtomicU8::new(0),
+            measuring: AtomicBool::new(false),
             done: AtomicU64::new(0),
             failed: AtomicBool::new(false),
         }
@@ -1712,8 +1600,7 @@ impl HandOff {
     fn publish(&self, ep: Epoch) {
         self.a.store(ep.a, Ordering::Relaxed);
         self.b.store(ep.b, Ordering::Relaxed);
-        let flags = u8::from(ep.measuring) | u8::from(ep.horizon) << 1;
-        self.flags.store(flags, Ordering::Relaxed);
+        self.measuring.store(ep.measuring, Ordering::Relaxed);
         // Only the leader writes `epoch`.
         let next = self.epoch.load(Ordering::Relaxed) + 1;
         self.epoch.store(next, Ordering::Release);
@@ -1760,12 +1647,10 @@ impl HandOff {
             if seen == Self::SHUTDOWN {
                 return;
             }
-            let flags = self.flags.load(Ordering::Relaxed);
             work(Epoch {
                 a: self.a.load(Ordering::Relaxed),
                 b: self.b.load(Ordering::Relaxed),
-                measuring: flags & 1 != 0,
-                horizon: flags & 2 != 0,
+                measuring: self.measuring.load(Ordering::Relaxed),
             });
             self.done.fetch_add(1, Ordering::Release);
         }
@@ -1793,7 +1678,6 @@ impl CycleModel for Fabric {
             a: now.0,
             b: now.0 + 1,
             measuring,
-            horizon: false,
         };
         whole.run(ep, timing);
         ledger.finish_epoch(&mut [&mut whole], ep);
@@ -1806,22 +1690,6 @@ impl CycleModel for Fabric {
 
     fn is_done(&self, _now: FlitCycle) -> bool {
         self.drained()
-    }
-
-    fn next_event(&self, now: FlitCycle) -> FlitCycle {
-        let mut h = u64::MAX;
-        for (nd, node) in self.nodes.iter().enumerate() {
-            let rx = &self.flit_rx[self.in_start[nd]..self.in_start[nd + 1]];
-            h = h.min(node.horizon_after(rx, now.0, self.timing.rc_per_flit));
-            if h == now.0 + 1 {
-                return FlitCycle(h);
-            }
-        }
-        FlitCycle(h.max(now.0 + 1))
-    }
-
-    fn skip_quiescent(&mut self, from: FlitCycle, n: u64, measuring: bool) {
-        skip_cycles(&mut [&mut self.parts().0], from.0, n, measuring);
     }
 }
 
@@ -1926,36 +1794,30 @@ mod tests {
 
     #[test]
     fn parallel_runner_matches_sequential_cycle_model() {
-        let check =
-            |topo: Topology, seed: u64, warmup: u64, bound: u64, cases: &[(usize, bool)]| {
-                let seq = {
-                    let mut f = fabric(topo, 0.35, seed);
-                    let o = Runner::new(warmup, StopCondition::Cycles(bound)).run(&mut f);
-                    (f.summary(), f.rng_fingerprints(), o.executed, o.measured)
-                };
-                for &(workers, horizon) in cases {
-                    let mut f = fabric(topo, 0.35, seed);
-                    let o = f.run_parallel(warmup, bound, workers, horizon);
-                    assert_eq!(
-                        seq,
-                        (f.summary(), f.rng_fingerprints(), o.executed, o.measured),
-                        "{}: run_parallel({workers}, horizon={horizon}) diverged from Runner::run",
-                        topo.label()
-                    );
-                    assert!(horizon || o.skipped == 0);
-                }
+        let check = |topo: Topology, seed: u64, warmup: u64, bound: u64, cases: &[usize]| {
+            let seq = {
+                let mut f = fabric(topo, 0.35, seed);
+                let o = Runner::new(warmup, StopCondition::Cycles(bound)).run(&mut f);
+                (f.summary(), f.rng_fingerprints(), o.executed, o.measured)
             };
+            for &workers in cases {
+                let mut f = fabric(topo, 0.35, seed);
+                let o = f.run_parallel(warmup, bound, workers, false);
+                assert_eq!(
+                    seq,
+                    (f.summary(), f.rng_fingerprints(), o.executed, o.measured),
+                    "{}: run_parallel({workers}) diverged from Runner::run",
+                    topo.label()
+                );
+            }
+        };
         let mesh = Topology::Mesh { x: 3, y: 3 };
-        check(mesh, 9, 300, 3_000, &[(1, false), (2, true), (3, false)]);
+        check(mesh, 9, 300, 3_000, &[1, 2, 3]);
         // `warmup` and `bound` off the `link_latency` (4) grid: the
         // measurement boundary falls inside an epoch and the last epoch
-        // is short.  Every chunk shape (uneven splits, one chunk per
-        // node, more workers than nodes), with and without horizon
-        // skipping.
-        let shapes: Vec<(usize, bool)> = [1, 2, 3, 5, 8, 9, 17]
-            .into_iter()
-            .flat_map(|w| [(w, false), (w, true)])
-            .collect();
+        // is short.  Every chunk shape: uneven splits, one chunk per
+        // node, more workers than nodes.
+        let shapes = [1, 2, 3, 5, 8, 9, 17];
         for topo in [
             mesh,
             Topology::Ring { nodes: 5 },
@@ -1983,17 +1845,21 @@ mod tests {
         let taken = |rx: &mut Rx<()>, u: u64| -> Vec<u32> {
             std::iter::from_fn(|| rx.pop_due(u)).map(|m| m.vc).collect()
         };
+        let next_due = |rx: &Rx<()>| {
+            let next = rx.pend.front().or_else(|| rx.inbox.get(rx.head));
+            next.map(|m| m.due)
+        };
         let mut rx = Rx::new();
         // A full epoch's inbox (sent over cycles 0..4, latency 4) is
         // consumed in place: nothing reaches `pend`.
         rx.inbox = vec![wire(4, 0), wire(4, 1), wire(6, 2), wire(7, 3)];
-        assert_eq!((rx.len(), rx.next_due()), (4, Some(4)));
+        assert_eq!((rx.len(), next_due(&rx)), (4, Some(4)));
         assert_eq!(taken(&mut rx, 4), [0, 1]);
         assert_eq!(taken(&mut rx, 5), [] as [u32; 0]);
         assert_eq!(taken(&mut rx, 7), [2, 3]);
         rx.close_epoch();
         assert!(rx.pend.is_empty() && rx.inbox.is_empty());
-        assert_eq!((rx.head, rx.len(), rx.next_due()), (0, 0, None));
+        assert_eq!((rx.head, rx.len(), next_due(&rx)), (0, 0, None));
 
         // A shortened epoch (cycles 8..10) leaves a tail: it is carried,
         // and the inbox goes back empty for the swap.
@@ -2002,18 +1868,19 @@ mod tests {
         assert_eq!(taken(&mut rx, 9), [5]);
         rx.close_epoch();
         assert!(rx.inbox.is_empty());
-        assert_eq!((rx.head, rx.len(), rx.next_due()), (0, 2, Some(10)));
+        assert_eq!((rx.head, rx.len(), next_due(&rx)), (0, 2, Some(10)));
 
-        // The carried tail was sent first, so it is applied first — also
-        // when a skip lands past dues of both stages at once.
+        // The carried tail was sent first, so it is applied first, and
+        // the swapped-in inbox only after it.
         rx.inbox = vec![wire(12, 8), wire(13, 9)];
         assert_eq!(rx.len(), 4);
         assert_eq!(taken(&mut rx, 10), [6]);
-        assert_eq!(taken(&mut rx, 12), [7, 8]);
-        assert_eq!(rx.next_due(), Some(13));
+        assert_eq!(taken(&mut rx, 11), [7]);
+        assert_eq!(taken(&mut rx, 12), [8]);
+        assert_eq!(next_due(&rx), Some(13));
         // One-cycle epochs (`Fabric::step`): every epoch is short.
         rx.close_epoch();
-        assert_eq!((rx.len(), rx.next_due()), (1, Some(13)));
+        assert_eq!((rx.len(), next_due(&rx)), (1, Some(13)));
         assert_eq!(taken(&mut rx, 13), [9]);
         assert_eq!(rx.len(), 0);
     }
@@ -2023,7 +1890,6 @@ mod tests {
             a: 4 * n,
             b: 4 * n + 1 + n % 4,
             measuring: n.is_multiple_of(2),
-            horizon: n.is_multiple_of(3),
         }
     }
 
@@ -2107,23 +1973,6 @@ mod tests {
         assert_eq!(served.load(Ordering::Relaxed), 2);
     }
 
-    #[test]
-    fn horizon_engine_matches_naive_on_the_fabric() {
-        for &load in &[0.05, 0.3] {
-            let run = |horizon: bool| {
-                let mut f = fabric(Topology::Mesh { x: 3, y: 3 }, load, 11);
-                let runner = Runner::new(300, StopCondition::Cycles(3_000));
-                let o = if horizon {
-                    runner.run_horizon(&mut f)
-                } else {
-                    runner.run(&mut f)
-                };
-                (f.summary(), f.rng_fingerprints(), o.executed)
-            };
-            assert_eq!(run(true), run(false), "engines diverged at load {load}");
-        }
-    }
-
     // ---- Line fabrics: the paper's "network composed of several MMRs"
     // in its simplest form. --------------------------------------------
 
@@ -2183,21 +2032,6 @@ mod tests {
         for (i, u) in net.summary().node_utilization.iter().enumerate() {
             assert!(*u > 0.1, "stage {i} utilization {u}");
         }
-    }
-
-    #[test]
-    fn line_network_horizon_engine_agrees() {
-        let run = |horizon: bool| {
-            let mut net = line(2, 0.15, 5);
-            let runner = Runner::new(300, StopCondition::Cycles(5_000));
-            let o = if horizon {
-                runner.run_horizon(&mut net)
-            } else {
-                runner.run(&mut net)
-            };
-            (net.summary(), o.executed)
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

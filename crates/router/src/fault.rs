@@ -116,7 +116,6 @@ pub struct FaultState {
     pending_dup: Vec<usize>,
     /// Per connection: rogue-source episode state.
     rogue_until: Vec<u64>,
-    max_rogue_until: u64,
     rogue_burst: Vec<u32>,
     rogue_seq: Vec<u64>,
     /// Per connection: quarantine flag and rate metering.
@@ -150,7 +149,6 @@ impl FaultState {
             steal_returns: vec![0; conns],
             pending_dup: Vec::with_capacity(conns.max(4)),
             rogue_until: vec![0; conns],
-            max_rogue_until: 0,
             rogue_burst: vec![0; conns],
             rogue_seq: vec![ROGUE_SEQ_BASE; conns],
             quarantined: vec![false; conns],
@@ -186,11 +184,6 @@ impl FaultState {
     /// True if any fault events are scheduled (fault machinery engaged).
     pub fn is_active(&self) -> bool {
         !self.plan.is_empty()
-    }
-
-    /// The installed profile.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
     }
 
     /// The installed plan.
@@ -242,7 +235,6 @@ impl FaultState {
                     extra_flits_per_cycle,
                 } => {
                     self.rogue_until[conn] = (now + flit_cycles).max(self.rogue_until[conn]);
-                    self.max_rogue_until = self.max_rogue_until.max(self.rogue_until[conn]);
                     self.rogue_burst[conn] = self.rogue_burst[conn].max(extra_flits_per_cycle);
                 }
             }
@@ -369,35 +361,6 @@ impl FaultState {
             self.gen_in_window[conn] = 0;
         }
         self.window_started = now;
-    }
-
-    /// Earliest future flit cycle at which the fault subsystem can change
-    /// state, given that cycle `now` has just executed (and its events
-    /// were consumed by [`FaultState::begin_cycle`]).  `u64::MAX` means
-    /// "never" — no plan, or everything already fired and settled.
-    ///
-    /// The horizon contract allows a too-early answer but never a
-    /// too-late one, so every per-cycle behaviour pins it at `now + 1`:
-    /// active stalls accrue `stall_cycles` each cycle and active rogue
-    /// episodes inject flits each cycle.  Otherwise the next state change
-    /// is the next armed plan event or the next contract-window roll
-    /// (whose `window_started = now` side effect re-phases all later
-    /// rolls, so the roll cycle itself must execute).
-    pub fn horizon(&self, now: u64) -> u64 {
-        if !self.is_active() {
-            return u64::MAX;
-        }
-        if self.max_stall_until > now || self.max_rogue_until > now {
-            return now + 1;
-        }
-        let mut h = match self.plan.events().get(self.cursor) {
-            Some(ev) => ev.at,
-            None => u64::MAX,
-        };
-        if self.profile.quarantine && self.profile.rate_window > 0 {
-            h = h.min(self.window_started + self.profile.rate_window);
-        }
-        h.max(now + 1)
     }
 
     /// Connections quarantined since the last
@@ -540,53 +503,6 @@ mod tests {
         }
         fs.poll_contracts(20);
         assert!(fs.newly_quarantined().is_empty());
-    }
-
-    #[test]
-    fn horizon_tracks_events_stalls_and_window_rolls() {
-        let fs = FaultState::inactive(4, 4);
-        assert_eq!(fs.horizon(0), u64::MAX, "no plan, nothing to wait for");
-
-        // Default profile: quarantine on, rate_window 2048, window at 0.
-        let mut fs = state_with(vec![
-            FaultEvent {
-                at: 50,
-                kind: FaultKind::StallOutput {
-                    output: 1,
-                    flit_cycles: 3,
-                },
-            },
-            FaultEvent {
-                at: 100,
-                kind: FaultKind::DropCredit { conn: 0 },
-            },
-        ]);
-        fs.begin_cycle(0);
-        assert_eq!(fs.horizon(0), 50, "next armed event");
-        fs.begin_cycle(50);
-        assert_eq!(fs.horizon(50), 51, "active stall accrues per cycle");
-        for t in 51..=53 {
-            fs.begin_cycle(t);
-        }
-        assert_eq!(fs.horizon(53), 100, "stall expired; next event");
-        fs.begin_cycle(100);
-        assert_eq!(fs.horizon(100), 2048, "contract-window roll is next");
-    }
-
-    #[test]
-    fn horizon_pins_active_rogue_episodes() {
-        let mut fs = state_with(vec![FaultEvent {
-            at: 10,
-            kind: FaultKind::RogueSource {
-                conn: 1,
-                flit_cycles: 5,
-                extra_flits_per_cycle: 2,
-            },
-        }]);
-        fs.begin_cycle(10);
-        assert_eq!(fs.horizon(10), 11, "rogue injects every cycle");
-        assert_eq!(fs.horizon(14), 15);
-        assert_eq!(fs.horizon(15), 2048, "episode over; window roll next");
     }
 
     #[test]

@@ -284,8 +284,8 @@ impl SwitchCore {
     pub fn arbitrate(&mut self) -> usize {
         if self.candidates.is_empty() {
             // Skipping the kernel, not handing it an empty set, leaves
-            // the RNG stream and kernel probes untouched: executing a
-            // quiescent cycle is identical to skipping it (DESIGN.md §12).
+            // the RNG stream and kernel probes untouched on idle cycles:
+            // the pinned results in tests/determinism.rs depend on it.
             self.matching.clear();
         } else {
             self.arbiter
@@ -350,18 +350,6 @@ impl SwitchCore {
     #[inline(always)]
     pub fn return_credits(&mut self) {
         self.credits.apply_returns();
-    }
-
-    /// Leave behind what `n` executed quiescent cycles would have:
-    /// measured idle cycles and the TDM table phase.  Queues, credits
-    /// and the RNG provably cannot move while nothing is buffered.
-    pub fn skip_quiescent(&mut self, n: u64, measuring: bool) {
-        if measuring {
-            self.crossbar.record_idle_cycles(n);
-        }
-        for ls in &mut self.link_scheds {
-            ls.advance_idle(n);
-        }
     }
 
     /// Flits buffered in the NICs and the VC memory.

@@ -181,14 +181,6 @@ impl CycleModel for MmrRouter {
     fn is_done(&self, now: FlitCycle) -> bool {
         self.fabric.is_done(now)
     }
-
-    fn next_event(&self, now: FlitCycle) -> FlitCycle {
-        self.fabric.next_event(now)
-    }
-
-    fn skip_quiescent(&mut self, from: FlitCycle, n: u64, measuring: bool) {
-        self.fabric.skip_quiescent(from, n, measuring);
-    }
 }
 
 /// Aggregate results of one router run.

@@ -110,10 +110,10 @@ impl TdmLinkScheduler {
 
     /// Advance the table cursor by `n` slots without offering anything —
     /// the bulk form of `n` [`select`](TdmLinkScheduler::select) calls on
-    /// an empty VC memory.  The event-horizon engine uses this to keep
-    /// the table phase identical to a cycle-by-cycle run across skipped
-    /// quiescent cycles (the cursor moves once per cycle, owner idle or
-    /// not).
+    /// an empty VC memory.  The switch pipeline calls it instead of
+    /// `select` on a cycle with nothing buffered, so the table phase
+    /// stays where the scan would have left it (the cursor moves once
+    /// per cycle, owner idle or not).
     pub fn advance_cursor(&mut self, n: u64) {
         self.cursor = (self.cursor + (n % self.table.len() as u64) as usize) % self.table.len();
     }

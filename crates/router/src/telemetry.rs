@@ -602,27 +602,9 @@ impl RouterTelemetry {
         }
     }
 
-    /// Close the current snapshot window ending at `cycle` and open the
-    /// next one.  Shared by [`RouterTelemetry::end_cycle`] and the bulk
-    /// quiescent skip so both account the window to the observatory's
-    /// SLO tracker identically.
-    #[inline]
-    fn close_window(&mut self, cycle: u64, backlog_end: u64) {
-        self.current.end_cycle = cycle;
-        self.current.backlog_end = backlog_end;
-        let closed = self.current;
-        let be = class_index(TrafficClass::BestEffort);
-        self.observatory.on_window_close(
-            closed.generated[be],
-            closed.delivered[be],
-            closed.end_cycle - closed.start_cycle + 1,
-        );
-        self.windows.push(closed);
-        self.current = WindowAccum::fresh(closed.index + 1, cycle + 1);
-    }
-
     /// Close the cycle: update gauges and roll the snapshot window when
-    /// its interval elapses.
+    /// its interval elapses, accounting the closed window to the
+    /// observatory's SLO tracker.
     #[inline]
     pub(crate) fn end_cycle(&mut self, cycle: u64, backlog: u64) {
         if !self.enabled {
@@ -634,38 +616,16 @@ impl RouterTelemetry {
         }
         self.current.end_cycle = cycle;
         if self.interval > 0 && (cycle + 1).is_multiple_of(self.interval) {
-            self.close_window(cycle, backlog);
-        }
-    }
-
-    /// Bulk-advance across `n` skipped quiescent cycles starting at
-    /// `from`: bit-identical to calling every per-cycle hook with
-    /// zero-work arguments and [`RouterTelemetry::end_cycle`] with zero
-    /// backlog for each cycle, but in O(windows crossed) instead of O(n).
-    ///
-    /// Quiescent cycles record no grants/stalls/credits and cannot raise
-    /// the backlog-peak gauge (backlog is zero), so only the cycle
-    /// counter, the per-stage call counts and the snapshot-window clock
-    /// move.
-    pub(crate) fn skip_quiescent(&mut self, from: u64, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        self.registry.add(self.counters.cycles, n);
-        self.profiler.add_idle_calls(n);
-        let last = from + n - 1;
-        if self.interval > 0 {
-            // Window boundaries inside the gap: cycles c with
-            // (c + 1) % interval == 0 — close each exactly as end_cycle
-            // would, with an empty-system backlog.
-            let mut c = (from + 1).div_ceil(self.interval) * self.interval - 1;
-            while c <= last {
-                self.close_window(c, 0);
-                c += self.interval;
-            }
-        }
-        if last >= self.current.start_cycle {
-            self.current.end_cycle = last;
+            self.current.backlog_end = backlog;
+            let closed = self.current;
+            let be = class_index(TrafficClass::BestEffort);
+            self.observatory.on_window_close(
+                closed.generated[be],
+                closed.delivered[be],
+                closed.end_cycle - closed.start_cycle + 1,
+            );
+            self.windows.push(closed);
+            self.current = WindowAccum::fresh(closed.index + 1, cycle + 1);
         }
     }
 
@@ -747,64 +707,6 @@ mod tests {
         assert_eq!(high.delivered, 10);
         assert!((high.mean_delay_rc - 4.0).abs() < 1e-12);
         assert_eq!(rep.windows[1].start_cycle, 10);
-    }
-
-    /// Everything one executed quiescent cycle does to telemetry.
-    fn run_idle_cycle(t: &mut RouterTelemetry, cycle: u64) {
-        let t0 = t.stage_begin();
-        t.end_source_gen(t0, 0);
-        let t0 = t.stage_begin();
-        t.end_link_schedule(t0, 0);
-        let t0 = t.stage_begin();
-        t.end_arbitration(t0, 0);
-        let t0 = t.stage_begin();
-        t.end_crossbar(t0, 0);
-        let t0 = t.stage_begin();
-        t.end_delivery(t0, 0);
-        let t0 = t.stage_begin();
-        t.end_nic_forward(t0, 0);
-        let t0 = t.stage_begin();
-        t.end_credit_return(t0, 0);
-        t.end_cycle(cycle, 0);
-    }
-
-    #[test]
-    fn bulk_skip_equals_executed_idle_cycles() {
-        // A mid-window skip crossing several window boundaries must leave
-        // the report bit-identical to stepping every idle cycle.
-        let mk = || {
-            RouterTelemetry::armed(
-                TelemetryConfig {
-                    snapshot_interval: 10,
-                    ..Default::default()
-                },
-                &[TrafficClass::CbrHigh],
-            )
-        };
-        let mut stepped = mk();
-        let mut skipped = mk();
-        for t in [&mut stepped, &mut skipped] {
-            for cycle in 0..4u64 {
-                t.on_grant(cycle, 0, 1, 0);
-                t.on_generated(TrafficClass::CbrHigh);
-                t.on_delivered(TrafficClass::CbrHigh, 0, 3, 1);
-                t.end_cycle(cycle, 2);
-            }
-        }
-        for cycle in 4..38u64 {
-            run_idle_cycle(&mut stepped, cycle);
-        }
-        skipped.skip_quiescent(4, 34);
-        for t in [&mut stepped, &mut skipped] {
-            for cycle in 38..42u64 {
-                t.on_grant(cycle, 1, 0, 2);
-                t.end_cycle(cycle, 1);
-            }
-        }
-        let a = stepped.report(KernelStats::default());
-        let b = skipped.report(KernelStats::default());
-        assert_eq!(a, b);
-        assert_eq!(a.windows.len(), 4, "cycles 0..39 close four windows");
     }
 
     #[test]

@@ -23,30 +23,6 @@ pub trait CycleModel {
     fn is_done(&self, _now: FlitCycle) -> bool {
         false
     }
-
-    /// The next cycle at which this model can possibly change state,
-    /// given that cycle `now` has just executed.  The engine may skip
-    /// every cycle in `now+1 .. next_event(now)` via
-    /// [`skip_quiescent`](CycleModel::skip_quiescent) instead of stepping
-    /// them.
-    ///
-    /// Contract (see DESIGN.md §12): reporting **too early** a horizon is
-    /// always safe — the engine simply executes a quiescent cycle, which
-    /// must be indistinguishable from skipping it.  Reporting **too
-    /// late** is a correctness bug: a state change inside the skipped
-    /// gap would be lost.  `is_done` must not change across cycles the
-    /// model reports as skippable.  The default never skips.
-    fn next_event(&self, now: FlitCycle) -> FlitCycle {
-        FlitCycle(now.0 + 1)
-    }
-
-    /// Bulk-advance the model across `n` quiescent cycles starting at
-    /// `from` (all strictly inside the gap promised by
-    /// [`next_event`](CycleModel::next_event)).  Implementations must
-    /// leave the model in exactly the state `n` executed quiescent steps
-    /// would have produced — including statistics epochs and telemetry
-    /// windows — in O(1) or O(components), never O(n) per-cycle work.
-    fn skip_quiescent(&mut self, _from: FlitCycle, _n: u64, _measuring: bool) {}
 }
 
 /// When to stop a run (in addition to the model's own `is_done`).
@@ -61,14 +37,13 @@ pub enum StopCondition {
 /// Outcome of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
-    /// Number of flit cycles the model advanced through (stepped plus
-    /// skipped) — identical between [`Runner::run`] and
-    /// [`Runner::run_horizon`] on the same model.
+    /// Number of flit cycles the model was stepped through.
     pub executed: u64,
     /// Cycles that counted toward measurement (post-warm-up).
     pub measured: u64,
-    /// Cycles fast-forwarded via [`CycleModel::skip_quiescent`] rather
-    /// than stepped (always zero under [`Runner::run`]).
+    /// Always zero: every cycle is stepped.  Kept only because
+    /// `benchmark/src/sut.rs` reads it; it goes when the benchmark stops
+    /// naming the engine (ROADMAP item 1).
     pub skipped: u64,
     /// True if the run ended because the model reported done (as opposed
     /// to exhausting the cycle budget).
@@ -122,66 +97,11 @@ impl Runner {
         }
     }
 
-    /// Run the model to completion with event-horizon fast-forwarding.
-    ///
-    /// After each executed cycle the model is asked for its next possible
-    /// state change ([`CycleModel::next_event`]); the gap up to it is
-    /// bulk-advanced in one [`CycleModel::skip_quiescent`] call instead
-    /// of being stepped cycle by cycle.  The measurement boundary is
-    /// never skipped across, so [`CycleModel::on_measurement_start`]
-    /// fires on exactly the same cycle as under [`Runner::run`].  For a
-    /// model honouring the horizon contract the outcome (and the model's
-    /// final state) is bit-identical to [`Runner::run`].
+    /// [`Runner::run`] under its old name.  Kept only because
+    /// `benchmark/src/sut.rs` calls it; it goes when the benchmark stops
+    /// naming the engine (ROADMAP item 1).
     pub fn run_horizon<M: CycleModel>(&self, model: &mut M) -> RunOutcome {
-        let bound = match self.stop {
-            StopCondition::Cycles(n) | StopCondition::ModelDoneOrCycles(n) => n,
-        };
-        let check_done = matches!(self.stop, StopCondition::ModelDoneOrCycles(_));
-        let mut measured = 0;
-        let mut executed = 0;
-        let mut skipped = 0;
-        let mut model_finished = false;
-        let mut t = 0u64;
-        while t < bound {
-            let now = FlitCycle(t);
-            let measuring = t >= self.warmup;
-            if t == self.warmup {
-                model.on_measurement_start(now);
-            }
-            model.step(now, measuring);
-            executed += 1;
-            if measuring {
-                measured += 1;
-            }
-            if check_done && model.is_done(now) {
-                model_finished = true;
-                break;
-            }
-            let mut target = model.next_event(now).0.max(t + 1).min(bound);
-            if t < self.warmup {
-                // Never skip across the measurement boundary: cycle
-                // `warmup` itself must execute so on_measurement_start
-                // fires there, exactly as in the naive loop.
-                target = target.min(self.warmup);
-            }
-            let gap = target - (t + 1);
-            if gap > 0 {
-                let gap_measuring = t + 1 >= self.warmup;
-                model.skip_quiescent(FlitCycle(t + 1), gap, gap_measuring);
-                executed += gap;
-                skipped += gap;
-                if gap_measuring {
-                    measured += gap;
-                }
-            }
-            t = target;
-        }
-        RunOutcome {
-            executed,
-            measured,
-            skipped,
-            model_finished,
-        }
+        self.run(model)
     }
 }
 
@@ -256,101 +176,10 @@ mod tests {
         assert_eq!(m.reset_at, None);
     }
 
-    /// A model that can only change state at multiples of `period`.
-    struct Periodic {
-        period: u64,
-        stepped: Vec<u64>,
-        skips: Vec<(u64, u64, bool)>,
-        advanced: u64,
-        measured_cycles: u64,
-        reset_at: Option<u64>,
-    }
-
-    impl Periodic {
-        fn new(period: u64) -> Self {
-            Periodic {
-                period,
-                stepped: Vec::new(),
-                skips: Vec::new(),
-                advanced: 0,
-                measured_cycles: 0,
-                reset_at: None,
-            }
-        }
-    }
-
-    impl CycleModel for Periodic {
-        fn step(&mut self, now: FlitCycle, measuring: bool) {
-            self.stepped.push(now.0);
-            self.advanced += 1;
-            if measuring {
-                self.measured_cycles += 1;
-            }
-        }
-        fn on_measurement_start(&mut self, now: FlitCycle) {
-            self.reset_at = Some(now.0);
-        }
-        fn next_event(&self, now: FlitCycle) -> FlitCycle {
-            FlitCycle((now.0 / self.period + 1) * self.period)
-        }
-        fn skip_quiescent(&mut self, from: FlitCycle, n: u64, measuring: bool) {
-            self.skips.push((from.0, n, measuring));
-            self.advanced += n;
-            if measuring {
-                self.measured_cycles += n;
-            }
-        }
-    }
-
-    #[test]
-    fn horizon_accounting_matches_naive() {
-        let mut m = Periodic::new(7);
-        let out = Runner::new(10, StopCondition::Cycles(100)).run_horizon(&mut m);
-        // Same totals the naive loop reports, however the cycles were
-        // covered.
-        assert_eq!(out.executed, 100);
-        assert_eq!(out.measured, 90);
-        assert_eq!(m.advanced, 100);
-        assert_eq!(m.measured_cycles, 90);
-        assert_eq!(out.skipped + m.stepped.len() as u64, 100);
-        assert!(out.skipped > 0);
-        // Every skipped span sits strictly between two events and never
-        // covers a multiple of the period (a possible state change).
-        for &(from, n, _) in &m.skips {
-            for c in from..from + n {
-                assert!(!c.is_multiple_of(7), "skipped active cycle {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn horizon_never_skips_the_measurement_boundary() {
-        // Warm-up ends at cycle 10, inside the quiescent gap 8..14: the
-        // engine must still execute cycle 10 so the reset fires there.
-        let mut m = Periodic::new(7);
-        Runner::new(10, StopCondition::Cycles(100)).run_horizon(&mut m);
-        assert_eq!(m.reset_at, Some(10));
-        assert!(m.stepped.contains(&10));
-        // No pre-warm-up span is flagged as measuring and vice versa.
-        for &(from, n, measuring) in &m.skips {
-            assert_eq!(measuring, from >= 10);
-            assert!(from + n <= 10 || from >= 10, "span straddles warm-up");
-        }
-    }
-
-    #[test]
-    fn horizon_skip_clamped_to_bound() {
-        let mut m = Periodic::new(64);
-        let out = Runner::new(0, StopCondition::Cycles(100)).run_horizon(&mut m);
-        assert_eq!(out.executed, 100);
-        assert_eq!(m.stepped, vec![0, 64]);
-        assert_eq!(out.skipped, 98);
-    }
-
     #[test]
     fn horizon_with_default_hooks_equals_naive() {
-        // A model that never reports a horizon degrades to the naive
-        // loop, early exit included.
+        // The `run_horizon` shim is the one loop: same outcome and model
+        // state, early exit included, nothing skipped.
         for done in [None, Some(42), Some(10_000)] {
             let mut a = counter(done);
             let mut b = counter(done);

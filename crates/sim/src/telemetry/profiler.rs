@@ -128,21 +128,6 @@ impl StageProfiler {
         self.wall_ns[i] += self.clock.now_ns().saturating_sub(started_ns);
     }
 
-    /// Credit `n` idle executions to **every** registered stage at once:
-    /// calls advance by `n`, work and wall time stay put.  Bit-identical
-    /// to `n` begin/end brackets with zero work under the deterministic
-    /// [`super::NullClock`]; used by the event-horizon engine to account
-    /// skipped quiescent cycles in O(stages) instead of O(n).
-    #[inline]
-    pub fn add_idle_calls(&mut self, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        for c in &mut self.calls {
-            *c += n;
-        }
-    }
-
     /// Accumulated figures for one stage.
     pub fn calls(&self, stage: StageId) -> u64 {
         self.calls[stage.0 as usize]
@@ -249,33 +234,6 @@ mod tests {
         let a = p.stage("s");
         let b = p.stage("s");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn idle_calls_equal_zero_work_brackets() {
-        let mut a = StageProfiler::new(Box::new(NullClock));
-        let mut b = StageProfiler::new(Box::new(NullClock));
-        for p in [&mut a, &mut b] {
-            p.stage("x");
-            p.stage("y");
-        }
-        let (x, y) = (StageId(0), StageId(1));
-        for _ in 0..5 {
-            for s in [x, y] {
-                let t = a.begin();
-                a.end(s, t, 0);
-            }
-        }
-        b.add_idle_calls(5);
-        for s in [x, y] {
-            assert_eq!(a.calls(s), b.calls(s));
-            assert_eq!(a.work(s), b.work(s));
-            assert_eq!(a.wall_ns(s), b.wall_ns(s));
-        }
-        let mut d = StageProfiler::disabled();
-        d.stage("x");
-        d.add_idle_calls(9);
-        assert_eq!(d.calls(StageId(0)), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Injection calendars: the traffic side of the event-horizon contract.
+//! Injection calendars: the switch pipeline's one injection path.
 //!
 //! An [`InjectionCalendar`] caches, per connection, the router-cycle
 //! timestamp of the source's next flit (CBR period ticks, MPEG-2 frame
@@ -42,9 +42,9 @@
 //! Because every drain ends by installing the exact minimum and entries
 //! change only inside a drain, [`InjectionCalendar::min_lower_bound`] is
 //! **exact between steps** for a calendar driven through `drain_due`.
-//! That is what lets the owners read their injection horizon and their
-//! "all sources exhausted" test from it in O(1) (`== NEVER`) instead of
-//! sweeping `peek_next`; `drain_due` debug-asserts it on entry.
+//! That is what lets the owners read their "all sources exhausted" test
+//! from it in O(1) (`== NEVER`) instead of sweeping `peek_next`;
+//! `drain_due` debug-asserts it on entry.
 //!
 //! [`InjectionCalendar::update`] / [`InjectionCalendar::set_min_lb`]
 //! are for the benchmark's hand-mirrored stage-1 replay only: `update`
@@ -189,10 +189,9 @@ impl InjectionCalendar {
         self.next_rc.iter().copied().min().unwrap_or(NEVER)
     }
 
-    /// O(1) lower bound on [`Self::min_next_rc`].  `min_lb > now` proves
-    /// no injection is due, so a per-cycle drain can be skipped outright;
-    /// as a fast-forward horizon it may only be *too early* — exactly
-    /// what the event-horizon contract permits (DESIGN.md §12).
+    /// O(1) lower bound on [`Self::min_next_rc`] (exact between drains,
+    /// module docs).  `min_lb > now` proves no injection is due, so a
+    /// per-cycle drain can be skipped outright.
     #[inline]
     pub fn min_lower_bound(&self) -> u64 {
         self.min_lb

@@ -21,8 +21,9 @@
 //! * [`admission`] — connection admission control: slot accounting per
 //!   round for CBR, average + peak×concurrency-factor tests for VBR (§2
 //!   "Connection Set up").
-//! * [`calendar`] — per-connection next-injection caches backing the
-//!   event-horizon engine's skip decisions (DESIGN.md §12).
+//! * [`calendar`] — per-connection next-injection caches: the one
+//!   injection path, one compare on a cycle with nothing due (DESIGN.md
+//!   §12).
 //! * [`workload`] — builders that assemble admitted connection mixes hitting
 //!   a target offered load, as used by every experiment in §5.
 

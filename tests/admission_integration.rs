@@ -118,66 +118,6 @@ fn vbr_peak_enforcement_reduces_admitted_connections() {
 }
 
 #[test]
-fn admission_is_identical_across_engine_modes() {
-    // Admission runs before the first cycle, so the engine choice must
-    // be invisible to it: the same config admits the same connection
-    // set (count, reserved slots, per-input loads) whether the run is
-    // cycle-by-cycle or event-horizon — including at high load, where
-    // rejections shape the set, and with the VBR peak test biting.
-    use mmr_core::config::EngineMode;
-    let cases = [
-        SimConfig {
-            workload: WorkloadSpec::cbr(0.95),
-            run: RunLength::Cycles(2_000),
-            warmup_cycles: 100,
-            ..Default::default()
-        },
-        SimConfig {
-            workload: WorkloadSpec::Vbr {
-                target_load: 0.85,
-                gops: 1,
-                injection: InjectionKind::BackToBack,
-                enforce_peak: true,
-            },
-            warmup_cycles: 0,
-            run: RunLength::UntilDrained {
-                max_cycles: mmr_core::config::vbr_cycle_budget(1),
-            },
-            ..Default::default()
-        },
-    ];
-    for base in cases {
-        let slow = run_experiment(&SimConfig {
-            engine: Some(EngineMode::CycleByCycle),
-            ..base.clone()
-        });
-        let fast = run_experiment(&SimConfig {
-            engine: Some(EngineMode::EventHorizon),
-            ..base.clone()
-        });
-        assert_eq!(
-            slow.connections, fast.connections,
-            "engine mode changed the admitted connection count"
-        );
-        assert_eq!(
-            slow.achieved_load, fast.achieved_load,
-            "engine mode changed the admitted load"
-        );
-        // The workload builder itself is engine-agnostic: same specs,
-        // same reservations, connection for connection.
-        let wa = build_workload(&slow.config);
-        let wb = build_workload(&fast.config);
-        assert_eq!(wa.connections.len(), wb.connections.len());
-        for (a, b) in wa.connections.iter().zip(&wb.connections) {
-            assert_eq!(a.id, b.id);
-            assert_eq!((a.input, a.output), (b.input, b.output));
-            assert_eq!(a.reserved_slots, b.reserved_slots);
-        }
-        assert_eq!(wa.per_input_load, wb.per_input_load);
-    }
-}
-
-#[test]
 fn admitted_vbr_load_matches_generated_traffic() {
     // The traffic actually generated by the sources matches the average
     // bandwidth the CAC admitted (within ~10%: the trace is stochastic).

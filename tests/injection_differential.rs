@@ -108,9 +108,8 @@ proptest! {
         // all-exhausted state.
         retire in 0usize..4,
         // (kind, length): back-to-back router cycles, whole flit cycles,
-        // strides of up to 5 000 router cycles — what a horizon skip
-        // produces — and of 10^5 to 7·10^6, past the wheel's span (a
-        // drained-VBR horizon skip).
+        // strides of up to 5 000 router cycles, and of 10^5 to 7·10^6,
+        // past the wheel's span: the calendar takes any monotone `now`.
         strides in proptest::collection::vec((0usize..4, 1u64..=5_000), 1..400),
     ) {
         let n = SIZES[size];

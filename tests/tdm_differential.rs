@@ -277,7 +277,8 @@ fn slot_tables_match_reference_construction() {
 #[test]
 fn bulk_cursor_advance_matches_reference_phase() {
     // advance_cursor(n) must equal n idle selects on BOTH sides — the
-    // event-horizon engine depends on the phase staying locked.
+    // pipeline advances it instead of scanning on idle cycles, so the
+    // phase must stay locked.
     let reservations = vec![(0usize, 500u64), (1, 300), (2, 100)];
     let mut fast = TdmLinkScheduler::new(0, reservations.clone(), 1_000, 7, true);
     let mut golden = ReferenceTdm::new(0, &reservations, 1_000, 7, true);

@@ -3,7 +3,7 @@
 //! the `SweepSpec` its experiment was defined by before packs existed,
 //! and compiling `workloads/paper_fig5.toml` reproduces the Fig. 5
 //! configs bit for bit — same `ExperimentResult` JSON bytes, same
-//! arbitration-RNG stream positions, in both engine modes.  The property
+//! arbitration-RNG stream positions.  The property
 //! tests then pin the language itself: specs round-trip losslessly
 //! through the TOML emitter, and malformed documents — scrambled copies
 //! of the committed packs included — always surface as typed
@@ -12,8 +12,8 @@
 use mmr_core::arbiter::priority::PriorityKind;
 use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::config::{
-    vbr_cycle_budget, BestEffortSpec, EngineMode, FabricSpec, FaultSpec, InjectionKind, RunLength,
-    SimConfig, WorkloadSpec as Workload,
+    vbr_cycle_budget, BestEffortSpec, FabricSpec, FaultSpec, InjectionKind, RunLength, SimConfig,
+    WorkloadSpec as Workload,
 };
 use mmr_core::conformance::{ensemble_seeds, Bound, Check, Ensemble, Panel};
 use mmr_core::experiment::{build_router, build_workload, run_experiment, ExperimentResult};
@@ -436,7 +436,7 @@ fn frontier_spec_loads_are_a_fig5_subset_in_both_fidelities() {
 }
 
 #[test]
-fn fig5_pack_results_are_byte_identical_event_horizon() {
+fn fig5_pack_results_are_byte_identical_cycle_by_cycle() {
     let pack = load_pack("paper_fig5.toml")
         .compile(Fidelity::Quick)
         .expect("pack compiles");
@@ -455,60 +455,29 @@ fn fig5_pack_results_are_byte_identical_event_horizon() {
 }
 
 #[test]
-fn fig5_pack_results_are_byte_identical_cycle_by_cycle() {
-    // The slower engine on a subset of the grid: one load, both arbiters.
-    let pack = load_pack("paper_fig5.toml")
-        .compile(Fidelity::Quick)
-        .expect("pack compiles");
-    let canned = paper_fig5_literal(Fidelity::Quick);
-    for (ours, theirs) in pack.sweep.configs().iter().zip(canned.configs().iter()) {
-        if (ours.workload.target_load() - 0.7).abs() > 1e-9 {
-            continue;
-        }
-        let ours = ours.clone().with_engine(EngineMode::CycleByCycle);
-        let theirs = theirs.clone().with_engine(EngineMode::CycleByCycle);
-        let a = serde_json::to_string(&run_experiment(&ours)).expect("serializes");
-        let b = serde_json::to_string(&run_experiment(&theirs)).expect("serializes");
-        assert_eq!(
-            a,
-            b,
-            "cycle-by-cycle diverged under {}",
-            ours.arbiter.label()
-        );
-    }
-}
-
-#[test]
 fn fig5_pack_rng_fingerprints_match_the_canned_path() {
     // Stronger than output equality: after identical runs the arbitration
-    // RNG must sit at the same stream position, per engine mode.
+    // RNG must sit at the same stream position.
     let pack = load_pack("paper_fig5.toml")
         .compile(Fidelity::Quick)
         .expect("pack compiles");
     let canned = paper_fig5_literal(Fidelity::Quick);
-    let fingerprint = |cfg: &SimConfig, horizon: bool| {
+    let fingerprint = |cfg: &SimConfig| {
         let workload = build_workload(cfg);
         let mut router = build_router(cfg, workload);
-        let runner = Runner::new(cfg.warmup_cycles, StopCondition::Cycles(6_000));
-        if horizon {
-            runner.run_horizon(&mut router);
-        } else {
-            runner.run(&mut router);
-        }
+        Runner::new(cfg.warmup_cycles, StopCondition::Cycles(6_000)).run(&mut router);
         router.rng_fingerprint()
     };
     for (ours, theirs) in pack.sweep.configs().iter().zip(canned.configs().iter()) {
         if (ours.workload.target_load() - 0.5).abs() > 1e-9 {
             continue;
         }
-        for horizon in [false, true] {
-            assert_eq!(
-                fingerprint(ours, horizon),
-                fingerprint(theirs, horizon),
-                "RNG stream diverged (horizon={horizon}, arbiter {})",
-                ours.arbiter.label()
-            );
-        }
+        assert_eq!(
+            fingerprint(ours),
+            fingerprint(theirs),
+            "RNG stream diverged (arbiter {})",
+            ours.arbiter.label()
+        );
     }
 }
 
