@@ -436,7 +436,9 @@ fn frontier_spec_loads_are_a_fig5_subset_in_both_fidelities() {
 }
 
 #[test]
-fn fig5_pack_results_are_byte_identical_cycle_by_cycle() {
+fn fig5_pack_results_are_byte_identical_event_horizon() {
+    // Named for the idle-skipping loop that used to be the default; the
+    // full grid now runs through the one step loop.
     let pack = load_pack("paper_fig5.toml")
         .compile(Fidelity::Quick)
         .expect("pack compiles");
@@ -449,6 +451,38 @@ fn fig5_pack_results_are_byte_identical_cycle_by_cycle() {
             b,
             "results diverged at load {} arbiter {}",
             ours.workload.target_load(),
+            ours.arbiter.label()
+        );
+    }
+}
+
+#[test]
+fn fig5_pack_results_are_byte_identical_cycle_by_cycle() {
+    // One load, both arbiters, with the router stepped by `Runner`
+    // directly rather than through `run_experiment`.
+    let pack = load_pack("paper_fig5.toml")
+        .compile(Fidelity::Quick)
+        .expect("pack compiles");
+    let canned = paper_fig5_literal(Fidelity::Quick);
+    let stepped = |cfg: &SimConfig| {
+        let workload = build_workload(cfg);
+        let mut router = build_router(cfg, workload);
+        let RunLength::Cycles(cycles) = cfg.run else {
+            panic!("the Fig. 5 grid runs for a fixed cycle count");
+        };
+        let outcome =
+            Runner::new(cfg.warmup_cycles, StopCondition::Cycles(cycles)).run(&mut router);
+        let summary = serde_json::to_string(&router.summary()).expect("serializes");
+        (outcome.executed, summary, router.rng_fingerprint())
+    };
+    for (ours, theirs) in pack.sweep.configs().iter().zip(canned.configs().iter()) {
+        if (ours.workload.target_load() - 0.7).abs() > 1e-9 {
+            continue;
+        }
+        assert_eq!(
+            stepped(ours),
+            stepped(theirs),
+            "cycle-by-cycle diverged under {}",
             ours.arbiter.label()
         );
     }
