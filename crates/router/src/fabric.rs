@@ -513,7 +513,7 @@ impl FabricNode {
         for rx in lanes.flit_rx.iter_mut() {
             while let Some(m) = rx.pop_due(u) {
                 debug_assert_eq!(m.due, u, "flit message applied late");
-                self.core.mem.push(m.vc as usize, m.load, now_rc);
+                self.core.arrive(m.vc as usize, m.load, now_rc);
             }
         }
 

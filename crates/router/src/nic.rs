@@ -5,33 +5,44 @@
 //! physical-link controller forwards at most one flit per flit cycle to
 //! the router, choosing among connections that have **both a flit and a
 //! credit** in demand-driven round-robin order.
+//!
+//! **One slot pool per NIC** backs the queues: each connection's FIFO is
+//! a list of slots linked through `next`, freed slots go on a free list.
+//! The pool has room for one slot per connection from construction and
+//! grows (geometrically, by `Vec::push`) only when the total backlog
+//! passes that — unbounded queues, yet no allocation after construction
+//! while the backlog fits (DESIGN.md §18).
 
 use mmr_traffic::flit::Flit;
-use std::collections::VecDeque;
+
+/// End of a slot list.
+const NIL: u32 = u32::MAX;
 
 /// One input port's NIC.
 #[derive(Debug)]
 pub struct Nic {
     /// Connection ids (global) homed on this NIC, in round-robin order.
     conns: Vec<usize>,
-    /// Per-connection queues, indexed like `conns`.
-    queues: Vec<VecDeque<Flit>>,
-    /// Bit `local % 64` of word `local / 64` is set iff `queues[local]`
-    /// is non-empty; the link controller visits only these.
+    /// The slot pool.  A slot is pushed only when every slot holds a
+    /// flit, so its length is the high-water mark of the total backlog.
+    slots: Vec<Flit>,
+    /// Per slot: the next slot on its FIFO or on the free list.
+    next: Vec<u32>,
+    /// Per local connection: the (head, tail) slots of its FIFO; the
+    /// head is [`NIL`] while it is empty, and the tail is then stale.
+    ends: Vec<(u32, u32)>,
+    /// First slot of the free list.
+    free: u32,
+    /// Bit `local % 64` of word `local / 64` is set iff connection
+    /// `local`'s FIFO is non-empty; the link controller visits only these.
     nonempty: Vec<u64>,
     /// Round-robin pointer into `conns`.
     rr: usize,
-    /// High-water mark of total queued flits.
-    peak_depth: usize,
+    /// Total queued flits.
     depth: usize,
 }
 
 impl Nic {
-    /// Initial per-connection queue capacity.  The queues are elastic
-    /// (host memory backs them), but pre-sizing keeps sub-saturation
-    /// steady state free of `VecDeque` growth reallocations.
-    const INITIAL_QUEUE_CAPACITY: usize = 64;
-
     /// A NIC serving the given (global) connection ids.
     pub fn new(conns: Vec<usize>) -> Self {
         let n = conns.len();
@@ -45,40 +56,36 @@ impl Nic {
         );
         Nic {
             conns,
-            queues: (0..n)
-                .map(|_| VecDeque::with_capacity(Self::INITIAL_QUEUE_CAPACITY))
-                .collect(),
+            slots: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
+            ends: vec![(NIL, NIL); n],
+            free: NIL,
             nonempty: vec![0; n.div_ceil(64)],
             rr: 0,
-            peak_depth: 0,
             depth: 0,
         }
     }
 
-    /// Connections homed here.
-    pub fn connections(&self) -> &[usize] {
-        &self.conns
-    }
-
     /// Enqueue a generated flit for its connection.  `local` is the index
-    /// of the connection within this NIC (see [`Nic::local_index`]).
+    /// of the connection within this NIC.
     pub fn enqueue(&mut self, local: usize, flit: Flit) {
-        self.queues[local].push_back(flit);
+        if self.free == NIL {
+            self.free = u32::try_from(self.slots.len()).expect("NIC backlog under 2^32 flits");
+            self.slots.push(flit);
+            self.next.push(NIL);
+        }
+        let s = self.free;
+        self.free = self.next[s as usize];
+        (self.slots[s as usize], self.next[s as usize]) = (flit, NIL);
+        let (head, tail) = &mut self.ends[local];
+        if *head == NIL {
+            *head = s;
+        } else {
+            self.next[*tail as usize] = s;
+        }
+        *tail = s;
         self.nonempty[local / 64] |= 1 << (local % 64);
         self.depth += 1;
-        if self.depth > self.peak_depth {
-            self.peak_depth = self.depth;
-        }
-    }
-
-    /// Map a global connection id to its local index, if homed here.
-    pub fn local_index(&self, conn: usize) -> Option<usize> {
-        self.conns.iter().position(|&c| c == conn)
-    }
-
-    /// Queued flits for local connection `local`.
-    pub fn queue_len(&self, local: usize) -> usize {
-        self.queues[local].len()
     }
 
     /// Total queued flits.
@@ -88,7 +95,7 @@ impl Nic {
 
     /// High-water mark of total queued flits.
     pub fn peak_depth(&self) -> usize {
-        self.peak_depth
+        self.slots.len()
     }
 
     /// True if no flits are queued.
@@ -113,16 +120,18 @@ impl Nic {
         let local = self
             .first_ready(self.rr, n, &has_credit)
             .or_else(|| self.first_ready(0, self.rr, &has_credit))?;
-        let flit = self.queues[local]
-            .pop_front()
-            .expect("index marks queue non-empty");
-        if self.queues[local].is_empty() {
+        let head = &mut self.ends[local].0;
+        let s = *head as usize;
+        *head = self.next[s];
+        if *head == NIL {
             self.nonempty[local / 64] &= !(1 << (local % 64));
         }
+        self.next[s] = self.free;
+        self.free = s as u32;
         self.depth -= 1;
         // Advance past the served connection.
         self.rr = if local + 1 == n { 0 } else { local + 1 };
-        Some((self.conns[local], flit))
+        Some((self.conns[local], self.slots[s]))
     }
 
     /// Lowest local index in `[lo, hi)` with a queued flit and a credit.
@@ -155,21 +164,29 @@ impl Nic {
         None
     }
 
-    /// True if the non-empty index agrees with the queues (bit set ⇔
-    /// queue non-empty) and the queue lengths sum to
-    /// [`total_depth`](Nic::total_depth).  O(connections); meant for
-    /// debug assertions and tests.
+    /// True if the non-empty index agrees with the FIFOs (bit set ⇔
+    /// FIFO non-empty), each non-empty FIFO ends at its tail, the depth
+    /// lies between the backlogged connections and the pool size, and
+    /// the free list is empty exactly when every slot is queued.
+    /// O(connections): walking the pool would cost its size, the
+    /// backlog's high-water mark, which grows without bound past
+    /// saturation.  Meant for debug assertions and tests.
     pub fn index_consistent(&self) -> bool {
-        let bits_agree =
-            self.queues.iter().enumerate().all(|(local, q)| {
-                (self.nonempty[local / 64] >> (local % 64) & 1 == 1) != q.is_empty()
-            });
-        bits_agree && self.queues.iter().map(VecDeque::len).sum::<usize>() == self.depth
+        let mut backlogged = 0;
+        for (local, &(head, tail)) in self.ends.iter().enumerate() {
+            let bit = self.nonempty[local / 64] >> (local % 64) & 1 == 1;
+            if bit != (head != NIL) || (head != NIL && self.next[tail as usize] != NIL) {
+                return false;
+            }
+            backlogged += usize::from(head != NIL);
+        }
+        (backlogged..=self.slots.len()).contains(&self.depth)
+            && (self.free == NIL) == (self.depth == self.slots.len())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mmr_sim::time::RouterCycle;
     use mmr_traffic::connection::ConnectionId;
@@ -180,6 +197,16 @@ mod tests {
 
     fn nic3() -> Nic {
         Nic::new(vec![10, 11, 12])
+    }
+
+    /// Clear the index bit of the first backlogged connection and leave
+    /// its FIFO alone: a planted desync.  False if the NIC is empty.
+    pub(crate) fn hide_one(nic: &mut Nic) -> bool {
+        let Some(local) = nic.ends.iter().position(|&(head, _)| head != NIL) else {
+            return false;
+        };
+        nic.nonempty[local / 64] &= !(1 << (local % 64));
+        true
     }
 
     #[test]
@@ -215,9 +242,10 @@ mod tests {
         // Connection 10 has no credit: 11 must be served instead.
         let (conn, _) = nic.forward_one(|c| c != 10).unwrap();
         assert_eq!(conn, 11);
-        // Now nothing eligible.
+        // Now nothing eligible, and the flit for 10 is still queued.
         assert!(nic.forward_one(|c| c != 10).is_none());
-        assert_eq!(nic.queue_len(0), 1, "flit for 10 still queued");
+        assert_eq!(nic.total_depth(), 1);
+        assert_eq!(nic.forward_one(|_| true).unwrap().0, 10);
     }
 
     #[test]
@@ -242,11 +270,61 @@ mod tests {
     }
 
     #[test]
-    fn local_index_mapping() {
-        let nic = nic3();
-        assert_eq!(nic.local_index(11), Some(1));
-        assert_eq!(nic.local_index(99), None);
-        assert_eq!(nic.connections(), &[10, 11, 12]);
+    fn pool_grows_past_one_slot_per_connection_and_reuses_slots() {
+        let mut nic = nic3();
+        // 70 flits on one connection: past 64 per queue and past the
+        // three slots reserved, interleaved with the other two.
+        for i in 0..70 {
+            nic.enqueue(0, flit(10, i));
+            if i % 10 == 0 {
+                nic.enqueue(1 + (i as usize / 10) % 2, flit(11, i));
+            }
+        }
+        assert_eq!((nic.total_depth(), nic.peak_depth()), (77, 77));
+        assert!(nic.index_consistent());
+        // Drain half, refill through the freed slots: FIFO order holds
+        // on reused slots and the pool does not grow.
+        let mut seen = Vec::new();
+        for _ in 0..40 {
+            let (conn, f) = nic.forward_one(|c| c == 10).unwrap();
+            seen.push((conn, f.seq));
+        }
+        for i in 70..100 {
+            nic.enqueue(0, flit(10, i));
+        }
+        while let Some((conn, f)) = nic.forward_one(|c| c == 10) {
+            seen.push((conn, f.seq));
+        }
+        assert_eq!(seen, (0..100).map(|i| (10, i)).collect::<Vec<_>>());
+        assert_eq!((nic.total_depth(), nic.peak_depth()), (7, 77));
+        assert!(nic.index_consistent());
+    }
+
+    #[test]
+    fn no_allocation_while_backlog_fits_one_slot_per_connection() {
+        // The pool's storage never moves while the total depth stays at
+        // or below the connection count: enqueue and forward reuse it.
+        let mut nic = Nic::new((0..130).collect());
+        let storage = |nic: &Nic| (nic.slots.as_ptr(), nic.next.as_ptr());
+        let before = storage(&nic);
+        assert!(nic.slots.capacity() >= 130 && nic.next.capacity() >= 130);
+        for round in 0..20usize {
+            // Two connections in three get a flit, then the NIC forwards
+            // down to `keep` flits or until no queued flit has a credit.
+            for local in (0..130).filter(|l| !(l + round).is_multiple_of(3)) {
+                nic.enqueue(local, flit(local as u32, round as u64));
+            }
+            let keep = 10 * (round % 4);
+            let credit = |c: usize| c % 2 == round % 2 || c.is_multiple_of(5);
+            while nic.total_depth() > keep {
+                if nic.forward_one(credit).is_none() {
+                    break;
+                }
+            }
+            assert!(nic.index_consistent());
+        }
+        assert_eq!(storage(&nic), before);
+        assert!(nic.peak_depth() <= 130);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! can compete for the crossbar, and a credit returned in `cross` is
 //! spendable the following cycle — the paper's short-link,
 //! one-phit-credit timing.  The fabric also feeds the VC memory from its
-//! in-links: it pushes into the crate-visible `mem` before `select`.
+//! in-links: it calls [`arrive`](SwitchCore::arrive) before `select`.
 //!
 //! **The arbitration RNG is passed in**, not derived here: a one-node
 //! fabric (the single router) seeds it `seed ^ 0x4D4D_5221`, node *k* of
@@ -142,6 +142,9 @@ pub struct SwitchCore {
     pub(crate) crossbar: Crossbar,
     crossed: Vec<CrossedFlit>,
     drain: Vec<Flit>,
+    /// A flit entered or left a NIC or the VC memory since `forward`
+    /// last audited their occupancy indexes.
+    unaudited: bool,
 }
 
 impl SwitchCore {
@@ -225,6 +228,7 @@ impl SwitchCore {
             crossbar: Crossbar::new(ports),
             crossed: Vec::with_capacity(ports),
             drain: Vec::new(),
+            unaudited: false,
         }
     }
 
@@ -233,6 +237,14 @@ impl SwitchCore {
     pub fn enqueue(&mut self, source: usize, flit: Flit) {
         let (nic, slot) = self.source_slots[source];
         self.nics[nic as usize].enqueue(slot as usize, flit);
+        self.unaudited = true;
+    }
+
+    /// A flit off an in-link enters VC `vc`'s buffer as of `now`.
+    #[inline(always)]
+    pub fn arrive(&mut self, vc: usize, flit: Flit, now: RouterCycle) {
+        self.mem.push(vc, flit, now);
+        self.unaudited = true;
     }
 
     /// Stage 1: every source due at `now` injects into its NIC queue;
@@ -240,6 +252,7 @@ impl SwitchCore {
     /// order.  O(1) on the many cycles with nothing due.
     #[inline(always)]
     pub fn inject(&mut self, now: RouterCycle, mut on_generated: impl FnMut(usize)) {
+        self.unaudited |= self.calendar.min_lower_bound() <= now.0;
         let (nics, slots) = (&mut self.nics, &self.source_slots);
         self.calendar
             .drain_due(&mut self.sources, now, &mut self.drain, |i, flit| {
@@ -302,6 +315,7 @@ impl SwitchCore {
         let mut crossed = std::mem::take(&mut self.crossed);
         self.crossbar
             .transfer(&self.matching, &mut self.mem, measuring, &mut crossed);
+        self.unaudited |= !crossed.is_empty();
         crossed
     }
 
@@ -315,6 +329,8 @@ impl SwitchCore {
     /// input link, spending the credit; `ingress(mem, input, vc, flit)`
     /// decides its fate, and an admitted flit is buffered as of `arrival`
     /// (the cycle's end: it cannot be scheduled in the cycle it was sent).
+    /// Debug builds then audit the occupancy indexes if a flit moved
+    /// since the last audit (if none did, they are as last audited).
     #[inline(always)]
     pub fn forward(
         &mut self,
@@ -327,6 +343,7 @@ impl SwitchCore {
                 continue;
             };
             self.credits.spend(vc);
+            self.unaudited = true;
             match ingress(&self.mem, input, vc, &mut flit) {
                 Ingress::Admit => self.mem.push(vc, flit, arrival),
                 Ingress::Discard => {}
@@ -334,7 +351,8 @@ impl SwitchCore {
             }
         }
         debug_assert!(
-            self.mem.index_consistent() && self.nics.iter().all(Nic::index_consistent),
+            !std::mem::take(&mut self.unaudited)
+                || self.mem.index_consistent() && self.nics.iter().all(Nic::index_consistent),
             "occupancy index out of sync"
         );
     }

@@ -270,6 +270,33 @@ mod tests {
         MmrRouter::new(cfg, w, kind.instantiate(4), Box::new(Siabp), seed)
     }
 
+    /// Step a CBR router at load 0.8, let `plant` desync an occupancy
+    /// index as soon as it can, and step on: the audit in
+    /// `SwitchCore::forward` must trip on the next cycle that moves a flit.
+    fn step_past_a_planted_desync(plant: fn(&mut crate::pipeline::SwitchCore) -> bool) {
+        let mut r = small_cbr_router(0.8, ArbiterKind::Coa, 3);
+        let mut planted = false;
+        for t in 0..2_000 {
+            r.step(FlitCycle(t), false);
+            planted = planted || plant(&mut r.node_mut().core);
+        }
+        panic!("planted: {planted}, but the audit never tripped");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "occupancy index out of sync")]
+    fn a_planted_nic_index_desync_trips_the_audit() {
+        step_past_a_planted_desync(|core| core.nics.iter_mut().any(crate::nic::tests::hide_one));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "occupancy index out of sync")]
+    fn a_planted_vc_index_desync_trips_the_audit() {
+        step_past_a_planted_desync(|core| crate::vcmem::tests::hide_one(&mut core.mem));
+    }
+
     #[test]
     fn low_load_delivers_everything_quickly() {
         let mut r = small_cbr_router(0.3, ArbiterKind::Coa, 1);

@@ -100,16 +100,6 @@ impl VcMemory {
         }
     }
 
-    /// Number of virtual channels.
-    pub fn vcs(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Per-VC capacity in flits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Free space in `vc`'s buffer.
     pub fn free_space(&self, vc: usize) -> usize {
         self.capacity - self.queues[vc].len()
@@ -206,12 +196,22 @@ impl VcMemory {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mmr_traffic::connection::ConnectionId;
 
     fn flit(conn: u32, seq: u64) -> Flit {
         Flit::cbr(ConnectionId(conn), seq, RouterCycle(0))
+    }
+
+    /// Clear the index bit of the first non-empty VC and leave its queue
+    /// alone: a planted desync.  False if every VC is empty.
+    pub(crate) fn hide_one(mem: &mut VcMemory) -> bool {
+        let Some(vc) = mem.queues.iter().position(|q| !q.is_empty()) else {
+            return false;
+        };
+        mem.nonempty[vc / 64] &= !(1 << (vc % 64));
+        true
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl Default for FaultPlanConfig {
 }
 
 impl FaultPlanConfig {
-    /// End of the fault window (exclusive).
-    pub fn window_end(&self) -> u64 {
-        self.window_start + self.window_len
-    }
-
     /// A copy with every event rate multiplied by `factor` (durations and
     /// the window are unchanged) — the x-axis of fault-rate sweeps.
     pub fn scaled(&self, factor: f64) -> Self {

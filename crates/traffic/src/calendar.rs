@@ -44,7 +44,7 @@
 //! **exact between steps** for a calendar driven through `drain_due`.
 //! That is what lets the owners read their "all sources exhausted" test
 //! from it in O(1) (`== NEVER`) instead of sweeping `peek_next`;
-//! `drain_due` debug-asserts it on entry.
+//! `drain_due` debug-asserts it at the end of every drain that ran.
 //!
 //! [`InjectionCalendar::update`] / [`InjectionCalendar::set_min_lb`]
 //! are for the benchmark's hand-mirrored stage-1 replay only: `update`
@@ -233,11 +233,6 @@ impl InjectionCalendar {
             !self.replayed,
             "drain_due on a calendar `update` moved: its buckets are stale"
         );
-        debug_assert_eq!(
-            self.min_lb,
-            self.min_next_rc(),
-            "calendar bound went stale between drains"
-        );
         if self.min_lb > now.0 {
             return;
         }
@@ -269,6 +264,7 @@ impl InjectionCalendar {
             }
         }
         self.min_lb = self.first_bucket_min().min(self.far_min);
+        debug_assert_eq!(self.min_lb, self.min_next_rc(), "calendar bound went stale");
     }
 
     /// Link source `i` (not on any list) into its bucket, or onto the

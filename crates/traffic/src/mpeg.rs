@@ -96,11 +96,6 @@ impl SequenceParams {
         (i * self.mean_i_bits + p * self.mean_p_bits + b * self.mean_b_bits)
             / GOP_PATTERN.len() as f64
     }
-
-    /// Nominal average bandwidth of the sequence.
-    pub fn mean_bandwidth(&self) -> Bandwidth {
-        Bandwidth::bps(self.mean_frame_bits() / FRAME_TIME_SECS)
-    }
 }
 
 /// The seven sequences of Table 1 with calibrated parameters.
@@ -332,7 +327,10 @@ mod tests {
     fn sequences_span_rate_range() {
         let seqs = standard_sequences();
         assert_eq!(seqs.len(), 7);
-        let rates: Vec<f64> = seqs.iter().map(|s| s.mean_bandwidth().as_mbps()).collect();
+        let rates: Vec<f64> = seqs
+            .iter()
+            .map(|s| s.mean_frame_bits() / FRAME_TIME_SECS / 1e6)
+            .collect();
         let lo = rates.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = rates.iter().cloned().fold(0.0, f64::max);
         assert!(lo > 5.0 && hi < 25.0, "rates {rates:?}");

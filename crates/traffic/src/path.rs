@@ -10,7 +10,6 @@
 //!   `(node, local host port)` pairs.
 //! * [`mesh_route`] — dimension-order (X-then-Y) routes on 2D meshes
 //!   and tori; tori take the shorter wrap direction per axis.
-//! * [`ring_route`] — shortest-way routes on a ring (a 1D torus).
 //!
 //! Dimension-order routing is deterministic and deadlock-free on
 //! meshes, which keeps the reserved-path model of Pipelined Circuit
@@ -69,11 +68,6 @@ pub struct HostMap {
 }
 
 impl HostMap {
-    /// Total host links on one side (injection or ejection).
-    pub fn host_links(&self) -> usize {
-        self.nodes * self.host_ports
-    }
-
     /// Router owning a host link.
     pub fn node_of(&self, link: usize) -> usize {
         link / self.host_ports
@@ -125,12 +119,6 @@ pub fn mesh_route(x: usize, y: usize, src: usize, dst: usize, wrap: bool) -> Vec
         route.push(if yplus { Dir::YPlus } else { Dir::YMinus });
     }
     route
-}
-
-/// Shortest-way route on an `n`-node ring — a 1D torus, so `XPlus` is
-/// the forward (increasing id) direction and ties break forward.
-pub fn ring_route(n: usize, src: usize, dst: usize) -> Vec<Dir> {
-    mesh_route(n, 1, src, dst, true)
 }
 
 /// Walk a route from `src`, yielding each node visited after a hop.
@@ -201,7 +189,8 @@ mod tests {
     fn ring_routes_are_shortest() {
         for src in 0..5 {
             for dst in 0..5 {
-                let r = ring_route(5, src, dst);
+                // A ring is a 1D torus: `XPlus` is the forward direction.
+                let r = mesh_route(5, 1, src, dst, true);
                 assert!(r.len() <= 2, "ring-of-5 route longer than floor(5/2)");
                 let end = walk(5, 1, src, &r).last().copied().unwrap_or(src);
                 assert_eq!(end, dst);
@@ -215,8 +204,7 @@ mod tests {
             nodes: 6,
             host_ports: 2,
         };
-        assert_eq!(hm.host_links(), 12);
-        for link in 0..hm.host_links() {
+        for link in 0..12 {
             let (n, s) = (hm.node_of(link), hm.slot_of(link));
             assert!(n < 6 && s < 2);
             assert_eq!(n * 2 + s, link);

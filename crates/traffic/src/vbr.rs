@@ -76,11 +76,6 @@ impl VbrSource {
             .iat_router_cycles(frame.flits, self.frame_time_rc, &self.tb);
         self.start_rc + k as f64 * self.frame_time_rc + j as f64 * iat
     }
-
-    /// Start of frame `k`'s injection window (the frame-time boundary).
-    pub fn frame_boundary(&self, k: usize) -> RouterCycle {
-        RouterCycle((self.start_rc + k as f64 * self.frame_time_rc).round() as u64)
-    }
 }
 
 impl TrafficSource for VbrSource {
@@ -182,12 +177,20 @@ mod tests {
 
     #[test]
     fn frame_boundaries_are_spaced_by_frame_time() {
+        // Under Smooth-Rate each frame's first flit leaves on its boundary.
         let tb = TimeBase::default();
         let ft_rc = FRAME_TIME_SECS / tb.router_cycle_secs();
-        let s = source(InjectionModel::SmoothRate, 1000);
-        for k in 0..s.trace().len() {
-            let expected = (1000.0 + k as f64 * ft_rc).round() as u64;
-            assert_eq!(s.frame_boundary(k).0, expected);
+        let mut s = source(InjectionModel::SmoothRate, 1000);
+        let n_frames = s.trace().len();
+        let mut firsts = Vec::new();
+        for f in drain_all(&mut s) {
+            if firsts.len() == f.frame.unwrap().index as usize {
+                firsts.push(f.generated_at.0);
+            }
+        }
+        assert_eq!(firsts.len(), n_frames);
+        for (k, &t) in firsts.iter().enumerate() {
+            assert_eq!(t, (1000.0 + k as f64 * ft_rc).round() as u64);
         }
     }
 

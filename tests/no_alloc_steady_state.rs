@@ -824,4 +824,60 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             "pack (Mix+ramp+churn) router step allocated {allocs} times in steady state"
         );
     }
+
+    // --- Many connections per NIC -----------------------------------------
+    // ~2,500 connections of 1.54 Mbps at load 0.8, ~640 per NIC.  Each
+    // NIC's slot pool holds one slot per connection from construction, so
+    // the step stays allocation-free while no NIC backs up past that.
+    {
+        use mmr_core::traffic::connection::TrafficClass;
+        use mmr_core::traffic::workload::MixWorkloadBuilder;
+        let cfg = RouterConfig::default();
+        let mut rng = SimRng::seed_from_u64(5);
+        let workload = MixWorkloadBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
+            .target_load(0.8)
+            .classes(vec![(TrafficClass::CbrMedium, Bandwidth::mbps(1.54), 1.0)])
+            .build(&mut rng);
+        let arbiter_ports = cfg.ports;
+        let mut router = MmrRouter::new(
+            cfg,
+            workload,
+            ArbiterKind::Coa.instantiate(arbiter_ports),
+            Box::new(Siabp),
+            5,
+        );
+        let conns = router.connections().len();
+        assert!(conns > 2_400, "{conns} connections admitted");
+        let mut t = advance(&mut router, 0, 5_000, false);
+        let allocs = allocations_in(|| t = advance(&mut router, t, 2_000, false));
+        assert_eq!(
+            allocs, 0,
+            "router with {conns} connections allocated {allocs} times in steady state"
+        );
+        assert!(router.summary().peak_nic_depth > 0, "NICs saw no traffic");
+    }
+
+    // --- NIC slot pool past its reservation ----------------------------
+    // Within one flit per connection the pool never allocates (the
+    // `nic.rs` unit tests); past it the pool grows by doubling, so a
+    // fourfold backlog costs a handful of allocator calls, not one per
+    // flit.
+    {
+        use mmr_core::router::nic::Nic;
+        use mmr_core::traffic::flit::Flit;
+        let n = 600;
+        let mut nic = Nic::new((0..n).collect());
+        let grown = allocations_in(|| {
+            for k in 0..4 * n {
+                let conn = ConnectionId((k % n) as u32);
+                nic.enqueue(k % n, Flit::cbr(conn, (k / n) as u64, RouterCycle(0)));
+            }
+        });
+        assert!(
+            (1..=8).contains(&grown),
+            "a fourfold backlog took {grown} allocator calls"
+        );
+        assert_eq!(nic.peak_depth(), 4 * n);
+        assert!(nic.index_consistent());
+    }
 }

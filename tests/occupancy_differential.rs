@@ -238,9 +238,17 @@ impl FullScanNic {
 }
 
 /// (c) Same served `(conn, seq)` sequence — hence the same round-robin
-/// pointer after every call — under random enqueues and credit patterns.
+/// pointer after every call — under random enqueues and credit patterns,
+/// through deep backlogs that grow the NIC's slot pool and then reuse
+/// its freed slots.
 #[test]
 fn nic_forwarding_matches_full_scan() {
+    fn same_state(fast: &Nic, naive: &FullScanNic, at: &str) {
+        let depth: usize = naive.queues.iter().map(VecDeque::len).sum();
+        assert_eq!(fast.total_depth(), depth, "{at}");
+        assert_eq!(fast.is_empty(), depth == 0, "{at}");
+        assert!(fast.index_consistent(), "{at}");
+    }
     for n in [1usize, 64, 65, 130] {
         for seed in 0..6u64 {
             let mut rng = SimRng::seed_from_u64((seed << 16) ^ n as u64);
@@ -249,32 +257,48 @@ fn nic_forwarding_matches_full_scan() {
             let mut fast = Nic::new(conns.clone());
             let mut naive = FullScanNic::new(conns.clone());
             let mut seq = vec![0u64; n];
-            for step in 0..600 {
-                // Bursts of arrivals, then stretches that drain the NIC
-                // dry (the depth-0 early return).
-                let arrivals = if (step / 50) % 3 == 2 {
-                    0
-                } else {
-                    rng.index(3)
+            let mut deepest = 0;
+            for step in 0..800 {
+                // Bursts of arrivals, stretches that drain the NIC dry
+                // (the depth-0 early return), and deep backlogs: one
+                // connection past 64 queued flits and the NIC past one
+                // flit per connection, so the pool grows and later
+                // enqueues reuse the slots forwarding frees.
+                let arrivals: Vec<usize> = match (step / 50) % 4 {
+                    2 => Vec::new(),
+                    3 if step % 50 == 0 => {
+                        let hot = rng.index(n);
+                        let mut burst = vec![hot; 65 + rng.index(40)];
+                        burst.extend((0..=n).map(|_| rng.index(n)));
+                        burst
+                    }
+                    _ => (0..rng.index(3)).map(|_| rng.index(n)).collect(),
                 };
-                for _ in 0..arrivals {
-                    let local = rng.index(n);
+                for local in arrivals {
                     let f = flit(conns[local], seq[local]);
                     seq[local] += 1;
                     fast.enqueue(local, f);
                     naive.queues[local].push_back(f);
                 }
+                deepest = deepest.max(fast.total_depth());
                 let density = [0, 1, 2, 4, 4][rng.index(5)];
                 let credit: Vec<bool> = (0..n).map(|_| rng.index(4) < density).collect();
                 let has_credit = |conn: usize| credit[(conn - 1_000) / 7];
                 let got = fast.forward_one(has_credit).map(|(c, f)| (c, f.seq));
                 let want = naive.forward_one(has_credit).map(|(c, f)| (c, f.seq));
-                assert_eq!(got, want, "n={n} seed={seed} step={step}");
-                let depth: usize = naive.queues.iter().map(VecDeque::len).sum();
-                assert_eq!(fast.total_depth(), depth);
-                assert_eq!(fast.is_empty(), depth == 0);
-                assert!(fast.index_consistent());
+                let at = format!("n={n} seed={seed} step={step}");
+                assert_eq!(got, want, "{at}");
+                same_state(&fast, &naive, &at);
             }
+            assert!(deepest > n.max(64), "n={n} seed={seed}: deepest {deepest}");
+            assert_eq!(fast.peak_depth(), deepest);
+            // Drain what is left with every credit available.
+            while let Some((c, f)) = fast.forward_one(|_| true) {
+                let want = naive.forward_one(|_| true).map(|(c, f)| (c, f.seq));
+                assert_eq!(Some((c, f.seq)), want, "n={n} seed={seed} drain");
+                same_state(&fast, &naive, "drain");
+            }
+            assert!(naive.forward_one(|_| true).is_none());
         }
     }
 }

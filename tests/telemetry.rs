@@ -215,7 +215,10 @@ fn chaos_run_traces_fault_detections() {
         .configs()
         .remove(0);
     let plan = cfg.fault.expect("the chaos pack carries faults").plan;
-    assert_eq!(cfg.run, RunLength::Cycles(plan.window_end()));
+    assert_eq!(
+        cfg.run,
+        RunLength::Cycles(plan.window_start + plan.window_len)
+    );
     cfg.telemetry = Some(TelemetrySpec::default());
     let result = run_experiment(&cfg);
     let report = result.telemetry.expect("armed run returns a report");
