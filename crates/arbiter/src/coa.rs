@@ -125,8 +125,8 @@ impl CandidateOrderArbiter {
 
         let mut free_in = PortSet::<W>::full(ports);
         let mut free_out = PortSet::<W>::full(ports);
-        // Work counts batched into locals; one masked probe update at the
-        // end keeps the loop body unchanged whether the probe is armed.
+        // Work counts batched into locals; one probe update at the end
+        // keeps the loop body free of counter stores.
         let mut iters = 0u64;
         let mut examined = 0u64;
         let mut retired = 0u64;
@@ -286,10 +286,6 @@ impl SwitchScheduler for CandidateOrderArbiter {
 
     fn name(&self) -> &'static str {
         "Candidate-Order Arbiter"
-    }
-
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
     }
 
     fn kernel_stats(&self) -> KernelStats {

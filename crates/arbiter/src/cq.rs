@@ -163,10 +163,6 @@ impl SwitchScheduler for CrosspointQueuedArbiter {
         self.prev_mask.fill(0);
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

@@ -153,10 +153,6 @@ impl SwitchScheduler for FrameFairArbiter {
         self.used.fill(0);
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

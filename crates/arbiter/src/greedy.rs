@@ -126,10 +126,6 @@ impl SwitchScheduler for GreedyPriorityArbiter {
         "Greedy priority"
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

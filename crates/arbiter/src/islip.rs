@@ -143,10 +143,6 @@ impl SwitchScheduler for IslipArbiter {
         self.accept_ptr.fill(0);
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

@@ -116,10 +116,6 @@ impl SwitchScheduler for PimArbiter {
         "Parallel Iterative Matching"
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

@@ -86,10 +86,6 @@ impl SwitchScheduler for RandomArbiter {
         "Random maximal matching"
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

@@ -5,11 +5,11 @@ use crate::matching::Matching;
 use mmr_sim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-/// Logical work counters an arbitration kernel accumulates while its
-/// probe is armed (see [`KernelProbe`]).  These measure algorithmic
-/// effort independent of wall time, so they are exactly reproducible:
-/// how many candidates the kernel visited, how many conflict-vector
-/// entries it retired, how many matching iterations it ran.
+/// Logical work counters an arbitration kernel accumulates in its
+/// [`KernelProbe`].  These measure algorithmic effort independent of wall
+/// time, so they are exactly reproducible: how many candidates the kernel
+/// visited, how many conflict-vector entries it retired, how many
+/// matching iterations it ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStats {
     /// `schedule_into` calls counted.
@@ -47,64 +47,48 @@ impl KernelStats {
     }
 }
 
-/// Branch-free work-count probe embedded in every optimized kernel.
+/// Work-count probe embedded in every optimized kernel.
 ///
-/// Counts are accumulated with masked adds (`stats.x += n & mask`), so an
-/// unarmed probe costs the same handful of ALU instructions as an armed
-/// one — no branch in the kernel inner loops, and no RNG interaction, so
-/// arming a probe can never perturb the matchings (the differential tests
-/// pin this).  Kernels batch inner-loop counts into locals and feed the
-/// probe once per loop.
+/// The probe always counts, from the kernel's construction: a few plain
+/// adds per `schedule_into` call, with no branch in the kernel inner
+/// loops and no RNG interaction, so it can never perturb the matchings
+/// (the differential tests pin this).  Kernels batch inner-loop counts
+/// into locals and feed the probe once per loop.  Telemetry reads the
+/// counters only when a router is armed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelProbe {
-    mask: u64,
     stats: KernelStats,
 }
 
 impl KernelProbe {
-    /// Arm or disarm the probe (disarmed by default).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.mask = if enabled { u64::MAX } else { 0 };
-    }
-
-    /// Whether counts currently accumulate.
-    pub fn is_enabled(&self) -> bool {
-        self.mask != 0
-    }
-
     /// Count `n` candidate requests examined.
     #[inline]
     pub fn examined(&mut self, n: u64) {
-        self.stats.candidates_examined += n & self.mask;
+        self.stats.candidates_examined += n;
     }
 
     /// Count `n` conflict-vector entries retired.
     #[inline]
     pub fn retired(&mut self, n: u64) {
-        self.stats.conflicts_retired += n & self.mask;
+        self.stats.conflicts_retired += n;
     }
 
     /// Count `n` matching iterations.
     #[inline]
     pub fn iterations(&mut self, n: u64) {
-        self.stats.iterations += n & self.mask;
+        self.stats.iterations += n;
     }
 
     /// Close one `schedule_into` call that produced `grants` grants.
     #[inline]
     pub fn matched(&mut self, grants: u64) {
-        self.stats.matchings += 1 & self.mask;
-        self.stats.grants += grants & self.mask;
+        self.stats.matchings += 1;
+        self.stats.grants += grants;
     }
 
     /// Accumulated counters.
     pub fn stats(&self) -> KernelStats {
         self.stats
-    }
-
-    /// Zero the counters (armed state is preserved).
-    pub fn reset(&mut self) {
-        self.stats = KernelStats::default();
     }
 }
 
@@ -134,13 +118,9 @@ pub trait SwitchScheduler: Send {
     /// Reset any cross-cycle state (pointers, diagonals).
     fn reset(&mut self) {}
 
-    /// Arm or disarm the kernel's work-count probe.  The default is a
-    /// no-op: reference transcriptions and custom schedulers without a
-    /// probe simply report empty [`KernelStats`].
-    fn set_probe_enabled(&mut self, _enabled: bool) {}
-
-    /// Work counters accumulated while the probe was armed (all zero if
-    /// the scheduler has no probe or it was never armed).
+    /// Work counters the kernel's [`KernelProbe`] accumulated since
+    /// construction (all zero for reference transcriptions and custom
+    /// schedulers without a probe).
     fn kernel_stats(&self) -> KernelStats {
         KernelStats::default()
     }

@@ -144,10 +144,6 @@ impl SwitchScheduler for WaveFrontArbiter {
         self.start_diag = 0;
     }
 
-    fn set_probe_enabled(&mut self, enabled: bool) {
-        self.probe.set_enabled(enabled);
-    }
-
     fn kernel_stats(&self) -> KernelStats {
         self.probe.stats()
     }

@@ -122,8 +122,9 @@ fn measure_router(kind: ArbiterKind, load: f64, samples: usize, target: u128) ->
 }
 
 /// Router step throughput with telemetry optionally armed.  Disarmed
-/// routers still carry the instrumentation (probes compiled in, masked
-/// off) — exactly the configuration the overhead gate polices.
+/// routers still run every hook site (one test of an empty telemetry
+/// `Option` each) and the always-counting kernel probe — exactly the
+/// configuration the overhead gate polices.
 fn measure_router_telemetry(
     kind: ArbiterKind,
     load: f64,

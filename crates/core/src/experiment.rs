@@ -245,8 +245,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
         router.drained(),
         router.summary(),
         cfg.telemetry.map(|_| router.telemetry_report()),
-        cfg.telemetry
-            .map(|_| router.telemetry().recorder().events().collect()),
+        router.telemetry().recorder().map(|r| r.events().collect()),
         None,
     )
 }

@@ -113,14 +113,14 @@
 
 use crate::config::RouterConfig;
 use crate::credit::CreditBank;
-use crate::fault::{FaultState, LinkFate};
+use crate::fault::{FaultReport, FaultState, LinkFate};
 use crate::link_scheduler::VcQosInfo;
 use crate::metrics::{class_index, MetricsCollector, MetricsReport, ALL_CLASSES, CLASS_COUNT};
 use crate::nic::Nic;
 use crate::output::{Delivery, OutputPorts};
 use crate::pipeline::{Ingress, SwitchCore, Wiring};
 use crate::router::RouterSummary;
-use crate::telemetry::RouterTelemetry;
+use crate::telemetry::{RouterTelemetry, Stage};
 use mmr_arbiter::priority::{LinkPriority, PriorityKind};
 use mmr_arbiter::scheduler::{ArbiterKind, SwitchScheduler};
 use mmr_sim::check::{within_span, ConfigError};
@@ -440,6 +440,12 @@ struct Lanes<'a> {
 /// the shared [`SwitchCore`].  Around the stages it runs the link ends,
 /// the fault hooks and the telemetry brackets, and it buffers its
 /// ejections and generation counts for the ledger.
+///
+/// Aligned to two cache lines so that neighbouring nodes, which may be
+/// stepped by different workers, never share one: the counters a node
+/// writes on every flit (`generated`) otherwise sit in the line that
+/// holds the next node's first `SwitchCore` fields.
+#[repr(align(128))]
 pub(crate) struct FabricNode {
     /// The switch pipeline over this node's local VC space.  Its NICs
     /// and their credits serve the first-hop VCs of the connections
@@ -462,16 +468,22 @@ pub(crate) struct FabricNode {
     /// The cycle after the one at whose end every source here had run
     /// dry, since measurement start.
     exhausted_at: Option<u64>,
-    /// Fault injection and recovery, inert unless a plan is installed.
-    /// A plan installs on a one-node fabric only, where source, local VC
-    /// and connection indices coincide.
-    pub(crate) faults: FaultState,
-    /// Observability hooks; the disarmed default costs one branch per
-    /// probe point.
+    /// Fault injection and recovery: `None` unless a non-empty plan is
+    /// installed, which happens on a one-node fabric only, where source,
+    /// local VC and connection indices coincide.
+    pub(crate) faults: Option<Box<FaultState>>,
+    /// Observability hooks: empty unless armed (the single router only),
+    /// costing one branch per probe point.
     pub(crate) telemetry: RouterTelemetry,
 }
 
 impl FabricNode {
+    /// Fault-subsystem counters (all zero without a fault plan).
+    pub(crate) fn fault_report(&self) -> FaultReport {
+        let faults = self.faults.as_ref();
+        faults.map_or_else(FaultReport::default, |f| f.report())
+    }
+
     /// Execute one whole epoch of this node: its cycles back to back —
     /// legal because nothing another node sends inside the epoch is due
     /// before its end (module docs) — then close its receiving lanes.
@@ -488,10 +500,9 @@ impl FabricNode {
         let now_rc = RouterCycle(u * t.rc_per_flit);
 
         // Fault events due this cycle fire before anything moves.
-        let faults_active = self.faults.is_active();
-        if faults_active {
-            self.faults.begin_cycle(u);
-            for vc in self.faults.take_pending_dups() {
+        if let Some(faults) = &mut self.faults {
+            faults.begin_cycle(u);
+            for vc in faults.take_pending_dups() {
                 // A phantom credit return materializes on the return path.
                 self.core.credits.queue_return(vc);
             }
@@ -525,14 +536,12 @@ impl FabricNode {
             gen_count += 1;
             self.generated[class_index(class)] += 1;
             self.telemetry.on_generated(class);
-            if faults_active {
-                self.faults.note_generated(i);
+            if let Some(faults) = &mut self.faults {
+                faults.note_generated(i);
             }
         });
-        if faults_active {
-            gen_count += self.police_contracts(u, now_rc);
-        }
-        self.telemetry.end_source_gen(t_gen, gen_count);
+        gen_count += self.police_contracts(u, now_rc);
+        self.telemetry.stage_end(Stage::SourceGen, t_gen, gen_count);
 
         // 2. Link scheduling.  A VC needs a downstream credit (final-hop
         // VCs never spend theirs, so they stay at capacity), and VCs
@@ -542,8 +551,8 @@ impl FabricNode {
         // it runs on every non-empty VC, every cycle.
         let t_ls = self.telemetry.stage_begin();
         let credits = &self.credits_down;
-        let cand_count = if faults_active && self.faults.any_stall(u) {
-            let faults = &self.faults;
+        let stalls = self.faults.as_deref().filter(|f| f.any_stall(u));
+        let cand_count = if let Some(faults) = stalls {
             self.core.select(now_rc, |vc, q| {
                 credits.has_credit(vc) && !faults.output_stalled(q.output, u)
             })
@@ -552,12 +561,14 @@ impl FabricNode {
         } else {
             self.core.select(now_rc, |vc, _| credits.has_credit(vc))
         };
-        self.telemetry.end_link_schedule(t_ls, cand_count);
+        self.telemetry
+            .stage_end(Stage::LinkSchedule, t_ls, cand_count);
 
         // 3. Switch scheduling.
         let t_arb = self.telemetry.stage_begin();
         let matched = self.core.arbitrate();
-        self.telemetry.end_arbitration(t_arb, matched as u64);
+        self.telemetry
+            .stage_end(Stage::Arbitration, t_arb, matched as u64);
         if self.telemetry.is_enabled() {
             self.trace_arbitration(u);
         }
@@ -567,7 +578,8 @@ impl FabricNode {
         // upstream: to the NIC at the first hop, on the wire otherwise.
         let t_xbar = self.telemetry.stage_begin();
         let crossed = self.core.cross(measuring);
-        self.telemetry.end_crossbar(t_xbar, crossed.len() as u64);
+        self.telemetry
+            .stage_end(Stage::Crossbar, t_xbar, crossed.len() as u64);
         let t_dlv = self.telemetry.stage_begin();
         let mut returns_queued = 0u64;
         for cf in &crossed {
@@ -605,7 +617,8 @@ impl FabricNode {
                 // A credit return stolen on the return path leaves the
                 // NIC's counter low until the watchdog resynchronizes.
                 HopBack::Nic => {
-                    if !(faults_active && self.faults.steal_return(cf.vc)) {
+                    let stolen = self.faults.as_mut().is_some_and(|f| f.steal_return(cf.vc));
+                    if !stolen {
                         self.core.queue_credit_return(cf.vc);
                         returns_queued += 1;
                     }
@@ -617,7 +630,8 @@ impl FabricNode {
                 }),
             }
         }
-        self.telemetry.end_delivery(t_dlv, crossed.len() as u64);
+        self.telemetry
+            .stage_end(Stage::Delivery, t_dlv, crossed.len() as u64);
         self.core.recycle(crossed);
 
         // 5. NICs feed the first-hop VC buffers, one flit per input link.
@@ -627,10 +641,10 @@ impl FabricNode {
         self.core.forward(arrival, |mem, input, vc, flit| {
             forwarded += 1;
             self.telemetry.on_credit_consumed(u, vc);
-            if !faults_active {
+            let Some(faults) = &mut self.faults else {
                 return Ingress::Admit;
-            }
-            if self.faults.on_link_flit(input, flit) == LinkFate::Dropped {
+            };
+            if faults.on_link_flit(input, flit) == LinkFate::Dropped {
                 // Silent loss: the spent credit vanishes with the flit;
                 // only the watchdog can recover it.
                 return Ingress::Discard;
@@ -639,7 +653,7 @@ impl FabricNode {
                 // Ingress checksum catch: discard the damaged flit and
                 // return its credit immediately (the buffer slot was
                 // never consumed).
-                self.faults.note_corrupt_detected();
+                faults.note_corrupt_detected();
                 self.telemetry.on_fault_detected(u, 0);
                 returns_queued += 1;
                 return Ingress::DiscardAndReturnCredit;
@@ -648,24 +662,22 @@ impl FabricNode {
                 // Phantom-credit guard: a duplicated credit let the NIC
                 // send into a full buffer.  Discarding the flit without a
                 // credit return annihilates the phantom.
-                self.faults.note_phantom_drop();
+                faults.note_phantom_drop();
                 self.telemetry.on_fault_detected(u, 1);
                 return Ingress::Discard;
             }
             Ingress::Admit
         });
-        self.telemetry.end_nic_forward(t_fwd, forwarded);
+        self.telemetry
+            .stage_end(Stage::NicForward, t_fwd, forwarded);
 
         // 6. Credit returns become visible next cycle.  Under fault
         // injection the counters saturate instead of panicking, and the
         // watchdog periodically audits them against VC occupancy.
         let t_cr = self.telemetry.stage_begin();
-        if faults_active {
-            self.audit_credits(u);
-        } else {
-            self.core.return_credits();
-        }
-        self.telemetry.end_credit_return(t_cr, returns_queued);
+        self.return_credits(u);
+        self.telemetry
+            .stage_end(Stage::CreditReturn, t_cr, returns_queued);
 
         // The injection bound reaches NEVER on exactly the cycle the last
         // source here drains (finite workloads only).
@@ -683,11 +695,14 @@ impl FabricNode {
 
     /// Rogue sources inject beyond their admitted contract; the rate
     /// meter sees the excess and may quarantine the connection.  Returns
-    /// the flits injected.
+    /// the flits injected (none without a fault plan).
     fn police_contracts(&mut self, u: u64, now_rc: RouterCycle) -> u64 {
+        let Some(faults) = &mut self.faults else {
+            return 0;
+        };
         let mut injected = 0;
         for i in 0..self.feeds.len() {
-            let Some((seq0, n)) = self.faults.rogue_take(i, u) else {
+            let Some((seq0, n)) = faults.rogue_take(i, u) else {
                 continue;
             };
             let Feed { conn, class } = self.feeds[i];
@@ -695,20 +710,19 @@ impl FabricNode {
                 self.core.enqueue(i, Flit::cbr(conn, seq0 + k, now_rc));
                 self.generated[class_index(class)] += 1;
                 self.telemetry.on_generated(class);
-                self.faults.note_generated(i);
+                faults.note_generated(i);
             }
             injected += n as u64;
         }
-        self.faults.poll_contracts(u);
-        for idx in 0..self.faults.newly_quarantined().len() {
+        faults.poll_contracts(u);
+        for &vc in faults.newly_quarantined() {
             // Degradation policy: the violator loses its reservation, so
             // the link schedulers treat it as best-effort and its slots
             // return to the best-effort pool.
-            let vc = self.faults.newly_quarantined()[idx];
             self.core.qos[vc].reserved_slots = 0;
             self.telemetry.on_quarantine(u, vc);
         }
-        self.faults.clear_newly_quarantined();
+        faults.clear_newly_quarantined();
         injected
     }
 
@@ -728,21 +742,26 @@ impl FabricNode {
         }
     }
 
-    /// Apply the cycle's credit returns saturating, and let the watchdog
-    /// resynchronize any counter that drifted from its VC's occupancy.
-    fn audit_credits(&mut self, u: u64) {
+    /// Apply the cycle's credit returns.  Under a fault plan they
+    /// saturate, and the watchdog resynchronizes any counter that drifted
+    /// from its VC's occupancy.
+    fn return_credits(&mut self, u: u64) {
+        let Some(faults) = &mut self.faults else {
+            self.core.return_credits();
+            return;
+        };
         let credits = &mut self.core.credits;
         let excess = credits.apply_returns_clamped();
         if excess > 0 {
-            self.faults.note_excess_credits(excess);
+            faults.note_excess_credits(excess);
         }
-        if self.faults.watchdog_due(u) {
+        if faults.watchdog_due(u) {
             for vc in 0..self.route.len() {
                 let occupancy = self.core.mem.len(vc);
                 if !credits.consistent(vc, occupancy) {
                     let expected = credits.capacity() - occupancy as u32;
                     credits.resync(vc, expected);
-                    self.faults.note_resync();
+                    faults.note_resync();
                     self.telemetry.on_fault_detected(u, 2);
                 }
             }
@@ -1157,8 +1176,8 @@ impl Fabric {
                 committed: 0,
                 generated: [0; CLASS_COUNT],
                 exhausted_at: None,
-                faults: FaultState::inactive(node_ports, nloc),
-                telemetry: RouterTelemetry::disabled(),
+                faults: None,
+                telemetry: RouterTelemetry::default(),
             });
         }
 
@@ -1288,7 +1307,7 @@ impl Fabric {
             generation_window_cycles: l.generation_ended_at,
             delivered_in_window: l.delivered_in_window,
             // Faults install on a one-node fabric only.
-            faults: head.faults.report(),
+            faults: head.fault_report(),
         }
     }
 
@@ -1442,7 +1461,9 @@ impl Ledger {
         self.outputs.reset();
         for node in chunks.iter_mut().flat_map(|c| c.nodes.iter_mut()) {
             node.core.crossbar.reset_stats();
-            node.faults.reset_stats();
+            if let Some(faults) = &mut node.faults {
+                faults.reset_stats();
+            }
             node.exhausted_at = None;
         }
         self.generated_total = 0;

@@ -20,8 +20,9 @@
 //!   best-effort, returning its slots to the best-effort pool while the
 //!   remaining guaranteed connections keep their bounds.
 //!
-//! Everything is sized at install time and mutated in place, so a router
-//! with the fault subsystem compiled in — but no faults scheduled — stays
+//! A router holds a [`FaultState`] only while a non-empty plan is
+//! installed; without one it has no fault state at all.  Everything is
+//! sized at install time and mutated in place, so an armed router stays
 //! allocation-free in steady state.
 
 use mmr_sim::fault::{FaultKind, FaultPlan};
@@ -135,12 +136,23 @@ pub struct FaultState {
 const ROGUE_SEQ_BASE: u64 = 1 << 48;
 
 impl FaultState {
-    /// An inactive subsystem (empty plan) for `ports` ports and `conns`
-    /// connections.
-    pub fn inactive(ports: usize, conns: usize) -> Self {
+    /// Fault state for `ports` ports running `plan` under `profile`;
+    /// `contract_per_window[c]` is connection `c`'s admitted flit count
+    /// per `profile.rate_window`, and `guaranteed[c]` marks connections
+    /// with a bandwidth reservation.  A router builds one only for a
+    /// non-empty plan.
+    pub fn new(
+        ports: usize,
+        plan: FaultPlan,
+        profile: FaultProfile,
+        contract_per_window: Vec<f64>,
+        guaranteed: Vec<bool>,
+    ) -> Self {
+        let conns = contract_per_window.len();
+        debug_assert_eq!(guaranteed.len(), conns);
         FaultState {
-            plan: FaultPlan::empty(),
-            profile: FaultProfile::default(),
+            plan,
+            profile,
             cursor: 0,
             stall_until: vec![0; ports],
             max_stall_until: 0,
@@ -153,42 +165,13 @@ impl FaultState {
             rogue_seq: vec![ROGUE_SEQ_BASE; conns],
             quarantined: vec![false; conns],
             gen_in_window: vec![0; conns],
-            contract_per_window: vec![0.0; conns],
-            guaranteed: vec![false; conns],
+            contract_per_window,
+            guaranteed,
             window_started: 0,
             newly_quarantined: Vec::with_capacity(conns.max(1)),
             salt: 0x9E37,
             report: FaultReport::default(),
         }
-    }
-
-    /// Install a plan and profile; `contract_per_window[c]` is connection
-    /// `c`'s admitted flit count per `profile.rate_window`, and
-    /// `guaranteed[c]` marks connections with a bandwidth reservation.
-    pub fn install(
-        &mut self,
-        plan: FaultPlan,
-        profile: FaultProfile,
-        contract_per_window: Vec<f64>,
-        guaranteed: Vec<bool>,
-    ) {
-        debug_assert_eq!(contract_per_window.len(), self.steal_returns.len());
-        self.plan = plan;
-        self.profile = profile;
-        self.cursor = 0;
-        self.contract_per_window = contract_per_window;
-        self.guaranteed = guaranteed;
-        self.window_started = 0;
-    }
-
-    /// True if any fault events are scheduled (fault machinery engaged).
-    pub fn is_active(&self) -> bool {
-        !self.plan.is_empty()
-    }
-
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Accumulated counters (quarantine count refreshed live).
@@ -316,9 +299,7 @@ impl FaultState {
     /// True when the credit watchdog should audit this cycle.
     #[inline]
     pub fn watchdog_due(&self, now: u64) -> bool {
-        self.is_active()
-            && self.profile.watchdog_period > 0
-            && now.is_multiple_of(self.profile.watchdog_period)
+        self.profile.watchdog_period > 0 && now.is_multiple_of(self.profile.watchdog_period)
     }
 
     /// Rogue extra flits for `conn` this cycle, with the next sequence
@@ -390,14 +371,13 @@ mod tests {
     use mmr_traffic::flit::Flit;
 
     fn state_with(events: Vec<FaultEvent>) -> FaultState {
-        let mut fs = FaultState::inactive(4, 8);
-        fs.install(
+        FaultState::new(
+            4,
             FaultPlan::from_events(events),
             FaultProfile::default(),
             vec![10.0; 8],
             vec![true; 8],
-        );
-        fs
+        )
     }
 
     #[test]
@@ -470,8 +450,8 @@ mod tests {
 
     #[test]
     fn contract_policing_quarantines_violators_once() {
-        let mut fs = FaultState::inactive(4, 2);
-        fs.install(
+        let mut fs = FaultState::new(
+            4,
             FaultPlan::from_events(vec![FaultEvent {
                 at: 0,
                 kind: FaultKind::DropCredit { conn: 0 },
@@ -503,17 +483,5 @@ mod tests {
         }
         fs.poll_contracts(20);
         assert!(fs.newly_quarantined().is_empty());
-    }
-
-    #[test]
-    fn inactive_state_is_inert() {
-        let mut fs = FaultState::inactive(4, 4);
-        assert!(!fs.is_active());
-        fs.begin_cycle(0);
-        let mut f = Flit::cbr(ConnectionId(0), 0, RouterCycle(0));
-        assert_eq!(fs.on_link_flit(0, &mut f), LinkFate::Clean);
-        assert!(f.integrity_ok());
-        assert!(!fs.watchdog_due(0));
-        assert_eq!(fs.report(), FaultReport::default());
     }
 }

@@ -28,7 +28,7 @@
 //! * [`metrics`] — per-class flit delay, frame delay/jitter, throughput.
 //! * [`telemetry`] — opt-in observability: counters, per-stage cycle
 //!   profiling, an arbitration flight recorder, and windowed per-class
-//!   snapshots, all free when disarmed and deterministic when armed.
+//!   snapshots, all absent when disarmed and deterministic when armed.
 //! * [`pipeline`] — [`pipeline::SwitchCore`], the one switch pipeline
 //!   (sources → NICs → VC memory → link and switch schedulers →
 //!   crossbar), a method per stage; both models below are adapters

@@ -16,10 +16,11 @@
 //!   flits were generated but none were delivered, accumulated in
 //!   windows and cycles.
 //!
-//! Everything is sized at arm time; the per-delivery path touches only
-//! pre-allocated buffers (histogram slot adds and a few compares), so the
-//! observatory inherits the telemetry substrate's contract: free when
-//! off, allocation-free and perturbation-free when armed.
+//! An observatory exists only when armed (`TelemetryConfig::observatory`
+//! on an armed router); it has no "off" mode.  Everything is sized at arm
+//! time and the per-delivery path touches only pre-allocated buffers
+//! (histogram slot adds and a few compares), so it is allocation-free
+//! and perturbation-free.
 
 use crate::metrics::{class_index, ALL_CLASSES, CLASS_COUNT};
 use mmr_sim::stats::{LogHistogram, LogHistogramBank};
@@ -99,7 +100,6 @@ pub struct ObservatoryReport {
 /// Live observatory state owned by a [`crate::telemetry::RouterTelemetry`].
 #[derive(Debug)]
 pub struct Observatory {
-    enabled: bool,
     delay_bound_rc: u64,
     // Per-class channels, indexed by `class_index`.
     class_delay: Vec<LogHistogram>,
@@ -118,32 +118,12 @@ pub struct Observatory {
 }
 
 impl Observatory {
-    /// The disarmed default: every hook is a single branch.
-    pub fn disabled() -> Self {
-        Observatory {
-            enabled: false,
-            delay_bound_rc: 0,
-            class_delay: Vec::new(),
-            class_jitter: Vec::new(),
-            class_residency: Vec::new(),
-            class_violations: [0; CLASS_COUNT],
-            conn_class: Vec::new(),
-            conn_delay: LogHistogramBank::new(0),
-            conn_last_delay: Vec::new(),
-            conn_violations: Vec::new(),
-            be_starved_windows: 0,
-            be_starved_cycles: 0,
-            windows_observed: 0,
-        }
-    }
-
     /// Arm for `conn_classes.len()` connections.  Every buffer — one
     /// histogram per class channel, one bank row per connection — is
     /// allocated here; the record path never allocates.
     pub fn armed(delay_bound_rc: u64, conn_classes: &[TrafficClass]) -> Self {
         let n = conn_classes.len();
         Observatory {
-            enabled: true,
             delay_bound_rc,
             class_delay: (0..CLASS_COUNT).map(|_| LogHistogram::default()).collect(),
             class_jitter: (0..CLASS_COUNT).map(|_| LogHistogram::default()).collect(),
@@ -170,9 +150,6 @@ impl Observatory {
         delay_rc: u64,
         residency_rc: u64,
     ) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let i = class_index(class);
         self.class_delay[i].record(delay_rc);
         self.class_residency[i].record(residency_rc);
@@ -196,9 +173,6 @@ impl Observatory {
     /// throughput.  `window_cycles` is the window length in flit cycles.
     #[inline]
     pub fn on_window_close(&mut self, be_generated: u64, be_delivered: u64, window_cycles: u64) {
-        if !self.enabled {
-            return;
-        }
         self.windows_observed += 1;
         if be_generated > 0 && be_delivered == 0 {
             self.be_starved_windows += 1;
@@ -218,11 +192,7 @@ impl Observatory {
     }
 
     /// Snapshot everything observed.  Allocates — report-time only.
-    /// `None` when disarmed.
-    pub fn report(&self) -> Option<ObservatoryReport> {
-        if !self.enabled {
-            return None;
-        }
+    pub fn report(&self) -> ObservatoryReport {
         let classes = ALL_CLASSES
             .iter()
             .map(|&class| {
@@ -252,11 +222,11 @@ impl Observatory {
                 }
             })
             .collect();
-        Some(ObservatoryReport {
+        ObservatoryReport {
             classes,
             connections,
             slo: self.slo_summary(),
-        })
+        }
     }
 }
 
@@ -267,20 +237,12 @@ mod tests {
     const C: TrafficClass = TrafficClass::CbrHigh;
 
     #[test]
-    fn disabled_observatory_records_nothing() {
-        let mut o = Observatory::disabled();
-        assert!(!o.on_delivered(0, C, 10_000, 5));
-        o.on_window_close(5, 0, 100);
-        assert!(o.report().is_none());
-    }
-
-    #[test]
     fn delay_jitter_and_residency_channels_fill() {
         let mut o = Observatory::armed(0, &[C, TrafficClass::BestEffort]);
         o.on_delivered(0, C, 100, 40);
         o.on_delivered(0, C, 130, 45);
         o.on_delivered(1, TrafficClass::BestEffort, 900, 800);
-        let rep = o.report().unwrap();
+        let rep = o.report();
         let high = rep.classes.iter().find(|c| c.class == C).unwrap();
         assert_eq!(high.delay.count(), 2);
         assert_eq!(high.residency.count(), 2);
@@ -305,7 +267,7 @@ mod tests {
         o.on_delivered(1, C, 500, 0);
         o.on_delivered(0, C, 110, 0);
         o.on_delivered(1, C, 480, 0);
-        let rep = o.report().unwrap();
+        let rep = o.report();
         let high = rep.classes.iter().find(|c| c.class == C).unwrap();
         assert_eq!(high.jitter.count(), 2);
         assert_eq!(high.jitter.max(), 20, "chains are |110-100| and |480-500|");
@@ -322,7 +284,7 @@ mod tests {
         );
         let slo = o.slo_summary();
         assert_eq!(slo.violations_total, 1);
-        let rep = o.report().unwrap();
+        let rep = o.report();
         assert_eq!(rep.connections[0].slo_violations, 1);
         assert_eq!(rep.connections[1].slo_violations, 0);
     }
@@ -346,7 +308,7 @@ mod tests {
         o.on_delivered(0, C, 900, 12);
         o.on_delivered(1, TrafficClass::Vbr, 300, 200);
         o.on_window_close(0, 0, 1000);
-        let rep = o.report().unwrap();
+        let rep = o.report();
         let json = serde_json::to_string(&rep).unwrap();
         let back: ObservatoryReport = serde_json::from_str(&json).unwrap();
         assert_eq!(rep, back);

@@ -13,7 +13,7 @@
 
 use crate::config::RouterConfig;
 use crate::fabric::{Fabric, FabricConfig, FabricNode, Topology};
-use crate::fault::{FaultProfile, FaultReport};
+use crate::fault::{FaultProfile, FaultReport, FaultState};
 use crate::metrics::MetricsReport;
 use crate::telemetry::{RouterTelemetry, TelemetryConfig, TelemetryReport};
 use mmr_arbiter::priority::LinkPriority;
@@ -56,18 +56,17 @@ impl MmrRouter {
         &mut self.fabric.nodes[0]
     }
 
-    /// Arm telemetry per `cfg` and the arbiter's work-count probe.  All
-    /// buffers are sized here; the per-cycle path stays allocation-free.
-    /// Reports stay bit-deterministic unless `cfg.wall_clock` opts into
-    /// real stage timing.
+    /// Arm telemetry per `cfg`.  All buffers are sized here; the
+    /// per-cycle path stays allocation-free.  Reports stay
+    /// bit-deterministic unless `cfg.wall_clock` opts into real stage
+    /// timing.  Arm before the first step: the report's kernel work
+    /// counts from the arbiter's construction.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         let classes: Vec<_> = self.connections().iter().map(|s| s.class).collect();
-        let node = self.node_mut();
-        node.telemetry = RouterTelemetry::armed(cfg, &classes);
-        node.core.arbiter.set_probe_enabled(true);
+        self.node_mut().telemetry = RouterTelemetry::armed(cfg, &classes);
     }
 
-    /// Telemetry state (disarmed by default).
+    /// Telemetry state (unarmed by default).
     pub fn telemetry(&self) -> &RouterTelemetry {
         &self.node().telemetry
     }
@@ -89,18 +88,26 @@ impl MmrRouter {
 
     /// Install a fault plan and recovery profile (chaos experiments).
     ///
-    /// Per-connection contract rates for the rogue-source policing are
-    /// derived from the admitted QoS parameters; the profile's delay
-    /// bound (flit cycles) is handed to the metrics collector so QoS
-    /// violations are counted per connection.
+    /// The profile's delay bound (flit cycles) is handed to the metrics
+    /// collector so QoS violations are counted per connection.  Only a
+    /// non-empty plan arms the fault machinery: an empty one (a chaos
+    /// pack scaled by 0.0) leaves the router with no fault state, so no
+    /// watchdog runs and no connection is policed.  Per-connection
+    /// contract rates for the rogue-source policing are derived from the
+    /// admitted QoS parameters.
     pub fn set_faults(&mut self, plan: mmr_sim::fault::FaultPlan, profile: FaultProfile) {
         let rc_per_flit = self.config().router_cycles_per_flit();
         let window_rc = (profile.rate_window * rc_per_flit) as f64;
+        let ports = self.config().ports;
         self.fabric
             .ledger
             .metrics
             .set_delay_bound(profile.delay_bound_flit_cycles.map(|b| b * rc_per_flit));
         let node = self.node_mut();
+        if plan.is_empty() {
+            node.faults = None;
+            return;
+        }
         let qos = &node.core.qos;
         let contract = qos
             .iter()
@@ -110,17 +117,19 @@ impl MmrRouter {
             })
             .collect();
         let guaranteed = qos.iter().map(|q| q.reserved_slots > 0).collect();
-        node.faults.install(plan, profile, contract, guaranteed);
+        let faults = FaultState::new(ports, plan, profile, contract, guaranteed);
+        node.faults = Some(Box::new(faults));
     }
 
     /// Fault-subsystem counters (all zero when no plan is installed).
     pub fn fault_report(&self) -> FaultReport {
-        self.node().faults.report()
+        self.node().fault_report()
     }
 
-    /// Per-connection quarantine flags.
+    /// Per-connection quarantine flags (empty when no plan is
+    /// installed).
     pub fn quarantined(&self) -> &[bool] {
-        self.node().faults.quarantined()
+        self.node().faults.as_ref().map_or(&[], |f| f.quarantined())
     }
 
     /// True if every connection's NIC credit counters agree with its VC

@@ -1,7 +1,7 @@
 //! Router-side telemetry: wiring the `mmr_sim::telemetry` substrate into
 //! the `MmrRouter` pipeline.
 //!
-//! A [`RouterTelemetry`] bundles the four observability pieces for one
+//! An armed [`RouterTelemetry`] bundles the observability pieces for one
 //! router instance:
 //!
 //! * a counter [`Registry`] (grants, stalls, credits, faults …);
@@ -12,10 +12,14 @@
 //! * a [`FlightRecorder`] ring of binary [`TraceEvent`]s (grants, VC
 //!   stalls, credit consumption, fault detections, quarantines);
 //! * periodic per-class window accumulators feeding a report of
-//!   occupancy/throughput/delay snapshots.
+//!   occupancy/throughput/delay snapshots;
+//! * the QoS [`Observatory`], when [`TelemetryConfig::observatory`] asks
+//!   for it.
 //!
-//! The disabled default costs one well-predicted branch per hook; the
-//! armed path allocates nothing per cycle (all buffers are pre-sized).
+//! Arming is the only switch: an unarmed router's telemetry is an empty
+//! `Option` and holds none of these pieces, so each hook costs it one
+//! well-predicted branch; the armed path allocates nothing per cycle
+//! (all buffers are pre-sized).
 //! Timing uses the injected [`Clock`] — the deterministic `NullClock`
 //! unless [`TelemetryConfig::wall_clock`] opts into real time — so arming
 //! telemetry can never perturb simulation results, only observe them.
@@ -80,32 +84,32 @@ impl TelemetryConfig {
     }
 }
 
-/// Pipeline stages of `FabricNode::step_cycle`, in execution order.
-struct StageIds {
-    source_gen: StageId,
-    link_schedule: StageId,
-    arbitration: StageId,
-    crossbar: StageId,
-    delivery: StageId,
-    nic_forward: StageId,
-    credit_return: StageId,
+/// Pipeline stages of `FabricNode::step_cycle`, in execution order
+/// (the order the profiler registers and reports them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    SourceGen,
+    LinkSchedule,
+    Arbitration,
+    Crossbar,
+    Delivery,
+    NicForward,
+    CreditReturn,
 }
 
-impl StageIds {
-    fn register(p: &mut StageProfiler) -> Self {
-        StageIds {
-            source_gen: p.stage("source-gen"),
-            link_schedule: p.stage("link-schedule"),
-            arbitration: p.stage("arbitration"),
-            crossbar: p.stage("crossbar"),
-            delivery: p.stage("delivery"),
-            nic_forward: p.stage("nic-forward"),
-            credit_return: p.stage("credit-return"),
-        }
-    }
-}
+/// Report names of the [`Stage`]s, indexed by discriminant.
+const STAGE_NAMES: [&str; 7] = [
+    "source-gen",
+    "link-schedule",
+    "arbitration",
+    "crossbar",
+    "delivery",
+    "nic-forward",
+    "credit-return",
+];
 
 /// Registry slots for the router's counters.
+#[derive(Debug)]
 struct CounterIds {
     cycles: CounterId,
     grants: CounterId,
@@ -361,58 +365,27 @@ fn write_observatory_prometheus(out: &mut String, scale: f64, obs: &ObservatoryR
     );
 }
 
-/// Telemetry state owned by one fabric node (the single router's, when
-/// armed).
-///
-/// All hooks early-return when disabled; the armed path touches only
-/// pre-sized buffers.
+/// Telemetry of one fabric node: nothing unless armed (only the single
+/// router arms it).  Every hook is one test of the `Option`; the armed
+/// path touches only pre-sized buffers.
+#[derive(Debug, Default)]
+pub struct RouterTelemetry(Option<Box<Armed>>);
+
+/// Everything an armed router observes with.
 #[derive(Debug)]
-pub struct RouterTelemetry {
-    enabled: bool,
+struct Armed {
     registry: Registry,
     counters: CounterIds,
     profiler: StageProfiler,
-    stages: StageIds,
+    stages: [StageId; STAGE_NAMES.len()],
     recorder: FlightRecorder,
     windows: SnapshotRing<WindowAccum>,
     current: WindowAccum,
     interval: u64,
-    observatory: Observatory,
-}
-
-impl std::fmt::Debug for CounterIds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CounterIds")
-    }
-}
-
-impl std::fmt::Debug for StageIds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("StageIds")
-    }
+    observatory: Option<Observatory>,
 }
 
 impl RouterTelemetry {
-    /// The default, disarmed state: every hook is a single branch.
-    pub fn disabled() -> Self {
-        let mut registry = Registry::disabled();
-        let counters = CounterIds::register(&mut registry);
-        let mut profiler = StageProfiler::disabled();
-        let stages = StageIds::register(&mut profiler);
-        RouterTelemetry {
-            enabled: false,
-            registry,
-            counters,
-            profiler,
-            stages,
-            recorder: FlightRecorder::disabled(),
-            windows: SnapshotRing::with_capacity(0),
-            current: WindowAccum::fresh(0, 0),
-            interval: 0,
-            observatory: Observatory::disabled(),
-        }
-    }
-
     /// An armed instance per `cfg` observing the given per-connection
     /// traffic classes.  All buffers are sized here; the per-cycle path
     /// never allocates.
@@ -425,9 +398,8 @@ impl RouterTelemetry {
             Box::new(NullClock)
         };
         let mut profiler = StageProfiler::new(clock);
-        let stages = StageIds::register(&mut profiler);
-        RouterTelemetry {
-            enabled: true,
+        let stages = STAGE_NAMES.map(|name| profiler.stage(name));
+        RouterTelemetry(Some(Box::new(Armed {
             registry,
             counters,
             profiler,
@@ -436,146 +408,100 @@ impl RouterTelemetry {
             windows: SnapshotRing::with_capacity(MAX_SNAPSHOTS),
             current: WindowAccum::fresh(0, 0),
             interval: cfg.snapshot_interval,
-            observatory: if cfg.observatory {
-                Observatory::armed(cfg.slo_delay_bound_rc, conn_classes)
-            } else {
-                Observatory::disabled()
-            },
-        }
+            observatory: cfg
+                .observatory
+                .then(|| Observatory::armed(cfg.slo_delay_bound_rc, conn_classes)),
+        })))
     }
 
-    /// Whether the hooks record anything.
+    /// Whether the router is armed (the hooks record anything).
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.0.is_some()
     }
 
-    /// The flight recorder (for dumping traces).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
+    /// The flight recorder (for dumping traces); `None` when unarmed.
+    pub fn recorder(&self) -> Option<&FlightRecorder> {
+        self.0.as_ref().map(|a| &a.recorder)
     }
 
     // ---- step() hooks ----------------------------------------------------
 
-    /// Timestamp for a stage about to run (0 when disarmed).
+    /// Timestamp for a stage about to run (0 when unarmed).
     #[inline]
     pub(crate) fn stage_begin(&self) -> u64 {
-        self.profiler.begin()
+        self.0.as_ref().map_or(0, |a| a.profiler.begin())
     }
 
+    /// Close `stage`, opened at `t0`, crediting it `work` units (the
+    /// credit-return stage also counts its returns as
+    /// `credits_returned`).
     #[inline]
-    fn stage_end(&mut self, stage: StageId, t0: u64, work: u64) {
-        if self.enabled {
-            self.profiler.end(stage, t0, work);
+    pub(crate) fn stage_end(&mut self, stage: Stage, t0: u64, work: u64) {
+        if let Some(a) = &mut self.0 {
+            a.profiler.end(a.stages[stage as usize], t0, work);
+            if stage == Stage::CreditReturn {
+                a.registry.add(a.counters.credits_returned, work);
+            }
         }
-    }
-
-    #[inline]
-    pub(crate) fn end_source_gen(&mut self, t0: u64, flits: u64) {
-        let s = self.stages.source_gen;
-        self.stage_end(s, t0, flits);
-    }
-
-    #[inline]
-    pub(crate) fn end_link_schedule(&mut self, t0: u64, candidates: u64) {
-        let s = self.stages.link_schedule;
-        self.stage_end(s, t0, candidates);
-    }
-
-    #[inline]
-    pub(crate) fn end_arbitration(&mut self, t0: u64, grants: u64) {
-        let s = self.stages.arbitration;
-        self.stage_end(s, t0, grants);
-    }
-
-    #[inline]
-    pub(crate) fn end_crossbar(&mut self, t0: u64, crossed: u64) {
-        let s = self.stages.crossbar;
-        self.stage_end(s, t0, crossed);
-    }
-
-    #[inline]
-    pub(crate) fn end_delivery(&mut self, t0: u64, delivered: u64) {
-        let s = self.stages.delivery;
-        self.stage_end(s, t0, delivered);
-    }
-
-    #[inline]
-    pub(crate) fn end_nic_forward(&mut self, t0: u64, forwarded: u64) {
-        let s = self.stages.nic_forward;
-        self.stage_end(s, t0, forwarded);
-    }
-
-    #[inline]
-    pub(crate) fn end_credit_return(&mut self, t0: u64, returns: u64) {
-        let s = self.stages.credit_return;
-        self.stage_end(s, t0, returns);
-        self.registry.add(self.counters.credits_returned, returns);
     }
 
     /// A crossbar grant was issued this cycle.
     #[inline]
     pub(crate) fn on_grant(&mut self, cycle: u64, input: usize, output: usize, vc: usize) {
-        if !self.enabled {
-            return;
+        if let Some(a) = &mut self.0 {
+            a.registry.incr(a.counters.grants);
+            a.current.grants += 1;
+            a.recorder
+                .record(TraceEvent::grant(cycle, input, output, vc));
         }
-        self.registry.incr(self.counters.grants);
-        self.current.grants += 1;
-        self.recorder
-            .record(TraceEvent::grant(cycle, input, output, vc));
     }
 
     /// An input had a head flit to offer but went unmatched.
     #[inline]
     pub(crate) fn on_vc_stall(&mut self, cycle: u64, input: usize, output: usize, vc: usize) {
-        if !self.enabled {
-            return;
+        if let Some(a) = &mut self.0 {
+            a.registry.incr(a.counters.vc_stalls);
+            a.current.vc_stalls += 1;
+            a.recorder
+                .record(TraceEvent::vc_stalled(cycle, input, output, vc));
         }
-        self.registry.incr(self.counters.vc_stalls);
-        self.current.vc_stalls += 1;
-        self.recorder
-            .record(TraceEvent::vc_stalled(cycle, input, output, vc));
     }
 
     /// A NIC spent a credit forwarding a flit onto its input link.
     #[inline]
     pub(crate) fn on_credit_consumed(&mut self, cycle: u64, conn: usize) {
-        if !self.enabled {
-            return;
+        if let Some(a) = &mut self.0 {
+            a.registry.incr(a.counters.credits_consumed);
+            a.recorder.record(TraceEvent::credit_consumed(cycle, conn));
         }
-        self.registry.incr(self.counters.credits_consumed);
-        self.recorder
-            .record(TraceEvent::credit_consumed(cycle, conn));
     }
 
     /// A fault was caught (`detector`: 0 = ingress checksum, 1 =
     /// phantom-credit guard, 2 = watchdog resync).
     #[inline]
     pub(crate) fn on_fault_detected(&mut self, cycle: u64, detector: u32) {
-        if !self.enabled {
-            return;
+        if let Some(a) = &mut self.0 {
+            a.registry.incr(a.counters.faults_detected);
+            a.recorder
+                .record(TraceEvent::fault_detected(cycle, detector));
         }
-        self.registry.incr(self.counters.faults_detected);
-        self.recorder
-            .record(TraceEvent::fault_detected(cycle, detector));
     }
 
     /// A connection was quarantined by contract policing.
     #[inline]
     pub(crate) fn on_quarantine(&mut self, cycle: u64, conn: usize) {
-        if !self.enabled {
-            return;
+        if let Some(a) = &mut self.0 {
+            a.registry.incr(a.counters.quarantines);
+            a.recorder.record(TraceEvent::quarantined(cycle, conn));
         }
-        self.registry.incr(self.counters.quarantines);
-        self.recorder.record(TraceEvent::quarantined(cycle, conn));
     }
 
     /// A flit entered the system (source generation).
     #[inline]
     pub(crate) fn on_generated(&mut self, class: TrafficClass) {
-        if !self.enabled {
-            return;
+        if let Some(a) = &mut self.0 {
+            a.current.generated[class_index(class)] += 1;
         }
-        self.current.generated[class_index(class)] += 1;
     }
 
     /// A flit on connection `conn` was delivered after `delay_rc` router
@@ -588,17 +514,16 @@ impl RouterTelemetry {
         delay_rc: u64,
         residency_rc: u64,
     ) {
-        if !self.enabled {
+        let Some(a) = &mut self.0 else {
             return;
-        }
+        };
         let i = class_index(class);
-        self.current.delivered[i] += 1;
-        self.current.delay_sum_rc[i] += delay_rc;
-        if self
-            .observatory
-            .on_delivered(conn, class, delay_rc, residency_rc)
-        {
-            self.current.slo_violations[i] += 1;
+        a.current.delivered[i] += 1;
+        a.current.delay_sum_rc[i] += delay_rc;
+        if let Some(obs) = &mut a.observatory {
+            if obs.on_delivered(conn, class, delay_rc, residency_rc) {
+                a.current.slo_violations[i] += 1;
+            }
         }
     }
 
@@ -607,54 +532,56 @@ impl RouterTelemetry {
     /// observatory's SLO tracker.
     #[inline]
     pub(crate) fn end_cycle(&mut self, cycle: u64, backlog: u64) {
-        if !self.enabled {
+        let Some(a) = &mut self.0 else {
             return;
+        };
+        a.registry.incr(a.counters.cycles);
+        if backlog > a.registry.get(a.counters.backlog_peak) {
+            a.registry.set_gauge(a.counters.backlog_peak, backlog);
         }
-        self.registry.incr(self.counters.cycles);
-        if backlog > self.registry.get(self.counters.backlog_peak) {
-            self.registry.set_gauge(self.counters.backlog_peak, backlog);
-        }
-        self.current.end_cycle = cycle;
-        if self.interval > 0 && (cycle + 1).is_multiple_of(self.interval) {
-            self.current.backlog_end = backlog;
-            let closed = self.current;
-            let be = class_index(TrafficClass::BestEffort);
-            self.observatory.on_window_close(
-                closed.generated[be],
-                closed.delivered[be],
-                closed.end_cycle - closed.start_cycle + 1,
-            );
-            self.windows.push(closed);
-            self.current = WindowAccum::fresh(closed.index + 1, cycle + 1);
+        a.current.end_cycle = cycle;
+        if a.interval > 0 && (cycle + 1).is_multiple_of(a.interval) {
+            a.current.backlog_end = backlog;
+            let closed = a.current;
+            if let Some(obs) = &mut a.observatory {
+                let be = class_index(TrafficClass::BestEffort);
+                obs.on_window_close(
+                    closed.generated[be],
+                    closed.delivered[be],
+                    closed.end_cycle - closed.start_cycle + 1,
+                );
+            }
+            a.windows.push(closed);
+            a.current = WindowAccum::fresh(closed.index + 1, cycle + 1);
         }
     }
 
     // ---- reporting -------------------------------------------------------
 
     /// Snapshot everything observed so far.  `kernel` comes from the
-    /// scheduler's probe.  Allocates — report-time only.
+    /// scheduler's probe.  An unarmed router reports what a freshly armed
+    /// one would before its first cycle: every counter and stage at zero,
+    /// no kernel work, no trace and no observatory.  Allocates —
+    /// report-time only.
     pub fn report(&self, kernel: KernelStats) -> TelemetryReport {
+        let Some(a) = &self.0 else {
+            let bare = TelemetryConfig {
+                trace_capacity: 0,
+                observatory: false,
+                ..TelemetryConfig::default()
+            };
+            return RouterTelemetry::armed(bare, &[]).report(KernelStats::default());
+        };
         TelemetryReport {
-            counters: self.registry.samples(),
-            stages: self.profiler.samples(),
+            counters: a.registry.samples(),
+            stages: a.profiler.samples(),
             kernel,
-            windows: self
-                .windows
-                .as_slice()
-                .iter()
-                .map(|w| w.snapshot())
-                .collect(),
-            windows_dropped: self.windows.dropped(),
-            trace_events_recorded: self.recorder.recorded(),
-            trace_events_retained: self.recorder.len() as u64,
-            observatory: self.observatory.report(),
+            windows: a.windows.as_slice().iter().map(|w| w.snapshot()).collect(),
+            windows_dropped: a.windows.dropped(),
+            trace_events_recorded: a.recorder.recorded(),
+            trace_events_retained: a.recorder.len() as u64,
+            observatory: a.observatory.as_ref().map(Observatory::report),
         }
-    }
-}
-
-impl Default for RouterTelemetry {
-    fn default() -> Self {
-        RouterTelemetry::disabled()
     }
 }
 
@@ -664,7 +591,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_record_nothing() {
-        let mut t = RouterTelemetry::disabled();
+        let mut t = RouterTelemetry::default();
         t.on_grant(1, 0, 1, 2);
         t.on_generated(TrafficClass::Vbr);
         t.on_delivered(TrafficClass::Vbr, 0, 10, 4);

@@ -14,8 +14,8 @@
 //! * [`engine`] — a tiny cycle-driven engine: a [`engine::CycleModel`] is
 //!   stepped one flit cycle at a time with warm-up handling and stop
 //!   conditions.
-//! * [`telemetry`] — the zero-overhead observability substrate: a masked
-//!   counter [`telemetry::Registry`], a [`telemetry::Clock`]-injected
+//! * [`telemetry`] — the observability substrate an armed router holds:
+//!   a counter [`telemetry::Registry`], a [`telemetry::Clock`]-injected
 //!   per-stage profiler, the binary [`telemetry::FlightRecorder`], and
 //!   pre-allocated snapshot buffers.
 //! * [`check`] — [`check::ConfigError`], the typed error every

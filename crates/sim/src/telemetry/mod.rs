@@ -3,10 +3,11 @@
 //!
 //! Observability in a cycle-accurate simulator has two hard constraints:
 //!
-//! 1. **Free when off.**  The hot path (`FabricNode::step_cycle` over
+//! 1. **Absent when off.**  The hot path (`FabricNode::step_cycle` over
 //!    the `SwitchCore` stages, and the arbitration kernels) is pinned
-//!    allocation-free and benchmarked per cycle; instrumentation must cost at most a predictable handful of
-//!    branch-free instructions when disabled.
+//!    allocation-free and benchmarked per cycle.  None of these pieces
+//!    has an "off" mode: a router that is not armed holds none of them,
+//!    and each hook costs it one test of an empty `Option`.
 //! 2. **Deterministic when on.**  Experiments replay bit-for-bit from a
 //!    seed; telemetry must never perturb the RNG streams, and its own
 //!    reports must be reproducible unless the user explicitly opts into
@@ -15,8 +16,7 @@
 //! The pieces here meet both:
 //!
 //! * [`Registry`] — interned static counter names mapped to dense `u64`
-//!   slots.  [`Registry::add`] is a single masked add (`slots[i] += n &
-//!   mask`): no branch, a no-op when the registry is disabled.
+//!   slots.  [`Registry::add`] is a single add, no branch.
 //! * [`Clock`] — wall-time injection.  Simulation code never calls
 //!   `Instant::now` directly; it asks the injected clock, which is the
 //!   no-op [`NullClock`] by default so reports stay deterministic.
@@ -25,7 +25,7 @@
 //!   accounting built on [`Clock`].
 //! * [`recorder::FlightRecorder`] — a fixed-capacity ring of binary
 //!   [`recorder::TraceEvent`] records with zero steady-state allocation,
-//!   dumpable as JSONL (on demand or on panic).
+//!   dumpable as JSONL.
 //! * [`snapshot::SnapshotRing`] — a pre-allocated buffer for periodic
 //!   windowed snapshots, counting (never silently dropping) overflow.
 
@@ -39,7 +39,7 @@ use std::time::Instant;
 
 pub use expose::{validate_exposition, ExpositionStats};
 pub use profiler::{StageId, StageProfiler, StageSample};
-pub use recorder::{run_with_dump_on_panic, FlightRecorder, TraceEvent, TraceKind};
+pub use recorder::{FlightRecorder, TraceEvent, TraceKind};
 pub use snapshot::SnapshotRing;
 
 /// A source of wall-clock timestamps, injected so simulation determinism
@@ -106,42 +106,20 @@ pub struct CounterSample {
 ///
 /// Names are `&'static str` and interned at registration: registering the
 /// same name twice returns the same [`CounterId`].  The increment path is
-/// branch-free — [`Registry::add`] compiles to one AND and one add — and
-/// becomes a no-op when the registry is disabled (the mask is zero), so
-/// instrumented hot loops cost the same armed or not.
+/// branch-free: [`Registry::add`] compiles to one add.
 #[derive(Debug)]
 pub struct Registry {
     names: Vec<&'static str>,
     slots: Vec<u64>,
-    mask: u64,
 }
 
 impl Registry {
-    /// An enabled registry with no counters yet.
+    /// A registry with no counters yet.
     pub fn new() -> Self {
         Registry {
             names: Vec::new(),
             slots: Vec::new(),
-            mask: u64::MAX,
         }
-    }
-
-    /// A disabled registry: registration works, increments are no-ops.
-    pub fn disabled() -> Self {
-        Registry {
-            mask: 0,
-            ..Registry::new()
-        }
-    }
-
-    /// Enable or disable counting.  Disabling does not clear values.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.mask = if enabled { u64::MAX } else { 0 };
-    }
-
-    /// Whether increments currently take effect.
-    pub fn is_enabled(&self) -> bool {
-        self.mask != 0
     }
 
     /// Register (or look up) the counter named `name` and return its
@@ -156,11 +134,10 @@ impl Registry {
         CounterId((self.names.len() - 1) as u32)
     }
 
-    /// Add `n` to a counter: one masked add, no branch, no-op when the
-    /// registry is disabled.
+    /// Add `n` to a counter: one add, no branch.
     #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
-        self.slots[id.0 as usize] = self.slots[id.0 as usize].wrapping_add(n & self.mask);
+        self.slots[id.0 as usize] = self.slots[id.0 as usize].wrapping_add(n);
     }
 
     /// Increment a counter by one.
@@ -169,14 +146,10 @@ impl Registry {
         self.add(id, 1);
     }
 
-    /// Overwrite a counter with a gauge reading (masked like [`add`]:
-    /// keeps the old value when disabled).
-    ///
-    /// [`add`]: Registry::add
+    /// Overwrite a counter with a gauge reading.
     #[inline]
     pub fn set_gauge(&mut self, id: CounterId, value: u64) {
-        let old = self.slots[id.0 as usize];
-        self.slots[id.0 as usize] = (value & self.mask) | (old & !self.mask);
+        self.slots[id.0 as usize] = value;
     }
 
     /// Current value of a counter.
@@ -259,27 +232,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_is_a_no_op() {
-        let mut r = Registry::disabled();
-        let id = r.register("x");
-        r.add(id, 100);
-        r.incr(id);
-        assert_eq!(r.get(id), 0);
-        assert!(!r.is_enabled());
-        r.set_enabled(true);
-        r.incr(id);
-        assert_eq!(r.get(id), 1);
-    }
-
-    #[test]
-    fn gauge_set_respects_mask() {
+    fn gauge_set_overwrites_only_its_slot() {
         let mut r = Registry::new();
-        let id = r.register("g");
-        r.set_gauge(id, 42);
-        assert_eq!(r.get(id), 42);
-        r.set_enabled(false);
-        r.set_gauge(id, 7);
-        assert_eq!(r.get(id), 42, "disabled gauge write must keep old value");
+        let g = r.register("g");
+        let other = r.register("other");
+        r.add(other, 5);
+        r.set_gauge(g, 42);
+        r.set_gauge(g, 7);
+        assert_eq!(r.get(g), 7, "a gauge keeps the latest reading");
+        assert_eq!(r.get(other), 5);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   with the default [`NullClock`] this stays zero and the report is
 //!   bit-deterministic.
 //!
-//! All storage is pre-sized; the begin/end path performs no allocation
-//! and, when the profiler is disabled, reduces to a branch.
+//! All storage is pre-sized; the begin/end path performs no allocation.
 
 use super::Clock;
 use serde::{Deserialize, Serialize};
@@ -51,20 +50,18 @@ pub struct StageProfiler {
     calls: Vec<u64>,
     work: Vec<u64>,
     wall_ns: Vec<u64>,
-    enabled: bool,
 }
 
 impl std::fmt::Debug for StageProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StageProfiler")
             .field("names", &self.names)
-            .field("enabled", &self.enabled)
             .finish()
     }
 }
 
 impl StageProfiler {
-    /// An enabled profiler measuring time through `clock`.
+    /// A profiler measuring time through `clock`.
     pub fn new(clock: Box<dyn Clock>) -> Self {
         StageProfiler {
             clock,
@@ -72,16 +69,6 @@ impl StageProfiler {
             calls: Vec::new(),
             work: Vec::new(),
             wall_ns: Vec::new(),
-            enabled: true,
-        }
-    }
-
-    /// A disabled profiler: stages can be registered, begin/end are
-    /// no-ops.
-    pub fn disabled() -> Self {
-        StageProfiler {
-            enabled: false,
-            ..StageProfiler::new(Box::new(super::NullClock))
         }
     }
 
@@ -97,31 +84,19 @@ impl StageProfiler {
         StageId((self.names.len() - 1) as u32)
     }
 
-    /// Whether begin/end currently record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Timestamp marking the start of a stage (zero when disabled or
-    /// under a [`super::NullClock`]).  Pass the value to [`end`].
+    /// Timestamp marking the start of a stage (zero under a
+    /// [`super::NullClock`]).  Pass the value to [`end`].
     ///
     /// [`end`]: StageProfiler::end
     #[inline]
     pub fn begin(&self) -> u64 {
-        if self.enabled {
-            self.clock.now_ns()
-        } else {
-            0
-        }
+        self.clock.now_ns()
     }
 
     /// Close a stage opened at `started_ns`, crediting `work` logical
     /// units to it.
     #[inline]
     pub fn end(&mut self, stage: StageId, started_ns: u64, work: u64) {
-        if !self.enabled {
-            return;
-        }
         let i = stage.0 as usize;
         self.calls[i] += 1;
         self.work[i] += work;
@@ -204,16 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = StageProfiler::disabled();
-        let a = p.stage("x");
-        let t = p.begin();
-        p.end(a, t, 99);
-        assert_eq!(p.calls(a), 0);
-        assert_eq!(p.work(a), 0);
-    }
-
-    #[test]
     fn monotonic_clock_accumulates_time() {
         let mut p = StageProfiler::new(Box::new(MonotonicClock::new()));
         let a = p.stage("spin");
@@ -230,7 +195,7 @@ mod tests {
 
     #[test]
     fn stage_registration_interns() {
-        let mut p = StageProfiler::disabled();
+        let mut p = StageProfiler::new(Box::new(NullClock));
         let a = p.stage("s");
         let b = p.stage("s");
         assert_eq!(a, b);

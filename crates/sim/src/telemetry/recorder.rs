@@ -8,10 +8,7 @@
 //! the router's hot path every cycle.
 //!
 //! Dumping renders the retained window as JSONL — one serde-serialized
-//! event per line — either on demand ([`FlightRecorder::dump_jsonl`]) or
-//! when a panic unwinds through [`run_with_dump_on_panic`], which writes
-//! the dump to a file before resuming the unwind so assertion failures
-//! leave a black box behind.
+//! event per line ([`FlightRecorder::dump_jsonl`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -117,7 +114,6 @@ pub struct FlightRecorder {
     next: usize,
     /// Total events ever recorded (including overwritten ones).
     recorded: u64,
-    enabled: bool,
 }
 
 impl FlightRecorder {
@@ -129,25 +125,14 @@ impl FlightRecorder {
             capacity,
             next: 0,
             recorded: 0,
-            enabled: capacity > 0,
         }
     }
 
-    /// A disabled recorder that drops everything.
-    pub fn disabled() -> Self {
-        FlightRecorder::new(0)
-    }
-
-    /// Whether events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an event.  O(1); never allocates (the ring was sized at
-    /// construction) and does nothing when disabled.
+    /// construction) and does nothing at capacity 0.
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        if !self.enabled {
+        if self.capacity == 0 {
             return;
         }
         if self.ring.len() < self.capacity {
@@ -227,25 +212,6 @@ pub fn to_jsonl(events: impl IntoIterator<Item = TraceEvent>) -> String {
     out
 }
 
-/// Run `f` with the recorder; if it panics, dump the retained trace to
-/// `dump_path` as JSONL before resuming the unwind.  The black-box
-/// pattern: an assertion failure deep in a long simulation leaves the
-/// last N scheduling decisions on disk for post-mortem analysis.
-pub fn run_with_dump_on_panic<R>(
-    recorder: &mut FlightRecorder,
-    dump_path: &std::path::Path,
-    f: impl FnOnce(&mut FlightRecorder) -> R,
-) -> R {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut *recorder)));
-    match result {
-        Ok(r) => r,
-        Err(payload) => {
-            let _ = std::fs::write(dump_path, recorder.dump_jsonl());
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,10 +243,10 @@ mod tests {
 
     #[test]
     fn disabled_recorder_drops_everything() {
-        let mut r = FlightRecorder::disabled();
+        // Capacity 0 is how `trace_capacity: 0` disables tracing.
+        let mut r = FlightRecorder::new(0);
         r.record(TraceEvent::grant(0, 0, 0, 0));
         assert!(r.is_empty());
-        assert!(!r.is_enabled());
         assert_eq!(r.recorded(), 0);
     }
 

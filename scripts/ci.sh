@@ -102,10 +102,21 @@ for f in $(find crates/*/src crates/*/tests tests examples -name '*.rs'); do
         exit 1
     fi
 done
+# Armed or absent: faults, telemetry and kernel probes have no "off"
+# mode.  A subsystem that is not armed is an empty Option, so no
+# non-test code under crates/*/src builds a disabled or inactive
+# instance, or switches a probe off.
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -nE 'fn (disabled|inactive|set_probe_enabled)\('; then
+        echo "error: $f defines a disarmed mode; a subsystem that is not armed is absent" >&2
+        exit 1
+    fi
+done
 # Ratchet: the non-test line count (scripts/loc.sh) may not grow past
 # LOC_CEILING.  Lowering the ceiling to a new, smaller count is always
 # allowed; raising it means shipping code that no deletion paid for.
-LOC_CEILING=21081
+LOC_CEILING=20847
 LOC="$(bash scripts/loc.sh)"
 echo "non-test lines under crates/*/src: $LOC (ceiling $LOC_CEILING)"
 if ((LOC > LOC_CEILING)); then

@@ -12,7 +12,7 @@
 
 use mmr_core::config::{BestEffortSpec, FaultSpec, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
-use mmr_core::router::fault::FaultProfile;
+use mmr_core::router::fault::{FaultProfile, FaultReport};
 use mmr_core::router::router::MmrRouter;
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
@@ -206,4 +206,61 @@ fn generated_fault_plans_recover_end_to_end() {
     );
     // The run keeps flowing: the vast majority of traffic still lands.
     assert!(r.summary.throughput_ratio() > 0.9);
+}
+
+/// A `[fault]` plan scaled by 0.0 (the `chaos_free` pack's baseline) is
+/// empty, and an empty plan arms nothing: the router keeps no fault
+/// state, so no watchdog audits credits and no contract is policed.  The
+/// run is the fault-free run, bit for bit.
+#[test]
+fn zero_rate_fault_plan_leaves_the_router_unarmed() {
+    let plain = SimConfig {
+        workload: WorkloadSpec::cbr(0.5),
+        best_effort: Some(BestEffortSpec::default()),
+        warmup_cycles: WARMUP,
+        run: RunLength::Cycles(16_000),
+        ..Default::default()
+    };
+    let spec = FaultSpec {
+        plan: FaultPlanConfig::default(),
+        profile: FaultProfile::default(),
+    }
+    .scaled(0.0);
+    let zero = SimConfig {
+        fault: Some(spec),
+        ..plain.clone()
+    };
+
+    let (with_plan, without) = (run_experiment(&zero), run_experiment(&plain));
+    assert_eq!(with_plan.executed_cycles, without.executed_cycles);
+    assert_eq!(
+        serde_json::to_string(&with_plan.summary).unwrap(),
+        serde_json::to_string(&without.summary).unwrap()
+    );
+
+    let mut rng = SimRng::seed_from_u64(zero.seed);
+    let plan = spec
+        .plan
+        .generate(zero.router.ports, with_plan.connections, &mut rng);
+    assert!(plan.is_empty(), "rate factor 0 schedules no event");
+    let mut unarmed = build_router(&zero, build_workload(&zero));
+    unarmed.set_faults(plan, spec.profile);
+    let mut clean = build_router(&plain, build_workload(&plain));
+    for router in [&mut unarmed, &mut clean] {
+        for t in 0..WARMUP {
+            router.step(FlitCycle(t), false);
+        }
+        run_phase(router, WARMUP, 16_000);
+    }
+    assert_eq!(unarmed.rng_fingerprint(), clean.rng_fingerprint());
+    assert_eq!(
+        serde_json::to_string(&unarmed.summary()).unwrap(),
+        serde_json::to_string(&clean.summary()).unwrap()
+    );
+    assert_eq!(unarmed.fault_report(), FaultReport::default());
+    assert!(
+        unarmed.quarantined().is_empty(),
+        "an unarmed router has no quarantine flags"
+    );
+    assert!(unarmed.credits_consistent());
 }

@@ -515,7 +515,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
             allocs, 0,
             "armed telemetry allocated {allocs} times in steady state"
         );
-        let recorder = router.telemetry().recorder();
+        let recorder = router.telemetry().recorder().expect("telemetry is armed");
         assert!(
             recorder.recorded() > recorder.capacity() as u64,
             "measured region must wrap the trace ring"
