@@ -511,15 +511,15 @@ fn cmd_gate(args: &[String]) {
         eprintln!("mmr gate: {e}");
         exit(2)
     });
-    if list {
-        print_catalog(&specs, fidelity);
-        return;
-    }
     if let Some(name) = only {
         if !specs.iter().any(|s| s.meta.name == name) {
             eprintln!("mmr gate: no pack named `{name}` under {}", dir.display());
             exit(2)
         }
+    }
+    if list {
+        print_catalog(&specs, fidelity);
+        return;
     }
     let selected = |name: &str| only.is_none_or(|o| o == name);
     // The selected packs, plus every pack their claims read.

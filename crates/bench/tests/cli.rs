@@ -255,6 +255,16 @@ fn gate_refuses_a_pack_with_a_bad_arbiter_before_any_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn gate_refuses_an_unknown_pack_even_when_listing() {
+    for args in [
+        &["gate", "--pack", "nosuch"][..],
+        &["gate", "--list", "--pack", "nosuch"],
+    ] {
+        assert_mmr_exits_2(args, "no pack named `nosuch`");
+    }
+}
+
 /// Write each config to a file, run `mmr run --config` on it, and expect
 /// exit 2 with the paired message on stderr.
 fn assert_run_config_exits_2<const N: usize>(tag: &str, cases: [(SimConfig, &str); N]) {

@@ -1,18 +1,19 @@
-//! Router-side telemetry: wiring the `mmr_sim::telemetry` substrate into
-//! the `MmrRouter` pipeline.
+//! Router-side telemetry: what an armed `MmrRouter` observes.
 //!
-//! An armed [`RouterTelemetry`] bundles the observability pieces for one
-//! router instance:
+//! An armed [`RouterTelemetry`] holds, for one router instance, plain
+//! fixed-size state indexed at compile time:
 //!
-//! * a counter [`Registry`] (grants, stalls, credits, faults …);
-//! * a [`StageProfiler`] bracketing every stage `FabricNode::step_cycle`
+//! * eight counters (grants, stalls, credits, faults …), one `u64` slot
+//!   per `Counter`, reported under the names in `COUNTER_NAMES`;
+//! * calls, work and wall time per `Stage` `FabricNode::step_cycle`
 //!   runs on its `SwitchCore` (source generation, link scheduling,
 //!   arbitration, crossbar traversal, delivery, NIC forwarding, credit
 //!   return);
 //! * a [`FlightRecorder`] ring of binary [`TraceEvent`]s (grants, VC
 //!   stalls, credit consumption, fault detections, quarantines);
-//! * periodic per-class window accumulators feeding a report of
-//!   occupancy/throughput/delay snapshots;
+//! * periodic per-class window accumulators in a buffer of 512
+//!   (`MAX_SNAPSHOTS`), feeding a report of occupancy/throughput/delay
+//!   snapshots (later windows are counted as dropped);
 //! * the QoS [`Observatory`], when [`TelemetryConfig::observatory`] asks
 //!   for it.
 //!
@@ -20,20 +21,19 @@
 //! `Option` and holds none of these pieces, so each hook costs it one
 //! well-predicted branch; the armed path allocates nothing per cycle
 //! (all buffers are pre-sized).
-//! Timing uses the injected [`Clock`] — the deterministic `NullClock`
-//! unless [`TelemetryConfig::wall_clock`] opts into real time — so arming
-//! telemetry can never perturb simulation results, only observe them.
+//! No hook touches the RNG, so arming telemetry can never perturb
+//! simulation results, only observe them; stage wall time stays zero
+//! unless [`TelemetryConfig::wall_clock`] opts into real time, so its
+//! reports replay bit for bit.
 
 use crate::metrics::{class_index, ALL_CLASSES, CLASS_COUNT};
 use crate::observatory::{ClassObservation, Observatory, ObservatoryReport};
 use mmr_arbiter::scheduler::KernelStats;
 use mmr_sim::stats::LogHistogram;
-use mmr_sim::telemetry::{
-    expose, Clock, CounterId, CounterSample, FlightRecorder, MonotonicClock, NullClock, Registry,
-    SnapshotRing, StageId, StageProfiler, StageSample, TraceEvent,
-};
+use mmr_sim::telemetry::{expose, FlightRecorder, TraceEvent};
 use mmr_traffic::connection::TrafficClass;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Snapshot windows an armed router retains; later windows are counted
 /// as dropped.
@@ -48,7 +48,8 @@ pub struct TelemetryConfig {
     /// Flight-recorder capacity in events (0 disables tracing).
     pub trace_capacity: usize,
     /// Measure stage wall time with a real monotonic clock.  Off by
-    /// default: the `NullClock` keeps reports bit-deterministic.
+    /// default: every stage then reports zero wall time, keeping reports
+    /// bit-deterministic.
     pub wall_clock: bool,
     /// Arm the QoS observatory: per-class and per-connection histograms
     /// for delay/jitter/queue residency plus SLO tracking.
@@ -85,7 +86,7 @@ impl TelemetryConfig {
 }
 
 /// Pipeline stages of `FabricNode::step_cycle`, in execution order
-/// (the order the profiler registers and reports them).
+/// (the order the report lists them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stage {
     SourceGen,
@@ -108,32 +109,87 @@ const STAGE_NAMES: [&str; 7] = [
     "credit-return",
 ];
 
-/// Registry slots for the router's counters.
-#[derive(Debug)]
-struct CounterIds {
-    cycles: CounterId,
-    grants: CounterId,
-    vc_stalls: CounterId,
-    credits_consumed: CounterId,
-    credits_returned: CounterId,
-    faults_detected: CounterId,
-    quarantines: CounterId,
-    backlog_peak: CounterId,
+/// The router's counters, in report order.
+enum Counter {
+    Cycles,
+    Grants,
+    VcStalls,
+    CreditsConsumed,
+    CreditsReturned,
+    FaultsDetected,
+    Quarantines,
+    /// A gauge: the largest backlog seen at the end of a cycle.
+    BacklogPeak,
 }
 
-impl CounterIds {
-    fn register(r: &mut Registry) -> Self {
-        CounterIds {
-            cycles: r.register("cycles"),
-            grants: r.register("grants_issued"),
-            vc_stalls: r.register("vc_stalls"),
-            credits_consumed: r.register("credits_consumed"),
-            credits_returned: r.register("credits_returned"),
-            faults_detected: r.register("faults_detected"),
-            quarantines: r.register("connections_quarantined"),
-            backlog_peak: r.register("backlog_peak_flits"),
-        }
-    }
+/// Report names of the [`Counter`]s, indexed by discriminant.
+const COUNTER_NAMES: [&str; 8] = [
+    "cycles",
+    "grants_issued",
+    "vc_stalls",
+    "credits_consumed",
+    "credits_returned",
+    "faults_detected",
+    "connections_quarantined",
+    "backlog_peak_flits",
+];
+
+/// One named counter value in a report.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CounterSample {
+    /// Counter name.
+    pub name: String,
+    /// Accumulated value.
+    pub value: u64,
+}
+
+/// Accumulated figures for one pipeline stage, as reported.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StageSample {
+    /// Stage name.
+    pub name: String,
+    /// Times the stage executed.
+    pub calls: u64,
+    /// Logical work units accumulated across calls (candidates offered,
+    /// flits moved, credits returned …).
+    pub work: u64,
+    /// Wall nanoseconds accumulated across calls (zero unless armed with
+    /// [`TelemetryConfig::wall_clock`]).
+    pub wall_ns: u64,
+}
+
+/// One stage's running figures (see [`StageSample`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct StageAcc {
+    calls: u64,
+    work: u64,
+    wall_ns: u64,
+}
+
+/// Report samples of the counter values, in [`COUNTER_NAMES`] order.
+fn counter_samples(values: &[u64; COUNTER_NAMES.len()]) -> Vec<CounterSample> {
+    COUNTER_NAMES
+        .iter()
+        .zip(values)
+        .map(|(name, &value)| CounterSample {
+            name: name.to_string(),
+            value,
+        })
+        .collect()
+}
+
+/// Report samples of the stage figures, in [`STAGE_NAMES`] order.
+fn stage_samples(stages: &[StageAcc; STAGE_NAMES.len()]) -> Vec<StageSample> {
+    STAGE_NAMES
+        .iter()
+        .zip(stages)
+        .map(|(name, s)| StageSample {
+            name: name.to_string(),
+            calls: s.calls,
+            work: s.work,
+            wall_ns: s.wall_ns,
+        })
+        .collect()
 }
 
 /// Per-window accumulator (lives in pre-sized buffers — must stay `Copy`
@@ -237,9 +293,9 @@ pub struct WindowSnapshot {
 /// Everything telemetry observed over a run, in serializable form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
-    /// Counter registry dump in registration order.
+    /// Counters in a fixed order (cycles first, the backlog gauge last).
     pub counters: Vec<CounterSample>,
-    /// Per-stage profiler dump in pipeline order.
+    /// Per-stage figures in pipeline order.
     pub stages: Vec<StageSample>,
     /// Arbitration-kernel work counters (all zero for schedulers without
     /// a probe).
@@ -374,12 +430,16 @@ pub struct RouterTelemetry(Option<Box<Armed>>);
 /// Everything an armed router observes with.
 #[derive(Debug)]
 struct Armed {
-    registry: Registry,
-    counters: CounterIds,
-    profiler: StageProfiler,
-    stages: [StageId; STAGE_NAMES.len()],
+    counters: [u64; COUNTER_NAMES.len()],
+    stages: [StageAcc; STAGE_NAMES.len()],
+    /// Origin of stage timestamps; `None` unless armed with
+    /// [`TelemetryConfig::wall_clock`], and then every timestamp is 0.
+    origin: Option<Instant>,
     recorder: FlightRecorder,
-    windows: SnapshotRing<WindowAccum>,
+    /// Closed windows, at most [`MAX_SNAPSHOTS`] (reserved at arm time).
+    windows: Vec<WindowAccum>,
+    /// Closed windows that found the buffer full.
+    windows_dropped: u64,
     current: WindowAccum,
     interval: u64,
     observatory: Option<Observatory>,
@@ -390,22 +450,13 @@ impl RouterTelemetry {
     /// traffic classes.  All buffers are sized here; the per-cycle path
     /// never allocates.
     pub fn armed(cfg: TelemetryConfig, conn_classes: &[TrafficClass]) -> Self {
-        let mut registry = Registry::new();
-        let counters = CounterIds::register(&mut registry);
-        let clock: Box<dyn Clock> = if cfg.wall_clock {
-            Box::new(MonotonicClock::new())
-        } else {
-            Box::new(NullClock)
-        };
-        let mut profiler = StageProfiler::new(clock);
-        let stages = STAGE_NAMES.map(|name| profiler.stage(name));
         RouterTelemetry(Some(Box::new(Armed {
-            registry,
-            counters,
-            profiler,
-            stages,
+            counters: [0; COUNTER_NAMES.len()],
+            stages: [StageAcc::default(); STAGE_NAMES.len()],
+            origin: cfg.wall_clock.then(Instant::now),
             recorder: FlightRecorder::new(cfg.trace_capacity),
-            windows: SnapshotRing::with_capacity(MAX_SNAPSHOTS),
+            windows: Vec::with_capacity(MAX_SNAPSHOTS),
+            windows_dropped: 0,
             current: WindowAccum::fresh(0, 0),
             interval: cfg.snapshot_interval,
             observatory: cfg
@@ -426,10 +477,11 @@ impl RouterTelemetry {
 
     // ---- step() hooks ----------------------------------------------------
 
-    /// Timestamp for a stage about to run (0 when unarmed).
+    /// Timestamp for a stage about to run: nanoseconds since arming, or 0
+    /// when unarmed or armed without a wall clock.
     #[inline]
     pub(crate) fn stage_begin(&self) -> u64 {
-        self.0.as_ref().map_or(0, |a| a.profiler.begin())
+        self.0.as_ref().map_or(0, |a| elapsed_ns(a.origin))
     }
 
     /// Close `stage`, opened at `t0`, crediting it `work` units (the
@@ -438,9 +490,12 @@ impl RouterTelemetry {
     #[inline]
     pub(crate) fn stage_end(&mut self, stage: Stage, t0: u64, work: u64) {
         if let Some(a) = &mut self.0 {
-            a.profiler.end(a.stages[stage as usize], t0, work);
+            let s = &mut a.stages[stage as usize];
+            s.calls += 1;
+            s.work += work;
+            s.wall_ns += elapsed_ns(a.origin).saturating_sub(t0);
             if stage == Stage::CreditReturn {
-                a.registry.add(a.counters.credits_returned, work);
+                a.counters[Counter::CreditsReturned as usize] += work;
             }
         }
     }
@@ -449,7 +504,7 @@ impl RouterTelemetry {
     #[inline]
     pub(crate) fn on_grant(&mut self, cycle: u64, input: usize, output: usize, vc: usize) {
         if let Some(a) = &mut self.0 {
-            a.registry.incr(a.counters.grants);
+            a.counters[Counter::Grants as usize] += 1;
             a.current.grants += 1;
             a.recorder
                 .record(TraceEvent::grant(cycle, input, output, vc));
@@ -460,7 +515,7 @@ impl RouterTelemetry {
     #[inline]
     pub(crate) fn on_vc_stall(&mut self, cycle: u64, input: usize, output: usize, vc: usize) {
         if let Some(a) = &mut self.0 {
-            a.registry.incr(a.counters.vc_stalls);
+            a.counters[Counter::VcStalls as usize] += 1;
             a.current.vc_stalls += 1;
             a.recorder
                 .record(TraceEvent::vc_stalled(cycle, input, output, vc));
@@ -471,7 +526,7 @@ impl RouterTelemetry {
     #[inline]
     pub(crate) fn on_credit_consumed(&mut self, cycle: u64, conn: usize) {
         if let Some(a) = &mut self.0 {
-            a.registry.incr(a.counters.credits_consumed);
+            a.counters[Counter::CreditsConsumed as usize] += 1;
             a.recorder.record(TraceEvent::credit_consumed(cycle, conn));
         }
     }
@@ -481,7 +536,7 @@ impl RouterTelemetry {
     #[inline]
     pub(crate) fn on_fault_detected(&mut self, cycle: u64, detector: u32) {
         if let Some(a) = &mut self.0 {
-            a.registry.incr(a.counters.faults_detected);
+            a.counters[Counter::FaultsDetected as usize] += 1;
             a.recorder
                 .record(TraceEvent::fault_detected(cycle, detector));
         }
@@ -491,7 +546,7 @@ impl RouterTelemetry {
     #[inline]
     pub(crate) fn on_quarantine(&mut self, cycle: u64, conn: usize) {
         if let Some(a) = &mut self.0 {
-            a.registry.incr(a.counters.quarantines);
+            a.counters[Counter::Quarantines as usize] += 1;
             a.recorder.record(TraceEvent::quarantined(cycle, conn));
         }
     }
@@ -535,10 +590,9 @@ impl RouterTelemetry {
         let Some(a) = &mut self.0 else {
             return;
         };
-        a.registry.incr(a.counters.cycles);
-        if backlog > a.registry.get(a.counters.backlog_peak) {
-            a.registry.set_gauge(a.counters.backlog_peak, backlog);
-        }
+        a.counters[Counter::Cycles as usize] += 1;
+        let peak = &mut a.counters[Counter::BacklogPeak as usize];
+        *peak = (*peak).max(backlog);
         a.current.end_cycle = cycle;
         if a.interval > 0 && (cycle + 1).is_multiple_of(a.interval) {
             a.current.backlog_end = backlog;
@@ -551,7 +605,11 @@ impl RouterTelemetry {
                     closed.end_cycle - closed.start_cycle + 1,
                 );
             }
-            a.windows.push(closed);
+            if a.windows.len() < MAX_SNAPSHOTS {
+                a.windows.push(closed);
+            } else {
+                a.windows_dropped += 1;
+            }
             a.current = WindowAccum::fresh(closed.index + 1, cycle + 1);
         }
     }
@@ -565,24 +623,34 @@ impl RouterTelemetry {
     /// report-time only.
     pub fn report(&self, kernel: KernelStats) -> TelemetryReport {
         let Some(a) = &self.0 else {
-            let bare = TelemetryConfig {
-                trace_capacity: 0,
-                observatory: false,
-                ..TelemetryConfig::default()
+            return TelemetryReport {
+                counters: counter_samples(&[0; COUNTER_NAMES.len()]),
+                stages: stage_samples(&[StageAcc::default(); STAGE_NAMES.len()]),
+                kernel: KernelStats::default(),
+                windows: Vec::new(),
+                windows_dropped: 0,
+                trace_events_recorded: 0,
+                trace_events_retained: 0,
+                observatory: None,
             };
-            return RouterTelemetry::armed(bare, &[]).report(KernelStats::default());
         };
         TelemetryReport {
-            counters: a.registry.samples(),
-            stages: a.profiler.samples(),
+            counters: counter_samples(&a.counters),
+            stages: stage_samples(&a.stages),
             kernel,
-            windows: a.windows.as_slice().iter().map(|w| w.snapshot()).collect(),
-            windows_dropped: a.windows.dropped(),
+            windows: a.windows.iter().map(WindowAccum::snapshot).collect(),
+            windows_dropped: a.windows_dropped,
             trace_events_recorded: a.recorder.recorded(),
             trace_events_retained: a.recorder.len() as u64,
             observatory: a.observatory.as_ref().map(Observatory::report),
         }
     }
+}
+
+/// Nanoseconds since `origin`, or 0 without one.
+#[inline]
+fn elapsed_ns(origin: Option<Instant>) -> u64 {
+    origin.map_or(0, |o| o.elapsed().as_nanos() as u64)
 }
 
 #[cfg(test)]
@@ -601,6 +669,34 @@ mod tests {
         assert!(rep.windows.is_empty());
         assert_eq!(rep.trace_events_recorded, 0);
         assert!(rep.observatory.is_none());
+    }
+
+    #[test]
+    fn stage_brackets_accumulate_calls_and_work() {
+        let mut t = RouterTelemetry::armed(TelemetryConfig::default(), &[]);
+        for _ in 0..3 {
+            let t0 = t.stage_begin();
+            t.stage_end(Stage::Arbitration, t0, 4);
+        }
+        let t0 = t.stage_begin();
+        assert_eq!(t0, 0, "no wall clock: timestamps are zero");
+        t.stage_end(Stage::CreditReturn, t0, 5);
+        let rep = t.report(KernelStats::default());
+        let names: Vec<&str> = rep.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, STAGE_NAMES);
+        let stage = |name: &str| rep.stages.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(
+            (stage("arbitration").calls, stage("arbitration").work),
+            (3, 12)
+        );
+        assert_eq!(
+            (stage("credit-return").calls, stage("credit-return").work),
+            (1, 5)
+        );
+        assert_eq!(stage("crossbar").calls, 0);
+        assert!(rep.stages.iter().all(|s| s.wall_ns == 0));
+        let returned = rep.counters.iter().find(|c| c.name == "credits_returned");
+        assert_eq!(returned.unwrap().value, 5, "credit returns are counted too");
     }
 
     #[test]
@@ -644,6 +740,8 @@ mod tests {
         t.on_credit_consumed(6, 9);
         t.on_fault_detected(7, 2);
         t.on_quarantine(8, 4);
+        t.end_cycle(8, 7);
+        t.end_cycle(9, 3);
         let rep = t.report(KernelStats::default());
         let get = |name: &str| {
             rep.counters
@@ -657,6 +755,11 @@ mod tests {
         assert_eq!(get("credits_consumed"), 1);
         assert_eq!(get("faults_detected"), 1);
         assert_eq!(get("connections_quarantined"), 1);
+        assert_eq!(get("cycles"), 2);
+        assert_eq!(get("backlog_peak_flits"), 7, "the gauge keeps the peak");
+        assert_eq!(get("credits_returned"), 0);
+        let names: Vec<&str> = rep.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, COUNTER_NAMES);
         assert_eq!(rep.trace_events_recorded, 5);
         assert_eq!(rep.trace_events_retained, 5);
     }

@@ -14,10 +14,9 @@
 //! * [`engine`] — a tiny cycle-driven engine: a [`engine::CycleModel`] is
 //!   stepped one flit cycle at a time with warm-up handling and stop
 //!   conditions.
-//! * [`telemetry`] — the observability substrate an armed router holds:
-//!   a counter [`telemetry::Registry`], a [`telemetry::Clock`]-injected
-//!   per-stage profiler, the binary [`telemetry::FlightRecorder`], and
-//!   pre-allocated snapshot buffers.
+//! * [`telemetry`] — the observability pieces the router, the experiment
+//!   layer and the CLI share: the binary [`telemetry::FlightRecorder`]
+//!   and the Prometheus [`telemetry::expose`] writers and validator.
 //! * [`check`] — [`check::ConfigError`], the typed error every
 //!   configuration check returns, naming the offending field.
 //! * [`fault`] — deterministic fault schedules ([`fault::FaultPlan`]):

@@ -4,10 +4,10 @@
 //! Writers append `# HELP`/`# TYPE` headers and sample lines to a
 //! caller-supplied `String`, so a scrape loop that reuses its buffer
 //! performs no heap allocation once the buffer has grown to its working
-//! size: every writer takes iterators ([`crate::telemetry::Registry::iter`],
-//! [`crate::telemetry::StageProfiler::iter`],
-//! [`crate::stats::LogHistogram::nonzero_buckets`]) rather than the
-//! allocating `samples()` snapshots.
+//! size: every writer takes iterators (of `(name, value)` counter pairs,
+//! `(name, calls, work, wall_ns)` stage tuples, or
+//! [`crate::stats::LogHistogram::nonzero_buckets`]) rather than owned
+//! collections.
 //!
 //! Histograms follow the Prometheus convention: cumulative `le` buckets
 //! (each bucket counts observations `<=` its bound), a `+Inf` bucket
@@ -92,9 +92,8 @@ pub fn write_sample_f64_parts(
     let _ = writeln!(out, " {value}");
 }
 
-/// Write a counter family from `(name, value)` pairs, e.g. straight off
-/// [`crate::telemetry::Registry::iter`].  Each counter becomes
-/// `<ns>_<name>`.
+/// Write a counter family from `(name, value)` pairs.  Each counter
+/// becomes `<ns>_<name>`.
 pub fn write_counters<'a>(
     out: &mut String,
     ns: &str,
@@ -111,7 +110,7 @@ pub fn write_counters<'a>(
 }
 
 /// Write the stage-profile families from `(name, calls, work, wall_ns)`
-/// tuples, e.g. straight off [`crate::telemetry::StageProfiler::iter`].
+/// tuples.
 pub fn write_stages<'a>(
     out: &mut String,
     ns: &str,

@@ -113,10 +113,21 @@ for f in $(find crates/*/src -name '*.rs'); do
         exit 1
     fi
 done
+# No telemetry substrate: the armed router's counters, stage figures
+# and snapshot windows are fixed arrays indexed by its own Counter and
+# Stage enums, so no non-test code under crates/*/src defines a general
+# counter registry, stage profiler, snapshot ring or clock trait.
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' |
+        grep -nE '\b(struct (Registry|StageProfiler|SnapshotRing)|trait Clock)\b'; then
+        echo "error: $f defines a telemetry substrate; keep fixed arrays in the armed router" >&2
+        exit 1
+    fi
+done
 # Ratchet: the non-test line count (scripts/loc.sh) may not grow past
 # LOC_CEILING.  Lowering the ceiling to a new, smaller count is always
 # allowed; raising it means shipping code that no deletion paid for.
-LOC_CEILING=20847
+LOC_CEILING=20512
 LOC="$(bash scripts/loc.sh)"
 echo "non-test lines under crates/*/src: $LOC (ceiling $LOC_CEILING)"
 if ((LOC > LOC_CEILING)); then

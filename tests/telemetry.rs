@@ -276,3 +276,65 @@ fn disarmed_router_reports_nothing() {
     assert_eq!(report.windows.len(), 0);
     assert_eq!(report.trace_events_recorded, 0);
 }
+
+#[test]
+fn windows_past_the_buffer_are_counted_as_dropped() {
+    // One window per cycle overruns the 512-window buffer: the report
+    // keeps the first 512 in order and counts every later one.
+    let cfg = fig5_style(0.5);
+    let mut router = build_router(&cfg, build_workload(&cfg));
+    router.set_telemetry(TelemetryConfig {
+        snapshot_interval: 1,
+        ..TelemetryConfig::default()
+    });
+    let cycles = 700u64;
+    for t in 0..cycles {
+        router.step(FlitCycle(t), true);
+    }
+    let report = router.telemetry_report();
+    assert_eq!(report.windows.len(), 512);
+    assert_eq!(report.windows_dropped, cycles - 512);
+    for (i, w) in report.windows.iter().enumerate() {
+        assert_eq!(
+            (w.index, w.start_cycle, w.end_cycle),
+            (i as u64, i as u64, i as u64)
+        );
+    }
+}
+
+#[test]
+fn wall_clock_arming_times_stages_and_changes_nothing_else() {
+    // A real clock fills the stages' wall time and nothing else: the
+    // simulation, the RNG position, the counters and the stages' calls
+    // and work read exactly as under default (clockless) arming.
+    let cfg = fig5_style(0.7);
+    let run = |wall_clock: bool| {
+        let mut router = build_router(&cfg, build_workload(&cfg));
+        router.set_telemetry(TelemetryConfig {
+            wall_clock,
+            ..TelemetryConfig::default()
+        });
+        for t in 0..2_000 {
+            router.step(FlitCycle(t), true);
+        }
+        (
+            router.summary(),
+            router.rng_fingerprint(),
+            router.telemetry_report(),
+        )
+    };
+    let (plain_summary, plain_rng, plain) = run(false);
+    let (timed_summary, timed_rng, timed) = run(true);
+    assert_eq!(plain_summary, timed_summary);
+    assert_eq!(plain_rng, timed_rng, "the clock consumed an RNG draw");
+    assert_eq!(plain.counters, timed.counters);
+    let calls_and_work = |r: &mmr_core::router::telemetry::TelemetryReport| {
+        r.stages
+            .iter()
+            .map(|s| (s.name.clone(), s.calls, s.work))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(calls_and_work(&plain), calls_and_work(&timed));
+    assert!(plain.stages.iter().all(|s| s.wall_ns == 0));
+    assert!(timed.stages.iter().map(|s| s.wall_ns).sum::<u64>() > 0);
+}
