@@ -59,11 +59,6 @@ impl IslipArbiter {
         }
     }
 
-    /// Current grant pointers (for tests).
-    pub fn grant_pointers(&self) -> &[usize] {
-        &self.grant_ptr
-    }
-
     fn run<const W: usize>(&mut self, cs: &CandidateSet, out: &mut Matching) {
         let n = self.ports;
         out.clear();
@@ -152,6 +147,13 @@ impl SwitchScheduler for IslipArbiter {
 mod tests {
     use super::*;
     use crate::candidate::{Candidate, Priority};
+
+    impl IslipArbiter {
+        /// Current grant pointers.
+        fn grant_pointers(&self) -> &[usize] {
+            &self.grant_ptr
+        }
+    }
 
     fn cand(input: usize, vc: usize, output: usize) -> Candidate {
         Candidate {

@@ -95,21 +95,11 @@ pub fn shaped_weight(priority: f64, floor: f64, ceil: f64, ports: usize) -> f64 
     EDGE_BASE + q / (ports + 1) as f64
 }
 
-/// The frontier weight of edge `(input, output)`: at least
-/// [`EDGE_BASE`], strictly under `EDGE_BASE + 1/ports`, increasing in
-/// the best candidate's priority — so total weight orders matchings
-/// lexicographically by (size, priority).  `None` when no candidate
-/// requests the pair.
-pub fn edge_weight(cs: &CandidateSet, input: usize, output: usize) -> Option<f64> {
-    let (floor, ceil) = priority_bounds(cs);
-    cs.best_for(input, output)
-        .map(|c| shaped_weight(c.priority.0, floor, ceil, cs.ports()))
-}
-
-/// Total frontier weight of matching `m` against `cs`: the sum of
-/// [`edge_weight`] over the matched pairs.  Works for any arbiter's
-/// matching, which is what lets the ablation compare COA's served weight
-/// against the oracle's.
+/// Total frontier weight of matching `m` against `cs`: the sum over the
+/// matched pairs of each edge's weight — at least [`EDGE_BASE`], strictly
+/// under `EDGE_BASE + 1/ports`, increasing in the best candidate's
+/// priority — so total weight orders matchings lexicographically by
+/// (size, priority).  Works for any arbiter's matching.
 pub fn matching_weight(cs: &CandidateSet, m: &Matching) -> f64 {
     let (floor, ceil) = priority_bounds(cs);
     m.grants()
@@ -388,6 +378,17 @@ impl SwitchScheduler for MwmArbiter {
 mod tests {
     use super::*;
     use crate::candidate::{Candidate, Priority};
+
+    /// The frontier weight of edge `(input, output)`: at least
+    /// [`EDGE_BASE`], strictly under `EDGE_BASE + 1/ports`, increasing in
+    /// the best candidate's priority — so total weight orders matchings
+    /// lexicographically by (size, priority).  `None` when no candidate
+    /// requests the pair.
+    fn edge_weight(cs: &CandidateSet, input: usize, output: usize) -> Option<f64> {
+        let (floor, ceil) = priority_bounds(cs);
+        cs.best_for(input, output)
+            .map(|c| shaped_weight(c.priority.0, floor, ceil, cs.ports()))
+    }
 
     fn cand(input: usize, vc: usize, output: usize, p: f64) -> Candidate {
         Candidate {

@@ -51,9 +51,6 @@ pub type PortSet128 = PortSet<2>;
 pub type PortSet256 = PortSet<4>;
 
 impl<const W: usize> PortSet<W> {
-    /// The empty set.
-    pub const EMPTY: Self = PortSet { words: [0; W] };
-
     /// The set `{0, 1, .., ports-1}`.
     #[inline]
     pub fn full(ports: usize) -> Self {
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn insert_remove_contains_across_words() {
-        let mut s = PortSet256::EMPTY;
+        let mut s = PortSet256::full(0);
         for p in [0, 63, 64, 127, 128, 255] {
             assert!(!s.contains(p));
             s.insert(p);
@@ -277,7 +274,7 @@ mod tests {
 
     #[test]
     fn take_lowest_walks_ascending() {
-        let mut s = PortSet128::EMPTY;
+        let mut s = PortSet128::full(0);
         for p in [100, 3, 64, 65, 0] {
             s.insert(p);
         }
@@ -291,7 +288,7 @@ mod tests {
 
     #[test]
     fn kth_set_bit_selects_across_words() {
-        let mut s = PortSet128::EMPTY;
+        let mut s = PortSet128::full(0);
         for p in [1, 3, 64, 130 - 64] {
             s.insert(p);
         }
@@ -316,7 +313,7 @@ mod tests {
         );
         assert_eq!(PortSet64::from_words(&[1]).first_at_or_after(63), 0);
         // Multi-word: search crosses a word boundary, then wraps fully.
-        let mut s = PortSet256::EMPTY;
+        let mut s = PortSet256::full(0);
         s.insert(5);
         s.insert(200);
         assert_eq!(s.first_at_or_after(6), 200);
@@ -327,7 +324,7 @@ mod tests {
     #[test]
     fn and_intersects() {
         let a = PortSet128::full(100);
-        let mut b = PortSet128::EMPTY;
+        let mut b = PortSet128::full(0);
         b.insert(99);
         b.insert(100);
         let c = a.and(&b);
@@ -338,7 +335,7 @@ mod tests {
 
     #[test]
     fn iter_yields_ascending() {
-        let mut s = PortSet256::EMPTY;
+        let mut s = PortSet256::full(0);
         for p in [255, 0, 128] {
             s.insert(p);
         }

@@ -67,11 +67,6 @@ impl WaveFrontArbiter {
         }
     }
 
-    /// The diagonal that will be served first on the next call.
-    pub fn current_diagonal(&self) -> usize {
-        self.start_diag
-    }
-
     fn run<const W: usize>(&mut self, cs: &CandidateSet, out: &mut Matching) {
         let n = self.ports;
         out.clear();
@@ -153,6 +148,13 @@ impl SwitchScheduler for WaveFrontArbiter {
 mod tests {
     use super::*;
     use crate::candidate::{Candidate, Priority};
+
+    impl WaveFrontArbiter {
+        /// The diagonal that will be served first on the next call.
+        fn current_diagonal(&self) -> usize {
+            self.start_diag
+        }
+    }
 
     fn cand(input: usize, vc: usize, output: usize, prio: f64) -> Candidate {
         Candidate {

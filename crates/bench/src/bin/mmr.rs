@@ -93,8 +93,15 @@ fn arbiter(s: &str) -> ArbiterKind {
     or_exit(parse_arbiter(s))
 }
 
-/// Parse `--flag value` pairs plus bare `--json` style switches.
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// The value-taking flags of `mmr run` (and of `mmr sweep`, which adds
+/// its grid).
+const RUN_FLAGS: [&str; 9] = [
+    "config", "load", "arbiter", "priority", "vbr", "gops", "cycles", "warmup", "seed",
+];
+
+/// Parse `--flag value` pairs, each a run flag or named in `extra`, plus
+/// the bare `--json` switch; exits 2 naming any other flag.
+fn parse_flags(args: &[String], extra: &[&str]) -> (HashMap<String, String>, Vec<String>) {
     let mut flags = HashMap::new();
     let mut switches = Vec::new();
     let mut i = 0;
@@ -104,6 +111,9 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
             if matches!(name, "json") {
                 switches.push(name.to_string());
                 i += 1;
+            } else if !RUN_FLAGS.contains(&name) && !extra.contains(&name) {
+                eprintln!("unknown flag --{name}");
+                usage()
             } else if i + 1 < args.len() {
                 flags.insert(name.to_string(), args[i + 1].clone());
                 i += 2;
@@ -188,7 +198,7 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
 }
 
 fn cmd_run(args: &[String]) {
-    let (flags, switches) = parse_flags(args);
+    let (flags, switches) = parse_flags(args, &[]);
     let cfg = config_from_flags(&flags);
     let result = run_experiment(&cfg);
     if switches.iter().any(|s| s == "json") {
@@ -234,7 +244,7 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    let (flags, _) = parse_flags(args);
+    let (flags, _) = parse_flags(args, &["loads", "arbiters"]);
     let base = config_from_flags(&flags);
     let loads: Vec<f64> = flags
         .get("loads")

@@ -120,7 +120,10 @@ fn run_config_with_a_bad_fabric_exits_2_naming_the_field() {
         ),
         (fabric(ring.with_workers(0)), "fabric.workers"),
         (
-            fabric(ring).with_fault(FaultSpec::default()),
+            SimConfig {
+                fault: Some(FaultSpec::default()),
+                ..fabric(ring)
+            },
             "fault: a fabric runs no fault plan",
         ),
         (
@@ -292,6 +295,14 @@ fn assert_mmr_exits_2(args: &[&str], expected: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{expected}: {stderr}");
     assert!(stderr.contains(expected), "{expected}: {stderr}");
+}
+
+#[test]
+fn run_and_sweep_refuse_unknown_flags() {
+    assert_mmr_exits_2(&["run", "--bogus", "1"], "unknown flag --bogus");
+    // `--arbiters` is a sweep flag: `run` would otherwise run COA alone.
+    assert_mmr_exits_2(&["run", "--arbiters", "coa,wfa"], "unknown flag --arbiters");
+    assert_mmr_exits_2(&["sweep", "--bogus", "1"], "unknown flag --bogus");
 }
 
 #[test]

@@ -1,37 +1,26 @@
-//! Serializable simulation configuration.
+//! Serializable simulation configuration: [`SimConfig`], the one
+//! description of a run that `mmr run --config`, the sweeps and the
+//! workload packs all lower to, and [`SimConfig::check`], its one
+//! validator.
+//!
+//! Each scenario concept is one type, defined in the lowest crate that
+//! needs it and re-exported here under the name configs use: the VBR
+//! injection model, ramp steps and churn windows live with the workload
+//! builders ([`mmr_traffic::workload`]), the fabric geometry with the
+//! fabric ([`mmr_router::fabric`]) and telemetry arming with the
+//! router's telemetry.
 
 use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::RouterConfig;
-use mmr_router::fabric::{FabricConfig, Topology};
 use mmr_router::fault::FaultProfile;
 use mmr_router::telemetry::MAX_TRACE_CAPACITY;
 pub use mmr_sim::check::ConfigError;
 use mmr_sim::check::{within_span, MAX_SPAN};
 use mmr_sim::ensure;
 use mmr_sim::fault::FaultPlanConfig;
+pub use mmr_traffic::workload::{ChurnConfig, InjectionKind, RampStepConfig};
 use serde::{Deserialize, Serialize};
-
-/// Which injection model a VBR workload uses (mirrors
-/// [`mmr_traffic::workload::VbrInjection`] but serializable alongside the
-/// rest of the config).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InjectionKind {
-    /// Smooth-Rate (Fig. 7b).
-    SmoothRate,
-    /// Back-to-Back (Fig. 7a).
-    BackToBack,
-}
-
-impl InjectionKind {
-    /// Report label ("SR" / "BB").
-    pub fn label(self) -> &'static str {
-        match self {
-            InjectionKind::SmoothRate => "SR",
-            InjectionKind::BackToBack => "BB",
-        }
-    }
-}
 
 /// One connection group of a [`WorkloadSpec::Mix`] workload: a CBR class
 /// with an explicit rate and pick weight (the declarative analogue of the
@@ -44,17 +33,6 @@ pub struct MixGroup {
     pub rate_bps: f64,
     /// Relative pick probability during admission.
     pub weight: f64,
-}
-
-/// One breakpoint of a ramp schedule: by `at_cycle`, `fraction` of the
-/// admitted connections must be active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RampStepConfig {
-    /// Router cycle of the breakpoint.
-    pub at_cycle: u64,
-    /// Fraction of admitted connections active from this breakpoint on
-    /// (non-decreasing across steps; the last step must reach 1.0).
-    pub fraction: f64,
 }
 
 /// A ramp schedule: admitted connections activate in admission order so
@@ -101,37 +79,6 @@ impl RampScheduleConfig {
             }
         }
         active.min(total)
-    }
-}
-
-/// A churn window: a fraction of the base connections depart during the
-/// window and a fraction of extra connections arrive, both spread
-/// deterministically across `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnConfig {
-    /// First router cycle of the churn window.
-    pub start: u64,
-    /// One past the last router cycle of the window.
-    pub end: u64,
-    /// Fraction of the base connections that depart during the window.
-    pub departures: f64,
-    /// Extra offered load arriving during the window, as a fraction of
-    /// the base target load (the arrivals go through the CAC like any
-    /// other admission request).
-    pub arrivals: f64,
-}
-
-impl ChurnConfig {
-    /// Check the window is non-empty and both fractions lie in `[0, 1]`.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        let (start, end) = (self.start, self.end);
-        ensure!(end > start; "end", "churn window {start}..{end} is empty");
-        within_span(end, "end")?;
-        for (x, field) in [(self.departures, "departures"), (self.arrivals, "arrivals")] {
-            ensure!((0.0..=1.0).contains(&x); field,
-                "churn {field} {x} must be a fraction in [0, 1]");
-        }
-        Ok(())
     }
 }
 
@@ -326,60 +273,14 @@ impl FaultSpec {
 }
 
 /// Telemetry for a simulation: arming parameters for the router's
-/// counter registry, stage profiler, flight recorder, and snapshot
-/// windows — the router's own config, serialized with the rest.
+/// counters, stage figures, flight recorder, and snapshot windows — the
+/// router's own config, serialized with the rest.
 pub use mmr_router::telemetry::TelemetryConfig as TelemetrySpec;
 
-/// Multi-router fabric geometry (the paper-§6 extension at scale).
-///
-/// When present on a [`SimConfig`], fabric experiments instantiate this
-/// topology of MMRs instead of the single router; the workload builders
-/// target the fabric's flat host-port space
-/// ([`Topology::workload_ports`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FabricSpec {
-    /// Topology to instantiate.
-    pub topology: Topology,
-    /// Inter-node link latency in flit cycles (also the epoch length of
-    /// the sharded executor).
-    pub link_latency: u64,
-    /// Host (injection/ejection) links per router (ring/mesh/torus).
-    pub host_ports: usize,
-    /// Chunks the fabric is split into for parallel execution, run on
-    /// at most as many threads as the host has CPUs
-    /// (`Fabric::thread_count`).  Results are bit-identical for every
-    /// value, so this is a performance knob, not a semantic one.
-    pub workers: usize,
-}
-
-impl FabricSpec {
-    /// A spec for `topology` with the fabric defaults (single-cycle line
-    /// links, 4-cycle links otherwise, one host port, one worker).
-    pub fn new(topology: Topology) -> Self {
-        let d = FabricConfig::new(RouterConfig::default(), topology);
-        FabricSpec {
-            topology,
-            link_latency: d.link_latency,
-            host_ports: d.host_ports,
-            workers: 1,
-        }
-    }
-
-    /// A copy with a different worker count.
-    pub fn with_workers(self, workers: usize) -> Self {
-        FabricSpec { workers, ..self }
-    }
-
-    /// The router-side fabric config this spec describes.
-    pub fn to_config(self, router: RouterConfig) -> FabricConfig {
-        FabricConfig {
-            router,
-            topology: self.topology,
-            link_latency: self.link_latency,
-            host_ports: self.host_ports,
-        }
-    }
-}
+/// Multi-router fabric geometry: when present on a [`SimConfig`], fabric
+/// experiments instantiate this topology of MMRs instead of the single
+/// router.
+pub use mmr_router::fabric::FabricSpec;
 
 /// A complete, reproducible description of one simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -456,14 +357,6 @@ impl SimConfig {
         }
     }
 
-    /// A copy with fault injection enabled (or reconfigured).
-    pub fn with_fault(&self, fault: FaultSpec) -> Self {
-        SimConfig {
-            fault: Some(fault),
-            ..self.clone()
-        }
-    }
-
     /// A copy with telemetry armed (or re-armed).
     pub fn with_telemetry(&self, telemetry: TelemetrySpec) -> Self {
         SimConfig {
@@ -487,8 +380,7 @@ impl SimConfig {
     pub fn check(&self) -> Result<(), ConfigError> {
         self.router.check().map_err(|e| e.within("router"))?;
         if let Some(fabric) = self.fabric {
-            ensure!(fabric.workers > 0; "fabric.workers", "a fabric needs at least one worker");
-            let geometry = fabric.to_config(self.router).check();
+            let geometry = fabric.check(&self.router);
             geometry.map_err(|e| e.within("fabric"))?;
             // Faults and telemetry arm the single router only.
             ensure!(self.fault.is_none(); "fault", "a fabric runs no fault plan");
@@ -564,6 +456,7 @@ pub fn vbr_cycle_budget(gops: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmr_router::fabric::Topology;
 
     #[test]
     fn vbr_budget_covers_gops() {
@@ -612,7 +505,10 @@ mod tests {
 
     #[test]
     fn fault_spec_roundtrips_and_scales() {
-        let cfg = SimConfig::default().with_fault(FaultSpec::default());
+        let cfg = SimConfig {
+            fault: Some(FaultSpec::default()),
+            ..SimConfig::default()
+        };
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
@@ -654,8 +550,7 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
-        let fc = spec.to_config(cfg.router);
-        assert_eq!(fc.topology.node_count(), 16);
+        assert_eq!(spec.topology.node_count(), 16);
         // Line specs keep the historical single-cycle hop latency.
         assert_eq!(
             FabricSpec::new(Topology::Line { stages: 3 }).link_latency,
@@ -731,6 +626,10 @@ mod tests {
         let mut rate = d.clone();
         rate.router.time.link_bits_per_sec = f64::INFINITY;
         let mesh = d.with_fabric(FabricSpec::new(Topology::Mesh { x: 2, y: 2 }));
+        let with_fault = |cfg: &SimConfig, fault| SimConfig {
+            fault: Some(fault),
+            ..cfg.clone()
+        };
         let window = |window_start, window_len| FaultSpec {
             plan: FaultPlanConfig {
                 window_start,
@@ -844,19 +743,19 @@ mod tests {
                 "fabric.workers",
                 "worker",
             ),
-            (mesh.with_fault(FaultSpec::default()), "fault", "fabric"),
+            (with_fault(&mesh, FaultSpec::default()), "fault", "fabric"),
             (
                 mesh.with_telemetry(TelemetrySpec::default()),
                 "telemetry",
                 "single router",
             ),
             (
-                d.with_fault(window(49_000, 1_001)),
+                with_fault(&d, window(49_000, 1_001)),
                 "fault.plan.window_len",
                 "last cycle 50000",
             ),
             (
-                d.with_fault(window(5_000, 0)),
+                with_fault(&d, window(5_000, 0)),
                 "fault.plan.window_len",
                 "positive",
             ),
@@ -865,6 +764,6 @@ mod tests {
             assert_eq!(err.field, field, "{err}");
             assert!(err.reason.contains(expected), "{expected}: {err}");
         }
-        assert_eq!(d.with_fault(window(49_000, 1_000)).check(), Ok(()));
+        assert_eq!(with_fault(&d, window(49_000, 1_000)).check(), Ok(()));
     }
 }

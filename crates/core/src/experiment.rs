@@ -1,7 +1,7 @@
 //! Build-and-run for one simulation point: one run function and one
 //! result type for the single router and the multi-router fabric alike.
 
-use crate::config::{FabricSpec, InjectionKind, RunLength, SimConfig, WorkloadSpec};
+use crate::config::{FabricSpec, RunLength, SimConfig, WorkloadSpec};
 use mmr_router::fabric::{Fabric, FabricSummary};
 use mmr_router::router::{MmrRouter, RouterSummary};
 use mmr_router::telemetry::TelemetryReport;
@@ -9,7 +9,7 @@ use mmr_sim::engine::{Runner, StopCondition};
 use mmr_sim::rng::SimRng;
 use mmr_sim::telemetry::recorder::TraceEvent;
 use mmr_traffic::workload::{
-    AdmissionTally, CbrMixBuilder, MixWorkloadBuilder, VbrInjection, VbrMixBuilder, Workload,
+    AdmissionTally, CbrMixBuilder, MixWorkloadBuilder, VbrMixBuilder, Workload,
 };
 use serde::{Deserialize, Serialize};
 
@@ -47,7 +47,7 @@ pub struct ExperimentResult {
 
 impl ExperimentResult {
     /// Prometheus text exposition (format 0.0.4) of this result's
-    /// telemetry: counter registry, stage profiler, kernel stats, the QoS
+    /// telemetry: counters, stage figures, kernel stats, the QoS
     /// observatory's per-class histograms/SLO counters, and the CAC
     /// admission tally.  Empty when telemetry was not armed.
     pub fn prometheus(&self) -> String {
@@ -94,18 +94,12 @@ pub fn build_workload_for_ports(cfg: &SimConfig, ports: usize) -> Workload {
             gops,
             injection,
             enforce_peak,
-        } => {
-            let inj = match injection {
-                InjectionKind::SmoothRate => VbrInjection::SmoothRate,
-                InjectionKind::BackToBack => VbrInjection::BackToBack,
-            };
-            VbrMixBuilder::new(ports, cfg.router.time, cfg.router.round)
-                .target_load(*target_load)
-                .gops(*gops)
-                .injection(inj)
-                .enforce_peak(*enforce_peak)
-                .build(&mut rng)
-        }
+        } => VbrMixBuilder::new(ports, cfg.router.time, cfg.router.round)
+            .target_load(*target_load)
+            .gops(*gops)
+            .injection(*injection)
+            .enforce_peak(*enforce_peak)
+            .build(&mut rng),
         WorkloadSpec::Mix {
             target_load,
             groups,
@@ -126,15 +120,10 @@ pub fn build_workload_for_ports(cfg: &SimConfig, ports: usize) -> Workload {
                 .target_load(*target_load)
                 .classes(classes);
             if let Some(ramp) = ramp {
-                b = b.ramp(
-                    ramp.steps
-                        .iter()
-                        .map(|s| (s.at_cycle, s.fraction))
-                        .collect(),
-                );
+                b = b.ramp(ramp.steps.clone());
             }
-            if let Some(c) = churn {
-                b = b.churn(c.start, c.end, c.departures, c.arrivals);
+            if let Some(churn) = churn {
+                b = b.churn(*churn);
             }
             b.build(&mut rng)
         }
@@ -174,7 +163,8 @@ pub fn build_fabric_workload(cfg: &SimConfig, spec: &FabricSpec) -> Workload {
 /// Build the fabric for a config and workload.
 pub fn build_fabric(cfg: &SimConfig, spec: &FabricSpec, workload: Workload) -> Fabric {
     Fabric::new(
-        spec.to_config(cfg.router),
+        *spec,
+        cfg.router,
         workload,
         cfg.arbiter,
         cfg.priority,
@@ -253,6 +243,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InjectionKind;
     use mmr_arbiter::scheduler::ArbiterKind;
     use mmr_router::fabric::Topology;
     use mmr_traffic::connection::TrafficClass;

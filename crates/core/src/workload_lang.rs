@@ -16,10 +16,15 @@
 //!
 //! The committed packs live under `workloads/`; `mmr gate` (mmr-bench)
 //! runs them all through one experiment cache and gates their claims in
-//! CI.  TOML support is a self-contained subset (tables, arrays of
-//! tables, scalars, inline arrays, comments) because the build
+//! CI.  TOML support is a self-contained, read-only subset (tables,
+//! arrays of tables, scalars, inline arrays, comments) because the build
 //! environment vendors no external TOML crate; JSON documents are
 //! detected by a leading `{` and parsed with the vendored `serde_json`.
+//!
+//! Sections that describe a config concept deserialize into the
+//! config's own type: `[[ramp.step]]` into [`RampStepConfig`] and
+//! `[churn]` into [`ChurnConfig`], so a pack and a `SimConfig` spell a
+//! ramp or a churn window the same way.
 
 use crate::config::{
     vbr_cycle_budget, BestEffortSpec, ChurnConfig, ConfigError, FabricSpec, FaultSpec,
@@ -253,7 +258,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 // ---------------------------------------------------------------------------
-// TOML subset: parse + emit
+// TOML subset: parse
 // ---------------------------------------------------------------------------
 
 /// Parse a TOML document (the subset this language uses: bare-key tables,
@@ -588,111 +593,6 @@ fn split_top_level(text: &str, line: usize) -> Result<Vec<&str>, SpecError> {
     Ok(pieces)
 }
 
-/// Render a [`Value`] object as the TOML subset [`toml_to_value`] reads:
-/// scalar keys first, then `[path]` sub-tables, then `[[path]]` arrays of
-/// tables.  `Null` fields are skipped (absent optionals).
-pub fn value_to_toml(v: &Value) -> String {
-    let mut out = String::new();
-    if let Value::Object(fields) = v {
-        emit_table(&mut out, "", fields);
-    }
-    out
-}
-
-fn is_table_array(v: &Value) -> bool {
-    matches!(v, Value::Array(items) if !items.is_empty()
-        && items.iter().all(|e| matches!(e, Value::Object(_))))
-}
-
-fn emit_table(out: &mut String, path: &str, fields: &[(String, Value)]) {
-    for (k, v) in fields {
-        match v {
-            Value::Null | Value::Object(_) => {}
-            _ if is_table_array(v) => {}
-            _ => {
-                out.push_str(k);
-                out.push_str(" = ");
-                emit_inline(out, v);
-                out.push('\n');
-            }
-        }
-    }
-    for (k, v) in fields {
-        if let Value::Object(sub) = v {
-            let sub_path = join_path(path, k);
-            out.push_str(&format!("\n[{sub_path}]\n"));
-            emit_table(out, &sub_path, sub);
-        }
-    }
-    for (k, v) in fields {
-        if is_table_array(v) {
-            if let Value::Array(items) = v {
-                let sub_path = join_path(path, k);
-                for item in items {
-                    if let Value::Object(sub) = item {
-                        out.push_str(&format!("\n[[{sub_path}]]\n"));
-                        emit_table(out, &sub_path, sub);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn join_path(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
-
-fn emit_inline(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("[]"), // unreachable for skipped keys
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => out.push_str(&format_toml_float(*x)),
-        Value::Str(s) => {
-            out.push('"');
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                emit_inline(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(_) => out.push_str("{}"), // inline tables are never emitted
-    }
-}
-
-/// Shortest round-trip float rendering with a guaranteed float marker so
-/// the parser reads it back as `F64`, not an integer.
-fn format_toml_float(x: f64) -> String {
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 /// Parse a workload document: JSON when the first non-space byte is `{`,
 /// the TOML subset otherwise.
 pub fn parse_document(text: &str) -> Result<Value, SpecError> {
@@ -838,33 +738,12 @@ pub struct SweepSec {
     pub full: Option<SweepFull>,
 }
 
-/// One `[[ramp.step]]` breakpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RampStepSpec {
-    /// Breakpoint cycle.
-    pub at_cycle: u64,
-    /// Cumulative fraction of connections active from here on.
-    pub fraction: f64,
-}
-
-/// `[ramp]` — staged connection activation.
+/// `[ramp]` — staged connection activation, one `[[ramp.step]]` per
+/// breakpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RampSec {
     /// Breakpoints, strictly increasing in cycle, ending at 1.0.
-    pub step: Vec<RampStepSpec>,
-}
-
-/// `[churn]` — mid-run departures and arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnSec {
-    /// Window start cycle.
-    pub start: u64,
-    /// Window end cycle (exclusive).
-    pub end: u64,
-    /// Fraction of base connections departing inside the window.
-    pub departures: f64,
-    /// Extra connections arriving, as a fraction of the base population.
-    pub arrivals: f64,
+    pub step: Vec<RampStepConfig>,
 }
 
 /// `[fault]` — a scaled default fault plan.
@@ -952,8 +831,8 @@ pub struct WorkloadSpec {
     pub sweep: SweepSec,
     /// `[ramp]`.
     pub ramp: Option<RampSec>,
-    /// `[churn]`.
-    pub churn: Option<ChurnSec>,
+    /// `[churn]` — mid-run departures and arrivals.
+    pub churn: Option<ChurnConfig>,
     /// `[fault]`.
     pub fault: Option<FaultSec>,
     /// `[fabric]`.
@@ -1089,12 +968,6 @@ impl WorkloadSpec {
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let value = parse_document(text)?;
         Self::from_value(&value).map_err(|e| SpecError::Schema { msg: e.to_string() })
-    }
-
-    /// Render this spec as a TOML document [`Self::parse`] reads back
-    /// losslessly.
-    pub fn to_toml(&self) -> String {
-        value_to_toml(&self.to_value())
     }
 
     /// True for the router-less MPEG pack (`preset = "mpeg-sequences"`).
@@ -1498,21 +1371,9 @@ impl WorkloadSpec {
                     })
                     .collect::<Result<Vec<_>, SpecError>>()?,
                 ramp: self.ramp.as_ref().map(|r| RampScheduleConfig {
-                    steps: r
-                        .step
-                        .iter()
-                        .map(|s| RampStepConfig {
-                            at_cycle: s.at_cycle,
-                            fraction: s.fraction,
-                        })
-                        .collect(),
+                    steps: r.step.clone(),
                 }),
-                churn: self.churn.map(|c| ChurnConfig {
-                    start: c.start,
-                    end: c.end,
-                    departures: c.departures,
-                    arrivals: c.arrivals,
-                }),
+                churn: self.churn,
             },
             (None, Some(vbr)) => ConfigWorkload::Vbr {
                 target_load: 0.5,
@@ -2114,29 +1975,6 @@ name = "b"
     }
 
     #[test]
-    fn toml_value_roundtrip() {
-        // Scalars first, then sub-tables, then arrays of tables — the
-        // order the emitter writes, so Value equality holds on re-parse.
-        let v = Value::Object(vec![
-            ("a".into(), Value::U64(5)),
-            ("b".into(), Value::F64(2.5)),
-            ("c".into(), Value::Str("x\ny".into())),
-            ("empty".into(), Value::Array(vec![])),
-            (
-                "sub".into(),
-                Value::Object(vec![("d".into(), Value::Bool(false))]),
-            ),
-            (
-                "items".into(),
-                Value::Array(vec![Value::Object(vec![("e".into(), Value::I64(-1))])]),
-            ),
-        ]);
-        let text = value_to_toml(&v);
-        let back = toml_to_value(&text).unwrap();
-        assert_eq!(back, v, "emitted TOML:\n{text}");
-    }
-
-    #[test]
     fn minimal_pack_parses_and_validates() {
         let spec = WorkloadSpec::parse(&minimal_pack("")).unwrap();
         assert_eq!(spec.meta.name, "test_pack");
@@ -2153,26 +1991,6 @@ name = "b"
         let json = serde_json::to_string(&spec).unwrap();
         let back = WorkloadSpec::parse(&json).unwrap();
         assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn spec_roundtrips_through_toml() {
-        let extra = r#"
-[best_effort]
-load = 0.1
-mean_flits = 8.0
-
-[[claim]]
-id = "test_pack.throughput"
-description = "keeps throughput"
-kind = "throughput-floor"
-at_load = 0.5
-threshold = 0.9
-"#;
-        let spec = WorkloadSpec::parse(&minimal_pack(extra)).unwrap();
-        let text = spec.to_toml();
-        let back = WorkloadSpec::parse(&text).unwrap();
-        assert_eq!(back, spec, "emitted TOML:\n{text}");
     }
 
     #[test]

@@ -244,13 +244,14 @@ impl Topology {
 /// Most routers a fabric may hold.
 pub const MAX_NODES: usize = 1024;
 
-/// Fabric geometry and timing knobs on top of the per-router
-/// [`RouterConfig`].
+/// Multi-router fabric geometry on top of the per-router
+/// [`RouterConfig`] (the paper-§6 extension at scale), serialized with
+/// the rest of a simulation config.
+///
+/// Workload builders target the fabric's flat host-port space
+/// ([`Topology::workload_ports`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FabricConfig {
-    /// Per-router configuration (buffer depths, timing, candidate
-    /// levels; `ports` sizes the line bundle).
-    pub router: RouterConfig,
+pub struct FabricSpec {
     /// Topology to instantiate.
     pub topology: Topology,
     /// Inter-node link latency in flit cycles (>= 1).  Also the epoch
@@ -260,42 +261,56 @@ pub struct FabricConfig {
     /// Host (injection/ejection) links per router for ring/mesh/torus
     /// topologies; ignored for the line.
     pub host_ports: usize,
+    /// Chunks the fabric is split into for parallel execution, run on
+    /// at most as many threads as the host has CPUs
+    /// ([`Fabric::thread_count`]).  Results are bit-identical for every
+    /// value, so this is a performance knob, not a semantic one.
+    pub workers: usize,
 }
 
-impl FabricConfig {
+impl FabricSpec {
     /// A fabric of `topology` with defaults: single-cycle links for the
     /// line (independent routers on short links: a flit advances one
-    /// hop per flit cycle), 4-cycle links otherwise,
-    /// one host port per router.
-    pub fn new(router: RouterConfig, topology: Topology) -> Self {
-        FabricConfig {
-            router,
+    /// hop per flit cycle), 4-cycle links otherwise, one host port per
+    /// router, one worker.
+    pub fn new(topology: Topology) -> Self {
+        FabricSpec {
             topology,
             link_latency: match topology {
                 Topology::Line { .. } => 1,
                 _ => 4,
             },
             host_ports: 1,
+            workers: 1,
         }
     }
 
-    /// Check the geometry, naming the first nonsense field: the
-    /// topology's shape, the links, the host ports and the router every
-    /// node is built from, whose port count the topology sets.
-    pub fn check(&self) -> Result<(), ConfigError> {
+    /// A copy with a different worker count.
+    pub fn with_workers(self, workers: usize) -> Self {
+        FabricSpec { workers, ..self }
+    }
+
+    /// Check the geometry over `router`, naming the first nonsense
+    /// field: the workers, the topology's shape, the links, the host
+    /// ports and the router every node is built from, whose port count
+    /// the topology sets.
+    pub fn check(&self, router: &RouterConfig) -> Result<(), ConfigError> {
+        ensure!(self.workers > 0; "workers", "a fabric needs at least one worker");
         self.topology.check()?;
         ensure!(self.link_latency > 0; "link_latency", "links need at least one cycle");
         within_span(self.link_latency, "link_latency")?;
         ensure!(matches!(self.topology, Topology::Line { .. }) || self.host_ports > 0; "host_ports",
             "ring/mesh/torus fabrics need at least one host port");
-        self.node_router().check().map_err(|e| e.within("node"))
+        self.node_router(router)
+            .check()
+            .map_err(|e| e.within("node"))
     }
 
     /// The configuration of each node's router.
-    fn node_router(&self) -> RouterConfig {
+    fn node_router(&self, router: &RouterConfig) -> RouterConfig {
         RouterConfig {
-            ports: self.topology.node_ports(self.router.ports, self.host_ports),
-            ..self.router
+            ports: self.topology.node_ports(router.ports, self.host_ports),
+            ..*router
         }
     }
 }
@@ -860,7 +875,8 @@ pub struct FabricRunOutcome {
 
 /// A sharded multi-router fabric of MMRs.
 pub struct Fabric {
-    cfg: FabricConfig,
+    spec: FabricSpec,
+    router: RouterConfig,
     pub(crate) nodes: Vec<FabricNode>,
     flit_out: Vec<Vec<FlitWire>>,
     flit_rx: Vec<Rx<Flit>>,
@@ -880,19 +896,20 @@ impl Fabric {
     /// placed on its deterministic reserved path (dimension-order for
     /// mesh/torus, shorter-way for rings, seeded random bundle ports
     /// for line hops — the path a routing probe would have reserved).
-    /// Panics with [`FabricConfig::check`]'s message on a nonsense
+    /// Panics with [`FabricSpec::check`]'s message on a nonsense
     /// configuration.  A one-node fabric is the single router: its
     /// arbitration RNG is the router's `seed ^ 0x4D4D_5221` stream, node
     /// *k* of a larger fabric takes split *k* of `seed ^ 0x6E65_7477`.
     pub fn new(
-        cfg: FabricConfig,
+        spec: FabricSpec,
+        router: RouterConfig,
         workload: Workload,
         arbiter_kind: ArbiterKind,
         priority: PriorityKind,
         seed: u64,
     ) -> Self {
-        let ports = cfg.node_router().ports;
-        Fabric::build(cfg, workload, seed, || {
+        let ports = spec.node_router(&router).ports;
+        Fabric::build(spec, router, workload, seed, || {
             (arbiter_kind.instantiate(ports), priority.instantiate())
         })
     }
@@ -900,12 +917,13 @@ impl Fabric {
     /// [`Fabric::new`] with each node's switch scheduler and link-priority
     /// function made by `switch`, called once per node in node order.
     pub(crate) fn build(
-        cfg: FabricConfig,
+        spec: FabricSpec,
+        router: RouterConfig,
         workload: Workload,
         seed: u64,
         mut switch: impl FnMut() -> (Box<dyn SwitchScheduler>, Box<dyn LinkPriority>),
     ) -> Self {
-        if let Err(e) = cfg.check() {
+        if let Err(e) = spec.check(&router) {
             panic!("{e}");
         }
         let Workload {
@@ -914,21 +932,19 @@ impl Fabric {
             ..
         } = workload;
         let n = specs.len();
-        let nnodes = cfg.topology.node_count();
-        let degree = cfg.topology.degree();
-        let node_ports = cfg.topology.node_ports(cfg.router.ports, cfg.host_ports);
-        let workload_ports = cfg
-            .topology
-            .workload_ports(cfg.router.ports, cfg.host_ports);
+        let nnodes = spec.topology.node_count();
+        let degree = spec.topology.degree();
+        let node_ports = spec.topology.node_ports(router.ports, spec.host_ports);
+        let workload_ports = spec.topology.workload_ports(router.ports, spec.host_ports);
         let hm = HostMap {
             nodes: nnodes,
-            host_ports: cfg.host_ports,
+            host_ports: spec.host_ports,
         };
 
         // ---- Wiring: the directed link list of the topology. --------
         // (from node, from port) -> (to node, to port).
         let mut links: Vec<(usize, usize, usize, usize)> = Vec::new();
-        match cfg.topology {
+        match spec.topology {
             Topology::Line { stages } => {
                 for s in 0..stages.saturating_sub(1) {
                     for p in 0..node_ports {
@@ -945,7 +961,7 @@ impl Fabric {
                 }
             }
             Topology::Mesh { x, y } | Topology::Torus { x, y } => {
-                let wrap = matches!(cfg.topology, Topology::Torus { .. });
+                let wrap = matches!(spec.topology, Topology::Torus { .. });
                 for node in 0..x * y {
                     let (gx, gy) = (node % x, node / x);
                     let mut emit = |dir: Dir, exists: bool, to: usize| {
@@ -1024,7 +1040,7 @@ impl Fabric {
                 visits[node] += 1;
                 path_out.push(out);
             };
-            match cfg.topology {
+            match spec.topology {
                 Topology::Line { stages } => {
                     // One draw per intermediate hop, in connection
                     // order: recorded line results depend on it.
@@ -1040,7 +1056,7 @@ impl Fabric {
                     }
                 }
                 Topology::Ring { .. } | Topology::Mesh { .. } | Topology::Torus { .. } => {
-                    let (gx, gy, wrap) = match cfg.topology {
+                    let (gx, gy, wrap) = match spec.topology {
                         Topology::Ring { nodes } => (nodes, 1, true),
                         Topology::Mesh { x, y } => (x, y, false),
                         Topology::Torus { x, y } => (x, y, true),
@@ -1083,8 +1099,8 @@ impl Fabric {
 
         // ---- Per-node construction: each node is one `SwitchCore`
         // over its local VC space, plus its link ends. -----------------
-        let rc_per_flit = cfg.router.router_cycles_per_flit();
-        let node_cfg = cfg.node_router();
+        let rc_per_flit = router.router_cycles_per_flit();
+        let node_cfg = spec.node_router(&router);
         let arb_base = SimRng::seed_from_u64(seed ^ 0x6E65_7477);
         let arb_rng = |nd: usize| match nnodes {
             1 => SimRng::seed_from_u64(seed ^ 0x4D4D_5221),
@@ -1111,11 +1127,11 @@ impl Fabric {
                 let h = h as usize;
                 let (Hop { conn, inp, .. }, out) = (hops[h], path_out[h]);
                 let (conn, inp) = (conn as usize, inp as usize);
-                let spec = &specs[conn];
+                let c = &specs[conn];
                 qos.push(VcQosInfo {
                     output: out,
-                    reserved_slots: spec.reserved_slots,
-                    iat_rc: spec.iat_router_cycles(&cfg.router.time),
+                    reserved_slots: c.reserved_slots,
+                    iat_rc: c.iat_router_cycles(&router.time),
                 });
                 let next = if h + 1 == path_start[conn + 1] {
                     HopNext::Deliver
@@ -1140,7 +1156,7 @@ impl Fabric {
                 route.push(VcRoute {
                     next,
                     back,
-                    class: spec.class,
+                    class: c.class,
                 });
             }
             let (arbiter, priority_fn) = switch();
@@ -1165,14 +1181,14 @@ impl Fabric {
                 .collect();
             nodes.push(FabricNode {
                 core,
-                credits_down: CreditBank::new(nloc, cfg.router.vc_buffer_flits as u32),
+                credits_down: CreditBank::new(nloc, router.vc_buffer_flits as u32),
                 route,
                 feeds,
                 out_count: out_start[nd + 1] - out_start[nd],
                 in_count: in_start[nd + 1] - in_start[nd],
                 // An epoch's worth of ejections (at most one per port and
                 // cycle): the steady state never grows the buffer.
-                events: Vec::with_capacity(cfg.link_latency as usize * node_ports),
+                events: Vec::with_capacity(spec.link_latency as usize * node_ports),
                 committed: 0,
                 generated: [0; CLASS_COUNT],
                 exhausted_at: None,
@@ -1188,7 +1204,7 @@ impl Fabric {
             cred_out: (0..nlinks).map(|_| Vec::new()).collect(),
             cred_rx: (0..nlinks).map(|_| Rx::new()).collect(),
             ledger: Ledger {
-                metrics: MetricsCollector::new(n, cfg.router.time),
+                metrics: MetricsCollector::new(n, router.time),
                 outputs: OutputPorts::new(workload_ports),
                 link_slots: (0..nlinks).map(|l| (out_slot[l], in_slot[l])).collect(),
                 specs,
@@ -1201,16 +1217,18 @@ impl Fabric {
             path_start,
             timing: Timing {
                 rc_per_flit,
-                crossing_rc: cfg.router.crossing_latency_flits * rc_per_flit,
-                link_latency: cfg.link_latency,
+                crossing_rc: router.crossing_latency_flits * rc_per_flit,
+                link_latency: spec.link_latency,
             },
-            cfg,
+            spec,
+            router,
         }
     }
 
-    /// Fabric configuration.
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
+    /// The router configuration every node is built from (its `ports`
+    /// sizes the line bundle).
+    pub(crate) fn router_config(&self) -> &RouterConfig {
+        &self.router
     }
 
     /// Router count.
@@ -1254,7 +1272,7 @@ impl Fabric {
     pub fn summary(&self) -> FabricSummary {
         let l = &self.ledger;
         FabricSummary {
-            topology: self.cfg.topology.label(),
+            topology: self.spec.topology.label(),
             nodes: self.nodes.len(),
             links: l.link_slots.len(),
             connections: l.specs.len(),
@@ -1750,13 +1768,13 @@ mod tests {
 
     fn fabric(topology: Topology, load: f64, seed: u64) -> Fabric {
         let router = RouterConfig::default();
-        let cfg = FabricConfig::new(router, topology);
-        let ports = topology.workload_ports(router.ports, cfg.host_ports);
+        let spec = FabricSpec::new(topology);
+        let ports = topology.workload_ports(router.ports, spec.host_ports);
         let mut rng = SimRng::seed_from_u64(seed);
         let w = CbrMixBuilder::new(ports, router.time, RoundConfig::default())
             .target_load(load)
             .build(&mut rng);
-        Fabric::new(cfg, w, ArbiterKind::Coa, PriorityKind::Siabp, seed)
+        Fabric::new(spec, router, w, ArbiterKind::Coa, PriorityKind::Siabp, seed)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`SwitchCore`]: crate::pipeline::SwitchCore
 
 use crate::config::RouterConfig;
-use crate::fabric::{Fabric, FabricConfig, FabricNode, Topology};
+use crate::fabric::{Fabric, FabricNode, FabricSpec, Topology};
 use crate::fault::{FaultProfile, FaultReport, FaultState};
 use crate::metrics::MetricsReport;
 use crate::telemetry::{RouterTelemetry, TelemetryConfig, TelemetryReport};
@@ -41,8 +41,8 @@ impl MmrRouter {
         seed: u64,
     ) -> Self {
         let mut switch = Some((arbiter, priority_fn));
-        let cfg = FabricConfig::new(cfg, Topology::Line { stages: 1 });
-        let fabric = Fabric::build(cfg, workload, seed, || {
+        let line = FabricSpec::new(Topology::Line { stages: 1 });
+        let fabric = Fabric::build(line, cfg, workload, seed, || {
             switch.take().expect("a one-node fabric builds one switch")
         });
         MmrRouter { fabric }
@@ -153,7 +153,7 @@ impl MmrRouter {
 
     /// Router configuration.
     pub fn config(&self) -> &RouterConfig {
-        &self.fabric.config().router
+        self.fabric.router_config()
     }
 
     /// Connection specs (index = connection id).

@@ -373,35 +373,35 @@ fn write_observatory_prometheus(out: &mut String, scale: f64, obs: &ObservatoryR
         ),
     ];
     for (name, help, channel) in channels {
-        expose::write_header(out, name, help, "histogram");
+        expose::write_header_parts(out, &[name], help, "histogram");
         for c in &obs.classes {
             expose::write_histogram(out, name, &[("class", c.class.label())], channel(c), scale);
         }
     }
-    expose::write_header(
+    expose::write_header_parts(
         out,
-        "mmr_slo_violations_total",
+        &["mmr_slo_violations_total"],
         "Deliveries that broke the delay bound, per class.",
         "counter",
     );
     for c in &obs.classes {
-        expose::write_sample(
+        expose::write_sample_parts(
             out,
-            "mmr_slo_violations_total",
+            &["mmr_slo_violations_total"],
             &[("class", c.class.label())],
             c.slo_violations,
         );
     }
-    expose::write_header(
+    expose::write_header_parts(
         out,
-        "mmr_slo_delay_bound_seconds",
+        &["mmr_slo_delay_bound_seconds"],
         "The armed delay bound (0 = violation counting disabled).",
         "gauge",
     );
     let slo = &obs.slo;
-    expose::write_sample_f64(
+    expose::write_sample_f64_parts(
         out,
-        "mmr_slo_delay_bound_seconds",
+        &["mmr_slo_delay_bound_seconds"],
         &[],
         slo.delay_bound_rc as f64 * scale,
     );

@@ -1,10 +1,12 @@
-//! Prometheus text exposition (version 0.0.4) for the telemetry
-//! substrate.
+//! Prometheus text exposition (version 0.0.4) of an armed router's
+//! counters, stage figures and histograms.
 //!
 //! Writers append `# HELP`/`# TYPE` headers and sample lines to a
 //! caller-supplied `String`, so a scrape loop that reuses its buffer
 //! performs no heap allocation once the buffer has grown to its working
-//! size: every writer takes iterators (of `(name, value)` counter pairs,
+//! size: metric names come in concatenated pieces (`&[ns, "_", name]`),
+//! so namespaced names need no intermediate `String`, and every family
+//! writer takes iterators (of `(name, value)` counter pairs,
 //! `(name, calls, work, wall_ns)` stage tuples, or
 //! [`crate::stats::LogHistogram::nonzero_buckets`]) rather than owned
 //! collections.
@@ -22,21 +24,20 @@
 use crate::stats::LogHistogram;
 use std::fmt::Write;
 
-/// Write a `# HELP` + `# TYPE` header for a metric family.
-pub fn write_header(out: &mut String, name: &str, help: &str, kind: &str) {
-    debug_assert!(valid_metric_name(name), "invalid metric name {name}");
-    write_header_parts(out, &[name], help, kind);
-}
-
 fn push_parts(out: &mut String, parts: &[&str]) {
     for p in parts {
         out.push_str(p);
     }
 }
 
-/// As [`write_header`], with the family name given in concatenated
-/// pieces so namespaced names need no intermediate `String`.
+/// Write a `# HELP` + `# TYPE` header for a metric family, its name
+/// given in concatenated pieces.
 pub fn write_header_parts(out: &mut String, name: &[&str], help: &str, kind: &str) {
+    debug_assert!(
+        valid_metric_name(name),
+        "invalid metric name {}",
+        name.concat()
+    );
     out.push_str("# HELP ");
     push_parts(out, name);
     out.push(' ');
@@ -63,24 +64,16 @@ fn write_label_set(out: &mut String, labels: &[(&str, &str)]) {
     out.push('}');
 }
 
-/// Write one integer-valued sample line.
-pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
-    write_sample_parts(out, &[name], labels, value);
-}
-
-/// As [`write_sample`], with the metric name in concatenated pieces.
+/// Write one integer-valued sample line, its metric name in
+/// concatenated pieces.
 pub fn write_sample_parts(out: &mut String, name: &[&str], labels: &[(&str, &str)], value: u64) {
     push_parts(out, name);
     write_label_set(out, labels);
     let _ = writeln!(out, " {value}");
 }
 
-/// Write one float-valued sample line.
-pub fn write_sample_f64(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
-    write_sample_f64_parts(out, &[name], labels, value);
-}
-
-/// As [`write_sample_f64`], with the metric name in concatenated pieces.
+/// Write one float-valued sample line, its metric name in concatenated
+/// pieces.
 pub fn write_sample_f64_parts(
     out: &mut String,
     name: &[&str],
@@ -137,7 +130,7 @@ pub fn write_stages<'a>(
     write_header_parts(
         out,
         &[ns, "_stage_wall_ns_total"],
-        "Wall nanoseconds accumulated per pipeline stage (zero under the null clock).",
+        "Wall nanoseconds accumulated per pipeline stage (zero unless telemetry is armed with wall_clock).",
         "counter",
     );
     for (name, _, _, wall_ns) in stages {
@@ -181,8 +174,10 @@ pub fn write_histogram(
     write_sample_parts(out, &[name, "_count"], labels, h.count());
 }
 
-fn valid_metric_name(name: &str) -> bool {
-    let mut chars = name.chars();
+/// Whether the concatenation of `name`'s pieces is a valid metric name
+/// (checked without building it, so the writers stay allocation-free).
+fn valid_metric_name(name: &[&str]) -> bool {
+    let mut chars = name.iter().flat_map(|p| p.chars());
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
         _ => return false,
@@ -232,7 +227,7 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
             let mut it = rest.splitn(2, ' ');
             let name = it.next().unwrap_or_default();
             let kind = it.next().unwrap_or_default();
-            if !valid_metric_name(name) {
+            if !valid_metric_name(&[name]) {
                 return err(format!("invalid family name `{name}`"));
             }
             if !matches!(
@@ -261,7 +256,7 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
             Err(_) => return err(format!("unparseable sample value `{value}`")),
         };
         let name = series.split('{').next().unwrap_or_default();
-        if !valid_metric_name(name) {
+        if !valid_metric_name(&[name]) {
             return err(format!("invalid metric name `{name}`"));
         }
         let family = family_of(name);
@@ -355,9 +350,14 @@ mod tests {
     #[test]
     fn counter_and_sample_lines_are_well_formed() {
         let mut out = String::new();
-        write_header(&mut out, "mmr_cycles", "Executed flit cycles.", "counter");
-        write_sample(&mut out, "mmr_cycles", &[], 8000);
-        write_sample(&mut out, "mmr_grants", &[("port", "3")], 17);
+        write_header_parts(
+            &mut out,
+            &["mmr_cycles"],
+            "Executed flit cycles.",
+            "counter",
+        );
+        write_sample_parts(&mut out, &["mmr_cycles"], &[], 8000);
+        write_sample_parts(&mut out, &["mmr_grants"], &[("port", "3")], 17);
         assert!(out.contains("# TYPE mmr_cycles counter"));
         assert!(out.contains("mmr_cycles 8000\n"));
         assert!(out.contains("mmr_grants{port=\"3\"} 17\n"));
@@ -370,7 +370,7 @@ mod tests {
             h.record(v);
         }
         let mut out = String::new();
-        write_header(&mut out, "mmr_delay_us", "Delay.", "histogram");
+        write_header_parts(&mut out, &["mmr_delay_us"], "Delay.", "histogram");
         write_histogram(&mut out, "mmr_delay_us", &[("class", "vbr")], &h, 1.0);
         let stats = validate_exposition(&out).expect("generated exposition validates");
         assert!(stats.samples >= 7, "buckets + +Inf + sum + count");
@@ -423,7 +423,7 @@ mod tests {
     fn empty_histogram_still_closes_its_series() {
         let h = LogHistogram::default();
         let mut out = String::new();
-        write_header(&mut out, "h", "Empty.", "histogram");
+        write_header_parts(&mut out, &["h"], "Empty.", "histogram");
         write_histogram(&mut out, "h", &[], &h, 1.0);
         validate_exposition(&out).expect("empty histogram exposes +Inf/sum/count");
         assert!(out.contains("h_bucket{le=\"+Inf\"} 0"));

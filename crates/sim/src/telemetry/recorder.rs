@@ -170,28 +170,8 @@ impl FlightRecorder {
         self.recorded
     }
 
-    /// Events lost to overwriting.
-    pub fn dropped(&self) -> u64 {
-        self.recorded - self.ring.len() as u64
-    }
-
-    /// Forget all retained events (the ring stays allocated).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.next = 0;
-        self.recorded = 0;
-    }
-
-    /// Render the retained window as JSONL, one event per line, oldest
-    /// first.  Allocates — dump-time only.
-    pub fn dump_jsonl(&self) -> String {
-        to_jsonl(self.events())
-    }
-
     /// Parse a JSONL dump back into events (the inverse of
-    /// [`dump_jsonl`]).
-    ///
-    /// [`dump_jsonl`]: FlightRecorder::dump_jsonl
+    /// [`to_jsonl`]).
     pub fn parse_jsonl(dump: &str) -> Result<Vec<TraceEvent>, serde::Error> {
         dump.lines()
             .filter(|l| !l.trim().is_empty())
@@ -200,9 +180,9 @@ impl FlightRecorder {
     }
 }
 
-/// Render `events` as JSONL, one event per line — the format
-/// [`FlightRecorder::dump_jsonl`] writes and
-/// [`FlightRecorder::parse_jsonl`] reads.
+/// Render `events` as JSONL, one event per line, oldest first — the
+/// format [`FlightRecorder::parse_jsonl`] reads.  Allocates — dump-time
+/// only.
 pub fn to_jsonl(events: impl IntoIterator<Item = TraceEvent>) -> String {
     let mut out = String::new();
     for ev in events {
@@ -215,6 +195,20 @@ pub fn to_jsonl(events: impl IntoIterator<Item = TraceEvent>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FlightRecorder {
+        /// Events lost to overwriting.
+        fn dropped(&self) -> u64 {
+            self.recorded - self.ring.len() as u64
+        }
+
+        /// Forget all retained events (the ring stays allocated).
+        fn clear(&mut self) {
+            self.ring.clear();
+            self.next = 0;
+            self.recorded = 0;
+        }
+    }
 
     #[test]
     fn retains_in_order_under_capacity() {
@@ -257,7 +251,7 @@ mod tests {
         r.record(TraceEvent::vc_stalled(6, 0, 3, 1));
         r.record(TraceEvent::fault_detected(7, 1));
         r.record(TraceEvent::quarantined(8, 12));
-        let dump = r.dump_jsonl();
+        let dump = to_jsonl(r.events());
         assert_eq!(dump.lines().count(), 4);
         let back = FlightRecorder::parse_jsonl(&dump).unwrap();
         let orig: Vec<TraceEvent> = r.events().collect();

@@ -180,13 +180,6 @@ impl TimeBase {
         self.flit_bits as f64 / self.link_bits_per_sec
     }
 
-    /// Convert a duration in seconds to whole router cycles (rounded to
-    /// nearest).
-    #[inline]
-    pub fn secs_to_router_cycles(&self, secs: f64) -> RouterCycle {
-        RouterCycle((secs / self.router_cycle_secs()).round() as u64)
-    }
-
     /// Inter-arrival time, in router cycles, of flits of a connection with
     /// the given average bandwidth.
     ///
@@ -213,15 +206,6 @@ mod tests {
         // a phit takes "a few nanoseconds"
         let phit_ns = tb.router_cycle_secs() * 1e9;
         assert!(phit_ns > 5.0 && phit_ns < 20.0, "phit cycle {phit_ns} ns");
-    }
-
-    #[test]
-    fn conversions_roundtrip() {
-        let tb = TimeBase::default();
-        assert_eq!(
-            tb.secs_to_router_cycles(tb.router_cycle_secs() * 10.0),
-            RouterCycle(10)
-        );
     }
 
     #[test]

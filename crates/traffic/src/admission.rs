@@ -184,15 +184,6 @@ impl AdmissionControl {
         Ok(avg_req)
     }
 
-    /// Would-admit check without reserving.
-    pub fn can_admit(&self, input: usize, output: usize, avg: Bandwidth, peak: Bandwidth) -> bool {
-        let avg_req = self.round.slots_for(avg, &self.tb);
-        let peak_req = self.round.slots_for(peak, &self.tb);
-        Self::check_link(&self.inputs[input], avg_req, peak_req, &self.round, true).is_ok()
-            && Self::check_link(&self.outputs[output], avg_req, peak_req, &self.round, false)
-                .is_ok()
-    }
-
     /// Fraction of the round already reserved (average slots) on an input
     /// link.
     pub fn input_load(&self, input: usize) -> f64 {
@@ -370,21 +361,9 @@ mod tests {
                 .unwrap_err(),
             AdmissionError::InputAverageExceeded
         );
-        assert!(!c.can_admit(0, 0, voice, voice));
         // Other links are untouched by the full one.
         assert_eq!(c.input_load(1), 0.0);
-        assert!(c.can_admit(1, 1, voice, voice));
-    }
-
-    #[test]
-    fn can_admit_does_not_reserve() {
-        let mut c = cac();
-        let bw = Bandwidth::mbps(500.0);
-        assert!(c.can_admit(0, 1, bw, bw));
-        assert!(c.can_admit(0, 1, bw, bw));
-        assert_eq!(c.input_load(0), 0.0);
-        c.admit(0, 1, bw, bw).unwrap();
-        assert!(c.input_load(0) > 0.0);
+        assert!(c.admit(1, 1, voice, voice).is_ok());
     }
 
     #[test]

@@ -136,7 +136,7 @@ mod tests {
         let tb = TimeBase::default();
         let mut s = source(50.0, 8.0, 1);
         let mut out = Vec::new();
-        let one_sec = tb.secs_to_router_cycles(1.0);
+        let one_sec = RouterCycle((1.0 / tb.router_cycle_secs()).round() as u64);
         s.drain_until(one_sec, &mut out);
         let expected = 50e6 / 1024.0; // flits per second
         let got = out.len() as f64;

@@ -76,7 +76,7 @@ mod tests {
         let tb = TimeBase::default();
         let mut s = CbrSource::new(ConnectionId(0), Bandwidth::mbps(55.0), RouterCycle(0), &tb);
         // Drain one simulated second and count flits: expect b / flit_bits.
-        let one_sec = tb.secs_to_router_cycles(1.0);
+        let one_sec = RouterCycle((1.0 / tb.router_cycle_secs()).round() as u64);
         let mut out = Vec::new();
         s.drain_until(one_sec, &mut out);
         let expected = 55e6 / 1024.0;

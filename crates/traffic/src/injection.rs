@@ -70,7 +70,7 @@ mod tests {
         // 1200 flits * 1024 bits / 33 ms ≈ 37.2 Mbps
         assert!((peak.as_mbps() - 37.236).abs() < 0.1, "{}", peak.as_mbps());
         // At that peak, exactly the largest frame fits in one frame time.
-        let frame_time_rc = tb.secs_to_router_cycles(0.033).0 as f64;
+        let frame_time_rc = (0.033 / tb.router_cycle_secs()).round();
         let iat = model.iat_router_cycles(1200, frame_time_rc, &tb);
         let span = iat * 1200.0;
         assert!((span - frame_time_rc).abs() / frame_time_rc < 0.001);
@@ -80,7 +80,7 @@ mod tests {
     fn bb_iat_independent_of_frame_size() {
         let tb = TimeBase::default();
         let model = InjectionModel::back_to_back_for(1000, 0.033, &tb);
-        let ft = tb.secs_to_router_cycles(0.033).0 as f64;
+        let ft = (0.033 / tb.router_cycle_secs()).round();
         let iat_small = model.iat_router_cycles(10, ft, &tb);
         let iat_large = model.iat_router_cycles(1000, ft, &tb);
         assert_eq!(iat_small, iat_large);
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn sr_spreads_over_frame_time() {
         let tb = TimeBase::default();
-        let ft = tb.secs_to_router_cycles(0.033).0 as f64;
+        let ft = (0.033 / tb.router_cycle_secs()).round();
         let model = InjectionModel::SmoothRate;
         // Small frames get large IATs, large frames small IATs; product is
         // always the frame time.
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn sr_smoother_than_bb_for_small_frames() {
         let tb = TimeBase::default();
-        let ft = tb.secs_to_router_cycles(0.033).0 as f64;
+        let ft = (0.033 / tb.router_cycle_secs()).round();
         let bb = InjectionModel::back_to_back_for(1000, 0.033, &tb);
         let sr = InjectionModel::SmoothRate;
         // A 100-flit frame: BB bursts it in a tenth of the frame time.

@@ -82,20 +82,6 @@ impl SequenceParams {
             FrameType::B => self.mean_b_bits,
         }
     }
-
-    /// Average bits per frame over one GOP.
-    pub fn mean_frame_bits(&self) -> f64 {
-        let (mut i, mut p, mut b) = (0.0, 0.0, 0.0);
-        for ty in GOP_PATTERN {
-            match ty {
-                FrameType::I => i += 1.0,
-                FrameType::P => p += 1.0,
-                FrameType::B => b += 1.0,
-            }
-        }
-        (i * self.mean_i_bits + p * self.mean_p_bits + b * self.mean_b_bits)
-            / GOP_PATTERN.len() as f64
-    }
 }
 
 /// The seven sequences of Table 1 with calibrated parameters.
@@ -248,6 +234,12 @@ impl MpegTrace {
 mod tests {
     use super::*;
 
+    /// Average bits per frame over one GOP.
+    fn mean_frame_bits(params: &SequenceParams) -> f64 {
+        let total: f64 = GOP_PATTERN.iter().map(|&ty| params.mean_for(ty)).sum();
+        total / GOP_PATTERN.len() as f64
+    }
+
     fn flower_trace(gops: usize) -> MpegTrace {
         let params = &standard_sequences()[3];
         let tb = TimeBase::default();
@@ -329,7 +321,7 @@ mod tests {
         assert_eq!(seqs.len(), 7);
         let rates: Vec<f64> = seqs
             .iter()
-            .map(|s| s.mean_frame_bits() / FRAME_TIME_SECS / 1e6)
+            .map(|s| mean_frame_bits(s) / FRAME_TIME_SECS / 1e6)
             .collect();
         let lo = rates.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = rates.iter().cloned().fold(0.0, f64::max);
@@ -355,7 +347,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1234);
         let t = MpegTrace::generate(params, 200, &tb, &mut rng);
         let measured = t.stats().avg_bits;
-        let nominal = params.mean_frame_bits();
+        let nominal = mean_frame_bits(params);
         let rel = (measured - nominal).abs() / nominal;
         assert!(
             rel < 0.05,

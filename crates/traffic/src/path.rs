@@ -121,27 +121,25 @@ pub fn mesh_route(x: usize, y: usize, src: usize, dst: usize, wrap: bool) -> Vec
     route
 }
 
-/// Walk a route from `src`, yielding each node visited after a hop.
-/// Used by the fabric to materialize per-hop state and by tests to
-/// check routes land where they claim.
-pub fn walk(x: usize, y: usize, src: usize, route: &[Dir]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(route.len());
-    let (mut gx, mut gy) = (src % x, src / x);
-    for d in route {
-        match d {
-            Dir::XPlus => gx = (gx + 1) % x,
-            Dir::XMinus => gx = (gx + x - 1) % x,
-            Dir::YPlus => gy = (gy + 1) % y,
-            Dir::YMinus => gy = (gy + y - 1) % y,
-        }
-        out.push(gy * x + gx);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Walk a route from `src`, yielding each node visited after a hop.
+    fn walk(x: usize, y: usize, src: usize, route: &[Dir]) -> Vec<usize> {
+        let mut out = Vec::with_capacity(route.len());
+        let (mut gx, mut gy) = (src % x, src / x);
+        for d in route {
+            match d {
+                Dir::XPlus => gx = (gx + 1) % x,
+                Dir::XMinus => gx = (gx + x - 1) % x,
+                Dir::YPlus => gy = (gy + 1) % y,
+                Dir::YMinus => gy = (gy + y - 1) % y,
+            }
+            out.push(gy * x + gx);
+        }
+        out
+    }
 
     #[test]
     fn mesh_routes_are_dimension_ordered() {

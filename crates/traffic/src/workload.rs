@@ -15,9 +15,12 @@ use crate::injection::InjectionModel;
 use crate::mpeg::{standard_sequences, MpegTrace, SequenceParams, FRAME_TIME_SECS};
 use crate::source::TrafficSource;
 use crate::vbr::VbrSource;
+use mmr_sim::check::{within_span, ConfigError};
+use mmr_sim::ensure;
 use mmr_sim::rng::SimRng;
 use mmr_sim::time::{RouterCycle, TimeBase};
 use mmr_sim::units::Bandwidth;
+use serde::{Deserialize, Serialize};
 
 /// A boxed source, index-aligned with its `ConnectionSpec`.
 pub type BoxedSource = Box<dyn TrafficSource + Send>;
@@ -27,7 +30,7 @@ pub type BoxedSource = Box<dyn TrafficSource + Send>;
 /// bandwidth would overshoot the load target) are not admission attempts
 /// and are not counted; best-effort connections reserve nothing and never
 /// consult the CAC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionTally {
     /// Admission requests the CAC accepted (slots reserved).
     pub accepted: u64,
@@ -384,15 +387,67 @@ impl CbrMixBuilder {
     }
 }
 
-/// Which injection model the VBR builder instantiates (the BB peak rate is
+/// Which injection model a VBR workload uses (the BB peak rate is
 /// derived from the generated traces, so the builder owns the choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VbrInjection {
-    /// Smooth-Rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum InjectionKind {
+    /// Smooth-Rate (Fig. 7b).
     SmoothRate,
-    /// Back-to-Back with the peak sized for the largest possible frame
-    /// across the configured sequences.
+    /// Back-to-Back (Fig. 7a), with the peak sized for the largest
+    /// possible frame across the configured sequences.
     BackToBack,
+}
+
+impl InjectionKind {
+    /// Report label ("SR" / "BB").
+    pub fn label(self) -> &'static str {
+        match self {
+            InjectionKind::SmoothRate => "SR",
+            InjectionKind::BackToBack => "BB",
+        }
+    }
+}
+
+/// One breakpoint of a ramp schedule: by `at_cycle`, `fraction` of the
+/// admitted connections must be active.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RampStepConfig {
+    /// Router cycle of the breakpoint.
+    pub at_cycle: u64,
+    /// Fraction of admitted connections active from this breakpoint on
+    /// (non-decreasing across steps; the last step must reach 1.0).
+    pub fraction: f64,
+}
+
+/// A churn window: a fraction of the base connections depart during the
+/// window and a fraction of extra connections arrive, both spread
+/// deterministically across `[start, end)`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ChurnConfig {
+    /// First router cycle of the churn window.
+    pub start: u64,
+    /// One past the last router cycle of the window.
+    pub end: u64,
+    /// Fraction of the base connections that depart during the window.
+    pub departures: f64,
+    /// Extra offered load arriving during the window, as a fraction of
+    /// the base target load (the arrivals go through the CAC like any
+    /// other admission request).
+    pub arrivals: f64,
+}
+
+impl ChurnConfig {
+    /// Check the window is non-empty and both fractions lie in `[0, 1]`.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let (start, end) = (self.start, self.end);
+        ensure!(end > start; "end", "churn window {start}..{end} is empty");
+        within_span(end, "end")?;
+        for (x, field) in [(self.departures, "departures"), (self.arrivals, "arrivals")] {
+            ensure!((0.0..=1.0).contains(&x); field,
+                "churn {field} {x} must be a fraction in [0, 1]");
+        }
+        Ok(())
+    }
 }
 
 /// Builder for the paper's VBR workloads (§5.2): MPEG-2 streams with
@@ -404,7 +459,7 @@ pub struct VbrMixBuilder {
     round: RoundConfig,
     target_load: f64,
     gops: usize,
-    injection: VbrInjection,
+    injection: InjectionKind,
     sequences: Vec<SequenceParams>,
     enforce_peak: bool,
 }
@@ -419,7 +474,7 @@ impl VbrMixBuilder {
             round,
             target_load: 0.5,
             gops: 4,
-            injection: VbrInjection::SmoothRate,
+            injection: InjectionKind::SmoothRate,
             sequences: standard_sequences(),
             enforce_peak: false,
         }
@@ -440,7 +495,7 @@ impl VbrMixBuilder {
     }
 
     /// Select the injection model.
-    pub fn injection(mut self, injection: VbrInjection) -> Self {
+    pub fn injection(mut self, injection: InjectionKind) -> Self {
         self.injection = injection;
         self
     }
@@ -474,8 +529,8 @@ impl VbrMixBuilder {
 
     fn model(&self) -> InjectionModel {
         match self.injection {
-            VbrInjection::SmoothRate => InjectionModel::SmoothRate,
-            VbrInjection::BackToBack => {
+            InjectionKind::SmoothRate => InjectionModel::SmoothRate,
+            InjectionKind::BackToBack => {
                 let max_bits = self
                     .sequences
                     .iter()
@@ -502,8 +557,8 @@ impl VbrMixBuilder {
             let stats = trace.stats();
             let avg = stats.avg_bandwidth;
             let peak = match self.injection {
-                VbrInjection::SmoothRate => stats.peak_bandwidth,
-                VbrInjection::BackToBack => self.bb_peak(),
+                InjectionKind::SmoothRate => stats.peak_bandwidth,
+                InjectionKind::BackToBack => self.bb_peak(),
             };
             let admit_peak = if self.enforce_peak { peak } else { avg };
             ((seq_idx, trace, avg, peak), avg, admit_peak)
@@ -558,10 +613,10 @@ impl VbrMixBuilder {
 pub struct MixWorkloadBuilder {
     /// Geometry, load target and class mix of the base population.
     mix: CbrMixBuilder,
-    /// `(at_cycle, cumulative_fraction)` steps, non-decreasing in both.
-    ramp: Vec<(u64, f64)>,
-    /// `(start, end, departures_fraction, arrivals_fraction)`.
-    churn: Option<(u64, u64, f64, f64)>,
+    /// Ramp breakpoints, non-decreasing in cycle and fraction.
+    ramp: Vec<RampStepConfig>,
+    /// Optional churn window.
+    churn: Option<ChurnConfig>,
 }
 
 impl MixWorkloadBuilder {
@@ -586,30 +641,31 @@ impl MixWorkloadBuilder {
         self
     }
 
-    /// Install a ramp schedule of `(at_cycle, cumulative_fraction)` steps.
-    pub fn ramp(mut self, steps: Vec<(u64, f64)>) -> Self {
+    /// Install a ramp schedule.
+    pub fn ramp(mut self, steps: Vec<RampStepConfig>) -> Self {
         self.ramp = steps;
         self
     }
 
-    /// Install a churn window.
-    pub fn churn(mut self, start: u64, end: u64, departures: f64, arrivals: f64) -> Self {
-        assert!(end > start, "churn window must be non-empty");
-        assert!((0.0..=1.0).contains(&departures));
-        assert!(arrivals >= 0.0);
-        self.churn = Some((start, end, departures, arrivals));
+    /// Install a churn window.  Panics with [`ChurnConfig::check`]'s
+    /// message on an empty window or a fraction outside `[0, 1]`.
+    pub fn churn(mut self, churn: ChurnConfig) -> Self {
+        if let Err(e) = churn.check() {
+            panic!("{e}");
+        }
+        self.churn = Some(churn);
         self
     }
 
     /// Activation cycle of base connection `index` out of `total` under
     /// the configured ramp (cycle 0 when no ramp is set).
     pub fn activation_of(&self, total: usize, index: usize) -> u64 {
-        for &(at, fraction) in &self.ramp {
-            if index < ((fraction * total as f64).round() as usize).min(total) {
-                return at;
+        for s in &self.ramp {
+            if index < ((s.fraction * total as f64).round() as usize).min(total) {
+                return s.at_cycle;
             }
         }
-        self.ramp.last().map(|s| s.0).unwrap_or(0)
+        self.ramp.last().map_or(0, |s| s.at_cycle)
     }
 
     /// Assemble the workload.
@@ -626,7 +682,13 @@ impl MixWorkloadBuilder {
         // Phase 2: departure plan — evenly spaced base indices retire at
         // evenly spaced cycles inside the churn window.
         let mut ends = vec![None; n];
-        if let Some((start, end, departures, _)) = self.churn {
+        if let Some(ChurnConfig {
+            start,
+            end,
+            departures,
+            ..
+        }) = self.churn
+        {
             let k = (departures * n as f64).round() as usize;
             let span = end - start;
             for i in 0..k.min(n) {
@@ -645,7 +707,13 @@ impl MixWorkloadBuilder {
         }
         // Phase 4: churn arrivals — extra admissions on top of the base
         // target, starting at staggered cycles inside the window.
-        if let Some((start, end, _, arrivals)) = self.churn {
+        if let Some(ChurnConfig {
+            start,
+            end,
+            arrivals,
+            ..
+        }) = self.churn
+        {
             let m = (arrivals * n as f64).round() as usize;
             let span = end - start;
             let mut admitted = 0usize;
@@ -689,6 +757,22 @@ mod tests {
 
     fn tb() -> TimeBase {
         TimeBase::default()
+    }
+
+    fn ramp(steps: &[(u64, f64)]) -> Vec<RampStepConfig> {
+        steps
+            .iter()
+            .map(|&(at_cycle, fraction)| RampStepConfig { at_cycle, fraction })
+            .collect()
+    }
+
+    fn churn(start: u64, end: u64, departures: f64, arrivals: f64) -> ChurnConfig {
+        ChurnConfig {
+            start,
+            end,
+            departures,
+            arrivals,
+        }
     }
 
     #[test]
@@ -840,10 +924,10 @@ mod tests {
     #[test]
     fn mix_builder_ramp_counts_match_breakpoints() {
         let mut rng = SimRng::seed_from_u64(10);
-        let steps = vec![(0u64, 0.25), (5_000u64, 0.5), (10_000u64, 1.0)];
+        let steps = [(0u64, 0.25), (5_000u64, 0.5), (10_000u64, 1.0)];
         let w = MixWorkloadBuilder::new(4, tb(), RoundConfig::default())
             .target_load(0.7)
-            .ramp(steps.clone())
+            .ramp(ramp(&steps))
             .build(&mut rng);
         let n = w.len();
         for &(at, fraction) in &steps {
@@ -866,7 +950,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(11);
         let w = MixWorkloadBuilder::new(4, tb(), RoundConfig::default())
             .target_load(0.5)
-            .churn(8_000, 16_000, 0.25, 0.25)
+            .churn(churn(8_000, 16_000, 0.25, 0.25))
             .build(&mut rng);
         let departing = w.windows.iter().filter(|win| win.end.is_some()).count();
         let late_starts = w.windows.iter().filter(|win| win.start.0 > 0).count();
@@ -901,8 +985,8 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(12);
             MixWorkloadBuilder::new(4, tb(), RoundConfig::default())
                 .target_load(0.6)
-                .ramp(vec![(0, 0.5), (4_000, 1.0)])
-                .churn(8_000, 12_000, 0.2, 0.1)
+                .ramp(ramp(&[(0, 0.5), (4_000, 1.0)]))
+                .churn(churn(8_000, 12_000, 0.2, 0.1))
                 .build(&mut rng)
         };
         let a = build();

@@ -170,8 +170,8 @@ fn telemetry_leaves_the_rng_stream_untouched() {
 
 #[test]
 fn armed_telemetry_reports_are_bit_identical() {
-    // With the deterministic null clock (wall_clock off, the default),
-    // the telemetry report itself — counters, stage profile, kernel
+    // With no clock read (wall_clock off, the default), the telemetry
+    // report itself — counters, stage profile, kernel
     // stats, windows — replays byte-for-byte.
     let cfg = quick(0.5, 11).with_telemetry(TelemetrySpec::default());
     let a = run_experiment(&cfg);

@@ -151,7 +151,7 @@ fn all_arbiters_run_the_full_pipeline() {
 fn line_network_end_to_end() {
     use mmr_core::arbiter::priority::PriorityKind;
     use mmr_core::router::config::RouterConfig;
-    use mmr_core::router::fabric::{Fabric, FabricConfig, Topology};
+    use mmr_core::router::fabric::{Fabric, FabricSpec, Topology};
     use mmr_core::sim::rng::SimRng;
     use mmr_core::traffic::admission::RoundConfig;
     use mmr_core::traffic::workload::CbrMixBuilder;
@@ -162,8 +162,8 @@ fn line_network_end_to_end() {
         .target_load(0.4)
         .build(&mut rng);
     let conns = w.len();
-    let fabric_cfg = FabricConfig::new(cfg, Topology::Line { stages: 3 });
-    let mut net = Fabric::new(fabric_cfg, w, ArbiterKind::Coa, PriorityKind::Siabp, 11);
+    let line = FabricSpec::new(Topology::Line { stages: 3 });
+    let mut net = Fabric::new(line, cfg, w, ArbiterKind::Coa, PriorityKind::Siabp, 11);
     assert_eq!(net.node_count(), 3);
     for conn in 0..conns {
         assert_eq!(net.path_of(conn).len(), 3);

@@ -33,7 +33,7 @@ use mmr_core::traffic::admission::RoundConfig;
 use mmr_core::traffic::calendar::InjectionCalendar;
 use mmr_core::traffic::connection::ConnectionId;
 use mmr_core::traffic::source::TrafficSource;
-use mmr_core::traffic::workload::{CbrMixBuilder, VbrInjection, VbrMixBuilder};
+use mmr_core::traffic::workload::{CbrMixBuilder, InjectionKind, VbrMixBuilder};
 use mmr_core::traffic::CbrSource;
 
 struct CountingAlloc;
@@ -378,7 +378,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
         let workload = VbrMixBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
             .target_load(0.5)
             .gops(1)
-            .injection(VbrInjection::SmoothRate)
+            .injection(InjectionKind::SmoothRate)
             .build(&mut rng);
         let streams = workload.len() as u64;
         let arbiter_ports = cfg.ports;
@@ -783,7 +783,7 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
     // allocator calls per step.
     {
         use mmr_core::traffic::connection::TrafficClass;
-        use mmr_core::traffic::workload::MixWorkloadBuilder;
+        use mmr_core::traffic::workload::{ChurnConfig, MixWorkloadBuilder, RampStepConfig};
         let cfg = RouterConfig::default();
         let mut rng = SimRng::seed_from_u64(5);
         let workload = MixWorkloadBuilder::new(cfg.ports, cfg.time, RoundConfig::default())
@@ -793,8 +793,22 @@ fn kernels_and_router_step_allocate_nothing_in_steady_state() {
                 (TrafficClass::CbrMedium, Bandwidth::mbps(1.54), 2.0),
                 (TrafficClass::CbrHigh, Bandwidth::mbps(6.0), 1.0),
             ])
-            .ramp(vec![(0, 0.5), (1_000, 1.0)])
-            .churn(500, 3_500, 0.25, 0.2)
+            .ramp(vec![
+                RampStepConfig {
+                    at_cycle: 0,
+                    fraction: 0.5,
+                },
+                RampStepConfig {
+                    at_cycle: 1_000,
+                    fraction: 1.0,
+                },
+            ])
+            .churn(ChurnConfig {
+                start: 500,
+                end: 3_500,
+                departures: 0.25,
+                arrivals: 0.2,
+            })
             .build(&mut rng);
         assert!(
             workload.active_at(0) < workload.active_at(2_000),

@@ -11,7 +11,7 @@ use mmr_core::config::{RunLength, SimConfig, TelemetrySpec, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
 use mmr_core::router::telemetry::TelemetryConfig;
 use mmr_core::sim::engine::CycleModel;
-use mmr_core::sim::telemetry::recorder::{FlightRecorder, TraceEvent};
+use mmr_core::sim::telemetry::recorder::{to_jsonl, FlightRecorder, TraceEvent};
 use mmr_core::sim::time::FlitCycle;
 use mmr_core::workload_lang::{compile_committed, Fidelity};
 
@@ -47,12 +47,12 @@ fn armed_cbr_run_reports_counters_stages_and_windows() {
     assert!(counter("credits_returned") > 0);
     assert_eq!(counter("faults_detected"), 0, "clean run detects nothing");
 
-    // Stage profile: every pipeline stage ran every cycle; with the
-    // deterministic null clock wall time stays zero.
+    // Stage profile: every pipeline stage ran every cycle; armed
+    // without `wall_clock`, wall time stays zero.
     assert_eq!(report.stages.len(), 7);
     for stage in &report.stages {
         assert_eq!(stage.calls, 8_000, "stage {} call count", stage.name);
-        assert_eq!(stage.wall_ns, 0, "null clock must report zero wall time");
+        assert_eq!(stage.wall_ns, 0, "no wall_clock, no wall time");
     }
     let arb = report
         .stages
@@ -256,7 +256,7 @@ fn trace_ring_wraps_and_round_trips_through_jsonl() {
         "retained events are oldest-first"
     );
 
-    let dump = recorder.dump_jsonl();
+    let dump = to_jsonl(recorder.events());
     assert_eq!(dump.lines().count(), 256);
     let parsed = FlightRecorder::parse_jsonl(&dump).expect("dump parses back");
     assert_eq!(parsed, events, "JSONL round-trip is lossless");

@@ -4,10 +4,10 @@
 //! and compiling `workloads/paper_fig5.toml` reproduces the Fig. 5
 //! configs bit for bit — same `ExperimentResult` JSON bytes, same
 //! arbitration-RNG stream positions.  The property
-//! tests then pin the language itself: specs round-trip losslessly
-//! through the TOML emitter, and malformed documents — scrambled copies
-//! of the committed packs included — always surface as typed
-//! [`SpecError`]s, never panics.
+//! tests then pin the language itself: fuzzed specs, rendered to TOML by
+//! a template in the test, parse back to themselves losslessly, and
+//! malformed documents — scrambled copies of the committed packs
+//! included — always surface as typed [`SpecError`]s, never panics.
 
 use mmr_core::arbiter::priority::PriorityKind;
 use mmr_core::arbiter::scheduler::ArbiterKind;
@@ -540,9 +540,6 @@ fn all_committed_packs_parse_validate_and_compile() {
             assert_eq!(pack.sweep.loads.is_empty(), spec.is_trace_pack());
             assert!(!pack.sweep.seeds.is_empty());
         }
-        // Round-trip the committed document through the emitter too.
-        let back = WorkloadSpec::parse(&spec.to_toml()).expect("emitted TOML parses");
-        assert_eq!(back, spec, "{name} does not round-trip");
     }
 }
 
@@ -1007,7 +1004,9 @@ fn committed_pack_claims_pass_and_match_a_recomputation() {
 // Satellite 2: property tests — lossless round-trip, typed rejection
 // ---------------------------------------------------------------------------
 
-/// A valid spec assembled from fuzzed primitives.
+/// A valid spec assembled from fuzzed primitives, as a typed value: the
+/// round-trip property renders it to text itself, so the parser is
+/// checked against a spec it did not build.
 fn build_spec(
     warmup: u64,
     cycles: u64,
@@ -1017,24 +1016,106 @@ fn build_spec(
     ramp_gap: u64,
     with_churn: bool,
 ) -> WorkloadSpec {
+    use mmr_core::config::{ChurnConfig, RampStepConfig};
     use mmr_core::workload_lang::*;
-    let text = format!(
-        r#"
+    let group = |name: &str, class: &str, rate_kbps, weight| GroupSpec {
+        name: name.into(),
+        class: class.into(),
+        rate_kbps,
+        weight,
+    };
+    let step = |at_cycle, fraction| RampStepConfig { at_cycle, fraction };
+    WorkloadSpec {
+        meta: MetaSpec {
+            name: "fuzzed".into(),
+            description: "property-test pack:\t\"quoted\"\n".into(),
+        },
+        traffic: TrafficSpec {
+            preset: None,
+            group: Some(vec![
+                group("a", "cbr-low", rates.0, weights.0),
+                group("b", "cbr-high", rates.1, weights.1),
+            ]),
+            vbr: None,
+            enforce_peak: None,
+        },
+        router: None,
+        best_effort: None,
+        run: RunSec {
+            warmup: Some(warmup),
+            cycles: Some(cycles),
+            gops: None,
+            full: None,
+        },
+        sweep: SweepSec {
+            loads: Some(vec![0.25, 0.5]),
+            initial: None,
+            max: None,
+            step: None,
+            arbiters: Some(vec!["coa".into()]),
+            seeds,
+            seed: None,
+            full: None,
+        },
+        ramp: Some(RampSec {
+            step: vec![step(0, 0.5), step(1 + ramp_gap, 1.0)],
+        }),
+        churn: with_churn.then_some(ChurnConfig {
+            start: warmup / 2,
+            end: warmup / 2 + 1 + ramp_gap,
+            departures: 0.25,
+            arrivals: 0.25,
+        }),
+        fault: None,
+        fabric: None,
+        claim: None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn spec_roundtrips_losslessly_through_toml(
+        lengths in (0u64..5_000, 1_000u64..50_000),
+        rates in (1.0f64..50_000.0, 1.0f64..50_000.0),
+        weights in (0.125f64..8.0, 0.125f64..8.0),
+        knobs in (1u64..6, 1u64..4_000, 0u64..2),
+    ) {
+        // A run must outlast its warm-up (`SimConfig::check`), so the
+        // measured cycles come on top of it.
+        let (warmup, measured) = lengths;
+        let (seeds, ramp_gap, churn) = knobs;
+        let cycles = warmup + measured;
+        let spec = build_spec(warmup, cycles, rates, weights, seeds, ramp_gap, churn == 1);
+        prop_assert!(spec.validate().is_ok(), "assembled spec must validate");
+        // `{:?}` prints every float with a fraction or exponent and the
+        // shortest digits that read back to the same bits.
+        let churn_sec = match spec.churn {
+            Some(c) => format!(
+                "\n[churn]\nstart = {}\nend = {}\ndepartures = {:?}\narrivals = {:?}\n",
+                c.start, c.end, c.departures, c.arrivals
+            ),
+            None => String::new(),
+        };
+        let text = format!(
+            r#"
+# A comment line, and a trailing one below.
 [meta]
 name = "fuzzed"
-description = "property-test pack"
+description = "property-test pack:\t\"quoted\"\n"
 
 [[traffic.group]]
 name = "a"
 class = "cbr-low"
-rate_kbps = {ra}
-weight = {wa}
+rate_kbps = {ra:?}
+weight = {wa:?}
 
 [[traffic.group]]
 name = "b"
 class = "cbr-high"
-rate_kbps = {rb}
-weight = {wb}
+rate_kbps = {rb:?}
+weight = {wb:?}   # pick weight
 
 [run]
 warmup = {warmup}
@@ -1052,44 +1133,15 @@ fraction = 0.5
 [[ramp.step]]
 at_cycle = {ramp_at}
 fraction = 1.0
-"#,
-        ra = rates.0,
-        wa = weights.0,
-        rb = rates.1,
-        wb = weights.1,
-        ramp_at = 1 + ramp_gap,
-    );
-    let mut spec = WorkloadSpec::parse(&text).expect("assembled spec parses");
-    if with_churn {
-        spec.churn = Some(ChurnSec {
-            start: warmup / 2,
-            end: warmup / 2 + 1 + ramp_gap,
-            departures: 0.25,
-            arrivals: 0.25,
-        });
-    }
-    spec
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn spec_roundtrips_losslessly_through_toml(
-        lengths in (0u64..5_000, 1_000u64..50_000),
-        rates in (1.0f64..50_000.0, 1.0f64..50_000.0),
-        weights in (0.125f64..8.0, 0.125f64..8.0),
-        knobs in (1u64..6, 1u64..4_000, 0u64..2),
-    ) {
-        // A run must outlast its warm-up (`SimConfig::check`), so the
-        // measured cycles come on top of it.
-        let (warmup, measured) = lengths;
-        let (seeds, ramp_gap, churn) = knobs;
-        let spec = build_spec(warmup, warmup + measured, rates, weights, seeds, ramp_gap, churn == 1);
-        prop_assert!(spec.validate().is_ok(), "assembled spec must validate");
-        let text = spec.to_toml();
+{churn_sec}"#,
+            ra = rates.0,
+            wa = weights.0,
+            rb = rates.1,
+            wb = weights.1,
+            ramp_at = 1 + ramp_gap,
+        );
         let back = WorkloadSpec::parse(&text);
-        prop_assert!(back.is_ok(), "emitted TOML failed to parse:\n{}", text);
+        prop_assert!(back.is_ok(), "rendered TOML failed to parse: {:?}\n{}", back, text);
         prop_assert_eq!(back.unwrap(), spec);
     }
 
@@ -1137,7 +1189,7 @@ proptest! {
 
         // Inverted churn window.
         let mut spec = base;
-        spec.churn = Some(mmr_core::workload_lang::ChurnSec {
+        spec.churn = Some(mmr_core::config::ChurnConfig {
             start: at_cycle + 1,
             end: at_cycle,
             departures: 0.1,
