@@ -5,7 +5,7 @@
 //! vector**: level 1 is the highest-priority candidate, level 2 the next,
 //! and so on (paper §4).  The switch scheduler sees only these vectors.
 
-use crate::portset::{words_for_ports, MAX_WORDS};
+use crate::portset::{words_for_ports, PortSet, MAX_WORDS};
 use serde::{Deserialize, Serialize};
 
 /// Hard upper bound on router ports.
@@ -99,14 +99,10 @@ pub struct CandidateSet {
     /// → bitmask of inputs whose candidate at `level` requests `output`.
     /// Maintained incrementally by `set_input`/`push`/`clear` so arbiters
     /// scan requesters in O(words) per (level, output) instead of sweeping
-    /// every input.
+    /// every input.  It is the only index: the any-level views
+    /// ([`requesters`](Self::requesters), [`output_mask`](Self::output_mask))
+    /// are derived from it and the slots on demand.
     req_level_out: Vec<u64>,
-    /// Row `output` → bitmask of inputs with a candidate for `output` at
-    /// any level (the union of `req_level_out` over levels).
-    req_out: Vec<u64>,
-    /// Row `input` → bitmask of outputs requested by any of the input's
-    /// candidates.
-    out_by_in: Vec<u64>,
     /// Candidates present.
     count: usize,
     /// Upper bound on the levels in use: every level at or above it has
@@ -139,8 +135,6 @@ impl CandidateSet {
             words,
             slots: vec![None; ports * levels],
             req_level_out: vec![0; ports * levels * words],
-            req_out: vec![0; ports * words],
-            out_by_in: vec![0; ports * words],
             count: 0,
             used_levels: 0,
         }
@@ -158,19 +152,10 @@ impl CandidateSet {
         self.levels
     }
 
-    /// Port-set width in `u64` words (1, 2 or 4).  Every mask slice this
-    /// set returns has exactly this length.
-    #[inline]
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
     /// Remove all candidates (reuse between cycles without reallocating).
     pub fn clear(&mut self) {
         self.slots.fill(None);
         self.req_level_out.fill(0);
-        self.req_out.fill(0);
-        self.out_by_in.fill(0);
         self.count = 0;
         self.used_levels = 0;
     }
@@ -185,8 +170,6 @@ impl CandidateSet {
         let iw = input >> 6;
         let ibit = 1u64 << (input & 63);
         // Unindex the input's previous vector before overwriting.
-        let mut touched = [0u64; MAX_WORDS];
-        touched[..words].copy_from_slice(&self.out_by_in[input * words..(input + 1) * words]);
         for l in 0..self.levels {
             if let Some(old) = self.slots[base + l] {
                 self.req_level_out[(l * self.ports + old.output) * words + iw] &= !ibit;
@@ -195,29 +178,10 @@ impl CandidateSet {
         }
         self.count += candidates.len();
         self.used_levels = self.used_levels.max(candidates.len());
-        self.out_by_in[input * words..(input + 1) * words].fill(0);
         for l in 0..self.levels {
             self.slots[base + l] = candidates.get(l).copied();
             if let Some(c) = candidates.get(l) {
                 self.req_level_out[(l * self.ports + c.output) * words + iw] |= ibit;
-                self.req_out[c.output * words + iw] |= ibit;
-                self.out_by_in[input * words + (c.output >> 6)] |= 1u64 << (c.output & 63);
-                touched[c.output >> 6] |= 1u64 << (c.output & 63);
-            }
-        }
-        // Rebuild the any-level union for every output the input touched.
-        for (w, mut t) in touched.into_iter().enumerate().take(words) {
-            while t != 0 {
-                let output = w * 64 + t.trailing_zeros() as usize;
-                t &= t - 1;
-                let any = (0..self.levels).any(|l| {
-                    self.req_level_out[(l * self.ports + output) * words + iw] & ibit != 0
-                });
-                if any {
-                    self.req_out[output * words + iw] |= ibit;
-                } else {
-                    self.req_out[output * words + iw] &= !ibit;
-                }
             }
         }
         debug_assert!(
@@ -245,11 +209,8 @@ impl CandidateSet {
                 self.slots[base + l] = Some(c);
                 self.count += 1;
                 self.used_levels = self.used_levels.max(l + 1);
-                let words = self.words;
-                let ibit = 1u64 << (c.input & 63);
-                self.req_level_out[(l * self.ports + c.output) * words + (c.input >> 6)] |= ibit;
-                self.req_out[c.output * words + (c.input >> 6)] |= ibit;
-                self.out_by_in[c.input * words + (c.output >> 6)] |= 1u64 << (c.output & 63);
+                self.req_level_out[(l * self.ports + c.output) * self.words + (c.input >> 6)] |=
+                    1u64 << (c.input & 63);
                 return true;
             }
         }
@@ -305,11 +266,11 @@ impl CandidateSet {
             })
     }
 
-    /// True if `input` has any candidate for `output`.  O(1) via the
-    /// request index.
+    /// True if `input` has any candidate for `output`.  O(levels) via
+    /// the request index.
     #[inline]
     pub fn requests(&self, input: usize, output: usize) -> bool {
-        self.req_out[output * self.words + (input >> 6)] & (1u64 << (input & 63)) != 0
+        self.best_level_for(input, output).is_some()
     }
 
     /// The whole request bit-matrix as one flat slice: row
@@ -329,18 +290,32 @@ impl CandidateSet {
         &self.req_level_out[base..base + self.words]
     }
 
-    /// Bitmask of inputs requesting `output` at any level, as a
-    /// `words()`-long word slice.
+    /// The inputs requesting `output` at any level: the union of its
+    /// requester rows over the levels in use.  `W` must be the set's
+    /// port-set width (1, 2 or 4 words for up to 64, 128 or 256 ports).
     #[inline]
-    pub fn requesters(&self, output: usize) -> &[u64] {
-        &self.req_out[output * self.words..(output + 1) * self.words]
+    pub fn requesters<const W: usize>(&self, output: usize) -> PortSet<W> {
+        debug_assert_eq!(W, self.words);
+        let mut words = [0u64; W];
+        for level in 0..self.used_levels {
+            let row = &self.req_level_out[(level * self.ports + output) * W..][..W];
+            for (w, r) in words.iter_mut().zip(row) {
+                *w |= r;
+            }
+        }
+        PortSet::from_words(&words)
     }
 
-    /// Bitmask of outputs requested by any of `input`'s candidates, as a
-    /// `words()`-long word slice.
+    /// The outputs any of `input`'s candidates request, read off its
+    /// slots.  `W` as for [`requesters`](Self::requesters).
     #[inline]
-    pub fn output_mask(&self, input: usize) -> &[u64] {
-        &self.out_by_in[input * self.words..(input + 1) * self.words]
+    pub fn output_mask<const W: usize>(&self, input: usize) -> PortSet<W> {
+        debug_assert_eq!(W, self.words);
+        let mut mask = PortSet::from_words(&[0; W]);
+        for c in self.input_candidates(input) {
+            mask.insert(c.output);
+        }
+        mask
     }
 
     /// Total number of candidates present.  O(1).
@@ -495,23 +470,23 @@ mod tests {
         let mut cs = CandidateSet::new(4, 2);
         cs.set_input(0, &[cand(0, 0, 2, 9.0), cand(0, 1, 1, 5.0)]);
         cs.push(cand(3, 0, 2, 7.0));
-        assert_eq!(cs.words(), 1);
+        assert_eq!(cs.words, 1);
         assert_eq!(cs.requesters_at(0, 2), &[0b1001]);
         assert_eq!(cs.requesters_at(1, 1), &[0b0001]);
-        assert_eq!(cs.requesters(2), &[0b1001]);
-        assert_eq!(cs.output_mask(0), &[0b0110]);
+        assert_eq!(cs.requesters::<1>(2), PortSet::from_words(&[0b1001]));
+        assert_eq!(cs.output_mask::<1>(0), PortSet::from_words(&[0b0110]));
         assert_eq!(cs.best_level_for(0, 1), Some((1, cand(0, 1, 1, 5.0))));
         // Overwriting an input unindexes its previous candidates.
         cs.set_input(0, &[cand(0, 2, 3, 1.0)]);
         assert_eq!(cs.requesters_at(0, 2), &[0b1000]);
-        assert_eq!(cs.requesters(2), &[0b1000]);
-        assert_eq!(cs.requesters(1), &[0]);
-        assert_eq!(cs.output_mask(0), &[0b1000]);
+        assert_eq!(cs.requesters::<1>(2), PortSet::from_words(&[0b1000]));
+        assert_eq!(cs.requesters::<1>(1), PortSet::from_words(&[0]));
+        assert_eq!(cs.output_mask::<1>(0), PortSet::from_words(&[0b1000]));
         assert!(!cs.requests(0, 1));
         assert!(cs.requests(0, 3));
         cs.clear();
         for o in 0..4 {
-            assert_eq!(cs.requesters(o), &[0]);
+            assert!(cs.requesters::<1>(o).is_empty());
         }
     }
 
@@ -524,7 +499,7 @@ mod tests {
         cs.set_input(0, &[cand(0, 0, 2, 9.0), cand(0, 1, 2, 5.0)]);
         cs.set_input(0, &[cand(0, 0, 0, 9.0), cand(0, 1, 2, 5.0)]);
         assert!(cs.requests(0, 2));
-        assert_eq!(cs.requesters(2), &[0b01]);
+        assert_eq!(cs.requesters::<1>(2), PortSet::from_words(&[0b01]));
         assert_eq!(cs.requesters_at(0, 2), &[0]);
         assert_eq!(cs.requesters_at(1, 2), &[0b01]);
     }
@@ -535,40 +510,49 @@ mod tests {
         // same top-word output; all three indexes must place the bits in
         // the right words.
         let mut cs = CandidateSet::new(130, 2);
-        assert_eq!(cs.words(), 4);
+        assert_eq!(cs.words, 4);
         cs.set_input(1, &[cand(1, 0, 129, 5.0)]);
         cs.set_input(70, &[cand(70, 0, 129, 9.0), cand(70, 1, 2, 1.0)]);
         cs.push(cand(129, 0, 64, 3.0));
         let r = cs.requesters_at(0, 129);
         assert_eq!(r, &[1u64 << 1, 1u64 << 6, 0, 0]);
-        assert_eq!(cs.requesters(129), &[1u64 << 1, 1u64 << 6, 0, 0]);
+        assert_eq!(
+            cs.requesters::<4>(129),
+            PortSet::from_words(&[1u64 << 1, 1u64 << 6, 0, 0])
+        );
         assert_eq!(cs.requesters_at(0, 64), &[0, 0, 1u64 << 1, 0]);
         // Output 129 sits in word 2 of the per-input output mask.
-        assert_eq!(cs.output_mask(70), &[1u64 << 2, 0, 1u64 << 1, 0]);
+        assert_eq!(
+            cs.output_mask::<4>(70),
+            PortSet::from_words(&[1u64 << 2, 0, 1u64 << 1, 0])
+        );
         assert!(cs.requests(70, 129));
         assert!(cs.requests(129, 64));
         assert!(!cs.requests(70, 64));
         assert_eq!(cs.best_level_for(70, 2), Some((1, cand(70, 1, 2, 1.0))));
         // Overwriting input 70 must clear its word-1 requester bits.
         cs.set_input(70, &[cand(70, 0, 0, 1.0)]);
-        assert_eq!(cs.requesters(129), &[1u64 << 1, 0, 0, 0]);
+        assert_eq!(
+            cs.requesters::<4>(129),
+            PortSet::from_words(&[1u64 << 1, 0, 0, 0])
+        );
         assert!(!cs.requests(70, 129));
     }
 
     #[test]
     fn word_boundary_port_counts_get_exact_widths() {
-        assert_eq!(CandidateSet::new(63, 1).words(), 1);
-        assert_eq!(CandidateSet::new(64, 1).words(), 1);
-        assert_eq!(CandidateSet::new(65, 1).words(), 2);
-        assert_eq!(CandidateSet::new(128, 1).words(), 2);
-        assert_eq!(CandidateSet::new(129, 1).words(), 4);
+        assert_eq!(CandidateSet::new(63, 1).words, 1);
+        assert_eq!(CandidateSet::new(64, 1).words, 1);
+        assert_eq!(CandidateSet::new(65, 1).words, 2);
+        assert_eq!(CandidateSet::new(128, 1).words, 2);
+        assert_eq!(CandidateSet::new(129, 1).words, 4);
     }
 
     #[test]
     fn max_ports_accepted() {
         let cs = CandidateSet::new(MAX_PORTS, 2);
         assert_eq!(cs.ports(), MAX_PORTS);
-        assert_eq!(cs.words(), 4);
+        assert_eq!(cs.words, 4);
     }
 
     #[test]

@@ -54,6 +54,25 @@
 //! * **Grant retire**: drop the granted output from its bucket (one
 //!   masked word store) and clear the occupancy bit if the bucket
 //!   drained.  That is the whole retire step.
+//! * **Bucket 0 in one pass**: each free input has one candidate per
+//!   level, so the live requester sets of a level's outputs *partition*
+//!   the free inputs.  An output in bucket 0 has exactly one live
+//!   requester, no other output shares it, and bucket 0 is the lowest
+//!   bucket, so the sequential loop grants every bucket-0 output to its
+//!   requester before it touches bucket 1 — whatever order its random
+//!   port ordering picks.  That order decides only which RNG draws the
+//!   loop makes, never who wins, and with one requester per output no
+//!   reservoir tie-break draws at all.  So the kernel makes exactly the
+//!   port-ordering draws the loop would (`rng.index(n)`,
+//!   `rng.index(n − 1)`, …, `rng.index(2)` for `n` outputs; none for
+//!   `n = 1`), then grants bucket 0 in ascending output order with no
+//!   k-th-set-bit select, no requester scan and no per-grant bucket
+//!   update, and counts one iteration, one examined request and one
+//!   retired conflict per grant, as the loop does.  The matching, the
+//!   RNG position and the work counts are bit-identical.  Buckets
+//!   `k ≥ 1` keep the sequential loop: there the order decides which
+//!   draw feeds which reservoir tie-break, and batching only their
+//!   tie-free outputs pays for a pre-scan without beating bucket 0 alone.
 //!
 //! Port sets are [`crate::portset::PortSet`] words, so the same kernel
 //! body serves 64-, 128- and 256-port routers; the width is dispatched
@@ -159,10 +178,42 @@ impl CandidateOrderArbiter {
                 occ[k >> 6] |= live << (k & 63);
             }
 
-            // Drain the level.  Within it the conflict structure is
-            // frozen: a grant's input only requested the granted output
-            // at this level, so no other output's count changes and each
-            // remaining bucket entry stays valid until granted.
+            // Bucket 0 in one pass (module doc): the loop's port-ordering
+            // draws over tie sets of n, n − 1, …, 2 outputs, then each
+            // output to its one live requester, in ascending order.
+            if occ[0] & 1 != 0 {
+                let mut single = PortSet::<W>::from_words(&buckets[..W]);
+                let n = single.count_ones() as usize;
+                for ties in (2..=n).rev() {
+                    rng.index(ties);
+                }
+                iters += n as u64;
+                examined += n as u64;
+                retired += n as u64;
+                while let Some(output) = single.take_lowest() {
+                    let input = PortSet::<W>::from_words(&rrow[output * W..][..W])
+                        .and(&free_in)
+                        .lowest()
+                        .expect("bucket 0 holds outputs with one live requester");
+                    let c = cs.candidate_at(input, level).expect("indexed candidate");
+                    out.add(Grant {
+                        input,
+                        output,
+                        vc: c.vc,
+                        level,
+                    });
+                    free_in.remove(input);
+                    free_out.remove(output);
+                }
+                buckets[..W].fill(0);
+                occ[0] &= !1;
+            }
+
+            // Drain the rest of the level.  Within it the conflict
+            // structure is frozen: a grant's input only requested the
+            // granted output at this level, so no other output's count
+            // changes and each remaining bucket entry stays valid until
+            // granted.
             let mut occ_any = 0u64;
             for &w in &occ {
                 occ_any |= w;

@@ -69,11 +69,6 @@ impl CrosspointQueuedArbiter {
         }
     }
 
-    /// The pressure saturation cap (crosspoint buffer depth).
-    pub fn cap(&self) -> u32 {
-        self.cap
-    }
-
     fn run<const W: usize>(&mut self, cs: &CandidateSet, rng: &mut SimRng, out: &mut Matching) {
         let n = self.ports;
         out.clear();
@@ -82,7 +77,7 @@ impl CrosspointQueuedArbiter {
         // went silent since last cycle drain to zero.  Untouched bits
         // are zero by the `prev_mask` invariant.
         for input in 0..n {
-            let cur = PortSet::<W>::from_words(cs.output_mask(input));
+            let cur = cs.output_mask::<W>(input);
             for w in 0..W {
                 let stale = self.prev_mask[input * W + w] & !cur.word(w);
                 let mut m = stale;
@@ -103,7 +98,7 @@ impl CrosspointQueuedArbiter {
         let mut free_in = PortSet::<W>::full(n);
         let mut examined = 0u64;
         for output in 0..n {
-            let pool = PortSet::<W>::from_words(cs.requesters(output)).and(&free_in);
+            let pool = cs.requesters::<W>(output).and(&free_in);
             if pool.is_empty() {
                 continue;
             }

@@ -64,18 +64,13 @@ impl FrameFairArbiter {
         }
     }
 
-    /// The per-crosspoint grant quota for one frame.
-    pub fn quota(&self) -> u32 {
-        self.quota
-    }
-
     fn run<const W: usize>(&mut self, cs: &CandidateSet, rng: &mut SimRng, out: &mut Matching) {
         let n = self.ports;
         out.clear();
         let mut free_in = PortSet::<W>::full(n);
         let mut examined = 0u64;
         for output in 0..n {
-            let requesters = PortSet::<W>::from_words(cs.requesters(output)).and(&free_in);
+            let requesters = cs.requesters::<W>(output).and(&free_in);
             if requesters.is_empty() {
                 continue;
             }
@@ -186,7 +181,7 @@ mod tests {
         let ports = 4;
         let frame = 4; // quota = 1 per crosspoint
         let mut arb = FrameFairArbiter::new(ports, frame);
-        assert_eq!(arb.quota(), 1);
+        assert_eq!(arb.quota, 1);
         let mut cs = CandidateSet::new(ports, 2);
         cs.set_input(0, &[cand(0, 0, 0, 100.0)]);
         cs.set_input(1, &[cand(1, 0, 0, 1.0)]);

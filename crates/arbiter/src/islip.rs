@@ -74,7 +74,7 @@ impl IslipArbiter {
             self.grants_in.fill(0);
             let mut of = free_out;
             while let Some(output) = of.take_lowest() {
-                let requesters = PortSet::<W>::from_words(cs.requesters(output)).and(&free_in);
+                let requesters = cs.requesters::<W>(output).and(&free_in);
                 examined += u64::from(requesters.count_ones());
                 if !requesters.is_empty() {
                     let input = requesters.first_at_or_after(self.grant_ptr[output]);

@@ -191,7 +191,7 @@ impl MwmArbiter {
         let mut ceil = f64::NEG_INFINITY;
         let mut edges = 0u64;
         for input in 0..n {
-            let mut outs = PortSet::<1>::from_words(cs.output_mask(input));
+            let mut outs = cs.output_mask::<1>(input);
             while let Some(output) = outs.take_lowest() {
                 let c = cs
                     .best_for(input, output)
@@ -210,7 +210,7 @@ impl MwmArbiter {
         // missing edges stay 0.
         let mut maxw = 0.0f64;
         for input in 0..n {
-            let mut outs = PortSet::<1>::from_words(cs.output_mask(input));
+            let mut outs = cs.output_mask::<1>(input);
             while let Some(output) = outs.take_lowest() {
                 let cell = &mut self.w[input * n + output];
                 *cell = shaped_weight(*cell, floor, ceil, n);
@@ -307,7 +307,7 @@ impl MwmArbiter {
         // the raw priority order.
         self.keyed.clear();
         for input in 0..n {
-            let mut outs = PortSet::<W>::from_words(cs.output_mask(input));
+            let mut outs = cs.output_mask::<W>(input);
             while let Some(output) = outs.take_lowest() {
                 let c = cs
                     .best_for(input, output)

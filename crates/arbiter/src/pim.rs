@@ -61,7 +61,7 @@ impl PimArbiter {
             self.grants_in.fill(0);
             let mut of = free_out;
             while let Some(output) = of.take_lowest() {
-                let requesters = PortSet::<W>::from_words(cs.requesters(output)).and(&free_in);
+                let requesters = cs.requesters::<W>(output).and(&free_in);
                 let count = requesters.count_ones();
                 examined += u64::from(count);
                 if count != 0 {

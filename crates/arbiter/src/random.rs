@@ -41,7 +41,7 @@ impl RandomArbiter {
         out.clear();
         self.pairs.clear();
         for input in 0..self.ports {
-            let mut outputs = PortSet::<W>::from_words(cs.output_mask(input));
+            let mut outputs = cs.output_mask::<W>(input);
             while let Some(output) = outputs.take_lowest() {
                 self.pairs.push((input, output));
             }

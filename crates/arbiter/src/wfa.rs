@@ -73,7 +73,10 @@ impl WaveFrontArbiter {
         // Build the request matrix: input i requests output o if *any* of
         // its candidates targets o (the arbiter is priority-blind).
         for input in 0..n {
-            self.rows[input * W..(input + 1) * W].copy_from_slice(cs.output_mask(input));
+            let mask = cs.output_mask::<W>(input);
+            for w in 0..W {
+                self.rows[input * W + w] = mask.word(w);
+            }
         }
 
         let mut row_free = PortSet::<W>::full(n);

@@ -66,7 +66,7 @@ fn usage() -> ! {
            --cycles N             flit cycles to run (default 50000; VBR runs until drained)\n\
            --warmup N             warm-up cycles (default 5000)\n\
            --seed N               master seed (default 0xB1ACA)\n\
-           --json                 emit the result as JSON\n\
+           --json                 emit the result (sweep: every point) as JSON\n\
          \n\
          sweep flags (plus run flags):\n\
            --loads A,B,C          loads to visit (default 0.5,0.7,0.8,0.9)\n\
@@ -244,7 +244,7 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    let (flags, _) = parse_flags(args, &["loads", "arbiters"]);
+    let (flags, switches) = parse_flags(args, &["loads", "arbiters"]);
     let base = config_from_flags(&flags);
     let loads: Vec<f64> = flags
         .get("loads")
@@ -276,6 +276,13 @@ fn cmd_sweep(args: &[String]) {
     };
     eprintln!("running {} points…", spec.point_count());
     let points = sweep(&spec);
+    if switches.iter().any(|s| s == "json") {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&points).expect("sweep points serialize")
+        );
+        return;
+    }
     let is_vbr = matches!(spec.base.workload, WorkloadSpec::Vbr { .. });
     if is_vbr {
         print!(

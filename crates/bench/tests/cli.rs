@@ -17,6 +17,7 @@ use mmr_core::sim::telemetry::recorder::{FlightRecorder, TraceKind};
 use mmr_core::sim::telemetry::validate_exposition;
 use mmr_core::sim::time::TimeBase;
 use mmr_core::traffic::connection::TrafficClass;
+use mmr_core::SweepPoint;
 use std::process::Command;
 
 #[test]
@@ -303,6 +304,37 @@ fn run_and_sweep_refuse_unknown_flags() {
     // `--arbiters` is a sweep flag: `run` would otherwise run COA alone.
     assert_mmr_exits_2(&["run", "--arbiters", "coa,wfa"], "unknown flag --arbiters");
     assert_mmr_exits_2(&["sweep", "--bogus", "1"], "unknown flag --bogus");
+}
+
+#[test]
+fn sweep_json_prints_every_point() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmr"))
+        .args([
+            "sweep",
+            "--json",
+            "--loads",
+            "0.3,0.5",
+            "--arbiters",
+            "coa",
+            "--cycles",
+            "3000",
+            "--warmup",
+            "1000",
+        ])
+        .output()
+        .expect("mmr runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+    let points: Vec<SweepPoint> = serde_json::from_str(&stdout).expect("the sweep's points parse");
+    let loads: Vec<f64> = points.iter().map(|p| p.target_load).collect();
+    assert_eq!(loads, [0.3, 0.5]);
+    assert!(points
+        .iter()
+        .all(|p| p.arbiter == ArbiterKind::Coa && p.results.len() == 1));
 }
 
 #[test]

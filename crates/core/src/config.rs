@@ -123,17 +123,6 @@ impl WorkloadSpec {
         WorkloadSpec::Cbr { target_load }
     }
 
-    /// VBR at `target_load` with the paper's defaults (4 GOPs, SR, no
-    /// peak test).
-    pub fn vbr(target_load: f64, injection: InjectionKind) -> Self {
-        WorkloadSpec::Vbr {
-            target_load,
-            gops: 4,
-            injection,
-            enforce_peak: false,
-        }
-    }
-
     /// The configured target load.
     pub fn target_load(&self) -> f64 {
         match *self {
@@ -477,7 +466,12 @@ mod tests {
 
     #[test]
     fn vbr_spec_load_update() {
-        let v = WorkloadSpec::vbr(0.5, InjectionKind::BackToBack);
+        let v = WorkloadSpec::Vbr {
+            target_load: 0.5,
+            gops: 4,
+            injection: InjectionKind::BackToBack,
+            enforce_peak: false,
+        };
         let v2 = v.with_load(0.8);
         assert_eq!(v2.target_load(), 0.8);
         match v2 {

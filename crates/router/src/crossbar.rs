@@ -95,11 +95,6 @@ impl Crossbar {
         }
     }
 
-    /// Total grants during measurement.
-    pub fn grants(&self) -> u64 {
-        self.grants_total
-    }
-
     /// Measured cycles.
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -126,11 +121,6 @@ impl Crossbar {
         self.cycles = 0;
         self.busy_cycles = 0;
         self.reconfigurations = 0;
-    }
-
-    /// Number of ports.
-    pub fn ports(&self) -> usize {
-        self.ports
     }
 }
 
@@ -195,7 +185,7 @@ mod tests {
         let mut out = Vec::new();
         xbar.transfer(&m, &mut mem, false, &mut out);
         assert_eq!(xbar.cycles(), 0);
-        assert_eq!(xbar.grants(), 0);
+        assert_eq!(xbar.grants_total, 0);
         let mut m2 = Matching::new(4);
         m2.add(Grant {
             input: 1,
@@ -205,7 +195,7 @@ mod tests {
         });
         xbar.transfer(&m2, &mut mem, true, &mut out);
         assert_eq!(xbar.cycles(), 1);
-        assert_eq!(xbar.grants(), 1);
+        assert_eq!(xbar.grants_total, 1);
         assert_eq!(xbar.mean_utilization(), 0.25);
         assert_eq!(xbar.busy_fraction(), 1.0);
     }

@@ -51,11 +51,6 @@ impl OutputPorts {
         &self.delivered
     }
 
-    /// Total flits delivered.
-    pub fn total(&self) -> u64 {
-        self.delivered.iter().sum()
-    }
-
     /// Reset counters.
     pub fn reset(&mut self) {
         self.delivered.fill(0);
@@ -84,8 +79,8 @@ mod tests {
         out.record(2);
         out.record(2);
         assert_eq!(out.per_port(), &[1, 0, 2]);
-        assert_eq!(out.total(), 3);
+        assert_eq!(out.per_port().iter().sum::<u64>(), 3);
         out.reset();
-        assert_eq!(out.total(), 0);
+        assert_eq!(out.per_port().iter().sum::<u64>(), 0);
     }
 }

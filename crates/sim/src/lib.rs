@@ -9,7 +9,7 @@
 //! * [`rng`] — a small, fully deterministic `xoshiro256**` generator with
 //!   stream splitting, so every experiment is reproducible from a single
 //!   seed without depending on platform RNG state.
-//! * [`stats`] — streaming statistics (Welford mean/variance, min/max,
+//! * [`stats`] — streaming statistics (running mean, min/max,
 //!   log-bucket histograms with percentile queries, inter-sample jitter).
 //! * [`engine`] — a tiny cycle-driven engine: a [`engine::CycleModel`] is
 //!   stepped one flit cycle at a time with warm-up handling and stop

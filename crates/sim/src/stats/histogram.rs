@@ -61,11 +61,6 @@ impl LogHistogram {
         }
     }
 
-    /// Sub-bucket bits this histogram was built with.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
     #[inline]
     fn bucket_of(&self, v: u64) -> usize {
         bucket_of(self.sub_bits, v)

@@ -40,11 +40,6 @@ impl JitterTracker {
     pub fn stats(&self) -> &Running {
         &self.jitter
     }
-
-    /// Number of jitter samples (units delivered minus one, per connection).
-    pub fn samples(&self) -> u64 {
-        self.jitter.count()
-    }
 }
 
 #[cfg(test)]
@@ -56,7 +51,7 @@ mod tests {
     fn first_unit_produces_no_sample() {
         let mut j = JitterTracker::new();
         assert_eq!(j.record_delay(100.0), None);
-        assert_eq!(j.samples(), 0);
+        assert_eq!(j.stats().count(), 0);
         assert_eq!(j.stats().max(), None);
     }
 
@@ -67,7 +62,7 @@ mod tests {
             .map(|d| j.record_delay(d))
             .into();
         assert_eq!(samples, [None, Some(50.0), Some(30.0), Some(0.0)]);
-        assert_eq!(j.samples(), 3);
+        assert_eq!(j.stats().count(), 3);
         assert!((j.stats().mean() - 80.0 / 3.0).abs() < 1e-12);
         assert_eq!(j.stats().max(), Some(50.0));
         assert_eq!(j.stats().min(), Some(0.0));
@@ -112,7 +107,7 @@ mod tests {
             }
         }
         // 10% of the samples are 100, the rest 1.
-        assert_eq!(hist.count(), j.samples());
+        assert_eq!(hist.count(), j.stats().count());
         assert_eq!(hist.quantile(0.5), Some(1));
         let p99 = hist.quantile(0.99).unwrap();
         assert!((90..=112).contains(&p99), "p99={p99}");

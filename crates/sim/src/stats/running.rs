@@ -1,13 +1,12 @@
-//! Welford running mean / variance / extrema.
+//! Running mean and extrema.
 
 use serde::{Deserialize, Serialize};
 
-/// Streaming mean, variance (Welford's algorithm), min and max.
+/// Streaming mean (Welford's update), min and max.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Running {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -18,7 +17,6 @@ impl Running {
         Running {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -28,9 +26,7 @@ impl Running {
     #[inline]
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         if x < self.min {
             self.min = x;
         }
@@ -55,16 +51,6 @@ impl Running {
         }
     }
 
-    /// Population variance; 0 if fewer than 2 samples.
-    #[inline]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Minimum sample; `None` if empty.
     #[inline]
     pub fn min(&self) -> Option<f64> {
@@ -77,8 +63,8 @@ impl Running {
         (self.n > 0).then_some(self.max)
     }
 
-    /// Merge another accumulator into this one (parallel reduction), using
-    /// Chan et al.'s pairwise update.
+    /// Merge another accumulator into this one (parallel reduction): the
+    /// count-weighted mean update of Chan et al.
     pub fn merge(&mut self, other: &Running) {
         if other.n == 0 {
             return;
@@ -90,7 +76,6 @@ impl Running {
         let n = self.n + other.n;
         let delta = other.mean - self.mean;
         self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
         self.n = n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -106,7 +91,6 @@ mod tests {
         let r = Running::new();
         assert_eq!(r.count(), 0);
         assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
         assert!(r.min().is_none());
         assert!(r.max().is_none());
     }
@@ -119,7 +103,6 @@ mod tests {
         }
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
-        assert!((r.variance() - 4.0).abs() < 1e-12);
         assert_eq!(r.min(), Some(2.0));
         assert_eq!(r.max(), Some(9.0));
     }
@@ -142,7 +125,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), seq.count());
         assert!((a.mean() - seq.mean()).abs() < 1e-10);
-        assert!((a.variance() - seq.variance()).abs() < 1e-10);
         assert_eq!(a.min(), seq.min());
         assert_eq!(a.max(), seq.max());
     }

@@ -135,18 +135,6 @@ impl Default for TimeBase {
 }
 
 impl TimeBase {
-    /// Construct a time base, panicking with [`Self::check`]'s message
-    /// on nonsense widths or rates.
-    pub fn new(link_bits_per_sec: f64, phit_bits: u32, flit_bits: u32) -> Self {
-        let tb = TimeBase {
-            link_bits_per_sec,
-            phit_bits,
-            flit_bits,
-        };
-        tb.check().unwrap_or_else(|e| panic!("{e}"));
-        tb
-    }
-
     /// Check a flit is a whole, bounded number of positive-width phits
     /// and the link rate is positive and bounded.
     pub fn check(&self) -> Result<(), ConfigError> {
@@ -221,7 +209,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple")]
     fn rejects_fractional_phits() {
-        TimeBase::new(1e9, 10, 1024);
+        let tb = TimeBase {
+            link_bits_per_sec: 1e9,
+            phit_bits: 10,
+            flit_bits: 1024,
+        };
+        tb.check().unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

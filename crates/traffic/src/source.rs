@@ -77,11 +77,6 @@ impl ExpiringSource {
     pub fn new(inner: Box<dyn TrafficSource + Send>, end: RouterCycle) -> Self {
         ExpiringSource { inner, end }
     }
-
-    /// The departure cycle.
-    pub fn end(&self) -> RouterCycle {
-        self.end
-    }
 }
 
 impl TrafficSource for ExpiringSource {
@@ -163,6 +158,6 @@ mod tests {
         assert_eq!(e.peek_next(), None);
         assert_eq!(e.drain_until(RouterCycle(1_000), &mut out), 0);
         assert_eq!(e.total_flits(), None);
-        assert_eq!(e.end(), RouterCycle(20));
+        assert_eq!(e.end, RouterCycle(20));
     }
 }

@@ -63,11 +63,6 @@ impl VbrSource {
         }
     }
 
-    /// The replayed trace.
-    pub fn trace(&self) -> &MpegTrace {
-        &self.trace
-    }
-
     /// Emission time (f64 router cycles) of flit `j` of frame `k`.
     fn emission_time(&self, k: usize, j: u64) -> f64 {
         let frame = &self.trace.frames[k];
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn one_last_flit_per_frame() {
         let mut s = source(InjectionModel::SmoothRate, 0);
-        let n_frames = s.trace().len();
+        let n_frames = s.trace.len();
         let flits = drain_all(&mut s);
         let lasts = flits.iter().filter(|f| f.is_frame_end()).count();
         assert_eq!(lasts, n_frames);
@@ -181,7 +176,7 @@ mod tests {
         let tb = TimeBase::default();
         let ft_rc = FRAME_TIME_SECS / tb.router_cycle_secs();
         let mut s = source(InjectionModel::SmoothRate, 1000);
-        let n_frames = s.trace().len();
+        let n_frames = s.trace.len();
         let mut firsts = Vec::new();
         for f in drain_all(&mut s) {
             if firsts.len() == f.frame.unwrap().index as usize {

@@ -500,13 +500,6 @@ impl VbrMixBuilder {
         self
     }
 
-    /// Replace the sequence table.
-    pub fn sequences(mut self, sequences: Vec<SequenceParams>) -> Self {
-        assert!(!sequences.is_empty());
-        self.sequences = sequences;
-        self
-    }
-
     /// Enforce the peak-bandwidth admission test (§2).  Off by default for
     /// the load-sweep experiments, which deliberately drive the router past
     /// the region a conservative concurrency factor would admit; the

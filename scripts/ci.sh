@@ -128,7 +128,7 @@ done
 # Ratchet: the non-test line count (scripts/loc.sh) may not grow past
 # LOC_CEILING.  Lowering the ceiling to a new, smaller count is always
 # allowed; raising it means shipping code that no deletion paid for.
-LOC_CEILING=20255
+LOC_CEILING=20201
 LOC="$(bash scripts/loc.sh)"
 echo "non-test lines under crates/*/src: $LOC (ceiling $LOC_CEILING)"
 if ((LOC > LOC_CEILING)); then
@@ -140,8 +140,9 @@ stage "shipped caller"
 # Every non-test `pub` / `pub(crate)` fn under crates/*/src is named in
 # shipped code (non-test crates/*/src, crates/*/benches, benchmark/src,
 # examples) besides its definition, or scripts/callers.allow lists it
-# with its reason; a stale allow-list entry fails too.  Matching is by
-# name, so collisions make the check a lower bound (see the script).
+# with its reason; a stale allow-list entry fails too.  Methods match
+# by `Type::name` where the receiver's declared type is known, else by
+# name, so the check is a lower bound (see the script).
 bash scripts/callers.sh
 
 stage "bench_report smoke + perf gates"

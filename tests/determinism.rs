@@ -608,22 +608,83 @@ fn router_characterization(arbiter: ArbiterKind) -> u64 {
                 if mode == "fault" {
                     assert!(router.fault_report().events_fired > 0, "no fault fired");
                 }
-                h = fnv1a(&[
-                    &h.to_le_bytes(),
-                    serde_json::to_string(&router.summary()).unwrap().as_bytes(),
-                    serde_json::to_string(&router.telemetry_report())
-                        .unwrap()
-                        .as_bytes(),
-                    serde_json::to_string(&router.fault_report())
-                        .unwrap()
-                        .as_bytes(),
-                    &router.rng_fingerprint().to_le_bytes(),
-                    &out.executed.to_le_bytes(),
-                ]);
+                h = fold_router(h, &router, out.executed);
             }
         }
     }
     h
+}
+
+/// Fold one finished run into `h`: the summary, the telemetry report
+/// (which carries the kernel's work counts when armed), the fault report,
+/// the arbitration RNG's position and the executed cycle count.
+fn fold_router(h: u64, router: &mmr_core::router::router::MmrRouter, executed: u64) -> u64 {
+    fnv1a(&[
+        &h.to_le_bytes(),
+        serde_json::to_string(&router.summary()).unwrap().as_bytes(),
+        serde_json::to_string(&router.telemetry_report())
+            .unwrap()
+            .as_bytes(),
+        serde_json::to_string(&router.fault_report())
+            .unwrap()
+            .as_bytes(),
+        &router.rng_fingerprint().to_le_bytes(),
+        &executed.to_le_bytes(),
+    ])
+}
+
+/// COA on a wide router, where most level-0 outputs have one live
+/// requester: the 248 Mbps CbrHigh mix at load 0.8 of the `wide64_trunk`
+/// benchmark, run plain and telemetry-armed, folded into one hash.
+fn wide_coa_characterization(ports: usize) -> u64 {
+    let mut h = fnv1a(&[]);
+    for armed in [false, true] {
+        let mut cfg = SimConfig {
+            workload: WorkloadSpec::Mix {
+                target_load: 0.8,
+                groups: vec![MixGroup {
+                    class: TrafficClass::CbrHigh,
+                    rate_bps: 248e6,
+                    weight: 1.0,
+                }],
+                ramp: None,
+                churn: None,
+            },
+            arbiter: ArbiterKind::Coa,
+            warmup_cycles: 500,
+            run: RunLength::Cycles(3_000),
+            seed: 71,
+            ..Default::default()
+        };
+        cfg.router.ports = ports;
+        if armed {
+            cfg = cfg.with_telemetry(TelemetrySpec::default());
+        }
+        let workload = build_workload(&cfg);
+        let mut router = build_router(&cfg, workload);
+        if let Some(t) = &cfg.telemetry {
+            router.set_telemetry(t.to_config());
+        }
+        let out = Runner::new(cfg.warmup_cycles, StopCondition::Cycles(3_000)).run(&mut router);
+        assert_eq!(
+            router.telemetry_report().kernel.iterations > 0,
+            armed,
+            "only the armed run reports kernel work"
+        );
+        h = fold_router(h, &router, out.executed);
+    }
+    h
+}
+
+#[test]
+fn wide_coa_results_are_pinned() {
+    // 64 ports runs the one-word kernel, 128 the two-word one.
+    let got = [64, 128].map(|ports| (ports, wide_coa_characterization(ports)));
+    assert_eq!(
+        got,
+        [(64, 0xFF45CC4EE71F8385), (128, 0x1B05D956CF6317A8)],
+        "the wide COA router's results moved"
+    );
 }
 
 #[test]

@@ -47,9 +47,56 @@ fn fill_random(cs: &mut CandidateSet, rng: &mut SimRng, tie_prone: bool) {
     }
 }
 
+/// Fill a candidate set whose level-0 outputs are mostly distinct, as on
+/// a wide router under trunk traffic: level 0 is a shuffled permutation
+/// with one input in eight redirected at random, so most level-0 outputs
+/// have a single requester (COA's bucket 0 holds most of the level).
+/// Deeper levels are drawn as in [`fill_random`].
+fn fill_mostly_distinct(cs: &mut CandidateSet, rng: &mut SimRng, tie_prone: bool) {
+    let ports = cs.ports();
+    let levels = cs.levels();
+    let mut first: Vec<usize> = (0..ports).collect();
+    rng.shuffle(&mut first);
+    fill_random(cs, rng, tie_prone);
+    for (input, &output) in first.iter().enumerate() {
+        let mut cands: Vec<Candidate> = cs.input_candidates(input).collect();
+        let output = if rng.index(8) == 0 {
+            rng.index(ports)
+        } else {
+            output
+        };
+        let top = cands.first().map_or(Priority::new(1e7), |c| c.priority);
+        cands.insert(
+            0,
+            Candidate {
+                input,
+                vc: 0,
+                output,
+                priority: top,
+            },
+        );
+        cands.truncate(levels);
+        for (vc, c) in cands.iter_mut().enumerate() {
+            c.vc = vc;
+        }
+        cs.set_input(input, &cands);
+    }
+}
+
 /// Run `kind` and its reference side by side for `cycles` cycles per
 /// seed, asserting identical matchings and identical RNG consumption.
 fn assert_matches_reference(kind: ArbiterKind, ports: usize, seeds: u64, cycles: usize) {
+    assert_matches_reference_on(kind, ports, seeds, cycles, fill_random);
+}
+
+/// [`assert_matches_reference`] over candidate sets drawn by `fill`.
+fn assert_matches_reference_on(
+    kind: ArbiterKind,
+    ports: usize,
+    seeds: u64,
+    cycles: usize,
+    fill: fn(&mut CandidateSet, &mut SimRng, bool),
+) {
     let levels = 4;
     for seed in 0..seeds {
         let mut fast = kind.instantiate(ports);
@@ -62,7 +109,7 @@ fn assert_matches_reference(kind: ArbiterKind, ports: usize, seeds: u64, cycles:
         let mut cs = CandidateSet::new(ports, levels);
         for cycle in 0..cycles {
             let tie_prone = cycle % 2 == 0;
-            fill_random(&mut cs, &mut workload_rng, tie_prone);
+            fill(&mut cs, &mut workload_rng, tie_prone);
             let m_fast = fast.schedule(&cs, &mut rng_fast);
             let m_gold = golden.schedule(&cs, &mut rng_gold);
             assert_eq!(
@@ -100,6 +147,15 @@ fn differential_matrix(kind: ArbiterKind) {
 #[test]
 fn coa_matches_reference() {
     differential_matrix(ArbiterKind::Coa);
+}
+
+#[test]
+fn coa_matches_reference_when_level_zero_is_mostly_distinct() {
+    // Bucket 0 (outputs with one live requester) is large here, so its
+    // one-pass grant runs on most of level 0 at every port-set width.
+    assert_matches_reference_on(ArbiterKind::Coa, 64, 12, 3, fill_mostly_distinct);
+    assert_matches_reference_on(ArbiterKind::Coa, 128, 4, 2, fill_mostly_distinct);
+    assert_matches_reference_on(ArbiterKind::Coa, 256, 2, 2, fill_mostly_distinct);
 }
 
 #[test]
