@@ -90,7 +90,7 @@ fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
 
 /// An arbiter name in the packs' spelling; exits 2 on an unknown name.
 fn arbiter(s: &str) -> ArbiterKind {
-    or_exit(parse_arbiter(s))
+    or_exit(parse_arbiter(s, "arbiter"))
 }
 
 /// The value-taking flags of `mmr run` (and of `mmr sweep`, which adds
@@ -182,7 +182,7 @@ fn config_from_flags(flags: &HashMap<String, String>) -> SimConfig {
         cfg.arbiter = arbiter(v);
     }
     if let Some(v) = flags.get("priority") {
-        cfg.priority = or_exit(parse_priority(v));
+        cfg.priority = or_exit(parse_priority(v, "priority"));
     }
     if let Some(v) = flags.get("cycles") {
         cfg.run = RunLength::Cycles(parse_u64(v));
@@ -421,7 +421,12 @@ fn render_traces(data: &PackData) -> String {
 fn representative_point(spec: &Pack, pack: &CompiledPack) -> (f64, ArbiterKind) {
     let first = spec.claim.as_deref().and_then(<[_]>::first);
     first
-        .and_then(|c| Some((c.at_load?, parse_arbiter(c.arbiter.as_deref()?).ok()?)))
+        .and_then(|c| {
+            Some((
+                c.at_load?,
+                parse_arbiter(c.arbiter.as_deref()?, "arbiter").ok()?,
+            ))
+        })
         .unwrap_or_else(|| {
             let peak = pack
                 .sweep

@@ -118,15 +118,81 @@ pub enum Bound {
     AtLeast(f64),
 }
 
+/// One arbiter's series in one panel: what a curve check reads.
+pub type Cell = (Panel, ArbiterKind);
+
+/// The grid points a [`Check::Curve`] reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Loads {
+    /// The one grid point at this load.
+    At(f64),
+    /// Every grid point at or below this load: the check keeps the worst
+    /// side of its bound among them — the smallest value under
+    /// [`Bound::AtLeast`], the largest under [`Bound::AtMost`].
+    Until(f64),
+}
+
+/// What a [`Check::Curve`] reads off one seed at one grid point.  The
+/// ratios clamp both sides to at least 1e-9, so an empty class reads as
+/// a tiny delay rather than a division by zero.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CurveValue {
+    /// The cell's metric.
+    Cell(Cell),
+    /// The first cell's metric over the second's: "WFA's delay is ≥ 10×
+    /// COA's", or "COA never falls more than 3× behind MWM".  The cells
+    /// may come from two packs.
+    Ratio(Cell, Cell),
+    /// `max(a/b, b/a)`: how far apart two cells are, either way (the
+    /// paper's "similar performance" below saturation).
+    Symmetric(Cell, Cell),
+    /// The cell's metric over the lowest any arbiter of its panel posts
+    /// at that load: the cell is the panel's (near-)floor.
+    OverBest(Cell),
+}
+
+impl CurveValue {
+    /// The cells the value names; the first one's series is the load
+    /// grid.
+    pub fn cells(&self) -> Vec<&Cell> {
+        match self {
+            CurveValue::Cell(a) | CurveValue::OverBest(a) => vec![a],
+            CurveValue::Ratio(a, b) | CurveValue::Symmetric(a, b) => vec![a, b],
+        }
+    }
+
+    /// The value for seed `seed` at the grid point `load`.
+    fn at(&self, e: &Ensemble, metric: CurveMetric, load: f64, seed: usize) -> f64 {
+        let of = |(panel, arbiter): &Cell| metric.of(&cell(e, panel, *arbiter, load).results[seed]);
+        let ratio = |n: f64, d: f64| n.max(1e-9) / d.max(1e-9);
+        match self {
+            CurveValue::Cell(a) => of(a),
+            CurveValue::Ratio(a, b) => ratio(of(a), of(b)),
+            CurveValue::Symmetric(a, b) => {
+                let (va, vb) = (of(a), of(b));
+                ratio(va, vb).max(ratio(vb, va))
+            }
+            CurveValue::OverBest(a) => {
+                let best = e
+                    .panel(&a.0)
+                    .points
+                    .iter()
+                    .filter(|p| (p.target_load - load).abs() < 1e-6)
+                    .map(|p| metric.of(&p.results[seed]).max(1e-9))
+                    .fold(f64::INFINITY, f64::min);
+                ratio(of(a), best)
+            }
+        }
+    }
+}
+
 /// A machine-checkable assertion about the reproduction.
 ///
 /// Each variant reduces one seed's data to a scalar `measured` value and
 /// carries the threshold it must meet; `Check::measure` computes the
 /// per-seed values and `ClaimOutcome::new` gates their ensemble
-/// median.  Curve checks are either *point-anchored* (`AtPoint`,
-/// `RatioAtPoint`, `UtilizationScales`: read the grid point at a load)
-/// or *load-prefix* (`until_load`: the worst value over every grid point
-/// up to a load).
+/// median.  Curve checks read either one grid point at a load or every
+/// grid point up to one ([`Loads`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Check {
     /// `winner` saturates at least `min_points` load points (percent of
@@ -146,51 +212,17 @@ pub enum Check {
         /// Minimum gap, in load points (1 point = 1% of link bandwidth).
         min_points: f64,
     },
-    /// `metric` for `arbiter` at the grid point `at_load` meets `bound`
-    /// (in the metric's unit).
-    AtPoint {
-        /// Sweep the check reads.
-        panel: Panel,
-        /// Metric bounded.
+    /// `value`, in `metric`, meets `bound` at the grid points `loads`
+    /// names (the worst of them under [`Loads::Until`]).
+    Curve {
+        /// Metric every cell is read in.
         metric: CurveMetric,
-        /// Arbiter measured.
-        arbiter: ArbiterKind,
-        /// Target load of the grid point.
-        at_load: f64,
-        /// Inclusive bound on the metric.
+        /// One grid point, or every one up to a load.
+        loads: Loads,
+        /// What is read at each grid point.
+        value: CurveValue,
+        /// Inclusive bound on the value.
         bound: Bound,
-    },
-    /// At `at_load`, the ratio of `num`'s metric to `den`'s meets
-    /// `bound` — e.g. "WFA's delay is ≥ 10× COA's".  Each side names its
-    /// own (panel, arbiter), so one claim may compare two packs.
-    RatioAtPoint {
-        /// Metric compared.
-        metric: CurveMetric,
-        /// Target load of the grid point (on both sides).
-        at_load: f64,
-        /// Numerator cell.
-        num: (Panel, ArbiterKind),
-        /// Denominator cell.
-        den: (Panel, ArbiterKind),
-        /// Inclusive bound on num/den.
-        bound: Bound,
-    },
-    /// For every grid point with load ≤ `until_load`, the two arbiters'
-    /// metrics are within `max_factor` of each other (paper: "similar
-    /// performance" below saturation).
-    WithinFactor {
-        /// Sweep the check reads.
-        panel: Panel,
-        /// Metric compared.
-        metric: CurveMetric,
-        /// First arbiter.
-        a: ArbiterKind,
-        /// Second arbiter.
-        b: ArbiterKind,
-        /// Load prefix checked (inclusive).
-        until_load: f64,
-        /// Maximum allowed max(a/b, b/a) over the prefix.
-        max_factor: f64,
     },
     /// `metric` is non-decreasing in load over the prefix, within slack:
     /// every consecutive step ratio `next/prev` stays at least
@@ -208,19 +240,6 @@ pub enum Check {
         /// Minimum allowed consecutive step ratio.
         min_step_ratio: f64,
     },
-    /// Delivered/generated stays at or above `min_ratio` for every grid
-    /// point with load ≤ `until_load` (Fig. 8's measured "no throughput
-    /// knee" deviation record).
-    ThroughputFloor {
-        /// Sweep the check reads.
-        panel: Panel,
-        /// Arbiter measured.
-        arbiter: ArbiterKind,
-        /// Load prefix checked (inclusive).
-        until_load: f64,
-        /// Minimum delivered/generated ratio.
-        min_ratio: f64,
-    },
     /// Window utilization scales with generated load: the ratio
     /// `util(hi)/util(lo)` divided by `load(hi)/load(lo)` is at least
     /// `min_ratio_of_ratios` (Fig. 8's overlap region tracks load).
@@ -235,41 +254,6 @@ pub enum Check {
         hi_load: f64,
         /// Minimum (util ratio)/(load ratio).
         min_ratio_of_ratios: f64,
-    },
-    /// One-sided factor bound over a load prefix: at every grid point
-    /// with load ≤ `until_load`, `numerator`'s metric stays at most
-    /// `max_ratio` times `denominator`'s.  Unlike [`Check::WithinFactor`]
-    /// the denominator may be arbitrarily better — this is "A never falls
-    /// more than `max_ratio`× behind B", the frontier's COA-vs-oracle
-    /// question.
-    AtMostRatio {
-        /// Sweep the check reads.
-        panel: Panel,
-        /// Metric compared.
-        metric: CurveMetric,
-        /// The arbiter whose metric is bounded.
-        numerator: ArbiterKind,
-        /// The arbiter providing the reference value.
-        denominator: ArbiterKind,
-        /// Load prefix checked (inclusive).
-        until_load: f64,
-        /// Maximum allowed numerator/denominator at any prefix point.
-        max_ratio: f64,
-    },
-    /// `oracle` is the panel's performance floor: at every grid point
-    /// with load ≤ `until_load`, its metric stays within `slack`× of the
-    /// best (lowest) value ANY arbiter in the panel achieves there.
-    DelayFloor {
-        /// Sweep the check reads.
-        panel: Panel,
-        /// Metric compared.
-        metric: CurveMetric,
-        /// The arbiter claimed to be (near-)optimal.
-        oracle: ArbiterKind,
-        /// Load prefix checked (inclusive).
-        until_load: f64,
-        /// Maximum allowed oracle/best ratio over the prefix.
-        slack: f64,
     },
     /// Back-to-Back injection: at least `min_mass` of frame-0's flits are
     /// emitted within the first `within_fraction` of the frame time
@@ -630,31 +614,32 @@ fn single_seed_series(series: &[&SweepPoint], seed: usize) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Saturation load of one seed's series, with the never-saturates case
-/// mapped to the last measured load (a conservative stand-in: the true
-/// saturation point is at least that far out).
-fn saturation_or_last(series: &[&SweepPoint], seed: usize, metric: CurveMetric) -> f64 {
+/// Saturation load of one seed's series; `None` when it never saturates
+/// inside the sweep.
+fn saturation(series: &[&SweepPoint], seed: usize, metric: CurveMetric) -> Option<f64> {
     let single = single_seed_series(series, seed);
     detect_saturation(&single, SaturationCriteria::default(), |p| {
         metric.of(&p.results[0])
     })
-    .unwrap_or_else(|| single.last().expect("non-empty series").achieved_load)
 }
 
 impl Check {
-    /// The grid loads this check anchors at; each must be a swept point
-    /// of the pack it reads.
-    pub(crate) fn anchor_loads(&self) -> Vec<f64> {
+    /// The grid loads this check anchors at, each with the claim field
+    /// that names it; each must be a swept point of the pack it reads.
+    pub(crate) fn anchor_loads(&self) -> Vec<(&'static str, f64)> {
         match *self {
-            Check::AtPoint { at_load, .. } | Check::RatioAtPoint { at_load, .. } => vec![at_load],
-            Check::WithinFactor { until_load, .. }
-            | Check::MonotoneDelay { until_load, .. }
-            | Check::ThroughputFloor { until_load, .. }
-            | Check::AtMostRatio { until_load, .. }
-            | Check::DelayFloor { until_load, .. } => vec![until_load],
+            Check::Curve {
+                loads: Loads::At(l),
+                ..
+            } => vec![("at_load", l)],
+            Check::Curve {
+                loads: Loads::Until(l),
+                ..
+            }
+            | Check::MonotoneDelay { until_load: l, .. } => vec![("until_load", l)],
             Check::UtilizationScales {
                 lo_load, hi_load, ..
-            } => vec![lo_load, hi_load],
+            } => vec![("from_load", lo_load), ("at_load", hi_load)],
             _ => vec![],
         }
     }
@@ -689,136 +674,53 @@ impl Check {
                 let win = arbiter_series(&data.points, *winner);
                 let lose = arbiter_series(&data.points, *loser);
                 let vals = (0..data.seed_count())
-                    .map(|s| {
-                        let w = saturation_or_last(&win, s, *metric);
-                        let l = saturation_or_last(&lose, s, *metric);
+                    .map(|s| match saturation(&lose, s, *metric) {
                         // A loser that never saturates inside the sweep
                         // cannot demonstrate any gap.
-                        let l_saturates = {
-                            let single = single_seed_series(&lose, s);
-                            detect_saturation(&single, SaturationCriteria::default(), |p| {
-                                metric.of(&p.results[0])
-                            })
-                            .is_some()
-                        };
-                        if l_saturates {
+                        None => 0.0,
+                        Some(l) => {
+                            let w = saturation(&win, s, *metric).unwrap_or_else(|| {
+                                win.last().expect("non-empty series").results[s].achieved_load
+                            });
                             (w - l) * 100.0
-                        } else {
-                            0.0
                         }
                     })
                     .collect();
                 (vals, Bound::AtLeast(*min_points), "load points")
             }
-            Check::AtPoint {
-                panel,
+            Check::Curve {
                 metric,
-                arbiter,
-                at_load,
+                loads,
+                value,
                 bound,
             } => {
-                let p = cell(e, panel, *arbiter, *at_load);
-                let vals = p.results.iter().map(|r| metric.of(r)).collect();
-                (vals, *bound, metric.unit())
-            }
-            Check::RatioAtPoint {
-                metric,
-                at_load,
-                num,
-                den,
-                bound,
-            } => {
-                let np = cell(e, &num.0, num.1, *at_load);
-                let dp = cell(e, &den.0, den.1, *at_load);
-                let vals = np
-                    .results
-                    .iter()
-                    .zip(&dp.results)
-                    .map(|(n, d)| metric.of(n) / metric.of(d).max(1e-9))
-                    .collect();
-                (vals, *bound, "x")
-            }
-            Check::WithinFactor {
-                panel,
-                metric,
-                a,
-                b,
-                until_load,
-                max_factor,
-            } => {
-                let data = e.panel(panel);
-                let sa = arbiter_series(&data.points, *a);
-                let sb = arbiter_series(&data.points, *b);
-                let vals = (0..data.seed_count())
+                let cells = value.cells();
+                let grid: Vec<f64> = match *loads {
+                    Loads::At(l) => vec![l],
+                    Loads::Until(l) => arbiter_series(&e.panel(&cells[0].0).points, cells[0].1)
+                        .iter()
+                        .map(|p| p.target_load)
+                        .filter(|&g| g <= l + 1e-6)
+                        .collect(),
+                };
+                let worst = match bound {
+                    Bound::AtLeast(_) => f64::min,
+                    Bound::AtMost(_) => f64::max,
+                };
+                let seeds = cells.iter().map(|c| e.panel(&c.0).seed_count()).min();
+                let vals = (0..seeds.unwrap_or_default())
                     .map(|s| {
-                        let mut worst = 1.0f64;
-                        for (pa, pb) in sa.iter().zip(&sb) {
-                            if pa.target_load > until_load + 1e-6 {
-                                continue;
-                            }
-                            let va = metric.of(&pa.results[s]).max(1e-9);
-                            let vb = metric.of(&pb.results[s]).max(1e-9);
-                            worst = worst.max(va / vb).max(vb / va);
-                        }
-                        worst
+                        grid.iter()
+                            .map(|&load| value.at(e, *metric, load, s))
+                            .reduce(worst)
+                            .expect("an anchor load is a grid point")
                     })
                     .collect();
-                (vals, Bound::AtMost(*max_factor), "x")
-            }
-            Check::AtMostRatio {
-                panel,
-                metric,
-                numerator,
-                denominator,
-                until_load,
-                max_ratio,
-            } => {
-                let data = e.panel(panel);
-                let ns = arbiter_series(&data.points, *numerator);
-                let ds = arbiter_series(&data.points, *denominator);
-                let vals = (0..data.seed_count())
-                    .map(|s| {
-                        let mut worst = 0.0f64;
-                        for (np, dp) in ns.iter().zip(&ds) {
-                            if np.target_load > until_load + 1e-6 {
-                                continue;
-                            }
-                            let n = metric.of(&np.results[s]).max(1e-9);
-                            let d = metric.of(&dp.results[s]).max(1e-9);
-                            worst = worst.max(n / d);
-                        }
-                        worst
-                    })
-                    .collect();
-                (vals, Bound::AtMost(*max_ratio), "x")
-            }
-            Check::DelayFloor {
-                panel,
-                metric,
-                oracle,
-                until_load,
-                slack,
-            } => {
-                let data = e.panel(panel);
-                let pts = &data.points;
-                let os = arbiter_series(pts, *oracle);
-                let vals = (0..data.seed_count())
-                    .map(|s| {
-                        let mut worst = 1.0f64;
-                        for op in os.iter().filter(|p| p.target_load <= until_load + 1e-6) {
-                            let oracle_v = metric.of(&op.results[s]).max(1e-9);
-                            // Best value any arbiter posts at this load.
-                            let best = pts
-                                .iter()
-                                .filter(|p| (p.target_load - op.target_load).abs() < 1e-6)
-                                .map(|p| metric.of(&p.results[s]).max(1e-9))
-                                .fold(f64::INFINITY, f64::min);
-                            worst = worst.max(oracle_v / best);
-                        }
-                        worst
-                    })
-                    .collect();
-                (vals, Bound::AtMost(*slack), "x")
+                let unit = match value {
+                    CurveValue::Cell(_) => metric.unit(),
+                    _ => "x",
+                };
+                (vals, *bound, unit)
             }
             Check::MonotoneDelay {
                 panel,
@@ -843,25 +745,6 @@ impl Check {
                     })
                     .collect();
                 (vals, Bound::AtLeast(*min_step_ratio), "step ratio")
-            }
-            Check::ThroughputFloor {
-                panel,
-                arbiter,
-                until_load,
-                min_ratio,
-            } => {
-                let data = e.panel(panel);
-                let series = arbiter_series(&data.points, *arbiter);
-                let vals = (0..data.seed_count())
-                    .map(|s| {
-                        series
-                            .iter()
-                            .filter(|p| p.target_load <= until_load + 1e-6)
-                            .map(|p| p.results[s].summary.throughput_ratio())
-                            .fold(f64::INFINITY, f64::min)
-                    })
-                    .collect();
-                (vals, Bound::AtLeast(*min_ratio), "ratio")
             }
             Check::UtilizationScales {
                 panel,
@@ -1167,6 +1050,77 @@ mod tests {
             assert_eq!(o.per_seed.len(), pack.sweep.seeds.len());
             assert!(o.spread_min <= o.median && o.median <= o.spread_max);
         }
+    }
+
+    /// Frame delays of a hand-built panel: `[arbiter][seed][load]` over
+    /// COA and WFA, two seeds and the loads 0.2, 0.4, 0.6.
+    fn hand_panel(delays: [[[f64; 3]; 2]; 2]) -> PackData {
+        let mut points = vec![];
+        for (arbiter, per_seed) in [ArbiterKind::Coa, ArbiterKind::Wfa].into_iter().zip(delays) {
+            for (i, load) in [0.2, 0.4, 0.6].into_iter().enumerate() {
+                let results = per_seed
+                    .iter()
+                    .map(|d| crate::saturation::tests::point(load, 1.0, d[i]).results[0].clone())
+                    .collect();
+                points.push(SweepPoint {
+                    arbiter,
+                    target_load: load,
+                    achieved_load: load,
+                    results,
+                });
+            }
+        }
+        PackData {
+            points,
+            ..PackData::default()
+        }
+    }
+
+    #[test]
+    fn curve_checks_read_the_worst_side_of_their_grid() {
+        use ArbiterKind::{Coa, Wfa};
+        let mut e = Ensemble::default();
+        e.insert(
+            "a",
+            hand_panel([[[1.0, 5.0, 3.0], [2.0, 4.0, 8.0]], [[2.0; 3], [1.0; 3]]]),
+        );
+        e.insert("b", hand_panel([[[2.0; 3]; 2], [[1.0; 3]; 2]]));
+        let (a, b) = (Panel::new("a"), Panel::new("b"));
+        let measure = |loads, value, bound| {
+            let check = Check::Curve {
+                metric: CurveMetric::FrameDelayUs,
+                loads,
+                value,
+                bound,
+            };
+            check.measure(&e)
+        };
+        let coa = || CurveValue::Cell((a.clone(), Coa));
+        let (least, most) = (Bound::AtLeast(0.0), Bound::AtMost(0.0));
+        // `Until` keeps the smallest value under `AtLeast`, the largest
+        // under `AtMost`, in the cell's unit.
+        assert_eq!(
+            measure(Loads::Until(0.6), coa(), least),
+            (vec![1.0, 2.0], least, "us")
+        );
+        assert_eq!(measure(Loads::Until(0.6), coa(), most).0, [5.0, 8.0]);
+        // Loads past `until_load` are not read.
+        assert_eq!(measure(Loads::Until(0.4), coa(), most).0, [5.0, 4.0]);
+        // `At` reads exactly one grid point, whatever the bound.
+        assert_eq!(measure(Loads::At(0.4), coa(), least).0, [5.0, 4.0]);
+        assert_eq!(measure(Loads::At(0.6), coa(), most).0, [3.0, 8.0]);
+        // A ratio may read its denominator from a second panel.
+        let ratio = CurveValue::Ratio((a.clone(), Coa), (b, Coa));
+        assert_eq!(
+            measure(Loads::At(0.6), ratio, least),
+            (vec![1.5, 4.0], least, "x")
+        );
+        // The symmetric ratio reads both directions; `OverBest` divides
+        // by the lowest value any arbiter of the panel posts at the load.
+        let symmetric = CurveValue::Symmetric((a.clone(), Coa), (a.clone(), Wfa));
+        assert_eq!(measure(Loads::Until(0.4), symmetric, most).0, [2.5, 4.0]);
+        let floor = CurveValue::OverBest((a, Coa));
+        assert_eq!(measure(Loads::Until(0.6), floor, most).0, [2.5, 8.0]);
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl ExperimentCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::experiment::ExperimentResult;
@@ -170,7 +170,7 @@ mod tests {
 
     /// Hand-build a sweep point with the given load, throughput ratio and
     /// frame delay.
-    fn point(load: f64, throughput: f64, frame_delay_us: f64) -> SweepPoint {
+    pub(crate) fn point(load: f64, throughput: f64, frame_delay_us: f64) -> SweepPoint {
         let metrics = MetricsReport {
             classes: vec![mmr_router::metrics::ClassStats {
                 class: mmr_traffic::connection::TrafficClass::Vbr,

@@ -32,8 +32,8 @@ use crate::config::{
     WorkloadSpec as ConfigWorkload,
 };
 use crate::conformance::{
-    ensemble_seeds, render_claims, Bound, Check, ClaimOutcome, CurveMetric, Ensemble, HwAxis,
-    PackData, Panel,
+    ensemble_seeds, render_claims, Bound, Cell, Check, ClaimOutcome, CurveMetric, CurveValue,
+    Ensemble, HwAxis, Loads, PackData, Panel,
 };
 use crate::saturation::ExperimentCache;
 use crate::sweep::{group_points, SweepSpec};
@@ -42,6 +42,7 @@ use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::{LinkPolicy, RouterConfig};
 use mmr_router::fabric::Topology;
+use mmr_sim::ensure;
 use mmr_sim::fault::FaultPlanConfig;
 use mmr_traffic::connection::TrafficClass;
 use mmr_traffic::mpeg::{standard_sequences, GOP_PATTERN};
@@ -93,163 +94,38 @@ impl Fidelity {
 // Errors
 // ---------------------------------------------------------------------------
 
-/// A typed validation/parse error for a workload document.
+/// A workload document that cannot be read or run.
 ///
 /// The proptest fuzzers assert that malformed documents always surface as
 /// one of these — never as a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
-    /// The document is not syntactically valid TOML/JSON.
+    /// The document is not valid TOML/JSON, or does not deserialize into
+    /// the pack schema (a missing or mistyped field).
     Parse {
-        /// 1-based line of the offending input (0 for JSON documents).
+        /// 1-based line of the offending input (0 for JSON documents and
+        /// schema errors).
         line: usize,
         /// What went wrong.
         msg: String,
     },
-    /// The document parsed but does not fit the schema.
-    Schema {
-        /// What went wrong.
-        msg: String,
-    },
-    /// A section that must carry entries is empty.
-    EmptySection {
-        /// Section name.
-        section: String,
-    },
-    /// `[traffic]` must set exactly one of `preset` / `[[traffic.group]]`.
-    MissingTraffic,
-    /// `preset` names no known canned workload.
-    UnknownPreset {
-        /// The unknown name.
-        preset: String,
-    },
-    /// A group's `class` is not a known traffic class label.
-    UnknownClass {
-        /// The unknown label.
-        class: String,
-    },
-    /// An arbiter name is not recognized.
-    UnknownArbiter {
-        /// The unknown name.
-        arbiter: String,
-    },
-    /// A `[router] priority` name is not recognized.
-    UnknownPriority {
-        /// The unknown name.
-        priority: String,
-    },
-    /// The declared class totals oversubscribe the link: peak swept load
-    /// (plus churn arrivals and best-effort background) exceeds capacity.
-    CapacityExceeded {
-        /// Peak offered fraction the document declares.
-        declared: f64,
-    },
-    /// The sweep declares no loads (or both an explicit list and an
-    /// `initial`/`max`/`step` generator).
-    NoLoads,
-    /// `seeds` is zero.
-    NoSeeds,
-    /// The sweep declares no arbiters.
-    NoArbiters,
-    /// A ramp or churn schedule requires explicit `[[traffic.group]]`s.
-    ScheduleNeedsGroups,
-    /// The run counts zero GOPs.
-    ZeroRun,
-    /// A claim anchors at a load the sweep never visits.
-    ClaimLoadNotSwept {
-        /// Claim id.
-        id: String,
-        /// The unanchored load.
-        at_load: f64,
-    },
-    /// A claim is missing a field its kind requires.
-    ClaimMissingField {
-        /// Claim id.
-        id: String,
-        /// The missing field.
-        field: String,
-    },
-    /// A claim kind is not recognized.
-    UnknownClaimKind {
-        /// Claim id.
-        id: String,
-        /// The unknown kind.
-        kind: String,
-    },
-    /// The fabric topology is not recognized or misses its dimensions.
-    BadFabric {
-        /// What went wrong.
-        msg: String,
-    },
-    /// Two packs of a set share a `[meta] name`.
-    DuplicatePack {
-        /// The shared name.
-        name: String,
-    },
-    /// Two claims of a pack set share an id.
-    DuplicateClaimId {
-        /// The shared id.
-        id: String,
-    },
-    /// A claim reads a pack (`versus_pack`) the set does not contain.
-    UnknownPanel {
-        /// Claim id.
-        id: String,
-        /// The missing pack.
-        pack: String,
-    },
-    /// A compiled point fails [`SimConfig::check`]: the router, fabric,
-    /// arbiter, workload, best-effort or fault value the pack sets
-    /// cannot run.
+    /// A field holds a value the pack cannot run, named by its path:
+    /// `sweep.seeds`, `traffic.group[0].class`, `claim[<id>].at_load`, or
+    /// the [`SimConfig::check`] field of a compiled point, such as
+    /// `router.candidate_levels`.
     Config(ConfigError),
+}
+
+impl From<ConfigError> for SpecError {
+    fn from(e: ConfigError) -> Self {
+        SpecError::Config(e)
+    }
 }
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
-            SpecError::Schema { msg } => write!(f, "schema error: {msg}"),
-            SpecError::EmptySection { section } => write!(f, "section `{section}` is empty"),
-            SpecError::MissingTraffic => {
-                write!(
-                    f,
-                    "[traffic] needs exactly one of `preset` / `group` / `vbr`"
-                )
-            }
-            SpecError::UnknownPreset { preset } => write!(f, "unknown preset `{preset}`"),
-            SpecError::UnknownClass { class } => write!(f, "unknown traffic class `{class}`"),
-            SpecError::UnknownArbiter { arbiter } => write!(f, "unknown arbiter `{arbiter}`"),
-            SpecError::UnknownPriority { priority } => {
-                write!(f, "unknown priority function `{priority}`")
-            }
-            SpecError::CapacityExceeded { declared } => {
-                write!(f, "declared load {declared:.3} exceeds link capacity")
-            }
-            SpecError::NoLoads => write!(
-                f,
-                "[sweep] needs exactly one of `loads` / `initial`+`max`+`step`"
-            ),
-            SpecError::NoSeeds => write!(f, "`seeds` must be at least 1"),
-            SpecError::NoArbiters => write!(f, "`arbiters` must name at least one arbiter"),
-            SpecError::ScheduleNeedsGroups => {
-                write!(f, "ramp/churn schedules require [[traffic.group]]s")
-            }
-            SpecError::ZeroRun => write!(f, "a run needs at least one GOP"),
-            SpecError::ClaimLoadNotSwept { id, at_load } => {
-                write!(f, "claim `{id}` anchors at unswept load {at_load}")
-            }
-            SpecError::ClaimMissingField { id, field } => {
-                write!(f, "claim `{id}` is missing field `{field}`")
-            }
-            SpecError::UnknownClaimKind { id, kind } => {
-                write!(f, "claim `{id}` has unknown kind `{kind}`")
-            }
-            SpecError::BadFabric { msg } => write!(f, "bad fabric: {msg}"),
-            SpecError::DuplicatePack { name } => write!(f, "two packs are named `{name}`"),
-            SpecError::DuplicateClaimId { id } => write!(f, "two claims have id `{id}`"),
-            SpecError::UnknownPanel { id, pack } => {
-                write!(f, "claim `{id}` reads pack `{pack}`, which the set lacks")
-            }
             SpecError::Config(e) => write!(f, "{e}"),
         }
     }
@@ -841,34 +717,32 @@ pub struct WorkloadSpec {
     pub claim: Option<Vec<ClaimSpec>>,
 }
 
-/// Parse a traffic-class label.
-pub fn parse_class(label: &str) -> Result<TrafficClass, SpecError> {
+/// Parse a traffic-class label; an unknown one is an error on `field`.
+pub fn parse_class(label: &str, field: &str) -> Result<TrafficClass, ConfigError> {
     match label {
         "cbr-low" => Ok(TrafficClass::CbrLow),
         "cbr-med" | "cbr-medium" => Ok(TrafficClass::CbrMedium),
         "cbr-high" => Ok(TrafficClass::CbrHigh),
         "vbr" => Ok(TrafficClass::Vbr),
         "best-effort" => Ok(TrafficClass::BestEffort),
-        other => Err(SpecError::UnknownClass {
-            class: other.to_string(),
-        }),
+        other => Err(ConfigError::new(
+            field,
+            format!("unknown traffic class `{other}`"),
+        )),
     }
 }
 
 /// Parse an arbiter name (optionally `islip:N` / `pim:N` for iteration
-/// counts).
-pub fn parse_arbiter(name: &str) -> Result<ArbiterKind, SpecError> {
+/// counts); an unknown one is an error on `field`.
+pub fn parse_arbiter(name: &str, field: &str) -> Result<ArbiterKind, ConfigError> {
+    let unknown = || ConfigError::new(field, format!("unknown arbiter `{name}`"));
     let (base, param) = match name.split_once(':') {
         Some((b, p)) => (b, Some(p)),
         None => (name, None),
     };
-    let iterations = |default: usize| -> Result<usize, SpecError> {
-        match param {
-            None => Ok(default),
-            Some(p) => p.parse().map_err(|_| SpecError::UnknownArbiter {
-                arbiter: name.to_string(),
-            }),
-        }
+    let iterations = |default: usize| match param {
+        None => Ok(default),
+        Some(p) => p.parse().map_err(|_| unknown()),
     };
     let kind = match base {
         "coa" => ArbiterKind::Coa,
@@ -890,34 +764,26 @@ pub fn parse_arbiter(name: &str) -> Result<ArbiterKind, SpecError> {
         "cq" => ArbiterKind::CrosspointQueued {
             cap: mmr_arbiter::cq::DEFAULT_CAP,
         },
-        _ => {
-            return Err(SpecError::UnknownArbiter {
-                arbiter: name.to_string(),
-            })
-        }
+        _ => return Err(unknown()),
     };
     if param.is_some() && !matches!(kind, ArbiterKind::Islip { .. } | ArbiterKind::Pim { .. }) {
-        return Err(SpecError::UnknownArbiter {
-            arbiter: name.to_string(),
-        });
+        return Err(unknown());
     }
     Ok(kind)
 }
 
 /// Parse a link-priority function name (`siabp`, `iabp`, `fifo`,
-/// `static`).
-pub fn parse_priority(name: &str) -> Result<PriorityKind, SpecError> {
+/// `static`); an unknown one is an error on `field`.
+pub fn parse_priority(name: &str, field: &str) -> Result<PriorityKind, ConfigError> {
     PriorityKind::all()
         .into_iter()
         .find(|k| k.label().to_ascii_lowercase() == name)
-        .ok_or_else(|| SpecError::UnknownPriority {
-            priority: name.to_string(),
-        })
+        .ok_or_else(|| ConfigError::new(field, format!("unknown priority function `{name}`")))
 }
 
 /// Parse a `[router] link_policy` name (`priority`, `tdm`,
 /// `tdm-backfill`).
-pub fn parse_link_policy(name: &str) -> Result<LinkPolicy, SpecError> {
+pub fn parse_link_policy(name: &str) -> Result<LinkPolicy, ConfigError> {
     let table = |backfill| LinkPolicy::SlotTable {
         backfill,
         table_len: SLOT_TABLE_LEN,
@@ -926,21 +792,22 @@ pub fn parse_link_policy(name: &str) -> Result<LinkPolicy, SpecError> {
         "priority" => Ok(LinkPolicy::Priority),
         "tdm" => Ok(table(false)),
         "tdm-backfill" => Ok(table(true)),
-        other => Err(SpecError::Config(ConfigError::new(
+        other => Err(ConfigError::new(
             "router.link_policy",
             format!("`{other}` is none of priority / tdm / tdm-backfill"),
-        ))),
+        )),
     }
 }
 
 /// Parse a `[traffic] vbr` injection label.
-fn parse_injection(label: &str) -> Result<InjectionKind, SpecError> {
+fn parse_injection(label: &str) -> Result<InjectionKind, ConfigError> {
     match label {
         "sr" => Ok(InjectionKind::SmoothRate),
         "bb" => Ok(InjectionKind::BackToBack),
-        other => Err(SpecError::Schema {
-            msg: format!("traffic.vbr `{other}` is neither `sr` nor `bb`"),
-        }),
+        other => Err(ConfigError::new(
+            "traffic.vbr",
+            format!("`{other}` is neither `sr` nor `bb`"),
+        )),
     }
 }
 
@@ -955,19 +822,32 @@ fn fault_plan(sec: &FaultSec) -> FaultPlanConfig {
     .scaled(sec.factor)
 }
 
-/// A required claim field, or the typed error naming it.
-fn need<T>(c: &ClaimSpec, field: &str, value: Option<T>) -> Result<T, SpecError> {
-    value.ok_or_else(|| SpecError::ClaimMissingField {
-        id: c.id.clone(),
-        field: field.to_string(),
-    })
+impl ClaimSpec {
+    /// The path of the claim field `name`, as errors name it:
+    /// `claim[<id>].<name>`.
+    fn field(&self, name: &str) -> String {
+        format!("claim[{}].{name}", self.id)
+    }
+
+    /// The required claim field `name`, or the error naming it.
+    fn need<T>(&self, name: &str, value: Option<T>) -> Result<T, ConfigError> {
+        value.ok_or_else(|| {
+            ConfigError::new(
+                self.field(name),
+                format!("kind `{}` needs this field", self.kind),
+            )
+        })
+    }
 }
 
 impl WorkloadSpec {
     /// Parse a TOML or JSON workload document.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let value = parse_document(text)?;
-        Self::from_value(&value).map_err(|e| SpecError::Schema { msg: e.to_string() })
+        Self::from_value(&value).map_err(|e| SpecError::Parse {
+            line: 0,
+            msg: e.to_string(),
+        })
     }
 
     /// True for the router-less MPEG pack (`preset = "mpeg-sequences"`).
@@ -1023,14 +903,12 @@ impl WorkloadSpec {
 
     /// The run a fidelity uses: warm-up cycles, run length, and GOPs per
     /// VBR connection or sequence (0 for cycle-counted runs).
-    fn run_length(&self, fidelity: Fidelity) -> Result<(u64, RunLength, usize), SpecError> {
-        let (warmup, cycles, gops) = match (fidelity, self.run.full) {
-            (Fidelity::Full, Some(f)) => (f.warmup, f.cycles, f.gops),
-            _ => (self.run.warmup, self.run.cycles, self.run.gops),
+    fn run_length(&self, fidelity: Fidelity) -> Result<(u64, RunLength, usize), ConfigError> {
+        let (section, (warmup, cycles, gops)) = match (fidelity, self.run.full) {
+            (Fidelity::Full, Some(f)) => ("run.full", (f.warmup, f.cycles, f.gops)),
+            _ => ("run", (self.run.warmup, self.run.cycles, self.run.gops)),
         };
-        if gops == Some(0) {
-            return Err(SpecError::ZeroRun);
-        }
+        ensure!(gops != Some(0); format!("{section}.gops"), "a run needs at least one GOP");
         let counts_gops = self.traffic.vbr.is_some() || self.is_trace_pack();
         match (counts_gops, warmup, cycles, gops) {
             (false, Some(warmup), Some(cycles), None) => Ok((warmup, RunLength::Cycles(cycles), 0)),
@@ -1040,14 +918,14 @@ impl WorkloadSpec {
                 let max_cycles = vbr_cycle_budget(gops as usize);
                 Ok((0, RunLength::UntilDrained { max_cycles }, gops as usize))
             }
-            (false, ..) => Err(SpecError::Schema {
-                msg: "[run] needs `warmup` and `cycles`, and no `gops`".into(),
-            }),
-            (true, ..) => Err(SpecError::Schema {
-                msg:
-                    "VBR and MPEG packs run a drainable `gops` count, with no `warmup` or `cycles`"
-                        .into(),
-            }),
+            (false, ..) => Err(ConfigError::new(
+                section,
+                "needs `warmup` and `cycles`, and no `gops`",
+            )),
+            (true, ..) => Err(ConfigError::new(
+                section,
+                "VBR and MPEG packs run a drainable `gops` count, with no `warmup` or `cycles`",
+            )),
         }
     }
 
@@ -1057,44 +935,25 @@ impl WorkloadSpec {
     /// `(fidelity, load, arbiter)` point compiles and must pass
     /// [`SimConfig::check`], the one semantic validator.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.meta.name.is_empty() || !is_bare_key(&self.meta.name) {
-            return Err(SpecError::Schema {
-                msg: format!("meta.name `{}` must be [a-zA-Z0-9_-]+", self.meta.name),
-            });
-        }
-        // Traffic: exactly one of preset / groups / vbr.
+        ensure!(is_bare_key(&self.meta.name); "meta.name",
+            "`{}` must be [a-zA-Z0-9_-]+", self.meta.name);
         let t = &self.traffic;
-        if [t.preset.is_some(), t.group.is_some(), t.vbr.is_some()]
-            .iter()
-            .filter(|&&given| given)
-            .count()
-            != 1
-        {
-            return Err(SpecError::MissingTraffic);
-        }
+        let sources = [t.preset.is_some(), t.group.is_some(), t.vbr.is_some()];
+        ensure!(sources.iter().filter(|&&given| given).count() == 1; "traffic",
+            "needs exactly one of `preset` / `group` / `vbr`");
         if let Some(preset) = &t.preset {
-            if preset != "paper-cbr" && preset != MPEG_PRESET {
-                return Err(SpecError::UnknownPreset {
-                    preset: preset.clone(),
-                });
-            }
+            ensure!(preset == "paper-cbr" || preset == MPEG_PRESET; "traffic.preset",
+                "unknown preset `{preset}`");
         }
         if let Some(vbr) = &t.vbr {
             parse_injection(vbr)?;
         }
-        if t.enforce_peak.is_some() && t.vbr.is_none() {
-            return Err(SpecError::Schema {
-                msg: "traffic.enforce_peak applies only to `vbr` packs".into(),
-            });
-        }
+        ensure!(t.enforce_peak.is_none() || t.vbr.is_some(); "traffic.enforce_peak",
+            "applies only to `vbr` packs");
         if let Some(groups) = &t.group {
-            if groups.is_empty() {
-                return Err(SpecError::EmptySection {
-                    section: "traffic.group".into(),
-                });
-            }
-            for g in groups {
-                parse_class(&g.class)?;
+            ensure!(!groups.is_empty(); "traffic.group", "is empty");
+            for (i, g) in groups.iter().enumerate() {
+                parse_class(&g.class, &format!("traffic.group[{i}].class"))?;
             }
         }
         for fidelity in [Fidelity::Quick, Fidelity::Full] {
@@ -1102,67 +961,59 @@ impl WorkloadSpec {
         }
         // Sweep: explicit loads XOR a generator, except in the MPEG pack,
         // which runs no router and so has neither.
-        let has_list = self.sweep.loads.is_some();
-        let has_gen =
-            self.sweep.initial.is_some() || self.sweep.max.is_some() || self.sweep.step.is_some();
+        let sw = &self.sweep;
+        let has_list = sw.loads.is_some();
+        let has_gen = sw.initial.is_some() || sw.max.is_some() || sw.step.is_some();
         if self.is_trace_pack() {
-            let full_loads = self.sweep.full.as_ref().is_some_and(|f| f.loads.is_some());
-            if has_list
-                || has_gen
-                || full_loads
-                || self.sweep.arbiters.is_some()
-                || self.best_effort.is_some()
-                || self.fault.is_some()
-                || self.fabric.is_some()
-                || self.router.is_some()
-            {
-                return Err(SpecError::Schema {
-                    msg: format!(
-                        "the `{MPEG_PRESET}` preset runs no router: [sweep] takes only `seeds`, \
-                         and [best_effort]/[fault]/[fabric]/[router] do not apply"
-                    ),
-                });
+            let foreign = [
+                ("sweep.loads", has_list),
+                ("sweep.initial", sw.initial.is_some()),
+                ("sweep.max", sw.max.is_some()),
+                ("sweep.step", sw.step.is_some()),
+                (
+                    "sweep.full.loads",
+                    sw.full.as_ref().is_some_and(|f| f.loads.is_some()),
+                ),
+                ("sweep.arbiters", sw.arbiters.is_some()),
+                ("best_effort", self.best_effort.is_some()),
+                ("fault", self.fault.is_some()),
+                ("fabric", self.fabric.is_some()),
+                ("router", self.router.is_some()),
+            ];
+            if let Some((field, _)) = foreign.into_iter().find(|&(_, given)| given) {
+                return Err(ConfigError::new(
+                    field,
+                    format!("the `{MPEG_PRESET}` preset runs no router, so this does not apply"),
+                )
+                .into());
             }
         } else {
-            let gen_complete = self.sweep.initial.is_some()
-                && self.sweep.max.is_some()
-                && self.sweep.step.is_some();
-            if has_list == has_gen || (has_gen && !gen_complete) {
-                return Err(SpecError::NoLoads);
+            let gen_complete = sw.initial.is_some() && sw.max.is_some() && sw.step.is_some();
+            ensure!(has_list != has_gen && (!has_gen || gen_complete); "sweep.loads",
+                "[sweep] needs exactly one of `loads` / `initial`+`max`+`step`");
+            if let (Some(step), true) = (sw.step, has_gen) {
+                ensure!(step.is_finite() && step > 0.0; "sweep.step", "{step} must be positive");
+                let span = sw.max.unwrap_or(0.0) - sw.initial.unwrap_or(0.0);
+                ensure!(span / step <= MAX_SEEDS as f64; "sweep.step",
+                    "a generated grid holds at most {MAX_SEEDS} loads");
             }
-            if let (Some(step), true) = (self.sweep.step, has_gen) {
-                if !step.is_finite() || step <= 0.0 {
-                    return Err(SpecError::Schema {
-                        msg: format!("sweep.step {step} must be positive"),
-                    });
-                }
-                let span = self.sweep.max.unwrap_or(0.0) - self.sweep.initial.unwrap_or(0.0);
-                if span / step > MAX_SEEDS as f64 {
-                    return Err(SpecError::Schema {
-                        msg: format!("a generated grid holds at most {MAX_SEEDS} loads"),
-                    });
-                }
-            }
-            if [Fidelity::Quick, Fidelity::Full].map(|f| self.loads(f).is_empty()) != [false; 2] {
-                return Err(SpecError::NoLoads);
-            }
-            if self.arbiter_names().is_empty() {
-                return Err(SpecError::NoArbiters);
-            }
-            for name in self.arbiter_names() {
-                parse_arbiter(name)?;
+            ensure!([Fidelity::Quick, Fidelity::Full].map(|f| self.loads(f).is_empty()) == [false; 2];
+                "sweep.loads", "the load grid is empty");
+            ensure!(!self.arbiter_names().is_empty(); "sweep.arbiters",
+                "must name at least one arbiter");
+            for (i, name) in self.arbiter_names().iter().enumerate() {
+                parse_arbiter(name, &format!("sweep.arbiters[{i}]"))?;
             }
         }
-        if self.sweep.seeds == 0 || self.sweep.full.as_ref().map(|f| f.seeds) == Some(Some(0)) {
-            return Err(SpecError::NoSeeds);
-        }
-        let most_seeds = self
-            .seed_count(Fidelity::Quick)
-            .max(self.seed_count(Fidelity::Full));
-        if most_seeds > MAX_SEEDS {
-            return Err(SpecError::Schema {
-                msg: format!("{most_seeds} seeds; an ensemble holds at most {MAX_SEEDS}"),
-            });
+        let full_seeds = sw.full.as_ref().and_then(|f| f.seeds);
+        for (field, seeds) in [
+            ("sweep.seeds", Some(sw.seeds)),
+            ("sweep.full.seeds", full_seeds),
+        ] {
+            if let Some(n) = seeds {
+                ensure!((1..=MAX_SEEDS as u64).contains(&n); field,
+                    "{n} seeds; an ensemble holds 1 to {MAX_SEEDS}");
+            }
         }
         // Capacity: peak swept load, plus churn arrivals, plus best-effort
         // background must fit the link.
@@ -1174,18 +1025,13 @@ impl WorkloadSpec {
         let arrivals = self.churn.map(|c| c.arrivals).unwrap_or(0.0).max(0.0);
         let be = self.best_effort.as_ref().map(|b| b.load).unwrap_or(0.0);
         let declared = peak_load * (1.0 + arrivals) + be;
-        if declared > 1.0 + LOAD_EPS {
-            return Err(SpecError::CapacityExceeded { declared });
-        }
-        if (self.ramp.is_some() || self.churn.is_some()) && self.traffic.group.is_none() {
-            return Err(SpecError::ScheduleNeedsGroups);
-        }
+        ensure!(declared <= 1.0 + LOAD_EPS; "sweep.loads",
+            "declared load {declared:.3} (peak load, churn arrivals and best-effort background) \
+             exceeds link capacity");
+        ensure!((self.ramp.is_none() && self.churn.is_none()) || t.group.is_some();
+            "traffic.group", "ramp/churn schedules require [[traffic.group]]s");
         if let Some(claims) = &self.claim {
-            if claims.is_empty() {
-                return Err(SpecError::EmptySection {
-                    section: "claim".into(),
-                });
-            }
+            ensure!(!claims.is_empty(); "claim", "is empty");
             for c in claims {
                 self.validate_claim(c)?;
             }
@@ -1194,8 +1040,7 @@ impl WorkloadSpec {
             let sweep = self.sweep_spec(fidelity)?;
             for &load in &sweep.loads {
                 for &arbiter in &sweep.arbiters {
-                    let point = sweep.base.with_load(load).with_arbiter(arbiter);
-                    point.check().map_err(SpecError::Config)?;
+                    sweep.base.with_load(load).with_arbiter(arbiter).check()?;
                 }
             }
         }
@@ -1203,25 +1048,28 @@ impl WorkloadSpec {
     }
 
     fn validate_claim(&self, c: &ClaimSpec) -> Result<(), SpecError> {
-        let schema = |msg: String| Err(SpecError::Schema { msg });
-        if c.id.is_empty() {
-            return schema("claim with empty id".into());
-        }
+        ensure!(!c.id.is_empty(); "claim[].id", "is empty");
         let check = self.lower_claim(c)?;
-        if check.reads_traces() != self.is_trace_pack() {
-            return schema(format!(
-                "claim `{}` ({}) and pack `{}` disagree on whether a router runs",
-                c.id, c.kind, self.meta.name
-            ));
-        }
-        if c.versus_pack.is_some() && !matches!(check, Check::RatioAtPoint { .. }) {
-            return schema(format!(
-                "claim `{}`: only ratio kinds read a `versus_pack`",
-                c.id
-            ));
-        }
-        for label in [&c.class, &c.slower, &c.faster].into_iter().flatten() {
-            parse_class(label)?;
+        ensure!(check.reads_traces() == self.is_trace_pack(); c.field("kind"),
+            "`{}` and pack `{}` disagree on whether a router runs", c.kind, self.meta.name);
+        let reads_two_packs = matches!(
+            check,
+            Check::Curve {
+                loads: Loads::At(_),
+                value: CurveValue::Ratio(..),
+                ..
+            }
+        );
+        ensure!(c.versus_pack.is_none() || reads_two_packs; c.field("versus_pack"),
+            "only ratio kinds read another pack");
+        for (field, label) in [
+            ("class", &c.class),
+            ("slower", &c.slower),
+            ("faster", &c.faster),
+        ] {
+            if let Some(label) = label {
+                parse_class(label, &c.field(field))?;
+            }
         }
         // A `versus` read from another pack is checked against that pack
         // by `validate_pack_set`; a hardware check names blocks, not
@@ -1231,25 +1079,16 @@ impl WorkloadSpec {
             Check::HwRatio { .. } => [None, None],
             _ => [c.arbiter.as_ref(), versus],
         };
-        for name in arbiters.into_iter().flatten() {
-            parse_arbiter(name)?;
-            if !self.arbiter_names().contains(name) {
-                return schema(format!(
-                    "claim `{}` reads arbiter `{name}` the sweep omits",
-                    c.id
-                ));
+        for (field, name) in ["arbiter", "versus"].into_iter().zip(arbiters) {
+            if let Some(name) = name {
+                parse_arbiter(name, &c.field(field))?;
+                ensure!(self.arbiter_names().contains(name); c.field(field),
+                    "reads arbiter `{name}` the sweep omits");
             }
         }
-        if !c.threshold.is_finite() {
-            return schema(format!("claim `{}` threshold must be finite", c.id));
-        }
-        for at_load in check.anchor_loads() {
-            if !self.sweeps(at_load) {
-                return Err(SpecError::ClaimLoadNotSwept {
-                    id: c.id.clone(),
-                    at_load,
-                });
-            }
+        ensure!(c.threshold.is_finite(); c.field("threshold"), "must be finite");
+        for (field, load) in check.anchor_loads() {
+            ensure!(self.sweeps(load); c.field(field), "{load} is not a swept load");
         }
         Ok(())
     }
@@ -1271,7 +1110,7 @@ impl WorkloadSpec {
                 router.vc_buffer_flits = size(depth);
             }
             if let Some(name) = &sec.priority {
-                priority = parse_priority(name)?;
+                priority = parse_priority(name, "router.priority")?;
             }
             if let Some(name) = &sec.link_policy {
                 router.link_policy = parse_link_policy(name)?;
@@ -1288,8 +1127,11 @@ impl WorkloadSpec {
     fn fabric_spec(&self, sec: &FabricSec) -> Result<FabricSpec, SpecError> {
         let size = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
         let dim = |v: Option<u64>, name: &str| {
-            v.map(size).ok_or_else(|| SpecError::BadFabric {
-                msg: format!("`{}` topology needs `{name}`", sec.topology),
+            v.map(size).ok_or_else(|| {
+                ConfigError::new(
+                    format!("fabric.{name}"),
+                    format!("`{}` topology needs it", sec.topology),
+                )
             })
         };
         let topology = match sec.topology.as_str() {
@@ -1308,9 +1150,11 @@ impl WorkloadSpec {
                 y: dim(sec.y, "y")?,
             },
             other => {
-                return Err(SpecError::BadFabric {
-                    msg: format!("unknown topology `{other}`"),
-                })
+                return Err(ConfigError::new(
+                    "fabric.topology",
+                    format!("unknown topology `{other}`"),
+                )
+                .into())
             }
         };
         let mut spec = FabricSpec::new(topology);
@@ -1362,14 +1206,15 @@ impl WorkloadSpec {
                 target_load: 0.5,
                 groups: groups
                     .iter()
-                    .map(|g| {
+                    .enumerate()
+                    .map(|(i, g)| {
                         Ok(MixGroup {
-                            class: parse_class(&g.class)?,
+                            class: parse_class(&g.class, &format!("traffic.group[{i}].class"))?,
                             rate_bps: g.rate_kbps * 1_000.0,
                             weight: g.weight,
                         })
                     })
-                    .collect::<Result<Vec<_>, SpecError>>()?,
+                    .collect::<Result<Vec<_>, ConfigError>>()?,
                 ramp: self.ramp.as_ref().map(|r| RampScheduleConfig {
                     steps: r.step.clone(),
                 }),
@@ -1413,7 +1258,8 @@ impl WorkloadSpec {
         let arbiters = self
             .arbiter_names()
             .iter()
-            .map(|n| parse_arbiter(n))
+            .enumerate()
+            .map(|(i, n)| parse_arbiter(n, &format!("sweep.arbiters[{i}]")))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SweepSpec {
             seeds: ensemble_seeds(base.seed, self.seed_count(fidelity)),
@@ -1427,64 +1273,52 @@ impl WorkloadSpec {
     /// table is DESIGN.md §13).  Every kind reads this pack's panel; the
     /// ratio kinds read their `versus` cell from `versus_pack` when it is
     /// set.
-    fn lower_claim(&self, c: &ClaimSpec) -> Result<Check, SpecError> {
+    fn lower_claim(&self, c: &ClaimSpec) -> Result<Check, ConfigError> {
         let panel = || Panel::new(&self.meta.name);
-        let arbiter = || match (&c.arbiter, self.arbiter_names().first()) {
-            (Some(name), _) | (None, Some(name)) => parse_arbiter(name),
-            (None, None) => Err(SpecError::Schema {
-                msg: format!(
-                    "claim `{}` reads a router sweep; the `{MPEG_PRESET}` preset runs none",
-                    c.id
-                ),
-            }),
+        let own = || -> Result<Cell, ConfigError> {
+            let name = c.arbiter.as_ref().or(self.arbiter_names().first());
+            let name = name.ok_or_else(|| {
+                ConfigError::new(
+                    c.field("arbiter"),
+                    format!("reads a router sweep; the `{MPEG_PRESET}` preset runs none"),
+                )
+            })?;
+            Ok((panel(), parse_arbiter(name, &c.field("arbiter"))?))
         };
-        let versus = || parse_arbiter(need(c, "versus", c.versus.as_deref())?);
-        let class =
-            |field: &str, label: &Option<String>| parse_class(need(c, field, label.as_deref())?);
+        let versus = || -> Result<Cell, ConfigError> {
+            let name = c.need("versus", c.versus.as_deref())?;
+            let pack = c.versus_pack.as_deref().unwrap_or(&self.meta.name);
+            Ok((Panel::new(pack), parse_arbiter(name, &c.field("versus"))?))
+        };
+        let class = |field: &str, label: &Option<String>| {
+            parse_class(c.need(field, label.as_deref())?, &c.field(field))
+        };
         let delay = || class("class", &c.class).map(CurveMetric::ClassDelayUs);
-        let at_load = || need(c, "at_load", c.at_load);
-        let until_load = || need(c, "until_load", c.until_load);
-        let at_point = |metric: CurveMetric, bound: Bound| -> Result<Check, SpecError> {
-            Ok(Check::AtPoint {
-                panel: panel(),
-                metric,
-                arbiter: arbiter()?,
-                at_load: at_load()?,
-                bound,
-            })
-        };
-        let ratio = |metric: CurveMetric, bound: Bound| -> Result<Check, SpecError> {
-            let den_pack = c.versus_pack.as_deref().unwrap_or(&self.meta.name);
-            Ok(Check::RatioAtPoint {
-                metric,
-                at_load: at_load()?,
-                num: (panel(), arbiter()?),
-                den: (Panel::new(den_pack), versus()?),
-                bound,
-            })
-        };
+        let at = || c.need("at_load", c.at_load).map(Loads::At);
+        let until = || c.need("until_load", c.until_load).map(Loads::Until);
         let t = c.threshold;
-        let parity = |metric: CurveMetric| -> Result<Check, SpecError> {
-            Ok(Check::WithinFactor {
-                panel: panel(),
-                metric,
-                a: arbiter()?,
-                b: versus()?,
-                until_load: until_load()?,
-                max_factor: t,
-            })
-        };
         let (at_most, at_least) = (Bound::AtMost(t), Bound::AtLeast(t));
-        let block = |field: &str, name: &Option<String>| {
-            let name = need(c, field, name.as_deref())?;
-            HwBlock::parse(name).ok_or_else(|| SpecError::Schema {
-                msg: format!(
-                    "claim `{}`: `{name}` is none of the hardware blocks siabp / iabp / coa / wfa",
-                    c.id
-                ),
+        let curve = |metric, loads, value, bound| -> Result<Check, ConfigError> {
+            Ok(Check::Curve {
+                metric,
+                loads,
+                value,
+                bound,
             })
         };
-        let hw = |axis: HwAxis| -> Result<Check, SpecError> {
+        let point = |metric, bound| curve(metric, at()?, CurveValue::Cell(own()?), bound);
+        let ratio = || Ok(CurveValue::Ratio(own()?, versus()?));
+        let symmetric = || Ok(CurveValue::Symmetric(own()?, versus()?));
+        let block = |field: &str, name: &Option<String>| {
+            let name = c.need(field, name.as_deref())?;
+            HwBlock::parse(name).ok_or_else(|| {
+                ConfigError::new(
+                    c.field(field),
+                    format!("`{name}` is none of the hardware blocks siabp / iabp / coa / wfa"),
+                )
+            })
+        };
+        let hw = |axis: HwAxis| -> Result<Check, ConfigError> {
             Ok(Check::HwRatio {
                 axis,
                 num: block("arbiter", &c.arbiter)?,
@@ -1492,70 +1326,60 @@ impl WorkloadSpec {
                 bound: at_least,
             })
         };
+        use CurveMetric::{FrameDelayUs, ThroughputRatio, WindowUtilizationPct};
         match c.kind.as_str() {
-            "delay-below" => at_point(delay()?, at_most),
-            "frame-delay-below" => at_point(CurveMetric::FrameDelayUs, at_most),
-            "delay-ratio-at-least" => at_point(
+            "delay-below" => point(delay()?, at_most),
+            "frame-delay-below" => point(FrameDelayUs, at_most),
+            "delay-ratio-at-least" => point(
                 CurveMetric::ClassDelayRatio(
                     class("slower", &c.slower)?,
                     class("faster", &c.faster)?,
                 ),
                 at_least,
             ),
-            "throughput-floor" => at_point(CurveMetric::ThroughputRatio, at_least),
-            "fairness-above" => at_point(CurveMetric::Fairness, at_least),
-            "reject-rate-below" => at_point(CurveMetric::RejectRate, at_most),
-            "utilization-above" => at_point(CurveMetric::CrossbarUtilization, at_least),
-            "delay-within-factor" => ratio(delay()?, at_most),
-            "delay-factor-at-least" => ratio(delay()?, at_least),
-            "frame-delay-factor-at-least" => ratio(CurveMetric::FrameDelayUs, at_least),
+            "throughput-floor" => point(ThroughputRatio, at_least),
+            "fairness-above" => point(CurveMetric::Fairness, at_least),
+            "reject-rate-below" => point(CurveMetric::RejectRate, at_most),
+            "utilization-above" => point(CurveMetric::CrossbarUtilization, at_least),
+            "delay-within-factor" => curve(delay()?, at()?, ratio()?, at_most),
+            "delay-factor-at-least" => curve(delay()?, at()?, ratio()?, at_least),
+            "frame-delay-factor-at-least" => curve(FrameDelayUs, at()?, ratio()?, at_least),
             "saturation-gap" => Ok(Check::SaturationGap {
                 panel: panel(),
                 metric: delay()?,
-                winner: arbiter()?,
-                loser: versus()?,
+                winner: own()?.1,
+                loser: versus()?.1,
                 min_points: t,
             }),
             "utilization-scales" => Ok(Check::UtilizationScales {
                 panel: panel(),
-                arbiter: arbiter()?,
-                lo_load: need(c, "from_load", c.from_load)?,
-                hi_load: at_load()?,
+                arbiter: own()?.1,
+                lo_load: c.need("from_load", c.from_load)?,
+                hi_load: c.need("at_load", c.at_load)?,
                 min_ratio_of_ratios: t,
             }),
-            "delay-parity-until" => parity(delay()?),
-            "utilization-parity-until" => parity(CurveMetric::WindowUtilizationPct),
+            "delay-parity-until" => curve(delay()?, until()?, symmetric()?, at_most),
+            "utilization-parity-until" => {
+                curve(WindowUtilizationPct, until()?, symmetric()?, at_most)
+            }
             "delay-monotone-until" => Ok(Check::MonotoneDelay {
                 panel: panel(),
                 metric: delay()?,
-                arbiter: arbiter()?,
-                until_load: until_load()?,
+                arbiter: own()?.1,
+                until_load: c.need("until_load", c.until_load)?,
                 min_step_ratio: t,
             }),
-            "throughput-floor-until" => Ok(Check::ThroughputFloor {
-                panel: panel(),
-                arbiter: arbiter()?,
-                until_load: until_load()?,
-                min_ratio: t,
-            }),
-            "delay-bounded-until" => Ok(Check::AtMostRatio {
-                panel: panel(),
-                metric: delay()?,
-                numerator: arbiter()?,
-                denominator: versus()?,
-                until_load: until_load()?,
-                max_ratio: t,
-            }),
-            "delay-floor-until" => Ok(Check::DelayFloor {
-                panel: panel(),
-                metric: delay()?,
-                oracle: arbiter()?,
-                until_load: until_load()?,
-                slack: t,
-            }),
+            "throughput-floor-until" => curve(
+                ThroughputRatio,
+                until()?,
+                CurveValue::Cell(own()?),
+                at_least,
+            ),
+            "delay-bounded-until" => curve(delay()?, until()?, ratio()?, at_most),
+            "delay-floor-until" => curve(delay()?, until()?, CurveValue::OverBest(own()?), at_most),
             "bb-burst" => Ok(Check::BurstConcentration {
                 panel: panel(),
-                within_fraction: need(c, "within_fraction", c.within_fraction)?,
+                within_fraction: c.need("within_fraction", c.within_fraction)?,
                 min_mass: t,
             }),
             "sr-coverage" => Ok(Check::SmoothCoverage {
@@ -1567,12 +1391,12 @@ impl WorkloadSpec {
                 max_peak_over_mean: t,
             }),
             "sawtooth" => {
-                let row = need(c, "sequence", c.sequence)?;
+                let row = c.need("sequence", c.sequence)?;
                 let sequence = usize::try_from(row)
                     .ok()
                     .filter(|&s| s < standard_sequences().len())
-                    .ok_or_else(|| SpecError::Schema {
-                        msg: format!("claim `{}`: Table 1 has no sequence {row}", c.id),
+                    .ok_or_else(|| {
+                        ConfigError::new(c.field("sequence"), format!("Table 1 has no row {row}"))
                     })?;
                 Ok(Check::Sawtooth {
                     panel: panel(),
@@ -1591,10 +1415,10 @@ impl WorkloadSpec {
             }),
             "hw-area-ratio-at-least" => hw(HwAxis::Area),
             "hw-delay-ratio-at-least" => hw(HwAxis::Delay),
-            other => Err(SpecError::UnknownClaimKind {
-                id: c.id.clone(),
-                kind: other.to_string(),
-            }),
+            other => Err(ConfigError::new(
+                c.field("kind"),
+                format!("unknown kind `{other}`"),
+            )),
         }
     }
 }
@@ -1607,49 +1431,31 @@ impl WorkloadSpec {
 pub fn validate_pack_set(specs: &[WorkloadSpec]) -> Result<(), SpecError> {
     let mut names = HashSet::new();
     for s in specs {
-        if !names.insert(s.meta.name.as_str()) {
-            return Err(SpecError::DuplicatePack {
-                name: s.meta.name.clone(),
-            });
-        }
+        ensure!(names.insert(s.meta.name.as_str()); "meta.name",
+            "two packs are named `{}`", s.meta.name);
     }
     let mut ids = HashSet::new();
     for c in specs.iter().flat_map(|s| s.claim.iter().flatten()) {
-        if !ids.insert(c.id.as_str()) {
-            return Err(SpecError::DuplicateClaimId { id: c.id.clone() });
-        }
+        ensure!(ids.insert(c.id.as_str()); c.field("id"), "two claims have this id");
         let Some(pack) = &c.versus_pack else {
             continue;
         };
-        let unknown = || SpecError::UnknownPanel {
-            id: c.id.clone(),
-            pack: pack.clone(),
-        };
-        let other = specs
+        let Some(other) = specs
             .iter()
-            .find(|s| &s.meta.name == pack)
-            .ok_or_else(unknown)?;
+            .find(|s| &s.meta.name == pack && !s.is_trace_pack())
+        else {
+            return Err(ConfigError::new(
+                c.field("versus_pack"),
+                format!("the set holds no router pack named `{pack}`"),
+            )
+            .into());
+        };
         let versus = c.versus.as_deref().unwrap_or_default();
-        if other.is_trace_pack() {
-            return Err(SpecError::Schema {
-                msg: format!("claim `{}` reads pack `{pack}`, which runs no sweep", c.id),
-            });
-        }
-        if !other.arbiter_names().iter().any(|n| n == versus) {
-            return Err(SpecError::Schema {
-                msg: format!(
-                    "claim `{}` reads arbiter `{versus}` pack `{pack}` omits",
-                    c.id
-                ),
-            });
-        }
+        ensure!(other.arbiter_names().iter().any(|n| n == versus); c.field("versus"),
+            "reads arbiter `{versus}` pack `{pack}` omits");
         let at_load = c.at_load.unwrap_or(f64::NAN);
-        if !other.sweeps(at_load) {
-            return Err(SpecError::ClaimLoadNotSwept {
-                id: c.id.clone(),
-                at_load,
-            });
-        }
+        ensure!(other.sweeps(at_load); c.field("at_load"),
+            "{at_load} is not a swept load of pack `{pack}`");
     }
     Ok(())
 }
@@ -2030,19 +1836,19 @@ name = "b"
             .replace("loads = [0.3, 0.5]", "loads = [0.9]");
         assert!(matches!(
             WorkloadSpec::parse(&over_capacity).unwrap().validate(),
-            Err(SpecError::CapacityExceeded { .. })
+            Err(SpecError::Config(e)) if e.field == "sweep.loads" && e.reason.contains("capacity")
         ));
         let unknown_arbiter = minimal_pack("").replace("\"coa\"", "\"quantum\"");
         assert!(matches!(
             WorkloadSpec::parse(&unknown_arbiter).unwrap().validate(),
-            Err(SpecError::UnknownArbiter { .. })
+            Err(SpecError::Config(e)) if e.field == "sweep.arbiters[0]"
         ));
         let unswept = minimal_pack(
             "\n[[claim]]\nid = \"x.y\"\ndescription = \"d\"\nkind = \"throughput-floor\"\nat_load = 0.77\nthreshold = 0.5\n",
         );
         assert!(matches!(
             WorkloadSpec::parse(&unswept).unwrap().validate(),
-            Err(SpecError::ClaimLoadNotSwept { .. })
+            Err(SpecError::Config(e)) if e.field == "claim[x.y].at_load"
         ));
     }
 
@@ -2058,19 +1864,22 @@ name = "b"
 
     #[test]
     fn arbiter_and_class_names_parse() {
-        assert_eq!(parse_arbiter("coa").unwrap(), ArbiterKind::Coa);
+        assert_eq!(parse_arbiter("coa", "a").unwrap(), ArbiterKind::Coa);
         assert_eq!(
-            parse_arbiter("islip:4").unwrap(),
+            parse_arbiter("islip:4", "a").unwrap(),
             ArbiterKind::Islip { iterations: 4 }
         );
         assert_eq!(
-            parse_arbiter("frame-fair").unwrap(),
+            parse_arbiter("frame-fair", "a").unwrap(),
             ArbiterKind::FrameFair {
                 frame: mmr_arbiter::frame::DEFAULT_FRAME
             }
         );
-        assert!(parse_arbiter("coa:3").is_err());
-        assert_eq!(parse_class("cbr-med").unwrap(), TrafficClass::CbrMedium);
-        assert!(parse_class("gold").is_err());
+        assert_eq!(parse_arbiter("coa:3", "a").unwrap_err().field, "a");
+        assert_eq!(
+            parse_class("cbr-med", "c").unwrap(),
+            TrafficClass::CbrMedium
+        );
+        assert_eq!(parse_class("gold", "c").unwrap_err().field, "c");
     }
 }

@@ -40,9 +40,9 @@
 //!   work): line/ring/mesh/torus topologies of MMRs with dimension-order
 //!   routing, epoch-batched boundary exchange, and deterministic
 //!   multi-worker execution; each node is the pipeline plus its links.
-//! * [`holfifo`] — the rejected single-FIFO-per-input design, reproducing
-//!   Karol et al.'s 58.6 % HOL-blocking limit that motivates the MMR's
-//!   per-connection virtual channels.
+//! * `holfifo` — test-only: the rejected single-FIFO-per-input design,
+//!   whose tests reproduce Karol et al.'s 58.6 % HOL-blocking limit that
+//!   motivates the MMR's per-connection virtual channels.
 
 #![warn(missing_docs)]
 
@@ -51,7 +51,7 @@ pub mod credit;
 pub mod crossbar;
 pub mod fabric;
 pub mod fault;
-pub mod holfifo;
+mod holfifo;
 pub mod link_scheduler;
 pub mod metrics;
 pub mod nic;

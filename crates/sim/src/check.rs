@@ -47,13 +47,15 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// `ensure!(ok; field, reason...)`: return `Err(ConfigError)` naming
-/// `field`, with the formatted reason, unless `ok`.
+/// `field`, with the formatted reason, unless `ok`.  The error converts
+/// into the function's error type, so an error that wraps a
+/// `ConfigError` can be returned too.
 #[macro_export]
 macro_rules! ensure {
     ($ok:expr; $field:expr, $($reason:tt)+) => {
         let ok: bool = $ok;
         if !ok {
-            return Err($crate::check::ConfigError::new($field, format!($($reason)+)));
+            return Err($crate::check::ConfigError::new($field, format!($($reason)+)).into());
         }
     };
 }

@@ -125,11 +125,6 @@ impl SimRng {
             xs.swap(i, j);
         }
     }
-
-    /// Pick a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.index(xs.len())]
-    }
 }
 
 #[cfg(test)]

@@ -128,7 +128,7 @@ done
 # Ratchet: the non-test line count (scripts/loc.sh) may not grow past
 # LOC_CEILING.  Lowering the ceiling to a new, smaller count is always
 # allowed; raising it means shipping code that no deletion paid for.
-LOC_CEILING=20201
+LOC_CEILING=19810
 LOC="$(bash scripts/loc.sh)"
 echo "non-test lines under crates/*/src: $LOC (ceiling $LOC_CEILING)"
 if ((LOC > LOC_CEILING)); then

@@ -21,7 +21,9 @@
 use mmr_core::arbiter::hw::HwBlock;
 use mmr_core::arbiter::priority::PriorityKind;
 use mmr_core::arbiter::scheduler::ArbiterKind;
-use mmr_core::conformance::{Bound, Check, ClaimOutcome, CurveMetric, Ensemble, HwAxis, Panel};
+use mmr_core::conformance::{
+    Bound, Check, ClaimOutcome, CurveMetric, CurveValue, Ensemble, HwAxis, Loads, Panel,
+};
 use mmr_core::router::config::LinkPolicy;
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::traffic::connection::TrafficClass;
@@ -99,7 +101,9 @@ fn judge(id: &str, check: Check) -> ClaimOutcome {
 /// The 23 paper claims as the retired Rust manifest stated them, with
 /// each panel now the pack that carries the sweep.
 fn paper_manifest() -> Vec<(&'static str, Check)> {
-    use ArbiterKind::{Coa, Wfa};
+    use ArbiterKind::{Coa, MwmExact, Wfa};
+    use CurveValue::{Cell, OverBest, Ratio, Symmetric};
+    use Loads::{At, Until};
     let (fig5, sr, bb, frontier, mpeg) = (
         Panel::new("fig5"),
         Panel::new("fig9_sr"),
@@ -108,12 +112,22 @@ fn paper_manifest() -> Vec<(&'static str, Check)> {
         Panel::new("mpeg"),
     );
     let high = CurveMetric::ClassDelayUs(TrafficClass::CbrHigh);
+    let low = CurveMetric::ClassDelayUs(TrafficClass::CbrLow);
+    let frame = CurveMetric::FrameDelayUs;
+    let throughput = CurveMetric::ThroughputRatio;
     let frame_fair = ArbiterKind::FrameFair {
         frame: mmr_core::arbiter::frame::DEFAULT_FRAME,
     };
     let cq = ArbiterKind::CrosspointQueued {
         cap: mmr_core::arbiter::cq::DEFAULT_CAP,
     };
+    let curve = |metric, loads, value, bound| Check::Curve {
+        metric,
+        loads,
+        value,
+        bound,
+    };
+    let (at_most, at_least) = (Bound::AtMost, Bound::AtLeast);
     vec![
         (
             "fig5.saturation-gap",
@@ -127,45 +141,34 @@ fn paper_manifest() -> Vec<(&'static str, Check)> {
         ),
         (
             "fig5.coa-high-delay-86",
-            Check::AtPoint {
-                panel: fig5.clone(),
-                metric: high,
-                arbiter: Coa,
-                at_load: 0.86,
-                bound: Bound::AtMost(10.0),
-            },
+            curve(high, At(0.86), Cell((fig5.clone(), Coa)), at_most(10.0)),
         ),
         (
             "fig5.wfa-collapse-86",
-            Check::RatioAtPoint {
-                metric: high,
-                at_load: 0.86,
-                num: (fig5.clone(), Wfa),
-                den: (fig5.clone(), Coa),
-                bound: Bound::AtLeast(10.0),
-            },
+            curve(
+                high,
+                At(0.86),
+                Ratio((fig5.clone(), Wfa), (fig5.clone(), Coa)),
+                at_least(10.0),
+            ),
         ),
         (
             "fig5.low-class-parity",
-            Check::WithinFactor {
-                panel: fig5.clone(),
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrLow),
-                a: Coa,
-                b: Wfa,
-                until_load: 0.7,
-                max_factor: 3.0,
-            },
+            curve(
+                low,
+                Until(0.7),
+                Symmetric((fig5.clone(), Coa), (fig5.clone(), Wfa)),
+                at_most(3.0),
+            ),
         ),
         (
             "fig5.medium-class-parity",
-            Check::WithinFactor {
-                panel: fig5.clone(),
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrMedium),
-                a: Coa,
-                b: Wfa,
-                until_load: 0.7,
-                max_factor: 3.0,
-            },
+            curve(
+                CurveMetric::ClassDelayUs(TrafficClass::CbrMedium),
+                Until(0.7),
+                Symmetric((fig5.clone(), Coa), (fig5.clone(), Wfa)),
+                at_most(3.0),
+            ),
         ),
         (
             "fig5.coa-high-monotone",
@@ -201,14 +204,12 @@ fn paper_manifest() -> Vec<(&'static str, Check)> {
         ),
         (
             "fig8.overlap",
-            Check::WithinFactor {
-                panel: sr.clone(),
-                metric: CurveMetric::WindowUtilizationPct,
-                a: Coa,
-                b: Wfa,
-                until_load: 0.6,
-                max_factor: 1.05,
-            },
+            curve(
+                CurveMetric::WindowUtilizationPct,
+                Until(0.6),
+                Symmetric((sr.clone(), Coa), (sr.clone(), Wfa)),
+                at_most(1.05),
+            ),
         ),
         (
             "fig8.utilization-scales",
@@ -222,42 +223,29 @@ fn paper_manifest() -> Vec<(&'static str, Check)> {
         ),
         (
             "fig8.no-throughput-knee",
-            Check::ThroughputFloor {
-                panel: sr.clone(),
-                arbiter: Coa,
-                until_load: 0.85,
-                min_ratio: 0.99,
-            },
+            curve(
+                throughput,
+                Until(0.85),
+                Cell((sr.clone(), Coa)),
+                at_least(0.99),
+            ),
         ),
         (
             "fig9.coa-low-delay",
-            Check::AtPoint {
-                panel: sr.clone(),
-                metric: CurveMetric::FrameDelayUs,
-                arbiter: Coa,
-                at_load: 0.6,
-                bound: Bound::AtMost(20.0),
-            },
+            curve(frame, At(0.6), Cell((sr.clone(), Coa)), at_most(20.0)),
         ),
         (
             "fig9.wfa-worse-at-85",
-            Check::RatioAtPoint {
-                metric: CurveMetric::FrameDelayUs,
-                at_load: 0.85,
-                num: (sr.clone(), Wfa),
-                den: (sr.clone(), Coa),
-                bound: Bound::AtLeast(2.0),
-            },
+            curve(
+                frame,
+                At(0.85),
+                Ratio((sr.clone(), Wfa), (sr.clone(), Coa)),
+                at_least(2.0),
+            ),
         ),
         (
             "fig9.bb-above-sr",
-            Check::RatioAtPoint {
-                metric: CurveMetric::FrameDelayUs,
-                at_load: 0.6,
-                num: (bb, Coa),
-                den: (sr, Coa),
-                bound: Bound::AtLeast(1.2),
-            },
+            curve(frame, At(0.6), Ratio((bb, Coa), (sr, Coa)), at_least(1.2)),
         ),
         (
             "table1.rates-within-2x",
@@ -284,55 +272,51 @@ fn paper_manifest() -> Vec<(&'static str, Check)> {
         ),
         (
             "frontier.coa-within-factor-of-mwm",
-            Check::AtMostRatio {
-                panel: frontier.clone(),
-                metric: high,
-                numerator: Coa,
-                denominator: ArbiterKind::MwmExact,
-                until_load: 0.86,
-                max_ratio: 3.0,
-            },
+            curve(
+                high,
+                Until(0.86),
+                Ratio((frontier.clone(), Coa), (frontier.clone(), MwmExact)),
+                at_most(3.0),
+            ),
         ),
         (
             "frontier.mwm-delay-floor",
-            Check::DelayFloor {
-                panel: frontier.clone(),
-                metric: high,
-                oracle: ArbiterKind::MwmExact,
-                until_load: 0.7,
-                slack: 1.5,
-            },
+            curve(
+                high,
+                Until(0.7),
+                OverBest((frontier.clone(), MwmExact)),
+                at_most(1.5),
+            ),
         ),
         (
             "frontier.mwm-approx-tracks-exact",
-            Check::WithinFactor {
-                panel: frontier.clone(),
-                metric: high,
-                a: ArbiterKind::MwmExact,
-                b: ArbiterKind::MwmApprox,
-                until_load: 0.7,
-                max_factor: 2.0,
-            },
+            curve(
+                high,
+                Until(0.7),
+                Symmetric(
+                    (frontier.clone(), MwmExact),
+                    (frontier.clone(), ArbiterKind::MwmApprox),
+                ),
+                at_most(2.0),
+            ),
         ),
         (
             "frontier.cq-no-hol-blocking",
-            Check::ThroughputFloor {
-                panel: frontier.clone(),
-                arbiter: cq,
-                until_load: 0.86,
-                min_ratio: 0.97,
-            },
+            curve(
+                throughput,
+                Until(0.86),
+                Cell((frontier.clone(), cq)),
+                at_least(0.97),
+            ),
         ),
         (
             "frontier.frame-fair-low-class-parity",
-            Check::WithinFactor {
-                panel: frontier,
-                metric: CurveMetric::ClassDelayUs(TrafficClass::CbrLow),
-                a: frame_fair,
-                b: Coa,
-                until_load: 0.7,
-                max_factor: 3.0,
-            },
+            curve(
+                low,
+                Until(0.7),
+                Symmetric((frontier.clone(), frame_fair), (frontier, Coa)),
+                at_most(3.0),
+            ),
         ),
     ]
 }
@@ -385,9 +369,9 @@ fn manifest_spans_every_figure_with_at_least_ten_claims() {
         other => panic!("fig5.saturation-gap has wrong check: {other:?}"),
     }
     match check("fig5.coa-high-delay-86") {
-        Check::AtPoint {
-            arbiter,
-            at_load,
+        Check::Curve {
+            loads: Loads::At(at_load),
+            value: CurveValue::Cell((_, arbiter)),
             bound: Bound::AtMost(max_value),
             ..
         } => {
@@ -511,11 +495,10 @@ fn inverted_claims_fail_against_the_same_ensemble() {
 
     let o = judge(
         "negative.wfa-meets-coa-bound",
-        Check::AtPoint {
-            panel: Panel::new("fig5"),
+        Check::Curve {
             metric: high,
-            arbiter: ArbiterKind::Wfa,
-            at_load: 0.86,
+            loads: Loads::At(0.86),
+            value: CurveValue::Cell((Panel::new("fig5"), ArbiterKind::Wfa)),
             bound: Bound::AtMost(10.0),
         },
     );
@@ -635,35 +618,35 @@ fn frontier_negative_controls_fail_against_the_same_ensemble() {
     let high = CurveMetric::ClassDelayUs(TrafficClass::CbrHigh);
     let o = judge(
         "negative.wfa-is-the-floor",
-        Check::DelayFloor {
-            panel: Panel::new("frontier"),
+        Check::Curve {
             metric: high,
-            oracle: ArbiterKind::Wfa,
-            until_load: 0.86,
-            slack: 1.5,
+            loads: Loads::Until(0.86),
+            value: CurveValue::OverBest((Panel::new("frontier"), ArbiterKind::Wfa)),
+            bound: Bound::AtMost(1.5),
         },
     );
     assert!(
         !o.pass,
-        "WFA passed as the delay floor (median {:.2}) — DelayFloor cannot reject",
+        "WFA passed as the delay floor (median {:.2}) — the floor check cannot reject",
         o.median
     );
     assert!(o.margin < 0.0);
 
     let o = judge(
         "negative.coa-equals-mwm",
-        Check::AtMostRatio {
-            panel: Panel::new("frontier"),
+        Check::Curve {
             metric: high,
-            numerator: ArbiterKind::Coa,
-            denominator: ArbiterKind::MwmExact,
-            until_load: 0.86,
-            max_ratio: 1.01,
+            loads: Loads::Until(0.86),
+            value: CurveValue::Ratio(
+                (Panel::new("frontier"), ArbiterKind::Coa),
+                (Panel::new("frontier"), ArbiterKind::MwmExact),
+            ),
+            bound: Bound::AtMost(1.01),
         },
     );
     assert!(
         !o.pass,
-        "COA matched the oracle to 1% (median {:.4}) — AtMostRatio cannot reject",
+        "COA matched the oracle to 1% (median {:.4}) — the ratio check cannot reject",
         o.median
     );
 }
@@ -707,27 +690,13 @@ fn named_cells(check: &Check) -> Vec<(&Panel, ArbiterKind)> {
     match check {
         Check::SaturationGap {
             panel,
-            winner: a,
-            loser: b,
+            winner,
+            loser,
             ..
-        }
-        | Check::WithinFactor { panel, a, b, .. }
-        | Check::AtMostRatio {
-            panel,
-            numerator: a,
-            denominator: b,
-            ..
-        } => vec![(panel, *a), (panel, *b)],
-        Check::AtPoint { panel, arbiter, .. }
-        | Check::MonotoneDelay { panel, arbiter, .. }
-        | Check::ThroughputFloor { panel, arbiter, .. }
-        | Check::UtilizationScales { panel, arbiter, .. }
-        | Check::DelayFloor {
-            panel,
-            oracle: arbiter,
-            ..
-        } => vec![(panel, *arbiter)],
-        Check::RatioAtPoint { num, den, .. } => vec![(&num.0, num.1), (&den.0, den.1)],
+        } => vec![(panel, *winner), (panel, *loser)],
+        Check::Curve { value, .. } => value.cells().into_iter().map(|(p, a)| (p, *a)).collect(),
+        Check::MonotoneDelay { panel, arbiter, .. }
+        | Check::UtilizationScales { panel, arbiter, .. } => vec![(panel, *arbiter)],
         // The trace checks run no router.
         _ => vec![],
     }
