@@ -141,10 +141,7 @@ fn measure_router_telemetry(
     let mut router = build_router(&cfg, build_workload(&cfg));
     if armed {
         // Worst-case arming: wall-clock stage timing plus tracing.
-        router.set_telemetry(TelemetryConfig {
-            wall_clock: true,
-            ..TelemetryConfig::default()
-        });
+        router.set_telemetry(TelemetryConfig { wall_clock: true });
     }
     let mut t = 0u64;
     bench_with(

@@ -459,13 +459,12 @@ fn write_artifacts(spec: &Pack, pack: &CompiledPack) {
     }
     let bench = load_bench_trajectory(&results_dir());
     let scenario = format!("{} @ load {load}", pack.name);
-    let Some(html) = render_overview(&scenario, &result, &bench) else {
-        fail("the run produced no observatory data".into())
-    };
+    let report = result.telemetry.as_ref().expect("an armed run reports");
+    let observatory = report.observatory.as_ref().expect("an armed run observes");
+    let html = render_overview(&scenario, &result, observatory, &bench);
     if let Err(e) = validate_overview(&html) {
         fail(format!("overview failed validation: {e}"))
     }
-    let report = result.telemetry.as_ref().expect("an armed run reports");
     let telemetry = serde_json::to_string_pretty(report).expect("report serializes") + "\n";
     let trace = to_jsonl(result.trace.iter().flatten().copied());
     for (ext, body) in [

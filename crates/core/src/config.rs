@@ -13,8 +13,6 @@
 use mmr_arbiter::priority::PriorityKind;
 use mmr_arbiter::scheduler::ArbiterKind;
 use mmr_router::config::RouterConfig;
-use mmr_router::fault::FaultProfile;
-use mmr_router::telemetry::MAX_TRACE_CAPACITY;
 pub use mmr_sim::check::ConfigError;
 use mmr_sim::check::{within_span, MAX_SPAN};
 use mmr_sim::ensure;
@@ -236,7 +234,7 @@ impl BestEffortSpec {
 }
 
 /// Fault injection for a simulation: the randomized schedule to generate
-/// and the router's detection/recovery policy.
+/// and the delay bound QoS violations are counted against.
 ///
 /// The concrete [`mmr_sim::fault::FaultPlan`] is derived at build time
 /// from the plan config, the router geometry, and a stream split off the
@@ -246,19 +244,9 @@ impl BestEffortSpec {
 pub struct FaultSpec {
     /// Randomized fault-schedule parameters.
     pub plan: FaultPlanConfig,
-    /// Detection/recovery policy.
-    pub profile: FaultProfile,
-}
-
-impl FaultSpec {
-    /// A copy with every fault rate multiplied by `factor` (the x-axis of
-    /// fault-rate sweeps).
-    pub fn scaled(&self, factor: f64) -> Self {
-        FaultSpec {
-            plan: self.plan.scaled(factor),
-            profile: self.profile,
-        }
-    }
+    /// Per-connection QoS delay bound in flit cycles; deliveries slower
+    /// than this count as QoS violations in the metrics.
+    pub delay_bound_flit_cycles: Option<u64>,
 }
 
 /// Telemetry for a simulation: arming parameters for the router's
@@ -399,19 +387,8 @@ impl SimConfig {
             let end = plan.window_start + plan.window_len;
             ensure!(end <= last; "fault.plan.window_len",
                 "the window ends at cycle {end}, past the run's last cycle {last}");
-            let p = &fault.profile;
-            within_span(p.watchdog_period, "fault.profile.watchdog_period")?;
-            within_span(p.rate_window, "fault.profile.rate_window")?;
-            let bound = p.delay_bound_flit_cycles.unwrap_or(0);
-            within_span(bound, "fault.profile.delay_bound_flit_cycles")?;
-            let t = p.rogue_threshold;
-            ensure!(t > 0.0 && t.is_finite(); "fault.profile.rogue_threshold",
-                "rogue threshold {t} must be finite and positive");
-        }
-        if let Some(t) = &self.telemetry {
-            let n = t.trace_capacity;
-            ensure!(n <= MAX_TRACE_CAPACITY; "telemetry.trace_capacity",
-                "{n} events exceed the flight recorder's {MAX_TRACE_CAPACITY}");
+            let bound = fault.delay_bound_flit_cycles.unwrap_or(0);
+            within_span(bound, "fault.delay_bound_flit_cycles")?;
         }
         Ok(())
     }
@@ -500,18 +477,26 @@ mod tests {
     #[test]
     fn fault_spec_roundtrips_and_scales() {
         let cfg = SimConfig {
-            fault: Some(FaultSpec::default()),
+            fault: Some(FaultSpec {
+                plan: FaultPlanConfig {
+                    factor: 3.0,
+                    ..FaultPlanConfig::default()
+                },
+                delay_bound_flit_cycles: Some(128),
+            }),
             ..SimConfig::default()
         };
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
-        let fs = FaultSpec::default().scaled(3.0);
-        assert_eq!(
-            fs.plan.corrupt_per_kcycle,
-            FaultPlanConfig::default().corrupt_per_kcycle * 3.0
-        );
-        assert_eq!(fs.profile, FaultProfile::default());
+        // The factor scales every kind's count: 162 events, not 54.
+        let events = |plan: FaultPlanConfig| {
+            let mut rng = mmr_sim::rng::SimRng::seed_from_u64(3);
+            plan.generate(4, 40, &mut rng).len()
+        };
+        let plan = cfg.fault.unwrap().plan;
+        assert_eq!(events(plan), 3 * events(FaultPlanConfig::default()));
+        assert_eq!(events(FaultPlanConfig::default()), 54);
     }
 
     #[test]
@@ -630,7 +615,14 @@ mod tests {
                 window_len,
                 ..FaultPlanConfig::default()
             },
-            profile: FaultProfile::default(),
+            delay_bound_flit_cycles: None,
+        };
+        let at_factor = |factor| FaultSpec {
+            plan: FaultPlanConfig {
+                factor,
+                ..FaultPlanConfig::default()
+            },
+            delay_bound_flit_cycles: None,
         };
         for (cfg, field, expected) in [
             (d.with_load(1.5), "workload.target_load", "load 1.5"),
@@ -752,6 +744,21 @@ mod tests {
                 with_fault(&d, window(5_000, 0)),
                 "fault.plan.window_len",
                 "positive",
+            ),
+            (
+                with_fault(&d, at_factor(-1.0)),
+                "fault.plan.factor",
+                "rate factor -1",
+            ),
+            (
+                with_fault(&d, at_factor(f64::NAN)),
+                "fault.plan.factor",
+                "rate factor NaN",
+            ),
+            (
+                with_fault(&d, at_factor(200.0)),
+                "fault.plan.window_len",
+                "at most one per cycle",
             ),
         ] {
             let err = cfg.check().expect_err(expected);

@@ -220,7 +220,7 @@ pub fn run_experiment(cfg: &SimConfig) -> ExperimentResult {
         // construction or arbitration randomness.
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xFA17).split(71);
         let plan = fault.plan.generate(cfg.router.ports, connections, &mut rng);
-        router.set_faults(plan, fault.profile);
+        router.set_faults(plan, fault.delay_bound_flit_cycles);
     }
     if let Some(t) = &cfg.telemetry {
         router.set_telemetry(t.to_config());

@@ -22,9 +22,10 @@
 //! detected by a leading `{` and parsed with the vendored `serde_json`.
 //!
 //! Sections that describe a config concept deserialize into the
-//! config's own type: `[[ramp.step]]` into [`RampStepConfig`] and
-//! `[churn]` into [`ChurnConfig`], so a pack and a `SimConfig` spell a
-//! ramp or a churn window the same way.
+//! config's own type: `[[ramp.step]]` into [`RampStepConfig`],
+//! `[churn]` into [`ChurnConfig`] and `[fault]` into
+//! [`FaultPlanConfig`], so a pack and a `SimConfig` spell a ramp, a
+//! churn window or a fault plan the same way.
 
 use crate::config::{
     vbr_cycle_budget, BestEffortSpec, ChurnConfig, ConfigError, FabricSpec, FaultSpec,
@@ -622,17 +623,6 @@ pub struct RampSec {
     pub step: Vec<RampStepConfig>,
 }
 
-/// `[fault]` — a scaled default fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultSec {
-    /// Fault window start cycle.
-    pub window_start: u64,
-    /// Fault window length in cycles.
-    pub window_len: u64,
-    /// Rate multiplier over the default plan (0 = no faults).
-    pub factor: f64,
-}
-
 /// `[fabric]` — optional multi-router topology.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FabricSec {
@@ -709,8 +699,8 @@ pub struct WorkloadSpec {
     pub ramp: Option<RampSec>,
     /// `[churn]` — mid-run departures and arrivals.
     pub churn: Option<ChurnConfig>,
-    /// `[fault]`.
-    pub fault: Option<FaultSec>,
+    /// `[fault]` — a fault window and a rate factor.
+    pub fault: Option<FaultPlanConfig>,
     /// `[fabric]`.
     pub fabric: Option<FabricSec>,
     /// `[[claim]]`s.
@@ -809,17 +799,6 @@ fn parse_injection(label: &str) -> Result<InjectionKind, ConfigError> {
             format!("`{other}` is neither `sr` nor `bb`"),
         )),
     }
-}
-
-/// The default fault plan over `[fault]`'s window, its rates scaled by
-/// `factor`.
-fn fault_plan(sec: &FaultSec) -> FaultPlanConfig {
-    FaultPlanConfig {
-        window_start: sec.window_start,
-        window_len: sec.window_len,
-        ..FaultPlanConfig::default()
-    }
-    .scaled(sec.factor)
 }
 
 impl ClaimSpec {
@@ -1246,10 +1225,10 @@ impl WorkloadSpec {
         if let Some(seed) = self.sweep.seed {
             base.seed = seed;
         }
-        if let Some(fault) = &self.fault {
+        if let Some(plan) = self.fault {
             base.fault = Some(FaultSpec {
-                plan: fault_plan(fault),
-                profile: Default::default(),
+                plan,
+                delay_bound_flit_cycles: None,
             });
         }
         if let Some(fabric) = &self.fabric {

@@ -191,6 +191,36 @@ impl Topology {
         }
     }
 
+    /// The grid a directional topology lays its nodes on, as `(width,
+    /// height, wraps)`: a ring is one wrapping row; the line has none.
+    fn grid(&self) -> Option<(usize, usize, bool)> {
+        match *self {
+            Topology::Line { .. } => None,
+            Topology::Ring { nodes } => Some((nodes, 1, true)),
+            Topology::Mesh { x, y } => Some((x, y, false)),
+            Topology::Torus { x, y } => Some((x, y, true)),
+        }
+    }
+
+    /// The node one step from `node` toward `dir`, if that link exists:
+    /// a ring has X links only, a mesh stops at its edges and a torus
+    /// wraps.
+    fn neighbor(&self, node: usize, dir: Dir) -> Option<usize> {
+        let (x, y, wrap) = self.grid()?;
+        let (gx, gy) = (node % x, node / x);
+        // One step along an axis of `len` nodes; an axis of one node has
+        // no links.
+        let step = |at: usize, len: usize, plus: bool| {
+            let inside = if plus { at + 1 < len } else { at > 0 };
+            let to = (if plus { at + 1 } else { at + len - 1 }) % len;
+            (len > 1 && (wrap || inside)).then_some(to)
+        };
+        match dir {
+            Dir::XPlus | Dir::XMinus => Some(gy * x + step(gx, x, dir == Dir::XPlus)?),
+            Dir::YPlus | Dir::YMinus => Some(step(gy, y, dir == Dir::YPlus)? * x + gx),
+        }
+    }
+
     /// Crossbar ports per node.
     pub fn node_ports(&self, router_ports: usize, host_ports: usize) -> usize {
         match self {
@@ -952,27 +982,13 @@ impl Fabric {
                     }
                 }
             }
-            Topology::Ring { nodes } => {
-                for i in 0..nodes {
-                    let fwd = Dir::XPlus.index();
-                    let bwd = Dir::XMinus.index();
-                    links.push((i, fwd, (i + 1) % nodes, bwd));
-                    links.push((i, bwd, (i + nodes - 1) % nodes, fwd));
-                }
-            }
-            Topology::Mesh { x, y } | Topology::Torus { x, y } => {
-                let wrap = matches!(spec.topology, Topology::Torus { .. });
-                for node in 0..x * y {
-                    let (gx, gy) = (node % x, node / x);
-                    let mut emit = |dir: Dir, exists: bool, to: usize| {
-                        if exists {
+            Topology::Ring { .. } | Topology::Mesh { .. } | Topology::Torus { .. } => {
+                for node in 0..nnodes {
+                    for dir in [Dir::XPlus, Dir::XMinus, Dir::YPlus, Dir::YMinus] {
+                        if let Some(to) = spec.topology.neighbor(node, dir) {
                             links.push((node, dir.index(), to, dir.opposite().index()));
                         }
-                    };
-                    emit(Dir::XPlus, wrap || gx + 1 < x, gy * x + (gx + 1) % x);
-                    emit(Dir::XMinus, wrap || gx > 0, gy * x + (gx + x - 1) % x);
-                    emit(Dir::YPlus, wrap || gy + 1 < y, ((gy + 1) % y) * x + gx);
-                    emit(Dir::YMinus, wrap || gy > 0, ((gy + y - 1) % y) * x + gx);
+                    }
                 }
             }
         }
@@ -1056,28 +1072,18 @@ impl Fabric {
                     }
                 }
                 Topology::Ring { .. } | Topology::Mesh { .. } | Topology::Torus { .. } => {
-                    let (gx, gy, wrap) = match spec.topology {
-                        Topology::Ring { nodes } => (nodes, 1, true),
-                        Topology::Mesh { x, y } => (x, y, false),
-                        Topology::Torus { x, y } => (x, y, true),
-                        Topology::Line { .. } => unreachable!(),
-                    };
+                    let (gx, gy, wrap) = spec.topology.grid().expect("a directional topology");
                     let src = hm.node_of(s.input);
                     let dst = hm.node_of(s.output);
                     let route = mesh_route(gx, gy, src, dst, wrap);
                     let mut node = src;
                     let mut inp = degree + hm.slot_of(s.input);
-                    for d in &route {
+                    for &d in &route {
                         hop(node, inp, d.index());
-                        node = {
-                            let (nx, ny) = (node % gx, node / gx);
-                            match d {
-                                Dir::XPlus => ny * gx + (nx + 1) % gx,
-                                Dir::XMinus => ny * gx + (nx + gx - 1) % gx,
-                                Dir::YPlus => ((ny + 1) % gy) * gx + nx,
-                                Dir::YMinus => ((ny + gy - 1) % gy) * gx + nx,
-                            }
-                        };
+                        node = spec
+                            .topology
+                            .neighbor(node, d)
+                            .expect("routes stay on links");
                         inp = d.opposite().index();
                     }
                     hop(node, inp, degree + hm.slot_of(s.output));
@@ -1800,6 +1806,24 @@ mod tests {
             let s = f.summary();
             assert!(s.delivered_flits > 0, "{} delivered nothing", s.topology);
         }
+    }
+
+    #[test]
+    fn neighbors_follow_each_topology() {
+        use Dir::{XMinus, XPlus, YMinus, YPlus};
+        let steps = |t: Topology, node| [XPlus, XMinus, YPlus, YMinus].map(|d| t.neighbor(node, d));
+        let ring = Topology::Ring { nodes: 3 };
+        assert_eq!(steps(ring, 0), [Some(1), Some(2), None, None], "X only");
+        let mesh = Topology::Mesh { x: 3, y: 2 };
+        assert_eq!(steps(mesh, 0), [Some(1), None, Some(3), None], "bounded");
+        assert_eq!(steps(mesh, 5), [None, Some(4), None, Some(2)]);
+        let torus = Topology::Torus { x: 3, y: 2 };
+        assert_eq!(
+            steps(torus, 0),
+            [Some(1), Some(2), Some(3), Some(3)],
+            "wraps"
+        );
+        assert_eq!(Topology::Line { stages: 2 }.neighbor(0, XPlus), None);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! * **checksum discard** — the router ingress verifies every flit's
 //!   header CRC ([`mmr_traffic::flit::Flit::integrity_ok`]); corrupted
 //!   flits are discarded and their credit returned immediately;
-//! * **credit watchdog** — every `watchdog_period` flit cycles the
+//! * **credit watchdog** — every 64 flit cycles (`WATCHDOG_PERIOD`) the
 //!   NIC-side credit counters are audited against actual VC occupancy and
 //!   resynchronized on drift (covering silent link drops and phantom
 //!   credits);
 //! * **contract policing + quarantine** — per-connection generation rates
-//!   are metered over `rate_window`; a guaranteed connection exceeding
-//!   `rogue_threshold ×` its admitted rate is *quarantined*: its
+//!   are metered over [`RATE_WINDOW`]; a guaranteed connection exceeding
+//!   1.5 × (`ROGUE_THRESHOLD`) its admitted rate is *quarantined*: its
 //!   reservation is zeroed so the link schedulers treat it as
 //!   best-effort, returning its slots to the best-effort pool while the
 //!   remaining guaranteed connections keep their bounds.
@@ -28,34 +28,14 @@
 use mmr_sim::fault::{FaultKind, FaultPlan};
 use serde::{Deserialize, Serialize};
 
-/// Detection/recovery policy knobs (the counterpart of the fault
-/// schedule: how hard the router fights back).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultProfile {
-    /// Credit-audit period in flit cycles (0 disables the watchdog).
-    pub watchdog_period: u64,
-    /// Quarantine contract-violating connections (demote to best-effort).
-    pub quarantine: bool,
-    /// Observed/admitted generation-rate ratio that triggers quarantine.
-    pub rogue_threshold: f64,
-    /// Rate-metering window in flit cycles.
-    pub rate_window: u64,
-    /// Per-connection QoS delay bound in flit cycles; deliveries slower
-    /// than this count as QoS violations in the metrics.
-    pub delay_bound_flit_cycles: Option<u64>,
-}
+/// Credit-audit period of the watchdog, flit cycles.
+const WATCHDOG_PERIOD: u64 = 64;
 
-impl Default for FaultProfile {
-    fn default() -> Self {
-        FaultProfile {
-            watchdog_period: 64,
-            quarantine: true,
-            rogue_threshold: 1.5,
-            rate_window: 2_048,
-            delay_bound_flit_cycles: None,
-        }
-    }
-}
+/// Observed/admitted generation-rate ratio that triggers quarantine.
+const ROGUE_THRESHOLD: f64 = 1.5;
+
+/// Rate-metering window of contract policing, flit cycles.
+pub const RATE_WINDOW: u64 = 2_048;
 
 /// What the fault subsystem saw and did during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -104,7 +84,6 @@ pub enum LinkFate {
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
-    profile: FaultProfile,
     cursor: usize,
     /// Per output: first flit cycle at which the port accepts again.
     stall_until: Vec<u64>,
@@ -136,15 +115,14 @@ pub struct FaultState {
 const ROGUE_SEQ_BASE: u64 = 1 << 48;
 
 impl FaultState {
-    /// Fault state for `ports` ports running `plan` under `profile`;
+    /// Fault state for `ports` ports running `plan`;
     /// `contract_per_window[c]` is connection `c`'s admitted flit count
-    /// per `profile.rate_window`, and `guaranteed[c]` marks connections
-    /// with a bandwidth reservation.  A router builds one only for a
-    /// non-empty plan.
+    /// per [`RATE_WINDOW`], and `guaranteed[c]` marks connections with a
+    /// bandwidth reservation.  A router builds one only for a non-empty
+    /// plan.
     pub fn new(
         ports: usize,
         plan: FaultPlan,
-        profile: FaultProfile,
         contract_per_window: Vec<f64>,
         guaranteed: Vec<bool>,
     ) -> Self {
@@ -152,7 +130,6 @@ impl FaultState {
         debug_assert_eq!(guaranteed.len(), conns);
         FaultState {
             plan,
-            profile,
             cursor: 0,
             stall_until: vec![0; ports],
             max_stall_until: 0,
@@ -299,7 +276,7 @@ impl FaultState {
     /// True when the credit watchdog should audit this cycle.
     #[inline]
     pub fn watchdog_due(&self, now: u64) -> bool {
-        self.profile.watchdog_period > 0 && now.is_multiple_of(self.profile.watchdog_period)
+        now.is_multiple_of(WATCHDOG_PERIOD)
     }
 
     /// Rogue extra flits for `conn` this cycle, with the next sequence
@@ -326,15 +303,12 @@ impl FaultState {
     /// contract are flagged and queued in
     /// [`FaultState::newly_quarantined`].
     pub fn poll_contracts(&mut self, now: u64) {
-        if !self.profile.quarantine || self.profile.rate_window == 0 {
-            return;
-        }
-        if now < self.window_started + self.profile.rate_window {
+        if now < self.window_started + RATE_WINDOW {
             return;
         }
         for conn in 0..self.gen_in_window.len() {
             let observed = self.gen_in_window[conn] as f64;
-            let allowed = self.profile.rogue_threshold * self.contract_per_window[conn] + 2.0;
+            let allowed = ROGUE_THRESHOLD * self.contract_per_window[conn] + 2.0;
             if self.guaranteed[conn] && !self.quarantined[conn] && observed > allowed {
                 self.quarantined[conn] = true;
                 self.newly_quarantined.push(conn);
@@ -374,7 +348,6 @@ mod tests {
         FaultState::new(
             4,
             FaultPlan::from_events(events),
-            FaultProfile::default(),
             vec![10.0; 8],
             vec![true; 8],
         )
@@ -456,15 +429,10 @@ mod tests {
                 at: 0,
                 kind: FaultKind::DropCredit { conn: 0 },
             }]),
-            FaultProfile {
-                rate_window: 10,
-                rogue_threshold: 1.5,
-                ..Default::default()
-            },
             vec![4.0, 4.0],
             vec![true, true],
         );
-        // Connection 0 generates 20 flits in a 10-cycle window (contract
+        // Connection 0 generates 20 flits in one rate window (contract
         // allows 1.5*4+2 = 8); connection 1 stays within contract.
         for _ in 0..20 {
             fs.note_generated(0);
@@ -472,7 +440,12 @@ mod tests {
         for _ in 0..5 {
             fs.note_generated(1);
         }
-        fs.poll_contracts(10);
+        fs.poll_contracts(RATE_WINDOW - 1);
+        assert!(
+            fs.newly_quarantined().is_empty(),
+            "the window is still open"
+        );
+        fs.poll_contracts(RATE_WINDOW);
         assert_eq!(fs.newly_quarantined(), &[0]);
         assert_eq!(fs.quarantined(), &[true, false]);
         assert_eq!(fs.report().quarantined_connections, 1);
@@ -481,7 +454,7 @@ mod tests {
         for _ in 0..20 {
             fs.note_generated(0);
         }
-        fs.poll_contracts(20);
+        fs.poll_contracts(2 * RATE_WINDOW);
         assert!(fs.newly_quarantined().is_empty());
     }
 }

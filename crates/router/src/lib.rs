@@ -64,7 +64,7 @@ pub mod telemetry;
 pub mod vcmem;
 
 pub use config::RouterConfig;
-pub use fault::{FaultProfile, FaultReport};
+pub use fault::FaultReport;
 pub use metrics::{ClassStats, MetricsCollector, MetricsReport};
 pub use observatory::{Observatory, ObservatoryReport, SloSummary};
 pub use router::MmrRouter;

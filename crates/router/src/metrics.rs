@@ -50,7 +50,7 @@ impl ClassAccumulator {
     fn new() -> Self {
         ClassAccumulator {
             delay: Running::new(),
-            hist: LogHistogram::new(3),
+            hist: LogHistogram::default(),
             generated: 0,
             delivered: 0,
         }
@@ -83,10 +83,10 @@ impl MetricsCollector {
             tb,
             classes: (0..CLASS_COUNT).map(|_| ClassAccumulator::new()).collect(),
             frame_delay: Running::new(),
-            frame_hist: LogHistogram::new(3),
+            frame_hist: LogHistogram::default(),
             frames_delivered: 0,
             jitter_per_conn: vec![JitterTracker::new(); connections],
-            jitter_hist: LogHistogram::new(3),
+            jitter_hist: LogHistogram::default(),
             delivered_per_conn: vec![0; connections],
             delay_bound_rc: None,
             violations_per_conn: vec![0; connections],
@@ -528,7 +528,7 @@ mod tests {
         let us = |rc: f64| rc * tb.router_cycle_secs() * 1e6;
         let mut m = MetricsCollector::new(N, tb);
         let mut trackers = vec![JitterTracker::new(); N];
-        let mut hists = vec![LogHistogram::new(3); N];
+        let mut hists = vec![LogHistogram::default(); N];
         for i in 0..400u64 {
             let conn = (i * 3 % N as u64) as usize;
             let (gen, delay) = (i * 11, 40 + i * 37 % 700);
@@ -545,7 +545,7 @@ mod tests {
                 }
             }
         }
-        let (mut running, mut hist) = (Running::new(), LogHistogram::new(3));
+        let (mut running, mut hist) = (Running::new(), LogHistogram::default());
         for (t, h) in trackers.iter().zip(&hists) {
             running.merge(t.stats());
             hist.merge(h);

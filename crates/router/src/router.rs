@@ -13,7 +13,7 @@
 
 use crate::config::RouterConfig;
 use crate::fabric::{Fabric, FabricNode, FabricSpec, Topology};
-use crate::fault::{FaultProfile, FaultReport, FaultState};
+use crate::fault::{FaultReport, FaultState, RATE_WINDOW};
 use crate::metrics::MetricsReport;
 use crate::telemetry::{RouterTelemetry, TelemetryConfig, TelemetryReport};
 use mmr_arbiter::priority::LinkPriority;
@@ -86,23 +86,28 @@ impl MmrRouter {
         self.node().core.rng_fingerprint()
     }
 
-    /// Install a fault plan and recovery profile (chaos experiments).
+    /// Install a fault plan (chaos experiments).
     ///
-    /// The profile's delay bound (flit cycles) is handed to the metrics
-    /// collector so QoS violations are counted per connection.  Only a
+    /// The delay bound (flit cycles), when given, is handed to the
+    /// metrics collector so QoS violations are counted per connection.
+    /// Only a
     /// non-empty plan arms the fault machinery: an empty one (a chaos
     /// pack scaled by 0.0) leaves the router with no fault state, so no
     /// watchdog runs and no connection is policed.  Per-connection
     /// contract rates for the rogue-source policing are derived from the
     /// admitted QoS parameters.
-    pub fn set_faults(&mut self, plan: mmr_sim::fault::FaultPlan, profile: FaultProfile) {
+    pub fn set_faults(
+        &mut self,
+        plan: mmr_sim::fault::FaultPlan,
+        delay_bound_flit_cycles: Option<u64>,
+    ) {
         let rc_per_flit = self.config().router_cycles_per_flit();
-        let window_rc = (profile.rate_window * rc_per_flit) as f64;
+        let window_rc = (RATE_WINDOW * rc_per_flit) as f64;
         let ports = self.config().ports;
         self.fabric
             .ledger
             .metrics
-            .set_delay_bound(profile.delay_bound_flit_cycles.map(|b| b * rc_per_flit));
+            .set_delay_bound(delay_bound_flit_cycles.map(|b| b * rc_per_flit));
         let node = self.node_mut();
         if plan.is_empty() {
             node.faults = None;
@@ -117,7 +122,7 @@ impl MmrRouter {
             })
             .collect();
         let guaranteed = qos.iter().map(|q| q.reserved_slots > 0).collect();
-        let faults = FaultState::new(ports, plan, profile, contract, guaranteed);
+        let faults = FaultState::new(ports, plan, contract, guaranteed);
         node.faults = Some(Box::new(faults));
     }
 
@@ -141,7 +146,7 @@ impl MmrRouter {
     }
 
     /// Delay-bound violations per connection in the current measurement
-    /// window (all zero unless a fault profile set a bound).
+    /// window (all zero unless `set_faults` set a bound).
     pub fn violations_per_connection(&self) -> &[u64] {
         self.fabric.ledger.metrics.violations_per_connection()
     }
@@ -441,7 +446,6 @@ mod tests {
 
     #[test]
     fn faults_are_detected_and_credits_recover() {
-        use crate::fault::FaultProfile;
         use mmr_sim::fault::{FaultEvent, FaultKind, FaultPlan};
         let mut r = small_cbr_router(0.5, ArbiterKind::Coa, 11);
         let conns = r.connections().len();
@@ -466,7 +470,7 @@ mod tests {
                 kind: FaultKind::DropFlit { input },
             });
         }
-        r.set_faults(FaultPlan::from_events(events), FaultProfile::default());
+        r.set_faults(FaultPlan::from_events(events), None);
         Runner::new(0, StopCondition::Cycles(3_000)).run(&mut r);
         let rep = r.fault_report();
         assert!(rep.events_fired > 0);
@@ -484,7 +488,6 @@ mod tests {
 
     #[test]
     fn stalled_output_receives_nothing_during_the_stall() {
-        use crate::fault::FaultProfile;
         use mmr_sim::fault::{FaultEvent, FaultKind, FaultPlan};
         let mut r = small_cbr_router(0.6, ArbiterKind::Coa, 12);
         r.set_faults(
@@ -495,7 +498,7 @@ mod tests {
                     flit_cycles: 200,
                 },
             }]),
-            FaultProfile::default(),
+            None,
         );
         let mut during_stall = 0;
         let mut after_stall = 0;
@@ -517,7 +520,6 @@ mod tests {
 
     #[test]
     fn rogue_source_is_quarantined_and_loses_priority() {
-        use crate::fault::FaultProfile;
         use mmr_sim::fault::{FaultEvent, FaultKind, FaultPlan};
         let mut r = small_cbr_router(0.5, ArbiterKind::Coa, 13);
         let victim = 0usize;
@@ -530,10 +532,7 @@ mod tests {
                     extra_flits_per_cycle: 2,
                 },
             }]),
-            FaultProfile {
-                rate_window: 512,
-                ..Default::default()
-            },
+            None,
         );
         Runner::new(0, StopCondition::Cycles(4_000)).run(&mut r);
         let rep = r.fault_report();
@@ -547,7 +546,6 @@ mod tests {
 
     #[test]
     fn fault_runs_are_deterministic() {
-        use crate::fault::FaultProfile;
         use mmr_sim::fault::FaultPlanConfig;
         let run = || {
             let mut r = small_cbr_router(0.6, ArbiterKind::Wfa, 17);
@@ -558,7 +556,7 @@ mod tests {
             };
             let conns = r.connections().len();
             let plan = cfg.generate(4, conns, &mut SimRng::seed_from_u64(99));
-            r.set_faults(plan, FaultProfile::default());
+            r.set_faults(plan, None);
             Runner::new(0, StopCondition::Cycles(4_000)).run(&mut r);
             r.summary()
         };

@@ -11,11 +11,12 @@
 //!   return);
 //! * a [`FlightRecorder`] ring of binary [`TraceEvent`]s (grants, VC
 //!   stalls, credit consumption, fault detections, quarantines);
-//! * periodic per-class window accumulators in a buffer of 512
-//!   (`MAX_SNAPSHOTS`), feeding a report of occupancy/throughput/delay
-//!   snapshots (later windows are counted as dropped);
-//! * the QoS [`Observatory`], when [`TelemetryConfig::observatory`] asks
-//!   for it.
+//! * per-class window accumulators closed every [`SNAPSHOT_INTERVAL`]
+//!   flit cycles into a buffer of 512 (`MAX_SNAPSHOTS`), feeding a report
+//!   of occupancy/throughput/delay snapshots (later windows are counted
+//!   as dropped);
+//! * the QoS [`Observatory`], tracking delay against
+//!   [`SLO_DELAY_BOUND_RC`].
 //!
 //! Arming is the only switch: an unarmed router's telemetry is an empty
 //! `Option` and holds none of these pieces, so each hook costs it one
@@ -39,42 +40,27 @@ use std::time::Instant;
 /// as dropped.
 const MAX_SNAPSHOTS: usize = 512;
 
+/// Flit cycles per snapshot window.
+pub const SNAPSHOT_INTERVAL: u64 = 1_000;
+
+/// Events the flight recorder retains.
+pub const TRACE_CAPACITY: usize = 4_096;
+
+/// Delay SLO bound in router cycles, applied to guaranteed classes
+/// (CBR/VBR; best-effort is exempt).  It sits a few multiples above the
+/// Fig. 5 mean delays at 0.7 load, so violations flag genuine tail
+/// excursions.
+pub const SLO_DELAY_BOUND_RC: u64 = 4_096;
+
 /// How a router's telemetry should be armed (serialized in a
 /// `SimConfig` as `mmr_core::config::TelemetrySpec`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Flit cycles per snapshot window (0 disables windowing).
-    pub snapshot_interval: u64,
-    /// Flight-recorder capacity in events (0 disables tracing).
-    pub trace_capacity: usize,
     /// Measure stage wall time with a real monotonic clock.  Off by
     /// default: every stage then reports zero wall time, keeping reports
     /// bit-deterministic.
     pub wall_clock: bool,
-    /// Arm the QoS observatory: per-class and per-connection histograms
-    /// for delay/jitter/queue residency plus SLO tracking.
-    pub observatory: bool,
-    /// Delay SLO bound in router cycles, applied to guaranteed classes
-    /// (CBR/VBR; best-effort is exempt).  0 disables violation counting.
-    /// The default (4096 rc) sits a few multiples above the Fig. 5 mean
-    /// delays at 0.7 load, so violations flag genuine tail excursions.
-    pub slo_delay_bound_rc: u64,
 }
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            snapshot_interval: 1000,
-            trace_capacity: 4096,
-            wall_clock: false,
-            observatory: true,
-            slo_delay_bound_rc: 4096,
-        }
-    }
-}
-
-/// Most events a flight recorder may hold: its ring is allocated whole.
-pub const MAX_TRACE_CAPACITY: usize = 1 << 20;
 
 impl TelemetryConfig {
     /// Identity, kept only for the benchmark's pinned surface
@@ -265,8 +251,8 @@ pub struct WindowClass {
     pub delivered: u64,
     /// Mean delivery delay in router cycles (0 when nothing delivered).
     pub mean_delay_rc: f64,
-    /// Deliveries in the window that broke the observatory's delay bound
-    /// (0 when the observatory is disarmed).
+    /// Deliveries in the window that broke the observatory's delay
+    /// bound.
     pub slo_violations: u64,
 }
 
@@ -308,8 +294,7 @@ pub struct TelemetryReport {
     pub trace_events_recorded: u64,
     /// Trace events still in the ring.
     pub trace_events_retained: u64,
-    /// QoS observatory snapshot (`None` when the observatory is
-    /// disarmed).
+    /// QoS observatory snapshot (`None` for an unarmed router).
     pub observatory: Option<ObservatoryReport>,
 }
 
@@ -441,8 +426,7 @@ struct Armed {
     /// Closed windows that found the buffer full.
     windows_dropped: u64,
     current: WindowAccum,
-    interval: u64,
-    observatory: Option<Observatory>,
+    observatory: Observatory,
 }
 
 impl RouterTelemetry {
@@ -454,14 +438,11 @@ impl RouterTelemetry {
             counters: [0; COUNTER_NAMES.len()],
             stages: [StageAcc::default(); STAGE_NAMES.len()],
             origin: cfg.wall_clock.then(Instant::now),
-            recorder: FlightRecorder::new(cfg.trace_capacity),
+            recorder: FlightRecorder::new(TRACE_CAPACITY),
             windows: Vec::with_capacity(MAX_SNAPSHOTS),
             windows_dropped: 0,
             current: WindowAccum::fresh(0, 0),
-            interval: cfg.snapshot_interval,
-            observatory: cfg
-                .observatory
-                .then(|| Observatory::armed(cfg.slo_delay_bound_rc, conn_classes)),
+            observatory: Observatory::armed(SLO_DELAY_BOUND_RC, conn_classes),
         })))
     }
 
@@ -575,10 +556,10 @@ impl RouterTelemetry {
         let i = class_index(class);
         a.current.delivered[i] += 1;
         a.current.delay_sum_rc[i] += delay_rc;
-        if let Some(obs) = &mut a.observatory {
-            if obs.on_delivered(conn, class, delay_rc, residency_rc) {
-                a.current.slo_violations[i] += 1;
-            }
+        if a.observatory
+            .on_delivered(conn, class, delay_rc, residency_rc)
+        {
+            a.current.slo_violations[i] += 1;
         }
     }
 
@@ -594,17 +575,15 @@ impl RouterTelemetry {
         let peak = &mut a.counters[Counter::BacklogPeak as usize];
         *peak = (*peak).max(backlog);
         a.current.end_cycle = cycle;
-        if a.interval > 0 && (cycle + 1).is_multiple_of(a.interval) {
+        if (cycle + 1).is_multiple_of(SNAPSHOT_INTERVAL) {
             a.current.backlog_end = backlog;
             let closed = a.current;
-            if let Some(obs) = &mut a.observatory {
-                let be = class_index(TrafficClass::BestEffort);
-                obs.on_window_close(
-                    closed.generated[be],
-                    closed.delivered[be],
-                    closed.end_cycle - closed.start_cycle + 1,
-                );
-            }
+            let be = class_index(TrafficClass::BestEffort);
+            a.observatory.on_window_close(
+                closed.generated[be],
+                closed.delivered[be],
+                closed.end_cycle - closed.start_cycle + 1,
+            );
             if a.windows.len() < MAX_SNAPSHOTS {
                 a.windows.push(closed);
             } else {
@@ -642,7 +621,7 @@ impl RouterTelemetry {
             windows_dropped: a.windows_dropped,
             trace_events_recorded: a.recorder.recorded(),
             trace_events_retained: a.recorder.len() as u64,
-            observatory: a.observatory.as_ref().map(Observatory::report),
+            observatory: Some(a.observatory.report()),
         }
     }
 }
@@ -701,35 +680,29 @@ mod tests {
 
     #[test]
     fn windows_roll_on_interval() {
-        let mut t = RouterTelemetry::armed(
-            TelemetryConfig {
-                snapshot_interval: 10,
-                ..Default::default()
-            },
-            &[TrafficClass::CbrHigh],
-        );
-        for cycle in 0..25u64 {
+        let mut t = RouterTelemetry::armed(TelemetryConfig::default(), &[TrafficClass::CbrHigh]);
+        for cycle in 0..2_500u64 {
             t.on_grant(cycle, 0, 1, 0);
             t.on_generated(TrafficClass::CbrHigh);
             t.on_delivered(TrafficClass::CbrHigh, 0, 4, 2);
             t.end_cycle(cycle, 3);
         }
         let rep = t.report(KernelStats::default());
-        assert_eq!(rep.windows.len(), 2, "cycles 0..19 close two windows");
+        assert_eq!(rep.windows.len(), 2, "cycles 0..1999 close two windows");
         let w0 = &rep.windows[0];
         assert_eq!(w0.start_cycle, 0);
-        assert_eq!(w0.end_cycle, 9);
-        assert_eq!(w0.grants, 10);
+        assert_eq!(w0.end_cycle, 999);
+        assert_eq!(w0.grants, 1_000);
         assert_eq!(w0.backlog_end, 3);
         let high = w0
             .classes
             .iter()
             .find(|c| c.class == TrafficClass::CbrHigh)
             .unwrap();
-        assert_eq!(high.generated, 10);
-        assert_eq!(high.delivered, 10);
+        assert_eq!(high.generated, 1_000);
+        assert_eq!(high.delivered, 1_000);
         assert!((high.mean_delay_rc - 4.0).abs() < 1e-12);
-        assert_eq!(rep.windows[1].start_cycle, 10);
+        assert_eq!(rep.windows[1].start_cycle, 1_000);
     }
 
     #[test]
@@ -767,18 +740,14 @@ mod tests {
     #[test]
     fn observatory_violations_land_in_windows() {
         let mut t = RouterTelemetry::armed(
-            TelemetryConfig {
-                snapshot_interval: 10,
-                slo_delay_bound_rc: 100,
-                ..Default::default()
-            },
+            TelemetryConfig::default(),
             &[TrafficClass::CbrHigh, TrafficClass::BestEffort],
         );
-        for cycle in 0..10u64 {
+        for cycle in 0..SNAPSHOT_INTERVAL {
             t.on_generated(TrafficClass::BestEffort);
             // One compliant and one violating delivery, plus starving BE.
             t.on_delivered(TrafficClass::CbrHigh, 0, 50, 10);
-            t.on_delivered(TrafficClass::CbrHigh, 0, 500, 10);
+            t.on_delivered(TrafficClass::CbrHigh, 0, SLO_DELAY_BOUND_RC + 1, 10);
             t.end_cycle(cycle, 1);
         }
         let rep = t.report(KernelStats::default());
@@ -788,44 +757,28 @@ mod tests {
             .iter()
             .find(|c| c.class == TrafficClass::CbrHigh)
             .unwrap();
-        assert_eq!(high.slo_violations, 10);
-        let obs = rep.observatory.expect("observatory armed by default");
-        assert_eq!(obs.slo.violations_total, 10);
+        assert_eq!(high.slo_violations, 1_000);
+        let obs = rep
+            .observatory
+            .expect("an armed router keeps an observatory");
+        assert_eq!(obs.slo.violations_total, 1_000);
         assert_eq!(obs.slo.best_effort_starved_windows, 1);
-        assert_eq!(obs.slo.best_effort_starved_cycles, 10);
+        assert_eq!(obs.slo.best_effort_starved_cycles, 1_000);
         assert_eq!(obs.slo.windows_observed, 1);
         let high_obs = obs
             .classes
             .iter()
             .find(|c| c.class == TrafficClass::CbrHigh)
             .unwrap();
-        assert_eq!(high_obs.delay.count(), 20);
-        assert_eq!(high_obs.residency.count(), 20);
-        assert_eq!(high_obs.jitter.count(), 19);
-    }
-
-    #[test]
-    fn observatory_opt_out_leaves_reports_bare() {
-        let mut t = RouterTelemetry::armed(
-            TelemetryConfig {
-                observatory: false,
-                ..Default::default()
-            },
-            &[TrafficClass::Vbr],
-        );
-        t.on_delivered(TrafficClass::Vbr, 0, 10_000, 5);
-        let rep = t.report(KernelStats::default());
-        assert!(rep.observatory.is_none());
+        assert_eq!(high_obs.delay.count(), 2_000);
+        assert_eq!(high_obs.residency.count(), 2_000);
+        assert_eq!(high_obs.jitter.count(), 1_999);
     }
 
     #[test]
     fn report_exposition_validates_and_covers_the_observatory() {
         let mut t = RouterTelemetry::armed(
-            TelemetryConfig {
-                snapshot_interval: 10,
-                slo_delay_bound_rc: 100,
-                ..Default::default()
-            },
+            TelemetryConfig::default(),
             &[TrafficClass::CbrHigh, TrafficClass::BestEffort],
         );
         for cycle in 0..30u64 {

@@ -12,7 +12,7 @@
 //! interprets.  Consumption state (the cursor) lives with the consumer,
 //! keeping the plan itself serializable and shareable.
 
-use crate::check::{within_span, ConfigError};
+use crate::check::ConfigError;
 use crate::ensure;
 use crate::rng::SimRng;
 use serde::{Deserialize, Serialize};
@@ -106,16 +106,44 @@ impl FaultPlan {
     }
 }
 
-/// Most extra flits a rogue source may inject per flit cycle (its link
-/// carries one), which keeps an episode's backlog bounded.
-pub const MAX_ROGUE_BURST: u32 = 64;
+/// Duration of each output stall, flit cycles.
+const STALL_LEN: u64 = 32;
 
-/// Generation parameters for a randomized [`FaultPlan`].
+/// Duration of each rogue-source episode, flit cycles.
+const ROGUE_LEN: u64 = 1_000;
+
+/// Extra flits a rogue source injects per flit cycle.
+const ROGUE_BURST: u32 = 1;
+
+/// One fault kind of a generated plan: its events per 1 000 flit cycles
+/// at rate factor 1, whether it targets a port (else a connection), and
+/// the event for a drawn target.
+type KindRate = (f64, bool, fn(usize) -> FaultKind);
+
+/// The generated kinds in generation order (the order of the RNG draws).
+const KIND_RATES: [KindRate; 6] = [
+    (2.0, true, |input| FaultKind::CorruptFlit { input }),
+    (1.0, true, |input| FaultKind::DropFlit { input }),
+    (0.3, true, |output| FaultKind::StallOutput {
+        output,
+        flit_cycles: STALL_LEN,
+    }),
+    (1.0, false, |conn| FaultKind::DropCredit { conn }),
+    (1.0, false, |conn| FaultKind::DuplicateCredit { conn }),
+    (0.1, false, |conn| FaultKind::RogueSource {
+        conn,
+        flit_cycles: ROGUE_LEN,
+        extra_flits_per_cycle: ROGUE_BURST,
+    }),
+];
+
+/// Generation parameters for a randomized [`FaultPlan`]: a window and a
+/// rate factor over the fixed per-kind rates.
 ///
-/// Rates are expressed as expected events per 1 000 flit cycles of the
-/// fault window, so scaling the window length scales the event count
-/// proportionally.  All randomness comes from the caller's [`SimRng`]
-/// stream, so a `(config, seed)` pair always yields the same plan.
+/// Rates are expected events per 1 000 flit cycles of the window, so
+/// scaling the window length scales the event count proportionally.  All
+/// randomness comes from the caller's [`SimRng`] stream, so a
+/// `(config, seed)` pair always yields the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlanConfig {
     /// First flit cycle of the fault window.
@@ -123,24 +151,9 @@ pub struct FaultPlanConfig {
     /// Window length in flit cycles (events fire in
     /// `[window_start, window_start + window_len)`).
     pub window_len: u64,
-    /// Flit corruptions per 1 000 cycles.
-    pub corrupt_per_kcycle: f64,
-    /// Flit drops per 1 000 cycles.
-    pub drop_per_kcycle: f64,
-    /// Credit losses per 1 000 cycles.
-    pub credit_loss_per_kcycle: f64,
-    /// Credit duplications per 1 000 cycles.
-    pub credit_dup_per_kcycle: f64,
-    /// Output stalls per 1 000 cycles.
-    pub stall_per_kcycle: f64,
-    /// Duration of each output stall, flit cycles.
-    pub stall_len: u64,
-    /// Rogue-source episodes per 1 000 cycles.
-    pub rogue_per_kcycle: f64,
-    /// Duration of each rogue episode, flit cycles.
-    pub rogue_len: u64,
-    /// Extra flits a rogue source injects per flit cycle.
-    pub rogue_burst: u32,
+    /// Multiplier over every kind's rate (0 = no faults) — the x-axis of
+    /// fault-rate sweeps.
+    pub factor: f64,
 }
 
 impl Default for FaultPlanConfig {
@@ -148,143 +161,52 @@ impl Default for FaultPlanConfig {
         FaultPlanConfig {
             window_start: 5_000,
             window_len: 10_000,
-            corrupt_per_kcycle: 2.0,
-            drop_per_kcycle: 1.0,
-            credit_loss_per_kcycle: 1.0,
-            credit_dup_per_kcycle: 1.0,
-            stall_per_kcycle: 0.3,
-            stall_len: 32,
-            rogue_per_kcycle: 0.1,
-            rogue_len: 1_000,
-            rogue_burst: 1,
+            factor: 1.0,
         }
     }
 }
 
 impl FaultPlanConfig {
-    /// A copy with every event rate multiplied by `factor` (durations and
-    /// the window are unchanged) — the x-axis of fault-rate sweeps.
-    pub fn scaled(&self, factor: f64) -> Self {
-        FaultPlanConfig {
-            corrupt_per_kcycle: self.corrupt_per_kcycle * factor,
-            drop_per_kcycle: self.drop_per_kcycle * factor,
-            credit_loss_per_kcycle: self.credit_loss_per_kcycle * factor,
-            credit_dup_per_kcycle: self.credit_dup_per_kcycle * factor,
-            stall_per_kcycle: self.stall_per_kcycle * factor,
-            rogue_per_kcycle: self.rogue_per_kcycle * factor,
-            ..*self
-        }
-    }
-
-    /// Check the plan generates a bounded schedule: non-negative rates,
-    /// bounded episodes, a non-empty window, at most one event per cycle.
+    /// Check the plan generates a bounded schedule: a finite,
+    /// non-negative factor, a non-empty window, at most one event per
+    /// cycle.
     pub fn check(&self) -> Result<(), ConfigError> {
-        for (rate, field) in [
-            (self.corrupt_per_kcycle, "corrupt_per_kcycle"),
-            (self.drop_per_kcycle, "drop_per_kcycle"),
-            (self.credit_loss_per_kcycle, "credit_loss_per_kcycle"),
-            (self.credit_dup_per_kcycle, "credit_dup_per_kcycle"),
-            (self.stall_per_kcycle, "stall_per_kcycle"),
-            (self.rogue_per_kcycle, "rogue_per_kcycle"),
-        ] {
-            ensure!(rate.is_finite() && rate >= 0.0; field,
-                "rate {rate} must be finite and non-negative");
-        }
-        within_span(self.stall_len, "stall_len")?;
-        within_span(self.rogue_len, "rogue_len")?;
-        ensure!(self.rogue_burst <= MAX_ROGUE_BURST; "rogue_burst",
-            "at most {MAX_ROGUE_BURST} extra flits per cycle");
+        let factor = self.factor;
+        ensure!(factor.is_finite() && factor >= 0.0; "factor",
+            "rate factor {factor} must be finite and non-negative");
         let len = self.window_len;
         ensure!(len > 0; "window_len", "the fault window must be positive");
         ensure!(self.window_start.checked_add(len).is_some(); "window_len",
             "window_start + window_len overflows");
-        let events = self.expected_events();
+        let events: f64 = KIND_RATES.iter().map(|&(rate, ..)| self.count(rate)).sum();
         ensure!(events <= len as f64; "window_len",
             "{events:.0} expected events in a {len}-cycle window; at most one per cycle");
         Ok(())
     }
 
-    /// Expected event count over the window, every kind together.
-    pub fn expected_events(&self) -> f64 {
-        let per_kcycle = self.corrupt_per_kcycle
-            + self.drop_per_kcycle
-            + self.credit_loss_per_kcycle
-            + self.credit_dup_per_kcycle
-            + self.stall_per_kcycle
-            + self.rogue_per_kcycle;
-        per_kcycle * self.window_len as f64 / 1_000.0
-    }
-
-    /// Expected event count for one rate over the window.
-    fn count(&self, per_kcycle: f64) -> usize {
-        (per_kcycle * self.window_len as f64 / 1_000.0).round() as usize
+    /// Expected events over the window of a kind with rate `per_kcycle`.
+    fn count(&self, per_kcycle: f64) -> f64 {
+        per_kcycle * self.factor * self.window_len as f64 / 1_000.0
     }
 
     /// Generate a plan for a router with `ports` ports and `conns`
     /// connections.  Every random draw comes from `rng`, so the plan is a
     /// pure function of `(self, ports, conns, rng state)`.
     pub fn generate(&self, ports: usize, conns: usize, rng: &mut SimRng) -> FaultPlan {
-        let mut events = Vec::new();
         if self.window_len == 0 {
             return FaultPlan::empty();
         }
-        let at = |rng: &mut SimRng| self.window_start + rng.below(self.window_len);
-        if ports > 0 {
-            for _ in 0..self.count(self.corrupt_per_kcycle) {
-                let cycle = at(rng);
-                let input = rng.index(ports);
-                events.push(FaultEvent {
-                    at: cycle,
-                    kind: FaultKind::CorruptFlit { input },
-                });
+        let mut events = Vec::new();
+        for (rate, on_port, kind) in KIND_RATES {
+            let targets = if on_port { ports } else { conns };
+            if targets == 0 {
+                continue;
             }
-            for _ in 0..self.count(self.drop_per_kcycle) {
-                let cycle = at(rng);
-                let input = rng.index(ports);
+            for _ in 0..self.count(rate).round() as usize {
+                let at = self.window_start + rng.below(self.window_len);
                 events.push(FaultEvent {
-                    at: cycle,
-                    kind: FaultKind::DropFlit { input },
-                });
-            }
-            for _ in 0..self.count(self.stall_per_kcycle) {
-                let cycle = at(rng);
-                let output = rng.index(ports);
-                events.push(FaultEvent {
-                    at: cycle,
-                    kind: FaultKind::StallOutput {
-                        output,
-                        flit_cycles: self.stall_len,
-                    },
-                });
-            }
-        }
-        if conns > 0 {
-            for _ in 0..self.count(self.credit_loss_per_kcycle) {
-                let cycle = at(rng);
-                let conn = rng.index(conns);
-                events.push(FaultEvent {
-                    at: cycle,
-                    kind: FaultKind::DropCredit { conn },
-                });
-            }
-            for _ in 0..self.count(self.credit_dup_per_kcycle) {
-                let cycle = at(rng);
-                let conn = rng.index(conns);
-                events.push(FaultEvent {
-                    at: cycle,
-                    kind: FaultKind::DuplicateCredit { conn },
-                });
-            }
-            for _ in 0..self.count(self.rogue_per_kcycle) {
-                let cycle = at(rng);
-                let conn = rng.index(conns);
-                events.push(FaultEvent {
-                    at: cycle,
-                    kind: FaultKind::RogueSource {
-                        conn,
-                        flit_cycles: self.rogue_len,
-                        extra_flits_per_cycle: self.rogue_burst,
-                    },
+                    at,
+                    kind: kind(rng.index(targets)),
                 });
             }
         }
@@ -352,15 +274,14 @@ mod tests {
 
     #[test]
     fn scaling_rates_scales_event_count() {
-        let cfg = FaultPlanConfig::default();
-        let base = cfg.generate(4, 40, &mut SimRng::seed_from_u64(1));
-        let double = cfg
-            .scaled(2.0)
-            .generate(4, 40, &mut SimRng::seed_from_u64(1));
+        let at = |factor| FaultPlanConfig {
+            factor,
+            ..Default::default()
+        };
+        let base = at(1.0).generate(4, 40, &mut SimRng::seed_from_u64(1));
+        let double = at(2.0).generate(4, 40, &mut SimRng::seed_from_u64(1));
         assert_eq!(double.len(), base.len() * 2);
-        let zero = cfg
-            .scaled(0.0)
-            .generate(4, 40, &mut SimRng::seed_from_u64(1));
+        let zero = at(0.0).generate(4, 40, &mut SimRng::seed_from_u64(1));
         assert!(zero.is_empty());
     }
 

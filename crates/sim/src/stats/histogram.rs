@@ -5,7 +5,7 @@
 //! `LogHistogram` uses base-2 sub-bucketed buckets (the HdrHistogram idea,
 //! reimplemented minimally) giving a bounded relative error per bucket.
 //!
-//! The storage is fixed-capacity (`64 << sub_bits` slots, a few KiB),
+//! The storage is fixed-capacity (`64 << SUB_BITS` slots, 4 KiB),
 //! sized once at construction: [`LogHistogram::record`] never allocates,
 //! so histograms can live on the simulator's hot path.  Quantile queries
 //! come in two flavours — [`LogHistogram::quantile`] returns a bucket
@@ -20,12 +20,11 @@ use serde::{Deserialize, Error, Serialize, Value};
 
 /// Histogram over `u64` values with geometric bucket widths.
 ///
-/// Values are bucketed by (exponent, sub-bucket): `sub_bits` linear
-/// sub-buckets per power of two, giving a worst-case relative error of
-/// `2^-sub_bits`.
+/// Values are bucketed by (exponent, sub-bucket): `2^SUB_BITS` = 8
+/// linear sub-buckets per power of two, giving a worst-case relative
+/// error of 12.5 %.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
-    sub_bits: u32,
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -46,29 +45,14 @@ pub struct Bucket {
 }
 
 impl LogHistogram {
-    /// Create a histogram with `sub_bits` sub-bucket bits (3 is a good
-    /// default: ≤12.5 % relative error).
-    pub fn new(sub_bits: u32) -> Self {
-        assert!(sub_bits > 0 && sub_bits < 16);
-        // 64 exponents x 2^sub_bits sub-buckets is an overestimate (small
-        // exponents alias) but is only a few KiB.
-        LogHistogram {
-            sub_bits,
-            counts: vec![0; 64 << sub_bits],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
     #[inline]
     fn bucket_of(&self, v: u64) -> usize {
-        bucket_of(self.sub_bits, v)
+        bucket_of(v)
     }
 
     /// Inclusive value range `[lo, hi]` covered by bucket `idx`.
     pub fn bucket_bounds(&self, idx: usize) -> (u64, u64) {
-        let sub = self.sub_bits;
+        let sub = SUB_BITS;
         if idx < (1 << sub) {
             return (idx as u64, idx as u64);
         }
@@ -200,9 +184,8 @@ impl LogHistogram {
             })
     }
 
-    /// Merge another histogram (must share `sub_bits`).
+    /// Merge another histogram.
     pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.sub_bits, other.sub_bits, "sub_bits mismatch");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -228,20 +211,26 @@ impl LogHistogram {
 
 impl Default for LogHistogram {
     fn default() -> Self {
-        LogHistogram::new(DEFAULT_SUB_BITS)
+        LogHistogram {
+            counts: vec![0; SLOTS],
+            total: 0,
+            sum: 0,
+            max: 0,
+        }
     }
 }
 
-/// Sub-bucket bits of [`LogHistogram::default`] and of every
-/// [`LogHistogramBank`] row.
-const DEFAULT_SUB_BITS: u32 = 3;
+/// Sub-bucket bits of every histogram: 8 sub-buckets per power of two.
+const SUB_BITS: u32 = 3;
 
-/// Slots per histogram of [`DEFAULT_SUB_BITS`].
-const DEFAULT_SLOTS: usize = 64 << DEFAULT_SUB_BITS;
+/// Slots per histogram: 64 exponents × 2^[`SUB_BITS`] sub-buckets, an
+/// overestimate (small exponents alias) of 4 KiB.
+const SLOTS: usize = 64 << SUB_BITS;
 
-/// Dense bucket index of `v` in a histogram with `sub` sub-bucket bits.
+/// Dense bucket index of `v`.
 #[inline]
-fn bucket_of(sub: u32, v: u64) -> usize {
+fn bucket_of(v: u64) -> usize {
+    let sub = SUB_BITS;
     if v < (1 << sub) {
         return v as usize;
     }
@@ -250,7 +239,7 @@ fn bucket_of(sub: u32, v: u64) -> usize {
     (((exp - sub + 1) as usize) << sub) + sub_idx as usize
 }
 
-/// `n` histograms of [`LogHistogram::default`]'s shape, one per row, in
+/// `n` histograms, one per row, in
 /// one counts block plus one block of per-row totals, sums and maxima.
 ///
 /// A family of histograms that grows with the connection count lives
@@ -278,7 +267,7 @@ impl LogHistogramBank {
     /// A bank of `rows` empty histograms.
     pub fn new(rows: usize) -> Self {
         LogHistogramBank {
-            counts: vec![0; rows * DEFAULT_SLOTS],
+            counts: vec![0; rows * SLOTS],
             rows: vec![RowTotals::default(); rows],
         }
     }
@@ -291,7 +280,7 @@ impl LogHistogramBank {
     /// Record one value in row `row`.
     #[inline]
     pub fn record(&mut self, row: usize, v: u64) {
-        self.counts[row * DEFAULT_SLOTS + bucket_of(DEFAULT_SUB_BITS, v)] += 1;
+        self.counts[row * SLOTS + bucket_of(v)] += 1;
         let r = &mut self.rows[row];
         r.total += 1;
         r.sum += v as u128;
@@ -306,10 +295,9 @@ impl LogHistogramBank {
     /// Row `row` as a histogram.  Allocates — report-time only.
     pub fn row(&self, row: usize) -> LogHistogram {
         let RowTotals { total, sum, max } = self.rows[row];
-        let start = row * DEFAULT_SLOTS;
+        let start = row * SLOTS;
         LogHistogram {
-            sub_bits: DEFAULT_SUB_BITS,
-            counts: self.counts[start..start + DEFAULT_SLOTS].to_vec(),
+            counts: self.counts[start..start + SLOTS].to_vec(),
             total,
             sum,
             max,
@@ -319,7 +307,8 @@ impl LogHistogramBank {
 
 // Sparse JSON encoding: only populated buckets are written, as
 // `[index, count]` pairs.  A 512-slot histogram with ten occupied buckets
-// serializes to ten pairs, not 512 zeros.
+// serializes to ten pairs, not 512 zeros.  The shape's `sub_bits` is
+// written too, and decoding refuses any other shape.
 impl Serialize for LogHistogram {
     fn to_value(&self) -> Value {
         let counts: Vec<Value> = self
@@ -327,7 +316,7 @@ impl Serialize for LogHistogram {
             .map(|b| Value::Array(vec![Value::U64(b.index as u64), Value::U64(b.count)]))
             .collect();
         Value::Object(vec![
-            ("sub_bits".to_string(), Value::U64(self.sub_bits as u64)),
+            ("sub_bits".to_string(), Value::U64(SUB_BITS as u64)),
             ("counts".to_string(), Value::Array(counts)),
             ("total".to_string(), Value::U64(self.total)),
             ("sum".to_string(), self.sum.to_value()),
@@ -339,10 +328,12 @@ impl Serialize for LogHistogram {
 impl Deserialize for LogHistogram {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let sub_bits = u32::from_maybe(v.get("sub_bits"), "sub_bits")?;
-        if sub_bits == 0 || sub_bits >= 16 {
-            return Err(Error::new(format!("sub_bits {sub_bits} out of range")));
+        if sub_bits != SUB_BITS {
+            return Err(Error::new(format!(
+                "sub_bits {sub_bits}: histograms have {SUB_BITS} sub-bucket bits"
+            )));
         }
-        let mut h = LogHistogram::new(sub_bits);
+        let mut h = LogHistogram::default();
         let pairs = match v.get("counts") {
             Some(Value::Array(xs)) => xs,
             other => return Err(Error::new(format!("counts: expected array, got {other:?}"))),
@@ -385,7 +376,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let mut h = LogHistogram::new(3);
+        let mut h = LogHistogram::default();
         for v in 0..8 {
             h.record(v);
         }
@@ -396,7 +387,7 @@ mod tests {
 
     #[test]
     fn bucket_relative_error_bounded() {
-        let h = LogHistogram::new(3);
+        let h = LogHistogram::default();
         for v in [10u64, 100, 1_000, 65_535, 1 << 30, (1 << 40) + 12345] {
             let mid = h.bucket_mid(h.bucket_of(v));
             let rel = (mid as f64 - v as f64).abs() / v as f64;
@@ -406,7 +397,7 @@ mod tests {
 
     #[test]
     fn bucket_bounds_contain_their_values() {
-        let h = LogHistogram::new(3);
+        let h = LogHistogram::default();
         for v in [0u64, 1, 7, 8, 9, 255, 256, 1 << 20, u64::MAX] {
             let (lo, hi) = h.bucket_bounds(h.bucket_of(v));
             assert!(lo <= v && v <= hi, "v={v} not in [{lo}, {hi}]");
@@ -519,7 +510,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_lossless() {
-        let mut h = LogHistogram::new(4);
+        let mut h = LogHistogram::default();
         for v in [0u64, 1, 9, 1_000, 123_456_789, u64::MAX] {
             h.record(v);
         }
@@ -535,6 +526,12 @@ mod tests {
 
     #[test]
     fn corrupt_json_is_rejected() {
+        for sub_bits in [0, 2, 4, 15] {
+            let json =
+                format!(r#"{{"sub_bits":{sub_bits},"counts":[[5,1]],"total":1,"sum":5,"max":5}}"#);
+            let err = serde_json::from_str::<LogHistogram>(&json).expect_err("another shape");
+            assert!(err.to_string().contains("sub-bucket bits"), "{err}");
+        }
         let json = r#"{"sub_bits":3,"counts":[[9999,1]],"total":1,"sum":5,"max":5}"#;
         assert!(serde_json::from_str::<LogHistogram>(json).is_err());
         let json = r#"{"sub_bits":3,"counts":[[5,2]],"total":1,"sum":5,"max":5}"#;

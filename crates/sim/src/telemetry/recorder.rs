@@ -8,7 +8,7 @@
 //! the router's hot path every cycle.
 //!
 //! Dumping renders the retained window as JSONL — one serde-serialized
-//! event per line ([`FlightRecorder::dump_jsonl`]).
+//! event per line ([`to_jsonl`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -117,8 +117,8 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder retaining the most recent `capacity` events
-    /// (`capacity == 0` disables recording).
+    /// A recorder retaining the most recent `capacity` events (at least
+    /// one).
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             ring: Vec::with_capacity(capacity),
@@ -129,12 +129,9 @@ impl FlightRecorder {
     }
 
     /// Record an event.  O(1); never allocates (the ring was sized at
-    /// construction) and does nothing at capacity 0.
+    /// construction).
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.ring.len() < self.capacity {
             self.ring.push(ev);
         } else {
@@ -233,15 +230,6 @@ mod tests {
         assert_eq!(r.dropped(), 6);
         let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![6, 7, 8, 9], "oldest-first after wrap");
-    }
-
-    #[test]
-    fn disabled_recorder_drops_everything() {
-        // Capacity 0 is how `trace_capacity: 0` disables tracing.
-        let mut r = FlightRecorder::new(0);
-        r.record(TraceEvent::grant(0, 0, 0, 0));
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ proptest! {
     fn histogram_mean_exact_and_quantiles_monotone(
         xs in proptest::collection::vec(0u64..1_000_000_000, 1..300),
     ) {
-        let mut h = LogHistogram::new(3);
+        let mut h = LogHistogram::default();
         for &x in &xs {
             h.record(x);
         }
@@ -69,7 +69,7 @@ proptest! {
         xs in proptest::collection::vec(1u64..1_000_000_000, 50..300),
         q in 0.05f64..0.95,
     ) {
-        let mut h = LogHistogram::new(3);
+        let mut h = LogHistogram::default();
         for &x in &xs {
             h.record(x);
         }
@@ -91,9 +91,9 @@ proptest! {
         xs in proptest::collection::vec(0u64..1_000_000_000, 1..200),
         ys in proptest::collection::vec(0u64..1_000_000_000, 1..200),
     ) {
-        let mut whole = LogHistogram::new(3);
-        let mut a = LogHistogram::new(3);
-        let mut b = LogHistogram::new(3);
+        let mut whole = LogHistogram::default();
+        let mut a = LogHistogram::default();
+        let mut b = LogHistogram::default();
         for &x in &xs {
             whole.record(x);
             a.record(x);
@@ -111,7 +111,7 @@ proptest! {
         xs in proptest::collection::vec(0u64..1_000_000_000, 1..300),
         q in 0.0f64..1.0,
     ) {
-        let mut h = LogHistogram::new(3);
+        let mut h = LogHistogram::default();
         for &x in &xs {
             h.record(x);
         }
@@ -132,8 +132,8 @@ proptest! {
     fn histogram_record_n_equals_repeats(
         pairs in proptest::collection::vec((0u64..1_000_000, 0u64..50), 1..50),
     ) {
-        let mut bulk = LogHistogram::new(3);
-        let mut single = LogHistogram::new(3);
+        let mut bulk = LogHistogram::default();
+        let mut single = LogHistogram::default();
         for &(v, n) in &pairs {
             bulk.record_n(v, n);
             for _ in 0..n {
@@ -147,7 +147,7 @@ proptest! {
     fn histogram_json_round_trip(
         xs in proptest::collection::vec(0u64..u64::MAX, 0..200),
     ) {
-        let mut h = LogHistogram::new(3);
+        let mut h = LogHistogram::default();
         for &x in &xs {
             h.record(x);
         }
@@ -160,7 +160,7 @@ proptest! {
     fn histogram_nonzero_buckets_account_everything(
         xs in proptest::collection::vec(0u64..u64::MAX, 1..300),
     ) {
-        let mut h = LogHistogram::new(3);
+        let mut h = LogHistogram::default();
         for &x in &xs {
             h.record(x);
         }

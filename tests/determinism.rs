@@ -184,41 +184,46 @@ fn armed_telemetry_reports_are_bit_identical() {
     );
 }
 
-#[test]
-fn observatory_arming_does_not_perturb_the_simulation() {
-    // The observatory adds per-delivery histogram and SLO bookkeeping on
-    // top of plain telemetry; like the rest of the layer it must be pure
-    // observation.  Compare observatory-on against observatory-off (both
-    // armed) and against a fully disarmed run.
-    let base = quick(0.7, 42);
-    let off = base.with_telemetry(TelemetrySpec {
-        observatory: false,
-        ..TelemetrySpec::default()
-    });
-    let on = base.with_telemetry(TelemetrySpec::default());
-    let plain = run_experiment(&base);
-    let without = run_experiment(&off);
-    let with = run_experiment(&on);
-    assert!(with
-        .telemetry
-        .as_ref()
-        .is_some_and(|t| t.observatory.is_some()));
-    assert!(without
-        .telemetry
-        .as_ref()
-        .is_some_and(|t| t.observatory.is_none()));
-    for r in [&without, &with] {
-        assert_eq!(plain.summary, r.summary);
-        assert_eq!(plain.achieved_load, r.achieved_load);
-        assert_eq!(plain.executed_cycles, r.executed_cycles);
+/// [`quick`] with best-effort background traffic, so every observatory
+/// channel is busy: guaranteed classes against the delay bound, best
+/// effort in the starvation windows.
+fn with_best_effort(load: f64, seed: u64) -> SimConfig {
+    SimConfig {
+        best_effort: Some(BestEffortSpec::default()),
+        ..quick(load, seed)
     }
 }
 
 #[test]
+fn observatory_arming_does_not_perturb_the_simulation() {
+    // Every armed router keeps an observatory: per-delivery histogram
+    // and SLO bookkeeping on top of the counters.  Like the rest of the
+    // layer it must be pure observation, on guaranteed and best-effort
+    // traffic alike.
+    let base = with_best_effort(0.7, 42);
+    let plain = run_experiment(&base);
+    let with = run_experiment(&base.with_telemetry(TelemetrySpec::default()));
+    let observatory = with
+        .telemetry
+        .as_ref()
+        .and_then(|t| t.observatory.as_ref())
+        .expect("an armed router keeps an observatory");
+    assert!(observatory.slo.windows_observed > 0);
+    let best_effort = observatory
+        .classes
+        .iter()
+        .find(|c| c.class == TrafficClass::BestEffort);
+    assert!(best_effort.is_some_and(|c| c.delay.count() > 0));
+    assert_eq!(plain.summary, with.summary);
+    assert_eq!(plain.achieved_load, with.achieved_load);
+    assert_eq!(plain.executed_cycles, with.executed_cycles);
+}
+
+#[test]
 fn observatory_leaves_the_rng_stream_untouched() {
-    // Same RNG-position proof as the telemetry variant above, with the
-    // per-delivery observatory hooks in the delivery path.
-    let cfg = quick(0.6, 9);
+    // Same RNG-position proof as the telemetry variant above, with best
+    // effort in the mix so the observatory's every per-class hook runs.
+    let cfg = with_best_effort(0.6, 9);
     let run = |cfg: &SimConfig| {
         let workload = build_workload(cfg);
         let mut router = build_router(cfg, workload);
@@ -232,12 +237,7 @@ fn observatory_leaves_the_rng_stream_untouched() {
     };
     let plain = run(&cfg);
     let armed = run(&cfg.with_telemetry(TelemetrySpec::default()));
-    let observatory_off = run(&cfg.with_telemetry(TelemetrySpec {
-        observatory: false,
-        ..TelemetrySpec::default()
-    }));
     assert_eq!(plain, armed, "the observatory consumed an RNG draw");
-    assert_eq!(plain, observatory_off);
 }
 
 #[test]
@@ -593,7 +593,7 @@ fn router_characterization(arbiter: ArbiterKind) -> u64 {
                     // The plan `run_experiment` draws for this config.
                     let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xFA17).split(71);
                     let plan = fault.plan.generate(cfg.router.ports, connections, &mut rng);
-                    router.set_faults(plan, fault.profile);
+                    router.set_faults(plan, fault.delay_bound_flit_cycles);
                 }
                 if let Some(t) = &cfg.telemetry {
                     router.set_telemetry(t.to_config());

@@ -9,7 +9,6 @@ use mmr_core::arbiter::scheduler::ArbiterKind;
 use mmr_core::config::{vbr_cycle_budget, InjectionKind, RunLength, SimConfig, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
 use mmr_core::router::config::RouterConfig;
-use mmr_core::router::fault::FaultProfile;
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use mmr_core::sim::time::FlitCycle;
@@ -154,7 +153,7 @@ proptest! {
             })
             .collect();
         let n_events = events.len() as u64;
-        router.set_faults(FaultPlan::from_events(events), FaultProfile::default());
+        router.set_faults(FaultPlan::from_events(events), None);
 
         router.on_measurement_start(FlitCycle(0));
         for t in 0..2_500 {

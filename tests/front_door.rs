@@ -24,14 +24,13 @@ use mmr_core::experiment::{
 };
 use mmr_core::router::config::LinkPolicy;
 use mmr_core::router::fabric::Topology;
-use mmr_core::router::fault::FaultProfile;
 use mmr_core::sim::engine::{Runner, StopCondition};
 use mmr_core::sim::fault::FaultPlanConfig;
 use mmr_core::traffic::connection::TrafficClass;
 use mmr_core::workload_lang::{Fidelity, WorkloadSpec as Pack};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Flit cycles a perturbed config that passes the check is stepped.
@@ -74,19 +73,11 @@ fn armed_router() -> SimConfig {
             plan: FaultPlanConfig {
                 window_start: 50,
                 window_len: 3_000,
-                rogue_len: 8,
-                ..FaultPlanConfig::default()
-            }
-            .scaled(20.0),
-            profile: FaultProfile {
-                rate_window: 256,
-                ..FaultProfile::default()
+                factor: 20.0,
             },
+            delay_bound_flit_cycles: None,
         }),
-        telemetry: Some(TelemetrySpec {
-            snapshot_interval: 100,
-            ..TelemetrySpec::default()
-        }),
+        telemetry: Some(TelemetrySpec::default()),
         ..SimConfig::default()
     }
 }
@@ -378,27 +369,9 @@ fn mutation_counterexamples_are_typed_errors() {
         ),
         (
             0,
-            "fault.plan.stall_len",
-            max.clone(),
-            "fault.plan.stall_len",
-        ),
-        (
-            0,
-            "fault.plan.rogue_len",
-            max.clone(),
-            "fault.plan.rogue_len",
-        ),
-        (
-            0,
-            "fault.profile.rate_window",
-            max.clone(),
-            "fault.profile.rate_window",
-        ),
-        (
-            0,
-            "telemetry.trace_capacity",
-            max.clone(),
-            "telemetry.trace_capacity",
+            "fault.plan.factor",
+            Value::F64(1e300),
+            "fault.plan.window_len",
         ),
         (1, "workload.Vbr.gops", max.clone(), "workload.gops"),
         (
@@ -556,4 +529,71 @@ fn every_semantic_field_moves_the_result_and_no_performance_field_does() {
     for name in PERFORMANCE.iter().chain(INERT.iter().map(|(name, _)| name)) {
         assert!(moved.contains_key(*name), "no base steps {name}");
     }
+}
+
+/// Every config leaf the bases set, by dotted name, so that a new knob
+/// shows up here as a reviewed diff.
+const LEAVES: [&str; 48] = [
+    "arbiter.CrosspointQueued.cap",
+    "arbiter.FrameFair.frame",
+    "arbiter.Islip.iterations",
+    "best_effort.mean_flits",
+    "best_effort.per_link_load",
+    "fabric.host_ports",
+    "fabric.link_latency",
+    "fabric.topology.Mesh.x",
+    "fabric.topology.Mesh.y",
+    "fabric.workers",
+    "fault.plan.factor",
+    "fault.plan.window_len",
+    "fault.plan.window_start",
+    "router.candidate_levels",
+    "router.crossing_latency_flits",
+    "router.link_policy.SlotTable.backfill",
+    "router.link_policy.SlotTable.table_len",
+    "router.ports",
+    "router.round.concurrency_factor",
+    "router.round.cycles_per_round",
+    "router.time.flit_bits",
+    "router.time.link_bits_per_sec",
+    "router.time.phit_bits",
+    "router.vc_buffer_flits",
+    "router.vc_ram_banks",
+    "run.Cycles",
+    "seed",
+    "telemetry.wall_clock",
+    "warmup_cycles",
+    "workload.Cbr.target_load",
+    "workload.Mix.churn.arrivals",
+    "workload.Mix.churn.departures",
+    "workload.Mix.churn.end",
+    "workload.Mix.churn.start",
+    "workload.Mix.groups[0].rate_bps",
+    "workload.Mix.groups[0].weight",
+    "workload.Mix.groups[1].rate_bps",
+    "workload.Mix.groups[1].weight",
+    "workload.Mix.ramp.steps[0].at_cycle",
+    "workload.Mix.ramp.steps[0].fraction",
+    "workload.Mix.ramp.steps[1].at_cycle",
+    "workload.Mix.ramp.steps[1].fraction",
+    "workload.Mix.ramp.steps[2].at_cycle",
+    "workload.Mix.ramp.steps[2].fraction",
+    "workload.Mix.target_load",
+    "workload.Vbr.enforce_peak",
+    "workload.Vbr.gops",
+    "workload.Vbr.target_load",
+];
+
+#[test]
+fn the_bases_set_exactly_the_listed_leaves() {
+    let names: BTreeSet<String> = bases()
+        .iter()
+        .flat_map(|base| {
+            let v = base.to_value();
+            let names: Vec<String> = leaves(&v).iter().map(|p| leaf_name(&v, p)).collect();
+            names
+        })
+        .collect();
+    let listed: BTreeSet<String> = LEAVES.iter().map(|name| name.to_string()).collect();
+    assert_eq!(names, listed, "a config leaf was added or removed");
 }

@@ -9,7 +9,7 @@
 
 use mmr_core::config::{RunLength, SimConfig, TelemetrySpec, WorkloadSpec};
 use mmr_core::experiment::{build_router, build_workload, run_experiment};
-use mmr_core::router::telemetry::TelemetryConfig;
+use mmr_core::router::telemetry::{TelemetryConfig, SNAPSHOT_INTERVAL, TRACE_CAPACITY};
 use mmr_core::sim::engine::CycleModel;
 use mmr_core::sim::telemetry::recorder::{to_jsonl, FlightRecorder, TraceEvent};
 use mmr_core::sim::time::FlitCycle;
@@ -26,10 +26,7 @@ fn fig5_style(load: f64) -> SimConfig {
 
 #[test]
 fn armed_cbr_run_reports_counters_stages_and_windows() {
-    let cfg = fig5_style(0.7).with_telemetry(TelemetrySpec {
-        snapshot_interval: 1_000,
-        ..TelemetrySpec::default()
-    });
+    let cfg = fig5_style(0.7).with_telemetry(TelemetrySpec::default());
     let result = run_experiment(&cfg);
     let report = result.telemetry.expect("armed run returns a report");
 
@@ -96,10 +93,7 @@ fn armed_cbr_run_reports_counters_stages_and_windows() {
 
 #[test]
 fn armed_run_carries_a_consistent_observatory() {
-    let cfg = fig5_style(0.7).with_telemetry(TelemetrySpec {
-        snapshot_interval: 1_000,
-        ..TelemetrySpec::default()
-    });
+    let cfg = fig5_style(0.7).with_telemetry(TelemetrySpec::default());
     let result = run_experiment(&cfg);
     let report = result.telemetry.as_ref().expect("armed run reports");
     let obs = report
@@ -184,27 +178,6 @@ fn experiment_exposition_is_valid_and_covers_the_observatory() {
 }
 
 #[test]
-fn observatory_opt_out_removes_the_report_section() {
-    let cfg = fig5_style(0.6).with_telemetry(TelemetrySpec {
-        observatory: false,
-        ..TelemetrySpec::default()
-    });
-    let result = run_experiment(&cfg);
-    let report = result.telemetry.as_ref().unwrap();
-    assert!(report.observatory.is_none());
-    assert!(
-        report
-            .windows
-            .iter()
-            .all(|w| w.classes.iter().all(|c| c.slo_violations == 0)),
-        "no SLO accounting without the observatory"
-    );
-    let prom = result.prometheus();
-    mmr_core::sim::telemetry::validate_exposition(&prom).expect("still valid");
-    assert!(!prom.contains("mmr_delay_seconds"));
-}
-
-#[test]
 fn chaos_run_traces_fault_detections() {
     // The chaos pack's base-seed point, which runs to the fault-window
     // end so detections land in the retained ring tail.
@@ -232,22 +205,19 @@ fn chaos_run_traces_fault_detections() {
 
 #[test]
 fn trace_ring_wraps_and_round_trips_through_jsonl() {
-    // A small ring on a real router run: the recorder must wrap many
-    // times, keep the newest events in cycle order, and reproduce them
-    // exactly after a JSONL dump/parse round-trip.
+    // The ring on a real router run: the recorder must wrap many times,
+    // keep the newest events in cycle order, and reproduce them exactly
+    // after a JSONL dump/parse round-trip.
     let cfg = fig5_style(0.7);
     let mut router = build_router(&cfg, build_workload(&cfg));
-    router.set_telemetry(TelemetryConfig {
-        trace_capacity: 256,
-        ..TelemetryConfig::default()
-    });
-    for t in 0..4_000 {
+    router.set_telemetry(TelemetryConfig::default());
+    for t in 0..40_000 {
         router.step(FlitCycle(t), true);
     }
     let recorder = router.telemetry().recorder().expect("telemetry is armed");
-    assert_eq!(recorder.len(), 256, "ring is full");
+    assert_eq!(recorder.len(), TRACE_CAPACITY, "ring is full");
     assert!(
-        recorder.recorded() > 10 * 256,
+        recorder.recorded() > 10 * TRACE_CAPACITY as u64,
         "run wraps the ring many times over"
     );
     let events: Vec<TraceEvent> = recorder.events().collect();
@@ -257,7 +227,7 @@ fn trace_ring_wraps_and_round_trips_through_jsonl() {
     );
 
     let dump = to_jsonl(recorder.events());
-    assert_eq!(dump.lines().count(), 256);
+    assert_eq!(dump.lines().count(), TRACE_CAPACITY);
     let parsed = FlightRecorder::parse_jsonl(&dump).expect("dump parses back");
     assert_eq!(parsed, events, "JSONL round-trip is lossless");
 }
@@ -279,25 +249,23 @@ fn disarmed_router_reports_nothing() {
 
 #[test]
 fn windows_past_the_buffer_are_counted_as_dropped() {
-    // One window per cycle overruns the 512-window buffer: the report
-    // keeps the first 512 in order and counts every later one.
+    // 700 windows overrun the 512-window buffer: the report keeps the
+    // first 512 in order and counts every later one.
     let cfg = fig5_style(0.5);
     let mut router = build_router(&cfg, build_workload(&cfg));
-    router.set_telemetry(TelemetryConfig {
-        snapshot_interval: 1,
-        ..TelemetryConfig::default()
-    });
-    let cycles = 700u64;
-    for t in 0..cycles {
+    router.set_telemetry(TelemetryConfig::default());
+    let windows = 700u64;
+    for t in 0..windows * SNAPSHOT_INTERVAL {
         router.step(FlitCycle(t), true);
     }
     let report = router.telemetry_report();
     assert_eq!(report.windows.len(), 512);
-    assert_eq!(report.windows_dropped, cycles - 512);
+    assert_eq!(report.windows_dropped, windows - 512);
     for (i, w) in report.windows.iter().enumerate() {
+        let start = i as u64 * SNAPSHOT_INTERVAL;
         assert_eq!(
             (w.index, w.start_cycle, w.end_cycle),
-            (i as u64, i as u64, i as u64)
+            (i as u64, start, start + SNAPSHOT_INTERVAL - 1)
         );
     }
 }
@@ -310,10 +278,7 @@ fn wall_clock_arming_times_stages_and_changes_nothing_else() {
     let cfg = fig5_style(0.7);
     let run = |wall_clock: bool| {
         let mut router = build_router(&cfg, build_workload(&cfg));
-        router.set_telemetry(TelemetryConfig {
-            wall_clock,
-            ..TelemetryConfig::default()
-        });
+        router.set_telemetry(TelemetryConfig { wall_clock });
         for t in 0..2_000 {
             router.step(FlitCycle(t), true);
         }

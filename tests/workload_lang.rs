@@ -19,15 +19,14 @@ use mmr_core::conformance::{ensemble_seeds, Bound, Check, Ensemble, Loads, Panel
 use mmr_core::experiment::{build_router, build_workload, run_experiment, ExperimentResult};
 use mmr_core::router::config::{LinkPolicy, RouterConfig};
 use mmr_core::router::fabric::Topology;
-use mmr_core::router::fault::FaultProfile;
 use mmr_core::saturation::ExperimentCache;
 use mmr_core::sim::engine::{Runner, StopCondition};
 use mmr_core::sim::fault::FaultPlanConfig;
 use mmr_core::sweep::{SweepPoint, SweepSpec};
 use mmr_core::traffic::admission::RoundConfig;
 use mmr_core::workload_lang::{
-    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, FabricSec, FaultSec, Fidelity,
-    RouterSec, SpecError, WorkloadSpec,
+    parse_arbiter, parse_class, validate_pack_set, ClaimSpec, FabricSec, Fidelity, RouterSec,
+    SpecError, WorkloadSpec,
 };
 use proptest::prelude::*;
 use std::path::Path;
@@ -195,10 +194,9 @@ fn chaos_literal(factor: f64) -> SweepSpec {
             plan: FaultPlanConfig {
                 window_start: 5_000,
                 window_len: 10_000,
-                ..Default::default()
-            }
-            .scaled(factor),
-            profile: FaultProfile::default(),
+                factor,
+            },
+            delay_bound_flit_cycles: None,
         }),
         ..cbr_base(0, 15_000)
     };
@@ -715,7 +713,7 @@ fn a_fabric_pack_with_a_fault_plan_is_a_typed_error() {
     // The fabric runner injects no faults, so the pack would run
     // something other than it declares.
     let mut spec = load_pack("fabric_mesh.toml");
-    spec.fault = Some(FaultSec {
+    spec.fault = Some(FaultPlanConfig {
         window_start: 1_000,
         window_len: 5_000,
         factor: 1.0,
@@ -731,7 +729,7 @@ fn a_fabric_pack_with_a_fault_plan_is_a_typed_error() {
 // ---------------------------------------------------------------------------
 
 /// `chaos.toml` with its `[fault]` table edited by `edit`.
-fn fault_edit(edit: impl FnOnce(&mut FaultSec)) -> Result<(), SpecError> {
+fn fault_edit(edit: impl FnOnce(&mut FaultPlanConfig)) -> Result<(), SpecError> {
     let mut spec = load_pack("chaos.toml");
     edit(spec.fault.as_mut().expect("chaos has a [fault]"));
     let compiled = spec.compile(Fidelity::Quick).map(|_| ());
@@ -766,7 +764,7 @@ fn a_fault_window_past_the_run_is_a_typed_error() {
     // A drained VBR run ends at its cycle budget.
     let mut vbr = load_pack("fig9_sr.toml");
     let budget = vbr_cycle_budget(1);
-    vbr.fault = Some(FaultSec {
+    vbr.fault = Some(FaultPlanConfig {
         window_start: budget - 1_000,
         window_len: 1_000,
         factor: 1.0,
